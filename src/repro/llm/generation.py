@@ -128,7 +128,8 @@ def generate_tokens(
     generated: List[int] = []
     context = list(prompt_ids)
     was_training = model.training
-    model.eval()
+    if was_training:
+        model.eval()
     cache = model.new_kv_cache() if use_cache else None
     # The cache is valid iff it holds exactly the tokens of the current
     # window's prefix.  Because the loop itself appends every token it feeds,
@@ -186,9 +187,12 @@ def generate_tokens_batch(
     row has finished.
 
     Decoding is KV-cached and runs under :func:`repro.nn.inference_mode`.
-    When the padded window hits ``max_seq_len`` the batch is re-primed from
-    each row's last ``max_seq_len`` tokens (sliding-window truncation), which
-    invalidates and rebuilds the cache.
+    A prime encodes the padded prompts in one forward; every later step runs
+    :meth:`~repro.nn.transformer.TransformerLM.decode_step` over the ``B``
+    newest tokens with the padding mask built at the prime.  When the padded
+    window hits ``max_seq_len`` the batch is re-primed from each row's last
+    ``max_seq_len`` tokens (sliding-window truncation), which invalidates and
+    rebuilds the cache.
     """
     if not prompts:
         return []
@@ -204,30 +208,24 @@ def generate_tokens_batch(
     batch = len(contexts)
     generated: List[List[int]] = [[] for _ in range(batch)]
     finished = [False] * batch
+    # Without a repetition penalty, greedy decoding is a plain argmax per row
+    # (what ``sample_next_token`` returns), so one argmax serves the batch.
+    argmax_rows = config.greedy and config.repetition_penalty == 1.0
 
     was_training = model.training
-    model.eval()
+    if was_training:
+        model.eval()
     cache = model.new_kv_cache()
-    mask: Optional[np.ndarray] = None
-    lengths: Optional[np.ndarray] = None  # per-row count of real (unpadded) tokens
-    last_sampled: List[int] = [0] * batch
+    token_ids = np.zeros(batch, dtype=np.int64)  # each row's newest token
+    positions: Optional[np.ndarray] = None  # and its absolute position
+    padding: Optional[np.ndarray] = None
     try:
         with inference_mode():
             for step in range(config.max_new_tokens):
                 if step > 0 and cache.length + 1 <= max_context:
                     # Incremental step: feed only the freshly sampled column.
-                    token_array = np.asarray(last_sampled, dtype=np.int64)[:, None]
-                    position_ids = lengths[:, None]
-                    mask = np.concatenate(
-                        [mask, np.ones((batch, 1), dtype=bool)], axis=1
-                    )
-                    logits = model(
-                        token_array,
-                        attention_mask=mask,
-                        kv_cache=cache,
-                        position_ids=position_ids,
-                    )
-                    lengths = lengths + 1
+                    final_logits = model.decode_step(token_ids, positions, padding, cache)
+                    positions += 1
                 else:
                     # Prime (or re-prime after the window slid): encode each
                     # row's visible window in one left-padded forward.
@@ -235,32 +233,39 @@ def generate_tokens_batch(
                     windows = [context[-max_context:] for context in contexts]
                     width = max(len(window) for window in windows)
                     token_array = np.full((batch, width), pad_token_id, dtype=np.int64)
-                    mask = np.zeros((batch, width), dtype=bool)
                     position_ids = np.zeros((batch, width), dtype=np.int64)
-                    lengths = np.zeros(batch, dtype=np.int64)
+                    # True hides a key: each row's left padding.  Built once
+                    # per prime; every step until the next prime slices it.
+                    padding = np.zeros((batch, max_context), dtype=bool)
                     for row, window in enumerate(windows):
                         pad = width - len(window)
                         token_array[row, pad:] = window
-                        mask[row, pad:] = True
                         position_ids[row, pad:] = np.arange(len(window))
-                        lengths[row] = len(window)
+                        padding[row, :pad] = True
+                    positions = position_ids[:, -1] + 1
                     logits = model(
                         token_array,
-                        attention_mask=mask,
+                        attention_mask=~padding[:, :width],
                         kv_cache=cache,
                         position_ids=position_ids,
                     )
-                # Left padding guarantees every row's next-token logits sit in
-                # the last column.
-                final_logits = logits.data[:, -1, :]
-                for row in range(batch):
-                    next_id = sample_next_token(
-                        final_logits[row],
-                        config,
-                        rng=generator,
-                        previous_ids=generated[row],
-                    )
-                    last_sampled[row] = next_id
+                    # Left padding puts every row's next-token logits in the
+                    # last column.
+                    final_logits = logits.data[:, -1, :]
+                if argmax_rows:
+                    next_ids = np.argmax(final_logits, axis=1).tolist()
+                else:
+                    next_ids = [
+                        sample_next_token(
+                            final_logits[row],
+                            config,
+                            rng=generator,
+                            previous_ids=generated[row],
+                        )
+                        for row in range(batch)
+                    ]
+                token_ids[:] = next_ids
+                for row, next_id in enumerate(next_ids):
                     contexts[row].append(next_id)
                     if not finished[row]:
                         generated[row].append(next_id)

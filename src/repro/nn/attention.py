@@ -36,9 +36,9 @@ from repro.utils.rng import as_generator
 class LayerKVCache:
     """Cached key/value buffers of one attention layer.
 
-    ``keys`` and ``values`` expose shape ``(batch, heads, cached_len,
-    head_dim)`` views into preallocated capacity buffers (or ``None`` when
-    empty).  The cache holds plain numpy data (no autograd graph) — it is an
+    Keys and values live in ``(batch, heads, capacity, head_dim)`` buffers;
+    :meth:`extend` and :meth:`append_token` return views of the cached
+    prefix.  The cache holds plain numpy data (no autograd graph) — it is an
     inference structure and is meant to be used inside
     :func:`repro.nn.inference_mode`.
 
@@ -54,16 +54,6 @@ class LayerKVCache:
         self._values: Optional[np.ndarray] = None
         self._length = 0
         self._capacity_hint = int(capacity) if capacity else 0
-
-    @property
-    def keys(self) -> Optional[np.ndarray]:
-        """View of the cached keys, ``(B, H, cached_len, head_dim)``."""
-        return None if self._length == 0 else self._keys[:, :, : self._length]
-
-    @property
-    def values(self) -> Optional[np.ndarray]:
-        """View of the cached values, ``(B, H, cached_len, head_dim)``."""
-        return None if self._length == 0 else self._values[:, :, : self._length]
 
     @property
     def length(self) -> int:
@@ -108,20 +98,21 @@ class LayerKVCache:
         return self._keys[:, :, :needed], self._values[:, :, :needed]
 
     def append_token(
-        self, key_row: np.ndarray, value_row: np.ndarray
+        self, key_rows: np.ndarray, value_rows: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fast single-position append for batch-1 decode.
+        """Fast single-position append; returns views of the full arrays.
 
-        ``key_row``/``value_row`` have shape ``(heads, head_dim)``.  Falls
-        back to :meth:`extend` when the buffers are missing, full, or not
-        batch-1.
+        ``key_rows``/``value_rows`` have shape ``(batch, heads, head_dim)``
+        and are written straight into the capacity buffers.  Falls back to
+        :meth:`extend` when the buffers are missing, full, or sized for
+        another batch.
         """
         index = self._length
         buffer = self._keys
-        if buffer is None or buffer.shape[0] != 1 or buffer.shape[2] <= index:
-            return self.extend(key_row[None, :, None, :], value_row[None, :, None, :])
-        buffer[0, :, index] = key_row
-        self._values[0, :, index] = value_row
+        if buffer is None or buffer.shape[0] != key_rows.shape[0] or buffer.shape[2] <= index:
+            return self.extend(key_rows[:, :, None, :], value_rows[:, :, None, :])
+        buffer[:, :, index] = key_rows
+        self._values[:, :, index] = value_rows
         self._length = index + 1
         return buffer[:, :, : self._length], self._values[:, :, : self._length]
 
@@ -163,15 +154,8 @@ class MultiHeadSelfAttention(Module):
         seq: int,
         past: int,
         attention_mask: Optional[np.ndarray],
-    ) -> Optional[np.ndarray]:
-        """Causal + padding mask, ``(B, H, T, past+T)`` boolean (True hides).
-
-        Returns ``None`` for the single-position step without padding — the
-        causal row hides nothing, so the mask (and its allocation) can be
-        skipped entirely.
-        """
-        if attention_mask is None and seq == 1:
-            return None
+    ) -> np.ndarray:
+        """Causal + padding mask, ``(B, H, T, past+T)`` boolean (True hides)."""
         total = past + seq
         causal = F.attention_scores_mask(seq, past_len=past)  # (T, past + T)
         mask = np.broadcast_to(causal, (batch, self.num_heads, seq, total)).copy()
@@ -260,29 +244,38 @@ class MultiHeadSelfAttention(Module):
             (batch, heads, seq, past + seq)
         )
 
-        if batch == 1 and seq == 1 and mask is None and dropout_mask is None:
-            # (Training-mode single-token decode; the eval-mode equivalent
-            # goes through raw_decode_row via TransformerLM._decode_step.)
-            # Steady-state single-stream decode: collapse the (1, H, 1, ·)
-            # batched matmuls to 2-D GEMV-shaped ops.  Same dot products and
-            # the same stable-softmax elementwise sequence as the fused
-            # kernel, just without the singleton batch dimensions.
-            query2 = queries.reshape(heads, head_dim)
-            keys3 = keys[0]  # (H, total, head_dim)
-            values3 = values[0]
-            scores = (keys3 @ query2[:, :, None])[:, :, 0]  # (H, total)
-            scores *= scale
-            scores -= scores.max(axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= scores.sum(axis=-1, keepdims=True)
-            context = scores[:, None, :] @ values3  # (H, 1, head_dim)
-            merged = context.reshape(1, 1, self.dim)
-        else:
-            context, _ = backend.scaled_dot_product_attention(
-                queries, keys, values, scale, mask, dropout_mask
-            )
-            merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
+        context, _ = backend.scaled_dot_product_attention(
+            queries, keys, values, scale, mask, dropout_mask
+        )
+        merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
         return self.o_proj.raw_forward(merged)
+
+    def raw_decode_rows(
+        self, x: np.ndarray, cache: LayerKVCache, padding: np.ndarray
+    ) -> np.ndarray:
+        """Single-position attention step for the ``(B, dim)`` rows ``x``.
+
+        ``padding`` is a boolean ``(B, 1, 1, past + 1)`` array, True hiding a
+        key position.  Caller guarantees inert dropout.  The projections are
+        2-D GEMMs; the new key/value column is written straight into the
+        cache's capacity buffers.  The attention products and the softmax run
+        the same operations as the fused kernel, without the causal mask (a
+        query at the newest position sees every cached key).
+        """
+        batch = x.shape[0]
+        heads, head_dim = self.num_heads, self.head_dim
+        query = self.q_proj.raw_forward(x).reshape(batch, heads, 1, head_dim)
+        key = self.k_proj.raw_forward(x).reshape(batch, heads, head_dim)
+        value = self.v_proj.raw_forward(x).reshape(batch, heads, head_dim)
+        keys, values = cache.append_token(key, value)
+        scores = query @ np.swapaxes(keys, -1, -2)  # (B, H, 1, total)
+        scores *= 1.0 / np.sqrt(head_dim)
+        np.copyto(scores, -1e9, where=padding)
+        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+        context = scores @ values  # (B, H, 1, head_dim)
+        return self.o_proj.raw_forward(context.reshape(batch, self.dim))
 
     def raw_decode_row(self, x: np.ndarray, cache: LayerKVCache, workspace, tag) -> np.ndarray:
         """Fused single-token attention step on a ``(dim,)`` row.
@@ -297,7 +290,7 @@ class MultiHeadSelfAttention(Module):
         key = self.k_proj.project_row(x, workspace.get((tag, "k"), (dim,)))
         value = self.v_proj.project_row(x, workspace.get((tag, "v"), (dim,)))
         keys, values = cache.append_token(
-            key.reshape(heads, head_dim), value.reshape(heads, head_dim)
+            key.reshape(1, heads, head_dim), value.reshape(1, heads, head_dim)
         )
         keys3 = keys[0]  # (H, total, head_dim)
         values3 = values[0]

@@ -19,7 +19,13 @@ from repro.utils.rng import as_generator
 
 
 class Module:
-    """Base class for all layers and models."""
+    """Base class for all layers and models.
+
+    Parameters and submodules are discovered from public attributes only; an
+    attribute whose name starts with an underscore is private state (an RNG,
+    a workspace, an index of submodules kept elsewhere in the tree) and is
+    never walked.
+    """
 
     def __init__(self) -> None:
         self.training = True
@@ -28,6 +34,8 @@ class Module:
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
         """Yield ``(qualified_name, tensor)`` for every parameter, recursively."""
         for name, value in vars(self).items():
+            if name.startswith("_"):
+                continue
             qualified = f"{prefix}{name}" if not prefix else f"{prefix}.{name}"
             if isinstance(value, Tensor):
                 yield qualified, value
@@ -51,7 +59,9 @@ class Module:
     def modules(self) -> Iterator["Module"]:
         """Yield this module and every submodule, depth-first."""
         yield self
-        for value in vars(self).values():
+        for name, value in vars(self).items():
+            if name.startswith("_"):
+                continue
             if isinstance(value, Module):
                 yield from value.modules()
             elif isinstance(value, (list, tuple)):

@@ -151,6 +151,10 @@ def inject_lora(
     projections named in ``config.target_layers``.  All other model
     parameters are frozen, reproducing the paper's parameter-efficient
     fine-tuning regime.  Returns the list of injected adapters.
+
+    The full adapter list of ``model`` is recorded on it, so
+    :func:`lora_layers` (every adapter load and export) does not walk the
+    module tree; :func:`merge_lora` refreshes the record.
     """
     config = config or LoRAConfig()
     rng = as_generator(rng)
@@ -170,8 +174,11 @@ def inject_lora(
             if isinstance(projection, LoRALinear):
                 continue
             adapter = LoRALinear(projection, config, rng=rng)
+            if not projection.training:
+                adapter.eval()  # join the model's mode (decode skips eval())
             setattr(attention, layer_name, adapter)
             adapters.append(adapter)
+    model._lora_layers = _find_lora_layers(model)
     freeze_non_lora_parameters(model)
     return adapters
 
@@ -191,9 +198,20 @@ def freeze_non_lora_parameters(model: Module) -> int:
     return frozen
 
 
-def lora_layers(model: Module) -> List[LoRALinear]:
-    """All :class:`LoRALinear` layers inside ``model``."""
+def _find_lora_layers(model: Module) -> List[LoRALinear]:
     return [module for module in model.modules() if isinstance(module, LoRALinear)]
+
+
+def lora_layers(model: Module) -> List[LoRALinear]:
+    """All :class:`LoRALinear` layers inside ``model``, in module-tree order.
+
+    Uses the list :func:`inject_lora` / :func:`merge_lora` recorded when
+    they last ran on ``model`` itself; walks the tree otherwise.
+    """
+    recorded = getattr(model, "_lora_layers", None)
+    if recorded is None:
+        return _find_lora_layers(model)
+    return list(recorded)
 
 
 def lora_parameters(model: Module) -> List[Tensor]:
@@ -272,6 +290,7 @@ def merge_lora(model: Module) -> int:
             if isinstance(projection, LoRALinear):
                 setattr(attention, layer_name, projection.merge())
                 merged += 1
+    model._lora_layers = _find_lora_layers(model)
     return merged
 
 

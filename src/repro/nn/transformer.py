@@ -278,6 +278,23 @@ class TransformerLM(Module):
             logits = hidden @ self.token_embedding.weight.data.T
         return logits, hidden
 
+    def _check_decode(self, entry: str, kv_cache: KVCache) -> int:
+        """Guards shared by the incremental decode entry points; returns ``past``."""
+        if is_grad_enabled():
+            raise RuntimeError(
+                "KV cache is an inference structure; wrap the forward in "
+                "repro.nn.inference_mode() when decoding with a cache"
+            )
+        if self.training:
+            raise RuntimeError(f"{entry} requires eval mode (dropout must be inert)")
+        past = kv_cache.length
+        if past + 1 > self.config.max_seq_len:
+            raise ValueError(
+                f"sequence length {past + 1} (cached {past} + new 1) "
+                f"exceeds max_seq_len {self.config.max_seq_len}"
+            )
+        return past
+
     def decode_logits(self, token_id: int, kv_cache: KVCache) -> np.ndarray:
         """One fused single-token decode step; returns the ``(vocab,)`` logits row.
 
@@ -286,19 +303,7 @@ class TransformerLM(Module):
         without the batched-path wrapping.  The returned array is
         workspace-owned — read it (or copy) before the next decode step.
         """
-        if is_grad_enabled():
-            raise RuntimeError(
-                "KV cache is an inference structure; wrap the forward in "
-                "repro.nn.inference_mode() when decoding with a cache"
-            )
-        if self.training:
-            raise RuntimeError("decode_logits requires eval mode (dropout must be inert)")
-        past = kv_cache.length
-        if past + 1 > self.config.max_seq_len:
-            raise ValueError(
-                f"sequence length {past + 1} (cached {past} + new 1) "
-                f"exceeds max_seq_len {self.config.max_seq_len}"
-            )
+        past = self._check_decode("decode_logits", kv_cache)
         if not 0 <= token_id < self.config.vocab_size:
             raise IndexError(
                 f"token id out of range [0, {self.config.vocab_size}): "
@@ -306,6 +311,60 @@ class TransformerLM(Module):
             )
         logits, _ = self._decode_step(token_id, past, kv_cache, _active())
         return logits
+
+    def decode_step(
+        self,
+        token_ids: np.ndarray,
+        positions: np.ndarray,
+        padding: np.ndarray,
+        kv_cache: KVCache,
+    ) -> np.ndarray:
+        """One incremental decode step over ``B`` rows; returns ``(B, vocab)`` logits.
+
+        ``token_ids`` and ``positions`` are ``(B,)`` integer arrays: each
+        row's newest token and its absolute position.  ``padding`` is a
+        boolean ``(B, >= past + 1)`` array where True hides a key position
+        (the left padding of a batch primed by one padded forward); the step
+        slices it to the current length, so a caller builds it once per
+        prime.  The KV cache must hold ``B`` rows.  Equivalent to the
+        masked ``forward`` of one new column, run as 2-D row GEMMs into the
+        model's workspace; the returned array is workspace-owned — read it
+        (or copy) before the next step.
+        """
+        past = self._check_decode("decode_step", kv_cache)
+        backend = _active()
+        workspace = self._workspace
+        if workspace is None:
+            workspace = self._workspace = backend.Workspace()
+        batch = token_ids.shape[0]
+        hidden = workspace.get(("rows", "hidden"), (batch, self.config.dim))
+        np.add(
+            self.token_embedding.weight.data[token_ids],
+            self.position_embedding.weight.data[positions],
+            out=hidden,
+        )
+        key_padding = padding[:, None, None, : past + 1]
+        for index, block in enumerate(self.blocks):
+            normed, _ = backend.layernorm(
+                hidden, block.ln_attn.weight.data, block.ln_attn.bias.data, block.ln_attn.eps
+            )
+            hidden += block.attention.raw_decode_rows(
+                normed, kv_cache.layers[index], key_padding
+            )
+            normed, _ = backend.layernorm(
+                hidden, block.ln_ffn.weight.data, block.ln_ffn.bias.data, block.ln_ffn.eps
+            )
+            act, _ = backend.gelu(block.ffn.up.raw_forward(normed))
+            hidden += block.ffn.down.raw_forward(act)
+        normed, _ = backend.layernorm(
+            hidden, self.ln_final.weight.data, self.ln_final.bias.data, self.ln_final.eps
+        )
+        if self.lm_head is not None:
+            return self.lm_head.raw_forward(normed)
+        weight = self.token_embedding.weight.data
+        return np.matmul(
+            normed, weight.T, out=workspace.get(("rows", "logits"), (batch, weight.shape[0]))
+        )
 
     def _decode_step(self, token_id: int, position: int, kv_cache: KVCache, backend):
         """Fused per-token decode: row kernels + preallocated workspace.
@@ -377,7 +436,8 @@ class TransformerLM(Module):
         quality metrics.
         """
         was_training = self.training
-        self.eval()
+        if was_training:
+            self.eval()
         with inference_mode():
             _, hidden = self.forward(
                 token_ids, attention_mask=attention_mask, return_hidden=True

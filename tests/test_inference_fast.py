@@ -8,8 +8,12 @@ window shifts every absolute position and the cache must be invalidated),
 decoding must reproduce per-sequence decoding row by row.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.llm.generation import (
     GenerationConfig,
@@ -17,8 +21,9 @@ from repro.llm.generation import (
     generate_tokens,
     generate_tokens_batch,
 )
-from repro.nn import KVCache, Tensor, inference_mode, is_grad_enabled
+from repro.nn import KVCache, Tensor, inference_mode, is_grad_enabled, lora_layers
 from repro.nn.functional import attention_scores_mask
+from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.textmetrics.rouge import Rouge1Reference, rouge_1_f1
 
 
@@ -245,6 +250,187 @@ class TestBatchedDecoding:
         singles = [pretrained_llm.respond(q, generation=config) for q in questions]
         batched = pretrained_llm.respond_batch(questions, generation=config)
         assert batched == singles
+
+
+def _reference_decode(model, prompt, steps):
+    """The no-cache reference loop: one full forward of the visible window per token.
+
+    Returns the greedy ids and every step's next-token logits ``(steps, vocab)``.
+    """
+    max_context = model.config.max_seq_len
+    context = list(prompt)
+    ids, logits_rows = [], []
+    with inference_mode():
+        for _ in range(steps):
+            window = np.asarray(context[-max_context:], dtype=np.int64)[None, :]
+            logits = model(window).data[0, -1]
+            next_id = int(np.argmax(logits))
+            ids.append(next_id)
+            logits_rows.append(logits)
+            context.append(next_id)
+    return ids, np.stack(logits_rows)
+
+
+@contextmanager
+def _recorded_step_logits(model):
+    """Collect the ``(B, vocab)`` next-token logits of every batched decode step.
+
+    Wraps the two ways a step gets its logits: the padded prime forward
+    (first step and every re-prime) and the incremental ``decode_step``.
+    """
+    steps = []
+    decode_step, forward = model.decode_step, model.forward
+
+    def record_step(*args):
+        logits = decode_step(*args)
+        steps.append(logits.copy())
+        return logits
+
+    def record_prime(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        steps.append(out.data[:, -1].copy())
+        return out
+
+    model.decode_step, model.forward = record_step, record_prime
+    try:
+        yield steps
+    finally:
+        del model.decode_step, model.forward
+
+
+@pytest.fixture(scope="module")
+def decode_models(pretrained_llm):
+    """The shared pre-trained model, bare and with a non-zero LoRA adapter."""
+    adapted = pretrained_llm.clone()
+    adapted.add_lora()
+    rng = np.random.default_rng(5)
+    for layer in lora_layers(adapted.model):
+        layer.lora_b.data = (rng.standard_normal(layer.lora_b.data.shape) * 0.05).astype(
+            np.float32
+        )
+    adapted.model.eval()
+    return {False: pretrained_llm.model, True: adapted.model}
+
+
+_PROMPTS = st.lists(
+    st.lists(st.integers(min_value=1, max_value=99), min_size=1, max_size=72),
+    min_size=1,
+    max_size=9,
+)
+
+
+class TestBatchedDecodeProperty:
+    """Ragged batches of 1-9 prompts, some past ``max_seq_len`` (re-primes)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(prompts=_PROMPTS, new_tokens=st.integers(min_value=1, max_value=12),
+           adapted=st.booleans())
+    @example(prompts=[[5] * 60, [7, 8], [9] * 70], new_tokens=12, adapted=True)
+    @example(prompts=[[3, 4, 5]], new_tokens=6, adapted=False)
+    def test_greedy_rows_match_alone_and_reference(
+        self, decode_models, prompts, new_tokens, adapted
+    ):
+        model = decode_models[adapted]
+        assert model.config.vocab_size > 99
+        config = GenerationConfig(max_new_tokens=new_tokens, greedy=True)
+        with _recorded_step_logits(model) as steps:
+            batched = generate_tokens_batch(model, prompts, config, pad_token_id=0)
+        assert len(steps) == new_tokens
+        for row, prompt in enumerate(prompts):
+            reference_ids, reference_logits = _reference_decode(model, prompt, new_tokens)
+            assert batched[row] == generate_tokens(model, prompt, config)
+            assert batched[row] == reference_ids
+            step_logits = np.stack([logits[row] for logits in steps])
+            np.testing.assert_allclose(step_logits, reference_logits, rtol=0, atol=1e-4)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(prompts=_PROMPTS, new_tokens=st.integers(min_value=1, max_value=12),
+           adapted=st.booleans(), seed=st.integers(min_value=0, max_value=2**16))
+    def test_sampled_decode_repeats_with_same_seed(
+        self, decode_models, prompts, new_tokens, adapted, seed
+    ):
+        model = decode_models[adapted]
+        config = GenerationConfig(
+            max_new_tokens=new_tokens, temperature=0.8, top_k=20, repetition_penalty=1.2
+        )
+        first = generate_tokens_batch(
+            model, prompts, config, rng=np.random.default_rng(seed), pad_token_id=0
+        )
+        again = generate_tokens_batch(
+            model, prompts, config, rng=np.random.default_rng(seed), pad_token_id=0
+        )
+        assert first == again
+        assert [len(row) for row in first] == [new_tokens] * len(prompts)
+
+
+class TestDecodeStep:
+    def _primed(self, model, prompts):
+        """Left-pad ``prompts``, prime a cache; returns the step inputs."""
+        batch, width = len(prompts), max(len(p) for p in prompts)
+        tokens = np.zeros((batch, width), dtype=np.int64)
+        mask = np.zeros((batch, width), dtype=bool)
+        positions = np.zeros((batch, width), dtype=np.int64)
+        for row, prompt in enumerate(prompts):
+            tokens[row, width - len(prompt):] = prompt
+            mask[row, width - len(prompt):] = True
+            positions[row, width - len(prompt):] = np.arange(len(prompt))
+        cache = model.new_kv_cache()
+        with inference_mode():
+            model(tokens, attention_mask=mask, kv_cache=cache, position_ids=positions)
+        padding = np.zeros((batch, model.config.max_seq_len), dtype=bool)
+        padding[:, :width] = ~mask
+        lengths = np.array([len(p) for p in prompts], dtype=np.int64)
+        return cache, padding, lengths, mask
+
+    def test_matches_masked_forward_with_untied_head(self):
+        config = TransformerConfig(vocab_size=50, max_seq_len=16, dim=16, num_layers=2,
+                                   num_heads=2, tie_embeddings=False)
+        model = TransformerLM(config, rng=np.random.default_rng(0))
+        model.eval()
+        prompts = [[1, 2, 3, 4], [5, 6], [7]]
+        cache, padding, lengths, mask = self._primed(model, prompts)
+        reference, _, _, _ = self._primed(model, prompts)
+        new = np.array([8, 9, 10], dtype=np.int64)
+        with inference_mode():
+            expected = model(
+                new[:, None],
+                attention_mask=np.concatenate([mask, np.ones((3, 1), dtype=bool)], axis=1),
+                kv_cache=reference,
+                position_ids=lengths[:, None],
+            ).data[:, -1]
+            got = model.decode_step(new, lengths, padding, cache)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-5)
+        assert cache.length == reference.length == 5
+
+    def test_guards(self, pretrained_llm):
+        model = pretrained_llm.model
+        model.eval()
+        cache, padding, lengths, _ = self._primed(model, [[1, 2], [3]])
+        token_ids = np.array([4, 5], dtype=np.int64)
+        with pytest.raises(RuntimeError, match="inference_mode"):
+            model.decode_step(token_ids, lengths, padding, cache)
+        full, padding, lengths, _ = self._primed(model, [[1] * model.config.max_seq_len, [2]])
+        with inference_mode():
+            with pytest.raises(ValueError, match="exceeds max_seq_len"):
+                model.decode_step(token_ids, lengths, padding, full)
+            model.train()
+            try:
+                with pytest.raises(RuntimeError, match="eval mode"):
+                    model.decode_step(token_ids, lengths, padding, cache)
+            finally:
+                model.eval()
+
+    def test_eval_model_is_not_walked(self, pretrained_llm):
+        model = pretrained_llm.model
+        model.eval()
+        model.eval = lambda: pytest.fail("decode of an eval-mode model walked the tree")
+        try:
+            config = GenerationConfig(max_new_tokens=3, greedy=True)
+            generate_tokens_batch(model, [[1, 2], [3]], config)
+            generate_tokens(model, [1, 2], config)
+            model.hidden_states(np.array([[1, 2, 3]]))
+        finally:
+            del model.eval
 
 
 class TestBatchedEvaluator:

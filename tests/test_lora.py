@@ -104,6 +104,30 @@ class TestInjection:
         tokens = rng.integers(0, 30, size=(1, 5))
         assert model(tokens).shape == (1, 5, 30)
 
+    def test_recorded_adapter_list_matches_tree_walk(self, model):
+        inject_lora(model, LoRAConfig(rank=4, target_layers=("v_proj", "q_proj")))
+        walked = [m for m in model.modules() if isinstance(m, LoRALinear)]
+        assert lora_layers(model) == walked
+        # A second injection adds the missing projections; the record follows.
+        inject_lora(model, LoRAConfig(rank=4))
+        walked = [m for m in model.modules() if isinstance(m, LoRALinear)]
+        assert len(walked) == 8
+        assert lora_layers(model) == walked
+        # The record is private state: parameter discovery never walks it.
+        names = [name for name, _ in model.named_parameters()]
+        assert len(names) == len(set(names))
+        assert not any("_lora_layers" in name for name in names)
+        assert sum(isinstance(m, LoRALinear) for m in model.modules()) == 8
+        merge_lora(model)
+        assert lora_layers(model) == []
+
+    def test_adapters_join_an_eval_model_in_eval_mode(self, model):
+        model.eval()
+        inject_lora(model, LoRAConfig(rank=4))
+        assert not any(module.training for module in model.modules())
+        model.train()
+        assert all(module.training for module in model.modules())
+
 
 class TestAdapterStateDict:
     def test_roundtrip(self, model):
