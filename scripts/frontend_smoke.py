@@ -9,18 +9,23 @@ op, and checks the whole contract end to end:
 
 * the server exits 0 and writes ``serve_result.json``;
 * every driven request completes (no dead letters at this scale);
-* the digest the *clients* observed (``stats`` frame) equals the digest the
-  *server* reported (``serve_result.json``) — one truth, two vantage points;
+* the digest the *clients* observed (``metrics`` frame) equals the digest
+  the *server* reported (``serve_result.json``) — one truth, two vantage
+  points;
 * across ``--runs`` independent server boots the digest is byte-identical —
   the determinism guarantee of the serving layer, now enforced over real
   sockets and scheduling noise.
 
 With ``--trace-out`` the first run records a replayable trace
-(``repro replay`` verifies it; the nightly job does exactly that).
+(``repro replay`` verifies it; the nightly job does exactly that).  With
+``--durable`` every server boots with ``--state-dir <run>/state``: the
+journaled single-worker path, recovering through the same serving core as
+``repro serve``.
 
 Usage::
 
     PYTHONPATH=src python scripts/frontend_smoke.py --runs 2 --out artifacts/
+    PYTHONPATH=src python scripts/frontend_smoke.py --runs 2 --durable --out artifacts/durable
 
 Exit codes: 0 pass, 1 any check failed, 2 bad arguments (argparse).
 """
@@ -67,6 +72,8 @@ def boot_server(run_dir: Path, args: argparse.Namespace, trace_out: Path = None)
     ]
     if trace_out is not None:
         command += ["--trace-out", str(trace_out)]
+    if args.durable:
+        command += ["--state-dir", str(run_dir / "state")]
     environment = dict(os.environ)
     existing = environment.get("PYTHONPATH")
     environment["PYTHONPATH"] = str(REPO_ROOT / "src") + (
@@ -118,6 +125,7 @@ def run_once(index: int, args: argparse.Namespace, out_dir: Path) -> dict:
         "client_digest": stats.get("transcript_digest"),
         "server_digest": server_result.get("transcript_digest"),
         "server_total_requests": server_result.get("total_requests"),
+        "journal_digest": server_result.get("journal_digest"),
     }
 
 
@@ -137,6 +145,11 @@ def main() -> int:
     parser.add_argument(
         "--trace-out", default=None,
         help="record run 0 to this replayable trace file",
+    )
+    parser.add_argument(
+        "--durable",
+        action="store_true",
+        help="boot each server with --state-dir <run>/state (journaled serving)",
     )
     parser.add_argument(
         "--timeout", type=float, default=600.0, help="per-phase timeout in seconds"
@@ -159,6 +172,8 @@ def main() -> int:
             )
         if summary["dead_letters"]:
             failures.append(f"run{index}: {summary['dead_letters']} dead letter(s)")
+        if args.durable and summary["journal_digest"] is None:
+            failures.append(f"run{index}: durable server reported no journal digest")
         if summary["client_digest"] != summary["server_digest"]:
             failures.append(
                 f"run{index}: client digest {summary['client_digest']} != "

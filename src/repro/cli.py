@@ -499,7 +499,7 @@ def _command_serve_frontend(config) -> int:
             f"{outcome.dead_letter_requests} dead-lettered"
         )
     if outcome.replayed_requests:
-        print(f"crash recovery: {outcome.replayed_requests} request(s) recovered on resume")
+        print(f"crash recovery: {outcome.replayed_requests} fine-tune(s) rolled forward")
     print(f"transcript digest: {outcome.transcript_digest}")
     if outcome.journal_digest is not None:
         print(f"journal digest: {outcome.journal_digest}")
@@ -532,7 +532,9 @@ def _command_replay(args: argparse.Namespace) -> int:
 
     from repro.experiments.presets import get_scale
     from repro.serve.client import replay_trace_against
+    from repro.serve.config import ServeConfig
     from repro.serve.frontend import FrontendThread, ServeFrontend
+    from repro.serve.loadgen import LoadConfig
     from repro.serve.trace import TraceError, load_trace
 
     try:
@@ -557,21 +559,17 @@ def _command_replay(args: argparse.Namespace) -> int:
 
     meta = trace.meta
     seed = int(meta.get("seed", 0))
-    scale = get_scale(meta.get("scale"), seed=seed)
     pretrain_epochs = args.pretrain_epochs
     if pretrain_epochs is None:
         recorded = meta.get("pretrain_epochs")
         pretrain_epochs = None if recorded is None else int(recorded)
-    frontend = ServeFrontend(
-        host="127.0.0.1",
-        port=0,
-        scale=scale,
-        seed=seed,
-        dataset=meta.get("dataset", "meddialog"),
+    config = ServeConfig(
+        load=LoadConfig(dataset=meta.get("dataset", "meddialog"), seed=seed),
+        scale=get_scale(meta.get("scale"), seed=seed),
         pretrain_epochs=pretrain_epochs,
         max_batch_size=int(meta.get("max_batch_size", 8)),
     )
-    server = FrontendThread(frontend)
+    server = FrontendThread(ServeFrontend(config))
     host, port = server.start()
     print(f"replaying {len(trace.requests)} request(s) against {host}:{port}")
     try:
@@ -610,7 +608,7 @@ def _normalized_aggregate_digest(transcript) -> str:
     layer does, so ``--workers 1`` output is byte-comparable with any
     ``--workers N`` run of the same load (see docs/scaling.md).
     """
-    from repro.serve.frontend import normalize_entry
+    from repro.serve.runner import normalize_entry
     from repro.serve.shard import aggregate_transcript_digest
 
     seqs: dict = {}

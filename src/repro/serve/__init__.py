@@ -11,7 +11,9 @@ subsystem splits into four parts —
 * :mod:`repro.serve.scheduler` — round-robin, same-adapter-batched request
   scheduling (:class:`RequestScheduler`);
 * :mod:`repro.serve.loadgen` / :mod:`repro.serve.runner` — deterministic
-  synthetic workloads and the end-to-end ``repro serve`` entry point;
+  synthetic workloads, the shard-serving core every entry point drives
+  (:class:`ShardServer`: build, journal recovery, in-place crash restarts)
+  and the end-to-end ``repro serve`` entry point;
 * :mod:`repro.serve.journal` / :mod:`repro.serve.faults` /
   :mod:`repro.serve.errors` / :mod:`repro.serve.health` — the robustness
   layer: durable request journal with crash-safe replay, deterministic
@@ -95,7 +97,7 @@ from repro.serve.journal import (
     replay,
 )
 from repro.serve.loadgen import LoadConfig, build_serving_llm, generate_load, user_ids
-from repro.serve.runner import ServeOutcome, make_session_manager, run_serve
+from repro.serve.runner import ServeOutcome, ShardServer, make_session_manager, run_serve
 from repro.serve.shard import (
     ShardPool,
     ShardPoolError,
@@ -171,6 +173,7 @@ __all__ = [
     "ShardPool",
     "ShardPoolError",
     "ShardRing",
+    "ShardServer",
     "ShardedBridge",
     "ShardedServeOutcome",
     "StoreIOError",

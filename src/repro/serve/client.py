@@ -44,11 +44,9 @@ from repro.serve.frontend import (
     OP_BYE,
     OP_CHAT,
     OP_CONNECT,
-    OP_HEALTH,
     OP_METRICS,
     OP_PERSONALIZE,
     OP_SHUTDOWN,
-    OP_STATS,
     decode_frame,
     encode_frame,
     wait_for_port_file,
@@ -210,18 +208,8 @@ class ServeClient:
         return frame
 
     async def metrics(self) -> dict:
-        """The unified observability frame (counters + health + snapshot)."""
+        """The observability frame (counters + health + registry snapshot)."""
         frame, _ = await self._exchange({"op": OP_METRICS})
-        return frame
-
-    async def stats(self) -> dict:
-        """Deprecated alias of :meth:`metrics` (same payload, frame ``stats``)."""
-        frame, _ = await self._exchange({"op": OP_STATS})
-        return frame
-
-    async def health(self) -> dict:
-        """Deprecated alias of :meth:`metrics` (same payload, frame ``health``)."""
-        frame, _ = await self._exchange({"op": OP_HEALTH})
         return frame
 
     async def bye(self) -> None:
@@ -336,11 +324,11 @@ def replay_trace_against(host: str, port: int, trace: Trace) -> List[RequestOutc
 
 
 def fetch_stats(host: str, port: int) -> dict:
-    """One-shot ``stats`` op (fresh connection)."""
+    """One-shot ``metrics`` op (fresh connection)."""
 
     async def _fetch() -> dict:
         async with ServeClient(host, port) as client:
-            return await client.stats()
+            return await client.metrics()
 
     return asyncio.run(_fetch())
 

@@ -3,15 +3,11 @@
 Every serving entry point — :func:`repro.serve.runner.run_serve`,
 :func:`repro.serve.shard.run_serve_sharded` and
 :class:`repro.serve.frontend.ServeFrontend` — historically grew its own
-copy of the same option surface, each PR threading one more keyword from
-``cli.py`` down the stack.  :class:`ServeConfig` is now the single source
-of truth: the CLI parses argv into it once
-(:meth:`ServeConfig.from_args`) and the entry points accept the config
-object directly.
-
-The old keyword signatures still work for one release: calling an entry
-point in the legacy style emits a :class:`DeprecationWarning` and builds
-the equivalent config internally (see :func:`warn_legacy_call`).
+copy of the same option surface, each change threading one more keyword
+from ``cli.py`` down the stack.  :class:`ServeConfig` is now the single
+source of truth: the CLI parses argv into it once
+(:meth:`ServeConfig.from_args`) and every entry point takes the config
+object as its first argument (anything else is a :class:`TypeError`).
 
 ``ServeConfig`` is frozen — derived values (resolved output directories,
 for example) are filled in with :func:`dataclasses.replace`.
@@ -20,7 +16,6 @@ for example) are filled in with :func:`dataclasses.replace`.
 from __future__ import annotations
 
 import argparse
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -32,17 +27,6 @@ from repro.serve.loadgen import LoadConfig
 
 #: Written next to ``serve_result.json`` at drain (and by ``--metrics-out``).
 METRICS_FILE = "metrics.json"
-
-
-def warn_legacy_call(api: str) -> None:
-    """Emit the one-release deprecation warning for keyword-style calls."""
-    warnings.warn(
-        f"calling {api} with individual keyword arguments is deprecated; "
-        "build a repro.serve.ServeConfig and pass it instead "
-        "(the keyword form will be removed next release)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)

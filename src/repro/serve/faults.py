@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import signal
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple
 

@@ -96,7 +96,7 @@ class HealthRegistry:
     def from_components(cls, components: Iterable[ComponentHealth]) -> "HealthRegistry":
         """A registry over an existing set of components (live references).
 
-        The network front-end uses this to answer ``health`` ops: one
+        The network front-end uses this for its ``metrics`` frame: one
         registry aggregates the scheduler/session/store/journal/frontend
         components into the overall state a load balancer would probe.
         """

@@ -1,11 +1,13 @@
-"""End-to-end serving runs: build the environment, serve a load, report.
+"""The shard-serving core and the end-to-end serving run built on it.
 
-This is the glue the ``repro serve`` CLI, the serving benchmark and the
-tests share: one call builds the shared pre-trained base model, the adapter
-store, the session manager and the scheduler, generates the deterministic
-synthetic load and serves it.
+:class:`ShardServer` is the one place a serving stack is built and
+recovered: the adapter store, the session manager, the scheduler and —
+with a ``state_dir`` — the request journal.  Every entry point drives it:
+:func:`run_serve` (one shard, a synthetic load), the
+:mod:`repro.serve.shard` pool worker (one shard per worker) and the socket
+front-end's scheduler bridge (:mod:`repro.serve.frontend`).
 
-With a ``state_dir`` the run becomes *durable*: every request is journaled
+With a ``state_dir`` the run is *durable*: every request is journaled
 before it is served, personalize rounds commit through per-user engine
 checkpoints, and a crashed run — injected soft crash, ``SIGKILL``, power
 cut — resumes from the journal with at-least-once chat and exactly-once
@@ -21,22 +23,23 @@ from __future__ import annotations
 import signal
 import tempfile
 import threading
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
 from repro.core.checkpoint import CheckpointError, CheckpointManager
 from repro.data.lexicons import LexiconCollection, builtin_lexicons
-from repro.experiments.presets import ExperimentScale, get_scale
+from repro.experiments.presets import ExperimentScale
 from repro.llm.generation import GenerationConfig
 from repro.llm.model import OnDeviceLLM
 from repro.obs import MetricsRegistry, PeriodicSnapshotter
 from repro.serve.adapter_store import LoRAAdapterStore
-from repro.serve.config import ServeConfig, warn_legacy_call
-from repro.serve.errors import RetryPolicy, TransientServingError
-from repro.serve.faults import FaultInjector, FaultPlan, InjectedCrash
+from repro.serve.config import ServeConfig
+from repro.serve.errors import TransientServingError
+from repro.serve.faults import FaultInjector, InjectedCrash
 from repro.serve.journal import (
     JOURNAL_FILE,
     JournalError,
@@ -45,8 +48,8 @@ from repro.serve.journal import (
     journal_digest,
     replay,
 )
-from repro.serve.loadgen import LoadConfig, build_serving_llm, generate_load
-from repro.serve.scheduler import PersonalizeRequest, RequestScheduler, ServeReport
+from repro.serve.loadgen import build_serving_llm, generate_load
+from repro.serve.scheduler import PersonalizeRequest, Request, RequestScheduler, ServeReport
 from repro.serve.session import SessionManager, serving_framework_config
 
 
@@ -184,18 +187,6 @@ def restore_shared_streams(checkpoint_root: Path, llm: OnDeviceLLM) -> int:
     return latest_seq
 
 
-def _check_journal_meta(past: JournalReplay, load: LoadConfig) -> None:
-    """Refuse to resume a journal that was written for a different workload."""
-    if past.meta is None:
-        return
-    recorded = past.meta.get("load")
-    if recorded is not None and recorded != asdict(load):
-        raise JournalError(
-            "journal was recorded for a different load configuration; "
-            f"refusing to resume (journaled {recorded!r}, requested {asdict(load)!r})"
-        )
-
-
 def roll_forward(
     past: JournalReplay,
     store: LoRAAdapterStore,
@@ -250,45 +241,279 @@ def roll_forward(
     return replayed
 
 
+def normalize_entry(entry: dict, user_seq: int) -> dict:
+    """One transcript entry keyed for cross-run comparison.
+
+    The globally-assigned ``request_id`` encodes the arrival interleaving of
+    concurrent connections — scheduling noise, not serving behaviour — so it
+    is replaced by the per-user sequence number, which every connection
+    carries deterministically.
+    """
+    normalized = {key: value for key, value in entry.items() if key != "request_id"}
+    normalized["user_seq"] = user_seq
+    return normalized
+
+
+# ---------------------------------------------------------------------- #
+# the shard-serving core
+# ---------------------------------------------------------------------- #
+class ShardServer:
+    """One shard's serving stack with journal recovery and in-place restarts.
+
+    Three steps, the same for every entry point:
+
+    - :meth:`boot` builds the adapter store, session manager and scheduler.
+      With a ``state_dir`` it also recovers from the journal: it replays it
+      (degrading health on dropped records), refuses one written for a
+      different workload, rolls committed fine-tunes forward, announces
+      every entry the journal saw finish, and re-submits what it left
+      pending.
+    - :meth:`serve` submits the requests the journal does not know yet and
+      serves the queue.  An injected soft crash restores the base model's
+      runtime snapshot and boots again in place; requests that were not
+      journaled before the crash are submitted again.
+    - :meth:`finish` flushes the adapters (a transient failure degrades
+      instead of raising) and closes the journal.
+
+    Without a ``state_dir`` there is no journal, nothing to recover and no
+    crash to survive; the same steps serve the load once.
+
+    Every transcript entry, live or announced on boot, is keyed by its
+    per-user sequence number (:func:`normalize_entry`), kept in
+    :attr:`entries` by request id and passed to ``on_entry(request_id,
+    normalized_entry)``.  An entry re-announced unchanged after an
+    in-process restart is not passed on again.
+    """
+
+    def __init__(
+        self,
+        config: ServeConfig,
+        llm: OnDeviceLLM,
+        lexicons: Optional[LexiconCollection] = None,
+        metrics: Optional[MetricsRegistry] = None,
+        meta: Optional[dict] = None,
+        on_entry: Optional[Callable[[int, dict], None]] = None,
+    ) -> None:
+        plan = config.fault_plan
+        self.config = config
+        self.llm = llm
+        self.scale = config.resolved_scale()
+        self.lexicons = lexicons or builtin_lexicons()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.faults = FaultInjector(plan) if plan is not None else None
+        self.generation = serving_generation_config(llm, self.scale)
+        #: The journal's first record; its ``load`` is the workload fence.
+        self.meta = {"load": asdict(config.load), "scale": self.scale.name, **(meta or {})}
+        self.on_entry = on_entry
+        self.journal_path: Optional[Path] = None
+        self._temporary: Optional[tempfile.TemporaryDirectory] = None
+        if config.state_dir is not None:
+            state = Path(config.state_dir)
+            state.mkdir(parents=True, exist_ok=True)
+            self.journal_path = state / JOURNAL_FILE
+            if self.journal_path.exists() and not config.resume:
+                raise JournalError(
+                    f"journal already exists at {self.journal_path}; "
+                    "pass resume=True to replay it"
+                )
+            self.adapter_dir = Path(config.adapter_dir or state / "adapters")
+        elif plan is not None and plan.crash_point is not None:
+            raise ValueError("crash injection requires a state_dir to recover from")
+        elif config.adapter_dir is not None:
+            self.adapter_dir = Path(config.adapter_dir)
+        else:
+            self._temporary = tempfile.TemporaryDirectory(prefix="repro-adapters-")
+            self.adapter_dir = Path(self._temporary.name)
+        self.entries: Dict[int, dict] = {}
+        self.scheduler: Optional[RequestScheduler] = None
+        self.journal: Optional[RequestJournal] = None
+        #: Above every request id the journal has seen (fresh ids start here).
+        self.next_request_id = 0
+        self.restarts = 0
+        #: Personalize rounds found committed but unmarked and rolled
+        #: forward without re-applying (the exactly-once path).
+        self.replayed_requests = 0
+        self._journaled: set = set()
+        self._seqs: Dict[str, int] = {}
+        self._snapshot: Optional[dict] = None
+
+    @property
+    def durable(self) -> bool:
+        return self.journal_path is not None
+
+    @property
+    def temporary_adapters(self) -> bool:
+        """Whether the adapter files are discarded by :meth:`finish`."""
+        return self._temporary is not None
+
+    @property
+    def dead_letter_requests(self) -> int:
+        return sum(1 for entry in self.entries.values() if entry.get("dead_letter"))
+
+    def journal_digest(self) -> Optional[str]:
+        """The journal's finished-entry digest (None when not durable)."""
+        return journal_digest(self.journal_path) if self.durable else None
+
+    # -- the three steps ------------------------------------------------ #
+    def boot(self) -> None:
+        """Build the serving stack and recover from the journal (if durable)."""
+        self._guarded(lambda: None)
+
+    def serve(self, requests: Iterable[Request] = ()) -> ServeReport:
+        """Submit ``requests`` the journal does not know, serve until drained.
+
+        Returns the report of the final scheduler's run.
+        """
+        inbox = deque(requests)
+
+        def step() -> ServeReport:
+            while inbox:
+                if inbox[0].request_id not in self._journaled:
+                    self.scheduler.submit(inbox[0])
+                inbox.popleft()
+            return self.scheduler.run()
+
+        return self._guarded(step)
+
+    def finish(self) -> None:
+        """Final flush, journal close, temporary adapter cleanup."""
+        sessions = self.scheduler.sessions
+        try:
+            sessions.flush()
+        except TransientServingError as error:
+            # Everything recovery needs is durable already (journal +
+            # checkpoints): a store hiccup at the very end must not fail a
+            # run that served every request.
+            sessions.store.health.degrade(f"final adapter flush failed: {error}")
+        if self.journal is not None:
+            self.journal.close()
+        if self._temporary is not None:
+            self._temporary.cleanup()
+
+    # -- internals ------------------------------------------------------ #
+    def _guarded(self, step):
+        """Run ``step`` on a booted stack; an injected crash reboots in place."""
+        while True:
+            try:
+                if self.scheduler is None:
+                    self._boot()
+                return step()
+            except InjectedCrash:
+                if self.journal is not None:
+                    self.journal.close()
+                self.scheduler = None
+                self.restarts += 1
+                self.metrics.counter("serve_restarts_total").inc()
+                if self.restarts > self.config.max_restarts:
+                    raise RuntimeError(
+                        f"gave up after {self.config.max_restarts} injected-crash restarts"
+                    ) from None
+                self.llm.load_runtime_state(self._snapshot)
+
+    def _boot(self) -> None:
+        config = self.config
+        store = LoRAAdapterStore(
+            self.adapter_dir,
+            cache_capacity=config.cache_capacity,
+            faults=self.faults,
+            metrics=self.metrics,
+        )
+        checkpoint_root = self.journal_path.parent / "sessions" if self.durable else None
+        manager = make_session_manager(
+            self.llm,
+            store,
+            self.scale,
+            seed=config.load.seed,
+            lexicons=self.lexicons,
+            checkpoint_root=checkpoint_root,
+        )
+        past = JournalReplay()
+        commit_seq = 0
+        if self.durable:
+            if self._snapshot is None:
+                # Taken after the manager injected LoRA: restoring it is the
+                # in-process equivalent of a reboot — same weights, same RNG
+                # streams as a freshly started server.
+                self._snapshot = self.llm.export_runtime_state()
+            commit_seq = restore_shared_streams(checkpoint_root, self.llm)
+            past = replay(self.journal_path)
+            recorded = (past.meta or {}).get("load")
+            if recorded is not None and recorded != self.meta["load"]:
+                raise JournalError(
+                    "journal was recorded for a different load configuration; refusing "
+                    f"to resume (journaled {recorded!r}, requested {self.meta['load']!r})"
+                )
+            self.journal = RequestJournal(
+                self.journal_path, fsync=config.fsync, metrics=self.metrics
+            )
+            self.journal.observe_replay(past)
+            if past.dropped_records:
+                self.journal.health.degrade(
+                    f"dropped {past.dropped_records} corrupt journal record(s) on replay"
+                )
+            if past.meta is None:
+                self.journal.record_meta(self.meta)
+        self.scheduler = RequestScheduler(
+            manager,
+            max_batch_size=config.max_batch_size,
+            generation=self.generation,
+            journal=self.journal,
+            faults=self.faults,
+            retry=config.retry,
+            deadline_seconds=config.deadline_seconds,
+            commit_seq_start=commit_seq,
+            next_request_id_start=past.next_request_id,
+            metrics=self.metrics,
+        )
+        self.scheduler.entry_listener = self._emit
+        self.next_request_id = max(self.next_request_id, past.next_request_id)
+        self._journaled = set(past.enqueued)
+        self._seqs = {}
+        replayed = roll_forward(past, store, manager, self.journal) if self.durable else {}
+        self.replayed_requests += len(replayed)
+        # Per user, finished ids are a FIFO prefix, so announcing them in id
+        # order reproduces the sequence numbers of the run that served them.
+        for entry in past.finished_entries():
+            self._emit(dict(entry))
+        for request_id in sorted(replayed):
+            self._emit(dict(replayed[request_id]))
+        for request in past.pending:
+            if request.request_id not in replayed:
+                self.scheduler.submit(request, journal_record=False)
+
+    def _emit(self, entry: dict) -> None:
+        user = entry["user_id"]
+        seq = self._seqs.get(user, 0)
+        self._seqs[user] = seq + 1
+        request_id = entry["request_id"]
+        normalized = normalize_entry(entry, seq)
+        if self.entries.get(request_id) == normalized:
+            return
+        self.entries[request_id] = normalized
+        if self.on_entry is not None:
+            self.on_entry(request_id, normalized)
+
+
 # ---------------------------------------------------------------------- #
 # the entry point
 # ---------------------------------------------------------------------- #
 def run_serve(
-    load: Union[LoadConfig, ServeConfig],
-    scale: Optional[ExperimentScale] = None,
-    adapter_dir: Optional[Union[str, Path]] = None,
-    cache_capacity: Optional[int] = 4,
-    max_batch_size: int = 8,
+    config: ServeConfig,
     lexicons: Optional[LexiconCollection] = None,
-    pretrain_epochs: Optional[int] = None,
     llm: Optional[OnDeviceLLM] = None,
-    state_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    fault_plan: Optional[FaultPlan] = None,
-    retry: Optional[RetryPolicy] = None,
-    deadline_seconds: Optional[float] = None,
-    fsync: bool = False,
-    max_restarts: int = 8,
-    install_signal_handlers: bool = False,
     metrics: Optional[MetricsRegistry] = None,
 ) -> ServeOutcome:
     """Serve one synthetic workload end to end; returns the outcome.
 
-    The first argument is a :class:`~repro.serve.config.ServeConfig` — the
-    typed description of the whole run.  Passing a bare
-    :class:`~repro.serve.loadgen.LoadConfig` plus individual keyword
-    arguments is the deprecated pre-config calling convention: it still
-    works for one release (a :class:`DeprecationWarning` is emitted) and
-    builds the equivalent config internally.
+    ``config`` describes the whole run.  Runtime objects stay keywords:
+    pass ``llm`` to reuse an already-built base model (the benchmark does
+    this to compare policies on identical weights), ``lexicons`` to
+    override the built-ins, and ``metrics`` to aggregate several runs into
+    one registry.
 
-    Runtime objects stay keywords in both styles: pass ``llm`` to reuse an
-    already-built base model (the benchmark does this to compare policies
-    on identical weights), ``lexicons`` to override the built-ins, and
-    ``metrics`` to aggregate several runs into one registry.
-
-    With ``adapter_dir`` unset the adapter files live in a temporary
-    directory that is discarded after the run (the report keeps the store
-    statistics).
+    With no ``adapter_dir`` and no ``state_dir`` the adapter files live in
+    a temporary directory that is discarded after the run (the report keeps
+    the store statistics).
 
     With ``state_dir`` the run is durable (journal + per-user checkpoints
     under that directory, adapters in ``<state_dir>/adapters`` unless
@@ -296,44 +521,14 @@ def run_serve(
     ``resume=True`` replays an existing one: finished requests are skipped,
     committed-but-unmarked personalize rounds are rolled forward, and
     everything else is re-served.  Injected *soft* crashes restart in
-    process (up to ``max_restarts`` times) from a snapshot of the base
-    model's runtime state; a hard crash (``SIGKILL``) needs a new process
-    calling back with ``resume=True``.
+    process (up to ``max_restarts`` times); a hard crash (``SIGKILL``)
+    needs a new process calling back with ``resume=True``.
     """
-    if isinstance(load, ServeConfig):
-        config = load
-    else:
-        warn_legacy_call("run_serve")
-        config = ServeConfig(
-            load=load,
-            scale=scale,
-            adapter_dir=None if adapter_dir is None else Path(adapter_dir),
-            cache_capacity=cache_capacity,
-            max_batch_size=max_batch_size,
-            pretrain_epochs=pretrain_epochs,
-            state_dir=None if state_dir is None else Path(state_dir),
-            resume=resume,
-            fault_plan=fault_plan,
-            retry=retry,
-            deadline_seconds=deadline_seconds,
-            fsync=fsync,
-            max_restarts=max_restarts,
-            install_signal_handlers=install_signal_handlers,
-        )
-    return _run_serve(config, lexicons=lexicons, llm=llm, metrics=metrics)
-
-
-def _run_serve(
-    config: ServeConfig,
-    lexicons: Optional[LexiconCollection] = None,
-    llm: Optional[OnDeviceLLM] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> ServeOutcome:
+    if not isinstance(config, ServeConfig):
+        raise TypeError(f"run_serve() takes a ServeConfig, not {type(config).__name__}")
     load = config.load
     scale = config.resolved_scale()
     lexicons = lexicons or builtin_lexicons()
-    fault_plan = config.fault_plan
-    faults = FaultInjector(fault_plan) if fault_plan is not None else None
     registry = metrics if metrics is not None else MetricsRegistry()
     if llm is None:
         llm = build_serving_llm(
@@ -343,181 +538,36 @@ def _run_serve(
             lexicons=lexicons,
             pretrain_epochs=config.pretrain_epochs,
         )
-    generation = serving_generation_config(llm, scale)
-
     snapshotter: Optional[PeriodicSnapshotter] = None
     if config.metrics_enabled and config.metrics_out is not None:
         snapshotter = PeriodicSnapshotter(
             registry, config.metrics_out, config.metrics_interval_seconds
         ).start()
+    server = ShardServer(config, llm, lexicons=lexicons, metrics=registry)
+    restore_handlers = _install_stop_handlers(server) if config.install_signal_handlers else None
     try:
-        outcome = _serve_with_config(config, scale, lexicons, faults, registry, llm, generation)
+        server.boot()
+        report = server.serve(generate_load(load, lexicons=lexicons))
+        server.finish()
     finally:
+        if restore_handlers is not None:
+            restore_handlers()
         if snapshotter is not None:
             snapshotter.stop()
-    if config.metrics_enabled:
-        outcome.metrics = registry.snapshot()
-    return outcome
-
-
-def _serve_with_config(
-    config: ServeConfig,
-    scale: ExperimentScale,
-    lexicons: LexiconCollection,
-    faults: Optional[FaultInjector],
-    registry: MetricsRegistry,
-    llm: OnDeviceLLM,
-    generation: GenerationConfig,
-) -> ServeOutcome:
-    load = config.load
-    fault_plan = config.fault_plan
-    if config.state_dir is None:
-        if fault_plan is not None and fault_plan.crash_point is not None:
-            raise ValueError("crash injection requires a state_dir to recover from")
-        temporary: Optional[tempfile.TemporaryDirectory] = None
-        if config.adapter_dir is None:
-            temporary = tempfile.TemporaryDirectory(prefix="repro-adapters-")
-            store_dir = Path(temporary.name)
-        else:
-            store_dir = Path(config.adapter_dir)
-        try:
-            store = LoRAAdapterStore(
-                store_dir,
-                cache_capacity=config.cache_capacity,
-                faults=faults,
-                metrics=registry,
-            )
-            manager = make_session_manager(llm, store, scale, seed=load.seed, lexicons=lexicons)
-            scheduler = RequestScheduler(
-                manager,
-                max_batch_size=config.max_batch_size,
-                generation=generation,
-                faults=faults,
-                retry=config.retry,
-                deadline_seconds=config.deadline_seconds,
-                metrics=registry,
-            )
-            scheduler.submit_many(generate_load(load, lexicons=lexicons))
-            report = scheduler.run()
-            _flush_tolerantly(manager)
-            return ServeOutcome(
-                report=report,
-                transcript=list(scheduler.transcript),
-                adapter_dir=None if temporary is not None else store_dir,
-                faults=None if faults is None else faults.report(),
-            )
-        finally:
-            if temporary is not None:
-                temporary.cleanup()
-
-    # ------------------------------------------------------------------ #
-    # durable serving
-    # ------------------------------------------------------------------ #
-    state_path = Path(config.state_dir)
-    state_path.mkdir(parents=True, exist_ok=True)
-    journal_path = state_path / JOURNAL_FILE
-    checkpoint_root = state_path / "sessions"
-    store_dir = (
-        Path(config.adapter_dir) if config.adapter_dir is not None else state_path / "adapters"
-    )
-    if journal_path.exists() and not config.resume:
-        raise JournalError(
-            f"journal already exists at {journal_path}; pass resume=True to replay it"
-        )
-
-    runtime_snapshot: Optional[dict] = None
-    restarts = 0
-    replayed_total = 0
-    while True:
-        store = LoRAAdapterStore(
-            store_dir,
-            cache_capacity=config.cache_capacity,
-            faults=faults,
-            metrics=registry,
-        )
-        manager = make_session_manager(
-            llm, store, scale, seed=load.seed, lexicons=lexicons, checkpoint_root=checkpoint_root
-        )
-        if runtime_snapshot is None:
-            # Taken after the manager injected LoRA: restoring this snapshot
-            # is the in-process equivalent of a reboot — same weights, same
-            # RNG streams as a freshly started server.
-            runtime_snapshot = llm.export_runtime_state()
-        commit_seq = restore_shared_streams(checkpoint_root, llm)
-        journal = RequestJournal(journal_path, fsync=config.fsync, metrics=registry)
-        scheduler = RequestScheduler(
-            manager,
-            max_batch_size=config.max_batch_size,
-            generation=generation,
-            journal=journal,
-            faults=faults,
-            retry=config.retry,
-            deadline_seconds=config.deadline_seconds,
-            commit_seq_start=commit_seq,
-            metrics=registry,
-        )
-        restore_handlers = (
-            _install_stop_handlers(scheduler) if config.install_signal_handlers else None
-        )
-        try:
-            past = replay(journal_path)
-            journal.observe_replay(past)
-            _check_journal_meta(past, load)
-            if past.dropped_records:
-                journal.health.degrade(
-                    f"dropped {past.dropped_records} corrupt journal record(s) on replay"
-                )
-            if past.meta is None:
-                journal.record_meta({"load": asdict(load), "scale": scale.name})
-            replayed = roll_forward(past, store, manager, journal)
-            replayed_total += len(replayed)
-            for request in generate_load(load, lexicons=lexicons):
-                request_id = request.request_id
-                if past.is_finished(request_id) or request_id in replayed:
-                    continue
-                scheduler.submit(request, journal_record=request_id not in past.enqueued)
-            report = scheduler.run()
-            _flush_tolerantly(manager)
-            journal.close()
-            break
-        except InjectedCrash:
-            journal.close()
-            restarts += 1
-            registry.counter("serve_restarts_total").inc()
-            if restarts > config.max_restarts:
-                raise RuntimeError(
-                    f"gave up after {config.max_restarts} injected-crash restarts"
-                ) from None
-            llm.load_runtime_state(runtime_snapshot)
-        finally:
-            if restore_handlers is not None:
-                restore_handlers()
     return ServeOutcome(
         report=report,
-        transcript=list(scheduler.transcript),
-        adapter_dir=store_dir,
-        state_dir=state_path,
-        journal_digest=journal_digest(journal_path),
-        restarts=restarts,
-        replayed_requests=replayed_total,
-        faults=None if faults is None else faults.report(),
+        transcript=list(server.scheduler.transcript),
+        adapter_dir=None if server.temporary_adapters else server.adapter_dir,
+        state_dir=None if config.state_dir is None else Path(config.state_dir),
+        journal_digest=server.journal_digest(),
+        restarts=server.restarts,
+        replayed_requests=server.replayed_requests,
+        faults=None if server.faults is None else server.faults.report(),
+        metrics=registry.snapshot() if config.metrics_enabled else None,
     )
 
 
-def _flush_tolerantly(manager: SessionManager) -> None:
-    """Final adapter flush; a transient failure degrades instead of raising.
-
-    Everything that matters for recovery is already durable (journal +
-    checkpoints), so a store hiccup at the very end must not fail a run that
-    served every request.
-    """
-    try:
-        manager.flush()
-    except TransientServingError as error:
-        manager.store.health.degrade(f"final adapter flush failed: {error}")
-
-
-def _install_stop_handlers(scheduler: RequestScheduler):
+def _install_stop_handlers(server: ShardServer):
     """SIGINT/SIGTERM → graceful drain; returns a restore callback (or None).
 
     Signal handlers only work in the main thread; elsewhere (tests running
@@ -528,7 +578,8 @@ def _install_stop_handlers(scheduler: RequestScheduler):
     previous = {}
 
     def handle(signum, frame):
-        scheduler.request_stop()
+        if server.scheduler is not None:
+            server.scheduler.request_stop()
 
     try:
         for signum in (signal.SIGINT, signal.SIGTERM):

@@ -46,33 +46,13 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.data.lexicons import LexiconCollection, builtin_lexicons
-from repro.experiments.presets import ExperimentScale, get_scale
 from repro.llm.model import OnDeviceLLM
 from repro.obs import MetricsRegistry, PeriodicSnapshotter, merge_snapshots
-from repro.serve.adapter_store import LoRAAdapterStore
-from repro.serve.config import ServeConfig, warn_legacy_call
-from repro.serve.errors import RetryPolicy
-from repro.serve.faults import FaultInjector, FaultPlan, InjectedCrash
-from repro.serve.frontend import normalize_entry
-from repro.serve.journal import (
-    JOURNAL_FILE,
-    JournalError,
-    RequestJournal,
-    decode_request,
-    encode_request,
-    journal_digest,
-    replay,
-)
-from repro.serve.loadgen import LoadConfig, build_serving_llm, generate_load
-from repro.serve.runner import (
-    _check_journal_meta,
-    _flush_tolerantly,
-    make_session_manager,
-    restore_shared_streams,
-    roll_forward,
-    serving_generation_config,
-)
-from repro.serve.scheduler import Request, RequestScheduler
+from repro.serve.config import ServeConfig
+from repro.serve.journal import JournalError, decode_request, encode_request
+from repro.serve.loadgen import build_serving_llm, generate_load
+from repro.serve.runner import ShardServer
+from repro.serve.scheduler import Request
 
 #: Top-level state-directory manifest of a sharded durable run: records the
 #: shard count and load so a resume with a different topology is refused
@@ -161,50 +141,31 @@ def aggregate_transcript_digest(normalized_entries: Sequence[dict]) -> str:
 # ---------------------------------------------------------------------- #
 # the worker (runs in a forked process or a thread)
 # ---------------------------------------------------------------------- #
-@dataclass
-class ShardWorkerConfig:
-    """Everything one shard worker needs to build its private serving stack."""
-
-    index: int
-    num_shards: int
-    load: LoadConfig
-    scale: ExperimentScale
-    cache_capacity: Optional[int] = 4
-    max_batch_size: int = 8
-    adapter_dir: Optional[Path] = None
-    state_dir: Optional[Path] = None
-    resume: bool = False
-    fault_plan: Optional[FaultPlan] = None
-    retry: Optional[RetryPolicy] = None
-    deadline_seconds: Optional[float] = None
-    fsync: bool = False
-    max_restarts: int = 8
-
-
 def shard_state_dir(state_root: Union[str, Path], index: int) -> Path:
     """The per-shard durable state directory under ``state_root``."""
     return Path(state_root) / f"shard-{index:02d}"
 
 
-def _shard_worker_main(conn, config: ShardWorkerConfig, llm: OnDeviceLLM) -> None:
+def _shard_worker_main(conn, config: ServeConfig, index: int, llm: OnDeviceLLM) -> None:
     """Worker entry point: serve this shard's requests until drained.
 
+    ``config`` is the run's config with this shard's directories filled in.
     Protocol (over the pipe, worker side):
 
     - sends ``("entry", request_id, normalized_entry)`` for every transcript
       entry — journal-replayed ones first on resume, then live ones;
     - sends ``("ready", info)`` once recovery is done and the shard accepts
       requests;
-    - receives ``("serve", [encoded_request, ...])`` and
+    - receives ``("serve", [encoded_request, ...])``, ``("metrics",)`` and
       ``("drain",)`` commands;
     - sends ``("done", summary)`` after draining, then exits.
 
-    Injected *soft* crashes restart the shard in place from the journal,
-    exactly like :func:`~repro.serve.runner.run_serve`; requests received
-    but not yet journaled survive in the worker-local inbox.
+    Recovery and injected-soft-crash restarts are the
+    :class:`~repro.serve.runner.ShardServer` core's, exactly as in
+    :func:`~repro.serve.runner.run_serve`.
     """
     try:
-        _shard_worker_serve(conn, config, llm)
+        _shard_worker_serve(conn, config, index, llm)
     except BaseException as error:  # noqa: BLE001 - report, then die
         try:
             conn.send(("error", f"{type(error).__name__}: {error}"))
@@ -217,227 +178,71 @@ def _shard_worker_main(conn, config: ShardWorkerConfig, llm: OnDeviceLLM) -> Non
             pass
 
 
-def _shard_worker_serve(conn, config: ShardWorkerConfig, llm: OnDeviceLLM) -> None:
-    faults = FaultInjector(config.fault_plan) if config.fault_plan is not None else None
-    lexicons = builtin_lexicons()
-    generation = serving_generation_config(llm, config.scale)
-    # One registry per worker, created *outside* the restart loop so counts
-    # accumulate across injected-crash restarts exactly like the single-
-    # worker runner's durable loop.  The pool merges these at drain.
-    registry = MetricsRegistry()
-
-    durable = config.state_dir is not None
-    if durable:
-        state_path = Path(config.state_dir)
-        state_path.mkdir(parents=True, exist_ok=True)
-        journal_path = state_path / JOURNAL_FILE
-        checkpoint_root = state_path / "sessions"
-        store_dir = config.adapter_dir or state_path / "adapters"
-        if journal_path.exists() and not config.resume:
-            raise JournalError(
-                f"journal already exists at {journal_path}; pass resume=True to replay it"
-            )
-    else:
-        if config.fault_plan is not None and config.fault_plan.crash_point is not None:
-            raise ValueError("crash injection requires a state_dir to recover from")
-        if config.adapter_dir is None:
-            raise ValueError("shard worker needs an adapter_dir when not durable")
-        journal_path = None
-        checkpoint_root = None
-        store_dir = config.adapter_dir
-
-    seqs: Dict[str, int] = {}
-    normalized: Dict[int, dict] = {}
+def _shard_worker_serve(conn, config: ServeConfig, index: int, llm: OnDeviceLLM) -> None:
     latencies: List[float] = []
-    serve_seconds = 0.0
     batch_start: Optional[float] = None
 
-    def emit(entry: dict) -> None:
-        user_id = entry["user_id"]
-        seq = seqs.get(user_id, 0)
-        seqs[user_id] = seq + 1
-        request_id = entry.get("request_id")
-        shaped = normalize_entry(entry, seq)
-        normalized[request_id] = shaped
+    def send_entry(request_id: int, entry: dict) -> None:
         if batch_start is not None:
             latencies.append(time.perf_counter() - batch_start)
-        conn.send(("entry", request_id, shaped))
+        conn.send(("entry", request_id, entry))
 
-    inbox: List[Request] = []
-    ready_sent = False
-    drain_requested = False
-    runtime_snapshot: Optional[dict] = None
-    restarts = 0
-    replayed_total = 0
-    dead_letters_total = 0
+    shard_meta = {"shard": {"index": index, "num_shards": config.workers}}
+    server = ShardServer(config, llm, meta=shard_meta, on_entry=send_entry)
+    serve_seconds = 0.0
 
-    while True:  # injected-soft-crash restart loop
-        seqs.clear()
-        store = LoRAAdapterStore(
-            store_dir, cache_capacity=config.cache_capacity, faults=faults, metrics=registry
-        )
-        manager = make_session_manager(
-            llm,
-            store,
-            config.scale,
-            seed=config.load.seed,
-            lexicons=lexicons,
-            checkpoint_root=checkpoint_root,
-        )
-        if runtime_snapshot is None:
-            runtime_snapshot = llm.export_runtime_state()
-        journal = None
-        commit_seq = 0
-        past = None
-        if durable:
-            commit_seq = restore_shared_streams(checkpoint_root, llm)
-            journal = RequestJournal(journal_path, fsync=config.fsync, metrics=registry)
-        scheduler = RequestScheduler(
-            manager,
-            max_batch_size=config.max_batch_size,
-            generation=generation,
-            journal=journal,
-            faults=faults,
-            retry=config.retry,
-            deadline_seconds=config.deadline_seconds,
-            commit_seq_start=commit_seq,
-            metrics=registry,
-        )
-        scheduler.entry_listener = emit
-        try:
-            replayed: Dict[int, dict] = {}
-            if durable:
-                past = replay(journal_path)
-                journal.observe_replay(past)
-                _check_journal_meta(past, config.load)
-                if past.dropped_records:
-                    journal.health.degrade(
-                        f"dropped {past.dropped_records} corrupt journal record(s) on replay"
-                    )
-                if past.meta is None:
-                    journal.record_meta(
-                        {
-                            "load": asdict(config.load),
-                            "scale": config.scale.name,
-                            "shard": {"index": config.index, "num_shards": config.num_shards},
-                        }
-                    )
-                # Re-announce everything the journal saw finish: the parent
-                # deduplicates, so across a resume the merged entry set —
-                # and therefore the aggregate digest — matches a run that
-                # never crashed.  Per user, finished ids are a FIFO prefix,
-                # so sorted-id order reproduces the original seq numbers.
-                for entry in past.finished_entries():
-                    emit(dict(entry))
-                replayed = roll_forward(past, store, manager, journal)
-                replayed_total += len(replayed)
-                for request_id in sorted(replayed):
-                    emit(dict(replayed[request_id]))
-                for request in past.pending:
-                    if request.request_id in replayed:
-                        continue
-                    scheduler.submit(request, journal_record=False)
-            while inbox:
-                request = inbox[0]
-                request_id = request.request_id
-                already = past is not None and (
-                    past.is_finished(request_id) or request_id in replayed
-                )
-                if not already and request_id not in normalized:
-                    scheduler.submit(
-                        request,
-                        journal_record=past is None or request_id not in past.enqueued,
-                    )
-                inbox.pop(0)
-            started = time.perf_counter()
-            batch_start = started
-            scheduler.run()
-            batch_start = None
-            serve_seconds += time.perf_counter() - started
-            if not ready_sent:
-                conn.send(
-                    (
-                        "ready",
-                        {
-                            "index": config.index,
-                            "replayed_entries": len(normalized),
-                            "next_request_id": past.next_request_id if past is not None else 0,
-                        },
-                    )
-                )
-                ready_sent = True
-            while not drain_requested:
-                message = conn.recv()
-                if message[0] == "serve":
-                    inbox.extend(decode_request(payload) for payload in message[1])
-                    while inbox:
-                        request = inbox[0]
-                        request_id = request.request_id
-                        already = past is not None and (
-                            past.is_finished(request_id) or request_id in replayed
-                        )
-                        if not already and request_id not in normalized:
-                            scheduler.submit(
-                                request,
-                                journal_record=past is None
-                                or request_id not in past.enqueued,
-                            )
-                        inbox.pop(0)
-                    started = time.perf_counter()
-                    batch_start = started
-                    scheduler.run()
-                    batch_start = None
-                    serve_seconds += time.perf_counter() - started
-                elif message[0] == "metrics":
-                    conn.send(("metrics", registry.snapshot()))
-                elif message[0] == "drain":
-                    drain_requested = True
-                else:  # pragma: no cover - protocol misuse
-                    raise ValueError(f"unknown shard command {message[0]!r}")
-            dead_letters_total += len(scheduler.dead_letters)
-            _flush_tolerantly(manager)
-            if journal is not None:
-                journal.close()
-            per_user: Dict[str, List[dict]] = {}
-            for entry in normalized.values():
-                per_user.setdefault(entry["user_id"], []).append(entry)
-            summary = {
-                "index": config.index,
-                "served": len(normalized),
-                "users": sorted(per_user),
-                "user_digests": {
-                    user: user_transcript_digest(entries)
-                    for user, entries in per_user.items()
-                },
-                "journal_digest": journal_digest(journal_path) if durable else None,
-                "replayed_requests": replayed_total,
-                "restarts": restarts,
-                "dead_letter_requests": dead_letters_total,
-                # Registry-backed counters already accumulate across the
-                # restart loop, so the final scheduler's view is the total.
-                "degraded_chat_requests": scheduler.degraded_chats,
-                "retries": scheduler.retries,
-                "serve_seconds": serve_seconds,
-                "entry_latencies": latencies,
-                "store": store.stats.to_dict(),
-                "health": scheduler.health_report(),
-                "metrics": registry.snapshot(),
-            }
-            conn.send(("done", summary))
-            return
-        except InjectedCrash:
-            batch_start = None
-            dead_letters_total += len(scheduler.dead_letters)
-            if journal is not None:
-                journal.close()
-            restarts += 1
-            registry.counter("serve_restarts_total").inc()
-            if restarts > config.max_restarts:
-                raise RuntimeError(
-                    f"shard {config.index} gave up after {config.max_restarts} "
-                    "injected-crash restarts"
-                ) from None
-            llm.load_runtime_state(runtime_snapshot)
+    def serve(requests: List[Request]) -> None:
+        nonlocal batch_start, serve_seconds
+        started = batch_start = time.perf_counter()
+        server.serve(requests)
+        batch_start = None
+        serve_seconds += time.perf_counter() - started
+
+    server.boot()
+    serve([])  # what the journal left pending, before the shard takes traffic
+    ready = {
+        "index": index,
+        "replayed_requests": server.replayed_requests,
+        "next_request_id": server.next_request_id,
+    }
+    conn.send(("ready", ready))
+    while True:
+        message = conn.recv()
+        if message[0] == "serve":
+            serve([decode_request(payload) for payload in message[1]])
+        elif message[0] == "metrics":
+            conn.send(("metrics", server.metrics.snapshot()))
+        elif message[0] == "drain":
+            break
+        else:  # pragma: no cover - protocol misuse
+            raise ValueError(f"unknown shard command {message[0]!r}")
+    server.finish()
+    per_user: Dict[str, List[dict]] = {}
+    for entry in server.entries.values():
+        per_user.setdefault(entry["user_id"], []).append(entry)
+    scheduler = server.scheduler
+    summary = {
+        "index": index,
+        "served": len(server.entries),
+        "users": sorted(per_user),
+        "user_digests": {
+            user: user_transcript_digest(entries) for user, entries in per_user.items()
+        },
+        "journal_digest": server.journal_digest(),
+        "replayed_requests": server.replayed_requests,
+        "restarts": server.restarts,
+        "dead_letter_requests": server.dead_letter_requests,
+        # Registry-backed counters accumulate across in-place restarts, so
+        # the final scheduler's view is the total.
+        "degraded_chat_requests": scheduler.degraded_chats,
+        "retries": scheduler.retries,
+        "serve_seconds": serve_seconds,
+        "entry_latencies": latencies,
+        "store": scheduler.sessions.store.stats.to_dict(),
+        "health": scheduler.health_report(),
+        "metrics": server.metrics.snapshot(),
+    }
+    conn.send(("done", summary))
 
 
 # ---------------------------------------------------------------------- #
@@ -473,9 +278,12 @@ def default_worker_mode() -> str:
 class ShardPool:
     """One worker per shard plus the consistent-hash router in front.
 
-    The pool owns the worker lifecycle (spawn → ready → serve → drain) and
-    the merged view of their output: deduplicated normalized entries, merged
-    per-user digests and the composed aggregate digest.  ``on_entry`` (if
+    ``config.workers`` is the shard count; every worker serves ``config``
+    with its own directories filled in (``<state_dir>/shard-NN`` and
+    ``<adapter_dir>/shard-NN``).  The pool owns the worker lifecycle
+    (spawn → ready → serve → drain) and the merged view of their output:
+    deduplicated normalized entries, merged per-user digests and the
+    composed aggregate digest.  ``on_entry`` (if
     given) is called as ``on_entry(request_id, normalized_entry)`` from a
     listener thread the moment a worker reports an entry — the socket
     front-end uses this for streaming delivery.
@@ -483,20 +291,8 @@ class ShardPool:
 
     def __init__(
         self,
-        num_shards: int,
+        config: ServeConfig,
         llm: OnDeviceLLM,
-        load: LoadConfig,
-        scale: ExperimentScale,
-        cache_capacity: Optional[int] = 4,
-        max_batch_size: int = 8,
-        retry: Optional[RetryPolicy] = None,
-        deadline_seconds: Optional[float] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        fsync: bool = False,
-        max_restarts: int = 8,
-        adapter_root: Optional[Union[str, Path]] = None,
-        state_root: Optional[Union[str, Path]] = None,
-        resume: bool = False,
         mode: Optional[str] = None,
         on_entry: Optional[Callable[[int, dict], None]] = None,
     ) -> None:
@@ -506,22 +302,11 @@ class ShardPool:
             raise ValueError(f"unknown shard worker mode {mode!r}")
         if mode == "process" and "fork" not in multiprocessing.get_all_start_methods():
             mode = "thread"
-        self.ring = ShardRing(num_shards)
-        self.num_shards = num_shards
+        self.config = config
+        self.ring = ShardRing(config.workers)
+        self.num_shards = config.workers
         self.mode = mode
         self.llm = llm
-        self.load = load
-        self.scale = scale
-        self.cache_capacity = cache_capacity
-        self.max_batch_size = max_batch_size
-        self.retry = retry
-        self.deadline_seconds = deadline_seconds
-        self.fault_plan = fault_plan
-        self.fsync = fsync
-        self.max_restarts = max_restarts
-        self.adapter_root = Path(adapter_root) if adapter_root is not None else None
-        self.state_root = Path(state_root) if state_root is not None else None
-        self.resume = resume
         self.on_entry = on_entry
         self.entries: Dict[int, dict] = {}
         self._entries_lock = threading.Lock()
@@ -550,11 +335,11 @@ class ShardPool:
         # exist in the child is a deadlock).
         for index in range(self.num_shards):
             parent_conn, child_conn = multiprocessing.Pipe()
-            config = self._worker_config(index)
+            config = self.worker_config(index)
             if self.mode == "process":
                 runner = context.Process(
                     target=_shard_worker_main,
-                    args=(child_conn, config, self.llm),
+                    args=(child_conn, config, index, self.llm),
                     name=f"repro-shard-{index}",
                     daemon=True,
                 )
@@ -564,7 +349,7 @@ class ShardPool:
                 worker_llm = copy.deepcopy(self.llm)
                 runner = threading.Thread(
                     target=_shard_worker_main,
-                    args=(child_conn, config, worker_llm),
+                    args=(child_conn, config, index, worker_llm),
                     name=f"repro-shard-{index}",
                     daemon=True,
                 )
@@ -584,42 +369,31 @@ class ShardPool:
                 raise ShardPoolError(f"shard {worker.index} failed: {worker.error}")
         return [worker.ready_info for worker in self._workers]
 
-    def _worker_config(self, index: int) -> ShardWorkerConfig:
-        state_dir = shard_state_dir(self.state_root, index) if self.state_root else None
-        if state_dir is None and self.adapter_root is None:
-            raise ShardPoolError("non-durable pool needs an adapter_root")
-        adapter_dir = (
-            self.adapter_root / f"shard-{index:02d}" if self.adapter_root is not None else None
-        )
-        return ShardWorkerConfig(
-            index=index,
-            num_shards=self.num_shards,
-            load=self.load,
-            scale=self.scale,
-            cache_capacity=self.cache_capacity,
-            max_batch_size=self.max_batch_size,
-            adapter_dir=adapter_dir,
-            state_dir=state_dir,
-            resume=self.resume,
-            fault_plan=self.fault_plan,
-            retry=self.retry,
-            deadline_seconds=self.deadline_seconds,
-            fsync=self.fsync,
-            max_restarts=self.max_restarts,
+    def worker_config(self, index: int) -> ServeConfig:
+        """The run's config with shard ``index``'s directories filled in."""
+        state, adapters = self.config.state_dir, self.config.adapter_dir
+        return self.config.with_(
+            state_dir=state and shard_state_dir(state, index),
+            adapter_dir=adapters and shard_state_dir(adapters, index),
         )
 
     def _check_state_meta(self) -> None:
         """Write or validate the topology manifest of a durable state root."""
-        if self.state_root is None:
+        config = self.config
+        if config.state_dir is None:
             return
-        self.state_root.mkdir(parents=True, exist_ok=True)
-        meta_path = self.state_root / SHARDS_META_FILE
-        meta = {"num_shards": self.num_shards, "load": asdict(self.load), "scale": self.scale.name}
+        state_root = Path(config.state_dir)
+        state_root.mkdir(parents=True, exist_ok=True)
+        meta_path = state_root / SHARDS_META_FILE
+        meta = {
+            "num_shards": self.num_shards,
+            "load": asdict(config.load),
+            "scale": config.resolved_scale().name,
+        }
         if meta_path.is_file():
-            if not self.resume:
+            if not config.resume:
                 raise JournalError(
-                    f"sharded state already exists at {self.state_root}; "
-                    "pass resume=True to replay it"
+                    f"sharded state already exists at {state_root}; pass resume=True to replay it"
                 )
             recorded = json.loads(meta_path.read_text())
             if recorded.get("num_shards") != self.num_shards:
@@ -863,31 +637,16 @@ class ShardedServeOutcome:
 
 
 def run_serve_sharded(
-    load: Union[LoadConfig, ServeConfig],
-    workers: Optional[int] = None,
-    scale: Optional[ExperimentScale] = None,
-    adapter_dir: Optional[Union[str, Path]] = None,
-    cache_capacity: Optional[int] = 4,
-    max_batch_size: int = 8,
+    config: ServeConfig,
     lexicons: Optional[LexiconCollection] = None,
-    pretrain_epochs: Optional[int] = None,
     llm: Optional[OnDeviceLLM] = None,
-    state_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    fault_plan: Optional[FaultPlan] = None,
-    retry: Optional[RetryPolicy] = None,
-    deadline_seconds: Optional[float] = None,
-    fsync: bool = False,
-    max_restarts: int = 8,
     mode: Optional[str] = None,
 ) -> ShardedServeOutcome:
     """Serve one synthetic workload across shards; returns the outcome.
 
-    The sharded twin of :func:`~repro.serve.runner.run_serve`, and like it
-    config-first: pass a :class:`~repro.serve.config.ServeConfig` (whose
-    ``workers`` field is the shard count) plus the runtime-object keywords
-    ``lexicons``/``llm``/``mode``.  The legacy ``LoadConfig``-plus-keywords
-    form still works for one release behind a :class:`DeprecationWarning`.
+    The sharded twin of :func:`~repro.serve.runner.run_serve`: ``config``
+    describes the run (its ``workers`` field is the shard count), and the
+    runtime objects ``lexicons``/``llm``/``mode`` stay keywords.
 
     The base model is built (or passed in) once, the deterministic load is
     generated once, and every request is routed to its consistent-hash
@@ -896,63 +655,19 @@ def run_serve_sharded(
     independently; the topology manifest refuses a resume with a different
     worker count.
     """
-    import tempfile
-
-    if isinstance(load, ServeConfig):
-        config = load
-    else:
-        warn_legacy_call("run_serve_sharded")
-        if workers is None:
-            raise TypeError("run_serve_sharded() missing required argument: 'workers'")
-        config = ServeConfig(
-            load=load,
-            scale=scale,
-            adapter_dir=None if adapter_dir is None else Path(adapter_dir),
-            cache_capacity=cache_capacity,
-            max_batch_size=max_batch_size,
-            pretrain_epochs=pretrain_epochs,
-            workers=workers,
-            state_dir=None if state_dir is None else Path(state_dir),
-            resume=resume,
-            fault_plan=fault_plan,
-            retry=retry,
-            deadline_seconds=deadline_seconds,
-            fsync=fsync,
-            max_restarts=max_restarts,
-        )
+    if not isinstance(config, ServeConfig):
+        raise TypeError(f"run_serve_sharded() takes a ServeConfig, not {type(config).__name__}")
     load = config.load
-    scale = config.resolved_scale()
     lexicons = lexicons or builtin_lexicons()
     if llm is None:
         llm = build_serving_llm(
-            scale,
+            config.resolved_scale(),
             dataset=load.dataset,
             seed=load.seed,
             lexicons=lexicons,
             pretrain_epochs=config.pretrain_epochs,
         )
-    temporary = None
-    adapter_root = config.adapter_dir
-    if config.state_dir is None and adapter_root is None:
-        temporary = tempfile.TemporaryDirectory(prefix="repro-shard-adapters-")
-        adapter_root = Path(temporary.name)
-    pool = ShardPool(
-        config.workers,
-        llm=llm,
-        load=load,
-        scale=scale,
-        cache_capacity=config.cache_capacity,
-        max_batch_size=config.max_batch_size,
-        retry=config.retry,
-        deadline_seconds=config.deadline_seconds,
-        fault_plan=config.fault_plan,
-        fsync=config.fsync,
-        max_restarts=config.max_restarts,
-        adapter_root=adapter_root,
-        state_root=config.state_dir,
-        resume=config.resume,
-        mode=mode,
-    )
+    pool = ShardPool(config, llm, mode=mode)
     snapshotter = None
     if config.metrics_enabled and config.metrics_out is not None:
         snapshotter = PeriodicSnapshotter(
@@ -973,8 +688,6 @@ def run_serve_sharded(
     finally:
         if snapshotter is not None:
             snapshotter.stop()
-        if temporary is not None:
-            temporary.cleanup()
     return _assemble_outcome(
         pool, summaries, elapsed, config.state_dir, metrics_enabled=config.metrics_enabled
     )

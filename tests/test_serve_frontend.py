@@ -7,6 +7,7 @@ same stack ``repro serve --listen`` boots, minus the subprocess (the CI
 """
 
 import asyncio
+import os
 import threading
 
 import pytest
@@ -25,7 +26,7 @@ from repro.serve.frontend import (
     FRAME_DONE,
     FRAME_ERROR,
     FRAME_HELLO,
-    FRAME_STATS,
+    FRAME_METRICS,
     MAX_FRAME_BYTES,
     FrontendThread,
     ProtocolError,
@@ -33,13 +34,15 @@ from repro.serve.frontend import (
     decode_frame,
     encode_frame,
     frontend_transcript_digest,
-    normalize_entry,
     parse_listen,
     stream_chunks,
     wait_for_port_file,
 )
 from repro.serve.config import ServeConfig
+from repro.serve.faults import FaultPlan
+from repro.serve.journal import JournalError
 from repro.serve.loadgen import LoadConfig, build_serving_llm
+from repro.serve.runner import normalize_entry
 from repro.serve.session import SessionManager
 
 
@@ -174,7 +177,10 @@ class TestProtocolOverSocket:
             frames["bad_dialogues"] = await exchange(
                 b'{"op":"personalize","dialogues":[]}\n'
             )
-            frames["stats"] = await exchange(b'{"op":"stats"}\n')
+            # The v2 aliases of ``metrics`` are gone: plain unknown ops now.
+            frames["old_stats"] = await exchange(b'{"op":"stats","id":3}\n')
+            frames["old_health"] = await exchange(b'{"op":"health","id":4}\n')
+            frames["metrics"] = await exchange(b'{"op":"metrics"}\n')
             writer.close()
             await writer.wait_closed()
             return frames
@@ -191,8 +197,12 @@ class TestProtocolOverSocket:
         assert frames["hello"]["frame"] == FRAME_HELLO
         assert frames["bad_question"]["error"] == ERR_BAD_PAYLOAD
         assert frames["bad_dialogues"]["error"] == ERR_BAD_PAYLOAD
-        # The connection survived every error: the final stats op worked.
-        assert frames["stats"]["frame"] == FRAME_STATS
+        for name, client_id in (("old_stats", 3), ("old_health", 4)):
+            assert frames[name]["frame"] == FRAME_ERROR
+            assert frames[name]["error"] == ERR_UNKNOWN_OP
+            assert frames[name]["id"] == client_id
+        # The connection survived every error: the final metrics op worked.
+        assert frames["metrics"]["frame"] == FRAME_METRICS
 
     def test_torn_final_frame_closes_quietly(self, frontend_env):
         """EOF mid-line is the socket analogue of the journal's torn tail:
@@ -210,13 +220,13 @@ class TestProtocolOverSocket:
             await writer.wait_closed()
             # The listener is still alive and serving.
             async with ServeClient(host, port) as client:
-                stats = await client.stats()
-            return frames, stats
+                metrics = await client.metrics()
+            return frames, metrics
 
-        frames, stats = asyncio.run(scenario())
+        frames, metrics = asyncio.run(scenario())
         outcome = server.stop()
         assert frames == []
-        assert stats["frame"] == FRAME_STATS
+        assert metrics["frame"] == FRAME_METRICS
         assert outcome.total_requests == 0
 
     def test_oversized_frame_gets_a_typed_error_then_close(self, frontend_env):
@@ -404,3 +414,92 @@ class TestAllDeadLetterOverSocket:
         assert [result.dead_letter for result in results] == [True, True]
         # ...and the CLI still failed loudly.
         assert exit_code["value"] == 3
+
+
+def drive_within(host, port, load, timeout=120.0):
+    """``drive_load`` that fails instead of hanging when a client is stranded."""
+    outcomes = []
+    thread = threading.Thread(
+        target=lambda: outcomes.append(drive_load(host, port, load)), daemon=True
+    )
+    thread.start()
+    thread.join(timeout)
+    assert outcomes, f"clients were still waiting after {timeout:.0f}s"
+    return outcomes[0]
+
+
+class TestSharedRecoveryCore:
+    """Both front-end topologies recover through the one serving core."""
+
+    def frontend(self, frontend_env, seed=0, **changes):
+        config = ServeConfig(
+            load=LoadConfig(seed=seed),
+            scale=frontend_env["scale"],
+            max_batch_size=4,
+            **changes,
+        )
+        return ServeFrontend(
+            config,
+            llm=pristine_llm(frontend_env),
+            lexicons=frontend_env["lexicons"],
+            shard_mode="thread",
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_with_a_different_seed_is_refused(self, frontend_env, tmp_path, workers):
+        state = tmp_path / "state"
+        first = FrontendThread(self.frontend(frontend_env, state_dir=state, workers=workers))
+        first.start()
+        first.stop()
+        resumed = FrontendThread(
+            self.frontend(frontend_env, seed=1, state_dir=state, workers=workers, resume=True)
+        )
+        with pytest.raises(RuntimeError, match="different load"):
+            resumed.start()
+        assert isinstance(resumed.error, JournalError)
+
+    def test_soft_crash_restarts_in_place_with_the_crash_free_digest(
+        self, frontend_env, tmp_path
+    ):
+        load = LoadConfig(num_users=2, num_requests=8, personalize_every=4, seed=0)
+        clean = FrontendThread(self.frontend(frontend_env, state_dir=tmp_path / "clean"))
+        host, port = clean.start()
+        drive_within(host, port, load)
+        reference = clean.stop()
+
+        plan = FaultPlan(crash_point="chat.after_serve")
+        crashed = FrontendThread(
+            self.frontend(frontend_env, state_dir=tmp_path / "crashed", fault_plan=plan)
+        )
+        host, port = crashed.start()
+        outcomes = drive_within(host, port, load)
+        outcome = crashed.stop()
+        assert len(outcomes) == load.num_requests
+        assert not any(result.dead_letter for result in outcomes)
+        assert outcome.total_requests == load.num_requests
+        assert outcome.metrics["counters"]["serve_restarts_total"] == 1
+        assert outcome.transcript_digest == reference.transcript_digest
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fsync_and_max_restarts_reach_every_journal(
+        self, frontend_env, tmp_path, monkeypatch, workers
+    ):
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
+        state = tmp_path / "state"
+        frontend = self.frontend(
+            frontend_env, state_dir=state, workers=workers, fsync=True, max_restarts=3
+        )
+        server = FrontendThread(frontend)
+        host, port = server.start()
+        drive_within(host, port, LoadConfig(num_users=2, num_requests=2, chat_only=True))
+        server.stop()
+        assert synced, "no journal append was fsynced"
+        bridge = frontend.bridge
+        if workers == 1:
+            cores = [bridge.server.config]
+        else:
+            cores = [bridge.pool.worker_config(index) for index in range(workers)]
+        assert [config.max_restarts for config in cores] == [3] * workers
+        assert all(config.fsync for config in cores)

@@ -128,7 +128,7 @@ class TestShardedServe:
     def test_matches_single_scheduler_run(self, pretrained_llm):
         """``--workers N`` changes topology, not behaviour: the sharded
         aggregate equals the normalized digest of a plain run_serve run."""
-        from repro.serve.frontend import normalize_entry
+        from repro.serve.runner import normalize_entry
 
         single = run_serve(ServeConfig(load=SHARD_LOAD), llm=pretrained_llm.clone())
         seqs, normalized = {}, []
