@@ -20,10 +20,10 @@ disk) and a warm cache (adapter already in memory).
 Two further sections cover the scale-out layer (``docs/scaling.md``):
 
 * ``sharding`` — the same 100-user chat-only load served through
-  ``run_serve_sharded`` at 1, 2 and 4 workers, recording aggregate
-  tokens/sec, p99 entry latency, and whether the aggregate transcript
-  digest stayed byte-identical across worker counts (it must — topology
-  is not allowed to change behaviour).  ``cpu_count`` is recorded so the
+  ``run_serve`` at 1 (in process), 2 and 4 workers, recording aggregate
+  tokens/sec, p99 entry latency, and whether the transcript digest stayed
+  byte-identical across worker counts (it must — topology is not allowed
+  to change behaviour).  ``cpu_count`` is recorded so the
   scaling gate in ``perf_check.py --sharding`` can skip the 4-worker
   speedup requirement on machines without 4 cores.
 * ``adapter_format`` — per-load microseconds for the legacy pickle
@@ -55,11 +55,12 @@ from repro.serve import (
     RequestScheduler,
     ServeConfig,
     generate_load,
-    run_serve_sharded,
+    run_serve,
     write_legacy_pickle_adapter,
 )
 from repro.serve.loadgen import build_serving_llm, user_ids
 from repro.serve.runner import make_session_manager, serving_generation_config
+from repro.serve.shard import default_worker_mode
 
 RESULT_PATH = Path(__file__).resolve().parent / "BENCH_serving.json"
 
@@ -134,9 +135,8 @@ def _shard_bench(llm, scale) -> Dict[str, object]:
     )
     per_workers: Dict[str, dict] = {}
     digests = []
-    mode = "process"
     for workers in SHARD_WORKER_COUNTS:
-        outcome = run_serve_sharded(
+        outcome = run_serve(
             ServeConfig(
                 load=load,
                 scale=scale,
@@ -145,17 +145,17 @@ def _shard_bench(llm, scale) -> Dict[str, object]:
             ),
             llm=llm.clone(),
         )
-        mode = outcome.mode
         tokens = sum(
             len(entry.get("response", "").split())
-            for entry in outcome.entries
+            for entry in outcome.transcript
             if entry.get("kind") == "chat"
         )
-        digests.append(outcome.aggregate_digest)
+        latencies = [latency for shard in outcome.shards for latency in shard["entry_latencies"]]
+        digests.append(outcome.transcript_digest)
         per_workers[str(workers)] = {
             "tokens_per_sec": round(tokens / outcome.elapsed_seconds, 1),
             "requests_per_sec": round(outcome.requests_per_sec, 2),
-            "p99_latency_ms": round(_p99(outcome.entry_latencies), 2),
+            "p99_latency_ms": round(_p99(latencies), 2),
         }
     first = str(SHARD_WORKER_COUNTS[0])
     last = str(SHARD_WORKER_COUNTS[-1])
@@ -163,11 +163,11 @@ def _shard_bench(llm, scale) -> Dict[str, object]:
     return {
         "num_users": SHARD_NUM_USERS,
         "num_requests": SHARD_NUM_REQUESTS,
-        "mode": mode,
+        "mode": default_worker_mode(),
         "cpu_count": os.cpu_count() or 1,
         "workers": per_workers,
         "digests_match": len(set(digests)) == 1,
-        "aggregate_digest": digests[0],
+        "transcript_digest": digests[0],
         "scaling_at_max_workers": round(scaling, 2),
     }
 

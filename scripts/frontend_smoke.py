@@ -8,7 +8,8 @@ deterministic multi-user workload over concurrent socket connections with
 op, and checks the whole contract end to end:
 
 * the server exits 0 and writes ``serve_result.json``;
-* every driven request completes (no dead letters at this scale);
+* every driven request completes (no dead letters at this scale) and the
+  server's ``serve_result.json`` counts every one of them;
 * the digest the *clients* observed (``metrics`` frame) equals the digest
   the *server* reported (``serve_result.json``) — one truth, two vantage
   points;
@@ -172,6 +173,11 @@ def main() -> int:
             )
         if summary["dead_letters"]:
             failures.append(f"run{index}: {summary['dead_letters']} dead letter(s)")
+        if summary["server_total_requests"] != args.requests:
+            failures.append(
+                f"run{index}: server reported {summary['server_total_requests']}/"
+                f"{args.requests} requests served"
+            )
         if args.durable and summary["journal_digest"] is None:
             failures.append(f"run{index}: durable server reported no journal digest")
         if summary["client_digest"] != summary["server_digest"]:

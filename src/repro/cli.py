@@ -168,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="shard users across N shared-nothing workers behind a "
         "consistent-hash router (forked processes where available, threads "
-        "otherwise); the aggregate transcript digest is identical for any N "
-        "(default 1: the single-scheduler path)",
+        "otherwise); the transcript digest is identical for any N "
+        "(default 1: one in-process shard)",
     )
     serve.add_argument(
         "--out",
@@ -464,65 +464,6 @@ def _write_metrics_snapshot(out_path, metrics) -> None:
     print(f"metrics: {path}")
 
 
-def _command_serve_frontend(config) -> int:
-    """The ``repro serve --listen`` path: a real TCP server until drained."""
-    import json
-
-    from repro.serve.frontend import ServeFrontend
-
-    scale = config.resolved_scale()
-    config, out_path, _ = _prepare_serve_dirs(config, "serve-frontend", allow_temp_state=False)
-    try:
-        frontend = ServeFrontend(config)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    outcome = frontend.run()
-    print(f"== serve front-end (scale={scale.name}, seed={config.seed}) ==")
-    print(
-        f"served {outcome.total_requests} request(s) "
-        f"({outcome.chat_requests} chat / {outcome.personalize_requests} personalize) "
-        f"for {outcome.num_users} user(s) on {outcome.host}:{outcome.port}"
-    )
-    print(
-        f"throughput: {outcome.requests_per_sec:.2f} req/s "
-        f"({outcome.elapsed_seconds:.1f}s listening)"
-    )
-    if outcome.busy_rejections:
-        print(
-            f"backpressure: {outcome.busy_rejections} busy refusal(s), "
-            f"peak depth {outcome.max_queue_depth_seen}"
-        )
-    if outcome.dead_letter_requests or outcome.degraded_chat_requests:
-        print(
-            f"robustness: {outcome.degraded_chat_requests} degraded chats, "
-            f"{outcome.dead_letter_requests} dead-lettered"
-        )
-    if outcome.replayed_requests:
-        print(f"crash recovery: {outcome.replayed_requests} fine-tune(s) rolled forward")
-    print(f"transcript digest: {outcome.transcript_digest}")
-    if outcome.journal_digest is not None:
-        print(f"journal digest: {outcome.journal_digest}")
-    if config.trace_out is not None:
-        print(f"trace: {config.trace_out}")
-    if out_path is not None:
-        result_path = out_path / "serve_result.json"
-        payload = outcome.to_dict()
-        payload["scale"] = scale.name
-        payload["seed"] = config.seed
-        result_path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"result: {result_path}")
-        _write_metrics_snapshot(out_path, outcome.metrics)
-    if outcome.all_dead_lettered:
-        print(
-            "error: every request dead-lettered — the serving layer made no "
-            "progress (dead-letter frames were delivered before close)",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
-
-
 def _command_replay(args: argparse.Namespace) -> int:
     if not args.quiet:
         enable_console_logging()
@@ -600,28 +541,11 @@ def _command_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _normalized_aggregate_digest(transcript) -> str:
-    """The sharded-run digest computed from a single-scheduler transcript.
-
-    Normalizes each entry to its per-user sequence number (request ids are
-    arrival-order noise) and composes per-user digests exactly as the shard
-    layer does, so ``--workers 1`` output is byte-comparable with any
-    ``--workers N`` run of the same load (see docs/scaling.md).
-    """
-    from repro.serve.runner import normalize_entry
-    from repro.serve.shard import aggregate_transcript_digest
-
-    seqs: dict = {}
-    normalized = []
-    for entry in sorted(transcript, key=lambda record: record["request_id"]):
-        seq = seqs.get(entry["user_id"], 0)
-        seqs[entry["user_id"]] = seq + 1
-        normalized.append(normalize_entry(entry, seq))
-    return aggregate_transcript_digest(normalized)
-
-
 def _command_serve(args: argparse.Namespace) -> int:
     from repro.serve.config import ServeConfig
+    from repro.serve.frontend import ServeFrontend
+    from repro.serve.runner import run_serve
+    from repro.serve.shard import ShardPoolError
 
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
@@ -631,126 +555,36 @@ def _command_serve(args: argparse.Namespace) -> int:
     # The one place serve argv becomes configuration; everything below (and
     # every entry point) reads the typed config.
     config = ServeConfig.from_args(args)
-    if config.listen is not None:
-        return _command_serve_frontend(config)
-    for flag, name in (
-        (config.port_file, "--port-file"),
-        (config.trace_out, "--trace-out"),
-    ):
-        if flag is not None:
-            print(f"error: {name} requires --listen", file=sys.stderr)
+    listening = config.listen is not None
+    if not listening:
+        for flag, name in (
+            (config.port_file, "--port-file"),
+            (config.trace_out, "--trace-out"),
+        ):
+            if flag is not None:
+                print(f"error: {name} requires --listen", file=sys.stderr)
+                return 2
+        if config.no_artifacts and config.out_dir is not None:
+            print(
+                "error: --out and --no-artifacts contradict each other "
+                "(--no-artifacts writes nothing, including adapter files)",
+                file=sys.stderr,
+            )
             return 2
-    if config.no_artifacts and config.out_dir is not None:
-        print(
-            "error: --out and --no-artifacts contradict each other "
-            "(--no-artifacts writes nothing, including adapter files)",
-            file=sys.stderr,
-        )
-        return 2
-    if config.workers > 1:
-        return _command_serve_sharded(config)
-
-    import json
-
-    from repro.serve import run_serve
-
-    scale = config.resolved_scale()
-    config, out_path, temporary_state = _prepare_serve_dirs(config, "serve")
+    # The socket front-end with no --out just serves non-durably.
+    config, out_path, temporary_state = _prepare_serve_dirs(
+        config, "serve-frontend" if listening else "serve", allow_temp_state=not listening
+    )
     try:
-        outcome = run_serve(config)
-    finally:
-        if temporary_state is not None:
-            temporary_state.cleanup()
-    report = outcome.report
-    print(f"== multi-tenant serve (scale={scale.name}, seed={config.seed}) ==")
-    print(
-        f"served {report.total_requests} requests "
-        f"({report.chat_requests} chat / {report.personalize_requests} personalize) "
-        f"for {report.num_users} users in {report.num_turns} turns"
-    )
-    print(
-        f"throughput: {report.requests_per_sec:.2f} req/s "
-        f"({report.elapsed_seconds:.1f}s total)"
-    )
-    print(
-        f"adapter swaps: {report.swap['count']} "
-        f"(mean {report.swap['mean_ms']:.2f} ms, max {report.swap['max_ms']:.2f} ms)"
-    )
-    print(
-        f"adapter cache: hit rate {report.store['hit_rate']:.2f} "
-        f"({report.store['evictions']} evictions, "
-        f"{report.store['disk_loads']} disk loads, "
-        f"{report.store['disk_writes']} disk writes)"
-    )
-    print(f"transcript digest: {report.transcript_digest}")
-    aggregate_digest = _normalized_aggregate_digest(outcome.transcript)
-    print(f"aggregate transcript digest: {aggregate_digest}")
-    if report.retries or report.dead_letter_requests or report.degraded_chat_requests:
-        print(
-            f"robustness: {report.retries} retries, "
-            f"{report.degraded_chat_requests} degraded chats, "
-            f"{report.dead_letter_requests} dead-lettered"
-        )
-    if report.health:
-        summary = ", ".join(
-            f"{item['component']}={item['state']}" for item in report.health.values()
-        )
-        print(f"health: {summary}")
-        for item in report.health.values():
-            for reason in item.get("reasons", []):
-                print(f"  [{item['component']}] {reason}")
-    if outcome.restarts:
-        print(f"crash recovery: {outcome.restarts} in-process restart(s)")
-    if outcome.replayed_requests:
-        print(f"crash recovery: {outcome.replayed_requests} fine-tune(s) rolled forward")
-    if outcome.faults is not None:
-        injected = ", ".join(
-            f"{name}×{count}" for name, count in outcome.faults["injected"].items()
-        )
-        print(f"faults injected: {injected or 'none'}")
-    if outcome.journal_digest is not None:
-        print(f"journal digest: {outcome.journal_digest}")
-    if out_path is not None:
-        result_path = out_path / "serve_result.json"
-        payload = report.to_dict()
-        payload["scale"] = scale.name
-        payload["seed"] = config.seed
-        payload["load"] = {
-            "num_users": config.load.num_users,
-            "num_requests": config.load.num_requests,
-            "dataset": config.load.dataset,
-            "personalize_every": config.load.personalize_every,
-        }
-        payload["transcript"] = outcome.transcript
-        payload["aggregate_digest"] = aggregate_digest
-        payload["journal_digest"] = outcome.journal_digest
-        payload["restarts"] = outcome.restarts
-        payload["replayed_requests"] = outcome.replayed_requests
-        payload["faults"] = outcome.faults
-        result_path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"result: {result_path}")
-        print(f"adapters: {config.adapter_dir}")
-        _write_metrics_snapshot(out_path, outcome.metrics)
-    if report.total_requests > 0 and report.dead_letter_requests == report.total_requests:
-        print(
-            "error: every request dead-lettered — the serving layer made no "
-            "progress (check the health reasons above)",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
-
-
-def _command_serve_sharded(config) -> int:
-    """The ``repro serve --workers N`` path: consistent-hash sharded serving."""
-    import json
-
-    from repro.serve.shard import ShardPoolError, run_serve_sharded
-
-    scale = config.resolved_scale()
-    config, out_path, temporary_state = _prepare_serve_dirs(config, "serve")
-    try:
-        outcome = run_serve_sharded(config)
+        if listening:
+            try:
+                frontend = ServeFrontend(config)
+            except ValueError as error:
+                print(f"error: {error}", file=sys.stderr)
+                return 2
+            outcome = frontend.run()
+        else:
+            outcome = run_serve(config)
     except ShardPoolError as error:
         print(f"error: {error}", file=sys.stderr)
         if config.state_dir is not None and temporary_state is None:
@@ -763,55 +597,98 @@ def _command_serve_sharded(config) -> int:
     finally:
         if temporary_state is not None:
             temporary_state.cleanup()
+    return _report_serve(config, outcome, out_path)
+
+
+def _report_serve(config, outcome, out_path) -> int:
+    """Print one serve outcome and write its artifacts (every topology)."""
+    import json
+
+    scale = config.resolved_scale()
+    title = "serve front-end" if outcome.listen else "multi-tenant serve"
+    print(f"== {title} (scale={scale.name}, seed={config.seed}, workers={config.workers}) ==")
+    where = f" on {outcome.listen}" if outcome.listen else ""
     print(
-        f"== sharded multi-tenant serve (scale={scale.name}, seed={config.seed}, "
-        f"workers={outcome.num_workers}, mode={outcome.mode}) =="
-    )
-    print(
-        f"served {outcome.total_requests} requests for "
-        f"{len(outcome.user_digests)} users across {outcome.num_workers} shard(s)"
+        f"served {outcome.total_requests} requests "
+        f"({outcome.chat_requests} chat / {outcome.personalize_requests} personalize) "
+        f"for {outcome.num_users} users{where}"
     )
     print(
         f"throughput: {outcome.requests_per_sec:.2f} req/s "
         f"({outcome.elapsed_seconds:.1f}s total)"
     )
-    for summary in outcome.shard_summaries:
+    sharded = len(outcome.shards) > 1
+    for shard in outcome.shards:
+        store = shard["store"]
         print(
-            f"  shard {summary['index']:02d}: {summary['served']} served "
-            f"for {len(summary['users'])} user(s)"
+            f"  shard {shard['index']:02d}: {shard['served']} served for "
+            f"{len(shard['users'])} user(s); adapter cache hit rate {store['hit_rate']:.2f} "
+            f"({store['evictions']} evictions, {store['disk_loads']} disk loads, "
+            f"{store['disk_writes']} disk writes)"
         )
-    print(f"aggregate transcript digest: {outcome.aggregate_digest}")
-    if outcome.dead_letter_requests or outcome.degraded_chat_requests:
+        if sharded and shard["journal_digest"] is not None:
+            print(f"  shard {shard['index']:02d} journal digest: {shard['journal_digest']}")
+    print(f"transcript digest: {outcome.transcript_digest}")
+    if outcome.busy_rejections:
         print(
-            f"robustness: {outcome.degraded_chat_requests} degraded chats, "
+            f"backpressure: {outcome.busy_rejections} busy refusal(s), "
+            f"peak depth {outcome.max_queue_depth_seen}"
+        )
+    if outcome.retries or outcome.dead_letter_requests or outcome.degraded_chat_requests:
+        print(
+            f"robustness: {outcome.retries} retries, "
+            f"{outcome.degraded_chat_requests} degraded chats, "
             f"{outcome.dead_letter_requests} dead-lettered"
         )
+    health = {}
+    for shard in outcome.shards:
+        for name, item in shard["health"].items():
+            health[f"shard{shard['index']:02d}.{name}" if sharded else name] = item
+    if health:
+        print("health: " + ", ".join(f"{name}={item['state']}" for name, item in health.items()))
+        for name, item in health.items():
+            for reason in item.get("reasons", []):
+                print(f"  [{name}] {reason}")
     if outcome.restarts:
-        print(f"crash recovery: {outcome.restarts} in-shard restart(s)")
+        print(f"crash recovery: {outcome.restarts} in-process restart(s)")
     if outcome.replayed_requests:
         print(f"crash recovery: {outcome.replayed_requests} fine-tune(s) rolled forward")
+    reports = [shard["faults"] for shard in outcome.shards if shard["faults"] is not None]
+    if reports:
+        injected = {}
+        for report in reports:
+            for name, count in report["injected"].items():
+                injected[name] = injected.get(name, 0) + count
+        summary = ", ".join(f"{name}×{count}" for name, count in sorted(injected.items()))
+        print(f"faults injected: {summary or 'none'}")
+    if outcome.journal_digest is not None:
+        print(f"journal digest: {outcome.journal_digest}")
+    if config.trace_out is not None:
+        print(f"trace: {config.trace_out}")
     if out_path is not None:
         result_path = out_path / "serve_result.json"
         payload = outcome.to_dict()
         payload["scale"] = scale.name
         payload["seed"] = config.seed
-        payload["load"] = {
-            "num_users": config.load.num_users,
-            "num_requests": config.load.num_requests,
-            "dataset": config.load.dataset,
-            "personalize_every": config.load.personalize_every,
-        }
-        # The single-scheduler result key, so digest-comparing tooling can
-        # read either shape without caring about --workers.
-        payload["transcript_digest"] = outcome.aggregate_digest
+        payload["workers"] = config.workers
+        if outcome.listen:
+            payload["load"] = None  # socket traffic has no synthetic load
+        else:
+            payload["load"] = {
+                "num_users": config.load.num_users,
+                "num_requests": config.load.num_requests,
+                "dataset": config.load.dataset,
+                "personalize_every": config.load.personalize_every,
+            }
         result_path.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"result: {result_path}")
-        print(f"adapters: {config.adapter_dir}")
+        if config.adapter_dir is not None:
+            print(f"adapters: {config.adapter_dir}")
         _write_metrics_snapshot(out_path, outcome.metrics)
     if outcome.all_dead_lettered:
         print(
             "error: every request dead-lettered — the serving layer made no "
-            "progress (check the shard summaries above)",
+            "progress (check the health reasons above)",
             file=sys.stderr,
         )
         return 3

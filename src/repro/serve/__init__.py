@@ -12,8 +12,9 @@ subsystem splits into four parts —
   scheduling (:class:`RequestScheduler`);
 * :mod:`repro.serve.loadgen` / :mod:`repro.serve.runner` — deterministic
   synthetic workloads, the shard-serving core every entry point drives
-  (:class:`ShardServer`: build, journal recovery, in-place crash restarts)
-  and the end-to-end ``repro serve`` entry point;
+  (:class:`ShardServer`: build, journal recovery, in-place crash restarts),
+  the one :class:`ServeOutcome` and transcript digest every topology
+  reports, and the end-to-end ``repro serve`` entry point;
 * :mod:`repro.serve.journal` / :mod:`repro.serve.faults` /
   :mod:`repro.serve.errors` / :mod:`repro.serve.health` — the robustness
   layer: durable request journal with crash-safe replay, deterministic
@@ -27,8 +28,7 @@ subsystem splits into four parts —
   (see ``docs/serving.md``);
 * :mod:`repro.serve.shard` / :mod:`repro.serve.adapter_codec` — the
   scale-out layer: consistent-hash routing over shared-nothing shard
-  workers (``repro serve --workers N``) with a composable per-user
-  transcript digest, and the checksummed ``A1`` binary adapter record
+  workers (``repro serve --workers N``), and the checksummed ``A1`` binary adapter record
   format with zero-copy mmap loading (see ``docs/scaling.md``);
 * :mod:`repro.serve.config` — the typed :class:`ServeConfig` every entry
   point accepts (the CLI parses argv into it exactly once), and
@@ -77,7 +77,6 @@ from repro.serve.faults import (
 from repro.serve.frontend import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    FrontendOutcome,
     FrontendThread,
     ProtocolError,
     SchedulerBridge,
@@ -85,7 +84,6 @@ from repro.serve.frontend import (
     ShardedBridge,
     decode_frame,
     encode_frame,
-    frontend_transcript_digest,
 )
 from repro.serve.health import ComponentHealth, HealthRegistry, HealthState
 from repro.serve.journal import (
@@ -97,25 +95,22 @@ from repro.serve.journal import (
     replay,
 )
 from repro.serve.loadgen import LoadConfig, build_serving_llm, generate_load, user_ids
-from repro.serve.runner import ServeOutcome, ShardServer, make_session_manager, run_serve
-from repro.serve.shard import (
-    ShardPool,
-    ShardPoolError,
-    ShardRing,
-    ShardedServeOutcome,
+from repro.serve.runner import (
+    ServeOutcome,
+    ShardServer,
     aggregate_transcript_digest,
     compose_user_digests,
-    run_serve_sharded,
-    shard_state_dir,
+    make_session_manager,
+    run_serve,
     user_transcript_digest,
 )
+from repro.serve.shard import ShardPool, ShardPoolError, ShardRing, shard_state_dir
 from repro.serve.scheduler import (
     ChatRequest,
     PersonalizeRequest,
     RequestScheduler,
     ServeReport,
     ServeTurn,
-    transcript_digest,
 )
 from repro.serve.session import (
     PersonalizeOutcome,
@@ -140,7 +135,6 @@ __all__ = [
     "DeadlineExceededError",
     "FaultInjector",
     "FaultPlan",
-    "FrontendOutcome",
     "FrontendThread",
     "HealthRegistry",
     "HealthState",
@@ -175,7 +169,6 @@ __all__ = [
     "ShardRing",
     "ShardServer",
     "ShardedBridge",
-    "ShardedServeOutcome",
     "StoreIOError",
     "StoreStats",
     "Trace",
@@ -190,7 +183,6 @@ __all__ = [
     "drive_load",
     "encode_frame",
     "entries_digest",
-    "frontend_transcript_digest",
     "generate_load",
     "journal_digest",
     "load_trace",
@@ -202,10 +194,8 @@ __all__ = [
     "replay",
     "replay_trace_against",
     "run_serve",
-    "run_serve_sharded",
     "serving_framework_config",
     "shard_state_dir",
-    "transcript_digest",
     "unpack_adapter_record",
     "user_ids",
     "user_seed",

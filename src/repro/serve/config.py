@@ -1,7 +1,6 @@
 """Typed serving configuration: one object instead of ~20 threaded kwargs.
 
-Every serving entry point — :func:`repro.serve.runner.run_serve`,
-:func:`repro.serve.shard.run_serve_sharded` and
+Every serving entry point — :func:`repro.serve.runner.run_serve` and
 :class:`repro.serve.frontend.ServeFrontend` — historically grew its own
 copy of the same option surface, each change threading one more keyword
 from ``cli.py`` down the stack.  :class:`ServeConfig` is now the single

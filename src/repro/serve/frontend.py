@@ -33,29 +33,32 @@ crash restarts the core in place, and a killed server resumes through the
 same recovery (workload fence checked, committed fine-tunes rolled
 forward, the rest re-served before the socket opens).
 
-Determinism across runs is fingerprinted by a **normalized transcript
-digest**: entries are keyed by ``(user_id, per-user sequence number)``
-instead of the globally-assigned request id, because the global arrival
-interleaving of concurrent connections is scheduling noise while each
-user's own order is carried in-order by its connection.  Chat responses are
-greedy and per-user adapter state is order-independent across users (the
-PR-6 reseeding discipline), so two runs of the same per-user workloads
-produce byte-identical digests no matter how the network interleaves them
-— the property the trace record/replay loadgen (:mod:`repro.serve.trace`)
-and the ``frontend-smoke`` CI job assert over real sockets.
+Determinism across runs is fingerprinted by the one transcript digest
+every serving path reports
+(:func:`~repro.serve.runner.aggregate_transcript_digest`): entries are
+keyed by ``(user_id, per-user sequence number)`` instead of the
+globally-assigned request id, because the global arrival interleaving of
+concurrent connections is scheduling noise while each user's own order is
+carried in-order by its connection.  Chat responses are greedy and per-user
+adapter state is order-independent across users (the PR-6 reseeding
+discipline), so two runs of the same per-user workloads produce
+byte-identical digests no matter how the network interleaves them — the
+property the trace record/replay loadgen (:mod:`repro.serve.trace`) and the
+``frontend-smoke`` CI job assert over real sockets.  A drained run reports
+the same :class:`~repro.serve.runner.ServeOutcome` as ``repro serve``, plus
+its traffic facts (listen address, busy refusals, peak queue depth).
 """
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 import queue
 import signal
 import socket
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -68,7 +71,12 @@ from repro.serve.config import ServeConfig
 from repro.serve.errors import ServingError
 from repro.serve.health import ComponentHealth, HealthRegistry
 from repro.serve.loadgen import LoadConfig, build_serving_llm
-from repro.serve.runner import ShardServer
+from repro.serve.runner import (
+    ServeOutcome,
+    ShardServer,
+    aggregate_transcript_digest,
+    served_counts,
+)
 from repro.serve.scheduler import CHAT, PERSONALIZE, ChatRequest, PersonalizeRequest, Request
 from repro.serve.shard import ShardPool
 
@@ -157,16 +165,6 @@ def stream_chunks(text: str) -> List[str]:
 
 
 # ---------------------------------------------------------------------- #
-# the normalized transcript digest
-# ---------------------------------------------------------------------- #
-def frontend_transcript_digest(normalized_entries: List[dict]) -> str:
-    """SHA-256 over normalized entries sorted by ``(user_id, user_seq)``."""
-    ordered = sorted(normalized_entries, key=lambda e: (e["user_id"], e["user_seq"]))
-    encoded = json.dumps(ordered, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-
-
-# ---------------------------------------------------------------------- #
 # the bridges: event loop -> serving core
 # ---------------------------------------------------------------------- #
 _STOP = object()
@@ -206,8 +204,8 @@ class _Bridge:
         self._next_request_id = 0
         self.busy_rejections = 0
         self.max_depth_seen = 0
-        #: Fine-tunes the boot-time recovery rolled forward.
-        self.replayed_requests = 0
+        #: The shard summaries, once drained (see :class:`ServeOutcome`).
+        self.summaries: List[dict] = []
 
     # -- admission (event-loop thread) --------------------------------- #
     def try_admit(self, user_id: str) -> Optional[str]:
@@ -274,9 +272,6 @@ class _Bridge:
     def health_components(self) -> List[ComponentHealth]:
         return [self.health]
 
-    def health_report(self) -> Dict[str, dict]:
-        return {component.component: component.to_dict() for component in self.health_components()}
-
     def metrics_snapshot(self, registry: MetricsRegistry) -> dict:
         return registry.snapshot()
 
@@ -309,7 +304,6 @@ class SchedulerBridge(_Bridge):
         self.server.boot()
         self.server.serve()
         self._next_request_id = self.server.next_request_id
-        self.replayed_requests = self.server.replayed_requests
 
     def enqueue(self, request: Request, deliver: Callable[[dict], None]) -> None:
         """Hand one *admitted* request to the worker thread."""
@@ -338,6 +332,7 @@ class SchedulerBridge(_Bridge):
 
     def finish(self) -> None:
         self.server.finish()
+        self.summaries = [self.server.summary()]
 
     def _run(self) -> None:
         while True:
@@ -387,9 +382,6 @@ class SchedulerBridge(_Bridge):
             components.append(scheduler.journal.health)
         return components
 
-    def journal_digest(self) -> Optional[str]:
-        return self.server.journal_digest()
-
 
 class ShardedBridge(_Bridge):
     """The ``workers > 1`` bridge: admission in front of a :class:`ShardPool`.
@@ -411,13 +403,11 @@ class ShardedBridge(_Bridge):
         super().__init__(max_queue_depth, max_inflight_per_user)
         self.pool = pool
         pool.on_entry = self._on_entry
-        self.summaries: List[dict] = []
 
     def boot(self, timeout: float = 300.0) -> None:
         """Spawn the shards; each replays its own journal before the socket opens."""
         infos = self.pool.start(timeout=timeout)
         self._next_request_id = max((info["next_request_id"] for info in infos), default=0)
-        self.replayed_requests = sum(info["replayed_requests"] for info in infos)
 
     def enqueue(self, request: Request, deliver: Callable[[dict], None]) -> None:
         """Route one *admitted* request to its shard."""
@@ -446,21 +436,6 @@ class ShardedBridge(_Bridge):
     # -- views --------------------------------------------------------- #
     def normalized_entries(self) -> List[dict]:
         return self.pool.normalized_entries()
-
-    def health_report(self) -> Dict[str, dict]:
-        health = super().health_report()
-        for summary in self.summaries:
-            for name, state in summary.get("health", {}).items():
-                health[f"shard{summary['index']:02d}.{name}"] = dict(state)
-        return health
-
-    def journal_digest(self) -> Optional[str]:
-        """Per-shard journal digests composed like the transcript digest."""
-        digests = sorted((s["index"], s["journal_digest"]) for s in self.summaries)
-        if not digests or any(digest is None for _, digest in digests):
-            return None
-        joined = "\n".join(f"{index}:{digest}" for index, digest in digests)
-        return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
     def metrics_snapshot(self, registry: MetricsRegistry) -> dict:
         return merge_snapshots([self.pool.merged_metrics(), registry.snapshot()])
@@ -715,62 +690,6 @@ def _result_frames(client_id: object, entry: dict) -> List[dict]:
 # ---------------------------------------------------------------------- #
 # the server
 # ---------------------------------------------------------------------- #
-@dataclass
-class FrontendOutcome:
-    """Everything one front-end run produced (the socket analogue of ServeOutcome)."""
-
-    host: str
-    port: int
-    total_requests: int
-    chat_requests: int
-    personalize_requests: int
-    dead_letter_requests: int
-    degraded_chat_requests: int
-    busy_rejections: int
-    num_users: int
-    elapsed_seconds: float
-    requests_per_sec: float
-    transcript_digest: str
-    journal_digest: Optional[str] = None
-    replayed_requests: int = 0
-    max_queue_depth_seen: int = 0
-    health: Dict[str, dict] = field(default_factory=dict)
-    transcript: List[dict] = field(default_factory=list)
-    #: Drained-state registry snapshot (None when metrics were disabled).
-    metrics: Optional[dict] = None
-
-    @property
-    def all_dead_lettered(self) -> bool:
-        """True when the run served traffic but every request dead-lettered.
-
-        The socket-bridge half of the ``repro serve`` exit-code contract:
-        the CLI exits 3 on this, after the dead-letter frames have already
-        been flushed to their clients (the drain sequence guarantees it).
-        """
-        return self.total_requests > 0 and self.dead_letter_requests == self.total_requests
-
-    def to_dict(self) -> dict:
-        return {
-            "listen": f"{self.host}:{self.port}",
-            "total_requests": self.total_requests,
-            "chat_requests": self.chat_requests,
-            "personalize_requests": self.personalize_requests,
-            "dead_letter_requests": self.dead_letter_requests,
-            "degraded_chat_requests": self.degraded_chat_requests,
-            "busy_rejections": self.busy_rejections,
-            "num_users": self.num_users,
-            "elapsed_seconds": self.elapsed_seconds,
-            "requests_per_sec": self.requests_per_sec,
-            "transcript_digest": self.transcript_digest,
-            "journal_digest": self.journal_digest,
-            "replayed_requests": self.replayed_requests,
-            "max_queue_depth_seen": self.max_queue_depth_seen,
-            "health": {name: dict(state) for name, state in self.health.items()},
-            "metrics": self.metrics,
-            "transcript": list(self.transcript),
-        }
-
-
 class ServeFrontend:
     """The asyncio TCP server in front of one bridge.
 
@@ -814,7 +733,7 @@ class ServeFrontend:
         self.draining = False
         self.started = threading.Event()
         self.bound_port: Optional[int] = None
-        self.outcome: Optional[FrontendOutcome] = None
+        self.outcome: Optional[ServeOutcome] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._drain_event: Optional[asyncio.Event] = None
         self._drain_requested_early = False
@@ -866,14 +785,14 @@ class ServeFrontend:
         """
         transcript = self.bridge.normalized_entries()
         return {
-            "served": _served_counts(transcript),
+            "served": served_counts(transcript),
             "pending": self.bridge.pending_count(),
             "inflight": self.bridge.inflight_total,
             "busy_rejections": self.bridge.busy_rejections,
             "queue_depths": self.bridge.queue_depths(),
             "workers": self.config.workers,
             "draining": self.draining,
-            "transcript_digest": frontend_transcript_digest(transcript),
+            "transcript_digest": aggregate_transcript_digest(transcript),
         }
 
     def metrics_snapshot(self) -> dict:
@@ -917,7 +836,7 @@ class ServeFrontend:
             pass
 
     # -- the run -------------------------------------------------------- #
-    def run(self) -> FrontendOutcome:
+    def run(self) -> ServeOutcome:
         """Build, serve until drained, and report; blocks the calling thread."""
         self._build()
         config = self.config
@@ -950,7 +869,16 @@ class ServeFrontend:
             self.bridge.finish()
             if snapshotter is not None:
                 snapshotter.stop()
-        self.outcome = self._make_outcome(elapsed)
+        port = self.bound_port if self.bound_port is not None else self.port
+        self.outcome = ServeOutcome.build(
+            self.bridge.normalized_entries(),
+            self.bridge.summaries,
+            elapsed,
+            metrics=self.metrics_snapshot() if config.metrics_enabled else None,
+            listen=f"{self.host}:{port}",
+            busy_rejections=self.bridge.busy_rejections,
+            max_queue_depth_seen=self.bridge.max_depth_seen,
+        )
         if self.recorder is not None:
             self.recorder.record_summary(
                 digest=self.outcome.transcript_digest,
@@ -1024,44 +952,6 @@ class ServeFrontend:
             self._connections.discard(connection)
             self._handler_tasks.discard(task)
 
-    # -- the outcome ---------------------------------------------------- #
-    def _make_outcome(self, elapsed: float) -> FrontendOutcome:
-        transcript = sorted(
-            self.bridge.normalized_entries(), key=lambda e: (e["user_id"], e["user_seq"])
-        )
-        served = _served_counts(transcript)
-        return FrontendOutcome(
-            host=self.host,
-            port=self.bound_port if self.bound_port is not None else self.port,
-            total_requests=served["total"],
-            chat_requests=served["chat"],
-            personalize_requests=served["personalize"],
-            dead_letter_requests=served["dead_letter"],
-            degraded_chat_requests=sum(1 for entry in transcript if entry.get("degraded")),
-            busy_rejections=self.bridge.busy_rejections,
-            num_users=len({entry["user_id"] for entry in transcript}),
-            elapsed_seconds=elapsed,
-            requests_per_sec=served["total"] / elapsed if elapsed > 0 else 0.0,
-            transcript_digest=frontend_transcript_digest(transcript),
-            journal_digest=self.bridge.journal_digest(),
-            replayed_requests=self.bridge.replayed_requests,
-            max_queue_depth_seen=self.bridge.max_depth_seen,
-            health=self.bridge.health_report(),
-            transcript=transcript,
-            metrics=self.metrics_snapshot() if self.config.metrics_enabled else None,
-        )
-
-
-def _served_counts(transcript: List[dict]) -> Dict[str, int]:
-    """Entries by outcome: total, served chats/personalizes, dead letters."""
-    live = [entry for entry in transcript if not entry.get("dead_letter")]
-    return {
-        "total": len(transcript),
-        "chat": sum(1 for entry in live if entry.get("kind") == CHAT),
-        "personalize": sum(1 for entry in live if entry.get("kind") == PERSONALIZE),
-        "dead_letter": len(transcript) - len(live),
-    }
-
 
 class FrontendThread:
     """Run a :class:`ServeFrontend` in a background thread (tests, replay, bench)."""
@@ -1089,7 +979,7 @@ class FrontendThread:
             raise RuntimeError(f"front-end server failed to start: {self.error}")
         return self.frontend.host, self.frontend.bound_port
 
-    def stop(self, timeout: float = 120.0) -> FrontendOutcome:
+    def stop(self, timeout: float = 120.0) -> ServeOutcome:
         """Drain, join and return the outcome (raises the server's error, if any)."""
         self.frontend.request_drain()
         self._thread.join(timeout)

@@ -1,11 +1,14 @@
-"""The shard-serving core and the end-to-end serving run built on it.
+"""The shard-serving core, the one serving outcome, and the offline entry point.
 
 :class:`ShardServer` is the one place a serving stack is built and
 recovered: the adapter store, the session manager, the scheduler and —
 with a ``state_dir`` — the request journal.  Every entry point drives it:
-:func:`run_serve` (one shard, a synthetic load), the
+:func:`run_serve` (a synthetic load, in process for one worker or through a
+:class:`~repro.serve.shard.ShardPool` for several), the
 :mod:`repro.serve.shard` pool worker (one shard per worker) and the socket
-front-end's scheduler bridge (:mod:`repro.serve.frontend`).
+front-end's scheduler bridge (:mod:`repro.serve.frontend`).  Every entry
+point also reports the same way: one :class:`ServeOutcome`, built from the
+shards' normalized transcript entries and their :meth:`ShardServer.summary`.
 
 With a ``state_dir`` the run is *durable*: every request is journaled
 before it is served, personalize rounds commit through per-user engine
@@ -16,17 +19,31 @@ window).  Soft crashes (:class:`~repro.serve.faults.InjectedCrash`) are
 restarted inside the same process: the base model's runtime state is
 snapshotted once and restored per restart, so an in-process "reboot" serves
 from bit-identical weights and RNG streams, exactly like a real one.
+
+Determinism is fingerprinted by one digest.  Entries are normalized to
+their per-user sequence number (request ids are arrival noise), each user's
+entries are digested in ``user_seq`` order, and the per-user digests compose
+into one aggregate SHA-256 over the sorted ``user:digest`` lines::
+
+    aggregate = sha256( sorted("<user>:<sha256(user entries)>") )
+
+Serving a user is independent of interleaved other-user work, so the
+aggregate is byte-identical for any worker count, any socket interleaving,
+and again after a kill-and-resume.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import signal
 import tempfile
 import threading
+import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,7 +52,7 @@ from repro.data.lexicons import LexiconCollection, builtin_lexicons
 from repro.experiments.presets import ExperimentScale
 from repro.llm.generation import GenerationConfig
 from repro.llm.model import OnDeviceLLM
-from repro.obs import MetricsRegistry, PeriodicSnapshotter
+from repro.obs import MetricsRegistry, PeriodicSnapshotter, merge_snapshots
 from repro.serve.adapter_store import LoRAAdapterStore
 from repro.serve.config import ServeConfig
 from repro.serve.errors import TransientServingError
@@ -49,35 +66,15 @@ from repro.serve.journal import (
     replay,
 )
 from repro.serve.loadgen import build_serving_llm, generate_load
-from repro.serve.scheduler import PersonalizeRequest, Request, RequestScheduler, ServeReport
+from repro.serve.scheduler import (
+    CHAT,
+    PERSONALIZE,
+    PersonalizeRequest,
+    Request,
+    RequestScheduler,
+    ServeReport,
+)
 from repro.serve.session import SessionManager, serving_framework_config
-
-
-@dataclass
-class ServeOutcome:
-    """Everything one serving run produced (report + full transcript)."""
-
-    report: ServeReport
-    transcript: List[dict] = field(default_factory=list)
-    adapter_dir: Optional[Path] = None
-    state_dir: Optional[Path] = None
-    #: Order-independent digest of everything the journal saw finish —
-    #: completed ∪ replayed ∪ dead-lettered, keyed by request id.  This is
-    #: the fingerprint the chaos suite compares across kill/resume runs.
-    journal_digest: Optional[str] = None
-    #: In-process restarts taken after injected soft crashes.
-    restarts: int = 0
-    #: Personalize rounds that recovery found committed but unmarked and
-    #: rolled forward without re-applying (the exactly-once path).
-    replayed_requests: int = 0
-    faults: Optional[dict] = None
-    #: Drained-state metrics snapshot (None when metrics were disabled).
-    metrics: Optional[dict] = None
-
-    @property
-    def digest(self) -> str:
-        """The transcript digest (determinism fingerprint of the run)."""
-        return self.report.transcript_digest
 
 
 def make_session_manager(
@@ -254,6 +251,50 @@ def normalize_entry(entry: dict, user_seq: int) -> dict:
     return normalized
 
 
+def user_transcript_digest(entries: Sequence[dict]) -> str:
+    """SHA-256 of one user's normalized entries in ``user_seq`` order."""
+    ordered = sorted(entries, key=lambda entry: entry["user_seq"])
+    encoded = json.dumps(ordered, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def compose_user_digests(user_digests: Dict[str, str]) -> str:
+    """Aggregate digest over per-user digests (sorted ``user:digest`` lines).
+
+    Pure composition: any partition of users into shards yields the same
+    aggregate as long as every user's own digest is unchanged — the property
+    that makes the digest worker-count-independent.
+    """
+    lines = "\n".join(f"{user}:{digest}" for user, digest in sorted(user_digests.items()))
+    return hashlib.sha256(lines.encode("utf-8")).hexdigest()
+
+
+def _by_user(entries: Iterable[dict]) -> Dict[str, List[dict]]:
+    grouped: Dict[str, List[dict]] = {}
+    for entry in entries:
+        grouped.setdefault(entry["user_id"], []).append(entry)
+    return grouped
+
+
+def aggregate_transcript_digest(normalized_entries: Iterable[dict]) -> str:
+    """The transcript digest, straight from normalized entries (any order)."""
+    per_user = _by_user(normalized_entries)
+    return compose_user_digests(
+        {user: user_transcript_digest(entries) for user, entries in per_user.items()}
+    )
+
+
+def served_counts(entries: Sequence[dict]) -> Dict[str, int]:
+    """Entries by outcome: total, served chats/personalizes, dead letters."""
+    live = [entry for entry in entries if not entry.get("dead_letter")]
+    return {
+        "total": len(entries),
+        "chat": sum(1 for entry in live if entry.get("kind") == CHAT),
+        "personalize": sum(1 for entry in live if entry.get("kind") == PERSONALIZE),
+        "dead_letter": len(entries) - len(live),
+    }
+
+
 # ---------------------------------------------------------------------- #
 # the shard-serving core
 # ---------------------------------------------------------------------- #
@@ -282,7 +323,11 @@ class ShardServer:
     per-user sequence number (:func:`normalize_entry`), kept in
     :attr:`entries` by request id and passed to ``on_entry(request_id,
     normalized_entry)``.  An entry re-announced unchanged after an
-    in-process restart is not passed on again.
+    in-process restart is not passed on again.  :meth:`summary` reports the
+    shard's side of the :class:`ServeOutcome`.
+
+    ``index`` is the shard's position in a pool of ``config.workers``
+    shards; with more than one, the journal meta records it.
     """
 
     def __init__(
@@ -291,19 +336,22 @@ class ShardServer:
         llm: OnDeviceLLM,
         lexicons: Optional[LexiconCollection] = None,
         metrics: Optional[MetricsRegistry] = None,
-        meta: Optional[dict] = None,
+        index: int = 0,
         on_entry: Optional[Callable[[int, dict], None]] = None,
     ) -> None:
         plan = config.fault_plan
         self.config = config
         self.llm = llm
+        self.index = index
         self.scale = config.resolved_scale()
         self.lexicons = lexicons or builtin_lexicons()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.faults = FaultInjector(plan) if plan is not None else None
         self.generation = serving_generation_config(llm, self.scale)
         #: The journal's first record; its ``load`` is the workload fence.
-        self.meta = {"load": asdict(config.load), "scale": self.scale.name, **(meta or {})}
+        self.meta = {"load": asdict(config.load), "scale": self.scale.name}
+        if config.workers > 1:
+            self.meta["shard"] = {"index": index, "num_shards": config.workers}
         self.on_entry = on_entry
         self.journal_path: Optional[Path] = None
         self._temporary: Optional[tempfile.TemporaryDirectory] = None
@@ -333,6 +381,11 @@ class ShardServer:
         #: Personalize rounds found committed but unmarked and rolled
         #: forward without re-applying (the exactly-once path).
         self.replayed_requests = 0
+        #: Seconds spent in :meth:`serve`, and per delivered entry the
+        #: seconds since its :meth:`serve` call began.
+        self.serve_seconds = 0.0
+        self.entry_latencies: List[float] = []
+        self._serve_started: Optional[float] = None
         self._journaled: set = set()
         self._seqs: Dict[str, int] = {}
         self._snapshot: Optional[dict] = None
@@ -373,7 +426,12 @@ class ShardServer:
                 inbox.popleft()
             return self.scheduler.run()
 
-        return self._guarded(step)
+        self._serve_started = time.perf_counter()
+        try:
+            return self._guarded(step)
+        finally:
+            self.serve_seconds += time.perf_counter() - self._serve_started
+            self._serve_started = None
 
     def finish(self) -> None:
         """Final flush, journal close, temporary adapter cleanup."""
@@ -389,6 +447,36 @@ class ShardServer:
             self.journal.close()
         if self._temporary is not None:
             self._temporary.cleanup()
+
+    def summary(self) -> dict:
+        """This shard's side of the :class:`ServeOutcome` (JSON-ready).
+
+        A pool worker sends it to the parent as its ``done`` message.
+        """
+        scheduler = self.scheduler
+        per_user = _by_user(self.entries.values())
+        return {
+            "index": self.index,
+            "served": len(self.entries),
+            "users": sorted(per_user),
+            "user_digests": {
+                user: user_transcript_digest(entries) for user, entries in per_user.items()
+            },
+            "journal_digest": self.journal_digest(),
+            "replayed_requests": self.replayed_requests,
+            "restarts": self.restarts,
+            "dead_letter_requests": self.dead_letter_requests,
+            # Registry-backed counters accumulate across in-place restarts, so
+            # the final scheduler's view is the total.
+            "degraded_chat_requests": scheduler.degraded_chats,
+            "retries": scheduler.retries,
+            "serve_seconds": self.serve_seconds,
+            "entry_latencies": list(self.entry_latencies),
+            "store": scheduler.sessions.store.stats.to_dict(),
+            "health": scheduler.health_report(),
+            "faults": None if self.faults is None else self.faults.report(),
+            "metrics": self.metrics.snapshot(),
+        }
 
     # -- internals ------------------------------------------------------ #
     def _guarded(self, step):
@@ -490,8 +578,151 @@ class ShardServer:
         if self.entries.get(request_id) == normalized:
             return
         self.entries[request_id] = normalized
+        if self._serve_started is not None:
+            self.entry_latencies.append(time.perf_counter() - self._serve_started)
         if self.on_entry is not None:
             self.on_entry(request_id, normalized)
+
+
+# ---------------------------------------------------------------------- #
+# the outcome
+# ---------------------------------------------------------------------- #
+@dataclass
+class ServeOutcome:
+    """What one serving run produced, the same for every topology.
+
+    Built by :meth:`build` from the run's normalized transcript entries and
+    one :meth:`ShardServer.summary` per shard — whether the shard served in
+    process, in a pool worker or behind the socket front-end.
+    """
+
+    #: Normalized entries sorted by ``(user_id, user_seq)``.
+    transcript: List[dict]
+    #: One :meth:`ShardServer.summary` per shard, in shard order.
+    shards: List[dict]
+    #: :func:`aggregate_transcript_digest` of :attr:`transcript`.
+    transcript_digest: str
+    total_requests: int
+    chat_requests: int
+    personalize_requests: int
+    dead_letter_requests: int
+    degraded_chat_requests: int
+    retries: int
+    num_users: int
+    elapsed_seconds: float
+    requests_per_sec: float
+    #: In-process restarts taken after injected soft crashes.
+    restarts: int
+    #: Personalize rounds that recovery found committed but unmarked and
+    #: rolled forward without re-applying (the exactly-once path).
+    replayed_requests: int
+    #: Drained-state metrics snapshot (None when metrics were disabled).
+    metrics: Optional[dict] = None
+    #: The socket front-end's traffic facts (a synthetic load has none).
+    listen: Optional[str] = None
+    busy_rejections: int = 0
+    max_queue_depth_seen: int = 0
+
+    @classmethod
+    def build(
+        cls, entries: Iterable[dict], shards: Sequence[dict], elapsed: float, **extra
+    ) -> "ServeOutcome":
+        """Assemble the outcome; ``extra`` sets the optional fields.
+
+        The digest is recomputed from the entries and cross-checked against
+        the shards' per-user digests (a user must live on exactly one shard).
+        """
+        transcript = sorted(entries, key=lambda entry: (entry["user_id"], entry["user_seq"]))
+        digest = aggregate_transcript_digest(transcript)
+        if shards:
+            user_digests: Dict[str, str] = {}
+            for shard in shards:
+                for user, user_digest in shard["user_digests"].items():
+                    if user in user_digests:
+                        raise RuntimeError(f"user {user!r} served by more than one shard")
+                    user_digests[user] = user_digest
+            composed = compose_user_digests(user_digests)
+            if composed != digest:
+                raise RuntimeError(
+                    "transcript digest mismatch between shard-composed and "
+                    f"recomputed values ({composed[:12]} != {digest[:12]})"
+                )
+        served = served_counts(transcript)
+        return cls(
+            transcript=transcript,
+            shards=list(shards),
+            transcript_digest=digest,
+            total_requests=served["total"],
+            chat_requests=served["chat"],
+            personalize_requests=served["personalize"],
+            dead_letter_requests=served["dead_letter"],
+            degraded_chat_requests=sum(1 for entry in transcript if entry.get("degraded")),
+            retries=sum(shard["retries"] for shard in shards),
+            num_users=len({entry["user_id"] for entry in transcript}),
+            elapsed_seconds=elapsed,
+            requests_per_sec=served["total"] / elapsed if elapsed > 0 else 0.0,
+            restarts=sum(shard["restarts"] for shard in shards),
+            replayed_requests=sum(shard["replayed_requests"] for shard in shards),
+            **extra,
+        )
+
+    @property
+    def journal_digest(self) -> Optional[str]:
+        """The journal digest (None unless every shard is durable).
+
+        One shard's own digest, or for several the SHA-256 over their
+        ``index:digest`` lines.
+        """
+        digests = [(shard["index"], shard["journal_digest"]) for shard in self.shards]
+        if not digests or any(digest is None for _, digest in digests):
+            return None
+        if len(digests) == 1:
+            return digests[0][1]
+        joined = "\n".join(f"{index}:{digest}" for index, digest in sorted(digests))
+        return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+
+    @property
+    def all_dead_lettered(self) -> bool:
+        """True when the run served traffic but every request dead-lettered.
+
+        The ``repro serve`` exit-3 contract.
+        """
+        return self.total_requests > 0 and self.dead_letter_requests == self.total_requests
+
+    def to_dict(self) -> dict:
+        """JSON-ready view (``serve_result.json``).
+
+        Per-shard latencies and raw metric snapshots stay off it: the merged
+        ``metrics`` is the exported view.
+        """
+        return {
+            "listen": self.listen,
+            "total_requests": self.total_requests,
+            "chat_requests": self.chat_requests,
+            "personalize_requests": self.personalize_requests,
+            "dead_letter_requests": self.dead_letter_requests,
+            "degraded_chat_requests": self.degraded_chat_requests,
+            "retries": self.retries,
+            "num_users": self.num_users,
+            "elapsed_seconds": self.elapsed_seconds,
+            "requests_per_sec": self.requests_per_sec,
+            "busy_rejections": self.busy_rejections,
+            "max_queue_depth_seen": self.max_queue_depth_seen,
+            "transcript_digest": self.transcript_digest,
+            "journal_digest": self.journal_digest,
+            "restarts": self.restarts,
+            "replayed_requests": self.replayed_requests,
+            "shards": [
+                {
+                    key: value
+                    for key, value in shard.items()
+                    if key not in ("entry_latencies", "metrics")
+                }
+                for shard in self.shards
+            ],
+            "metrics": self.metrics,
+            "transcript": list(self.transcript),
+        }
 
 
 # ---------------------------------------------------------------------- #
@@ -502,18 +733,26 @@ def run_serve(
     lexicons: Optional[LexiconCollection] = None,
     llm: Optional[OnDeviceLLM] = None,
     metrics: Optional[MetricsRegistry] = None,
+    mode: Optional[str] = None,
 ) -> ServeOutcome:
     """Serve one synthetic workload end to end; returns the outcome.
 
     ``config`` describes the whole run.  Runtime objects stay keywords:
     pass ``llm`` to reuse an already-built base model (the benchmark does
     this to compare policies on identical weights), ``lexicons`` to
-    override the built-ins, and ``metrics`` to aggregate several runs into
-    one registry.
+    override the built-ins, ``metrics`` to aggregate several single-worker
+    runs into one registry, and ``mode`` to pick the pool's worker mode.
+
+    With ``config.workers == 1`` one in-process :class:`ShardServer` serves
+    the load.  With more, a :class:`~repro.serve.shard.ShardPool` routes
+    every request to its consistent-hash shard; each shard keeps its own
+    journal, checkpoints and adapters under ``<state_dir>/shard-NN`` and
+    resumes independently, and the topology manifest refuses a resume with
+    a different worker count.
 
     With no ``adapter_dir`` and no ``state_dir`` the adapter files live in
-    a temporary directory that is discarded after the run (the report keeps
-    the store statistics).
+    a temporary directory that is discarded after the run (the shard
+    summaries keep the store statistics).
 
     With ``state_dir`` the run is durable (journal + per-user checkpoints
     under that directory, adapters in ``<state_dir>/adapters`` unless
@@ -527,44 +766,75 @@ def run_serve(
     if not isinstance(config, ServeConfig):
         raise TypeError(f"run_serve() takes a ServeConfig, not {type(config).__name__}")
     load = config.load
-    scale = config.resolved_scale()
     lexicons = lexicons or builtin_lexicons()
     registry = metrics if metrics is not None else MetricsRegistry()
     if llm is None:
         llm = build_serving_llm(
-            scale,
+            config.resolved_scale(),
             dataset=load.dataset,
             seed=load.seed,
             lexicons=lexicons,
             pretrain_epochs=config.pretrain_epochs,
         )
+    requests = generate_load(load, lexicons=lexicons)
+    pool = None
+    if config.workers > 1:
+        from repro.serve.shard import ShardPool  # shard imports this module
+
+        pool = ShardPool(config, llm, mode=mode)
     snapshotter: Optional[PeriodicSnapshotter] = None
     if config.metrics_enabled and config.metrics_out is not None:
         snapshotter = PeriodicSnapshotter(
-            registry, config.metrics_out, config.metrics_interval_seconds
+            registry,
+            config.metrics_out,
+            config.metrics_interval_seconds,
+            snapshot_fn=None if pool is None else pool.merged_metrics,
         ).start()
-    server = ShardServer(config, llm, lexicons=lexicons, metrics=registry)
-    restore_handlers = _install_stop_handlers(server) if config.install_signal_handlers else None
+    try:
+        if pool is None:
+            server = ShardServer(config, llm, lexicons=lexicons, metrics=registry)
+            entries, shards, elapsed = _serve_in_process(server, requests)
+            snapshot = registry.snapshot()
+        else:
+            entries, shards, elapsed = _serve_pool(pool, requests)
+            snapshot = merge_snapshots(shard["metrics"] for shard in shards)
+    finally:
+        if snapshotter is not None:
+            snapshotter.stop()
+    return ServeOutcome.build(
+        entries, shards, elapsed, metrics=snapshot if config.metrics_enabled else None
+    )
+
+
+def _serve_in_process(server: ShardServer, requests: List[Request]):
+    """One shard in this process; returns ``(entries, [summary], elapsed)``."""
+    restore_handlers = (
+        _install_stop_handlers(server) if server.config.install_signal_handlers else None
+    )
     try:
         server.boot()
-        report = server.serve(generate_load(load, lexicons=lexicons))
+        started = time.perf_counter()
+        server.serve(requests)
+        elapsed = time.perf_counter() - started
         server.finish()
     finally:
         if restore_handlers is not None:
             restore_handlers()
-        if snapshotter is not None:
-            snapshotter.stop()
-    return ServeOutcome(
-        report=report,
-        transcript=list(server.scheduler.transcript),
-        adapter_dir=None if server.temporary_adapters else server.adapter_dir,
-        state_dir=None if config.state_dir is None else Path(config.state_dir),
-        journal_digest=server.journal_digest(),
-        restarts=server.restarts,
-        replayed_requests=server.replayed_requests,
-        faults=None if server.faults is None else server.faults.report(),
-        metrics=registry.snapshot() if config.metrics_enabled else None,
-    )
+    return list(server.entries.values()), [server.summary()], elapsed
+
+
+def _serve_pool(pool, requests: List[Request]):
+    """Every shard in a pool worker; returns ``(entries, summaries, elapsed)``."""
+    try:
+        pool.start()
+        started = time.perf_counter()
+        pool.submit_many(requests)
+        summaries = pool.drain()
+        elapsed = time.perf_counter() - started
+    except BaseException:
+        pool.terminate()
+        raise
+    return pool.normalized_entries(), summaries, elapsed
 
 
 def _install_stop_handlers(server: ShardServer):

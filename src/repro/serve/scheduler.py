@@ -19,9 +19,9 @@ user's fine-tune job (fairness is asserted in
 form naturally from each user's queue.
 
 Everything is deterministic for a fixed seed: the transcript (request ids,
-questions, responses, personalization outcomes — no wall-clock fields) is
-hashed into a digest, and two runs from identical seeds produce identical
-digests.
+questions, responses, personalization outcomes — no wall-clock fields) of
+two runs from identical seeds is identical.  Callers fingerprint it with
+:func:`repro.serve.runner.aggregate_transcript_digest`.
 
 Robustness (optional, all off by default):
 
@@ -45,8 +45,6 @@ Robustness (optional, all off by default):
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 import zlib
 from collections import deque
@@ -131,7 +129,6 @@ class ServeReport:
     num_users: int
     elapsed_seconds: float
     requests_per_sec: float
-    transcript_digest: str
     swap: Dict[str, float] = field(default_factory=dict)
     store: Dict[str, float] = field(default_factory=dict)
     per_user: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -141,34 +138,6 @@ class ServeReport:
     retries: int = 0
     stopped_early: bool = False
     health: Dict[str, dict] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """JSON-ready view (written as ``serve_result.json`` by the CLI)."""
-        return {
-            "total_requests": self.total_requests,
-            "chat_requests": self.chat_requests,
-            "personalize_requests": self.personalize_requests,
-            "num_turns": self.num_turns,
-            "num_users": self.num_users,
-            "elapsed_seconds": self.elapsed_seconds,
-            "requests_per_sec": self.requests_per_sec,
-            "transcript_digest": self.transcript_digest,
-            "swap": dict(self.swap),
-            "store": dict(self.store),
-            "per_user": {user: dict(counts) for user, counts in self.per_user.items()},
-            "turn_users": list(self.turn_users),
-            "dead_letter_requests": self.dead_letter_requests,
-            "degraded_chat_requests": self.degraded_chat_requests,
-            "retries": self.retries,
-            "stopped_early": self.stopped_early,
-            "health": {name: dict(state) for name, state in self.health.items()},
-        }
-
-
-def transcript_digest(transcript: Sequence[dict]) -> str:
-    """SHA-256 over the canonical JSON encoding of a serving transcript."""
-    encoded = json.dumps(list(transcript), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
 class RequestScheduler:
@@ -368,7 +337,6 @@ class RequestScheduler:
         """
         start = time.perf_counter()
         turns_start = len(self.turns)
-        transcript_start = len(self.transcript)
         dead_letters_start = len(self.dead_letters)
         retries_start = self.retries
         degraded_start = self.degraded_chats
@@ -477,7 +445,6 @@ class RequestScheduler:
             num_users=len(per_user),
             elapsed_seconds=elapsed,
             requests_per_sec=total / elapsed if elapsed > 0 else 0.0,
-            transcript_digest=transcript_digest(self.transcript[transcript_start:]),
             swap=swap_stats,
             store=store_stats,
             per_user=per_user,

@@ -4,32 +4,24 @@ One process and one scheduler cannot reach the ROADMAP's millions-of-users
 target.  This module scales the serving stack *horizontally*: a
 :class:`ShardRing` maps every user id onto one of N shards by consistent
 hashing, and a :class:`ShardPool` runs one worker per shard — each owning a
-private :class:`~repro.serve.scheduler.RequestScheduler`,
-:class:`~repro.serve.session.SessionManager`, adapter store, and (when
-durable) request journal.  Workers share *nothing* mutable: in ``process``
-mode they are forked children that inherit the pre-built base model
-copy-on-write; in ``thread`` mode (the portable fallback) each worker gets a
-deep copy of the model.  Either way a user's entire history lives on exactly
-one shard, which is what keeps scale-out deterministic.
+private :class:`~repro.serve.runner.ShardServer` (scheduler, session
+manager, adapter store and, when durable, request journal).  Workers share
+*nothing* mutable: in ``process`` mode they are forked children that
+inherit the pre-built base model copy-on-write; in ``thread`` mode (the
+portable fallback) each worker gets a deep copy of the model.  Either way a
+user's entire history lives on exactly one shard, which is what keeps
+scale-out deterministic.
 
-Determinism composes.  Each worker emits *normalized* transcript entries
-(request ids — global arrival noise — replaced by the per-user sequence
-number, exactly as the PR-8 front-end does).  Per user, the entries are
-digested in ``user_seq`` order; per run, the per-user digests compose into
-one aggregate SHA-256 over the sorted ``user:digest`` lines:
+Each worker streams *normalized* transcript entries (request ids replaced
+by the per-user sequence number) and ends with its shard summary, so the
+pool's results compose into the same
+:class:`~repro.serve.runner.ServeOutcome` and the same aggregate transcript
+digest as a single in-process shard — byte-identical for 1, 2 or 4 workers,
+and again after a kill-and-resume, because each shard replays its own
+journal independently and replayed entries are JSON-stable.
 
-    aggregate = sha256( sorted("<user>:<sha256(user entries)>") )
-
-Because every user is served by one shard in submission order, and serving a
-user is independent of interleaved other-user work (greedy decode, per
-``(user, round)`` dropout reseeding, per-user framework seeds), the aggregate
-digest is byte-identical for 1, 2 or 4 workers — and identical again after a
-kill-and-resume, because each shard replays its own journal independently
-and replayed entries are JSON-stable.
-
-The ``repro serve --workers N`` CLI path and the socket front-end's sharded
-bridge both drive a :class:`ShardPool`; :func:`run_serve_sharded` is the
-offline entry point used by the CLI, the benchmark and the tests.
+``repro serve --workers N`` (through :func:`~repro.serve.runner.run_serve`)
+and the socket front-end's sharded bridge both drive a :class:`ShardPool`.
 """
 
 from __future__ import annotations
@@ -45,12 +37,10 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.data.lexicons import LexiconCollection, builtin_lexicons
 from repro.llm.model import OnDeviceLLM
-from repro.obs import MetricsRegistry, PeriodicSnapshotter, merge_snapshots
+from repro.obs import merge_snapshots
 from repro.serve.config import ServeConfig
 from repro.serve.journal import JournalError, decode_request, encode_request
-from repro.serve.loadgen import build_serving_llm, generate_load
 from repro.serve.runner import ShardServer
 from repro.serve.scheduler import Request
 
@@ -108,37 +98,6 @@ class ShardRing:
 
 
 # ---------------------------------------------------------------------- #
-# digest composition
-# ---------------------------------------------------------------------- #
-def user_transcript_digest(entries: Sequence[dict]) -> str:
-    """SHA-256 of one user's normalized entries in ``user_seq`` order."""
-    ordered = sorted(entries, key=lambda entry: entry["user_seq"])
-    encoded = json.dumps(ordered, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-
-
-def compose_user_digests(user_digests: Dict[str, str]) -> str:
-    """Aggregate digest over per-user digests (sorted ``user:digest`` lines).
-
-    Pure composition: any partition of users into shards yields the same
-    aggregate as long as every user's own digest is unchanged — the property
-    that makes the digest worker-count-independent.
-    """
-    lines = "\n".join(f"{user}:{digest}" for user, digest in sorted(user_digests.items()))
-    return hashlib.sha256(lines.encode("utf-8")).hexdigest()
-
-
-def aggregate_transcript_digest(normalized_entries: Sequence[dict]) -> str:
-    """Aggregate digest straight from normalized entries (any order)."""
-    per_user: Dict[str, List[dict]] = {}
-    for entry in normalized_entries:
-        per_user.setdefault(entry["user_id"], []).append(entry)
-    return compose_user_digests(
-        {user: user_transcript_digest(entries) for user, entries in per_user.items()}
-    )
-
-
-# ---------------------------------------------------------------------- #
 # the worker (runs in a forked process or a thread)
 # ---------------------------------------------------------------------- #
 def shard_state_dir(state_root: Union[str, Path], index: int) -> Path:
@@ -158,7 +117,8 @@ def _shard_worker_main(conn, config: ServeConfig, index: int, llm: OnDeviceLLM) 
       requests;
     - receives ``("serve", [encoded_request, ...])``, ``("metrics",)`` and
       ``("drain",)`` commands;
-    - sends ``("done", summary)`` after draining, then exits.
+    - sends ``("done", summary)`` (:meth:`ShardServer.summary`) after
+      draining, then exits.
 
     Recovery and injected-soft-crash restarts are the
     :class:`~repro.serve.runner.ShardServer` core's, exactly as in
@@ -179,37 +139,17 @@ def _shard_worker_main(conn, config: ServeConfig, index: int, llm: OnDeviceLLM) 
 
 
 def _shard_worker_serve(conn, config: ServeConfig, index: int, llm: OnDeviceLLM) -> None:
-    latencies: List[float] = []
-    batch_start: Optional[float] = None
-
     def send_entry(request_id: int, entry: dict) -> None:
-        if batch_start is not None:
-            latencies.append(time.perf_counter() - batch_start)
         conn.send(("entry", request_id, entry))
 
-    shard_meta = {"shard": {"index": index, "num_shards": config.workers}}
-    server = ShardServer(config, llm, meta=shard_meta, on_entry=send_entry)
-    serve_seconds = 0.0
-
-    def serve(requests: List[Request]) -> None:
-        nonlocal batch_start, serve_seconds
-        started = batch_start = time.perf_counter()
-        server.serve(requests)
-        batch_start = None
-        serve_seconds += time.perf_counter() - started
-
+    server = ShardServer(config, llm, index=index, on_entry=send_entry)
     server.boot()
-    serve([])  # what the journal left pending, before the shard takes traffic
-    ready = {
-        "index": index,
-        "replayed_requests": server.replayed_requests,
-        "next_request_id": server.next_request_id,
-    }
-    conn.send(("ready", ready))
+    server.serve()  # what the journal left pending, before the shard takes traffic
+    conn.send(("ready", {"index": index, "next_request_id": server.next_request_id}))
     while True:
         message = conn.recv()
         if message[0] == "serve":
-            serve([decode_request(payload) for payload in message[1]])
+            server.serve([decode_request(payload) for payload in message[1]])
         elif message[0] == "metrics":
             conn.send(("metrics", server.metrics.snapshot()))
         elif message[0] == "drain":
@@ -217,32 +157,7 @@ def _shard_worker_serve(conn, config: ServeConfig, index: int, llm: OnDeviceLLM)
         else:  # pragma: no cover - protocol misuse
             raise ValueError(f"unknown shard command {message[0]!r}")
     server.finish()
-    per_user: Dict[str, List[dict]] = {}
-    for entry in server.entries.values():
-        per_user.setdefault(entry["user_id"], []).append(entry)
-    scheduler = server.scheduler
-    summary = {
-        "index": index,
-        "served": len(server.entries),
-        "users": sorted(per_user),
-        "user_digests": {
-            user: user_transcript_digest(entries) for user, entries in per_user.items()
-        },
-        "journal_digest": server.journal_digest(),
-        "replayed_requests": server.replayed_requests,
-        "restarts": server.restarts,
-        "dead_letter_requests": server.dead_letter_requests,
-        # Registry-backed counters accumulate across in-place restarts, so
-        # the final scheduler's view is the total.
-        "degraded_chat_requests": scheduler.degraded_chats,
-        "retries": scheduler.retries,
-        "serve_seconds": serve_seconds,
-        "entry_latencies": latencies,
-        "store": scheduler.sessions.store.stats.to_dict(),
-        "health": scheduler.health_report(),
-        "metrics": server.metrics.snapshot(),
-    }
-    conn.send(("done", summary))
+    conn.send(("done", server.summary()))
 
 
 # ---------------------------------------------------------------------- #
@@ -282,11 +197,11 @@ class ShardPool:
     with its own directories filled in (``<state_dir>/shard-NN`` and
     ``<adapter_dir>/shard-NN``).  The pool owns the worker lifecycle
     (spawn → ready → serve → drain) and the merged view of their output:
-    deduplicated normalized entries, merged per-user digests and the
-    composed aggregate digest.  ``on_entry`` (if
-    given) is called as ``on_entry(request_id, normalized_entry)`` from a
-    listener thread the moment a worker reports an entry — the socket
-    front-end uses this for streaming delivery.
+    deduplicated normalized entries, merged metrics, and the shard
+    summaries :meth:`drain` returns.  ``on_entry`` (if given) is called as
+    ``on_entry(request_id, normalized_entry)`` from a listener thread the
+    moment a worker reports an entry — the socket front-end uses this for
+    streaming delivery.
     """
 
     def __init__(
@@ -321,7 +236,8 @@ class ShardPool:
     def start(self, timeout: float = 300.0) -> List[dict]:
         """Spawn every worker and wait until all shards are ready.
 
-        Returns the per-shard ready infos (recovery counts).  On a durable
+        Returns the per-shard ready infos (``index``, ``next_request_id``:
+        above every request id the shard's journal has seen).  On a durable
         pool this is where each shard independently replays its journal —
         replayed entries stream through ``on_entry`` before ready fires.
         """
@@ -532,10 +448,6 @@ class ShardPool:
             entries = list(self.entries.values())
         return sorted(entries, key=lambda entry: (entry["user_id"], entry["user_seq"]))
 
-    def aggregate_digest(self) -> str:
-        """The composed per-user digest over everything seen so far."""
-        return aggregate_transcript_digest(self.normalized_entries())
-
     def metrics_snapshots(self, timeout: float = 30.0) -> List[dict]:
         """One registry snapshot per live-or-drained shard.
 
@@ -572,172 +484,3 @@ class ShardPool:
     def merged_metrics(self, timeout: float = 30.0) -> dict:
         """All shard snapshots merged into one pool-wide view."""
         return merge_snapshots(self.metrics_snapshots(timeout))
-
-
-# ---------------------------------------------------------------------- #
-# the offline entry point
-# ---------------------------------------------------------------------- #
-@dataclass
-class ShardedServeOutcome:
-    """Everything one sharded serving run produced."""
-
-    num_workers: int
-    mode: str
-    aggregate_digest: str
-    user_digests: Dict[str, str]
-    entries: List[dict]
-    shard_summaries: List[dict]
-    total_requests: int
-    dead_letter_requests: int
-    degraded_chat_requests: int
-    replayed_requests: int
-    restarts: int
-    elapsed_seconds: float
-    requests_per_sec: float
-    entry_latencies: List[float] = field(default_factory=list)
-    journal_digests: Dict[int, Optional[str]] = field(default_factory=dict)
-    state_dir: Optional[Path] = None
-    #: Shard snapshots merged into one view (None when metrics disabled).
-    metrics: Optional[dict] = None
-
-    @property
-    def all_dead_lettered(self) -> bool:
-        """True when every request dead-lettered (the CLI's exit-3 contract)."""
-        return self.total_requests > 0 and self.dead_letter_requests >= self.total_requests
-
-    def to_dict(self) -> dict:
-        return {
-            "num_workers": self.num_workers,
-            "mode": self.mode,
-            "aggregate_digest": self.aggregate_digest,
-            "user_digests": dict(sorted(self.user_digests.items())),
-            "total_requests": self.total_requests,
-            "dead_letter_requests": self.dead_letter_requests,
-            "degraded_chat_requests": self.degraded_chat_requests,
-            "replayed_requests": self.replayed_requests,
-            "restarts": self.restarts,
-            "elapsed_seconds": self.elapsed_seconds,
-            "requests_per_sec": self.requests_per_sec,
-            "journal_digests": {
-                str(index): digest for index, digest in sorted(self.journal_digests.items())
-            },
-            "shards": [
-                # Per-shard raw metric snapshots stay off the result file:
-                # the merged view below is the exported one.
-                {
-                    key: value
-                    for key, value in summary.items()
-                    if key not in ("entry_latencies", "metrics")
-                }
-                for summary in self.shard_summaries
-            ],
-            "metrics": self.metrics,
-            "transcript": self.entries,
-        }
-
-
-def run_serve_sharded(
-    config: ServeConfig,
-    lexicons: Optional[LexiconCollection] = None,
-    llm: Optional[OnDeviceLLM] = None,
-    mode: Optional[str] = None,
-) -> ShardedServeOutcome:
-    """Serve one synthetic workload across shards; returns the outcome.
-
-    The sharded twin of :func:`~repro.serve.runner.run_serve`: ``config``
-    describes the run (its ``workers`` field is the shard count), and the
-    runtime objects ``lexicons``/``llm``/``mode`` stay keywords.
-
-    The base model is built (or passed in) once, the deterministic load is
-    generated once, and every request is routed to its consistent-hash
-    shard.  With a ``state_dir``, each shard keeps its own
-    journal/checkpoints/adapters under ``<state_dir>/shard-NN`` and resumes
-    independently; the topology manifest refuses a resume with a different
-    worker count.
-    """
-    if not isinstance(config, ServeConfig):
-        raise TypeError(f"run_serve_sharded() takes a ServeConfig, not {type(config).__name__}")
-    load = config.load
-    lexicons = lexicons or builtin_lexicons()
-    if llm is None:
-        llm = build_serving_llm(
-            config.resolved_scale(),
-            dataset=load.dataset,
-            seed=load.seed,
-            lexicons=lexicons,
-            pretrain_epochs=config.pretrain_epochs,
-        )
-    pool = ShardPool(config, llm, mode=mode)
-    snapshotter = None
-    if config.metrics_enabled and config.metrics_out is not None:
-        snapshotter = PeriodicSnapshotter(
-            MetricsRegistry(),
-            config.metrics_out,
-            config.metrics_interval_seconds,
-            snapshot_fn=pool.merged_metrics,
-        ).start()
-    try:
-        pool.start()
-        started = time.perf_counter()
-        pool.submit_many(generate_load(load, lexicons=lexicons))
-        summaries = pool.drain()
-        elapsed = time.perf_counter() - started
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        if snapshotter is not None:
-            snapshotter.stop()
-    return _assemble_outcome(
-        pool, summaries, elapsed, config.state_dir, metrics_enabled=config.metrics_enabled
-    )
-
-
-def _assemble_outcome(
-    pool: ShardPool,
-    summaries: List[dict],
-    elapsed: float,
-    state_dir: Optional[Union[str, Path]],
-    metrics_enabled: bool = True,
-) -> ShardedServeOutcome:
-    user_digests: Dict[str, str] = {}
-    for summary in summaries:
-        for user, digest in summary["user_digests"].items():
-            if user in user_digests:  # a user must live on exactly one shard
-                raise ShardPoolError(f"user {user!r} served by more than one shard")
-            user_digests[user] = digest
-    entries = pool.normalized_entries()
-    aggregate = compose_user_digests(user_digests)
-    cross_check = aggregate_transcript_digest(entries)
-    if entries and aggregate != cross_check:
-        raise ShardPoolError(
-            "aggregate digest mismatch between shard-composed and "
-            f"parent-recomputed values ({aggregate[:12]} != {cross_check[:12]})"
-        )
-    total = len(entries)
-    latencies = sorted(
-        latency for summary in summaries for latency in summary.get("entry_latencies", [])
-    )
-    merged_metrics: Optional[dict] = None
-    if metrics_enabled:
-        shard_snapshots = [s["metrics"] for s in summaries if s.get("metrics")]
-        merged_metrics = merge_snapshots(shard_snapshots)
-    return ShardedServeOutcome(
-        num_workers=pool.num_shards,
-        mode=pool.mode,
-        aggregate_digest=aggregate,
-        user_digests=user_digests,
-        entries=entries,
-        shard_summaries=summaries,
-        total_requests=total,
-        dead_letter_requests=sum(s["dead_letter_requests"] for s in summaries),
-        degraded_chat_requests=sum(s["degraded_chat_requests"] for s in summaries),
-        replayed_requests=sum(s["replayed_requests"] for s in summaries),
-        restarts=sum(s["restarts"] for s in summaries),
-        elapsed_seconds=elapsed,
-        requests_per_sec=total / elapsed if elapsed > 0 else 0.0,
-        entry_latencies=latencies,
-        journal_digests={s["index"]: s["journal_digest"] for s in summaries},
-        state_dir=Path(state_dir) if state_dir is not None else None,
-        metrics=merged_metrics,
-    )

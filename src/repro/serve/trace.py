@@ -23,7 +23,13 @@ Record kinds, in file order:
 * ``request`` — one admitted request: ``user_id``, the per-user sequence
   number ``seq``, arrival offset ``arrival_ms``, the op (``chat`` /
   ``personalize``), the wire payload, and the derived per-request ``seed``;
-* ``summary`` — the run's normalized transcript digest and request count.
+* ``summary`` — the run's transcript digest (the per-user-composed
+  aggregate every serving path reports) and request count.
+
+Version 2 is the only version read: a version 1 trace's summary holds the
+digest the front-end reported before it switched to the aggregate, so
+:func:`load_trace` refuses it instead of replaying it as a false
+divergence — re-record it.
 
 Like the journal, a trace tolerates a torn final line (the recorder was
 killed mid-append); any other undecodable line is counted so callers can
@@ -43,7 +49,7 @@ from repro.serve.journal import decode_record_line, encode_record_line
 from repro.serve.session import user_seed
 
 TRACE_MAGIC = "T1"
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 
 class TraceError(ServingError):
@@ -171,9 +177,10 @@ class TraceRecorder:
 def load_trace(path: Union[str, Path]) -> Trace:
     """Read a trace back; tolerates a torn final line, counts real corruption.
 
-    Raises :class:`TraceError` when the file is missing or its first valid
+    Raises :class:`TraceError` when the file is missing, its first valid
     record is not a ``header`` (e.g. a journal passed by mistake — the magic
-    differs, so every line fails validation and there is no header).
+    differs, so every line fails validation and there is no header), or the
+    header names another format version.
     """
     path = Path(path)
     if not path.is_file():
@@ -206,6 +213,11 @@ def load_trace(path: Union[str, Path]) -> Trace:
             dropped += 1
     if meta is None:
         raise TraceError(f"{path} has no valid trace header (is it a {TRACE_MAGIC} file?)")
+    if meta.get("version") != TRACE_VERSION:
+        raise TraceError(
+            f"{path} is a version {meta.get('version')} trace; this build reads version "
+            f"{TRACE_VERSION} only (its summary digest is computed differently): re-record it"
+        )
     return Trace(
         meta=meta,
         requests=requests,

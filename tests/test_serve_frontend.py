@@ -33,7 +33,6 @@ from repro.serve.frontend import (
     ServeFrontend,
     decode_frame,
     encode_frame,
-    frontend_transcript_digest,
     parse_listen,
     stream_chunks,
     wait_for_port_file,
@@ -42,7 +41,7 @@ from repro.serve.config import ServeConfig
 from repro.serve.faults import FaultPlan
 from repro.serve.journal import JournalError
 from repro.serve.loadgen import LoadConfig, build_serving_llm
-from repro.serve.runner import normalize_entry
+from repro.serve.runner import aggregate_transcript_digest, normalize_entry
 from repro.serve.session import SessionManager
 
 
@@ -131,12 +130,12 @@ class TestFraming:
         """The normalized digest must not depend on global arrival order."""
         a0 = normalize_entry({"request_id": 0, "user_id": "a", "response": "x"}, 0)
         b0 = normalize_entry({"request_id": 1, "user_id": "b", "response": "y"}, 0)
-        assert frontend_transcript_digest([a0, b0]) == frontend_transcript_digest([b0, a0])
+        assert aggregate_transcript_digest([a0, b0]) == aggregate_transcript_digest([b0, a0])
         # ...but it does depend on each user's own order.
         a1 = normalize_entry({"request_id": 2, "user_id": "a", "response": "z"}, 1)
         a1_swapped = normalize_entry({"request_id": 2, "user_id": "a", "response": "x"}, 1)
         a0_swapped = normalize_entry({"request_id": 0, "user_id": "a", "response": "z"}, 0)
-        assert frontend_transcript_digest([a0, a1]) != frontend_transcript_digest(
+        assert aggregate_transcript_digest([a0, a1]) != aggregate_transcript_digest(
             [a0_swapped, a1_swapped]
         )
 

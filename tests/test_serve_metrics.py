@@ -32,7 +32,6 @@ from repro.serve.frontend import (
     ServeFrontend,
 )
 from repro.serve.client import ServeClient
-from repro.serve.shard import run_serve_sharded
 
 LOAD = LoadConfig(
     num_users=3,
@@ -52,30 +51,28 @@ class TestDigestNeutrality:
     def test_single_scheduler_run(self, pretrained_llm):
         on = run_serve(config_for(metrics_enabled=True), llm=pretrained_llm.clone())
         off = run_serve(config_for(metrics_enabled=False), llm=pretrained_llm.clone())
-        assert on.report.transcript_digest == off.report.transcript_digest
+        assert on.transcript_digest == off.transcript_digest
         assert isinstance(on.metrics, dict)
         assert off.metrics is None
 
     def test_sharded_run_workers_4(self, pretrained_llm):
         def sharded(enabled):
-            return run_serve_sharded(
+            return run_serve(
                 config_for(workers=4, metrics_enabled=enabled),
                 llm=pretrained_llm.clone(),
                 mode="thread",
             )
 
         on, off = sharded(True), sharded(False)
-        assert on.aggregate_digest == off.aggregate_digest
+        assert on.transcript_digest == off.transcript_digest
         assert isinstance(on.metrics, dict)
         assert off.metrics is None
 
 
 class TestShardedMerge:
     def test_merged_view_is_the_sum_of_shard_snapshots(self, pretrained_llm):
-        outcome = run_serve_sharded(
-            config_for(workers=2), llm=pretrained_llm.clone(), mode="thread"
-        )
-        shard_snaps = [s["metrics"] for s in outcome.shard_summaries]
+        outcome = run_serve(config_for(workers=2), llm=pretrained_llm.clone(), mode="thread")
+        shard_snaps = [s["metrics"] for s in outcome.shards]
         assert len(shard_snaps) == 2
         assert outcome.metrics == merge_snapshots(shard_snaps)
         total = sum(
@@ -92,9 +89,7 @@ class TestShardedMerge:
         )
 
     def test_result_dict_carries_merged_not_per_shard(self, pretrained_llm):
-        outcome = run_serve_sharded(
-            config_for(workers=2), llm=pretrained_llm.clone(), mode="thread"
-        )
+        outcome = run_serve(config_for(workers=2), llm=pretrained_llm.clone(), mode="thread")
         payload = outcome.to_dict()
         assert payload["metrics"] == outcome.metrics
         for shard in payload["shards"]:
@@ -104,9 +99,7 @@ class TestShardedMerge:
 class TestKeySetParity:
     def test_single_and_sharded_runs_expose_the_same_catalog(self, pretrained_llm):
         single = run_serve(config_for(), llm=pretrained_llm.clone())
-        sharded = run_serve_sharded(
-            config_for(workers=2), llm=pretrained_llm.clone(), mode="thread"
-        )
+        sharded = run_serve(config_for(workers=2), llm=pretrained_llm.clone(), mode="thread")
         assert snapshot_key_set(single.metrics) == snapshot_key_set(sharded.metrics)
 
     def test_every_catalog_key_exists_without_chaos(self, pretrained_llm):
@@ -242,10 +235,6 @@ class TestConfigFirst:
     def test_run_serve_refuses_a_bare_load(self):
         with pytest.raises(TypeError, match="ServeConfig"):
             run_serve(LOAD)
-
-    def test_run_serve_sharded_refuses_a_bare_load(self):
-        with pytest.raises(TypeError, match="ServeConfig"):
-            run_serve_sharded(LOAD)
 
     def test_frontend_refuses_a_host_string(self):
         with pytest.raises(TypeError, match="ServeConfig"):

@@ -9,6 +9,7 @@ failure degrades service instead of wedging it.
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.presets import get_scale
 from repro.llm.generation import GenerationConfig
 from repro.serve import (
@@ -80,10 +81,10 @@ class TestTransientFaults:
             ),
             llm=llm,
         )
-        assert faulty.report.retries > 0
-        assert faulty.report.dead_letter_requests == 0
-        assert faulty.report.degraded_chat_requests == 0
-        assert faulty.report.transcript_digest == clean.report.transcript_digest
+        assert faulty.retries > 0
+        assert faulty.dead_letter_requests == 0
+        assert faulty.degraded_chat_requests == 0
+        assert faulty.transcript_digest == clean.transcript_digest
 
     def test_persistent_read_faults_degrade_instead_of_wedging(self, serve_env):
         """With every store read failing, chats fall back to blank-adapter
@@ -102,12 +103,11 @@ class TestTransientFaults:
             ),
             llm=llm,
         )
-        report = outcome.report
-        assert report.degraded_chat_requests > 0
-        assert report.dead_letter_requests > 0  # personalize jobs whose attach failed
+        assert outcome.degraded_chat_requests > 0
+        assert outcome.dead_letter_requests > 0  # personalize jobs whose attach failed
         # Every request is accounted for — served, degraded, or dead-lettered.
-        assert report.total_requests == LOAD.num_requests
-        assert report.health["sessions"]["state"] != "ok"
+        assert outcome.total_requests == LOAD.num_requests
+        assert outcome.shards[0]["health"]["sessions"]["state"] != "ok"
         # Degraded answers are flagged in the transcript.
         assert any(entry.get("degraded") for entry in outcome.transcript)
 
@@ -124,9 +124,8 @@ class TestTransientFaults:
             ),
             llm=llm,
         )
-        report = outcome.report
-        assert report.dead_letter_requests > 0
-        assert report.dead_letter_requests < LOAD.num_requests
+        assert outcome.dead_letter_requests > 0
+        assert outcome.dead_letter_requests < LOAD.num_requests
         dead = [entry for entry in outcome.transcript if entry.get("dead_letter")]
         assert all(entry["error"] == "DeadlineExceededError" for entry in dead)
 
@@ -151,11 +150,11 @@ class TestQuarantine:
             ),
             llm=llm,
         )
-        report = outcome.report
-        assert report.store.get("quarantined", 0) >= 1
+        shard = outcome.shards[0]
+        assert shard["store"].get("quarantined", 0) >= 1
         assert list(adapter_dir.glob("*.corrupt*"))
-        assert report.health["adapter_store"]["state"] == "degraded"
-        assert report.dead_letter_requests == 0
+        assert shard["health"]["adapter_store"]["state"] == "degraded"
+        assert outcome.dead_letter_requests == 0
 
 
 class TestCrashRecovery:
@@ -188,6 +187,31 @@ class TestCrashRecovery:
             assert outcome.restarts == 1, point
             assert outcome.journal_digest == baseline.journal_digest, point
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_soft_crash_reports_every_request_and_the_crash_free_digest(
+        self, serve_env, tmp_path, workers
+    ):
+        """The outcome covers every entry the shards saw finish — not just
+        the final scheduler run after the restart — for any worker count."""
+        load = LoadConfig(num_users=4, num_requests=32, seed=0)
+
+        def serve(name, plan=None):
+            config = ServeConfig(
+                load=load,
+                scale=serve_env["scale"],
+                workers=workers,
+                state_dir=tmp_path / name,
+                fault_plan=plan,
+            )
+            return run_serve(config, llm=pristine_llm(serve_env), mode="thread")
+
+        clean = serve("clean")
+        crashed = serve("crashed", FaultPlan(crash_point="chat.after_serve", crash_at_hit=3))
+        assert crashed.restarts >= 1
+        assert clean.total_requests == crashed.total_requests == load.num_requests
+        assert len(crashed.transcript) == load.num_requests
+        assert crashed.transcript_digest == clean.transcript_digest
+
     def test_crash_plan_without_state_dir_is_rejected(self, serve_env):
         llm = pristine_llm(serve_env)
         with pytest.raises(ValueError, match="state_dir"):
@@ -199,6 +223,29 @@ class TestCrashRecovery:
                 ),
                 llm=llm,
             )
+
+
+class TestChaosCLI:
+    def test_chaos_run_reports_every_request_for_any_worker_count(self, capsys):
+        """The nightly chaos run: a soft crash and injected faults, yet every
+        request is reported served, under one digest, for 1 and 2 workers."""
+        digests = set()
+        for workers in ("1", "2"):
+            code = main(
+                [
+                    "serve", "--chaos", "--seed", "0",
+                    "--users", "4", "--requests", "32",
+                    "--scale", "smoke", "--no-artifacts", "--quiet",
+                    "--workers", workers,
+                ]
+            )
+            assert code == 0
+            output = capsys.readouterr().out
+            assert "served 32 requests" in output, output
+            lines = [line for line in output.splitlines() if "transcript digest:" in line]
+            assert len(lines) == 1, output
+            digests.add(lines[0].split(":", 1)[1].strip())
+        assert len(digests) == 1
 
 
 def make_manager(llm, tmp_path):

@@ -175,26 +175,25 @@ class TestEndToEndDeterminism:
         """The acceptance criterion: two full rebuild to serve runs, one digest."""
         first = micro_serve(seed=0)
         second = micro_serve(seed=0)
-        assert first.digest == second.digest
+        assert first.transcript_digest == second.transcript_digest
         assert first.transcript == second.transcript
-        assert first.report.total_requests == MICRO_LOAD.num_requests
+        assert first.total_requests == MICRO_LOAD.num_requests
 
     def test_different_seed_changes_digest(self):
-        assert micro_serve(seed=0).digest != micro_serve(seed=1).digest
+        assert micro_serve(seed=0).transcript_digest != micro_serve(seed=1).transcript_digest
 
     def test_report_accounting(self):
         outcome = micro_serve(seed=0)
-        report = outcome.report
-        assert report.chat_requests + report.personalize_requests == report.total_requests
-        assert report.num_turns == len(report.turn_users)
-        assert sum(
-            counts["chat"] + counts["personalize"]
-            for counts in report.per_user.values()
-        ) == report.total_requests
-        assert report.requests_per_sec > 0
-        payload = report.to_dict()
+        assert (
+            outcome.chat_requests + outcome.personalize_requests + outcome.dead_letter_requests
+            == outcome.total_requests
+        )
+        assert [shard["served"] for shard in outcome.shards] == [outcome.total_requests]
+        assert outcome.num_users == MICRO_LOAD.num_users
+        assert outcome.requests_per_sec > 0
+        payload = outcome.to_dict()
         json.dumps(payload)  # must be JSON-serializable as-is
-        assert payload["transcript_digest"] == outcome.digest
+        assert payload["transcript_digest"] == outcome.transcript_digest
 
 
 class TestServeCLI:

@@ -20,18 +20,17 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.serve import LoadConfig, ServeConfig, run_serve
-from repro.serve.journal import JournalError
-from repro.serve.loadgen import user_ids
-from repro.serve.shard import (
-    SHARDS_META_FILE,
-    ShardRing,
+from repro.serve import (
+    LoadConfig,
+    ServeConfig,
     aggregate_transcript_digest,
     compose_user_digests,
-    run_serve_sharded,
-    shard_state_dir,
+    run_serve,
     user_transcript_digest,
 )
+from repro.serve.journal import JournalError
+from repro.serve.loadgen import user_ids
+from repro.serve.shard import SHARDS_META_FILE, ShardRing, shard_state_dir
 
 SRC_ROOT = str(Path(repro.__file__).resolve().parents[1])
 
@@ -111,38 +110,42 @@ class TestDigestComposition:
         assert aggregate_transcript_digest(alice) != aggregate_transcript_digest(tweaked)
 
 
+def user_digests(outcome):
+    """Every user's digest, from the shard summaries."""
+    return {
+        user: digest
+        for shard in outcome.shards
+        for user, digest in shard["user_digests"].items()
+    }
+
+
 class TestShardedServe:
     """End-to-end sharded runs (thread mode: cheap under pytest)."""
 
     def sharded(self, llm, workers, **kwargs):
         config = ServeConfig(load=SHARD_LOAD, workers=workers, **kwargs)
-        return run_serve_sharded(config, llm=llm.clone(), mode="thread")
+        return run_serve(config, llm=llm.clone(), mode="thread")
 
     def test_digest_identical_across_worker_counts(self, pretrained_llm):
         one = self.sharded(pretrained_llm, 1)
         two = self.sharded(pretrained_llm, 2)
-        assert one.aggregate_digest == two.aggregate_digest
-        assert one.user_digests == two.user_digests
+        assert one.transcript_digest == two.transcript_digest
+        assert user_digests(one) == user_digests(two)
         assert one.total_requests == two.total_requests == SHARD_LOAD.num_requests
 
     def test_matches_single_scheduler_run(self, pretrained_llm):
         """``--workers N`` changes topology, not behaviour: the sharded
-        aggregate equals the normalized digest of a plain run_serve run."""
-        from repro.serve.runner import normalize_entry
-
+        run's transcript and digest equal those of the in-process shard."""
         single = run_serve(ServeConfig(load=SHARD_LOAD), llm=pretrained_llm.clone())
-        seqs, normalized = {}, []
-        for entry in sorted(single.transcript, key=lambda e: e["request_id"]):
-            seq = seqs.get(entry["user_id"], 0)
-            seqs[entry["user_id"]] = seq + 1
-            normalized.append(normalize_entry(entry, seq))
         sharded = self.sharded(pretrained_llm, 2)
-        assert aggregate_transcript_digest(normalized) == sharded.aggregate_digest
+        assert single.transcript == sharded.transcript
+        assert aggregate_transcript_digest(single.transcript) == sharded.transcript_digest
+        assert single.transcript_digest == sharded.transcript_digest
 
     def test_users_partitioned_one_shard_each(self, pretrained_llm):
         outcome = self.sharded(pretrained_llm, 2)
         seen = {}
-        for summary in outcome.shard_summaries:
+        for summary in outcome.shards:
             for user in summary["users"]:
                 assert user not in seen, f"{user} served by two shards"
                 seen[user] = summary["index"]
@@ -154,8 +157,11 @@ class TestShardedServe:
         assert (state / SHARDS_META_FILE).is_file()
         assert shard_state_dir(state, 0).is_dir()
         resumed = self.sharded(pretrained_llm, 2, state_dir=state, resume=True)
-        assert resumed.aggregate_digest == first.aggregate_digest
-        assert resumed.journal_digests == first.journal_digests
+        assert resumed.transcript_digest == first.transcript_digest
+        assert resumed.journal_digest == first.journal_digest
+        assert [shard["journal_digest"] for shard in resumed.shards] == [
+            shard["journal_digest"] for shard in first.shards
+        ]
 
     def test_resume_refuses_different_worker_count(self, pretrained_llm, tmp_path):
         state = tmp_path / "state"
@@ -232,19 +238,20 @@ class TestShardedCLI:
         code = main([*SHARD_CLI_ARGS, "--out", str(out_dir)])
         assert code == 0
         output = capsys.readouterr().out
-        assert "aggregate transcript digest:" in output
+        assert output.count("transcript digest:") == 1
         payload = json.loads((out_dir / "serve_result.json").read_text())
-        assert payload["num_workers"] == 2
+        assert payload["workers"] == 2
+        assert [shard["index"] for shard in payload["shards"]] == [0, 1]
         assert payload["total_requests"] == 9
-        assert payload["transcript_digest"] == payload["aggregate_digest"]
+        assert payload["transcript_digest"] == aggregate_transcript_digest(payload["transcript"])
         assert len(payload["transcript"]) == 9
         # Per-shard adapter directories were written in the A1 format.
         adapters = list((out_dir / "adapters").glob("shard-*/*.adapter.bin"))
         assert adapters
 
     def test_single_worker_cli_prints_comparable_aggregate(self, tmp_path, capsys):
-        """``--workers 1`` takes the single-scheduler path but must emit the
-        same normalized aggregate digest a sharded run of the load prints."""
+        """``--workers 1`` serves in process but must emit the same
+        transcript digest a sharded run of the load prints."""
         single_out = tmp_path / "single"
         args = [arg for arg in SHARD_CLI_ARGS if arg not in ("--workers", "2")]
         assert main([*args, "--out", str(single_out)]) == 0
@@ -252,7 +259,8 @@ class TestShardedCLI:
         sharded_out = tmp_path / "sharded"
         assert main([*SHARD_CLI_ARGS, "--out", str(sharded_out)]) == 0
         sharded = json.loads((sharded_out / "serve_result.json").read_text())
-        assert single["aggregate_digest"] == sharded["aggregate_digest"]
+        assert single["transcript_digest"] == sharded["transcript_digest"]
+        assert single.keys() == sharded.keys()
 
     def test_rejects_bad_worker_count(self, capsys):
         assert main(["serve", "--workers", "0", "--quiet"]) == 2
@@ -276,6 +284,6 @@ class TestShardedCLI:
 
 def _digest_from(stdout: str) -> str:
     for line in stdout.splitlines():
-        if line.startswith("aggregate transcript digest:"):
+        if line.startswith("transcript digest:"):
             return line.split(":", 1)[1].strip()
     raise AssertionError(f"no digest line in output:\n{stdout}")

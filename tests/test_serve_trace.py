@@ -16,7 +16,7 @@ from repro.serve.adapter_store import LoRAAdapterStore
 from repro.serve.client import drive_load, replay_trace_against
 from repro.serve.config import ServeConfig
 from repro.serve.frontend import FrontendThread, ServeFrontend
-from repro.serve.journal import JOURNAL_FILE, RequestJournal, replay
+from repro.serve.journal import JOURNAL_FILE, RequestJournal, encode_record_line, replay
 from repro.serve.loadgen import LoadConfig, build_serving_llm
 from repro.serve.runner import make_session_manager, serving_generation_config
 from repro.serve.scheduler import ChatRequest, RequestScheduler
@@ -147,6 +147,21 @@ class TestReplayCLIRefusals:
         with TraceRecorder(path, meta={"scale": "smoke", "seed": 0}) as recorder:
             recorder.record_request("alice", "chat", {"question": "q0"})
         assert main(["replay", str(path), "--quiet"]) == 2
+
+    def test_version_1_trace_exits_2_asking_for_a_rerecord(self, tmp_path, capsys):
+        """A v1 summary holds the digest the front-end reported before it
+        switched to the aggregate: replaying it would be a false divergence."""
+        path = tmp_path / "trace.jsonl"
+        header = {"kind": "header", "version": 1, "scale": "smoke", "seed": 0}
+        summary = {"kind": "summary", "transcript_digest": "abc123", "requests": 1}
+        path.write_text(
+            encode_record_line(header, magic=TRACE_MAGIC)
+            + encode_record_line(summary, magic=TRACE_MAGIC)
+        )
+        with pytest.raises(TraceError, match="re-record"):
+            load_trace(path)
+        assert main(["replay", str(path), "--quiet"]) == 2
+        assert "re-record" in capsys.readouterr().err
 
 
 class TestRecordReplayDigest:
