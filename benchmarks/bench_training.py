@@ -4,10 +4,11 @@ Measures seconds per optimization step for the two training loops the
 framework runs on-device, at smoke scale:
 
 * ``finetune_step`` — one LoRA fine-tuning step (batch 16) through the live
-  code path: model forward with attention mask, masked cross-entropy,
-  backward, gradient clipping and an AdamW step over the adapter parameters.
+  code path, ``repro.llm.finetune.train_batch`` (the step both trainers run):
+  the graph-free taped forward/backward with masked cross-entropy, gradient
+  clipping and an AdamW step over the adapter parameters.
 * ``pretrain_epoch`` — one full pre-training epoch (all parameters trainable,
-  Adam) over a fixed set of dialogue-format batches.
+  Adam, the same ``train_batch``) over a fixed set of dialogue-format batches.
 
 Each measurement is taken twice: once through the *live* code path (the fused
 ``repro.nn.backend`` kernels) and once through an in-file **legacy** replica
@@ -35,12 +36,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from bench_generation import _build_llm
-from repro.llm.finetune import IGNORE_INDEX, build_training_example, collate_batch
+from repro.llm.finetune import IGNORE_INDEX, build_training_example, collate_batch, train_batch
 from repro.llm.model import OnDeviceLLM
 from repro.llm.pretrain import _encode_pair_example, pretraining_pairs
-from repro.nn.functional import attention_scores_mask, cross_entropy
+from repro.nn.functional import attention_scores_mask
 from repro.nn.lora import LoRAConfig, LoRALinear, lora_parameters
-from repro.nn.optim import Adam, AdamW, clip_grad_norm
+from repro.nn.optim import Adam, AdamW
 from repro.nn.tensor import Tensor
 
 RESULT_PATH = Path(__file__).resolve().parent / "BENCH_training.json"
@@ -302,20 +303,10 @@ def _pretrain_batches(llm: OnDeviceLLM) -> List[Tuple[np.ndarray, np.ndarray, np
         for ids, labels in examples
         if len(ids) >= 2 and any(label != IGNORE_INDEX for label in labels)
     ]
-    pad_id = llm.tokenizer.vocabulary.pad_id
-    batches = []
-    for start in range(0, len(examples), PRETRAIN_BATCH):
-        chosen = examples[start : start + PRETRAIN_BATCH]
-        max_len = max(len(ids) for ids, _ in chosen)
-        batch = np.full((len(chosen), max_len), pad_id, dtype=np.int64)
-        labels = np.full((len(chosen), max_len), IGNORE_INDEX, dtype=np.int64)
-        mask = np.zeros((len(chosen), max_len), dtype=bool)
-        for row, (ids, label_ids) in enumerate(chosen):
-            batch[row, : len(ids)] = ids
-            labels[row, : len(label_ids)] = label_ids
-            mask[row, : len(ids)] = True
-        batches.append((batch, labels, mask))
-    return batches
+    return [
+        collate_batch(llm, examples[start : start + PRETRAIN_BATCH])
+        for start in range(0, len(examples), PRETRAIN_BATCH)
+    ]
 
 
 def _time_loop(step, batches, repeats: int) -> float:
@@ -344,13 +335,7 @@ def run_benchmark(repeats: int = REPEATS) -> Dict[str, object]:
     fused_pre_opt = Adam(parameters, lr=3e-3)
 
     def fused_pretrain_step(batch):
-        token_ids, labels, mask = batch
-        llm.model.zero_grad()
-        logits = llm.model(token_ids, attention_mask=mask)
-        loss = cross_entropy(logits, labels, ignore_index=IGNORE_INDEX)
-        loss.backward()
-        clip_grad_norm(parameters, 1.0)
-        fused_pre_opt.step()
+        train_batch(llm.model, fused_pre_opt, batch, 1.0)
 
     fused_pretrain_epoch = _time_loop(fused_pretrain_step, pretrain_batches, repeats)
 
@@ -376,13 +361,7 @@ def run_benchmark(repeats: int = REPEATS) -> Dict[str, object]:
     fused_ft_opt = AdamW(adapter_params, lr=3e-4, weight_decay=0.0)
 
     def fused_finetune_step(batch):
-        token_ids, labels, mask = batch
-        llm.model.zero_grad()
-        logits = llm.model(token_ids, attention_mask=mask)
-        loss = cross_entropy(logits, labels, ignore_index=IGNORE_INDEX)
-        loss.backward()
-        clip_grad_norm(fused_ft_opt.parameters, 1.0)
-        fused_ft_opt.step()
+        train_batch(llm.model, fused_ft_opt, batch, 1.0)
 
     fused_finetune = _time_loop(fused_finetune_step, finetune_batches, repeats)
     fused_finetune_step_s = fused_finetune / len(finetune_batches)

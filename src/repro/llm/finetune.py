@@ -19,12 +19,10 @@ import numpy as np
 from repro.data.dialogue import DialogueSet
 from repro.llm.model import OnDeviceLLM
 from repro.nn.lora import LoRAConfig, lora_parameters
-from repro.nn.optim import AdamW, clip_grad_norm
-from repro.nn.functional import cross_entropy
+from repro.nn.optim import AdamW, Optimizer, clip_grad_norm
+from repro.nn.transformer import IGNORE_INDEX, TransformerLM
 from repro.utils.config import require_positive
 from repro.utils.rng import as_generator, get_generator_state, set_generator_state
-
-IGNORE_INDEX = -100
 
 
 @dataclass
@@ -136,6 +134,27 @@ def collate_batch(
     return batch, labels, mask
 
 
+def train_batch(
+    model: TransformerLM,
+    optimizer: Optimizer,
+    batch: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    max_grad_norm: Optional[float],
+) -> float:
+    """One optimization step on a collated batch; returns its loss.
+
+    The step both training loops run: clear the optimizer's gradients, run
+    the model's graph-free :meth:`~repro.nn.transformer.TransformerLM.
+    train_step`, clip to ``max_grad_norm`` (when set), update.
+    """
+    token_ids, labels, mask = batch
+    optimizer.zero_grad()
+    loss = model.train_step(token_ids, mask, labels)
+    if max_grad_norm is not None:
+        clip_grad_norm(optimizer.parameters, max_grad_norm)
+    optimizer.step()
+    return loss
+
+
 class LoRAFineTuner:
     """Runs LoRA fine-tuning rounds on an :class:`OnDeviceLLM`."""
 
@@ -218,16 +237,10 @@ class LoRAFineTuner:
             epoch_losses: List[float] = []
             for batch_start in range(0, len(examples), self.config.batch_size):
                 batch_idx = order[batch_start : batch_start + self.config.batch_size]
-                batch = [examples[int(i)] for i in batch_idx]
-                token_ids, labels, mask = collate_batch(self.llm, batch)
-                self.llm.model.zero_grad()
-                logits = self.llm.model(token_ids, attention_mask=mask)
-                loss = cross_entropy(logits, labels, ignore_index=IGNORE_INDEX)
-                loss.backward()
-                if self.config.max_grad_norm is not None:
-                    clip_grad_norm(self._optimizer.parameters, self.config.max_grad_norm)
-                self._optimizer.step()
-                epoch_losses.append(loss.item())
+                batch = collate_batch(self.llm, [examples[int(i)] for i in batch_idx])
+                epoch_losses.append(
+                    train_batch(self.llm.model, self._optimizer, batch, self.config.max_grad_norm)
+                )
             losses.append(float(np.mean(epoch_losses)))
         self.llm.model.eval()
         elapsed = time.perf_counter() - start

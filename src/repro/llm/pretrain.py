@@ -25,13 +25,11 @@ import numpy as np
 
 from repro.data.dialogue import DialogueCorpus
 from repro.data.persona import UserPersona, generic_model_response
+from repro.llm.finetune import IGNORE_INDEX, collate_batch, train_batch
 from repro.llm.model import OnDeviceLLM, OnDeviceLLMConfig
-from repro.nn.functional import cross_entropy
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.optim import Adam
 from repro.utils.config import require_positive
 from repro.utils.rng import as_generator
-
-_IGNORE = -100
 
 
 @dataclass
@@ -124,7 +122,7 @@ def _encode_pair_example(
 ) -> Tuple[List[int], List[int]]:
     """Token ids and next-token labels for one dialogue-format example."""
     ids = llm.tokenizer.encode_pair(question, response, max_length=llm.config.max_seq_len)
-    labels = ids[1:] + [_IGNORE]
+    labels = ids[1:] + [IGNORE_INDEX]
     if loss_on_response_only:
         sep_id = llm.tokenizer.vocabulary.sep_id
         try:
@@ -132,7 +130,7 @@ def _encode_pair_example(
         except ValueError:
             sep_position = 0
         labels = [
-            _IGNORE if position < sep_position else label
+            IGNORE_INDEX if position < sep_position else label
             for position, label in enumerate(labels)
         ]
     return ids, labels
@@ -153,14 +151,14 @@ def pretrain(
     examples = [
         (ids, labels)
         for ids, labels in examples
-        if len(ids) >= 2 and any(label != _IGNORE for label in labels)
+        if len(ids) >= 2 and any(label != IGNORE_INDEX for label in labels)
     ]
     if not examples:
         raise ValueError("pretrain received no usable (question, response) pairs")
 
-    parameters = [p for p in llm.model.parameters() if p.requires_grad]
-    optimizer = Adam(parameters, lr=config.learning_rate)
-    pad_id = llm.tokenizer.vocabulary.pad_id
+    optimizer = Adam(
+        [p for p in llm.model.parameters() if p.requires_grad], lr=config.learning_rate
+    )
 
     start = time.perf_counter()
     losses: List[float] = []
@@ -170,21 +168,9 @@ def pretrain(
         epoch_losses: List[float] = []
         for batch_start in range(0, len(examples), config.batch_size):
             chosen = [examples[int(i)] for i in order[batch_start : batch_start + config.batch_size]]
-            max_len = max(len(ids) for ids, _ in chosen)
-            batch = np.full((len(chosen), max_len), pad_id, dtype=np.int64)
-            labels = np.full((len(chosen), max_len), _IGNORE, dtype=np.int64)
-            mask = np.zeros((len(chosen), max_len), dtype=bool)
-            for row, (ids, label_ids) in enumerate(chosen):
-                batch[row, : len(ids)] = ids
-                labels[row, : len(label_ids)] = label_ids
-                mask[row, : len(ids)] = True
-            llm.model.zero_grad()
-            logits = llm.model(batch, attention_mask=mask)
-            loss = cross_entropy(logits, labels, ignore_index=_IGNORE)
-            loss.backward()
-            clip_grad_norm(parameters, config.max_grad_norm)
-            optimizer.step()
-            epoch_losses.append(loss.item())
+            epoch_losses.append(
+                train_batch(llm.model, optimizer, collate_batch(llm, chosen), config.max_grad_norm)
+            )
         losses.append(float(np.mean(epoch_losses)))
     llm.model.eval()
     return PretrainReport(

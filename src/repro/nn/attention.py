@@ -117,6 +117,44 @@ class LayerKVCache:
         return buffer[:, :, : self._length], self._values[:, :, : self._length]
 
 
+def combined_mask(
+    batch: int,
+    num_heads: int,
+    seq: int,
+    past: int,
+    attention_mask: Optional[np.ndarray],
+) -> np.ndarray:
+    """Causal + padding mask, ``(B, H, T, past+T)`` boolean (True hides).
+
+    Every attention layer of a forward uses the same mask, so the model
+    builds it once per forward and hands it to each layer.
+    """
+    total = past + seq
+    causal = F.attention_scores_mask(seq, past_len=past)  # (T, past + T)
+    mask = np.broadcast_to(causal, (batch, num_heads, seq, total)).copy()
+    if attention_mask is not None:
+        padding = ~np.asarray(attention_mask, dtype=bool)  # True = padding
+        if padding.shape[-1] != total:
+            raise ValueError(
+                f"attention_mask covers {padding.shape[-1]} positions, "
+                f"expected {total} (cached {past} + new {seq})"
+            )
+        mask |= padding[:, None, None, :]
+        # A fully masked row (query at a padding position) would make softmax
+        # degenerate; allow self-attention on the diagonal to keep it finite.
+        diag = np.eye(seq, total, k=past, dtype=bool)[None, None, :, :]
+        mask &= ~diag
+    return mask
+
+
+def _summed(parts):
+    """Sum gradient contributions left to right into the first (owned) one."""
+    total = parts[0]
+    for part in parts[1:]:
+        total += part
+    return total
+
+
 class MultiHeadSelfAttention(Module):
     """Multi-head scaled dot-product self-attention with a causal mask."""
 
@@ -148,31 +186,6 @@ class MultiHeadSelfAttention(Module):
         """(B, H, T, head_dim) -> (B, T, D)."""
         return x.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
 
-    def _combined_mask(
-        self,
-        batch: int,
-        seq: int,
-        past: int,
-        attention_mask: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Causal + padding mask, ``(B, H, T, past+T)`` boolean (True hides)."""
-        total = past + seq
-        causal = F.attention_scores_mask(seq, past_len=past)  # (T, past + T)
-        mask = np.broadcast_to(causal, (batch, self.num_heads, seq, total)).copy()
-        if attention_mask is not None:
-            padding = ~np.asarray(attention_mask, dtype=bool)  # True = padding
-            if padding.shape[-1] != total:
-                raise ValueError(
-                    f"attention_mask covers {padding.shape[-1]} positions, "
-                    f"expected {total} (cached {past} + new {seq})"
-                )
-            mask |= padding[:, None, None, :]
-            # A fully masked row (query at a padding position) would make softmax
-            # degenerate; allow self-attention on the diagonal to keep it finite.
-            diag = np.eye(seq, total, k=past, dtype=bool)[None, None, :, :]
-            mask &= ~diag
-        return mask
-
     def forward(
         self,
         x: Tensor,
@@ -197,15 +210,17 @@ class MultiHeadSelfAttention(Module):
                 "KV cache is an inference structure; wrap the forward in "
                 "repro.nn.inference_mode() when decoding with a cache"
             )
-        if not is_grad_enabled():
-            return Tensor(self.raw_forward(x.data, attention_mask, cache))
-
         batch, seq, _ = x.shape
+        if not is_grad_enabled():
+            past = cache.length if cache is not None else 0
+            mask = combined_mask(batch, self.num_heads, seq, past, attention_mask)
+            return Tensor(self.raw_forward(x.data, mask, cache))
+
         queries = self._split_heads(self.q_proj(x), batch, seq)
         keys = self._split_heads(self.k_proj(x), batch, seq)
         values = self._split_heads(self.v_proj(x), batch, seq)
         scale = 1.0 / np.sqrt(self.head_dim)
-        mask = self._combined_mask(batch, seq, 0, attention_mask)
+        mask = combined_mask(batch, self.num_heads, seq, 0, attention_mask)
         dropout_mask = self.attn_dropout.draw_mask((batch, self.num_heads, seq, seq))
         context = F.scaled_dot_product_attention(
             queries, keys, values, scale, mask, dropout_mask
@@ -216,21 +231,22 @@ class MultiHeadSelfAttention(Module):
     def raw_forward(
         self,
         x: np.ndarray,
-        attention_mask: Optional[np.ndarray] = None,
+        mask: np.ndarray,
         cache: Optional[LayerKVCache] = None,
+        tape: Optional[list] = None,
     ) -> np.ndarray:
-        """Array-level forward for the no-grad decode path (same kernels)."""
+        """Array-level forward (same kernels as the autograd path).
+
+        ``mask`` is the :func:`combined_mask` of this forward.  With a
+        ``tape`` (the training step, never with a cache) every kernel's
+        residuals are recorded for :meth:`raw_backward`.
+        """
         backend = _active()
         batch, seq, _ = x.shape
         heads, head_dim = self.num_heads, self.head_dim
-        queries = (
-            self.q_proj.raw_forward(x).reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
-        )
-        keys = (
-            self.k_proj.raw_forward(x).reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
-        )
-        values = (
-            self.v_proj.raw_forward(x).reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
+        queries, keys, values = (
+            proj.raw_forward(x, tape).reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
+            for proj in (self.q_proj, self.k_proj, self.v_proj)
         )
 
         past = 0
@@ -239,16 +255,45 @@ class MultiHeadSelfAttention(Module):
             keys, values = cache.extend(keys, values)
 
         scale = 1.0 / np.sqrt(head_dim)
-        mask = self._combined_mask(batch, seq, past, attention_mask)
-        dropout_mask = self.attn_dropout.draw_mask(
-            (batch, heads, seq, past + seq)
-        )
-
-        context, _ = backend.scaled_dot_product_attention(
+        dropout_mask = self.attn_dropout.draw_mask((batch, heads, seq, past + seq))
+        context, residuals = backend.scaled_dot_product_attention(
             queries, keys, values, scale, mask, dropout_mask
         )
+        if tape is not None:
+            tape.append(residuals)
         merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
-        return self.o_proj.raw_forward(merged)
+        return self.o_proj.raw_forward(merged, tape)
+
+    def raw_backward(
+        self, tape: list, grad: np.ndarray, need_x: bool
+    ) -> Optional[np.ndarray]:
+        """Reverse of a taped :meth:`raw_forward`; returns the input gradient.
+
+        Records are popped LIFO (output projection, attention, then the
+        v, k and q projections), but the input gradient is summed in the
+        order autograd accumulates it: q-base, q-adapter, k-base, k-adapter,
+        v-base, v-adapter.  Float addition is not associative, so that order
+        is what keeps the step bit-identical to autograd.  Returns None when
+        ``need_x`` is False.
+        """
+        batch, seq, _ = grad.shape
+        heads, head_dim = self.num_heads, self.head_dim
+        grad_merged = _summed(self.o_proj.raw_backward(tape, grad, True))
+        # Autograd hands the kernel a C-contiguous gradient; a GEMM operand's
+        # memory layout can change the result's bits, so this does too.
+        grad_context = np.ascontiguousarray(
+            grad_merged.reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
+        )
+        grads = _active().VJPS["scaled_dot_product_attention"](
+            tape.pop(), grad_context, (True, True, True)
+        )
+        parts: list = []
+        for projection, grad_heads in zip(
+            (self.v_proj, self.k_proj, self.q_proj), reversed(grads)
+        ):
+            grad_out = grad_heads.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
+            parts = projection.raw_backward(tape, grad_out, need_x) + parts
+        return _summed(parts) if need_x else None
 
     def raw_decode_rows(
         self, x: np.ndarray, cache: LayerKVCache, padding: np.ndarray

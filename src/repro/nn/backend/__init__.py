@@ -7,8 +7,15 @@ A *backend* is a module of fused primitive operations — ``matmul``,
 handwritten vector-Jacobian product (VJP) registered in the backend's
 ``VJPS`` table.  The layers in :mod:`repro.nn` call these primitives for
 their hot kernels instead of composing 5–15 chained :class:`~repro.nn.tensor.
-Tensor` micro-ops, so a forward+backward pass allocates one backward closure
-per *kernel* rather than per *arithmetic op* (the HIPS-autograd idiom).
+Tensor` micro-ops.
+
+Training runs without a graph: :meth:`repro.nn.transformer.TransformerLM.
+train_step` tapes the residuals each forward kernel returns and replays them
+LIFO through ``VJPS`` (the HIPS-autograd idea of recorded primitives with
+gradients applied in reverse, written out once for the transformer).  The
+autograd :class:`~repro.nn.tensor.Tensor` path wraps the same kernels, one
+backward closure per kernel, and is now the reference the tests hold the
+taped step to, bit for bit.
 
 Backend contract
 ----------------
@@ -32,8 +39,9 @@ A backend module must expose:
     steady-state loops reuse its buffers so hot paths run allocation-free.
 
 Forward arithmetic must be identical between a backend's use on the autograd
-path and on the raw no-grad path — :mod:`repro.nn` relies on this to keep
-``inference_mode()`` outputs bit-equal to default-mode outputs.
+path and on the raw array path — :mod:`repro.nn` relies on this to keep
+``inference_mode()`` outputs bit-equal to default-mode outputs, and the taped
+training step's loss and gradients bit-equal to autograd's.
 
 Selection
 ---------

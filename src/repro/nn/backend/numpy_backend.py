@@ -6,10 +6,12 @@ matching VJP in :data:`VJPS` turns an output gradient into input gradients
 using only the saved residuals (never the autograd graph).  All returned
 gradient arrays are freshly allocated and owned by the caller.
 
-The same forward functions serve both the autograd path (wrapped by
-:mod:`repro.nn.functional`) and the raw no-grad decode path
-(:meth:`repro.nn.transformer.TransformerLM.forward` in inference mode), which
-is what keeps the two paths bit-identical.
+The same forward functions serve the autograd path (wrapped by
+:mod:`repro.nn.functional`), the raw no-grad path
+(:meth:`repro.nn.transformer.TransformerLM.forward` in inference mode) and
+the taped training step (:meth:`~repro.nn.transformer.TransformerLM.
+train_step`, which replays the residuals through :data:`VJPS`), which is what
+keeps the three bit-identical.
 """
 
 from __future__ import annotations
@@ -290,41 +292,42 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray, ignore_index: Optiona
     """Mean token-level cross-entropy; ``ignore_index`` positions are masked.
 
     ``logits`` is ``(..., vocab)``; ``targets`` the matching integer leading
-    shape.  Raises :class:`ValueError` when no valid target remains.
+    shape.  Raises :class:`ValueError` when no valid target remains.  The
+    log-softmax runs only on the rows with a valid target; their picked
+    log-probabilities are scattered into a zero-filled vector over every
+    position before the sum, so the reduction order — and the loss's bits —
+    are those of a mean over all rows with the ignored ones zeroed.
     """
     targets = np.asarray(targets, dtype=np.int64)
     vocab = logits.shape[-1]
-    flat_logits = logits.reshape(-1, vocab)
     flat_targets = targets.reshape(-1)
-
     if ignore_index is not None:
-        valid = flat_targets != ignore_index
+        rows = np.flatnonzero(flat_targets != ignore_index)
     else:
-        valid = np.ones_like(flat_targets, dtype=bool)
-    valid_count = int(valid.sum())
-    if valid_count == 0:
+        rows = np.arange(flat_targets.size)
+    if rows.size == 0:
         raise ValueError("cross_entropy received no valid target positions")
 
-    shifted = flat_logits - flat_logits.max(axis=-1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted
-    log_probs -= logsumexp
+    row_logits = logits.reshape(-1, vocab)[rows]
+    log_probs = row_logits - row_logits.max(axis=-1, keepdims=True)
+    log_probs -= np.log(np.exp(log_probs).sum(axis=-1, keepdims=True))
 
-    safe_targets = np.where(valid, flat_targets, 0)
-    picked = log_probs[np.arange(flat_targets.size), safe_targets]
-    loss = -(picked * valid).sum() / valid_count
-    loss = np.asarray(loss, dtype=logits.dtype)
-    return loss, (log_probs, valid, safe_targets, valid_count, logits.shape)
+    row_targets = flat_targets[rows]
+    picked = np.zeros(flat_targets.size, dtype=logits.dtype)
+    picked[rows] = log_probs[np.arange(rows.size), row_targets]
+    loss = np.asarray(-picked.sum() / rows.size, dtype=logits.dtype)
+    return loss, (log_probs, rows, row_targets, logits.shape)
 
 
 @_vjp("cross_entropy")
 def cross_entropy_vjp(res, grad):
-    log_probs, valid, safe_targets, valid_count, shape = res
-    grad_flat = np.exp(log_probs)
-    grad_flat[np.arange(safe_targets.size), safe_targets] -= 1.0
-    grad_flat *= valid[:, None]
-    grad_flat *= float(grad) / valid_count
-    return grad_flat.reshape(shape)
+    log_probs, rows, row_targets, shape = res
+    grad_rows = np.exp(log_probs)
+    grad_rows[np.arange(rows.size), row_targets] -= 1.0
+    grad_rows *= float(grad) / rows.size
+    grad_logits = np.zeros(shape, dtype=log_probs.dtype)
+    grad_logits.reshape(-1, shape[-1])[rows] = grad_rows
+    return grad_logits
 
 
 # --------------------------------------------------------------------------- #

@@ -18,6 +18,29 @@ from repro.nn.tensor import Tensor
 from repro.utils.rng import as_generator
 
 
+def apply_vjp(
+    primitive: str,
+    residuals,
+    grad: np.ndarray,
+    need_x: bool,
+    *params: Optional[Tensor],
+) -> Optional[np.ndarray]:
+    """Apply a backend VJP whose inputs are ``(x, *params)``.
+
+    Accumulates ``.grad`` on each parameter that requires it (``None``
+    entries are absent parameters) and returns the input gradient, or None
+    when ``need_x`` is False.
+    """
+    needs = (need_x,) + tuple(param is not None and param.requires_grad for param in params)
+    if not any(needs):
+        return None
+    grads = _active().VJPS[primitive](residuals, grad, needs)
+    for param, param_grad in zip(params, grads[1:]):
+        if param_grad is not None:
+            param._accumulate_owned(param_grad)
+    return grads[0]
+
+
 class Module:
     """Base class for all layers and models.
 
@@ -152,10 +175,28 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)
 
-    def raw_forward(self, x: np.ndarray) -> np.ndarray:
-        """Array-level forward for the no-grad decode path (same kernel)."""
-        out, _ = _active().linear(x, self.weight.data, None if self.bias is None else self.bias.data)
+    def raw_forward(self, x: np.ndarray, tape: Optional[list] = None) -> np.ndarray:
+        """Array-level forward (same kernel as :meth:`forward`).
+
+        With a ``tape`` (the training step) the kernel's residuals are
+        appended to it for :meth:`raw_backward`.
+        """
+        out, residuals = _active().linear(
+            x, self.weight.data, None if self.bias is None else self.bias.data
+        )
+        if tape is not None:
+            tape.append(residuals)
         return out
+
+    def raw_backward(self, tape: list, grad: np.ndarray, need_x: bool) -> List[np.ndarray]:
+        """Pop this layer's tape record and apply the ``linear`` VJP.
+
+        Accumulates ``.grad`` on the parameters that require it and returns
+        the input-gradient contributions in the order autograd adds them
+        (empty when ``need_x`` is False).
+        """
+        grad_x = apply_vjp("linear", tape.pop(), grad, need_x, self.weight, self.bias)
+        return [grad_x] if need_x else []
 
     def project_row(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Single-row forward ``W x (+ b)`` into a preallocated ``out`` buffer.
@@ -204,8 +245,15 @@ class Embedding(Module):
         return self.weight.take_rows(self._validated(token_ids))
 
     def rows(self, token_ids: np.ndarray) -> np.ndarray:
-        """Array-level lookup for the no-grad decode path (fresh copy)."""
+        """Array-level lookup (fresh copy)."""
         return self.weight.data[self._validated(token_ids)]
+
+    def raw_backward(self, token_ids: np.ndarray, grad: np.ndarray) -> None:
+        """Scatter-add ``grad`` into the looked-up rows (``take_rows``' VJP)."""
+        if self.weight.requires_grad:
+            full = np.zeros_like(self.weight.data)
+            np.add.at(full, token_ids.reshape(-1), grad.reshape(-1, self.embedding_dim))
+            self.weight._accumulate_owned(full)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Embedding(num={self.num_embeddings}, dim={self.embedding_dim})"
@@ -223,6 +271,26 @@ class LayerNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.layer_norm(x, self.weight, self.bias, eps=self.eps)
+
+    def raw_forward(self, x: np.ndarray, tape: Optional[list] = None) -> np.ndarray:
+        """Array-level forward (same kernel); records residuals on ``tape``."""
+        out, residuals = _active().layernorm(x, self.weight.data, self.bias.data, self.eps)
+        if tape is not None:
+            tape.append(residuals)
+        return out
+
+    def raw_backward(
+        self, tape: list, grad: Optional[np.ndarray], need_x: bool
+    ) -> Optional[np.ndarray]:
+        """Pop this layer's record; returns the input gradient (or None).
+
+        ``grad`` may be None when nothing downstream needed a gradient; the
+        record is still popped.
+        """
+        residuals = tape.pop()
+        if grad is None:
+            return None
+        return apply_vjp("layernorm", residuals, grad, need_x, self.weight, self.bias)
 
 
 class Dropout(Module):
@@ -288,3 +356,28 @@ class FeedForward(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.dropout(self.down(self.up(x).gelu()))
+
+    def raw_forward(self, x: np.ndarray, tape: Optional[list] = None) -> np.ndarray:
+        """Array-level forward (same kernels and dropout draw as :meth:`forward`).
+
+        On a ``tape`` the GELU residuals and the dropout mask are recorded
+        after the two projections' own records.
+        """
+        act, residuals = _active().gelu(self.up.raw_forward(x, tape))
+        out = self.down.raw_forward(act, tape)
+        dropout_mask = self.dropout.draw_mask(out.shape)
+        if dropout_mask is not None:
+            out *= dropout_mask
+        if tape is not None:
+            tape.append((residuals, dropout_mask))
+        return out
+
+    def raw_backward(self, tape: list, grad: np.ndarray) -> np.ndarray:
+        """Reverse of a taped :meth:`raw_forward`; returns the input gradient."""
+        gelu_residuals, dropout_mask = tape.pop()
+        if dropout_mask is not None:
+            grad = grad * dropout_mask
+        (grad,) = self.down.raw_backward(tape, grad, True)
+        grad = _active().VJPS["gelu"](gelu_residuals, grad)
+        (grad,) = self.up.raw_backward(tape, grad, True)
+        return grad

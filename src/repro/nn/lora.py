@@ -21,7 +21,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.backend import active as _active
-from repro.nn.layers import Dropout, Linear, Module
+from repro.nn.layers import Dropout, Linear, Module, apply_vjp
 from repro.nn.tensor import Tensor
 from repro.utils.config import require_positive
 from repro.utils.rng import as_generator
@@ -99,15 +99,29 @@ class LoRALinear(Module):
         )
         return base_out + delta
 
-    def raw_forward(self, x: np.ndarray) -> np.ndarray:
-        """Array-level forward for the no-grad decode path (same kernels)."""
-        out = self.base.raw_forward(x)
+    def raw_forward(self, x: np.ndarray, tape: Optional[list] = None) -> np.ndarray:
+        """Array-level forward (same kernels); records both on ``tape``."""
+        out = self.base.raw_forward(x, tape)
         dropout_mask = self.lora_dropout.draw_mask(x.shape)
-        delta, _ = _active().lora_matmul(
+        delta, residuals = _active().lora_matmul(
             x, self.lora_a.data, self.lora_b.data, self.config.scaling, dropout_mask
         )
+        if tape is not None:
+            tape.append(residuals)
         out += delta
         return out
+
+    def raw_backward(self, tape: list, grad: np.ndarray, need_x: bool) -> List[np.ndarray]:
+        """Pop the adapter's and the base layer's records (LIFO).
+
+        Returns the input-gradient contributions base first, then adapter —
+        the order autograd accumulates them in.
+        """
+        grad_x = apply_vjp("lora_matmul", tape.pop(), grad, need_x, self.lora_a, self.lora_b)
+        parts = self.base.raw_backward(tape, grad, need_x)
+        if grad_x is not None:
+            parts.append(grad_x)
+        return parts
 
     def project_row(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Single-row decode projection: base GEMV plus the low-rank delta.

@@ -1,10 +1,17 @@
 """A small reverse-mode automatic-differentiation engine over numpy arrays.
 
-This is the computational substrate for the on-device LLM used throughout the
-reproduction.  It follows the usual define-by-run design: every operation on a
-:class:`Tensor` records a backward closure and its parent tensors; calling
+Parameters of the on-device LLM are :class:`Tensor` objects.  The engine
+follows the usual define-by-run design: every operation on a :class:`Tensor`
+records a backward closure and its parent tensors; calling
 :meth:`Tensor.backward` runs a topological sweep that accumulates gradients
 into ``tensor.grad`` for every tensor created with ``requires_grad=True``.
+
+Production training does not build this graph: fine-tuning and pre-training
+run :meth:`repro.nn.transformer.TransformerLM.train_step`, a taped array-level
+forward with a handwritten reverse sweep over the same backend kernels.  The
+autograd path is the reference that step is tested against (loss and every
+gradient bit-identical), and it serves ad-hoc differentiation in tests and
+benchmarks.
 
 Only the operations needed by a decoder-only transformer with LoRA adapters
 are implemented, but each is implemented with full broadcasting support so the

@@ -16,12 +16,15 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.attention import LayerKVCache, MultiHeadSelfAttention
+from repro.nn.attention import LayerKVCache, MultiHeadSelfAttention, combined_mask
 from repro.nn.backend import active as _active
 from repro.nn.layers import Dropout, Embedding, FeedForward, LayerNorm, Linear, Module
 from repro.nn.tensor import Tensor, inference_mode, is_grad_enabled
 from repro.utils.config import require_positive
 from repro.utils.rng import as_generator
+
+# Label value that carries no loss (question tokens and padding).
+IGNORE_INDEX = -100
 
 
 class KVCache:
@@ -107,31 +110,38 @@ class TransformerBlock(Module):
     def raw_forward(
         self,
         hidden: np.ndarray,
-        attention_mask: Optional[np.ndarray],
-        cache: Optional[LayerKVCache],
-        backend,
+        mask: np.ndarray,
+        cache: Optional[LayerKVCache] = None,
+        tape: Optional[list] = None,
     ) -> np.ndarray:
         """Array-level block forward (same kernels as the autograd path).
 
         ``hidden`` must be owned by the caller: residuals are added in place.
+        ``mask`` is the forward's :func:`~repro.nn.attention.combined_mask`.
         """
-        normed, _ = backend.layernorm(
-            hidden, self.ln_attn.weight.data, self.ln_attn.bias.data, self.ln_attn.eps
-        )
-        attn = self.attention.raw_forward(normed, attention_mask, cache)
+        attn = self.attention.raw_forward(self.ln_attn.raw_forward(hidden, tape), mask, cache, tape)
         attn += hidden
-        hidden = attn
-        normed, _ = backend.layernorm(
-            hidden, self.ln_ffn.weight.data, self.ln_ffn.bias.data, self.ln_ffn.eps
+        out = self.ffn.raw_forward(self.ln_ffn.raw_forward(attn, tape), tape)
+        out += attn
+        return out
+
+    def raw_backward(self, tape: list, grad: np.ndarray, need_x: bool) -> Optional[np.ndarray]:
+        """Reverse of a taped :meth:`raw_forward`; returns the input gradient.
+
+        Each residual-stream gradient is the upstream gradient plus its
+        LayerNorm branch.  With ``need_x`` False (nothing below this block
+        trains) the gradient stops at the block's own parameters.
+        """
+        mid_grad = self.ln_ffn.raw_backward(tape, self.ffn.raw_backward(tape, grad), True)
+        mid_grad += grad
+        ln = self.ln_attn
+        normed_grad = self.attention.raw_backward(
+            tape, mid_grad, need_x or ln.weight.requires_grad or ln.bias.requires_grad
         )
-        up = self.ffn.up.raw_forward(normed)
-        act, _ = backend.gelu(up)
-        down = self.ffn.down.raw_forward(act)
-        dropout_mask = self.ffn.dropout.draw_mask(down.shape)
-        if dropout_mask is not None:
-            down *= dropout_mask
-        down += hidden
-        return down
+        input_grad = ln.raw_backward(tape, normed_grad, need_x)
+        if input_grad is not None:
+            input_grad += mid_grad
+        return input_grad
 
 
 class TransformerLM(Module):
@@ -183,28 +193,10 @@ class TransformerLM(Module):
             left-padded batched decoding where each row starts at its own
             offset.  Defaults to ``past + arange(seq)``.
         """
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        if token_ids.ndim != 2:
-            raise ValueError(f"token_ids must be 2-D (batch, seq), got shape {token_ids.shape}")
+        token_ids = self._checked_ids(token_ids)
         batch, seq = token_ids.shape
         past = kv_cache.length if kv_cache is not None else 0
-        if past + seq > self.config.max_seq_len:
-            raise ValueError(
-                f"sequence length {past + seq} (cached {past} + new {seq}) "
-                f"exceeds max_seq_len {self.config.max_seq_len}"
-            )
-        if position_ids is not None:
-            positions = np.asarray(position_ids, dtype=np.int64)
-            if positions.shape != (batch, seq):
-                raise ValueError(
-                    f"position_ids shape {positions.shape} does not match tokens {(batch, seq)}"
-                )
-        elif batch == 1:
-            positions = np.arange(past, past + seq, dtype=np.int64).reshape(1, seq)
-        else:
-            positions = np.broadcast_to(
-                np.arange(past, past + seq, dtype=np.int64), (batch, seq)
-            )
+        positions = self._positions(batch, seq, past, position_ids)
 
         if not is_grad_enabled():
             logits_data, hidden_data = self._forward_raw(
@@ -230,18 +222,50 @@ class TransformerLM(Module):
             return logits, hidden
         return logits
 
+    @staticmethod
+    def _checked_ids(token_ids: np.ndarray) -> np.ndarray:
+        """``token_ids`` as a 2-D int64 array; raises on any other rank."""
+        token_ids = np.asarray(token_ids, dtype=np.int64)
+        if token_ids.ndim != 2:
+            raise ValueError(f"token_ids must be 2-D (batch, seq), got shape {token_ids.shape}")
+        return token_ids
+
+    def _positions(
+        self, batch: int, seq: int, past: int, position_ids: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """``(batch, seq)`` position ids: ``position_ids`` or ``past + arange(seq)``."""
+        if past + seq > self.config.max_seq_len:
+            raise ValueError(
+                f"sequence length {past + seq} (cached {past} + new {seq}) "
+                f"exceeds max_seq_len {self.config.max_seq_len}"
+            )
+        if position_ids is not None:
+            positions = np.asarray(position_ids, dtype=np.int64)
+            if positions.shape != (batch, seq):
+                raise ValueError(
+                    f"position_ids shape {positions.shape} does not match tokens {(batch, seq)}"
+                )
+            return positions
+        if batch == 1:
+            return np.arange(past, past + seq, dtype=np.int64).reshape(1, seq)
+        return np.broadcast_to(np.arange(past, past + seq, dtype=np.int64), (batch, seq))
+
     def _forward_raw(
         self,
         token_ids: np.ndarray,
         attention_mask: Optional[np.ndarray],
         kv_cache: Optional[KVCache],
         positions: np.ndarray,
+        tape: Optional[list] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Whole-model array-level forward for the no-grad path.
+        """Whole-model array-level forward: prefill and the training step.
 
         Runs the same backend kernels as the autograd path (bit-identical
         outputs) but builds no graph, allocates no Tensor wrappers per op, and
-        adds residuals in place.  Returns ``(logits, hidden)`` arrays.
+        adds residuals in place.  With a ``tape`` (see :meth:`train_step`)
+        each kernel appends the residuals it already returns, for the reverse
+        sweep; with ``tape=None`` nothing is kept.  Returns
+        ``(logits, hidden)`` arrays.
         """
         backend = _active()
         if (
@@ -259,6 +283,8 @@ class TransformerLM(Module):
                 logits_row.reshape(1, 1, -1).copy(),
                 hidden_row.reshape(1, 1, -1).copy(),
             )
+        batch, seq = token_ids.shape
+        past = kv_cache.length if kv_cache is not None else 0
         hidden = self.token_embedding.rows(token_ids)
         # Positions were already range-checked against max_seq_len above, so
         # the embedding's own bounds validation can be skipped here.
@@ -266,17 +292,80 @@ class TransformerLM(Module):
         dropout_mask = self.embedding_dropout.draw_mask(hidden.shape)
         if dropout_mask is not None:
             hidden *= dropout_mask
+        if tape is not None:
+            tape.append((token_ids, positions, dropout_mask))
+        mask = combined_mask(batch, self.config.num_heads, seq, past, attention_mask)
         for index, block in enumerate(self.blocks):
             layer_cache = kv_cache.layers[index] if kv_cache is not None else None
-            hidden = block.raw_forward(hidden, attention_mask, layer_cache, backend)
-        hidden, _ = backend.layernorm(
-            hidden, self.ln_final.weight.data, self.ln_final.bias.data, self.ln_final.eps
-        )
+            hidden = block.raw_forward(hidden, mask, layer_cache, tape)
+        hidden = self.ln_final.raw_forward(hidden, tape)
         if self.lm_head is not None:
-            logits = self.lm_head.raw_forward(hidden)
+            logits = self.lm_head.raw_forward(hidden, tape)
         else:
-            logits = hidden @ self.token_embedding.weight.data.T
+            logits, residuals = backend.matmul(hidden, self.token_embedding.weight.data.T)
+            if tape is not None:
+                tape.append(residuals)
         return logits, hidden
+
+    def train_step(
+        self,
+        token_ids: np.ndarray,
+        attention_mask: Optional[np.ndarray],
+        labels: np.ndarray,
+    ) -> float:
+        """One graph-free training step; returns the mean cross-entropy.
+
+        :meth:`_forward_raw` runs with a tape, the loss is the backend's
+        cross-entropy over the ``(batch, seq)`` ``labels`` (``IGNORE_INDEX``
+        positions carry none), and the reverse sweep pops the tape LIFO
+        through the backend VJPs.  It accumulates ``.grad`` (as autograd
+        does, so clear it first) only on parameters with ``requires_grad``:
+        the LoRA factors when fine-tuning, every weight when pre-training.
+        No Tensor graph is built, and the loss and every gradient are
+        bit-identical to ``cross_entropy(self(token_ids, attention_mask),
+        labels, IGNORE_INDEX).backward()`` under the same RNG state.
+        """
+        token_ids = self._checked_ids(token_ids)
+        batch, seq = token_ids.shape
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (batch, seq):
+            raise ValueError(f"labels shape {labels.shape} does not match tokens {(batch, seq)}")
+        backend = _active()
+        embedding = self.token_embedding.weight
+        # live[i]: whether block i's input depends on a trainable parameter;
+        # gradients are not propagated below the lowest one that does.
+        live = [embedding.requires_grad or self.position_embedding.weight.requires_grad]
+        for block in self.blocks:
+            live.append(live[-1] or any(t.requires_grad for _, t in block.named_parameters()))
+
+        tape: list = []
+        logits, _ = self._forward_raw(
+            token_ids, attention_mask, None, self._positions(batch, seq, 0, None), tape
+        )
+        loss, residuals = backend.cross_entropy(logits, labels, IGNORE_INDEX)
+        grad = backend.VJPS["cross_entropy"](residuals, 1.0)
+        head_grad = None
+        if self.lm_head is not None:
+            (grad,) = self.lm_head.raw_backward(tape, grad, True)
+        else:
+            grad, head_grad = backend.VJPS["matmul"](
+                tape.pop(), grad, (True, embedding.requires_grad)
+            )
+        grad = self.ln_final.raw_backward(tape, grad, live[-1])
+        for index in reversed(range(len(self.blocks))):
+            if not live[index + 1]:
+                break
+            grad = self.blocks[index].raw_backward(tape, grad, live[index])
+        if live[0]:
+            ids, positions, dropout_mask = tape.pop()
+            if dropout_mask is not None:
+                grad = grad * dropout_mask
+            self.token_embedding.raw_backward(ids, grad)
+            self.position_embedding.raw_backward(positions, grad)
+        if head_grad is not None:
+            # Autograd adds the tied head's share after the lookup's.
+            embedding._accumulate_owned(head_grad.T)
+        return float(loss)
 
     def _check_decode(self, entry: str, kv_cache: KVCache) -> int:
         """Guards shared by the incremental decode entry points; returns ``past``."""
@@ -345,20 +434,11 @@ class TransformerLM(Module):
         )
         key_padding = padding[:, None, None, : past + 1]
         for index, block in enumerate(self.blocks):
-            normed, _ = backend.layernorm(
-                hidden, block.ln_attn.weight.data, block.ln_attn.bias.data, block.ln_attn.eps
-            )
             hidden += block.attention.raw_decode_rows(
-                normed, kv_cache.layers[index], key_padding
+                block.ln_attn.raw_forward(hidden), kv_cache.layers[index], key_padding
             )
-            normed, _ = backend.layernorm(
-                hidden, block.ln_ffn.weight.data, block.ln_ffn.bias.data, block.ln_ffn.eps
-            )
-            act, _ = backend.gelu(block.ffn.up.raw_forward(normed))
-            hidden += block.ffn.down.raw_forward(act)
-        normed, _ = backend.layernorm(
-            hidden, self.ln_final.weight.data, self.ln_final.bias.data, self.ln_final.eps
-        )
+            hidden += block.ffn.raw_forward(block.ln_ffn.raw_forward(hidden))
+        normed = self.ln_final.raw_forward(hidden)
         if self.lm_head is not None:
             return self.lm_head.raw_forward(normed)
         weight = self.token_embedding.weight.data

@@ -165,5 +165,39 @@ class TestForwardBitIdentity:
         np.testing.assert_array_equal(wrapped.data, raw)
 
 
+def _dense_cross_entropy(logits, targets, ignore_index):
+    """The all-rows formulation: log-softmax everywhere, ignored rows zeroed."""
+    flat_logits = logits.reshape(-1, logits.shape[-1])
+    flat_targets = targets.reshape(-1)
+    valid = flat_targets != ignore_index
+    shifted = flat_logits - flat_logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    picked = log_probs[np.arange(flat_targets.size), np.where(valid, flat_targets, 0)]
+    loss = np.asarray(-(picked * valid).sum() / int(valid.sum()), dtype=logits.dtype)
+    grad = np.exp(log_probs)
+    grad[np.arange(flat_targets.size), np.where(valid, flat_targets, 0)] -= 1.0
+    grad *= valid[:, None]
+    grad *= 1.0 / int(valid.sum())
+    return loss, grad.reshape(logits.shape)
+
+
+class TestCrossEntropyRows:
+    """The kernel's softmax skips ignored rows without changing a bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_all_rows_formulation(self, seed):
+        rng = np.random.default_rng(seed)
+        batch, seq, vocab = int(rng.integers(1, 6)), int(rng.integers(1, 30)), 37
+        logits = (rng.standard_normal((batch, seq, vocab)) * 3).astype(np.float32)
+        labelled = rng.random((batch, seq)) < 0.6
+        targets = np.where(labelled, rng.integers(0, vocab, (batch, seq)), -100)
+        targets[0, 0] = 1
+        loss, residuals = numpy_backend.cross_entropy(logits, targets, -100)
+        grad = numpy_backend.VJPS["cross_entropy"](residuals, 1.0)
+        expected_loss, expected_grad = _dense_cross_entropy(logits, targets, -100)
+        assert loss.tobytes() == expected_loss.tobytes()
+        np.testing.assert_array_equal(grad, expected_grad)
+
+
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-q"]))
