@@ -310,27 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay_cmd.add_argument("--quiet", action="store_true", help="suppress progress logging")
 
-    migrate = subparsers.add_parser(
-        "migrate-adapters",
-        help="convert legacy pickle adapter files to the A1 binary format",
-        description=(
-            "One-shot store migration: every *.adapter.pkl in DIR is decoded, "
-            "re-encoded as a checksummed A1 binary record (*.adapter.bin), "
-            "verified bit-identical against the pickle payload, and only then "
-            "replaces it.  Users that already have a binary record are "
-            "skipped; undecodable pickles are reported and left in place.  "
-            "Exits 0 when every adapter migrated (or was already migrated), "
-            "1 when any failed, 2 when DIR does not exist.  Sharded adapter "
-            "roots are migrated per shard: run once per shard-NN directory."
-        ),
-    )
-    migrate.add_argument("directory", help="adapter directory holding *.adapter.pkl files")
-    migrate.add_argument(
-        "--keep-pickles",
-        action="store_true",
-        help="leave the legacy pickle files in place next to the new binary "
-        "records (default: delete each pickle once its record verifies)",
-    )
     return parser
 
 
@@ -695,28 +674,6 @@ def _report_serve(config, outcome, out_path) -> int:
     return 0
 
 
-def _command_migrate_adapters(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.serve.adapter_store import migrate_adapter_directory
-
-    directory = Path(args.directory)
-    if not directory.is_dir():
-        print(f"error: {directory} is not a directory", file=sys.stderr)
-        return 2
-    report = migrate_adapter_directory(directory, keep_pickles=args.keep_pickles)
-    print(f"== adapter migration ({directory}) ==")
-    print(
-        f"migrated {len(report.migrated)}, skipped {len(report.skipped)} "
-        f"(already binary), failed {len(report.failed)}"
-    )
-    for user_id in report.migrated:
-        print(f"  migrated: {user_id}")
-    for user_id, reason in report.failed:
-        print(f"  FAILED {user_id}: {reason}", file=sys.stderr)
-    return 0 if report.ok else 1
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro``, ``python -m repro`` and the tests."""
     parser = build_parser()
@@ -729,8 +686,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_serve(args)
     if args.command == "replay":
         return _command_replay(args)
-    if args.command == "migrate-adapters":
-        return _command_migrate_adapters(args)
     parser.print_help()
     return 0
 

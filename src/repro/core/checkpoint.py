@@ -61,15 +61,6 @@ def atomic_bytes_dump(path: Union[str, Path], data: bytes) -> Path:
     return path
 
 
-def atomic_pickle_dump(path: Union[str, Path], payload: object) -> Path:
-    """Pickle ``payload`` to ``path`` atomically (see :func:`atomic_bytes_dump`).
-
-    Used for every checkpoint section and for each adapter file in the
-    serving layer's :class:`~repro.serve.adapter_store.LoRAAdapterStore`.
-    """
-    return atomic_bytes_dump(path, pickle.dumps(payload))
-
-
 def sha256_hex(data: bytes) -> str:
     """SHA-256 hex digest of ``data`` (section / journal checksums)."""
     return hashlib.sha256(data).hexdigest()

@@ -83,10 +83,6 @@ class Counter:
             raise ValueError(f"counter {self.key!r} cannot decrease (got {amount})")
         self._value += amount
 
-    def set_(self, value: int) -> None:
-        """Internal: overwrite the count (compat shims only — not public API)."""
-        self._value = int(value)
-
     @property
     def value(self) -> int:
         return self._value

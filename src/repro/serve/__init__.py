@@ -43,17 +43,13 @@ from repro.serve.adapter_codec import (
     AdapterRecord,
     open_adapter_record,
     pack_adapter_record,
-    read_adapter_record,
     unpack_adapter_record,
 )
 from repro.serve.adapter_store import (
-    AdapterMigrationReport,
     AdapterStoreError,
     LoRAAdapterStore,
     StoreStats,
-    migrate_adapter_directory,
     validate_user_id,
-    write_legacy_pickle_adapter,
 )
 from repro.serve.errors import (
     DeadlineExceededError,
@@ -125,7 +121,6 @@ __all__ = [
     "ADAPTER_BINARY_VERSION",
     "ADAPTER_MAGIC",
     "AdapterFormatError",
-    "AdapterMigrationReport",
     "AdapterRecord",
     "AdapterStoreError",
     "CRASH_POINTS",
@@ -187,10 +182,8 @@ __all__ = [
     "journal_digest",
     "load_trace",
     "make_session_manager",
-    "migrate_adapter_directory",
     "open_adapter_record",
     "pack_adapter_record",
-    "read_adapter_record",
     "replay",
     "replay_trace_against",
     "run_serve",
@@ -200,5 +193,4 @@ __all__ = [
     "user_ids",
     "user_seed",
     "user_transcript_digest",
-    "write_legacy_pickle_adapter",
 ]

@@ -1,12 +1,10 @@
 """The ``A1`` binary adapter record format: versioned, CRC-checksummed, mmap-able.
 
-Pickled adapter payloads (the PR-3 store format) are convenient but opaque:
-no integrity check, no partial validation, and every load deserializes and
-copies the full payload.  This module replaces them with a structured binary
-record in the image-compiler idiom — fixed header, shape table, raw buffers —
-so a load can be validated field by field, damage can be localized (and the
-file quarantined with a precise reason), and the float buffers can be mapped
-read-only straight out of the page cache with zero copies.
+``A1`` is the only on-disk form of a user's adapter.  It is a structured
+binary record in the image-compiler idiom — fixed header, shape table, raw
+buffers — so a load can be validated field by field, damage can be localized
+(and the file quarantined with a precise reason), and the float buffers can
+be mapped read-only straight out of the page cache with zero copies.
 
 Byte layout (all integers little-endian)::
 
@@ -14,7 +12,7 @@ Byte layout (all integers little-endian)::
     ------  ----  -----------------------------------------------------
     0       2     magic ``b"A1"``
     2       1     format version (currently 1)
-    3       1     flags (reserved, 0)
+    3       1     flags (reserved, must be 0)
     4       2     u16   user id byte length U
     6       2     u16   tensor count T
     8       4     u32   fine-tune round fence
@@ -22,20 +20,26 @@ Byte layout (all integers little-endian)::
     16      4     u32   CRC-32 of the shape-table region
     20      4     u32   CRC-32 of the payload region
     24      8     u64   payload_nbytes (length of the payload region)
-    32      ...   shape table: U bytes of user id, then T entries of
-                  [u16 key length, key bytes, u8 dtype code (0=float32),
-                   u8 ndim, ndim x u32 dims, u64 payload offset, u64 nbytes]
+    32      ...   shape table: U bytes of UTF-8 user id, then exactly T
+                  entries of [u16 key length, UTF-8 key bytes, u8 dtype code
+                  (0=float32), u8 ndim, ndim x u32 dims, u64 payload offset,
+                  u64 nbytes] and nothing after them
     ...     ...   zero padding to the next 64-byte boundary
     ...     ...   payload: raw little-endian float32 buffers, each starting
                   on a 64-byte boundary relative to the payload start
 
+The two CRCs cover the shape table and the payload; the header is covered
+by the structural checks instead (magic, version, zero flags, a shape table
+consumed exactly).  The round fence (bytes 8-11) is covered by neither — see
+the ``A1`` section of ``docs/scaling.md``.
+
 Packing is deterministic (tensors in dict order, zero-filled alignment gaps),
 so identical state dicts produce byte-identical records — the property the
-``repro migrate-adapters`` round-trip check and the store's bit-identical
-reload tests lean on.  :func:`open_adapter_record` maps the file and hands
-out read-only :mod:`numpy` views into the mapping; the views keep the mapping
-alive, and :class:`~repro.serve.adapter_store.LoRAAdapterStore` copies them
-at its ``get`` boundary, so callers never observe the page cache mutating.
+store's bit-identical reload tests lean on.  :func:`open_adapter_record` maps
+the file and hands out read-only :mod:`numpy` views into the mapping; the
+views keep the mapping alive, and
+:class:`~repro.serve.adapter_store.LoRAAdapterStore` copies them at its
+``get`` boundary, so callers never observe the page cache mutating.
 """
 
 from __future__ import annotations
@@ -85,6 +89,13 @@ class AdapterFormatError(ValueError):
 
 def _align(offset: int) -> int:
     return (offset + ADAPTER_ALIGNMENT - 1) & ~(ADAPTER_ALIGNMENT - 1)
+
+
+def _decode_name(data: bytes, what: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise AdapterFormatError(f"{what} is not valid UTF-8") from error
 
 
 def pack_adapter_record(user_id: str, state: Dict[str, np.ndarray], round: int = 0) -> bytes:
@@ -160,10 +171,11 @@ class AdapterRecord:
 def unpack_adapter_record(data: Union[bytes, bytearray, memoryview, mmap.mmap]) -> AdapterRecord:
     """Decode an ``A1`` record, verifying structure and both CRCs.
 
-    Raises :class:`AdapterFormatError` with a precise reason for every
-    damage class: truncated header, bad magic, unsupported version,
-    truncated/corrupt shape table, shape-table/buffer length mismatches,
-    truncated payload and payload CRC mismatch.
+    Raises :class:`AdapterFormatError` — and never any other exception —
+    with a precise reason for every damage class: truncated header, bad
+    magic, unsupported version, nonzero flags, truncated/corrupt shape table,
+    non-UTF-8 names, duplicate keys, trailing shape-table bytes, unusable or
+    mismatched shapes, truncated payload and payload CRC mismatch.
     """
     view = memoryview(data)
     if len(view) < ADAPTER_HEADER_NBYTES:
@@ -171,7 +183,7 @@ def unpack_adapter_record(data: Union[bytes, bytearray, memoryview, mmap.mmap]) 
     (
         magic,
         version,
-        _flags,
+        flags,
         user_len,
         num_tensors,
         round,
@@ -186,6 +198,8 @@ def unpack_adapter_record(data: Union[bytes, bytearray, memoryview, mmap.mmap]) 
         raise AdapterFormatError(
             f"unsupported format version {version} (expected {ADAPTER_BINARY_VERSION})"
         )
+    if flags != 0:
+        raise AdapterFormatError(f"unknown flags {flags:#04x}")
     table_end = ADAPTER_HEADER_NBYTES + table_nbytes
     if len(view) < table_end:
         raise AdapterFormatError("truncated shape table")
@@ -200,7 +214,7 @@ def unpack_adapter_record(data: Union[bytes, bytearray, memoryview, mmap.mmap]) 
 
     if user_len > len(table):
         raise AdapterFormatError("truncated shape table")
-    user_id = table[:user_len].decode("utf-8", errors="replace")
+    user_id = _decode_name(table[:user_len], "user id")
     position = user_len
     state: Dict[str, np.ndarray] = {}
     total_nbytes = 0
@@ -208,9 +222,10 @@ def unpack_adapter_record(data: Union[bytes, bytearray, memoryview, mmap.mmap]) 
         try:
             (key_len,) = struct.unpack_from("<H", table, position)
             position += 2
-            key = table[position : position + key_len].decode("utf-8")
-            if len(table[position : position + key_len]) != key_len:
+            key_bytes = table[position : position + key_len]
+            if len(key_bytes) != key_len:
                 raise AdapterFormatError("truncated shape table")
+            key = _decode_name(key_bytes, "tensor key")
             position += key_len
             dtype_code, ndim = struct.unpack_from("<BB", table, position)
             position += 2
@@ -220,6 +235,8 @@ def unpack_adapter_record(data: Union[bytes, bytearray, memoryview, mmap.mmap]) 
             position += 16
         except struct.error as error:
             raise AdapterFormatError("truncated shape table") from error
+        if key in state:
+            raise AdapterFormatError(f"duplicate tensor key {key!r}")
         dtype = _DTYPE_CODES.get(dtype_code)
         if dtype is None:
             raise AdapterFormatError(f"unknown dtype code {dtype_code}")
@@ -235,12 +252,18 @@ def unpack_adapter_record(data: Union[bytes, bytearray, memoryview, mmap.mmap]) 
             raise AdapterFormatError(
                 f"shape table/buffer length mismatch for {key!r}: buffer ends past the payload"
             )
-        array = np.frombuffer(
-            view, dtype=dtype, count=count, offset=payload_start + buffer_offset
-        ).reshape(dims)
+        array = np.frombuffer(view, dtype=dtype, count=count, offset=payload_start + buffer_offset)
+        try:
+            array = array.reshape(dims)
+        except ValueError as error:  # more dimensions than numpy supports
+            raise AdapterFormatError(f"unusable shape for {key!r}: {ndim} dimensions") from error
         array.flags.writeable = False
         state[key] = array
         total_nbytes += buffer_nbytes
+    if position != len(table):
+        raise AdapterFormatError(
+            f"{len(table) - position} trailing bytes after {num_tensors} shape-table entries"
+        )
     return AdapterRecord(user_id=user_id, round=int(round), state=state, nbytes=total_nbytes)
 
 
@@ -258,17 +281,3 @@ def open_adapter_record(path: Union[str, Path]) -> AdapterRecord:
         except ValueError as error:  # cannot mmap an empty file
             raise AdapterFormatError("truncated header") from error
     return unpack_adapter_record(mapped)
-
-
-def read_adapter_record(path: Union[str, Path]) -> AdapterRecord:
-    """Decode an ``A1`` file into heap-owned (writable) arrays — no mapping.
-
-    The materializing twin of :func:`open_adapter_record`, for callers that
-    want the data to outlive the file (e.g. the migration verifier).
-    """
-    data = Path(path).read_bytes()
-    record = unpack_adapter_record(data)
-    record.state = {
-        key: np.array(value, dtype=np.float32, copy=True) for key, value in record.state.items()
-    }
-    return record

@@ -13,8 +13,6 @@ Disk layout (one file per user, written atomically)::
         <user_id>.adapter.bin     # A1 binary record (header, shape table,
                                   # CRC-checksummed raw float32 buffers; see
                                   # repro.serve.adapter_codec)
-        <user_id>.adapter.pkl     # legacy pickle record, read-only fallback
-                                  # (migrate with `repro migrate-adapters`)
         <user_id>.adapter.bin.corrupt   # quarantined unreadable file (kept
                                         # for post-mortem; the user re-inits
                                         # blank)
@@ -25,8 +23,9 @@ table and the payload, and 64-byte-aligned raw float32 buffers that load
 zero-copy through ``mmap``.  A bounded handle cache keeps recently decoded
 mappings alive, so re-loading a recently-evicted adapter costs a dict copy
 instead of a deserialize — the "warm mmap load" measured in
-``BENCH_serving.json``.  Legacy pickle files from pre-A1 stores are still
-readable (and upgraded to binary on the next write).
+``BENCH_serving.json``.  ``A1`` is the only on-disk format: a store refuses
+to open a directory that still holds pre-``A1`` ``*.adapter.pkl`` files,
+rather than silently re-initializing those users blank.
 
 The cache budget is configurable both as an entry count and as a byte budget;
 eviction flushes dirty entries to disk first, so an evicted adapter reloaded
@@ -39,7 +38,6 @@ and eviction pressure.
 from __future__ import annotations
 
 import os
-import pickle
 import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -48,27 +46,21 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.checkpoint import atomic_bytes_dump, atomic_pickle_dump
+from repro.core.checkpoint import atomic_bytes_dump
 from repro.nn.lora import clone_lora_state, lora_state_nbytes
 from repro.serve.adapter_codec import (
     AdapterFormatError,
     AdapterRecord,
     open_adapter_record,
     pack_adapter_record,
-    read_adapter_record,
 )
 from repro.obs import MetricsRegistry
 from repro.serve.errors import StoreIOError
 from repro.serve.faults import NO_FAULTS, FaultInjector
 from repro.serve.health import ComponentHealth
 
-ADAPTER_FORMAT_VERSION = 1
-
 #: Current on-disk adapter file suffix (A1 binary records).
 ADAPTER_SUFFIX = ".adapter.bin"
-
-#: Pre-A1 pickle adapter files: still readable, never written.
-LEGACY_ADAPTER_SUFFIX = ".adapter.pkl"
 
 #: User ids become file names; keep them to a safe, portable alphabet.
 _USER_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
@@ -94,9 +86,8 @@ class StoreStats:
     Every field is backed by a ``store_<field>_total`` counter on a
     :class:`repro.obs.MetricsRegistry`, so the same counts feed this
     report view, the wire-protocol ``metrics`` op and JSON snapshots —
-    there is exactly one source of truth.  The attribute API is kept
-    (``stats.hits``, ``stats.hits += 1``) so existing callers and tests
-    are unaffected.
+    there is exactly one source of truth.  Fields read as attributes
+    (``stats.hits``) and grow only through :meth:`inc`.
     """
 
     FIELDS = (
@@ -110,27 +101,22 @@ class StoreStats:
         "io_errors",
         "skipped_writes",
         "mmap_hits",
-        "legacy_loads",
     )
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         registry = metrics if metrics is not None else MetricsRegistry()
-        self.__dict__["_counters"] = {
-            name: registry.counter(f"store_{name}_total") for name in self.FIELDS
-        }
+        self._counters = {name: registry.counter(f"store_{name}_total") for name in self.FIELDS}
 
     def __getattr__(self, name: str) -> int:
-        # .get() keeps copy/pickle reconstruction safe before __init__ ran.
+        # .get() keeps lookups safe before __init__ ran (e.g. during copy).
         counters = self.__dict__.get("_counters")
         if counters is not None and name in counters:
             return counters[name].value
         raise AttributeError(name)
 
-    def __setattr__(self, name: str, value: int) -> None:
-        counters = self.__dict__["_counters"]
-        if name not in counters:
-            raise AttributeError(f"StoreStats has no field {name!r}")
-        counters[name].set_(int(value))
+    def inc(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to the ``name`` field's counter."""
+        self._counters[name].inc(amount)
 
     @property
     def hit_rate(self) -> float:
@@ -191,6 +177,14 @@ class LoRAAdapterStore:
             )
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        stale = min(self.directory.glob("*.adapter.pkl"), default=None)
+        if stale is not None:
+            raise AdapterStoreError(
+                f"{stale} is a pre-A1 adapter file: this store reads only A1 "
+                f"records (*{ADAPTER_SUFFIX}) and would silently restart its user "
+                "blank; convert it with a release that still ships "
+                "`repro migrate-adapters`, or delete it"
+            )
         self.cache_capacity = cache_capacity
         self.cache_max_bytes = cache_max_bytes
         self.mmap_cache_capacity = mmap_cache_capacity
@@ -215,28 +209,16 @@ class LoRAAdapterStore:
         """The on-disk adapter file for ``user_id`` (A1 binary)."""
         return self.directory / f"{validate_user_id(user_id)}{ADAPTER_SUFFIX}"
 
-    def legacy_path_for(self, user_id: str) -> Path:
-        """The pre-A1 pickle adapter file for ``user_id`` (read-only fallback)."""
-        return self.directory / f"{validate_user_id(user_id)}{LEGACY_ADAPTER_SUFFIX}"
-
     def users(self) -> List[str]:
-        """Every known user (on disk in either format, or cached), sorted."""
+        """Every known user (on disk or cached), sorted."""
         on_disk = {
             path.name[: -len(ADAPTER_SUFFIX)]
             for path in self.directory.glob(f"*{ADAPTER_SUFFIX}")
         }
-        on_disk |= {
-            path.name[: -len(LEGACY_ADAPTER_SUFFIX)]
-            for path in self.directory.glob(f"*{LEGACY_ADAPTER_SUFFIX}")
-        }
         return sorted(on_disk | set(self._cache))
 
     def __contains__(self, user_id: str) -> bool:
-        return (
-            user_id in self._cache
-            or self.path_for(user_id).is_file()
-            or self.legacy_path_for(user_id).is_file()
-        )
+        return user_id in self._cache or self.path_for(user_id).is_file()
 
     def __len__(self) -> int:
         return len(self.users())
@@ -286,10 +268,10 @@ class LoRAAdapterStore:
         validate_user_id(user_id)
         entry = self._cache.get(user_id)
         if entry is not None:
-            self.stats.hits += 1
+            self.stats.inc("hits")
             self._cache.move_to_end(user_id)
             return clone_lora_state(entry.state)
-        self.stats.misses += 1
+        self.stats.inc("misses")
         state, round = self._read_from_disk(user_id)
         self._cache[user_id] = _CacheEntry(
             state=state, nbytes=lora_state_nbytes(state), dirty=False, round=round
@@ -319,12 +301,12 @@ class LoRAAdapterStore:
         validate_user_id(user_id)
         existed = self._cache.pop(user_id, None) is not None
         self._records.pop(user_id, None)
-        for path in (self.path_for(user_id), self.legacy_path_for(user_id)):
-            if path.is_file():
-                path.unlink()
-                existed = True
+        path = self.path_for(user_id)
+        if path.is_file():
+            path.unlink()
+            existed = True
         if existed:
-            self.stats.deletes += 1
+            self.stats.inc("deletes")
         return existed
 
     def flush(self, user_id: Optional[str] = None) -> int:
@@ -373,7 +355,7 @@ class LoRAAdapterStore:
                 if not self.read_only:
                     entry.dirty = False
             self._cache.popitem(last=False)
-            self.stats.evictions += 1
+            self.stats.inc("evictions")
 
     def _over_budget(self) -> bool:
         if len(self._cache) <= 1:
@@ -416,32 +398,24 @@ class LoRAAdapterStore:
             # The rename itself failing must not take the server down; the
             # next read will just re-attempt the quarantine.
             pass
-        self.stats.quarantined += 1
+        self.stats.inc("quarantined")
         self.health.degrade(f"quarantined corrupt adapter of {user_id!r}: {reason}")
 
     def _write_to_disk(self, user_id: str, state: Dict[str, np.ndarray], round: int = 0) -> None:
         if self.read_only:
-            self.stats.skipped_writes += 1
+            self.stats.inc("skipped_writes")
             return
         self.faults.store_fault("write", user_id)
         path = self.path_for(user_id)
         try:
             atomic_bytes_dump(path, pack_adapter_record(user_id, state, round=int(round)))
         except OSError as error:
-            self.stats.io_errors += 1
+            self.stats.inc("io_errors")
             raise StoreIOError(f"writing adapter file {path}: {error}") from error
         # The atomic replace left any live mapping pointing at the old inode;
-        # drop it so the next read maps the new bytes.  A superseded legacy
-        # pickle is removed too — otherwise a later quarantine of the binary
-        # file could resurrect the stale pickled state.
+        # drop it so the next read maps the new bytes.
         self._records.pop(user_id, None)
-        legacy = self.legacy_path_for(user_id)
-        if legacy.is_file():
-            try:
-                legacy.unlink()
-            except OSError:
-                pass
-        self.stats.disk_writes += 1
+        self.stats.inc("disk_writes")
         self.faults.after_store_write(user_id, path)
 
     def _cache_record(self, user_id: str, record: AdapterRecord) -> None:
@@ -459,184 +433,32 @@ class LoRAAdapterStore:
             # Warm mmap load: the file is already mapped and fully verified;
             # handing out the read-only views costs a dict copy.
             self._records.move_to_end(user_id)
-            self.stats.mmap_hits += 1
+            self.stats.inc("mmap_hits")
             return record.state_views(), record.round
         path = self.path_for(user_id)
-        if path.is_file():
-            self.faults.store_fault("read", user_id)
-            try:
-                record = open_adapter_record(path)
-            except OSError as error:
-                self.stats.io_errors += 1
-                raise StoreIOError(f"reading adapter file {path}: {error}") from error
-            except AdapterFormatError as error:
-                # Corruption is not retryable: park the file and report the
-                # user as unknown, so the session layer re-initializes them
-                # blank instead of the whole serve run dying on one bad file.
-                self._quarantine(path, user_id, error.reason)
-                raise KeyError(
-                    f"no usable adapter for user {user_id!r}: {error.reason} "
-                    "(corrupt file quarantined)"
-                ) from error
-            if record.user_id != user_id:
-                self._quarantine(path, user_id, f"record belongs to {record.user_id!r}")
-                raise KeyError(
-                    f"no usable adapter for user {user_id!r}: record belongs to "
-                    f"{record.user_id!r} (quarantined)"
-                )
-            self.stats.disk_loads += 1
-            self._cache_record(user_id, record)
-            return record.state_views(), record.round
-        return self._read_legacy_pickle(user_id)
-
-    def _read_legacy_pickle(self, user_id: str) -> Tuple[Dict[str, np.ndarray], int]:
-        """Read a pre-A1 pickle adapter (the one-way compatibility path)."""
-        path = self.legacy_path_for(user_id)
         if not path.is_file():
             raise KeyError(f"no adapter stored for user {user_id!r} in {self.directory}")
         self.faults.store_fault("read", user_id)
         try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
+            record = open_adapter_record(path)
         except OSError as error:
-            self.stats.io_errors += 1
+            self.stats.inc("io_errors")
             raise StoreIOError(f"reading adapter file {path}: {error}") from error
-        except (pickle.PickleError, EOFError, ImportError, IndexError, ValueError) as error:
-            self._quarantine(path, user_id, str(error))
+        except AdapterFormatError as error:
+            # Corruption is not retryable: park the file and report the
+            # user as unknown, so the session layer re-initializes them
+            # blank instead of the whole serve run dying on one bad file.
+            self._quarantine(path, user_id, error.reason)
             raise KeyError(
-                f"no usable adapter for user {user_id!r}: corrupt file quarantined"
+                f"no usable adapter for user {user_id!r}: {error.reason} "
+                "(corrupt file quarantined)"
             ) from error
-        problem = self._payload_problem(payload)
-        if problem is not None:
-            self._quarantine(path, user_id, problem)
-            raise KeyError(f"no usable adapter for user {user_id!r}: {problem} (quarantined)")
-        self.stats.disk_loads += 1
-        self.stats.legacy_loads += 1
-        state = {
-            key: np.asarray(value, dtype=np.float32) for key, value in payload["state"].items()
-        }
-        return state, int(payload.get("round", 0))
-
-    @staticmethod
-    def _payload_problem(payload: object) -> Optional[str]:
-        """Why a decoded adapter payload is unusable (None when it is fine)."""
-        if not isinstance(payload, dict) or "state" not in payload:
-            return "missing 'state'"
-        version = payload.get("format_version")
-        if version != ADAPTER_FORMAT_VERSION:
-            return f"format version {version!r} (expected {ADAPTER_FORMAT_VERSION})"
-        return None
-
-
-# ---------------------------------------------------------------------- #
-# pickle -> A1 migration
-# ---------------------------------------------------------------------- #
-def write_legacy_pickle_adapter(
-    directory: Union[str, Path],
-    user_id: str,
-    state: Dict[str, np.ndarray],
-    round: int = 0,
-) -> Path:
-    """Write a pre-A1 pickle adapter file.
-
-    Production code never writes pickles any more; this exists so tests and
-    benchmarks can fabricate the legacy stores that
-    :func:`migrate_adapter_directory` and the fallback read path consume.
-    """
-    path = Path(directory) / f"{validate_user_id(user_id)}{LEGACY_ADAPTER_SUFFIX}"
-    atomic_pickle_dump(
-        path,
-        {
-            "format_version": ADAPTER_FORMAT_VERSION,
-            "user_id": user_id,
-            "round": int(round),
-            "state": clone_lora_state(state),
-        },
-    )
-    return path
-
-
-@dataclass
-class AdapterMigrationReport:
-    """What one :func:`migrate_adapter_directory` pass did."""
-
-    migrated: List[str] = field(default_factory=list)
-    skipped: List[str] = field(default_factory=list)
-    failed: List[Tuple[str, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failed
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "migrated": list(self.migrated),
-            "skipped": list(self.skipped),
-            "failed": [list(item) for item in self.failed],
-            "ok": self.ok,
-        }
-
-
-def migrate_adapter_directory(
-    directory: Union[str, Path], keep_pickles: bool = False
-) -> AdapterMigrationReport:
-    """One-shot upgrade of every legacy pickle adapter in ``directory`` to A1.
-
-    Each ``*.adapter.pkl`` is decoded, re-packed as a binary record, written
-    atomically, read back through the binary decoder and compared
-    **bit-for-bit** (round fence and every tensor's raw bytes) before the
-    pickle is removed (kept with ``keep_pickles=True``).  A user that already
-    has a binary record is skipped; an unreadable or unverifiable pickle is
-    reported in ``failed`` and left in place for the operator.
-    """
-    directory = Path(directory)
-    report = AdapterMigrationReport()
-    for pickle_path in sorted(directory.glob(f"*{LEGACY_ADAPTER_SUFFIX}")):
-        user_id = pickle_path.name[: -len(LEGACY_ADAPTER_SUFFIX)]
-        binary_path = directory / f"{user_id}{ADAPTER_SUFFIX}"
-        if binary_path.is_file():
-            report.skipped.append(user_id)
-            continue
-        try:
-            with pickle_path.open("rb") as handle:
-                payload = pickle.load(handle)
-        except Exception as error:  # noqa: BLE001 - any unreadable pickle is a failure
-            report.failed.append((user_id, f"unreadable pickle: {error}"))
-            continue
-        problem = LoRAAdapterStore._payload_problem(payload)
-        if problem is not None:
-            report.failed.append((user_id, problem))
-            continue
-        state = {
-            key: np.asarray(value, dtype=np.float32) for key, value in payload["state"].items()
-        }
-        round = int(payload.get("round", 0))
-        atomic_bytes_dump(binary_path, pack_adapter_record(user_id, state, round=round))
-        reread = read_adapter_record(binary_path)
-        mismatch = _round_trip_mismatch(user_id, state, round, reread)
-        if mismatch is not None:
-            report.failed.append((user_id, mismatch))
-            binary_path.unlink()
-            continue
-        if not keep_pickles:
-            pickle_path.unlink()
-        report.migrated.append(user_id)
-    return report
-
-
-def _round_trip_mismatch(
-    user_id: str, state: Dict[str, np.ndarray], round: int, reread: AdapterRecord
-) -> Optional[str]:
-    """Why a migrated record is not bit-identical to its source (None if it is)."""
-    if reread.user_id != user_id:
-        return f"user id mismatch: {reread.user_id!r}"
-    if reread.round != round:
-        return f"round mismatch: {reread.round} != {round}"
-    if list(reread.state) != list(state):
-        return "tensor key mismatch"
-    for key, value in state.items():
-        if reread.state[key].shape != value.shape:
-            return f"shape mismatch for {key!r}"
-        if reread.state[key].tobytes() != np.ascontiguousarray(value, dtype="<f4").tobytes():
-            return f"byte mismatch for {key!r}"
-    return None
+        if record.user_id != user_id:
+            self._quarantine(path, user_id, f"record belongs to {record.user_id!r}")
+            raise KeyError(
+                f"no usable adapter for user {user_id!r}: record belongs to "
+                f"{record.user_id!r} (quarantined)"
+            )
+        self.stats.inc("disk_loads")
+        self._cache_record(user_id, record)
+        return record.state_views(), record.round

@@ -122,11 +122,6 @@ def decode_record_line(line: str, magic: str = JOURNAL_MAGIC) -> Optional[dict]:
     return record if isinstance(record, dict) else None
 
 
-# Backwards-compatible private aliases (the tests of PR 6 exercise these).
-_encode_line = encode_record_line
-_decode_line = decode_record_line
-
-
 # ---------------------------------------------------------------------- #
 # replay
 # ---------------------------------------------------------------------- #
@@ -182,7 +177,7 @@ def replay(path: Union[str, Path]) -> JournalReplay:
         return result
     lines = path.read_text(encoding="utf-8", errors="replace").splitlines(keepends=True)
     for index, line in enumerate(lines):
-        record = _decode_line(line) if line.endswith("\n") else None
+        record = decode_record_line(line) if line.endswith("\n") else None
         if record is None and not line.endswith("\n") and index == len(lines) - 1:
             # An unterminated final line is the expected shape of a crash
             # mid-append: drop it silently, the request it belonged to is
@@ -266,7 +261,7 @@ class RequestJournal:
 
     # -- writing ------------------------------------------------------- #
     def append(self, record: dict) -> None:
-        self._handle.write(_encode_line(record))
+        self._handle.write(encode_record_line(record))
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())

@@ -227,23 +227,14 @@ class RequestScheduler:
         )
 
     # Retry / degradation counts live on the metrics registry so the same
-    # numbers feed reports, the wire-protocol ops and JSON snapshots; the
-    # attribute API (`scheduler.retries += 1`) is kept for compatibility.
+    # numbers feed reports, the wire-protocol ops and JSON snapshots.
     @property
     def retries(self) -> int:
         return self._retries_counter.value
 
-    @retries.setter
-    def retries(self, value: int) -> None:
-        self._retries_counter.set_(int(value))
-
     @property
     def degraded_chats(self) -> int:
         return self._degraded_counter.value
-
-    @degraded_chats.setter
-    def degraded_chats(self, value: int) -> None:
-        self._degraded_counter.set_(int(value))
 
     # ------------------------------------------------------------------ #
     # submission
@@ -479,7 +470,7 @@ class RequestScheduler:
             except TransientServingError:
                 if self.retry is None or attempt >= self.retry.max_attempts:
                     raise
-                self.retries += 1
+                self._retries_counter.inc()
                 time.sleep(self.retry.delay(attempt, self._retry_rng))
                 attempt += 1
 
@@ -554,7 +545,7 @@ class RequestScheduler:
                     user, questions, generation=self.generation
                 )
                 degraded = True
-                self.degraded_chats += len(batch)
+                self._degraded_counter.inc(len(batch))
             except ServingError as fallback_error:
                 for request in batch:
                     self._dead_letter(request, CHAT, fallback_error)

@@ -7,6 +7,9 @@ must be *diagnosed* (a precise :class:`AdapterFormatError` reason), then
 *survived* by the store (quarantine + blank re-init), never crash serving.
 """
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -16,15 +19,9 @@ from repro.serve.adapter_codec import (
     AdapterFormatError,
     open_adapter_record,
     pack_adapter_record,
-    read_adapter_record,
     unpack_adapter_record,
 )
-from repro.serve.adapter_store import (
-    ADAPTER_SUFFIX,
-    LoRAAdapterStore,
-    migrate_adapter_directory,
-    write_legacy_pickle_adapter,
-)
+from repro.serve.adapter_store import AdapterStoreError, LoRAAdapterStore
 
 
 def make_state(seed=0, layers=3):
@@ -84,15 +81,6 @@ class TestRoundTrip:
             with pytest.raises(ValueError):
                 array[...] = 0.0
 
-    def test_read_adapter_record_owns_its_data(self, tmp_path):
-        state = make_state(5)
-        path = tmp_path / "frank.adapter.bin"
-        path.write_bytes(pack_adapter_record("frank", state))
-        record = read_adapter_record(path)
-        path.unlink()  # heap copy must outlive the file
-        assert_states_identical(record.state, state)
-        record.state["adapter.0.lora_a"][0, 0] = 9.0  # and be writable
-
 
 class TestDamage:
     """Every damage class raises a precise AdapterFormatError."""
@@ -144,28 +132,75 @@ class TestDamage:
         with pytest.raises(AdapterFormatError, match="payload CRC mismatch"):
             unpack_adapter_record(bytes(blob))
 
-    def test_shape_table_buffer_length_mismatch(self):
-        # Hand-build a record whose table claims a buffer length that does
-        # not match the declared shape, with CRCs recomputed so only the
-        # semantic check can catch it.
-        import struct
-        import zlib
-
+    def retabled(self, edit):
+        """The blob with ``edit`` applied to its shape table, CRC recomputed
+        so only the semantic checks can catch the damage."""
         good = self.blob()
         header = bytearray(good[:ADAPTER_HEADER_NBYTES])
         (table_nbytes,) = struct.unpack_from("<I", header, 12)
         table = bytearray(good[ADAPTER_HEADER_NBYTES : ADAPTER_HEADER_NBYTES + table_nbytes])
-        # first entry: skip user id ("mallory" = 7 bytes) then key len
-        position = 7
-        (key_len,) = struct.unpack_from("<H", table, position)
-        position += 2 + key_len + 2  # key, dtype+ndim
-        (ndim,) = struct.unpack_from("<B", table, position - 1)
-        position += 4 * ndim + 8  # dims, offset
-        struct.pack_into("<Q", table, position, 12345)  # corrupt nbytes
+        edit(table)
         struct.pack_into("<I", header, 16, zlib.crc32(bytes(table)))
-        blob = bytes(header) + bytes(table) + good[ADAPTER_HEADER_NBYTES + table_nbytes :]
+        return bytes(header) + bytes(table) + good[ADAPTER_HEADER_NBYTES + table_nbytes :]
+
+    def test_shape_table_buffer_length_mismatch(self):
+        def corrupt_nbytes(table):
+            # first entry: skip user id ("mallory" = 7 bytes) then key len
+            position = 7
+            (key_len,) = struct.unpack_from("<H", table, position)
+            position += 2 + key_len + 2  # key, dtype+ndim
+            (ndim,) = struct.unpack_from("<B", table, position - 1)
+            position += 4 * ndim + 8  # dims, offset
+            struct.pack_into("<Q", table, position, 12345)
+
         with pytest.raises(AdapterFormatError, match="length mismatch"):
-            unpack_adapter_record(blob)
+            unpack_adapter_record(self.retabled(corrupt_nbytes))
+
+    def test_non_utf8_key(self):
+        def corrupt_key(table):
+            table[7 + 2] = 0xFF  # first byte of the first key
+
+        with pytest.raises(AdapterFormatError, match="tensor key is not valid UTF-8"):
+            unpack_adapter_record(self.retabled(corrupt_key))
+
+    def test_duplicate_key(self):
+        def duplicate_key(table):
+            second = table.find(b"adapter.0.lora_b")
+            table[second + len("adapter.0.lora_")] = ord("a")
+
+        with pytest.raises(AdapterFormatError, match="duplicate tensor key"):
+            unpack_adapter_record(self.retabled(duplicate_key))
+
+    def test_too_many_dimensions(self):
+        # A CRC-valid record declaring more dims than numpy supports must
+        # still fail as a format error, not as numpy's ValueError.
+        ndim = 65
+        table = b"u" + struct.pack("<H", 1) + b"k" + struct.pack("<BB", 0, ndim)
+        table += struct.pack(f"<{ndim}I", *([1] * ndim)) + struct.pack("<QQ", 0, 4)
+        payload = np.ones(1, dtype="<f4").tobytes()
+        header = struct.pack(
+            "<2sBBHHIIIIQ", b"A1", 1, 0, 1, 1, 0, len(table),
+            zlib.crc32(table), zlib.crc32(payload), len(payload),
+        )
+        padding = b"\0" * (-(len(header) + len(table)) % ADAPTER_ALIGNMENT)
+        with pytest.raises(AdapterFormatError, match="unusable shape"):
+            unpack_adapter_record(header + table + padding + payload)
+
+    def test_nonzero_flags(self):
+        blob = bytearray(self.blob())
+        blob[3] = 1
+        with pytest.raises(AdapterFormatError, match="unknown flags"):
+            unpack_adapter_record(bytes(blob))
+
+    @pytest.mark.parametrize("count", range(6))
+    def test_short_tensor_count_leaves_trailing_table_bytes(self, count):
+        # The tensor count (header byte 6) is outside both CRCs; a smaller
+        # count used to decode silently to the first ``count`` tensors.
+        blob = bytearray(self.blob())
+        assert blob[6] == 6
+        blob[6] = count
+        with pytest.raises(AdapterFormatError, match="trailing bytes"):
+            unpack_adapter_record(bytes(blob))
 
 
 class TestStoreDamageTolerance:
@@ -202,6 +237,22 @@ class TestStoreDamageTolerance:
         store.put("alice", fresh, round=0)
         store.flush()
         assert_states_identical(LoRAAdapterStore(tmp_path).get("alice"), fresh)
+
+    def test_flipped_user_id_length_quarantined(self, tmp_path):
+        # Header byte 4 is the user id length, outside both CRCs.  Flipping
+        # its low bit shifts the shape-table parse onto a dim byte >= 0x80,
+        # which used to escape as a UnicodeDecodeError and skip quarantine.
+        store = LoRAAdapterStore(tmp_path)
+        store.put("alice", {"blocks.0.q.lora_a": np.ones((4, 200), np.float32)}, round=1)
+        store.flush()
+        path = store.path_for("alice")
+        blob = bytearray(path.read_bytes())
+        blob[4] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(KeyError, match="quarantined"):
+            LoRAAdapterStore(tmp_path).get("alice")
+        assert not path.exists()
+        assert path.with_name(path.name + ".corrupt").exists()
 
     def test_foreign_user_record_quarantined(self, tmp_path):
         store = LoRAAdapterStore(tmp_path)
@@ -261,65 +312,12 @@ class TestWarmMmapCache:
         assert again[key][0, 0] != 123.0  # and must not leak back in
 
 
-class TestLegacyPickleCompatibility:
-    def test_legacy_pickle_still_readable(self, tmp_path):
-        state = make_state(17)
-        write_legacy_pickle_adapter(tmp_path, "old-user", state, round=4)
+class TestSingleFormat:
+    def test_store_refuses_a_directory_with_pickle_adapters(self, tmp_path):
         store = LoRAAdapterStore(tmp_path)
-        assert "old-user" in store
-        assert store.users() == ["old-user"]
-        assert_states_identical(store.get("old-user"), state)
-        assert store.get_round("old-user") == 4
-        assert store.stats.legacy_loads == 1
-
-    def test_write_upgrades_and_removes_pickle(self, tmp_path):
-        state = make_state(18)
-        write_legacy_pickle_adapter(tmp_path, "old-user", state, round=4)
-        store = LoRAAdapterStore(tmp_path)
-        store.get("old-user")
-        store.put("old-user", state, round=5)
-        store.flush()
-        assert store.path_for("old-user").is_file()
-        assert not store.legacy_path_for("old-user").is_file()
-        assert LoRAAdapterStore(tmp_path).get_round("old-user") == 5
-
-
-class TestMigration:
-    def test_migrate_round_trips_bit_identically(self, tmp_path):
-        states = {f"user-{index}": make_state(20 + index) for index in range(3)}
-        for user_id, state in states.items():
-            write_legacy_pickle_adapter(tmp_path, user_id, state, round=index_round(user_id))
-        report = migrate_adapter_directory(tmp_path)
-        assert report.ok
-        assert report.migrated == sorted(states)
-        assert not list(tmp_path.glob("*.adapter.pkl"))
-        store = LoRAAdapterStore(tmp_path)
-        for user_id, state in states.items():
-            loaded = store.get(user_id)
-            assert_states_identical(loaded, state)
-            assert store.get_round(user_id) == index_round(user_id)
-        assert store.stats.legacy_loads == 0  # everything served from binary
-
-    def test_migrate_is_idempotent_and_keep_pickles(self, tmp_path):
-        write_legacy_pickle_adapter(tmp_path, "alice", make_state(30), round=1)
-        first = migrate_adapter_directory(tmp_path, keep_pickles=True)
-        assert first.migrated == ["alice"]
-        assert (tmp_path / f"alice{ADAPTER_SUFFIX}").is_file()
-        assert list(tmp_path.glob("*.adapter.pkl"))
-        second = migrate_adapter_directory(tmp_path, keep_pickles=True)
-        assert second.migrated == []
-        assert second.skipped == ["alice"]
-
-    def test_migrate_reports_unreadable_pickles(self, tmp_path):
-        (tmp_path / "broken.adapter.pkl").write_bytes(b"not a pickle")
-        write_legacy_pickle_adapter(tmp_path, "fine", make_state(31))
-        report = migrate_adapter_directory(tmp_path)
-        assert not report.ok
-        assert report.migrated == ["fine"]
-        assert report.failed[0][0] == "broken"
-        # the bad pickle stays in place for the operator
-        assert (tmp_path / "broken.adapter.pkl").is_file()
-
-
-def index_round(user_id: str) -> int:
-    return int(user_id.rsplit("-", 1)[-1]) + 1
+        store.put("alice", make_state(17))
+        store.close()
+        (tmp_path / "old-user.adapter.pkl").write_bytes(b"pre-A1 bytes")
+        (tmp_path / "zed.adapter.pkl").write_bytes(b"pre-A1 bytes")
+        with pytest.raises(AdapterStoreError, match="old-user.adapter.pkl"):
+            LoRAAdapterStore(tmp_path)

@@ -8,9 +8,9 @@ from repro.serve.journal import (
     JOURNAL_MAGIC,
     JournalError,
     RequestJournal,
-    _decode_line,
-    _encode_line,
+    decode_record_line,
     decode_request,
+    encode_record_line,
     encode_request,
     entries_digest,
     journal_digest,
@@ -68,26 +68,26 @@ class TestRequestCodec:
 class TestLineCodec:
     def test_roundtrip(self):
         record = {"kind": "meta", "answer": 42}
-        line = _encode_line(record)
+        line = encode_record_line(record)
         assert line.startswith(f"{JOURNAL_MAGIC} ")
         assert line.endswith("\n")
-        assert _decode_line(line) == record
+        assert decode_record_line(line) == record
 
     def test_checksum_mismatch_rejected(self):
-        line = _encode_line({"kind": "meta"})
+        line = encode_record_line({"kind": "meta"})
         tampered = line.replace('"meta"', '"mela"')
-        assert _decode_line(tampered) is None
+        assert decode_record_line(tampered) is None
 
     def test_wrong_magic_rejected(self):
-        line = _encode_line({"kind": "meta"})
-        assert _decode_line("J9" + line[2:]) is None
+        line = encode_record_line({"kind": "meta"})
+        assert decode_record_line("J9" + line[2:]) is None
 
     def test_non_object_payload_rejected(self):
         import hashlib
 
         payload = json.dumps([1, 2, 3], separators=(",", ":"))
         checksum = hashlib.sha256(payload.encode()).hexdigest()[:16]
-        assert _decode_line(f"{JOURNAL_MAGIC} {checksum} {payload}\n") is None
+        assert decode_record_line(f"{JOURNAL_MAGIC} {checksum} {payload}\n") is None
 
 
 class TestReplayAccounting:
