@@ -21,7 +21,6 @@ from repro.llm.pretrain import (
     PretrainReport,
     build_pretrained_llm,
     pretrain,
-    pretraining_texts,
 )
 
 __all__ = [
@@ -41,6 +40,5 @@ __all__ = [
     "generate_tokens",
     "generate_tokens_batch",
     "pretrain",
-    "pretraining_texts",
     "sample_next_token",
 ]

@@ -72,6 +72,9 @@ class OnDeviceLLM:
         self.model = TransformerLM(transformer_config, rng=rng)
         self._generation_rng = as_generator(self.config.seed + 17)
         self._lora_config: Optional[LoRAConfig] = None
+        #: How :func:`~repro.llm.pretrain.build_pretrained_llm` produced this
+        #: model (a :class:`~repro.llm.base_cache.BaseModelBoot`); None otherwise.
+        self.boot = None
 
     # ------------------------------------------------------------------ #
     # construction helpers

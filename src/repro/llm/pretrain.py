@@ -25,6 +25,13 @@ import numpy as np
 
 from repro.data.dialogue import DialogueCorpus
 from repro.data.persona import UserPersona, generic_model_response
+from repro.llm.base_cache import (
+    BaseModelBoot,
+    base_model_key,
+    load_base_model,
+    record_path,
+    store_base_model,
+)
 from repro.llm.finetune import IGNORE_INDEX, collate_batch, train_batch
 from repro.llm.model import OnDeviceLLM, OnDeviceLLMConfig
 from repro.nn.optim import Adam
@@ -105,18 +112,6 @@ def pretraining_pairs(
     return pairs
 
 
-def pretraining_texts(
-    corpus: DialogueCorpus,
-    include_persona_inventory: bool = True,
-    rng=None,
-) -> List[str]:
-    """Flat-text view of :func:`pretraining_pairs` (kept for vocabulary building)."""
-    pairs = pretraining_pairs(
-        corpus, include_persona_inventory=include_persona_inventory, rng=rng
-    )
-    return [f"{question} {response}" for question, response in pairs]
-
-
 def _encode_pair_example(
     llm: OnDeviceLLM, question: str, response: str, loss_on_response_only: bool
 ) -> Tuple[List[int], List[int]]:
@@ -191,6 +186,11 @@ def build_pretrained_llm(
     responses (a deployed LLM's vocabulary certainly contains everyday words
     like "friend" or "advice"), but the pre-training pairs never use the
     experiment user's specific persona.
+
+    The trained model comes from the base-model cache
+    (:mod:`repro.llm.base_cache`) when it holds a record for exactly these
+    inputs; otherwise the model pretrains and the record is written.
+    ``llm.boot`` tells which happened and how long it took.
     """
     llm_config = llm_config or OnDeviceLLMConfig()
     pretrain_config = pretrain_config or PretrainConfig()
@@ -202,5 +202,12 @@ def build_pretrained_llm(
         num_decoy_personas=pretrain_config.num_decoy_personas,
         rng=pretrain_config.seed,
     )
-    pretrain(llm, pairs, pretrain_config)
+    started = time.perf_counter()
+    key = base_model_key(llm, pretrain_config, pairs)
+    path = record_path(key)
+    result = load_base_model(llm, key, path)
+    if result != "hit":
+        pretrain(llm, pairs, pretrain_config)
+        store_base_model(llm, key, path)
+    llm.boot = BaseModelBoot(result, time.perf_counter() - started)
     return llm

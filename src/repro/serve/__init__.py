@@ -26,25 +26,16 @@ subsystem splits into four parts —
   backpressure, the matching socket client / load driver, and request-trace
   record/replay for deterministic regression testing over real sockets
   (see ``docs/serving.md``);
-* :mod:`repro.serve.shard` / :mod:`repro.serve.adapter_codec` — the
-  scale-out layer: consistent-hash routing over shared-nothing shard
-  workers (``repro serve --workers N``), and the checksummed ``A1`` binary adapter record
-  format with zero-copy mmap loading (see ``docs/scaling.md``);
+* :mod:`repro.serve.shard` — the scale-out layer: consistent-hash routing
+  over shared-nothing shard workers (``repro serve --workers N``); adapters
+  persist as checksummed ``A1`` records (:mod:`repro.utils.a1`, zero-copy
+  mmap loading, see ``docs/scaling.md``);
 * :mod:`repro.serve.config` — the typed :class:`ServeConfig` every entry
   point accepts (the CLI parses argv into it exactly once), and
   :mod:`repro.obs` — the dependency-free metrics registry the serving
   layer reports into (see ``docs/observability.md``).
 """
 
-from repro.serve.adapter_codec import (
-    ADAPTER_BINARY_VERSION,
-    ADAPTER_MAGIC,
-    AdapterFormatError,
-    AdapterRecord,
-    open_adapter_record,
-    pack_adapter_record,
-    unpack_adapter_record,
-)
 from repro.serve.adapter_store import (
     AdapterStoreError,
     LoRAAdapterStore,
@@ -118,10 +109,6 @@ from repro.serve.session import (
 from repro.serve.trace import Trace, TraceError, TraceRecorder, load_trace
 
 __all__ = [
-    "ADAPTER_BINARY_VERSION",
-    "ADAPTER_MAGIC",
-    "AdapterFormatError",
-    "AdapterRecord",
     "AdapterStoreError",
     "CRASH_POINTS",
     "ChatRequest",
@@ -182,14 +169,11 @@ __all__ = [
     "journal_digest",
     "load_trace",
     "make_session_manager",
-    "open_adapter_record",
-    "pack_adapter_record",
     "replay",
     "replay_trace_against",
     "run_serve",
     "serving_framework_config",
     "shard_state_dir",
-    "unpack_adapter_record",
     "user_ids",
     "user_seed",
     "user_transcript_digest",

@@ -12,13 +12,13 @@ Disk layout (one file per user, written atomically)::
     <directory>/
         <user_id>.adapter.bin     # A1 binary record (header, shape table,
                                   # CRC-checksummed raw float32 buffers; see
-                                  # repro.serve.adapter_codec)
+                                  # repro.utils.a1)
         <user_id>.adapter.bin.corrupt   # quarantined unreadable file (kept
                                         # for post-mortem; the user re-inits
                                         # blank)
 
 Adapters are written in the ``A1`` binary format
-(:mod:`repro.serve.adapter_codec`): versioned header, CRC-32 over the shape
+(:mod:`repro.utils.a1`): versioned header, CRC-32 over the shape
 table and the payload, and 64-byte-aligned raw float32 buffers that load
 zero-copy through ``mmap``.  A bounded handle cache keeps recently decoded
 mappings alive, so re-loading a recently-evicted adapter costs a dict copy
@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.core.checkpoint import atomic_bytes_dump
 from repro.nn.lora import clone_lora_state, lora_state_nbytes
-from repro.serve.adapter_codec import (
+from repro.utils.a1 import (
     AdapterFormatError,
     AdapterRecord,
     open_adapter_record,

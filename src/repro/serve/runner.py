@@ -50,6 +50,7 @@ import numpy as np
 from repro.core.checkpoint import CheckpointError, CheckpointManager
 from repro.data.lexicons import LexiconCollection, builtin_lexicons
 from repro.experiments.presets import ExperimentScale
+from repro.llm.base_cache import BOOT_PHASES, CACHE_RESULTS, BaseModelBoot
 from repro.llm.generation import GenerationConfig
 from repro.llm.model import OnDeviceLLM
 from repro.obs import MetricsRegistry, PeriodicSnapshotter, merge_snapshots
@@ -295,6 +296,19 @@ def served_counts(entries: Sequence[dict]) -> Dict[str, int]:
     }
 
 
+def observe_boot(registry: MetricsRegistry, boot: Optional[BaseModelBoot]) -> None:
+    """Record how the base model was produced (``boot`` is None for a model
+    that did not come from ``build_pretrained_llm``, e.g. a clone).  Every
+    key is registered, so the key set is the same cold and warm."""
+    for result in CACHE_RESULTS:
+        registry.counter("base_model_cache_total", result=result)
+    for phase in BOOT_PHASES:
+        registry.gauge("boot_seconds", merge="max", phase=phase)
+    if boot is not None:
+        registry.counter("base_model_cache_total", result=boot.result).inc()
+        registry.gauge("boot_seconds", merge="max", phase=boot.phase).set(boot.seconds)
+
+
 # ---------------------------------------------------------------------- #
 # the shard-serving core
 # ---------------------------------------------------------------------- #
@@ -346,6 +360,8 @@ class ShardServer:
         self.scale = config.resolved_scale()
         self.lexicons = lexicons or builtin_lexicons()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # One shard per run reports the boot, so a merged view counts it once.
+        observe_boot(self.metrics, llm.boot if index == 0 else None)
         self.faults = FaultInjector(plan) if plan is not None else None
         self.generation = serving_generation_config(llm, self.scale)
         #: The journal's first record; its ``load`` is the workload fence.

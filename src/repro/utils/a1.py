@@ -1,6 +1,7 @@
-"""The ``A1`` binary adapter record format: versioned, CRC-checksummed, mmap-able.
+"""The ``A1`` binary record format: versioned, CRC-checksummed, mmap-able.
 
-``A1`` is the only on-disk form of a user's adapter.  It is a structured
+``A1`` is the only on-disk form of a user's adapter, and the form of the
+cached pretrained base model (:mod:`repro.llm.base_cache`).  It is a structured
 binary record in the image-compiler idiom — fixed header, shape table, raw
 buffers — so a load can be validated field by field, damage can be localized
 (and the file quarantined with a precise reason), and the float buffers can
@@ -20,13 +21,14 @@ Byte layout (all integers little-endian)::
     16      4     u32   CRC-32 of the shape-table region
     20      4     u32   CRC-32 of the payload region
     24      8     u64   payload_nbytes (length of the payload region)
-    32      ...   shape table: U bytes of UTF-8 user id, then exactly T
+    32      ...   shape table: U bytes of UTF-8 record name (an adapter's
+                  user id, a base model's cache key), then exactly T
                   entries of [u16 key length, UTF-8 key bytes, u8 dtype code
-                  (0=float32), u8 ndim, ndim x u32 dims, u64 payload offset,
-                  u64 nbytes] and nothing after them
+                  (0=float32, 1=uint8), u8 ndim, ndim x u32 dims, u64 payload
+                  offset, u64 nbytes] and nothing after them
     ...     ...   zero padding to the next 64-byte boundary
-    ...     ...   payload: raw little-endian float32 buffers, each starting
-                  on a 64-byte boundary relative to the payload start
+    ...     ...   payload: raw little-endian buffers, each starting on a
+                  64-byte boundary relative to the payload start
 
 The two CRCs cover the shape table and the payload; the header is covered
 by the structural checks instead (magic, version, zero flags, a shape table
@@ -63,11 +65,11 @@ ADAPTER_BINARY_VERSION = 1
 #: mapped views are cache-line aligned and SIMD-friendly.
 ADAPTER_ALIGNMENT = 64
 
-#: dtype codes appearing in the shape table.  Only float32 exists today; the
-#: table keeps a code byte so future formats can add dtypes without a new
-#: magic.
-_DTYPE_CODES = {0: np.dtype("<f4")}
-_FLOAT32_CODE = 0
+#: dtype codes appearing in the shape table.  uint8 buffers carry opaque
+#: bytes (the base-model cache stores its RNG streams that way); every other
+#: array is packed as float32.
+_DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("u1")}
+_CODE_OF = {dtype: code for code, dtype in _DTYPE_CODES.items()}
 
 _HEADER = struct.Struct("<2sBBHHIIIIQ")
 
@@ -102,8 +104,8 @@ def pack_adapter_record(user_id: str, state: Dict[str, np.ndarray], round: int =
     """Serialize an adapter state dict into one ``A1`` record.
 
     Tensors are written in dict order as contiguous little-endian float32
-    buffers; the result is deterministic for a given ``(user_id, state,
-    round)`` triple.
+    buffers (uint8 arrays stay uint8); the result is deterministic for a
+    given ``(user_id, state, round)`` triple.
     """
     user_bytes = user_id.encode("utf-8")
     if len(user_bytes) > 0xFFFF:
@@ -114,12 +116,13 @@ def pack_adapter_record(user_id: str, state: Dict[str, np.ndarray], round: int =
     buffers = []
     offset = 0
     for key, value in state.items():
-        array = np.ascontiguousarray(value, dtype="<f4")
+        value = np.asarray(value)
+        array = np.ascontiguousarray(value, dtype="u1" if value.dtype == np.uint8 else "<f4")
         key_bytes = key.encode("utf-8")
         if len(key_bytes) > 0xFFFF:
             raise AdapterFormatError(f"tensor key too long: {key!r}")
         table += struct.pack("<H", len(key_bytes)) + key_bytes
-        table += struct.pack("<BB", _FLOAT32_CODE, array.ndim)
+        table += struct.pack("<BB", _CODE_OF[array.dtype], array.ndim)
         table += struct.pack(f"<{array.ndim}I", *array.shape)
         table += struct.pack("<QQ", offset, array.nbytes)
         buffers.append((offset, array.tobytes()))
@@ -152,7 +155,7 @@ def pack_adapter_record(user_id: str, state: Dict[str, np.ndarray], round: int =
 class AdapterRecord:
     """One decoded ``A1`` record: metadata plus (possibly mapped) tensors.
 
-    ``state`` maps tensor keys to **read-only** float32 arrays.  For a
+    ``state`` maps tensor keys to **read-only** arrays.  For a
     mapped record they are zero-copy views into the file's pages; each view
     holds a reference to the mapping, so the record (and its arrays) stay
     valid for as long as anyone keeps them.  Copy before mutating.

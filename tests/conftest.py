@@ -4,17 +4,38 @@ Expensive objects (a small synthetic corpus, a pre-trained tiny LLM) are
 session-scoped so the many tests that need "some model" or "some dialogues"
 do not each pay for construction.  Tests that mutate a model always work on a
 clone.
+
+The base-model cache points at a temporary directory for the whole session
+(CLI subprocesses inherit it): the suite pretrains each model config cold
+once and never reads or writes the user's own cache.
 """
 
 from __future__ import annotations
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
 from repro.data.lexicons import builtin_lexicons
 from repro.data.synthetic import make_corpus, make_generator
+from repro.llm.base_cache import CACHE_DIR_ENV
 from repro.llm.model import OnDeviceLLM, OnDeviceLLMConfig
 from repro.llm.pretrain import PretrainConfig, build_pretrained_llm
+
+
+_session_cache = None
+
+
+def pytest_configure(config):
+    global _session_cache
+    _session_cache = tempfile.TemporaryDirectory(prefix="repro-test-cache-")
+    os.environ[CACHE_DIR_ENV] = _session_cache.name
+
+
+def pytest_unconfigure(config):
+    _session_cache.cleanup()
 
 
 TINY_LLM_CONFIG = OnDeviceLLMConfig(

@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.serve.adapter_codec import (
+from repro.utils.a1 import (
     ADAPTER_ALIGNMENT,
     ADAPTER_HEADER_NBYTES,
     AdapterFormatError,

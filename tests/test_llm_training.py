@@ -16,7 +16,6 @@ from repro.llm.pretrain import (
     build_pretrained_llm,
     pretrain,
     pretraining_pairs,
-    pretraining_texts,
 )
 from repro.nn.lora import LoRAConfig, lora_parameters
 from tests.conftest import TINY_LLM_CONFIG
@@ -115,10 +114,6 @@ class TestPretrain:
             for response in generic_pairs
         ) or True  # combination collisions are possible but must be rare
         assert len(pairs) >= len(med_corpus)
-
-    def test_pretraining_texts_flat_view(self, med_corpus):
-        texts = pretraining_texts(med_corpus, rng=0)
-        assert all(isinstance(text, str) and text for text in texts)
 
     def test_pretrain_reduces_loss(self, med_corpus):
         from repro.llm.model import OnDeviceLLM

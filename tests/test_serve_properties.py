@@ -9,9 +9,9 @@ else, whatever bytes arrive:
   or with any one byte flipped, returns a replay or raises
   :class:`~repro.serve.journal.JournalError`, and a cut journal never
   reports a request finished that the intact journal does not;
-* :func:`~repro.serve.adapter_codec.unpack_adapter_record` on any bytes,
+* :func:`~repro.utils.a1.unpack_adapter_record` on any bytes,
   or on a valid record cut or with any one byte changed, returns a record
-  or raises :class:`~repro.serve.adapter_codec.AdapterFormatError`, and a
+  or raises :class:`~repro.utils.a1.AdapterFormatError`, and a
   one-byte change outside the round fence (bytes 8-11, covered by neither
   CRC) never decodes to a different adapter.
 """
@@ -23,7 +23,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.serve.adapter_codec import (
+from repro.utils.a1 import (
     ADAPTER_MAGIC,
     AdapterFormatError,
     pack_adapter_record,
