@@ -17,14 +17,10 @@ from repro.core.engine import (
     STAGES,
     DialogueEvent,
     EvalEvent,
-    EventLogObserver,
-    HookRegistry,
-    LearningCurveObserver,
     PipelineEngine,
     PipelineObserver,
     RoundEndEvent,
     RoundStartEvent,
-    StageTimingObserver,
 )
 from repro.core.framework import (
     FrameworkConfig,
@@ -63,12 +59,9 @@ __all__ = [
     "DataSynthesizer",
     "DialogueEvent",
     "EvalEvent",
-    "EventLogObserver",
     "FIFOReplaceSelector",
     "FrameworkConfig",
-    "HookRegistry",
     "KCenterSelector",
-    "LearningCurveObserver",
     "LearningCurvePoint",
     "PersonalizationFramework",
     "PersonalizationResult",
@@ -77,7 +70,6 @@ __all__ = [
     "RoundEndEvent",
     "RoundStartEvent",
     "STAGES",
-    "StageTimingObserver",
     "QualityScoreSelector",
     "QualityScorer",
     "QualityScores",

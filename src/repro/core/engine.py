@@ -11,9 +11,11 @@ monolithic ``run`` method.  The loop is decomposed into six named stages —
 ``finetune``    one LoRA fine-tuning round over buffer + synthesized data
 ``evaluate``    score the current model on the held-out evaluator
 
-— coordinated by :class:`PipelineEngine`, with a typed hook/event system so
-learning-curve recording, structured event logging, timing and future
-telemetry are pluggable observers rather than inline code.
+— coordinated by :class:`PipelineEngine`.  Typed events go to one plain list
+of :class:`PipelineObserver` instances (``engine.observers``), and every
+stage adds its wall-clock seconds to one per-stage running total
+(``engine.stage_seconds``), mirrored into a :mod:`repro.obs` registry's
+``stage_seconds`` histograms once :meth:`PipelineEngine.observe_stages` ran.
 
 The engine owns the run-progress state (dialogues seen, rounds completed,
 learning curve so far) and can capture / restore it in full through
@@ -23,9 +25,11 @@ which is what :mod:`repro.core.checkpoint` serializes to disk.
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING, Union
+from typing import Dict, Iterator, List, Optional, Sequence, TYPE_CHECKING, Union
 
 from repro.core.annotation import AnnotationOracle
 from repro.core.buffer import BufferEntry, DataBuffer
@@ -36,8 +40,6 @@ from repro.data.dialogue import DialogueSet
 from repro.data.stream import DialogueStream
 from repro.llm.finetune import FineTuneReport, LoRAFineTuner
 from repro.llm.model import OnDeviceLLM
-from repro.utils.logging import EventRecorder
-from repro.utils.timing import SectionTimer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.framework import (
@@ -50,8 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: The named stages of the pipeline, in execution order.
 STAGES = ("ingest", "select", "annotate", "synthesize", "finetune", "evaluate")
 
-#: The timer-section names the stages measure themselves under (what
-#: :meth:`PipelineEngine.observe_stages` exports as ``stage_seconds``).
+#: The section names the stages measure themselves under (the keys of
+#: ``engine.stage_seconds`` and the labels of the ``stage_seconds`` histograms).
 STAGE_SECTIONS = (
     "generation",
     "selection",
@@ -132,114 +134,6 @@ class PipelineObserver:
         pass
 
 
-#: Hook names the registry accepts (mirrors :class:`PipelineObserver`).
-HOOK_NAMES = (
-    "on_run_start",
-    "on_dialogue",
-    "on_round_start",
-    "on_round_end",
-    "on_eval",
-    "on_run_end",
-)
-
-
-class HookRegistry:
-    """Dispatches pipeline events to observers and plain callbacks."""
-
-    def __init__(self) -> None:
-        self._observers: List[PipelineObserver] = []
-        self._callbacks: Dict[str, List[Callable]] = {name: [] for name in HOOK_NAMES}
-
-    def add_observer(self, observer: PipelineObserver) -> PipelineObserver:
-        """Register a :class:`PipelineObserver`; returns it for chaining."""
-        self._observers.append(observer)
-        return observer
-
-    def add(self, hook: str, callback: Callable) -> None:
-        """Register a bare callable for one hook (``hook`` must be typed)."""
-        if hook not in self._callbacks:
-            raise KeyError(f"unknown hook {hook!r}; known hooks: {HOOK_NAMES}")
-        self._callbacks[hook].append(callback)
-
-    def emit(self, hook: str, payload) -> None:
-        """Fire one hook on every observer and registered callback, in order."""
-        for observer in self._observers:
-            getattr(observer, hook)(payload)
-        for callback in self._callbacks[hook]:
-            callback(payload)
-
-
-# --------------------------------------------------------------------------- #
-# built-in observers
-# --------------------------------------------------------------------------- #
-class LearningCurveObserver(PipelineObserver):
-    """Accumulates :class:`LearningCurvePoint`s from ``on_eval`` events.
-
-    This is the Figure 2 profiling signal; it used to be inline code in the
-    monolithic ``run`` method and is now just one observer among others.
-    """
-
-    def __init__(self) -> None:
-        self.points: List["LearningCurvePoint"] = []
-
-    def on_eval(self, event: EvalEvent) -> None:
-        from repro.core.framework import LearningCurvePoint
-
-        self.points.append(
-            LearningCurvePoint(
-                seen=event.seen,
-                rouge_1=event.score,
-                finetune_round=event.round_index,
-                eval_seconds=event.seconds,
-            )
-        )
-
-
-class EventLogObserver(PipelineObserver):
-    """Forwards pipeline events to an :class:`EventRecorder`.
-
-    Preserves the event names and payload shapes tests and the evaluation
-    harness already rely on (``buffer_insert``, ``finetune_round``).
-    """
-
-    def __init__(self, recorder: EventRecorder) -> None:
-        self.recorder = recorder
-
-    def on_dialogue(self, event: DialogueEvent) -> None:
-        decision = event.decision
-        if decision.accepted and decision.entry is not None:
-            self.recorder.record(
-                "buffer_insert",
-                seen=event.seen,
-                replaced=decision.was_replacement,
-                domain=decision.entry.dominant_domain,
-            )
-
-    def on_round_end(self, event: RoundEndEvent) -> None:
-        self.recorder.record(
-            "finetune_round",
-            round=event.round_index,
-            originals=event.num_originals,
-            synthesized=event.num_synthesized,
-            final_loss=event.report.final_loss,
-            seconds=event.report.seconds_total,
-        )
-
-
-class StageTimingObserver(PipelineObserver):
-    """Collects per-round wall-clock aggregates (telemetry example observer)."""
-
-    def __init__(self) -> None:
-        self.round_seconds: List[float] = []
-        self.eval_seconds: List[float] = []
-
-    def on_round_end(self, event: RoundEndEvent) -> None:
-        self.round_seconds.append(event.report.seconds_total)
-
-    def on_eval(self, event: EvalEvent) -> None:
-        self.eval_seconds.append(event.seconds)
-
-
 # --------------------------------------------------------------------------- #
 # the engine
 # --------------------------------------------------------------------------- #
@@ -248,8 +142,9 @@ class PipelineEngine:
 
     The engine does not construct its components — the framework (or a test)
     wires buffer, scorer, selector, annotator, synthesizer and fine-tuner and
-    hands them over.  The engine contributes the loop structure, the hook
-    system, the run-progress state and checkpointability.
+    hands them over.  The engine contributes the loop structure, the
+    observer dispatch, the per-stage timing, the run-progress state and
+    checkpointability.
     """
 
     def __init__(
@@ -262,8 +157,6 @@ class PipelineEngine:
         annotator: AnnotationOracle,
         synthesizer: DataSynthesizer,
         finetuner: LoRAFineTuner,
-        recorder: Optional[EventRecorder] = None,
-        timer: Optional[SectionTimer] = None,
         observers: Sequence[PipelineObserver] = (),
     ) -> None:
         self.llm = llm
@@ -274,13 +167,13 @@ class PipelineEngine:
         self.annotator = annotator
         self.synthesizer = synthesizer
         self.finetuner = finetuner
-        self.recorder = recorder if recorder is not None else EventRecorder()
-        self.timer = timer if timer is not None else SectionTimer()
-        self.hooks = HookRegistry()
-        self._curve = self.hooks.add_observer(LearningCurveObserver())
-        self.hooks.add_observer(EventLogObserver(self.recorder))
-        for observer in observers:
-            self.hooks.add_observer(observer)
+        #: Receive every pipeline event, in list order; append freely.
+        self.observers: List[PipelineObserver] = list(observers)
+        #: Running wall-clock seconds per stage section that has run
+        #: (O(stages), however many dialogues are processed).
+        self.stage_seconds: Dict[str, float] = {}
+        self._stage_histograms: Optional[dict] = None
+        self._curve: List["LearningCurvePoint"] = []
         self._seen = 0
         self._finetune_rounds = 0
         self._reports: List[FineTuneReport] = []
@@ -300,13 +193,30 @@ class PipelineEngine:
         stages are pre-registered so a snapshot's key set does not depend
         on which stages a particular workload happened to exercise.
         """
-        for stage in STAGE_SECTIONS:
-            metrics.histogram("stage_seconds", stage=stage)
+        self._stage_histograms = {
+            stage: metrics.histogram("stage_seconds", stage=stage)
+            for stage in STAGE_SECTIONS
+        }
 
-        def observe(name: str, seconds: float) -> None:
-            metrics.histogram("stage_seconds", stage=name).observe(seconds)
+    def _record_stage(self, section: str, start: float) -> float:
+        """Add the seconds since ``start`` to ``section``; returns them."""
+        seconds = time.perf_counter() - start
+        self.stage_seconds[section] = self.stage_seconds.get(section, 0.0) + seconds
+        if self._stage_histograms is not None:
+            self._stage_histograms[section].observe(seconds)
+        return seconds
 
-        self.timer.on_section = observe
+    @contextmanager
+    def _timed(self, section: str) -> Iterator[None]:
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self._record_stage(section, start)
+
+    def _emit(self, hook: str, payload) -> None:
+        for observer in self.observers:
+            getattr(observer, hook)(payload)
 
     # -- run-progress state ------------------------------------------------- #
     @property
@@ -322,7 +232,7 @@ class PipelineEngine:
     @property
     def learning_curve(self) -> List["LearningCurvePoint"]:
         """The learning-curve points recorded so far (live list)."""
-        return self._curve.points
+        return self._curve
 
     @property
     def finetune_reports(self) -> List[FineTuneReport]:
@@ -336,17 +246,17 @@ class PipelineEngine:
         """Stage 1 — optionally regenerate the model response for an arrival."""
         if not self.config.regenerate_responses:
             return dialogue
-        with self.timer.section("generation"):
+        with self._timed("generation"):
             return dialogue.with_response(self.llm.respond(dialogue.question))
 
     def select(self, dialogue: DialogueSet) -> SelectionDecision:
         """Stage 2 — offer the dialogue set to the selection policy."""
-        with self.timer.section("selection"):
+        with self._timed("selection"):
             return self.selector.offer(dialogue)
 
     def annotate(self, entry: BufferEntry) -> BufferEntry:
         """Stage 3 — user annotation of a dialogue set accepted into the buffer."""
-        with self.timer.section("annotation"):
+        with self._timed("annotation"):
             annotated = self.annotator.annotate(entry.dialogue)
         entry.dialogue = annotated
         entry.annotated = True
@@ -354,12 +264,12 @@ class PipelineEngine:
 
     def synthesize(self, originals: Sequence[DialogueSet]) -> List[DialogueSet]:
         """Stage 4 — generate semantically similar sets from the buffer."""
-        with self.timer.section("synthesis"):
+        with self._timed("synthesis"):
             return self.synthesizer.synthesize(list(originals))
 
     def finetune(self, training_data: Sequence[DialogueSet]) -> FineTuneReport:
         """Stage 5 — one LoRA fine-tuning round over ``training_data``."""
-        with self.timer.section("finetune"):
+        with self._timed("finetune"):
             report = self.finetuner.finetune(list(training_data))
         # Fine-tuning changed the embedding function; cached per-text
         # embeddings no longer reflect the model.
@@ -380,16 +290,33 @@ class PipelineEngine:
             selector_scorer.invalidate_embeddings()
 
     def evaluate(self, evaluator: "Evaluator", initial: bool = False) -> float:
-        """Stage 6 — score the current model; fires ``on_eval``."""
-        with self.timer.section("evaluation"):
+        """Stage 6 — score the current model; extends the learning curve.
+
+        The new :class:`LearningCurvePoint` is appended before ``on_eval``
+        fires, so observers already see it as ``learning_curve[-1]``.
+        """
+        from repro.core.framework import LearningCurvePoint
+
+        start = time.perf_counter()
+        try:
             score = evaluator(self.llm)
-        self.hooks.emit(
+        finally:
+            seconds = self._record_stage("evaluation", start)
+        self._curve.append(
+            LearningCurvePoint(
+                seen=self._seen,
+                rouge_1=score,
+                finetune_round=self._finetune_rounds,
+                eval_seconds=seconds,
+            )
+        )
+        self._emit(
             "on_eval",
             EvalEvent(
                 seen=self._seen,
                 round_index=self._finetune_rounds,
                 score=score,
-                seconds=self.timer.record("evaluation").durations[-1],
+                seconds=seconds,
                 initial=initial,
             ),
         )
@@ -405,7 +332,7 @@ class PipelineEngine:
         decision = self.select(dialogue)
         if decision.accepted and decision.entry is not None:
             self.annotate(decision.entry)
-        self.hooks.emit(
+        self._emit(
             "on_dialogue",
             DialogueEvent(seen=self._seen, dialogue=dialogue, decision=decision),
         )
@@ -413,7 +340,7 @@ class PipelineEngine:
 
     def finetune_round(self) -> FineTuneReport:
         """Run synthesize → finetune; fires ``on_round_start``/``on_round_end``."""
-        self.hooks.emit(
+        self._emit(
             "on_round_start",
             RoundStartEvent(
                 round_index=self._finetune_rounds + 1,
@@ -426,7 +353,7 @@ class PipelineEngine:
         report = self.finetune(originals + synthesized)
         self._finetune_rounds += 1
         self._reports.append(report)
-        self.hooks.emit(
+        self._emit(
             "on_round_end",
             RoundEndEvent(
                 round_index=self._finetune_rounds,
@@ -474,10 +401,10 @@ class PipelineEngine:
         # evaluation already happened.  A fresh run on a reused engine starts
         # a new curve (and stream coverage) of its own, like the seed did.
         resuming = self._stream_cursor > 0
-        curve_start = 0 if resuming else len(self._curve.points)
+        curve_start = 0 if resuming else len(self._curve)
         reports_start = 0 if resuming else len(self._reports)
 
-        self.hooks.emit("on_run_start", self)
+        self._emit("on_run_start", self)
         if evaluator is not None and evaluate_initial and not resuming:
             self.evaluate(evaluator, initial=True)
 
@@ -526,7 +453,7 @@ class PipelineEngine:
             # the cursor from the snapshot.
             self._stream_cursor = 0
         result = self.build_result(curve_start=curve_start, reports_start=reports_start)
-        self.hooks.emit("on_run_end", self)
+        self._emit("on_run_end", self)
         return result
 
     def build_result(
@@ -542,7 +469,7 @@ class PipelineEngine:
 
         return PersonalizationResult(
             selector_name=self.selector.name,
-            learning_curve=list(self._curve.points[curve_start:]),
+            learning_curve=list(self._curve[curve_start:]),
             finetune_reports=list(self._reports[reports_start:]),
             total_seen=self._seen,
             annotation_requests=self.annotator.request_count,
@@ -550,7 +477,7 @@ class PipelineEngine:
             buffer_domain_histogram=self.buffer.domain_histogram(),
             buffer_occupancy=self.buffer.occupancy(),
             acceptance_rate=self.selector.acceptance_rate(),
-            timings=self.timer.summary(),
+            timings=dict(self.stage_seconds),
         )
 
     # ------------------------------------------------------------------ #
@@ -577,7 +504,7 @@ class PipelineEngine:
                 "seen": self._seen,
                 "finetune_rounds": self._finetune_rounds,
                 "stream_cursor": self._stream_cursor,
-                "learning_curve": list(self._curve.points),
+                "learning_curve": list(self._curve),
                 "finetune_reports": list(self._reports),
             },
             "model": self.llm.export_runtime_state(),
@@ -610,7 +537,7 @@ class PipelineEngine:
         self._seen = int(progress["seen"])
         self._finetune_rounds = int(progress["finetune_rounds"])
         self._stream_cursor = int(progress["stream_cursor"])
-        self._curve.points[:] = list(progress["learning_curve"])
+        self._curve[:] = list(progress["learning_curve"])
         self._reports[:] = list(progress["finetune_reports"])
         # The restored weights differ from whatever the scorer(s) cached
         # embeddings under; stale vectors must not survive the restore (this

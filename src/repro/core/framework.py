@@ -15,7 +15,7 @@ The framework drives the three stages end to end over a streaming corpus:
 Structurally, :class:`PersonalizationFramework` is a facade: it wires the
 components (buffer, scorer, selector, annotator, synthesizer, fine-tuner)
 and hands them to the staged :class:`~repro.core.engine.PipelineEngine`,
-which owns the loop, the hook/event system, and full-state checkpoint /
+which owns the loop, the observer list, and full-state checkpoint /
 resume (see :mod:`repro.core.checkpoint`).  The run records a learning curve
 (ROUGE-1 against a held-out evaluator as a function of the number of
 dialogue sets seen), which is the profiling tool used for Figure 2.
@@ -152,21 +152,6 @@ class PersonalizationFramework:
         )
 
     # -- engine passthroughs ------------------------------------------------ #
-    @property
-    def hooks(self):
-        """The engine's hook registry (register observers / callbacks here)."""
-        return self.engine.hooks
-
-    @property
-    def recorder(self):
-        """The engine's structured event recorder."""
-        return self.engine.recorder
-
-    @property
-    def timer(self):
-        """The engine's per-stage section timer."""
-        return self.engine.timer
-
     @property
     def seen_count(self) -> int:
         """Number of dialogue sets processed so far."""

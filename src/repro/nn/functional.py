@@ -242,9 +242,3 @@ def attention_scores_mask(seq_len: int, past_len: int = 0) -> np.ndarray:
     """
     total = past_len + seq_len
     return np.triu(np.ones((seq_len, total), dtype=bool), k=past_len + 1)
-
-
-def mse_loss(prediction: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target array."""
-    diff = prediction - Tensor(np.asarray(target, dtype=prediction.data.dtype))
-    return (diff * diff).mean()

@@ -118,31 +118,6 @@ class PersonalizeOutcome:
     report: Optional[FineTuneReport] = None
 
 
-@dataclass
-class SwapStats:
-    """Adapter hot-swap latency aggregates (running, O(1) space)."""
-
-    count: int = 0
-    total_seconds: float = 0.0
-    max_seconds: float = 0.0
-
-    def record(self, seconds: float) -> None:
-        self.count += 1
-        self.total_seconds += seconds
-        self.max_seconds = max(self.max_seconds, seconds)
-
-    @property
-    def mean_seconds(self) -> float:
-        return self.total_seconds / self.count if self.count else 0.0
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean_ms": self.mean_seconds * 1e3,
-            "max_ms": self.max_seconds * 1e3,
-        }
-
-
 class SessionManager:
     """Attaches per-user adapters to one shared model and runs their sessions."""
 
@@ -197,7 +172,6 @@ class SessionManager:
         # fine-tuning mutates adapter weights, so chat-only swaps skip the
         # export + write-back entirely.
         self._dirty: Set[str] = set()
-        self.swaps = SwapStats()
 
     # ------------------------------------------------------------------ #
     # adapter attachment
@@ -210,7 +184,7 @@ class SessionManager:
     def attach(self, user_id: str) -> float:
         """Make ``user_id`` the active user; returns the swap latency in seconds.
 
-        A no-op (returning 0.0 and recording no swap) when the user is already
+        A no-op (returning 0.0, which callers count as no swap) when the user is already
         attached.  Otherwise the outgoing user's adapter is written back to
         the store (if it changed) and the incoming user's adapter is fetched
         (unknown users get a copy of the blank adapter).
@@ -235,9 +209,7 @@ class SessionManager:
             self.store.put(user_id, state)
         self.llm.load_adapter_state(state)
         self._active_user = user_id
-        elapsed = time.perf_counter() - start
-        self.swaps.record(elapsed)
-        return elapsed
+        return time.perf_counter() - start
 
     def _write_back_active(self) -> None:
         """Save the active user's adapter to the store if it changed.

@@ -1,4 +1,8 @@
-"""Shared utilities: seeded RNG, config (de)serialization, logging, timing."""
+"""Shared utilities: seeded RNG, config (de)serialization, logging.
+
+Timing lives in :mod:`repro.obs` (``MetricsRegistry.timer``); the pipeline
+engine keeps its own per-stage totals (``PipelineEngine.stage_seconds``).
+"""
 
 from repro.utils.config import (
     config_from_dict,
@@ -10,7 +14,7 @@ from repro.utils.config import (
     require_positive,
     save_config,
 )
-from repro.utils.logging import Event, EventRecorder, enable_console_logging, get_logger
+from repro.utils.logging import enable_console_logging, get_logger
 from repro.utils.rng import (
     ReseedableRNG,
     as_generator,
@@ -20,15 +24,9 @@ from repro.utils.rng import (
     spawn,
     stream_of_seeds,
 )
-from repro.utils.timing import SectionTimer, Stopwatch, TimerRecord
 
 __all__ = [
-    "Event",
-    "EventRecorder",
     "ReseedableRNG",
-    "SectionTimer",
-    "Stopwatch",
-    "TimerRecord",
     "as_generator",
     "choice_without_replacement",
     "config_from_dict",

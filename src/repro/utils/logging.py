@@ -1,17 +1,14 @@
-"""Minimal structured logging used by experiment runners and the framework.
+"""Minimal logging used by experiment runners and the framework.
 
 The library deliberately avoids configuring the root logger; it exposes a
-namespaced logger factory plus a tiny in-memory event recorder that experiment
-runners use to capture progress (fine-tuning rounds, buffer statistics) that
-tests can assert on without parsing text output.
+namespaced logger factory and an opt-in console handler.  Pipeline progress
+is observed through :class:`repro.core.engine.PipelineObserver`, not logged.
 """
 
 from __future__ import annotations
 
 import logging
-import time
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Optional
 
 _LIBRARY_LOGGER_NAME = "repro"
 
@@ -36,66 +33,3 @@ def enable_console_logging(level: int = logging.INFO) -> None:
             logging.Formatter("%(asctime)s %(name)s %(levelname)s: %(message)s")
         )
         logger.addHandler(handler)
-
-
-@dataclass
-class Event:
-    """A single recorded event with a name, timestamp and payload."""
-
-    name: str
-    timestamp: float
-    payload: dict[str, Any] = field(default_factory=dict)
-
-
-class EventRecorder:
-    """In-memory event log used by the framework and experiment runners.
-
-    Events are cheap dictionaries; tests and the evaluation harness query them
-    by name (e.g. ``finetune_round``, ``buffer_replace``) to reconstruct what
-    happened during a streaming run.
-    """
-
-    def __init__(self) -> None:
-        self._events: list[Event] = []
-
-    def record(self, name: str, **payload: Any) -> Event:
-        """Record an event and return it."""
-        event = Event(name=name, timestamp=time.time(), payload=dict(payload))
-        self._events.append(event)
-        return event
-
-    def events(self, name: Optional[str] = None) -> list[Event]:
-        """All events, optionally filtered by name."""
-        if name is None:
-            return list(self._events)
-        return [event for event in self._events if event.name == name]
-
-    def count(self, name: str) -> int:
-        """Number of events recorded under ``name``."""
-        return sum(1 for event in self._events if event.name == name)
-
-    def last(self, name: str) -> Optional[Event]:
-        """Most recent event with ``name``, or ``None``."""
-        for event in reversed(self._events):
-            if event.name == name:
-                return event
-        return None
-
-    def payloads(self, name: str) -> list[dict[str, Any]]:
-        """Payload dictionaries of all events named ``name`` in order."""
-        return [event.payload for event in self._events if event.name == name]
-
-    def clear(self) -> None:
-        """Drop all recorded events."""
-        self._events.clear()
-
-    def merge(self, others: Iterable["EventRecorder"]) -> None:
-        """Append events from other recorders, keeping chronological order."""
-        merged = list(self._events)
-        for other in others:
-            merged.extend(other.events())
-        merged.sort(key=lambda event: event.timestamp)
-        self._events = merged
-
-    def __len__(self) -> int:
-        return len(self._events)

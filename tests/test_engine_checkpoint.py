@@ -1,4 +1,4 @@
-"""Tests for the pipeline engine, its hook system and checkpoint/resume.
+"""Tests for the pipeline engine, its observers and checkpoint/resume.
 
 The centerpiece is the round-trip test: a run interrupted at a fine-tuning
 boundary, checkpointed and resumed in a fresh process-equivalent framework
@@ -24,6 +24,7 @@ from repro.data.stream import DialogueStream, StreamConfig
 from repro.eval.rouge_eval import EvaluationConfig, ResponseEvaluator
 from repro.llm.finetune import FineTuneConfig
 from repro.nn.lora import LoRAConfig
+from repro.obs import MetricsRegistry
 
 INTERVAL = 8
 
@@ -84,7 +85,7 @@ class TestEngineStructure:
         )
         assert framework.engine.buffer is framework.buffer
         assert framework.engine.selector is framework.selector
-        assert framework.hooks is framework.engine.hooks
+        assert framework.engine.observers == []
         assert framework.seen_count == 0
         assert framework.finetune_round_count == 0
 
@@ -116,13 +117,20 @@ class TestEngineStructure:
             def on_run_end(self, engine):
                 self.runs += 1
 
+        class EvalScores(PipelineObserver):
+            def __init__(self):
+                self.scores = []
+
+            def on_eval(self, event):
+                self.scores.append(event.score)
+
         counter = Counter()
         framework = PersonalizationFramework(
             pretrained_llm.clone(), config=_config(), lexicons=lexicons,
             observers=[counter],
         )
-        eval_scores = []
-        framework.hooks.add("on_eval", lambda event: eval_scores.append(event.score))
+        eval_scores = EvalScores()
+        framework.engine.observers.append(eval_scores)
         result = framework.run(_stream(dialogues), evaluator=evaluator)
 
         assert counter.dialogues == len(dialogues)
@@ -130,14 +138,51 @@ class TestEngineStructure:
         # initial point + one per round
         assert counter.evals == len(result.finetune_reports) + 1
         assert counter.runs == 1
-        assert eval_scores == [p.rouge_1 for p in result.learning_curve]
+        assert eval_scores.scores == [p.rouge_1 for p in result.learning_curve]
 
-    def test_unknown_hook_rejected(self, pretrained_llm, lexicons):
+    def test_stage_timing_is_one_measurement(
+        self, pretrained_llm, lexicons, dialogues, evaluator
+    ):
+        """Result timings, the stage_seconds histograms, EvalEvent.seconds and
+        LearningCurvePoint.eval_seconds all come from the same clock reads."""
+
+        class EvalWatcher(PipelineObserver):
+            def __init__(self, engine):
+                self.engine = engine
+                self.events = []
+                self.saw_own_point = []
+
+            def on_eval(self, event):
+                self.events.append(event)
+                point = self.engine.learning_curve[-1]
+                self.saw_own_point.append(
+                    (point.seen, point.rouge_1) == (event.seen, event.score)
+                )
+
         framework = PersonalizationFramework(
             pretrained_llm.clone(), config=_config(), lexicons=lexicons
         )
-        with pytest.raises(KeyError):
-            framework.hooks.add("on_nonexistent", lambda event: None)
+        engine = framework.engine
+        registry = MetricsRegistry()
+        engine.observe_stages(registry)
+        watcher = EvalWatcher(engine)
+        engine.observers.append(watcher)
+        result = framework.run(_stream(dialogues), evaluator=evaluator)
+
+        assert set(result.timings) == {
+            "selection", "annotation", "synthesis", "finetune", "evaluation"
+        }
+        for stage, seconds in result.timings.items():
+            histogram = registry.histogram("stage_seconds", stage=stage)
+            assert histogram.sum == seconds
+        assert registry.histogram("stage_seconds", stage="generation").count == 0
+        assert registry.histogram("stage_seconds", stage="finetune").count == len(
+            result.finetune_reports
+        )
+        assert [event.seconds for event in watcher.events] == [
+            point.eval_seconds for point in result.learning_curve
+        ]
+        assert watcher.saw_own_point == [True] * len(result.learning_curve)
 
 
 class TestCheckpointRoundTrip:
@@ -200,11 +245,12 @@ class TestCheckpointRoundTrip:
         )
         save_at = INTERVAL + 3  # three dialogues into the second chunk
 
-        def snapshot(event):
-            if event.seen == save_at:
-                interrupted.save_checkpoint(checkpoint_dir)
+        class Snapshot(PipelineObserver):
+            def on_dialogue(self, event):
+                if event.seen == save_at:
+                    interrupted.save_checkpoint(checkpoint_dir)
 
-        interrupted.hooks.add("on_dialogue", snapshot)
+        interrupted.engine.observers.append(Snapshot())
         interrupted.run(_stream(dialogues), evaluator=evaluator)
         manifest = CheckpointManager(checkpoint_dir).manifest()
         assert manifest["seen"] == save_at

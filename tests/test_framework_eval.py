@@ -87,9 +87,9 @@ class TestPersonalizationFramework:
 
     def test_buffer_not_cleared_after_finetune(self, fresh_llm, small_config, stream, lexicons):
         framework = PersonalizationFramework(fresh_llm, config=small_config, lexicons=lexicons)
-        framework.run(stream, evaluator=None)
+        result = framework.run(stream, evaluator=None)
         assert len(framework.buffer) > 0
-        assert framework.recorder.count("finetune_round") >= 1
+        assert len(result.finetune_reports) >= 1
 
     def test_regenerate_responses_mode(self, fresh_llm, med_corpus, lexicons):
         config = FrameworkConfig(
@@ -101,7 +101,7 @@ class TestPersonalizationFramework:
         framework = PersonalizationFramework(fresh_llm, config=config, lexicons=lexicons)
         decision = framework.process_dialogue(med_corpus[0])
         assert decision.accepted
-        assert "generation" in framework.timer.summary()
+        assert "generation" in framework.engine.stage_seconds
 
     def test_custom_selector_injection(self, fresh_llm, small_config, lexicons):
         from repro.core.baselines import FIFOReplaceSelector

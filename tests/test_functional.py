@@ -115,8 +115,3 @@ class TestMasks:
         mask = F.attention_scores_mask(4)
         assert mask.shape == (4, 4)
         assert not mask[2, 1] and mask[1, 2]
-
-    def test_mse_loss(self):
-        pred = Tensor([1.0, 2.0], requires_grad=True)
-        loss = F.mse_loss(pred, np.array([1.0, 4.0]))
-        assert loss.item() == pytest.approx(2.0)

@@ -75,13 +75,11 @@ class TestBlankAdapter:
 
     def test_attach_is_noop_when_already_active(self, fresh_llm, tmp_path):
         manager = make_manager(fresh_llm, tmp_path)
-        manager.attach("alice")
-        assert manager.swaps.count == 1
-        manager.attach("alice")
-        assert manager.swaps.count == 1
+        assert manager.attach("alice") > 0.0
+        assert manager.attach("alice") == 0.0
         assert manager.active_user == "alice"
-        manager.attach("bob")
-        assert manager.swaps.count == 2
+        assert manager.attach("bob") > 0.0
+        assert manager.active_user == "bob"
 
 
 class TestSwapIsolation:

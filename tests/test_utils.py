@@ -1,17 +1,13 @@
-"""Tests for the utils package (rng, config, logging, timing)."""
+"""Tests for the utils package (rng, config, logging)."""
 
 import dataclasses
 import logging
-import time
 
 import numpy as np
 import pytest
 
 from repro.utils import (
-    EventRecorder,
     ReseedableRNG,
-    SectionTimer,
-    Stopwatch,
     as_generator,
     choice_without_replacement,
     config_from_dict,
@@ -132,47 +128,3 @@ class TestLogging:
     def test_get_logger_namespaced(self):
         assert get_logger("sub").name == "repro.sub"
         assert isinstance(get_logger(), logging.Logger)
-
-    def test_event_recorder(self):
-        recorder = EventRecorder()
-        recorder.record("step", value=1)
-        recorder.record("step", value=2)
-        recorder.record("other")
-        assert recorder.count("step") == 2
-        assert recorder.last("step").payload["value"] == 2
-        assert recorder.payloads("step") == [{"value": 1}, {"value": 2}]
-        assert len(recorder.events()) == 3
-        assert recorder.last("missing") is None
-        recorder.clear()
-        assert len(recorder) == 0
-
-    def test_event_recorder_merge(self):
-        a, b = EventRecorder(), EventRecorder()
-        a.record("a")
-        b.record("b")
-        a.merge([b])
-        assert len(a) == 2
-
-
-class TestTiming:
-    def test_stopwatch(self):
-        watch = Stopwatch().start()
-        time.sleep(0.01)
-        elapsed = watch.stop()
-        assert elapsed >= 0.005
-        watch.reset()
-        assert watch.elapsed == 0.0
-
-    def test_section_timer(self):
-        timer = SectionTimer()
-        with timer.section("work"):
-            time.sleep(0.01)
-        with timer.section("work"):
-            pass
-        record = timer.record("work")
-        assert record.calls == 2
-        assert record.total_seconds >= 0.005
-        assert record.mean_seconds > 0
-        assert record.max_seconds >= record.mean_seconds
-        assert "work" in timer.summary()
-        assert timer.total("missing") == 0.0
