@@ -3,11 +3,12 @@
 Serves the same deterministic chat-only multi-user load twice over one
 shared pre-trained base model:
 
-* ``sequential`` — ``max_batch_size=1``: every request decodes alone, the
-  way a naive per-user loop would serve traffic;
-* ``batched`` — ``max_batch_size=8``: the scheduler groups each user's
-  queued requests into one padded ``respond_batch`` decode (the PR-1 fast
-  path) under a single adapter attach;
+* ``sequential`` — ``max_batch_size=1``: one request per user per turn.
+  This is not one row per decode: the chat turns between two personalize
+  turns still share decode rounds (up to ``ROUND_ROWS`` rows across users
+  per ``respond_batch``);
+* ``batched`` — ``max_batch_size=8``: each turn takes up to 8 of a user's
+  queued requests, and the turns share decode rounds the same way;
 * ``journaled`` — ``batched`` plus a durable request journal recording
   every enqueue and completion (the PR-6 robustness layer), measuring what
   crash-safety costs at steady state.

@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=8,
-        help="max same-adapter chat requests decoded in one batch (default 8)",
+        help="max chat requests of one user per turn (default 8)",
     )
     serve.add_argument(
         "--cache-capacity",

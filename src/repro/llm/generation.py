@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.nn.tensor import inference_mode
-from repro.nn.transformer import TransformerLM
+from repro.nn.transformer import KVCache, TransformerLM
 from repro.utils.config import require_positive
 from repro.utils.rng import as_generator
 
@@ -215,7 +215,14 @@ def generate_tokens_batch(
     was_training = model.training
     if was_training:
         model.eval()
-    cache = model.new_kv_cache()
+    # Sized to what the decode can reach before a re-prime (the longest
+    # window plus every new token), not to max_seq_len: the cache is
+    # batch-sized, so the unused tail would be the largest idle buffer.
+    longest = max(len(context) for context in contexts)
+    cache = KVCache(
+        model.config.num_layers,
+        capacity=min(max_context, longest + config.max_new_tokens),
+    )
     token_ids = np.zeros(batch, dtype=np.int64)  # each row's newest token
     positions: Optional[np.ndarray] = None  # and its absolute position
     padding: Optional[np.ndarray] = None

@@ -13,9 +13,10 @@ exposes exactly the three capabilities the paper's framework consumes:
 from __future__ import annotations
 
 import pickle
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from repro.nn.lora import (
     lora_layers,
     lora_state_dict,
     merge_lora,
+    row_adapters,
 )
 from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.nn.layers import Dropout
@@ -185,6 +187,7 @@ class OnDeviceLLM:
         questions: Sequence[str],
         generation: Optional[GenerationConfig] = None,
         rng: Optional[np.random.Generator] = None,
+        adapters: Optional[Sequence[Tuple[int, Dict[str, np.ndarray]]]] = None,
     ) -> List[str]:
         """Answer a batch of user questions in one padded decoding pass.
 
@@ -192,18 +195,33 @@ class OnDeviceLLM:
         question: each row is prompted with ``<bos> question <sep>`` and
         decoded until ``stop_token_id`` or ``max_new_tokens``, but all rows
         share the model forwards, so the per-question cost is amortized.
+
+        ``adapters`` decodes the rows with other adapters than the attached
+        one: ``(rows, state)`` segments in question order, covering every
+        question (see :func:`~repro.nn.lora.row_adapters`).  This is how one
+        decode serves the questions of several users.
         """
         if not questions:
             return []
         generation = generation or GenerationConfig(stop_token_id=self.tokenizer.vocabulary.eos_id)
         prompts = [self._prompt_ids_for_question(question) for question in questions]
-        new_ids = generate_tokens_batch(
-            self.model,
-            prompts,
-            generation,
-            rng=rng if rng is not None else self._generation_rng,
-            pad_token_id=self.tokenizer.vocabulary.pad_id,
-        )
+        segments = nullcontext()
+        if adapters is not None:
+            covered = sum(rows for rows, _ in adapters)
+            if covered != len(questions):
+                raise ValueError(
+                    f"adapter segments cover {covered} rows but there are "
+                    f"{len(questions)} questions"
+                )
+            segments = row_adapters(self.model, adapters)
+        with segments:
+            new_ids = generate_tokens_batch(
+                self.model,
+                prompts,
+                generation,
+                rng=rng if rng is not None else self._generation_rng,
+                pad_token_id=self.tokenizer.vocabulary.pad_id,
+            )
         return [self.tokenizer.decode(ids) for ids in new_ids]
 
     def generate_batch(

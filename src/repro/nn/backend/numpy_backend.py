@@ -198,7 +198,7 @@ def gelu(x: np.ndarray):
     inner *= _GELU_A
     inner += x
     inner *= _GELU_C
-    t = np.tanh(inner)
+    t = np.tanh(inner, out=inner)  # in place: one activation-sized buffer fewer
     out = x * t
     out += x
     out *= 0.5  # 0.5 * (x + x*t) == 0.5 * x * (1 + t)

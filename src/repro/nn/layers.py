@@ -364,6 +364,10 @@ class FeedForward(Module):
         after the two projections' own records.
         """
         act, residuals = _active().gelu(self.up.raw_forward(x, tape))
+        if tape is None:
+            # Only the reverse sweep reads them: free the projection and
+            # tanh buffers before the down projection allocates its output.
+            residuals = None
         out = self.down.raw_forward(act, tape)
         dropout_mask = self.dropout.draw_mask(out.shape)
         if dropout_mask is not None:

@@ -13,8 +13,9 @@ zero-initialised so the adapter starts as an exact no-op.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,6 +83,10 @@ class LoRALinear(Module):
             name="lora_b",
         )
         self.lora_dropout = Dropout(config.dropout_rate, rng=rng)
+        #: Set only inside :func:`row_adapters`: either one ``(A, B)`` pair
+        #: every row uses instead of the attached adapter, or the stacked
+        #: ``(B, in, rank)`` / ``(B, rank, out)`` slabs of a per-row choice.
+        self.row_adapters: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def in_features(self) -> int:
@@ -102,10 +107,16 @@ class LoRALinear(Module):
     def raw_forward(self, x: np.ndarray, tape: Optional[list] = None) -> np.ndarray:
         """Array-level forward (same kernels); records both on ``tape``."""
         out = self.base.raw_forward(x, tape)
+        rows = self.row_adapters
+        if rows is not None and rows[0].ndim == 3:
+            # Grouped delta, row i through its own slab: x[i] @ A_i^T @ B_i^T.
+            delta = np.matmul(np.matmul(x.reshape(len(x), -1, x.shape[-1]), rows[0]), rows[1])
+            delta *= self.config.scaling
+            out += delta.reshape(out.shape)
+            return out
+        a, b = (self.lora_a.data, self.lora_b.data) if rows is None else rows
         dropout_mask = self.lora_dropout.draw_mask(x.shape)
-        delta, residuals = _active().lora_matmul(
-            x, self.lora_a.data, self.lora_b.data, self.config.scaling, dropout_mask
-        )
+        delta, residuals = _active().lora_matmul(x, a, b, self.config.scaling, dropout_mask)
         if tape is not None:
             tape.append(residuals)
         out += delta
@@ -264,6 +275,20 @@ def lora_state_nbytes(state: Dict[str, np.ndarray]) -> int:
 def load_lora_state_dict(model: Module, state: Dict[str, np.ndarray]) -> None:
     """Load an adapter-only state dict produced by :func:`lora_state_dict`."""
     layers = lora_layers(model)
+    for layer, (a, b) in zip(layers, _adapter_arrays(layers, state)):
+        layer.lora_a.data = a.copy()
+        layer.lora_b.data = b.copy()
+
+
+def _adapter_arrays(
+    layers: List[LoRALinear], state: Dict[str, np.ndarray]
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Each layer's ``(A, B)`` from ``state``, every key and shape checked.
+
+    Everything is validated before a caller assigns anything, so an
+    incompatible state (saved under a different LoRA rank or model size)
+    fails cleanly instead of half-loading.
+    """
     expected_keys = {
         key for index in range(len(layers)) for key in (f"adapter.{index}.lora_a", f"adapter.{index}.lora_b")
     }
@@ -271,11 +296,9 @@ def load_lora_state_dict(model: Module, state: Dict[str, np.ndarray]) -> None:
         raise ValueError(
             f"LoRA state dict keys {sorted(state)} do not match expected {sorted(expected_keys)}"
         )
-    # Validate every shape before assigning anything, so an incompatible
-    # state (saved under a different LoRA rank or model size) fails cleanly
-    # instead of half-loading.
-    converted = []
+    pairs = []
     for index, layer in enumerate(layers):
+        pair = []
         for name, target in (("lora_a", layer.lora_a), ("lora_b", layer.lora_b)):
             value = np.asarray(state[f"adapter.{index}.{name}"], dtype=np.float32)
             if value.shape != target.data.shape:
@@ -284,9 +307,45 @@ def load_lora_state_dict(model: Module, state: Dict[str, np.ndarray]) -> None:
                     f"model's adapter expects {target.data.shape} — the state "
                     "was saved under a different LoRA rank or model size"
                 )
-            converted.append((target, value))
-    for target, value in converted:
-        target.data = value.copy()
+            pair.append(value)
+        pairs.append((pair[0], pair[1]))
+    return pairs
+
+
+@contextmanager
+def row_adapters(
+    model: Module, segments: Sequence[Tuple[int, Dict[str, np.ndarray]]]
+) -> Iterator[None]:
+    """Run ``model`` with a per-row choice of adapter instead of the attached one.
+
+    ``segments`` lists ``(rows, state)`` in batch-row order: the next
+    ``rows`` batch rows use the adapter ``state`` (a :func:`lora_state_dict`
+    dict).  Inside the block every :class:`LoRALinear` applies them in
+    :meth:`LoRALinear.raw_forward` — the prefill and every
+    ``decode_step`` — as one grouped matmul over stacked per-row slabs of
+    the factors (the S-LoRA / Punica idiom).  With a single segment the
+    layers make exactly the attached path's ``lora_matmul`` calls, on that
+    state's arrays.  The attached adapter is never touched, and the
+    segments are cleared on exit, error or not.  Inference only: the model
+    must be in eval mode (no adapter dropout is drawn for slabs).
+    """
+    layers = lora_layers(model)
+    per_segment = [_adapter_arrays(layers, state) for _, state in segments]
+    counts = [rows for rows, _ in segments]
+    try:
+        for index, layer in enumerate(layers):
+            pairs = [arrays[index] for arrays in per_segment]
+            if len(pairs) == 1:
+                layer.row_adapters = pairs[0]
+            else:
+                layer.row_adapters = (
+                    np.repeat(np.stack([a.T for a, _ in pairs]), counts, axis=0),
+                    np.repeat(np.stack([b.T for _, b in pairs]), counts, axis=0),
+                )
+        yield
+    finally:
+        for layer in layers:
+            layer.row_adapters = None
 
 
 def merge_lora(model: Module) -> int:

@@ -44,6 +44,10 @@ from repro.serve.scheduler import ChatRequest, PersonalizeRequest, Request
 JOURNAL_MAGIC = "J1"
 JOURNAL_FILE = "journal.log"
 
+# One canonical-JSON encoder for every record line; ``json.dumps`` with
+# options would build a fresh encoder per append.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class JournalError(ServingError):
     """The journal cannot be used (bad meta record, undecodable request)."""
@@ -102,7 +106,7 @@ def encode_record_line(record: dict, magic: str = JOURNAL_MAGIC) -> str:
     of :mod:`repro.serve.trace` (magic ``T1``): a torn or flipped line fails
     its checksum instead of decoding into garbage.
     """
-    payload = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    payload = _CANONICAL_JSON.encode(record)
     checksum = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
     return f"{magic} {checksum} {payload}\n"
 

@@ -3,11 +3,8 @@
 The scheduler multiplexes many users' requests over one
 :class:`~repro.serve.session.SessionManager`.  Two request kinds exist:
 
-* :class:`ChatRequest` — answer one question with the user's adapter
-  attached; consecutive queued chat requests of the *same* user are grouped
-  into one padded :meth:`~repro.llm.model.OnDeviceLLM.respond_batch` decode
-  (the PR-1 fast path), amortizing every transformer forward across the
-  group and avoiding adapter swaps inside the group;
+* :class:`ChatRequest` — answer one question with the user's adapter;
+  consecutive queued chat requests of the *same* user form one turn;
 * :class:`PersonalizeRequest` — feed dialogue sets through the PR-2 pipeline
   stages and run one LoRA fine-tuning round on the user's adapter.
 
@@ -15,8 +12,15 @@ Scheduling is strict round-robin over users in order of first submission:
 each turn serves at most one batch of one user, then moves to the next user
 with pending work.  That bounds how long any user waits behind another
 user's fine-tune job (fairness is asserted in
-``tests/test_serve_scheduler.py``) while still letting same-adapter batches
-form naturally from each user's queue.
+``tests/test_serve_scheduler.py``).
+
+Chat turns are decoded in shared rounds: the chat turns between two
+personalize turns, up to :data:`ROUND_ROWS` rows, go through **one** padded
+:meth:`~repro.llm.model.OnDeviceLLM.respond_batch` call in which each
+turn's rows use that user's adapter (:func:`repro.nn.lora.row_adapters`),
+so chats never attach or swap an adapter.  Per-turn side effects (deadline
+checks, fault hooks and the adapter fetch before the decode; journaling and
+entry emission after it) still run turn by turn in ring order.
 
 Everything is deterministic for a fixed seed: the transcript (request ids,
 questions, responses, personalization outcomes — no wall-clock fields) of
@@ -82,6 +86,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (journal imports us)
 CHAT = "chat"
 PERSONALIZE = "personalize"
 
+#: The most chat rows one shared decode holds.  At smoke scale a decode
+#: step costs per-call dispatch more than arithmetic, so a 64-row step
+#: costs about 3.5x an 8-row one; an uncapped round is faster still but
+#: grows the KV cache and the prefill activations with its row count
+#: (16-21 MB more peak RSS at 256 rows, about 3.6 MB at 64).
+ROUND_ROWS = 64
+
 
 @dataclass(frozen=True)
 class ChatRequest:
@@ -107,7 +118,11 @@ Request = Union[ChatRequest, PersonalizeRequest]
 
 @dataclass
 class ServeTurn:
-    """One scheduling turn: a same-adapter batch served for one user."""
+    """One scheduling turn: a batch of one user's requests.
+
+    The first chat turn of a shared decode round is charged the round's
+    decode; see :meth:`RequestScheduler._finish_round`.
+    """
 
     index: int
     user_id: str
@@ -138,6 +153,26 @@ class ServeReport:
     retries: int = 0
     stopped_early: bool = False
     health: Dict[str, dict] = field(default_factory=dict)
+
+
+@dataclass
+class _PendingChat:
+    """One chat turn waiting for its round's shared decode."""
+
+    user_id: str
+    batch: List[ChatRequest]
+    started: float
+    #: Requests still queued once the turn took its batch (``queue_depth``).
+    queue_depth: int
+    #: The adapter the turn's rows decode with; None when it dead-letters.
+    adapter: Optional[Dict[str, np.ndarray]] = None
+    degraded: bool = False
+    error: Optional[ServingError] = None
+
+
+def _round_rows(pending: Sequence[_PendingChat]) -> int:
+    """Rows the pending round will decode (dead-lettering turns have none)."""
+    return sum(len(turn.batch) for turn in pending if turn.adapter is not None)
 
 
 class RequestScheduler:
@@ -214,6 +249,7 @@ class RequestScheduler:
             self.metrics.histogram("turn_seconds", kind=kind)
         self.metrics.histogram("swap_seconds")
         self.metrics.histogram("batch_occupancy", buckets=COUNT_BUCKETS)
+        self.metrics.histogram("decode_rows", buckets=COUNT_BUCKETS)
         self.metrics.histogram("queue_depth", buckets=COUNT_BUCKETS)
         self.metrics.gauge("pending_requests", merge="sum")
         self.metrics.gauge("tokens_per_second", merge="sum")
@@ -336,9 +372,14 @@ class RequestScheduler:
         chat_count = 0
         personalize_count = 0
         stopped_early = False
+        # Chat turns wait here for their round's shared decode.  A round
+        # ends at a personalize turn (whose fine-tune later chats must see),
+        # at the row cap, at a stop request, or when the queues drain.
+        pending: List[_PendingChat] = []
         while True:
             if self._stop_requested:
                 self._stop_requested = False
+                self._finish_round(pending)
                 stopped_early = self._next_user() is not None
                 if stopped_early:
                     self.health.degrade("stopped early: drained in-flight work on request")
@@ -348,50 +389,38 @@ class RequestScheduler:
                 break
             queue = self._queues[user]
             turn_start = time.perf_counter()
-            self.faults.crash_point("turn.before_serve")
             if isinstance(queue[0], ChatRequest):
-                batch: List[ChatRequest] = []
-                while (
-                    queue
-                    and isinstance(queue[0], ChatRequest)
-                    and len(batch) < self.max_batch_size
-                ):
-                    batch.append(queue.popleft())
-                swap_seconds = self._serve_chat_turn(user, batch)
-                kind = CHAT
-                request_ids = [request.request_id for request in batch]
-                chat_count += len(batch)
+                size = 0
+                for request in queue:
+                    if size == self.max_batch_size or not isinstance(request, ChatRequest):
+                        break
+                    size += 1
+                if _round_rows(pending) + size > ROUND_ROWS:
+                    self._finish_round(pending)
+                    turn_start = time.perf_counter()
+                self.faults.crash_point("turn.before_serve")
+                batch = [queue.popleft() for _ in range(size)]
+                pending.append(self._prepare_chat_turn(user, batch, turn_start, pending))
+                chat_count += size
             else:
+                self._finish_round(pending)
+                turn_start = time.perf_counter()
+                self.faults.crash_point("turn.before_serve")
                 request = queue.popleft()
                 swap_seconds = self._serve_personalize_turn(user, request)
-                kind = PERSONALIZE
-                request_ids = [request.request_id]
                 personalize_count += 1
-            turn_seconds = time.perf_counter() - turn_start
-            self.metrics.counter("serve_requests_total", kind=kind).inc(len(request_ids))
-            self.metrics.histogram("turn_seconds", kind=kind).observe(turn_seconds)
-            self.metrics.histogram("batch_occupancy", buckets=COUNT_BUCKETS).observe(
-                len(request_ids)
-            )
-            if swap_seconds > 0.0:
-                self.metrics.histogram("swap_seconds").observe(swap_seconds)
-            self.metrics.histogram("queue_depth", buckets=COUNT_BUCKETS).observe(
-                self.pending_count
-            )
-            self.turns.append(
-                ServeTurn(
-                    index=len(self.turns),
-                    user_id=user,
-                    kind=kind,
-                    request_ids=request_ids,
-                    batch_size=len(request_ids),
-                    swap_seconds=swap_seconds,
-                    seconds=turn_seconds,
+                self._record_turn(
+                    user,
+                    PERSONALIZE,
+                    [request.request_id],
+                    swap_seconds,
+                    time.perf_counter() - turn_start,
+                    self.pending_count,
                 )
-            )
             # Strict round-robin: move past the user just served so one heavy
             # queue cannot monopolize consecutive turns.
             self._cursor += 1
+        self._finish_round(pending)
         elapsed = time.perf_counter() - start
         total = chat_count + personalize_count
         # The report covers *this* run only; `self.turns`/`self.transcript`
@@ -445,6 +474,40 @@ class RequestScheduler:
             retries=self.retries - retries_start,
             stopped_early=stopped_early,
             health=self.health_report(),
+        )
+
+    def _record_turn(
+        self,
+        user: str,
+        kind: str,
+        request_ids: List[int],
+        swap_seconds: float,
+        turn_seconds: float,
+        queue_depth: int,
+    ) -> None:
+        """Account one finished turn: its metrics and its :class:`ServeTurn`.
+
+        ``queue_depth`` is the number of requests still queued right after
+        the turn took its batch.
+        """
+        self.metrics.counter("serve_requests_total", kind=kind).inc(len(request_ids))
+        self.metrics.histogram("turn_seconds", kind=kind).observe(turn_seconds)
+        self.metrics.histogram("batch_occupancy", buckets=COUNT_BUCKETS).observe(
+            len(request_ids)
+        )
+        if swap_seconds > 0.0:
+            self.metrics.histogram("swap_seconds").observe(swap_seconds)
+        self.metrics.histogram("queue_depth", buckets=COUNT_BUCKETS).observe(queue_depth)
+        self.turns.append(
+            ServeTurn(
+                index=len(self.turns),
+                user_id=user,
+                kind=kind,
+                request_ids=request_ids,
+                batch_size=len(request_ids),
+                swap_seconds=swap_seconds,
+                seconds=turn_seconds,
+            )
         )
 
     def health_report(self) -> Dict[str, dict]:
@@ -513,68 +576,121 @@ class RequestScheduler:
     # ------------------------------------------------------------------ #
     # per-kind serving
     # ------------------------------------------------------------------ #
-    def _serve_chat_turn(self, user: str, batch: Sequence[ChatRequest]) -> float:
-        """Serve one chat batch; returns the swap latency in seconds.
+    def _prepare_chat_turn(
+        self,
+        user: str,
+        batch: List[ChatRequest],
+        started: float,
+        pending: Sequence[_PendingChat],
+    ) -> _PendingChat:
+        """Everything a chat turn does before the shared decode.
 
-        Failure ladder: transient errors are retried; exhausted retries fall
-        back to blank-adapter degraded serving (an answer from the shared
+        The deadline check and the adapter fetch run per turn, in ring
+        order, so fault schedules see the same calls as serving turn by
+        turn.  Failure ladder: transient errors are retried; exhausted
+        retries fall back to the blank adapter (an answer from the shared
         base model beats no answer); only when even that fails — or a
-        deadline/permanent error strikes — does the batch dead-letter.
+        deadline/permanent error strikes — does the batch dead-letter, at
+        the turn's place in :meth:`_finish_round`.
         """
-        questions = [request.question for request in batch]
-        deadline_error = self._check_deadline(len(batch))
-        if deadline_error is not None:
-            for request in batch:
-                self._dead_letter(request, CHAT, deadline_error)
-            return 0.0
-        degraded = False
-        swap_seconds = 0.0
-
-        def respond() -> Tuple[List[str], float]:
-            swap = self.sessions.attach(user)
-            return (
-                self.sessions.respond(user, questions, generation=self.generation),
-                swap,
-            )
-
+        turn = _PendingChat(user, batch, started, self.pending_count)
         try:
-            responses, swap_seconds = self._with_retries(respond)
-        except TransientServingError:
-            try:
-                responses = self.sessions.respond_degraded(
-                    user, questions, generation=self.generation
-                )
-                degraded = True
-                self._degraded_counter.inc(len(batch))
-            except ServingError as fallback_error:
-                for request in batch:
-                    self._dead_letter(request, CHAT, fallback_error)
-                return 0.0
+            deadline_error = self._check_deadline(len(batch))
+            if deadline_error is not None:
+                raise deadline_error
+            previous = pending[-1] if pending else None
+            if (
+                previous is not None
+                and previous.user_id == user
+                and previous.adapter is not None
+                and not previous.degraded
+            ):
+                # The user's adapter is already in this round: nothing to fetch.
+                turn.adapter = previous.adapter
+            else:
+                try:
+                    turn.adapter = self._with_retries(lambda: self.sessions.chat_adapter(user))
+                except TransientServingError:
+                    turn.adapter = self.sessions.degraded_adapter(user)
+                    turn.degraded = True
+                    self._degraded_counter.inc(len(batch))
         except ServingError as error:
-            for request in batch:
-                self._dead_letter(request, CHAT, error)
-            return 0.0
+            turn.error = error
+        return turn
+
+    def _finish_round(self, pending: List[_PendingChat]) -> None:
+        """Decode the pending chat turns in one shared round, then finish each.
+
+        One :meth:`SessionManager.respond_round` call decodes every row, each
+        turn's rows with that turn's adapter.  Afterwards the per-turn side
+        effects run turn by turn in ring order — the ``chat.after_serve``
+        crash point, the journal's ``record_complete`` and entry emission
+        (or the dead letters of a failed turn) — so journals and transcripts
+        match serving the turns one at a time.  Empties ``pending``.
+
+        The round's time is charged in emission order: the first turn's
+        seconds run from its start to its emission (every adapter fetch of
+        the round and the shared decode), each later turn's from the
+        previous emission to its own.  Turns therefore never overlap and
+        still add up to the scheduler's busy time.
+        """
+        if not pending:
+            return
+        decoded = [turn for turn in pending if turn.adapter is not None]
+        answers: List[List[str]] = []
+        if decoded:
+            answers = self.sessions.respond_round(
+                [
+                    (turn.user_id, [request.question for request in turn.batch], turn.adapter)
+                    for turn in decoded
+                ],
+                generation=self.generation,
+            )
+            self.metrics.histogram("decode_rows", buckets=COUNT_BUCKETS).observe(
+                _round_rows(pending)
+            )
+        responses_by_turn = iter(answers)
+        charged_until = pending[0].started
+        for turn in pending:
+            if turn.adapter is None:
+                for request in turn.batch:
+                    self._dead_letter(request, CHAT, turn.error)
+            else:
+                self._complete_chat_turn(turn, next(responses_by_turn))
+            finished = time.perf_counter()
+            self._record_turn(
+                turn.user_id,
+                CHAT,
+                [request.request_id for request in turn.batch],
+                0.0,
+                finished - charged_until,
+                turn.queue_depth,
+            )
+            charged_until = finished
+        pending.clear()
+
+    def _complete_chat_turn(self, turn: _PendingChat, responses: List[str]) -> None:
+        """Journal and emit one decoded chat turn's entries."""
         self.faults.crash_point("chat.after_serve")
         # The tokenizer is word-level, so response word counts are the
         # generated-token tally behind the tokens/sec gauge.
         self._tokens_counter.inc(sum(len(response.split()) for response in responses))
         entries = []
-        for request, response in zip(batch, responses):
+        for request, response in zip(turn.batch, responses):
             entry = {
                 "request_id": request.request_id,
-                "user_id": user,
+                "user_id": turn.user_id,
                 "kind": CHAT,
                 "question": request.question,
                 "response": response,
             }
-            if degraded:
+            if turn.degraded:
                 entry["degraded"] = True
             entries.append(entry)
         if self.journal is not None:
             self.journal.record_complete(entries)
         for entry in entries:
             self._emit(entry)
-        return swap_seconds
 
     def _serve_personalize_turn(self, user: str, request: PersonalizeRequest) -> float:
         """Serve one personalize job exactly once; returns the swap latency.

@@ -9,7 +9,8 @@ selector, fine-tuner).  :class:`SessionManager` owns the mapping:
   never re-built or re-loaded, so a swap costs O(adapter bytes), and the
   outgoing user's weights are written back to the
   :class:`~repro.serve.adapter_store.LoRAAdapterStore` first, so no update
-  is ever lost;
+  is ever lost.  Only personalize requests attach: chats hand each user's
+  adapter to one shared decode (:meth:`SessionManager.respond_round`);
 * **sessions** lazily wire a per-user :class:`PersonalizationFramework`
   around the shared model, so personalize requests run through the exact
   PR-2 pipeline stages (``ingest → select → annotate → synthesize →
@@ -30,7 +31,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -202,14 +203,55 @@ class SessionManager:
             return 0.0
         start = time.perf_counter()
         self._write_back_active()
+        self.llm.load_adapter_state(self._stored_adapter(user_id))
+        self._active_user = user_id
+        return time.perf_counter() - start
+
+    def _stored_adapter(self, user_id: str) -> Dict[str, np.ndarray]:
+        """The store's copy of the user's adapter; an unknown user is stored blank."""
         try:
-            state = self.store.get(user_id)
+            return self.store.get(user_id)
         except KeyError:
             state = clone_lora_state(self._blank_state)
             self.store.put(user_id, state)
-        self.llm.load_adapter_state(state)
-        self._active_user = user_id
-        return time.perf_counter() - start
+            return state
+
+    def chat_adapter(self, user_id: str) -> Dict[str, np.ndarray]:
+        """The adapter ``user_id``'s chat rows decode with; attaches nothing.
+
+        The attached user's live adapter (which may be newer than the
+        store's copy), else the store's copy; a user the store has never
+        seen is stored blank first, exactly as :meth:`attach` would.  The
+        user's session is created first, so on the first touch after a
+        restart the checkpoint-restored adapter is the one returned.
+        """
+        validate_user_id(user_id)
+        self.session(user_id)
+        if user_id == self._active_user:
+            return self.llm.export_adapter_state()
+        return self._stored_adapter(user_id)
+
+    def degraded_adapter(self, user_id: str) -> Dict[str, np.ndarray]:
+        """The *blank* adapter, for ``user_id``'s chats while its own is unreachable.
+
+        The graceful-degradation chat path: when the adapter store keeps
+        failing, the shared base model still answers (un-personalized)
+        rather than dead-lettering the user's chats.  Nothing is read from
+        or written to the store and the attached adapter is untouched; the
+        user is recorded in :attr:`degraded_users`.
+        """
+        validate_user_id(user_id)
+        try:
+            self.session(user_id)
+        except TransientServingError:
+            # The first touch tried a checkpoint restore through the failing
+            # store; the session stays unregistered, so the user's next
+            # healthy request runs the restore again.
+            pass
+        if user_id not in self._degraded_users:
+            self._degraded_users.add(user_id)
+            self.health.degrade(f"serving {user_id!r} with the blank adapter (store unavailable)")
+        return self._blank_state
 
     def _write_back_active(self) -> None:
         """Save the active user's adapter to the store if it changed.
@@ -255,50 +297,55 @@ class SessionManager:
         """
         validate_user_id(user_id)
         session = self._sessions.get(user_id)
-        if session is None:
-            seed = user_seed(user_id, self.seed)
-            framework = PersonalizationFramework(
-                self.llm,
-                config=self._framework_config_factory(seed),
-                lexicons=self.lexicons,
-            )
-            framework.engine.observe_stages(self.metrics)
-            session = UserSession(user_id=user_id, seed=seed, framework=framework)
-            self._sessions[user_id] = session
-            if self.checkpoint_root is not None:
-                manager = CheckpointManager(self.session_checkpoint_dir(user_id))
-                if manager.exists():
-                    try:
-                        self.attach(user_id)
-                        # The checkpointed model section carries the shared
-                        # generation/dropout RNG streams as of *this user's*
-                        # last commit; restoring them here would rewind
-                        # streams other users' rounds have since advanced.
-                        # Streams are a global resource — the durable runner
-                        # restores them once, from the latest commit — so
-                        # the per-user restore must leave them untouched.
-                        streams = self.llm.export_rng_streams()
-                        manager.restore(framework.engine)
-                        self.llm.load_rng_streams(streams)
-                    except CheckpointError as error:
-                        # A corrupt per-user checkpoint must not take the
-                        # whole server down: serve from the stored adapter
-                        # (or blank) and flag the degradation.
-                        self.health.degrade(
-                            f"discarded corrupt checkpoint for {user_id!r}: {error}"
-                        )
-                    else:
-                        session.finetune_rounds = framework.engine.finetune_round_count
-                        # The restored runtime carries the adapter as of the
-                        # checkpoint; re-sync the store's cached copy so a
-                        # crash-between-commit-and-flush window cannot leave
-                        # the store a round behind the engine.
-                        self.store.put(
-                            user_id,
-                            self.llm.export_adapter_state(),
-                            round=session.finetune_rounds,
-                        )
+        if session is not None:
+            return session
+        seed = user_seed(user_id, self.seed)
+        framework = PersonalizationFramework(
+            self.llm,
+            config=self._framework_config_factory(seed),
+            lexicons=self.lexicons,
+        )
+        framework.engine.observe_stages(self.metrics)
+        session = UserSession(user_id=user_id, seed=seed, framework=framework)
+        if self.checkpoint_root is not None:
+            self._restore_session(session)
+        # Registered only once restored: when the restore raises (say a
+        # transient store fault), the next call runs it again instead of
+        # returning a fresh engine that would commit rounds from zero.
+        self._sessions[user_id] = session
         return session
+
+    def _restore_session(self, session: UserSession) -> None:
+        """Restore a new session from its user's checkpoint, if there is one."""
+        user_id = session.user_id
+        framework = session.framework
+        manager = CheckpointManager(self.session_checkpoint_dir(user_id))
+        if not manager.exists():
+            return
+        try:
+            self.attach(user_id)
+            # The checkpointed model section carries the shared
+            # generation/dropout RNG streams as of *this user's* last
+            # commit; restoring them here would rewind streams other users'
+            # rounds have since advanced.  Streams are a global resource —
+            # the durable runner restores them once, from the latest commit
+            # — so the per-user restore must leave them untouched.
+            streams = self.llm.export_rng_streams()
+            try:
+                manager.restore(framework.engine)
+            finally:
+                self.llm.load_rng_streams(streams)
+        except CheckpointError as error:
+            # A corrupt per-user checkpoint must not take the whole server
+            # down: serve from the stored adapter (or blank) and flag the
+            # degradation.
+            self.health.degrade(f"discarded corrupt checkpoint for {user_id!r}: {error}")
+            return
+        session.finetune_rounds = framework.engine.finetune_round_count
+        # The restored runtime carries the adapter as of the checkpoint;
+        # re-sync the store's cached copy so a crash-between-commit-and-flush
+        # window cannot leave the store a round behind the engine.
+        self.store.put(user_id, self.llm.export_adapter_state(), round=session.finetune_rounds)
 
     @property
     def sessions(self) -> Dict[str, UserSession]:
@@ -336,59 +383,55 @@ class SessionManager:
         questions: Sequence[str],
         generation: Optional[GenerationConfig] = None,
     ) -> List[str]:
-        """Answer a batch of questions with ``user_id``'s adapter attached.
+        """Answer a batch of questions with ``user_id``'s adapter.
 
-        All questions decode in one padded ``respond_batch`` pass — this is
-        the same-adapter batching the scheduler exploits across a user's
-        queued requests.
+        All questions decode in one padded ``respond_batch`` pass with the
+        :meth:`chat_adapter` applied to their rows; nothing is attached or
+        swapped.  The scheduler uses :meth:`respond_round`, which decodes
+        several users' batches in one pass.
         """
         if not questions:
             return []
-        self.attach(user_id)
-        session = self.session(user_id)
-        responses = self.llm.respond_batch(
-            list(questions), generation=generation or self.generation
-        )
-        session.chat_requests += len(questions)
-        return responses
+        adapter = self.chat_adapter(user_id)
+        return self.respond_round([(user_id, questions, adapter)], generation)[0]
 
-    def respond_degraded(
+    def respond_round(
         self,
-        user_id: str,
-        questions: Sequence[str],
+        batches: Sequence[Tuple[str, Sequence[str], Dict[str, np.ndarray]]],
         generation: Optional[GenerationConfig] = None,
-    ) -> List[str]:
-        """Answer with the *blank* adapter when the user's own is unreachable.
+    ) -> List[List[str]]:
+        """Answer several users' question batches in one shared decode.
 
-        The graceful-degradation chat path: when the adapter store keeps
-        failing, the shared base model still answers (un-personalized) rather
-        than dead-lettering the user's chats.  Nothing is written to the
-        store, nothing is marked dirty, and the active-user slot is cleared
-        afterwards so a later healthy :meth:`attach` reloads real weights
-        instead of trusting the blank ones.
+        ``batches`` holds ``(user_id, questions, adapter)`` in row order,
+        each adapter from :meth:`chat_adapter` or :meth:`degraded_adapter`.
+        Every batch's rows decode with its own adapter in a single
+        ``respond_batch`` call; consecutive batches passing the same adapter
+        object share one segment, so a round with one adapter makes exactly
+        the kernel calls of decoding with it attached.  Returns the
+        responses per batch.
         """
-        if not questions:
-            return []
-        validate_user_id(user_id)
-        try:
-            session = self.session(user_id)
-        except TransientServingError:
-            # The first touch tried a checkpoint restore through the failing
-            # store; the session object itself was already registered, so
-            # the second call returns it without retrying the restore.
-            session = self.session(user_id)
-        self._write_back_active()
-        self.llm.load_adapter_state(self._blank_state)
-        self._active_user = None
-        self._dirty.discard(user_id)
-        if user_id not in self._degraded_users:
-            self._degraded_users.add(user_id)
-            self.health.degrade(f"serving {user_id!r} with the blank adapter (store unavailable)")
+        questions: List[str] = []
+        segments: List[Tuple[int, Dict[str, np.ndarray]]] = []
+        for _, batch_questions, adapter in batches:
+            if not batch_questions:
+                continue
+            questions.extend(batch_questions)
+            if segments and segments[-1][1] is adapter:
+                segments[-1] = (segments[-1][0] + len(batch_questions), adapter)
+            else:
+                segments.append((len(batch_questions), adapter))
         responses = self.llm.respond_batch(
-            list(questions), generation=generation or self.generation
+            questions, generation=generation or self.generation, adapters=segments
         )
-        session.chat_requests += len(questions)
-        return responses
+        answers: List[List[str]] = []
+        offset = 0
+        for user_id, batch_questions, _ in batches:
+            answers.append(responses[offset : offset + len(batch_questions)])
+            offset += len(batch_questions)
+            session = self._sessions.get(user_id)
+            if session is not None:  # None only for a degraded, unrestored user
+                session.chat_requests += len(batch_questions)
+        return answers
 
     @property
     def degraded_users(self) -> Set[str]:

@@ -21,7 +21,16 @@ from repro.llm.generation import (
     generate_tokens,
     generate_tokens_batch,
 )
-from repro.nn import KVCache, Tensor, inference_mode, is_grad_enabled, lora_layers
+from repro.nn import (
+    KVCache,
+    Tensor,
+    inference_mode,
+    is_grad_enabled,
+    load_lora_state_dict,
+    lora_layers,
+    lora_state_dict,
+    row_adapters,
+)
 from repro.nn.functional import attention_scores_mask
 from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.textmetrics.rouge import Rouge1Reference, rouge_1_f1
@@ -361,6 +370,110 @@ class TestBatchedDecodeProperty:
         )
         assert first == again
         assert [len(row) for row in first] == [new_tokens] * len(prompts)
+
+
+@pytest.fixture(scope="module")
+def mixed_adapters(pretrained_llm):
+    """A LoRA-injected model plus four distinct non-zero adapter states."""
+    llm = pretrained_llm.clone()
+    llm.add_lora()
+    llm.model.eval()
+    states = []
+    for seed in range(4):
+        rng = np.random.default_rng(100 + seed)
+        state = lora_state_dict(llm.model)
+        for key in state:
+            state[key] = (rng.standard_normal(state[key].shape) * 0.05).astype(np.float32)
+        states.append(state)
+    return llm, states
+
+
+@st.composite
+def _segmented_prompts(draw):
+    """Ragged prompts cut into 1-4 contiguous segments, each with an adapter index."""
+    prompts = draw(_PROMPTS)
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, len(prompts) - 1)), max_size=3)))
+    bounds = [0] + [cut for cut in cuts if cut < len(prompts)] + [len(prompts)]
+    adapters = draw(st.lists(st.integers(0, 3), min_size=len(bounds) - 1,
+                             max_size=len(bounds) - 1))
+    return prompts, [(stop - start, adapter)
+                     for start, stop, adapter in zip(bounds, bounds[1:], adapters)]
+
+
+class TestMixedAdapterDecodeProperty:
+    """One decode over rows of up to four adapters (``row_adapters``)."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=_segmented_prompts(), new_tokens=st.integers(min_value=1, max_value=12))
+    @example(case=([[5] * 60, [7, 8], [9] * 70, [4, 4]], [(1, 0), (1, 1), (1, 2), (1, 3)]),
+             new_tokens=12)
+    def test_rows_match_their_adapter_attached_alone(self, mixed_adapters, case, new_tokens):
+        llm, states = mixed_adapters
+        model = llm.model
+        prompts, segments = case
+        config = GenerationConfig(max_new_tokens=new_tokens, greedy=True)
+        with row_adapters(model, [(rows, states[index]) for rows, index in segments]):
+            with _recorded_step_logits(model) as steps:
+                batched = generate_tokens_batch(model, prompts, config, pad_token_id=0)
+        assert all(layer.row_adapters is None for layer in lora_layers(model))
+        row_states = [index for rows, index in segments for _ in range(rows)]
+        for row, prompt in enumerate(prompts):
+            load_lora_state_dict(model, states[row_states[row]])
+            with _recorded_step_logits(model) as alone_steps:
+                alone = generate_tokens_batch(model, [prompt], config, pad_token_id=0)
+            assert batched[row] == alone[0]
+            np.testing.assert_allclose(
+                np.stack([logits[row] for logits in steps]),
+                np.stack([logits[0] for logits in alone_steps]),
+                rtol=0,
+                atol=1e-4,
+            )
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(prompts=_PROMPTS, new_tokens=st.integers(min_value=1, max_value=12),
+           adapter=st.integers(0, 3))
+    def test_one_adapter_is_the_attached_path_exactly(
+        self, mixed_adapters, prompts, new_tokens, adapter
+    ):
+        llm, states = mixed_adapters
+        model = llm.model
+        config = GenerationConfig(max_new_tokens=new_tokens, greedy=True)
+        load_lora_state_dict(model, states[adapter])
+        with _recorded_step_logits(model) as attached_steps:
+            attached = generate_tokens_batch(model, prompts, config, pad_token_id=0)
+        # Another adapter attached: the segment alone must decide the rows.
+        load_lora_state_dict(model, states[(adapter + 1) % 4])
+        with row_adapters(model, [(len(prompts), states[adapter])]):
+            with _recorded_step_logits(model) as segment_steps:
+                segmented = generate_tokens_batch(model, prompts, config, pad_token_id=0)
+        assert segmented == attached
+        assert len(segment_steps) == len(attached_steps)
+        for ours, theirs in zip(segment_steps, attached_steps):
+            assert np.array_equal(ours, theirs)
+
+    def test_segments_cleared_on_error_and_attached_adapter_untouched(self, mixed_adapters):
+        llm, states = mixed_adapters
+        load_lora_state_dict(llm.model, states[0])
+        before = lora_state_dict(llm.model)
+        with pytest.raises(RuntimeError, match="boom"):
+            with row_adapters(llm.model, [(1, states[1]), (1, states[2])]):
+                assert all(layer.row_adapters is not None for layer in lora_layers(llm.model))
+                raise RuntimeError("boom")
+        assert all(layer.row_adapters is None for layer in lora_layers(llm.model))
+        llm.respond_batch(["a", "b"], generation=GenerationConfig(max_new_tokens=3, greedy=True),
+                          adapters=[(1, states[1]), (1, states[2])])
+        after = lora_state_dict(llm.model)
+        assert all(np.array_equal(before[key], after[key]) for key in before)
+
+    def test_respond_batch_checks_segment_rows_and_state_shape(self, mixed_adapters):
+        llm, states = mixed_adapters
+        with pytest.raises(ValueError, match="cover 1 rows"):
+            llm.respond_batch(["a", "b"], adapters=[(1, states[0])])
+        bad = dict(states[0])
+        bad["adapter.0.lora_a"] = bad["adapter.0.lora_a"][:, :-1]
+        with pytest.raises(ValueError, match="different LoRA rank"):
+            llm.respond_batch(["a", "b"], adapters=[(1, states[0]), (1, bad)])
+        assert all(layer.row_adapters is None for layer in lora_layers(llm.model))
 
 
 class TestDecodeStep:

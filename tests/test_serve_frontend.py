@@ -42,7 +42,7 @@ from repro.serve.faults import FaultPlan
 from repro.serve.journal import JournalError
 from repro.serve.loadgen import LoadConfig, build_serving_llm
 from repro.serve.runner import aggregate_transcript_digest, normalize_entry
-from repro.serve.session import SessionManager
+from repro.serve.adapter_store import LoRAAdapterStore
 
 
 @pytest.fixture(scope="module")
@@ -365,10 +365,10 @@ class TestAllDeadLetterOverSocket:
         the still-open connection) before the server closes it."""
         from repro.cli import main
 
-        def poisoned_attach(self, user_id):
+        def poisoned_get(self, user_id):
             raise PermanentServingError("injected: store unusable")
 
-        monkeypatch.setattr(SessionManager, "attach", poisoned_attach)
+        monkeypatch.setattr(LoRAAdapterStore, "get", poisoned_get)
         monkeypatch.chdir(tmp_path)
         port_file = tmp_path / "port"
         exit_code = {}

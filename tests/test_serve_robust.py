@@ -16,9 +16,11 @@ from repro.serve import (
     CRASH_POINTS,
     ChatRequest,
     FaultPlan,
+    InjectedFaultError,
     LoadConfig,
     LoRAAdapterStore,
     PermanentServingError,
+    PersonalizeRequest,
     RequestScheduler,
     RetryPolicy,
     ServeConfig,
@@ -248,7 +250,7 @@ class TestChaosCLI:
         assert len(digests) == 1
 
 
-def make_manager(llm, tmp_path):
+def make_manager(llm, tmp_path, checkpoint_root=None):
     def factory(seed):
         return serving_framework_config(
             seed=seed,
@@ -264,7 +266,53 @@ def make_manager(llm, tmp_path):
         LoRAAdapterStore(tmp_path, cache_capacity=4),
         framework_config_factory=factory,
         seed=0,
+        checkpoint_root=checkpoint_root,
     )
+
+
+class TestRestoreAfterRestart:
+    def test_store_fault_on_first_chat_still_restores_the_session(
+        self, fresh_llm, tmp_path, med_corpus, monkeypatch
+    ):
+        """A one-shot store read fault on a user's first chat after a durable
+        restart is retried, and the retry still restores the user's engine
+        from its checkpoint — so the next personalize round is round 2, not
+        a second round 1 against a fresh engine."""
+        generation = GenerationConfig(max_new_tokens=8)
+        dialogues = tuple(med_corpus.dialogues()[:4])
+        before = make_manager(fresh_llm, tmp_path / "store", tmp_path / "sessions")
+        scheduler = RequestScheduler(before, max_batch_size=4, generation=generation)
+        scheduler.submit(PersonalizeRequest(user_id="alice", dialogues=dialogues))
+        scheduler.run()
+        before.flush()
+        assert before.session("alice").framework.engine.finetune_round_count == 1
+
+        restarted = make_manager(fresh_llm, tmp_path / "store", tmp_path / "sessions")
+        real_get = LoRAAdapterStore.get
+        faulted = []
+
+        def flaky_get(self, user_id):
+            if not faulted:
+                faulted.append(user_id)
+                raise InjectedFaultError("injected: one-shot store read fault")
+            return real_get(self, user_id)
+
+        monkeypatch.setattr(LoRAAdapterStore, "get", flaky_get)
+        scheduler = RequestScheduler(
+            restarted, max_batch_size=4, generation=generation, retry=RetryPolicy()
+        )
+        scheduler.submit(ChatRequest(user_id="alice", question="q"))
+        report = scheduler.run()
+        assert faulted == ["alice"]
+        assert report.retries == 1
+        assert report.degraded_chat_requests == 0
+        assert report.dead_letter_requests == 0
+        engine = restarted.session("alice").framework.engine
+        assert engine.finetune_round_count == 1
+
+        scheduler.submit(PersonalizeRequest(user_id="alice", dialogues=dialogues))
+        scheduler.run()
+        assert engine.finetune_round_count == 2
 
 
 class TestSchedulerDrain:
@@ -275,14 +323,14 @@ class TestSchedulerDrain:
         is unlinked from the round-robin ring and the other users drain
         normally — the loop terminates instead of spinning."""
         manager = make_manager(fresh_llm, tmp_path)
-        real_attach = SessionManager.attach
+        real_get = LoRAAdapterStore.get
 
-        def poisoned_attach(self, user_id):
+        def poisoned_get(self, user_id):
             if user_id == "poison":
                 raise PermanentServingError("injected: user is poisoned")
-            return real_attach(self, user_id)
+            return real_get(self, user_id)
 
-        monkeypatch.setattr(SessionManager, "attach", poisoned_attach)
+        monkeypatch.setattr(LoRAAdapterStore, "get", poisoned_get)
         scheduler = RequestScheduler(
             manager, max_batch_size=4, generation=GenerationConfig(max_new_tokens=8)
         )
@@ -336,10 +384,10 @@ class TestAllDeadLetterExit:
         progress at all — every request dead-lettered."""
         from repro.cli import main
 
-        def poisoned_attach(self, user_id):
+        def poisoned_get(self, user_id):
             raise PermanentServingError("injected: store unusable")
 
-        monkeypatch.setattr(SessionManager, "attach", poisoned_attach)
+        monkeypatch.setattr(LoRAAdapterStore, "get", poisoned_get)
         monkeypatch.chdir(tmp_path)
         code = main(
             [

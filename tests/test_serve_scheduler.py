@@ -1,7 +1,9 @@
 """Tests for the cross-user request scheduler, load generator and serve CLI."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -15,7 +17,10 @@ from repro.serve import (
     generate_load,
     run_serve,
 )
+from repro.llm.generation import GenerationConfig
+from repro.obs import COUNT_BUCKETS
 from repro.serve.loadgen import user_ids
+from repro.serve.scheduler import ROUND_ROWS
 from tests.test_serve_session import make_manager
 
 
@@ -119,8 +124,9 @@ class TestSchedulerFairness:
         report = scheduler.run()
         assert report.turn_users == ["aa", "bb"]
         assert [turn.batch_size for turn in scheduler.turns] == [3, 3]
-        # One adapter swap per user, none inside a batch.
-        assert report.swap["count"] == 2
+        # Chats decode with per-row adapters in one shared round: no swaps.
+        assert report.swap["count"] == 0
+        assert manager.active_user is None
 
     def test_batched_equals_sequential_under_greedy(
         self, fresh_llm, tmp_path, med_corpus
@@ -168,6 +174,148 @@ class TestSchedulerFairness:
         assert second.num_turns == 2
         assert second.turn_users == ["alice", "bob"]
         assert len(scheduler.transcript) == 3
+
+
+def _manager_with_adapters(llm, directory, users):
+    """A manager whose users already own distinct non-zero adapters."""
+    manager = make_manager(llm, directory, cache_capacity=2)
+    rng = np.random.default_rng(7)
+    for user in users:
+        state = llm.export_adapter_state()
+        for key in state:
+            if key.endswith("lora_b"):
+                state[key] = (rng.standard_normal(state[key].shape) * 0.5).astype(np.float32)
+        manager.store.put(user, state)
+    return manager
+
+
+def _count_respond_batch(llm):
+    """Record every ``respond_batch`` call on ``llm``: rows, adapter segments."""
+    calls = []
+    real = llm.respond_batch
+
+    def counting(questions, *args, **kwargs):
+        calls.append((len(questions), kwargs.get("adapters")))
+        return real(questions, *args, **kwargs)
+
+    llm.respond_batch = counting
+    return calls
+
+
+def _serve_turn_by_turn(manager, turns, requests, generation):
+    """The reference: each turn on its own, attach plus ``respond_batch``."""
+    by_id = {request.request_id: request for request in requests}
+    outcomes = {}
+    for turn in turns:
+        if turn.kind == "chat":
+            manager.attach(turn.user_id)
+            questions = [by_id[request_id].question for request_id in turn.request_ids]
+            responses = manager.llm.respond_batch(questions, generation=generation)
+            outcomes.update(zip(turn.request_ids, responses))
+        else:
+            request = by_id[turn.request_ids[0]]
+            outcome = manager.personalize(turn.user_id, list(request.dialogues))
+            outcomes[request.request_id] = round(outcome.report.final_loss, 8)
+    return outcomes
+
+
+def _served(transcript):
+    return {
+        entry["request_id"]: entry["response"] if entry["kind"] == "chat" else entry["final_loss"]
+        for entry in transcript
+    }
+
+
+class TestSharedDecodeRounds:
+    """Chat turns between personalize turns decode in one ``respond_batch``."""
+
+    GREEDY = GenerationConfig(max_new_tokens=6, greedy=True)
+
+    def test_rounds_of_many_users_match_turn_by_turn(self, pretrained_llm, tmp_path, med_corpus):
+        users, chats, max_batch = [f"user-{index:02d}" for index in range(10)], 9, 8
+        llm = pretrained_llm.clone()
+        manager = _manager_with_adapters(llm, tmp_path / "rounds", users)
+        calls = _count_respond_batch(llm)
+        scheduler = RequestScheduler(manager, max_batch_size=max_batch, generation=self.GREEDY)
+        questions = [dialogue.question for dialogue in med_corpus.dialogues()]
+        requests = scheduler.submit_many(
+            [
+                ChatRequest(user_id=user, question=questions[(turn * 7 + index) % len(questions)])
+                for turn in range(chats)
+                for index, user in enumerate(users)
+            ]
+        )
+        report = scheduler.run()
+
+        rows = len(users) * chats
+        assert [rows for rows, _ in calls] == [ROUND_ROWS, rows - ROUND_ROWS]
+        assert len(calls) == math.ceil(rows / ROUND_ROWS)
+        # The turn sequence is the round-robin one: per user, a batch of up
+        # to max_batch, then whatever is left.
+        expected = [(user, max_batch) for user in users] + [(user, 1) for user in users]
+        assert [(turn.user_id, turn.batch_size) for turn in scheduler.turns] == expected
+        assert report.turn_users == [user for user, _ in expected]
+        by_user = {user: [r.request_id for r in requests if r.user_id == user] for user in users}
+        assert [turn.request_ids for turn in scheduler.turns] == (
+            [by_user[user][:max_batch] for user in users]
+            + [by_user[user][max_batch:] for user in users]
+        )
+        assert report.swap["count"] == 0
+        decode_rows = scheduler.metrics.histogram("decode_rows", buckets=COUNT_BUCKETS)
+        assert (decode_rows.count, decode_rows.sum) == (2, rows)
+        # Each turn samples the queue as it stood right after taking its
+        # batch, as when turns were served one at a time.
+        queue_depth = scheduler.metrics.histogram("queue_depth", buckets=COUNT_BUCKETS)
+        left = rows - np.cumsum([batch for _, batch in expected])
+        assert (queue_depth.count, queue_depth.sum) == (len(expected), int(left.sum()))
+
+        reference = _manager_with_adapters(pretrained_llm.clone(), tmp_path / "ref", users)
+        expected_responses = _serve_turn_by_turn(
+            reference, scheduler.turns, requests, self.GREEDY
+        )
+        assert _served(scheduler.transcript) == expected_responses
+        # Turn order is the transcript order.
+        assert [entry["request_id"] for entry in scheduler.transcript] == [
+            request_id for turn in scheduler.turns for request_id in turn.request_ids
+        ]
+
+    def test_personalize_flushes_the_round(self, pretrained_llm, tmp_path, med_corpus):
+        llm = pretrained_llm.clone()
+        manager = _manager_with_adapters(llm, tmp_path / "rounds", ["aa", "bb"])
+        calls = _count_respond_batch(llm)
+        scheduler = RequestScheduler(manager, max_batch_size=8, generation=self.GREEDY)
+        questions = [dialogue.question for dialogue in med_corpus.dialogues()[:6]]
+        requests = scheduler.submit_many(
+            [
+                ChatRequest(user_id="aa", question=questions[0]),
+                ChatRequest(user_id="aa", question=questions[1]),
+                ChatRequest(user_id="bb", question=questions[2]),
+                ChatRequest(user_id="bb", question=questions[3]),
+                PersonalizeRequest(user_id="aa", dialogues=tuple(med_corpus.dialogues()[:4])),
+                ChatRequest(user_id="aa", question=questions[0]),
+                ChatRequest(user_id="aa", question=questions[4]),
+                ChatRequest(user_id="bb", question=questions[5]),
+            ]
+        )
+        report = scheduler.run()
+
+        assert report.turn_users == ["aa", "bb", "aa", "aa"]
+        assert [turn.kind for turn in scheduler.turns] == ["chat", "chat", "personalize", "chat"]
+        # Round one (aa, bb) decodes before the fine-tune; aa's later chats
+        # form the second round and see the fine-tuned adapter.
+        assert [rows for rows, _ in calls] == [5, 2]
+        assert manager.store.get_round("aa") == 1
+        tuned = manager.store.get("aa")
+        [(rows, used)] = calls[1][1]
+        assert rows == 2
+        assert all(np.array_equal(used[key], tuned[key]) for key in tuned)
+        before = calls[0][1][0][1]
+        assert not all(np.array_equal(before[key], tuned[key]) for key in tuned)
+        reference = _manager_with_adapters(pretrained_llm.clone(), tmp_path / "ref", ["aa", "bb"])
+        expected = _serve_turn_by_turn(reference, scheduler.turns, requests, self.GREEDY)
+        assert _served(scheduler.transcript) == expected
+        # Only the personalize turn attached an adapter.
+        assert report.swap["count"] == 1
 
 
 class TestEndToEndDeterminism:

@@ -17,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.cli import main
@@ -99,6 +101,41 @@ class TestDigestComposition:
         }
         assert compose_user_digests(by_user) == aggregate_transcript_digest(alice + bob)
         assert compose_user_digests(by_user) == aggregate_transcript_digest(bob + alice)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        responses=st.lists(
+            st.tuples(st.sampled_from(["alice", "bob", "carol", "dave", "erin"]),
+                      st.text(max_size=6)),
+            max_size=24,
+        ),
+        shard_of=st.dictionaries(st.sampled_from(["alice", "bob", "carol", "dave", "erin"]),
+                                 st.integers(0, 3)),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_any_partition_composes_to_the_aggregate(self, responses, shard_of, order):
+        """Shards each digest their own users; merging their per-user digests
+        gives the aggregate over every entry in any order, whatever the
+        partition — the algebra that keeps shared decode rounds and worker
+        counts from moving a digest."""
+        entries, seqs = [], {}
+        for user, text in responses:
+            seqs[user] = seqs.get(user, -1) + 1
+            entries.append({"user_id": user, "user_seq": seqs[user], "kind": "chat",
+                            "response": text})
+        shards = {}
+        for entry in entries:
+            shards.setdefault(shard_of.get(entry["user_id"], 0), []).append(entry)
+        merged = {}
+        for shard_entries in shards.values():
+            by_user = {}
+            for entry in shard_entries:
+                by_user.setdefault(entry["user_id"], []).append(entry)
+            for user, user_entries in by_user.items():
+                assert user not in merged
+                merged[user] = user_transcript_digest(user_entries)
+        order.shuffle(entries)
+        assert compose_user_digests(merged) == aggregate_transcript_digest(entries)
 
     def test_user_digest_sorts_by_seq(self):
         entries = self.entries_for("alice", ["a1", "a2", "a3"])
