@@ -215,7 +215,7 @@ def main() -> int:
     parser.add_argument(
         "--chaos-overhead", action="store_true",
         help="also enforce that request journaling costs at most "
-             f"{MAX_JOURNAL_OVERHEAD:.0%} of batched serving throughput "
+             f"{MAX_JOURNAL_OVERHEAD:.0%}% of batched serving throughput "
              "(runs the serving benchmark; shares the run with --serving)",
     )
     parser.add_argument(

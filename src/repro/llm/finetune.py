@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.dialogue import DialogueSet
 from repro.llm.model import OnDeviceLLM
 from repro.nn.lora import LoRAConfig, lora_parameters
-from repro.nn.optim import AdamW, Optimizer, clip_grad_norm
+from repro.nn.optim import AdamW, Optimizer
 from repro.nn.transformer import IGNORE_INDEX, TransformerLM
 from repro.utils.config import require_positive
 from repro.utils.rng import as_generator, get_generator_state, set_generator_state
@@ -134,6 +134,26 @@ def collate_batch(
     return batch, labels, mask
 
 
+def collate_round(
+    llm: OnDeviceLLM, examples: Sequence[Tuple[List[int], List[int]]]
+) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Collate a training round's examples once; returns ``take(rows)``.
+
+    ``take`` gathers the given example indices from the round's padded
+    arrays and slices them to those rows' own longest example, so its batch
+    is byte-equal to ``collate_batch(llm, [examples[i] for i in rows])``
+    without re-padding the same examples every epoch.
+    """
+    token_ids, labels, mask = collate_batch(llm, examples)
+    lengths = mask.sum(axis=1)
+
+    def take(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        width = int(lengths[rows].max())
+        return token_ids[rows, :width], labels[rows, :width], mask[rows, :width]
+
+    return take
+
+
 def train_batch(
     model: TransformerLM,
     optimizer: Optimizer,
@@ -144,13 +164,14 @@ def train_batch(
 
     The step both training loops run: clear the optimizer's gradients, run
     the model's graph-free :meth:`~repro.nn.transformer.TransformerLM.
-    train_step`, clip to ``max_grad_norm`` (when set), update.
+    train_step`, clip to ``max_grad_norm`` (when set), update.  Clipping
+    goes through the optimizer, so Adam's scales its packed gradient.
     """
     token_ids, labels, mask = batch
     optimizer.zero_grad()
     loss = model.train_step(token_ids, mask, labels)
     if max_grad_norm is not None:
-        clip_grad_norm(optimizer.parameters, max_grad_norm)
+        optimizer.clip_grad_norm(max_grad_norm)
     optimizer.step()
     return loss
 
@@ -231,13 +252,13 @@ class LoRAFineTuner:
 
         start = time.perf_counter()
         losses: List[float] = []
+        take = collate_round(self.llm, examples)
         self.llm.model.train()
         for _ in range(self.config.epochs):
             order = self._rng.permutation(len(examples))
             epoch_losses: List[float] = []
             for batch_start in range(0, len(examples), self.config.batch_size):
-                batch_idx = order[batch_start : batch_start + self.config.batch_size]
-                batch = collate_batch(self.llm, [examples[int(i)] for i in batch_idx])
+                batch = take(order[batch_start : batch_start + self.config.batch_size])
                 epoch_losses.append(
                     train_batch(self.llm.model, self._optimizer, batch, self.config.max_grad_norm)
                 )

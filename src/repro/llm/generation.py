@@ -75,6 +75,17 @@ def apply_repetition_penalty(
     return adjusted
 
 
+def penalized_rows(logits: np.ndarray, seen: np.ndarray, penalty: float) -> np.ndarray:
+    """:func:`apply_repetition_penalty` applied to every row of a batch at once.
+
+    ``logits`` is ``(B, vocab)``; ``seen[b, t]`` is True when row ``b`` has
+    already generated token ``t``.  Returns float64 logits, as the per-row
+    rule does after widening.
+    """
+    widened = logits.astype(np.float64)
+    return np.where(seen, np.where(widened > 0, widened / penalty, widened * penalty), widened)
+
+
 def sample_next_token(
     logits: np.ndarray,
     config: GenerationConfig,
@@ -208,9 +219,12 @@ def generate_tokens_batch(
     batch = len(contexts)
     generated: List[List[int]] = [[] for _ in range(batch)]
     finished = [False] * batch
-    # Without a repetition penalty, greedy decoding is a plain argmax per row
-    # (what ``sample_next_token`` returns), so one argmax serves the batch.
-    argmax_rows = config.greedy and config.repetition_penalty == 1.0
+    # Greedy decoding is one argmax over the batch (what
+    # ``sample_next_token`` returns per row).  With a repetition penalty it
+    # runs on the penalized rows: ``seen`` marks each row's generated tokens.
+    seen: Optional[np.ndarray] = None
+    if config.greedy and config.repetition_penalty != 1.0:
+        seen = np.zeros((batch, model.config.vocab_size), dtype=bool)
 
     was_training = model.training
     if was_training:
@@ -259,7 +273,9 @@ def generate_tokens_batch(
                     # Left padding puts every row's next-token logits in the
                     # last column.
                     final_logits = logits.data[:, -1, :]
-                if argmax_rows:
+                if seen is not None:
+                    final_logits = penalized_rows(final_logits, seen, config.repetition_penalty)
+                if config.greedy:
                     next_ids = np.argmax(final_logits, axis=1).tolist()
                 else:
                     next_ids = [
@@ -276,6 +292,8 @@ def generate_tokens_batch(
                     contexts[row].append(next_id)
                     if not finished[row]:
                         generated[row].append(next_id)
+                        if seen is not None:
+                            seen[row, next_id] = True
                         if (
                             config.stop_token_id is not None
                             and next_id == config.stop_token_id

@@ -302,7 +302,7 @@ class OnDeviceLLM:
     # ------------------------------------------------------------------ #
     def _dropout_modules(self) -> List[Dropout]:
         """Every dropout module, in deterministic depth-first order."""
-        return [module for module in self.model.modules() if isinstance(module, Dropout)]
+        return [module for module in self.model.module_list() if isinstance(module, Dropout)]
 
     def export_runtime_state(self) -> dict:
         """Full mid-run snapshot: weights, LoRA config, mode and RNG streams.

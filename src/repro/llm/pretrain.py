@@ -32,7 +32,7 @@ from repro.llm.base_cache import (
     record_path,
     store_base_model,
 )
-from repro.llm.finetune import IGNORE_INDEX, collate_batch, train_batch
+from repro.llm.finetune import IGNORE_INDEX, collate_round, train_batch
 from repro.llm.model import OnDeviceLLM, OnDeviceLLMConfig
 from repro.nn.optim import Adam
 from repro.utils.config import require_positive
@@ -157,15 +157,14 @@ def pretrain(
 
     start = time.perf_counter()
     losses: List[float] = []
+    take = collate_round(llm, examples)
     llm.model.train()
     for _ in range(config.epochs):
         order = rng.permutation(len(examples))
         epoch_losses: List[float] = []
         for batch_start in range(0, len(examples), config.batch_size):
-            chosen = [examples[int(i)] for i in order[batch_start : batch_start + config.batch_size]]
-            epoch_losses.append(
-                train_batch(llm.model, optimizer, collate_batch(llm, chosen), config.max_grad_norm)
-            )
+            batch = take(order[batch_start : batch_start + config.batch_size])
+            epoch_losses.append(train_batch(llm.model, optimizer, batch, config.max_grad_norm))
         losses.append(float(np.mean(epoch_losses)))
     llm.model.eval()
     return PretrainReport(

@@ -178,8 +178,11 @@ def layernorm_vjp(res, grad, needs):
         grad_b = grad.reshape(-1, dim).sum(axis=0)
     if need_x:
         grad_norm = grad * weight
-        grad_mean = grad_norm.mean(axis=-1, keepdims=True)
-        grad_dot = (grad_norm * normalized).mean(axis=-1, keepdims=True)
+        # The forward's mean (ndarray.mean's sum-then-divide, minus dispatch).
+        grad_mean = np.add.reduce(grad_norm, axis=-1, keepdims=True)
+        grad_mean /= dim
+        grad_dot = np.add.reduce(grad_norm * normalized, axis=-1, keepdims=True)
+        grad_dot /= dim
         grad_x = grad_norm
         grad_x -= grad_mean
         grad_x -= normalized * grad_dot

@@ -50,6 +50,13 @@ class Module:
     never walked.
     """
 
+    #: Every module below this one, in :meth:`modules` order, and
+    #: :meth:`parameters`: each cached on first use by :meth:`module_list` /
+    #: :meth:`parameter_list`.  ``self`` is left out of the list, so the
+    #: cache forms no reference cycle and a dropped model is freed at once.
+    _submodules: Optional[List["Module"]] = None
+    _parameters: Optional[List[Tensor]] = None
+
     def __init__(self) -> None:
         self.training = True
 
@@ -92,6 +99,31 @@ class Module:
                     if isinstance(item, Module):
                         yield from item.modules()
 
+    def module_list(self) -> List["Module"]:
+        """``list(self.modules())``, from a cached list of the submodules.
+
+        The list is built on first use and reused, so the hot paths (mode
+        switches, adapter lookups) do not walk the tree.  Whoever replaces
+        a submodule must call :meth:`refresh_tree`, as
+        :func:`~repro.nn.lora.inject_lora` and :func:`~repro.nn.lora.merge_lora` do.
+        """
+        submodules = self._submodules
+        if submodules is None:
+            submodules = self._submodules = list(self.modules())[1:]
+        return [self, *submodules]
+
+    def parameter_list(self) -> List[Tensor]:
+        """Cached :meth:`parameters`, refreshed as :meth:`module_list` is."""
+        parameters = self._parameters
+        if parameters is None:
+            parameters = self._parameters = self.parameters()
+        return parameters
+
+    def refresh_tree(self) -> None:
+        """Drop the cached lists of this module and every submodule."""
+        for module in self.modules():
+            module._submodules = module._parameters = None
+
     def zero_grad(self) -> None:
         """Clear gradients on every parameter."""
         for tensor in self.parameters():
@@ -105,13 +137,13 @@ class Module:
     # -- training / evaluation mode -------------------------------------- #
     def train(self) -> "Module":
         """Switch this module (and submodules) to training mode."""
-        for module in self.modules():
+        for module in self.module_list():
             module.training = True
         return self
 
     def eval(self) -> "Module":
         """Switch this module (and submodules) to evaluation mode."""
-        for module in self.modules():
+        for module in self.module_list():
             module.training = False
         return self
 

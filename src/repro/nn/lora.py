@@ -177,9 +177,10 @@ def inject_lora(
     parameters are frozen, reproducing the paper's parameter-efficient
     fine-tuning regime.  Returns the list of injected adapters.
 
-    The full adapter list of ``model`` is recorded on it, so
-    :func:`lora_layers` (every adapter load and export) does not walk the
-    module tree; :func:`merge_lora` refreshes the record.
+    ``model``'s cached :meth:`~repro.nn.layers.Module.module_list` is
+    refreshed, so :func:`lora_layers` (every adapter load and export) and
+    the mode switches see the adapters without walking the module tree;
+    :func:`merge_lora` refreshes it again.
     """
     config = config or LoRAConfig()
     rng = as_generator(rng)
@@ -203,7 +204,7 @@ def inject_lora(
                 adapter.eval()  # join the model's mode (decode skips eval())
             setattr(attention, layer_name, adapter)
             adapters.append(adapter)
-    model._lora_layers = _find_lora_layers(model)
+    model.refresh_tree()
     freeze_non_lora_parameters(model)
     return adapters
 
@@ -223,20 +224,13 @@ def freeze_non_lora_parameters(model: Module) -> int:
     return frozen
 
 
-def _find_lora_layers(model: Module) -> List[LoRALinear]:
-    return [module for module in model.modules() if isinstance(module, LoRALinear)]
-
-
 def lora_layers(model: Module) -> List[LoRALinear]:
     """All :class:`LoRALinear` layers inside ``model``, in module-tree order.
 
-    Uses the list :func:`inject_lora` / :func:`merge_lora` recorded when
-    they last ran on ``model`` itself; walks the tree otherwise.
+    Filters ``model``'s cached module list, which :func:`inject_lora` /
+    :func:`merge_lora` refresh when they run on ``model`` itself.
     """
-    recorded = getattr(model, "_lora_layers", None)
-    if recorded is None:
-        return _find_lora_layers(model)
-    return list(recorded)
+    return [module for module in model.module_list() if isinstance(module, LoRALinear)]
 
 
 def lora_parameters(model: Module) -> List[Tensor]:
@@ -363,7 +357,7 @@ def merge_lora(model: Module) -> int:
             if isinstance(projection, LoRALinear):
                 setattr(attention, layer_name, projection.merge())
                 merged += 1
-    model._lora_layers = _find_lora_layers(model)
+    model.refresh_tree()
     return merged
 
 

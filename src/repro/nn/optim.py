@@ -9,13 +9,20 @@ applies in the buffer-size experiment (Table 3).
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.backend import active as _active
 from repro.nn.tensor import Tensor
 from repro.utils.config import require_non_negative, require_positive
+
+
+def _aligned_zeros(size: int, dtype: np.dtype, alignment: int = 64) -> np.ndarray:
+    """A zeroed 1-D array whose first element sits on an ``alignment``-byte boundary."""
+    raw = np.zeros(size * dtype.itemsize + alignment, dtype=np.uint8)
+    offset = -raw.ctypes.data % alignment
+    return raw[offset : offset + size * dtype.itemsize].view(dtype)
 
 
 class Optimizer:
@@ -41,6 +48,10 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
+
+    def clip_grad_norm(self, max_norm: float) -> float:
+        """Clip the managed gradients to ``max_norm``; see :func:`clip_grad_norm`."""
+        return clip_grad_norm(self.parameters, max_norm)
 
     def set_lr(self, lr: float) -> None:
         """Update the learning rate (used by schedulers)."""
@@ -121,7 +132,22 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam with bias correction (no weight decay)."""
+    """Adam with bias correction (no weight decay), one packed update per step.
+
+    The parameters live in one contiguous buffer: at the first step (or
+    the first ``state_dict`` / ``load_state_dict``) each ``.data`` is
+    copied into its own segment, which starts on a 64-byte boundary, and
+    replaced by a view of it.  The moments ``m``/``v``, the packed gradient
+    and the kernel's two scratch buffers are flat arrays with the same
+    layout, so a step copies each gradient into its segment and runs the
+    backend's fused ``adamw_step`` once per run of consecutive parameters
+    that have one — once, when all do.  The update is elementwise, so every
+    bit equals the per-parameter update's.  A parameter whose ``.grad`` is
+    None is left untouched, moments included.  An array assigned to
+    ``.data`` later is copied into the buffer at the next step.  Nothing is
+    allocated before first use: a serving session builds an optimizer that
+    may never step.
+    """
 
     def __init__(
         self,
@@ -133,41 +159,124 @@ class Adam(Optimizer):
         super().__init__(parameters, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
-        self._workspace = _active().Workspace()
+        self.weight_decay = 0.0
+        dtypes = {parameter.data.dtype for parameter in self.parameters}
+        if len(dtypes) != 1:
+            raise ValueError(f"Adam packs one dtype, got {sorted(map(str, dtypes))}")
+        if len({id(parameter) for parameter in self.parameters}) != len(self.parameters):
+            raise ValueError("Adam received the same parameter more than once")
+        self._flat: Optional[Dict[str, np.ndarray]] = None
+
+    def _build(self) -> None:
+        """Allocate the packed buffers and bind every parameter to its segment."""
+        dtype = self.parameters[0].data.dtype
+        align = max(1, 64 // dtype.itemsize)
+        self._bounds: List[Tuple[int, int]] = []
+        total = 0
+        for parameter in self.parameters:
+            self._bounds.append((total, total + parameter.data.size))
+            total += -(-parameter.data.size // align) * align
+        # Padding between segments stays zero in every buffer, so a run
+        # spanning it updates nothing there.
+        self._flat = {
+            name: _aligned_zeros(total, dtype) for name in ("data", "grad", "m", "v", "a", "b")
+        }
+        self._data, self._grads, self._m, self._v = (
+            [
+                self._flat[name][start:stop].reshape(parameter.data.shape)
+                for parameter, (start, stop) in zip(self.parameters, self._bounds)
+            ]
+            for name in ("data", "grad", "m", "v")
+        )
+        for parameter, data in zip(self.parameters, self._data):
+            data[...] = parameter.data
+            parameter.data = data
+
+    def _pack(self) -> List[Tuple[int, int]]:
+        """Bind every parameter to its segment and copy its gradient into its own.
+
+        Afterwards each ``.data`` and every non-None ``.grad`` is a view of
+        the packed buffers.  Returns the ``[start, stop)`` spans of the runs
+        of consecutive parameters that have a gradient.
+        """
+        if self._flat is None:
+            self._build()
+        runs: List[Tuple[int, int]] = []
+        previous_live = False
+        for parameter, data, grad, (start, stop) in zip(
+            self.parameters, self._data, self._grads, self._bounds
+        ):
+            if parameter.data is not data:
+                if parameter.data.shape != data.shape:
+                    raise ValueError(
+                        f"parameter shape changed from {data.shape} to {parameter.data.shape}"
+                    )
+                data[...] = parameter.data
+                parameter.data = data
+            if parameter.grad is None:
+                previous_live = False
+                continue
+            if parameter.grad is not grad:
+                grad[...] = parameter.grad
+                parameter.grad = grad
+            if previous_live:
+                runs[-1] = (runs[-1][0], stop)
+            else:
+                runs.append((start, stop))
+            previous_live = True
+        return runs
+
+    def clip_grad_norm(self, max_norm: float) -> float:
+        """:func:`clip_grad_norm` over the packed gradient: one scale per run.
+
+        The norm keeps the per-parameter float64 partials, in parameter
+        order, so it and the clipped gradient are bit-identical to the
+        free function's.
+        """
+        require_positive("max_norm", max_norm)
+        runs = self._pack()
+        grads = [parameter.grad for parameter in self.parameters if parameter.grad is not None]
+        norm = math.sqrt(_active().grad_norm_sq(grads))
+        if norm > max_norm and norm > 0.0:
+            scale = max_norm / norm
+            flat_grad = self._flat["grad"]
+            for start, stop in runs:
+                flat_grad[start:stop] *= scale
+        return norm
 
     def step(self) -> None:
         self._step_count += 1
-        backend = _active()
+        adamw_step = _active().adamw_step
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        for index, (parameter, m, v) in enumerate(zip(self.parameters, self._m, self._v)):
-            if parameter.grad is None:
-                continue
-            scratch_a = self._workspace.get(
-                ("a", index), parameter.data.shape, parameter.data.dtype
-            )
-            scratch_b = self._workspace.get(
-                ("b", index), parameter.data.shape, parameter.data.dtype
-            )
-            backend.adamw_step(
-                parameter.data, parameter.grad, m, v, scratch_a, scratch_b,
-                self.lr, self.beta1, self.beta2, self.eps, 0.0, bias1, bias2,
+        runs = self._pack()
+        flat = self._flat
+        for start, stop in runs:
+            span = slice(start, stop)
+            # Decoupled weight decay (AdamW) is folded into the fused kernel.
+            adamw_step(
+                flat["data"][span], flat["grad"][span], flat["m"][span], flat["v"][span],
+                flat["a"][span], flat["b"][span],
+                self.lr, self.beta1, self.beta2, self.eps, self.weight_decay, bias1, bias2,
             )
 
     def state_dict(self) -> dict:
+        if self._flat is None:
+            self._build()
         state = super().state_dict()
         state["m"] = [m.copy() for m in self._m]
         state["v"] = [v.copy() for v in self._v]
         return state
 
     def _load_buffers(self, state: dict) -> None:
-        self._m = self._check_buffers("m", state["m"])
-        self._v = self._check_buffers("v", state["v"])
+        if self._flat is None:
+            self._build()
+        for name, views in (("m", self._m), ("v", self._v)):
+            for view, array in zip(views, self._check_buffers(name, state[name])):
+                view[...] = array
 
 
-class AdamW(Optimizer):
+class AdamW(Adam):
     """Adam with decoupled weight decay (the paper's fine-tuning optimizer)."""
 
     def __init__(
@@ -178,44 +287,9 @@ class AdamW(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.01,
     ) -> None:
-        super().__init__(parameters, lr)
         require_non_negative("weight_decay", weight_decay)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
+        super().__init__(parameters, lr, betas, eps)
         self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
-        self._workspace = _active().Workspace()
-
-    def step(self) -> None:
-        self._step_count += 1
-        backend = _active()
-        bias1 = 1.0 - self.beta1**self._step_count
-        bias2 = 1.0 - self.beta2**self._step_count
-        for index, (parameter, m, v) in enumerate(zip(self.parameters, self._m, self._v)):
-            if parameter.grad is None:
-                continue
-            scratch_a = self._workspace.get(
-                ("a", index), parameter.data.shape, parameter.data.dtype
-            )
-            scratch_b = self._workspace.get(
-                ("b", index), parameter.data.shape, parameter.data.dtype
-            )
-            # Decoupled weight decay is folded into the fused kernel.
-            backend.adamw_step(
-                parameter.data, parameter.grad, m, v, scratch_a, scratch_b,
-                self.lr, self.beta1, self.beta2, self.eps, self.weight_decay, bias1, bias2,
-            )
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["m"] = [m.copy() for m in self._m]
-        state["v"] = [v.copy() for v in self._v]
-        return state
-
-    def _load_buffers(self, state: dict) -> None:
-        self._m = self._check_buffers("m", state["m"])
-        self._v = self._check_buffers("v", state["v"])
 
 
 def clip_grad_norm(parameters: Sequence[Tensor], max_norm: float) -> float:

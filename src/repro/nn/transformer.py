@@ -336,7 +336,7 @@ class TransformerLM(Module):
         # gradients are not propagated below the lowest one that does.
         live = [embedding.requires_grad or self.position_embedding.weight.requires_grad]
         for block in self.blocks:
-            live.append(live[-1] or any(t.requires_grad for _, t in block.named_parameters()))
+            live.append(live[-1] or any(t.requires_grad for t in block.parameter_list()))
 
         tape: list = []
         logits, _ = self._forward_raw(

@@ -281,7 +281,13 @@ def merge_snapshots(snapshots: Iterable[Mapping[str, object]]) -> Dict[str, obje
     * histograms: per-bucket counts, sum and count summed (bounds must
       match — mismatched bounds mean mismatched code versions and raise)
     * gauges: folded per their recorded merge mode (``sum``/``max``/
-      ``min``; ``last`` keeps the value from the last snapshot seen)
+      ``min``; ``last`` keeps the value from the last snapshot seen, so
+      it alone depends on the snapshots' order).  Snapshots that give one
+      gauge different modes raise, as mismatched histogram bounds do.
+
+    Everything but ``last`` gauges is independent of the order and the
+    grouping of the snapshots (a merge of merges equals the flat merge),
+    up to float rounding in ``sum`` gauges and histogram sums.
     """
     counters: Dict[str, int] = {}
     gauges: Dict[str, Dict[str, object]] = {}
@@ -298,6 +304,11 @@ def merge_snapshots(snapshots: Iterable[Mapping[str, object]]) -> Dict[str, obje
             if seen is None:
                 gauges[key] = {"value": value, "merge": mode}
                 continue
+            if seen["merge"] != mode:
+                raise ValueError(
+                    f"gauge {key!r} merge modes differ across shards "
+                    f"({seen['merge']!r} vs {mode!r})"
+                )
             if mode == "sum":
                 seen["value"] = float(seen["value"]) + value
             elif mode == "max":

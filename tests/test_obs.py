@@ -15,6 +15,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     COUNT_BUCKETS,
@@ -228,6 +230,79 @@ class TestMerge:
         merged = merge_snapshots([])
         assert merged["schema"] == SNAPSHOT_SCHEMA_VERSION
         assert snapshot_key_set(merged) == []
+
+    def test_gauge_merge_mode_mismatch_raises(self):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.gauge("queue_depth", merge="sum").set(2)
+        b.gauge("queue_depth", merge="max").set(5)
+        with pytest.raises(ValueError, match="'queue_depth' merge modes differ"):
+            merge_snapshots([a.snapshot(), b.snapshot()])
+
+
+# Each key keeps one kind, one gauge mode and one set of bounds across
+# snapshots, as registries built by the same code do.  ``last`` gauges are
+# left out: they keep the last snapshot's value, so they depend on order.
+GAUGE_MODES = {"g_sum": "sum", "g_max": "max", "g_min": "min"}
+HISTOGRAM_BOUNDS = {"h_lat": [0.1, 1.0], "h_rows": [1.0, 4.0, 16.0]}
+
+
+@st.composite
+def snapshots(draw):
+    counters = {
+        key: draw(st.integers(0, 10**6))
+        for key in draw(st.sets(st.sampled_from(["c_a", "c_b", "c_c"])))
+    }
+    gauges = {}
+    for key in draw(st.sets(st.sampled_from(sorted(GAUGE_MODES)))):
+        mode = GAUGE_MODES[key]
+        if mode == "sum":
+            # Integer-valued, so float sums are exact in any order.
+            value = float(draw(st.integers(-(10**6), 10**6)))
+        else:
+            value = draw(st.floats(-1e6, 1e6, allow_nan=False))
+        gauges[key] = {"value": value, "merge": mode}
+    histograms = {}
+    for key in draw(st.sets(st.sampled_from(sorted(HISTOGRAM_BOUNDS)))):
+        bounds = HISTOGRAM_BOUNDS[key]
+        buckets = len(bounds) + 1
+        counts = draw(st.lists(st.integers(0, 1000), min_size=buckets, max_size=buckets))
+        histograms[key] = {
+            "bounds": list(bounds),
+            "counts": counts,
+            "sum": draw(st.floats(0, 1e6, allow_nan=False)),
+            "count": sum(counts),
+        }
+    return {
+        "schema": SNAPSHOT_SCHEMA_VERSION,
+        "counters": counters,
+        "gauges": gauges,
+        "histograms": histograms,
+    }
+
+
+def _order_free_view(merged):
+    """Everything a merge must agree on whatever the order and grouping."""
+    return (
+        snapshot_key_set(merged),
+        merged["counters"],
+        {key: entry["value"] for key, entry in merged["gauges"].items()},
+        {key: (entry["counts"], entry["count"]) for key, entry in merged["histograms"].items()},
+    )
+
+
+class TestMergeProperties:
+    """``merge_snapshots`` is commutative and associative."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data(), snaps=st.lists(snapshots(), max_size=6))
+    def test_any_order_and_grouping_agrees(self, data, snaps):
+        flat = _order_free_view(merge_snapshots(snaps))
+        shuffled = data.draw(st.permutations(snaps))
+        assert _order_free_view(merge_snapshots(shuffled)) == flat
+        cuts = sorted(data.draw(st.sets(st.integers(0, len(shuffled)))))
+        groups = [shuffled[a:b] for a, b in zip([0] + cuts, cuts + [len(shuffled)])]
+        merged_groups = merge_snapshots(merge_snapshots(group) for group in groups)
+        assert _order_free_view(merged_groups) == flat
 
 
 class TestObserveHealth:

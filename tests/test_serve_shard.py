@@ -74,6 +74,23 @@ class TestShardRing:
         moved = sum(1 for u in users if before.shard_for(u) != after.shard_for(u))
         assert 0 < moved < len(users) // 2
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        shards=st.integers(1, 8),
+        users=st.sets(
+            st.text("abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=12),
+            min_size=100,
+            max_size=300,
+        ),
+    )
+    def test_growing_moves_users_only_to_the_new_shard(self, shards, users):
+        """N -> N+1 moves about 1/(N+1) of the users, all of them onto the
+        new shard N; every other user keeps its shard."""
+        before, after = ShardRing(shards), ShardRing(shards + 1)
+        moved = [user for user in users if before.shard_for(user) != after.shard_for(user)]
+        assert {after.shard_for(user) for user in moved} <= {shards}
+        assert len(moved) / len(users) < 2 / (shards + 1)
+
     def test_single_shard_owns_everything(self):
         ring = ShardRing(1)
         assert {ring.shard_for(u) for u in user_ids(20)} == {0}

@@ -8,7 +8,12 @@ durable front-end resumes through the PR-6 journal replay path to the same
 transcript a crash-free run produces.
 """
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.experiments.presets import get_scale
@@ -122,6 +127,113 @@ class TestTraceFormat:
         not_a_trace.write_text("J1 0123456789abcdef {}\n")
         with pytest.raises(TraceError):
             load_trace(not_a_trace)
+
+
+def _record_trace(path, users, requests):
+    """A T1 trace as the front-end writes one; returns its request records."""
+    with TraceRecorder(path, meta={"scale": "smoke", "seed": 3}) as recorder:
+        recorded = [
+            recorder.record_request(
+                f"user-{index % users:02d}",
+                "personalize" if index % 5 == 4 else "chat",
+                {"question": f"question {index} \u00e9", "max_new_tokens": index % 7},
+            ).to_record()
+            for index in range(requests)
+        ]
+        recorder.record_summary(digest="ab" * 32, requests=requests)
+    return recorded
+
+
+def _load_damaged(data: bytes):
+    """``load_trace`` of ``data``: the Trace, or None when it raised TraceError."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "trace.jsonl"
+        path.write_bytes(data)
+        try:
+            return load_trace(path)
+        except TraceError:
+            return None
+
+
+def _is_subsequence(items, sequence):
+    remaining = iter(sequence)
+    return all(any(item == candidate for candidate in remaining) for item in items)
+
+
+class TestTraceDamageProperties:
+    """``load_trace`` on damaged traces.
+
+    Whatever the damage, it either raises :class:`TraceError` or returns a
+    Trace that accounts for every line of the file: the header, the
+    summary, each returned request, each dropped record and the torn tail.
+    Checksums keep damaged lines out, so the returned requests are always
+    recorded ones, in recorded order.
+    """
+
+    def _check_accounting(self, data, recorded, trace):
+        lines = data.decode("utf-8", errors="replace").splitlines(keepends=True)
+        got = [request.to_record() for request in trace.requests]
+        assert _is_subsequence(got, recorded)
+        summary = 0 if trace.summary is None else 1
+        assert 1 + summary + len(got) + trace.dropped_records + int(trace.torn_tail) == len(lines)
+        return got
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(users=st.integers(1, 4), requests=st.integers(0, 12))
+    def test_untouched_trace_round_trips(self, users, requests):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "trace.jsonl"
+            recorded = _record_trace(path, users, requests)
+            trace = load_trace(path)
+        assert [request.to_record() for request in trace.requests] == recorded
+        assert trace.dropped_records == 0 and not trace.torn_tail
+        assert trace.digest == "ab" * 32 and trace.meta["seed"] == 3
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data(), requests=st.integers(1, 10))
+    def test_byte_flips(self, data, requests):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "trace.jsonl"
+            recorded = _record_trace(path, 3, requests)
+            damaged = bytearray(path.read_bytes())
+        # Arrival times make the length vary by a byte or two between
+        # runs, so positions are drawn independently of it.
+        flips = data.draw(st.lists(st.integers(0, 2**20), min_size=1, max_size=4))
+        for position in flips:
+            damaged[position % len(damaged)] ^= data.draw(st.integers(1, 255))
+        trace = _load_damaged(bytes(damaged))
+        if trace is not None:
+            got = self._check_accounting(bytes(damaged), recorded, trace)
+            # A flip breaks its own line, or two when it hits a newline.
+            assert len(recorded) - len(got) <= 2 * len(flips)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), requests=st.integers(0, 10))
+    def test_truncation(self, data, requests):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "trace.jsonl"
+            recorded = _record_trace(path, 3, requests)
+            original = path.read_bytes()
+        cut = data.draw(st.integers(0, 2**20)) % (len(original) + 1)
+        trace = _load_damaged(original[:cut])
+        if trace is not None:
+            got = self._check_accounting(original[:cut], recorded, trace)
+            # Every request line that ended before the cut survives.
+            whole_lines = original[:cut].count(b"\n")
+            assert len(got) >= min(len(recorded), whole_lines - 1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(garbage=st.binary(min_size=1, max_size=200), requests=st.integers(0, 10))
+    def test_trailing_garbage(self, garbage, requests):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "trace.jsonl"
+            recorded = _record_trace(path, 3, requests)
+            damaged = path.read_bytes() + garbage
+        trace = _load_damaged(damaged)
+        assert trace is not None
+        got = self._check_accounting(damaged, recorded, trace)
+        assert got == recorded
+        assert trace.digest == "ab" * 32
 
 
 class TestReplayCLIRefusals:
