@@ -7,9 +7,9 @@ scale:
   the whole context window for every new token, with the autograd tape
   recorded (parameters require grad), exactly as ``generate_tokens`` worked
   before the fast path existed.
-* ``kv_cached`` — :func:`repro.llm.generation.generate_tokens`: no-grad
-  inference mode plus per-layer KV caching, one single-position forward per
-  token.
+* ``kv_cached`` — :func:`repro.llm.generation.generate_tokens`: the
+  graph-free array path plus per-layer KV caching, one single-position
+  forward per token.
 * ``batched`` — :func:`repro.llm.generation.generate_tokens_batch`: the same
   cached decode over a left-padded batch of prompts, amortizing every forward
   across the batch.

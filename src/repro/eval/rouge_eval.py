@@ -32,12 +32,11 @@ class EvaluationConfig:
     repetition_penalty: float = 1.3
     subset_size: Optional[int] = 64
     seed: int = 0
-    # Questions decoded together per padded batch (the fast inference path).
-    # ``None`` falls back to one-question-at-a-time decoding.  Greedy scores
-    # are identical either way; *sampled* scores depend on the rng draw order
-    # and therefore on this value — compare temperature-sampled runs only at
-    # the same batch_size.
-    batch_size: Optional[int] = 32
+    # Questions decoded together per padded batch.  Greedy scores do not
+    # depend on it; *sampled* scores depend on the rng draw order and
+    # therefore on this value — compare temperature-sampled runs only at the
+    # same batch_size.
+    batch_size: int = 32
 
     def __post_init__(self) -> None:
         require_positive("temperature", self.temperature)
@@ -48,8 +47,7 @@ class EvaluationConfig:
             )
         if self.subset_size is not None:
             require_positive("subset_size", self.subset_size)
-        if self.batch_size is not None:
-            require_positive("batch_size", self.batch_size)
+        require_positive("batch_size", self.batch_size)
 
 
 @dataclass
@@ -114,25 +112,18 @@ class ResponseEvaluator:
         """Full evaluation with per-question scores.
 
         Questions are decoded in padded batches of ``config.batch_size`` so
-        the model forwards are shared across the evaluation set; with
-        ``batch_size=None`` each question is decoded on its own.  Either way a
-        fresh, fixed-seed generator per evaluation keeps sampling noise
-        identical across methods and fine-tuning rounds.
+        the model forwards are shared across the evaluation set.  A fresh,
+        fixed-seed generator per evaluation keeps sampling noise identical
+        across methods and fine-tuning rounds.
         """
         generation = self._generation_config(llm)
         rng = as_generator(self._generation_seed)
         references = self._references()
         generated: List[str] = []
-        if self.config.batch_size is None:
-            for dialogue in self.dialogues:
-                generated.append(
-                    llm.respond(dialogue.question, generation=generation, rng=rng)
-                )
-        else:
-            questions = [dialogue.question for dialogue in self.dialogues]
-            for start in range(0, len(questions), self.config.batch_size):
-                chunk = questions[start : start + self.config.batch_size]
-                generated.extend(llm.respond_batch(chunk, generation=generation, rng=rng))
+        questions = [dialogue.question for dialogue in self.dialogues]
+        for start in range(0, len(questions), self.config.batch_size):
+            chunk = questions[start : start + self.config.batch_size]
+            generated.extend(llm.respond_batch(chunk, generation=generation, rng=rng))
         scores = [
             rouge_1_f1(candidate, reference)
             for candidate, reference in zip(generated, references)

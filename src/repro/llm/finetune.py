@@ -19,7 +19,7 @@ import numpy as np
 from repro.data.dialogue import DialogueSet
 from repro.llm.model import OnDeviceLLM
 from repro.nn.lora import LoRAConfig, lora_parameters
-from repro.nn.optim import AdamW, Optimizer
+from repro.nn.optim import Adam, AdamW
 from repro.nn.transformer import IGNORE_INDEX, TransformerLM
 from repro.utils.config import require_positive
 from repro.utils.rng import as_generator, get_generator_state, set_generator_state
@@ -156,7 +156,7 @@ def collate_round(
 
 def train_batch(
     model: TransformerLM,
-    optimizer: Optimizer,
+    optimizer: Adam,
     batch: Tuple[np.ndarray, np.ndarray, np.ndarray],
     max_grad_norm: Optional[float],
 ) -> float:

@@ -4,9 +4,9 @@ The paper generates evaluation responses with temperature sampling
 (``τ = 0.5``); the same mechanism (plus optional top-k truncation and greedy
 decoding) is implemented here over the numpy transformer.
 
-Decoding runs on a dedicated fast inference path: forwards execute inside
-:func:`repro.nn.inference_mode` (no autograd tape is recorded) and feed a
-per-layer KV cache, so each new token costs one single-position forward
+Decoding runs on the array-level inference path: prefills go through
+:meth:`~repro.nn.transformer.TransformerLM.infer` (no autograd graph) and feed
+a per-layer KV cache, so each new token costs one single-position forward
 instead of a full re-encode of the context window.  Because attention is
 causal, the cached keys/values are exactly what the full-context forward
 would compute, so the incremental path produces the same logits — the
@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.tensor import inference_mode
 from repro.nn.transformer import KVCache, TransformerLM
 from repro.utils.config import require_positive
 from repro.utils.rng import as_generator
@@ -150,30 +149,29 @@ def generate_tokens(
     # positions shift and the cache must be rebuilt.
     cached_start = -1
     try:
-        with inference_mode():
-            for _ in range(config.max_new_tokens):
-                start = len(context) - max_context
-                if start < 0:
-                    start = 0
-                if cache is not None:
-                    if start == cached_start and cache.length == len(context) - start - 1:
-                        # Steady state: one fused single-token decode step.
-                        logits_row = model.decode_logits(context[-1], cache)
-                    else:
-                        cache.reset()
-                        token_array = np.asarray(context[start:], dtype=np.int64)[None, :]
-                        logits_row = model(token_array, kv_cache=cache).data[0, -1]
-                    cached_start = start
+        for _ in range(config.max_new_tokens):
+            start = len(context) - max_context
+            if start < 0:
+                start = 0
+            if cache is not None:
+                if start == cached_start and cache.length == len(context) - start - 1:
+                    # Steady state: one fused single-token decode step.
+                    logits_row = model.decode_logits(context[-1], cache)
                 else:
+                    cache.reset()
                     token_array = np.asarray(context[start:], dtype=np.int64)[None, :]
-                    logits_row = model(token_array).data[0, -1]
-                next_id = sample_next_token(
-                    logits_row, config, rng=generator, previous_ids=generated
-                )
-                generated.append(next_id)
-                context.append(next_id)
-                if config.stop_token_id is not None and next_id == config.stop_token_id:
-                    break
+                    logits_row = model.infer(token_array, kv_cache=cache)[0][0, -1]
+                cached_start = start
+            else:
+                token_array = np.asarray(context[start:], dtype=np.int64)[None, :]
+                logits_row = model.infer(token_array)[0][0, -1]
+            next_id = sample_next_token(
+                logits_row, config, rng=generator, previous_ids=generated
+            )
+            generated.append(next_id)
+            context.append(next_id)
+            if config.stop_token_id is not None and next_id == config.stop_token_id:
+                break
     finally:
         if was_training:
             model.train()
@@ -197,8 +195,8 @@ def generate_tokens_batch(
     while the remaining rows keep decoding; the loop exits as soon as every
     row has finished.
 
-    Decoding is KV-cached and runs under :func:`repro.nn.inference_mode`.
-    A prime encodes the padded prompts in one forward; every later step runs
+    Decoding is KV-cached.  A prime encodes the padded prompts in one
+    :meth:`~repro.nn.transformer.TransformerLM.infer`; every later step runs
     :meth:`~repro.nn.transformer.TransformerLM.decode_step` over the ``B``
     newest tokens with the padding mask built at the prime.  When the padded
     window hits ``max_seq_len`` the batch is re-primed from each row's last
@@ -241,66 +239,65 @@ def generate_tokens_batch(
     positions: Optional[np.ndarray] = None  # and its absolute position
     padding: Optional[np.ndarray] = None
     try:
-        with inference_mode():
-            for step in range(config.max_new_tokens):
-                if step > 0 and cache.length + 1 <= max_context:
-                    # Incremental step: feed only the freshly sampled column.
-                    final_logits = model.decode_step(token_ids, positions, padding, cache)
-                    positions += 1
-                else:
-                    # Prime (or re-prime after the window slid): encode each
-                    # row's visible window in one left-padded forward.
-                    cache.reset()
-                    windows = [context[-max_context:] for context in contexts]
-                    width = max(len(window) for window in windows)
-                    token_array = np.full((batch, width), pad_token_id, dtype=np.int64)
-                    position_ids = np.zeros((batch, width), dtype=np.int64)
-                    # True hides a key: each row's left padding.  Built once
-                    # per prime; every step until the next prime slices it.
-                    padding = np.zeros((batch, max_context), dtype=bool)
-                    for row, window in enumerate(windows):
-                        pad = width - len(window)
-                        token_array[row, pad:] = window
-                        position_ids[row, pad:] = np.arange(len(window))
-                        padding[row, :pad] = True
-                    positions = position_ids[:, -1] + 1
-                    logits = model(
-                        token_array,
-                        attention_mask=~padding[:, :width],
-                        kv_cache=cache,
-                        position_ids=position_ids,
+        for step in range(config.max_new_tokens):
+            if step > 0 and cache.length + 1 <= max_context:
+                # Incremental step: feed only the freshly sampled column.
+                final_logits = model.decode_step(token_ids, positions, padding, cache)
+                positions += 1
+            else:
+                # Prime (or re-prime after the window slid): encode each
+                # row's visible window in one left-padded forward.
+                cache.reset()
+                windows = [context[-max_context:] for context in contexts]
+                width = max(len(window) for window in windows)
+                token_array = np.full((batch, width), pad_token_id, dtype=np.int64)
+                position_ids = np.zeros((batch, width), dtype=np.int64)
+                # True hides a key: each row's left padding.  Built once
+                # per prime; every step until the next prime slices it.
+                padding = np.zeros((batch, max_context), dtype=bool)
+                for row, window in enumerate(windows):
+                    pad = width - len(window)
+                    token_array[row, pad:] = window
+                    position_ids[row, pad:] = np.arange(len(window))
+                    padding[row, :pad] = True
+                positions = position_ids[:, -1] + 1
+                logits, _ = model.infer(
+                    token_array,
+                    attention_mask=~padding[:, :width],
+                    kv_cache=cache,
+                    position_ids=position_ids,
+                )
+                # Left padding puts every row's next-token logits in the
+                # last column.
+                final_logits = logits[:, -1, :]
+            if seen is not None:
+                final_logits = penalized_rows(final_logits, seen, config.repetition_penalty)
+            if config.greedy:
+                next_ids = np.argmax(final_logits, axis=1).tolist()
+            else:
+                next_ids = [
+                    sample_next_token(
+                        final_logits[row],
+                        config,
+                        rng=generator,
+                        previous_ids=generated[row],
                     )
-                    # Left padding puts every row's next-token logits in the
-                    # last column.
-                    final_logits = logits.data[:, -1, :]
-                if seen is not None:
-                    final_logits = penalized_rows(final_logits, seen, config.repetition_penalty)
-                if config.greedy:
-                    next_ids = np.argmax(final_logits, axis=1).tolist()
-                else:
-                    next_ids = [
-                        sample_next_token(
-                            final_logits[row],
-                            config,
-                            rng=generator,
-                            previous_ids=generated[row],
-                        )
-                        for row in range(batch)
-                    ]
-                token_ids[:] = next_ids
-                for row, next_id in enumerate(next_ids):
-                    contexts[row].append(next_id)
-                    if not finished[row]:
-                        generated[row].append(next_id)
-                        if seen is not None:
-                            seen[row, next_id] = True
-                        if (
-                            config.stop_token_id is not None
-                            and next_id == config.stop_token_id
-                        ):
-                            finished[row] = True
-                if all(finished):
-                    break
+                    for row in range(batch)
+                ]
+            token_ids[:] = next_ids
+            for row, next_id in enumerate(next_ids):
+                contexts[row].append(next_id)
+                if not finished[row]:
+                    generated[row].append(next_id)
+                    if seen is not None:
+                        seen[row, next_id] = True
+                    if (
+                        config.stop_token_id is not None
+                        and next_id == config.stop_token_id
+                    ):
+                        finished[row] = True
+            if all(finished):
+                break
     finally:
         if was_training:
             model.train()

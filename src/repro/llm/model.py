@@ -27,7 +27,6 @@ from repro.nn.lora import (
     load_lora_state_dict,
     lora_layers,
     lora_state_dict,
-    merge_lora,
     row_adapters,
 )
 from repro.nn.transformer import TransformerConfig, TransformerLM
@@ -224,30 +223,6 @@ class OnDeviceLLM:
             )
         return [self.tokenizer.decode(ids) for ids in new_ids]
 
-    def generate_batch(
-        self,
-        prompts: Sequence[str],
-        generation: Optional[GenerationConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> List[str]:
-        """Free-form continuations for a batch of prompts (one padded decode)."""
-        if not prompts:
-            return []
-        generation = generation or GenerationConfig(stop_token_id=self.tokenizer.vocabulary.eos_id)
-        prompt_ids = [
-            self.tokenizer.encode(prompt, add_bos=True, add_eos=False,
-                                  max_length=self.config.max_seq_len - 1)
-            for prompt in prompts
-        ]
-        new_ids = generate_tokens_batch(
-            self.model,
-            prompt_ids,
-            generation,
-            rng=rng if rng is not None else self._generation_rng,
-            pad_token_id=self.tokenizer.vocabulary.pad_id,
-        )
-        return [self.tokenizer.decode(ids) for ids in new_ids]
-
     # ------------------------------------------------------------------ #
     # LoRA plumbing
     # ------------------------------------------------------------------ #
@@ -260,10 +235,6 @@ class OnDeviceLLM:
         adapters = inject_lora(self.model, self._lora_config,
                                rng=rng if rng is not None else as_generator(self.config.seed + 29))
         return len(adapters)
-
-    def merge_lora(self) -> int:
-        """Merge adapters into the base weights; returns the number merged."""
-        return merge_lora(self.model)
 
     def has_lora(self) -> bool:
         """Whether LoRA adapters are currently injected."""

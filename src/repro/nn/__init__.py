@@ -1,4 +1,11 @@
-"""From-scratch numpy neural-network substrate (autograd, layers, LoRA, optim)."""
+"""From-scratch numpy neural-network substrate (layers, LoRA, optim, autograd).
+
+Every production path runs array-level code over the :mod:`repro.nn.backend`
+kernels: :meth:`TransformerLM.infer` for prefill and embeddings, the decode
+steps, and :meth:`TransformerLM.train_step` for training.  The autograd
+:class:`Tensor` graph behind :meth:`TransformerLM.forward` is the reference
+the tests hold those paths to.
+"""
 
 from repro.nn import backend, functional
 from repro.nn.attention import LayerKVCache, MultiHeadSelfAttention
@@ -9,49 +16,32 @@ from repro.nn.layers import (
     LayerNorm,
     Linear,
     Module,
-    Sequential,
 )
 from repro.nn.lora import (
     DEFAULT_TARGET_LAYERS,
     LoRAConfig,
     LoRALinear,
-    count_trainable_fraction,
     freeze_non_lora_parameters,
     inject_lora,
     load_lora_state_dict,
     lora_layers,
     lora_parameters,
     lora_state_dict,
-    merge_lora,
     row_adapters,
 )
 from repro.nn.optim import (
-    SGD,
     Adam,
     AdamW,
-    ConstantLR,
-    CosineDecayLR,
-    LinearWarmupLR,
-    LRScheduler,
     Optimizer,
     clip_grad_norm,
     sqrt_batch_scaled_lr,
 )
-from repro.nn.tensor import (
-    Tensor,
-    concatenate,
-    inference_mode,
-    is_grad_enabled,
-    no_grad_parameters,
-    stack,
-)
+from repro.nn.tensor import Tensor
 from repro.nn.transformer import KVCache, TransformerBlock, TransformerConfig, TransformerLM
 
 __all__ = [
     "Adam",
     "AdamW",
-    "ConstantLR",
-    "CosineDecayLR",
     "DEFAULT_TARGET_LAYERS",
     "Dropout",
     "KVCache",
@@ -60,35 +50,24 @@ __all__ = [
     "FeedForward",
     "LayerNorm",
     "Linear",
-    "LinearWarmupLR",
     "LoRAConfig",
     "LoRALinear",
-    "LRScheduler",
     "Module",
     "MultiHeadSelfAttention",
     "Optimizer",
-    "SGD",
-    "Sequential",
     "Tensor",
     "TransformerBlock",
     "TransformerConfig",
     "TransformerLM",
     "backend",
     "clip_grad_norm",
-    "concatenate",
-    "count_trainable_fraction",
     "freeze_non_lora_parameters",
     "functional",
-    "inference_mode",
     "inject_lora",
-    "is_grad_enabled",
     "load_lora_state_dict",
     "lora_layers",
     "lora_parameters",
     "lora_state_dict",
-    "merge_lora",
-    "no_grad_parameters",
     "row_adapters",
     "sqrt_batch_scaled_lr",
-    "stack",
 ]

@@ -15,9 +15,9 @@ O(T²)).  Because attention is causal, the cached keys/values are exactly what
 a full forward over the whole window would compute, so incremental decoding
 is numerically equivalent to the full-context forward.
 
-Both the autograd path and the raw no-grad path run the same fused
+Both the autograd reference path and the array-level path run the same fused
 ``scaled_dot_product_attention`` backend kernel, which keeps their outputs
-bit-identical.
+bit-identical.  Only the array-level path takes a cache.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.backend import active as _active
 from repro.nn.layers import Dropout, Linear, Module
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor
 from repro.utils.rng import as_generator
 
 
@@ -38,9 +38,9 @@ class LayerKVCache:
 
     Keys and values live in ``(batch, heads, capacity, head_dim)`` buffers;
     :meth:`extend` and :meth:`append_token` return views of the cached
-    prefix.  The cache holds plain numpy data (no autograd graph) — it is an
-    inference structure and is meant to be used inside
-    :func:`repro.nn.inference_mode`.
+    prefix.  The cache holds plain numpy data (no autograd graph): only the
+    array-level paths (:meth:`~repro.nn.transformer.TransformerLM.infer` and
+    the decode steps) take one.
 
     ``capacity`` pre-sizes the buffers (e.g. to the model's ``max_seq_len``)
     so steady-state decoding never reallocates; without it the buffers grow
@@ -186,36 +186,13 @@ class MultiHeadSelfAttention(Module):
         """(B, H, T, head_dim) -> (B, T, D)."""
         return x.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
 
-    def forward(
-        self,
-        x: Tensor,
-        attention_mask: Optional[np.ndarray] = None,
-        cache: Optional[LayerKVCache] = None,
-    ) -> Tensor:
-        """Apply causal self-attention.
+    def forward(self, x: Tensor, attention_mask: Optional[np.ndarray] = None) -> Tensor:
+        """Apply causal self-attention (the autograd reference path).
 
-        ``attention_mask`` is an optional boolean array where ``False`` marks
-        padding positions that must not be attended to; its shape is
-        ``(B, T)`` without a cache and ``(B, past + T)`` with one (covering
-        the cached context as well as the newly fed tokens).
-
-        When ``cache`` is given, ``x`` holds only the newly fed positions;
-        their keys/values are appended to the cache and the queries attend
-        over the full cached context.
+        ``attention_mask`` is an optional ``(B, T)`` boolean array where
+        ``False`` marks padding positions that must not be attended to.
         """
-        if cache is not None and is_grad_enabled():
-            # The cache stores raw arrays: cached positions would silently
-            # drop out of the autograd graph.  Fail loudly instead.
-            raise RuntimeError(
-                "KV cache is an inference structure; wrap the forward in "
-                "repro.nn.inference_mode() when decoding with a cache"
-            )
         batch, seq, _ = x.shape
-        if not is_grad_enabled():
-            past = cache.length if cache is not None else 0
-            mask = combined_mask(batch, self.num_heads, seq, past, attention_mask)
-            return Tensor(self.raw_forward(x.data, mask, cache))
-
         queries = self._split_heads(self.q_proj(x), batch, seq)
         keys = self._split_heads(self.k_proj(x), batch, seq)
         values = self._split_heads(self.v_proj(x), batch, seq)
@@ -237,9 +214,12 @@ class MultiHeadSelfAttention(Module):
     ) -> np.ndarray:
         """Array-level forward (same kernels as the autograd path).
 
-        ``mask`` is the :func:`combined_mask` of this forward.  With a
-        ``tape`` (the training step, never with a cache) every kernel's
-        residuals are recorded for :meth:`raw_backward`.
+        ``mask`` is the :func:`combined_mask` of this forward.  When
+        ``cache`` is given, ``x`` holds only the newly fed positions; their
+        keys/values are appended to the cache and the queries attend over the
+        full cached context.  With a ``tape`` (the training step, never with
+        a cache) every kernel's residuals are recorded for
+        :meth:`raw_backward`.
         """
         backend = _active()
         batch, seq, _ = x.shape

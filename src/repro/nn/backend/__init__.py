@@ -12,10 +12,11 @@ Tensor` micro-ops.
 Training runs without a graph: :meth:`repro.nn.transformer.TransformerLM.
 train_step` tapes the residuals each forward kernel returns and replays them
 LIFO through ``VJPS`` (the HIPS-autograd idea of recorded primitives with
-gradients applied in reverse, written out once for the transformer).  The
-autograd :class:`~repro.nn.tensor.Tensor` path wraps the same kernels, one
-backward closure per kernel, and is now the reference the tests hold the
-taped step to, bit for bit.
+gradients applied in reverse, written out once for the transformer).
+Inference runs the same forward kernels through :meth:`~repro.nn.transformer.
+TransformerLM.infer` and the decode steps.  The autograd
+:class:`~repro.nn.tensor.Tensor` path wraps the same kernels, one backward
+closure per kernel, and is the reference the tests hold both to, bit for bit.
 
 Backend contract
 ----------------
@@ -40,7 +41,7 @@ A backend module must expose:
 
 Forward arithmetic must be identical between a backend's use on the autograd
 path and on the raw array path — :mod:`repro.nn` relies on this to keep
-``inference_mode()`` outputs bit-equal to default-mode outputs, and the taped
+``infer`` logits bit-equal to the autograd ``forward``'s, and the taped
 training step's loss and gradients bit-equal to autograd's.
 
 Selection

@@ -4,10 +4,10 @@ Each function here is a thin autograd wrapper over one fused kernel from the
 active :mod:`repro.nn.backend`: the backend primitive computes the forward in
 one or two vectorized calls and hands back residuals; a single backward
 closure per kernel feeds those residuals to the backend's handwritten VJP.
-This replaces the old per-op composition (5-15 chained Tensor micro-ops per
-kernel) while keeping the numerics — log-sum-exp stability, ignore-index
-masking — identical between the autograd path and the raw no-grad path,
-because both call the *same* backend forward function.
+The numerics — log-sum-exp stability, ignore-index masking — are identical
+between this autograd reference and the array-level paths, because both call
+the *same* backend forward function.  Only the wrappers the reference
+forward uses are kept, plus the two mask helpers every path shares.
 """
 
 from __future__ import annotations
@@ -17,53 +17,13 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.backend import active as _active
-from repro.nn.tensor import Tensor, is_grad_enabled
-
-
-def _recording(*tensors: Optional[Tensor]) -> bool:
-    """True when grad mode is on and any of ``tensors`` requires grad."""
-    if not is_grad_enabled():
-        return False
-    for tensor in tensors:
-        if tensor is not None and tensor.requires_grad:
-            return True
-    return False
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    backend = _active()
-    out, residuals = backend.softmax(x.data, axis)
-    if not _recording(x):
-        return Tensor(out)
-    vjp = backend.VJPS["softmax"]
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate_owned(vjp(residuals, grad))
-
-    return Tensor._make(out, (x,), backward)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    backend = _active()
-    out, residuals = backend.log_softmax(x.data, axis)
-    if not _recording(x):
-        return Tensor(out)
-    vjp = backend.VJPS["log_softmax"]
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate_owned(vjp(residuals, grad))
-
-    return Tensor._make(out, (x,), backward)
+from repro.nn.tensor import Tensor
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Fused affine map ``x @ weight.T (+ bias)`` with one backward closure."""
     backend = _active()
     out, residuals = backend.linear(x.data, weight.data, None if bias is None else bias.data)
-    if not _recording(x, weight, bias):
-        return Tensor(out)
     vjp = backend.VJPS["linear"]
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -90,8 +50,6 @@ def layer_norm(
     """Layer normalization over the last dimension with affine parameters."""
     backend = _active()
     out, residuals = backend.layernorm(x.data, weight.data, bias.data, eps)
-    if not _recording(x, weight, bias):
-        return Tensor(out)
     vjp = backend.VJPS["layernorm"]
 
     def backward(grad: np.ndarray) -> None:
@@ -125,8 +83,6 @@ def scaled_dot_product_attention(
     out, residuals = backend.scaled_dot_product_attention(
         q.data, k.data, v.data, scale, mask, dropout_mask
     )
-    if not _recording(q, k, v):
-        return Tensor(out)
     vjp = backend.VJPS["scaled_dot_product_attention"]
 
     def backward(grad: np.ndarray) -> None:
@@ -152,8 +108,6 @@ def lora_matmul(
     """Fused LoRA adapter delta ``scaling * (dropout(x) @ A^T @ B^T)``."""
     backend = _active()
     out, residuals = backend.lora_matmul(x.data, a.data, b.data, scaling, dropout_mask)
-    if not _recording(x, a, b):
-        return Tensor(out)
     vjp = backend.VJPS["lora_matmul"]
 
     def backward(grad: np.ndarray) -> None:
@@ -187,8 +141,6 @@ def cross_entropy(
         )
     backend = _active()
     loss, residuals = backend.cross_entropy(logits.data, targets, ignore_index)
-    if not _recording(logits):
-        return Tensor(loss)
     vjp = backend.VJPS["cross_entropy"]
 
     def backward(grad: np.ndarray) -> None:

@@ -1,9 +1,12 @@
-"""Neural-network modules built on the autograd :class:`Tensor`.
+"""Neural-network modules with autograd :class:`Tensor` parameters.
 
 The :class:`Module` base class provides recursive parameter discovery,
 train/eval mode switching, and state-dict export/import; the concrete layers
 are the minimum set needed by a decoder-only transformer: ``Linear``,
-``Embedding``, ``LayerNorm``, ``Dropout`` and ``Sequential``.
+``Embedding``, ``LayerNorm``, ``Dropout`` and ``FeedForward``.  Their autograd
+``forward`` is the reference path; the inference and training paths run the
+array-level methods next to it (``raw_forward``, ``raw_backward``,
+``draw_mask``).
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ class Module:
         The list is built on first use and reused, so the hot paths (mode
         switches, adapter lookups) do not walk the tree.  Whoever replaces
         a submodule must call :meth:`refresh_tree`, as
-        :func:`~repro.nn.lora.inject_lora` and :func:`~repro.nn.lora.merge_lora` do.
+        :func:`~repro.nn.lora.inject_lora` does.
         """
         submodules = self._submodules
         if submodules is None:
@@ -349,25 +352,6 @@ class Dropout(Module):
         if not self.training or self.rate == 0.0:
             return None
         return F.draw_dropout_mask(shape, self.rate, self._rng)
-
-
-class Sequential(Module):
-    """Apply a list of modules in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self.layers = list(modules)
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __getitem__(self, index: int) -> Module:
-        return self.layers[index]
 
 
 class FeedForward(Module):

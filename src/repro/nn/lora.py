@@ -147,17 +147,6 @@ class LoRALinear(Module):
         out += delta
         return out
 
-    def delta_weight(self) -> np.ndarray:
-        """The dense weight delta ``(alpha/r) * B A`` contributed by the adapter."""
-        return self.config.scaling * (self.lora_b.data @ self.lora_a.data)
-
-    def merge(self) -> Linear:
-        """Fold the adapter into the base layer and return the merged Linear."""
-        self.base.weight.data = self.base.weight.data + self.delta_weight().astype(
-            self.base.weight.data.dtype
-        )
-        return self.base
-
     def reset_adapter(self) -> None:
         """Zero the adapter so it is a no-op again (B back to zero)."""
         self.lora_b.data = np.zeros_like(self.lora_b.data)
@@ -179,8 +168,7 @@ def inject_lora(
 
     ``model``'s cached :meth:`~repro.nn.layers.Module.module_list` is
     refreshed, so :func:`lora_layers` (every adapter load and export) and
-    the mode switches see the adapters without walking the module tree;
-    :func:`merge_lora` refreshes it again.
+    the mode switches see the adapters without walking the module tree.
     """
     config = config or LoRAConfig()
     rng = as_generator(rng)
@@ -227,8 +215,8 @@ def freeze_non_lora_parameters(model: Module) -> int:
 def lora_layers(model: Module) -> List[LoRALinear]:
     """All :class:`LoRALinear` layers inside ``model``, in module-tree order.
 
-    Filters ``model``'s cached module list, which :func:`inject_lora` /
-    :func:`merge_lora` refresh when they run on ``model`` itself.
+    Filters ``model``'s cached module list, which :func:`inject_lora`
+    refreshes when it runs on ``model`` itself.
     """
     return [module for module in model.module_list() if isinstance(module, LoRALinear)]
 
@@ -340,31 +328,3 @@ def row_adapters(
     finally:
         for layer in layers:
             layer.row_adapters = None
-
-
-def merge_lora(model: Module) -> int:
-    """Merge every adapter into its base layer; returns the number merged.
-
-    After merging, the attention modules hold plain :class:`Linear` layers
-    again (with updated weights) and no LoRA parameters remain.
-    """
-    merged = 0
-    for attention in model.modules():
-        if not isinstance(attention, MultiHeadSelfAttention):
-            continue
-        for layer_name in DEFAULT_TARGET_LAYERS:
-            projection = getattr(attention, layer_name, None)
-            if isinstance(projection, LoRALinear):
-                setattr(attention, layer_name, projection.merge())
-                merged += 1
-    model.refresh_tree()
-    return merged
-
-
-def count_trainable_fraction(model: Module) -> float:
-    """Fraction of scalar parameters that are trainable (LoRA efficiency check)."""
-    total = model.num_parameters()
-    trainable = model.num_parameters(trainable_only=True)
-    if total == 0:
-        return 0.0
-    return trainable / total

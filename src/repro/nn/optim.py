@@ -1,9 +1,9 @@
-"""Optimizers and learning-rate schedules.
+"""Optimizers and the learning-rate scaling rule.
 
-AdamW is the optimizer the paper fine-tunes with; SGD and Adam are provided
-for the pre-training utility and ablations.  The ``sqrt_batch_scaled_lr``
-helper reproduces the learning-rate ∝ √batch-size scaling rule the paper
-applies in the buffer-size experiment (Table 3).
+AdamW is the optimizer the paper fine-tunes with; Adam drives the
+pre-training utility.  The ``sqrt_batch_scaled_lr`` helper reproduces the
+learning-rate ∝ √batch-size scaling rule the paper applies in the
+buffer-size experiment (Table 3).
 """
 
 from __future__ import annotations
@@ -49,12 +49,8 @@ class Optimizer:
     def step(self) -> None:
         raise NotImplementedError
 
-    def clip_grad_norm(self, max_norm: float) -> float:
-        """Clip the managed gradients to ``max_norm``; see :func:`clip_grad_norm`."""
-        return clip_grad_norm(self.parameters, max_norm)
-
     def set_lr(self, lr: float) -> None:
-        """Update the learning rate (used by schedulers)."""
+        """Update the learning rate (the fine-tuner's √batch-size rule)."""
         require_positive("lr", lr)
         self.lr = float(lr)
 
@@ -62,7 +58,7 @@ class Optimizer:
     def state_dict(self) -> dict:
         """Picklable snapshot of the optimizer state (not the parameters).
 
-        Subclasses extend this with their moment/velocity buffers; together
+        Subclasses extend this with their moment buffers; together
         with the model state dict it makes mid-run training restartable.
         """
         return {"lr": self.lr, "step_count": self._step_count}
@@ -96,39 +92,6 @@ class Optimizer:
                 )
             restored.append(array.copy())
         return restored
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self, parameters: Iterable[Tensor], lr: float = 0.01, momentum: float = 0.0
-    ) -> None:
-        super().__init__(parameters, lr)
-        require_non_negative("momentum", momentum)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        self._step_count += 1
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            if parameter.grad is None:
-                continue
-            if self.momentum > 0.0:
-                velocity *= self.momentum
-                velocity += parameter.grad
-                update = velocity
-            else:
-                update = parameter.grad
-            parameter.data = parameter.data - self.lr * update
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["velocity"] = [v.copy() for v in self._velocity]
-        return state
-
-    def _load_buffers(self, state: dict) -> None:
-        self._velocity = self._check_buffers("velocity", state["velocity"])
 
 
 class Adam(Optimizer):
@@ -307,61 +270,6 @@ def clip_grad_norm(parameters: Sequence[Tensor], max_norm: float) -> float:
         for grad in grads:
             grad *= scale
     return norm
-
-
-class LRScheduler:
-    """Base learning-rate schedule driving an :class:`Optimizer`."""
-
-    def __init__(self, optimizer: Optimizer) -> None:
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self._epoch = 0
-
-    def step(self) -> float:
-        """Advance one epoch and apply the new learning rate."""
-        self._epoch += 1
-        lr = self.lr_at(self._epoch)
-        self.optimizer.set_lr(lr)
-        return lr
-
-    def lr_at(self, epoch: int) -> float:
-        raise NotImplementedError
-
-
-class ConstantLR(LRScheduler):
-    """Keeps the base learning rate unchanged (the paper's default)."""
-
-    def lr_at(self, epoch: int) -> float:
-        return self.base_lr
-
-
-class CosineDecayLR(LRScheduler):
-    """Cosine decay from the base LR to ``min_lr`` over ``total_epochs``."""
-
-    def __init__(self, optimizer: Optimizer, total_epochs: int, min_lr: float = 1e-6) -> None:
-        super().__init__(optimizer)
-        require_positive("total_epochs", total_epochs)
-        self.total_epochs = total_epochs
-        self.min_lr = min_lr
-
-    def lr_at(self, epoch: int) -> float:
-        progress = min(epoch / self.total_epochs, 1.0)
-        cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
-        return self.min_lr + (self.base_lr - self.min_lr) * cosine
-
-
-class LinearWarmupLR(LRScheduler):
-    """Linear warm-up to the base LR over ``warmup_epochs``, then constant."""
-
-    def __init__(self, optimizer: Optimizer, warmup_epochs: int) -> None:
-        super().__init__(optimizer)
-        require_positive("warmup_epochs", warmup_epochs)
-        self.warmup_epochs = warmup_epochs
-
-    def lr_at(self, epoch: int) -> float:
-        if epoch >= self.warmup_epochs:
-            return self.base_lr
-        return self.base_lr * (epoch / self.warmup_epochs)
 
 
 def sqrt_batch_scaled_lr(

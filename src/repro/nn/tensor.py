@@ -6,23 +6,19 @@ records a backward closure and its parent tensors; calling
 :meth:`Tensor.backward` runs a topological sweep that accumulates gradients
 into ``tensor.grad`` for every tensor created with ``requires_grad=True``.
 
-Production training does not build this graph: fine-tuning and pre-training
-run :meth:`repro.nn.transformer.TransformerLM.train_step`, a taped array-level
-forward with a handwritten reverse sweep over the same backend kernels.  The
-autograd path is the reference that step is tested against (loss and every
-gradient bit-identical), and it serves ad-hoc differentiation in tests and
-benchmarks.
-
-Only the operations needed by a decoder-only transformer with LoRA adapters
-are implemented, but each is implemented with full broadcasting support so the
-layers above can be written naturally.
+Nothing in production runs this graph.  Training runs
+:meth:`repro.nn.transformer.TransformerLM.train_step`, a taped array-level
+forward with a handwritten reverse sweep over the same backend kernels, and
+inference runs :meth:`~repro.nn.transformer.TransformerLM.infer`.  The graph
+is the reference that step is tested against (loss and every gradient
+bit-identical) and the subject of the gradcheck suite, so it keeps only the
+operations :meth:`~repro.nn.transformer.TransformerLM.forward` and the
+benchmarks' frozen reference paths use.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,47 +27,10 @@ from repro.nn.backend import active as _backend_active
 ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
 _DEFAULT_DTYPE = np.float32
-_GELU_C = float(np.sqrt(2.0 / np.pi))
 
 # Sentinel marking a backward closure already consumed by a backward() sweep
 # (the graph is freed as the sweep walks it unless retain_graph=True).
 _CONSUMED = object()
-
-# Per-thread autograd switch.  When False (inside ``inference_mode()``) no
-# operation records a backward closure or parent tuple, so forward passes
-# allocate no tape at all — the fast path used by generation and evaluation.
-# Thread-local because serving runs schedulers on worker threads (the socket
-# front-end's bridge, thread-mode shard workers): one worker decoding inside
-# ``inference_mode()`` must not switch off a neighbour's training tape.
-class _GradState(threading.local):
-    enabled = True
-
-
-_GRAD_STATE = _GradState()
-
-
-def is_grad_enabled() -> bool:
-    """Whether operations currently record the autodiff graph (this thread)."""
-    return _GRAD_STATE.enabled
-
-
-@contextmanager
-def inference_mode() -> Iterator[None]:
-    """Context manager disabling all graph recording (current thread only).
-
-    Inside the context every op produces plain ``requires_grad=False`` tensors
-    with no parents and no backward closure, regardless of the inputs'
-    ``requires_grad`` flags.  Forward values are computed with exactly the
-    same arithmetic, so results are numerically identical to the default
-    mode — only the tape (and its memory / closure overhead) is skipped.
-    Nesting is supported; the previous state is restored on exit.
-    """
-    previous = _GRAD_STATE.enabled
-    _GRAD_STATE.enabled = False
-    try:
-        yield
-    finally:
-        _GRAD_STATE.enabled = previous
 
 
 def _as_array(value: ArrayLike, dtype=_DEFAULT_DTYPE) -> np.ndarray:
@@ -131,32 +90,8 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def numpy(self) -> np.ndarray:
-        """The underlying numpy array (no copy)."""
-        return self.data
-
-    def item(self) -> float:
-        """The single scalar value held by this tensor."""
-        return float(self.data.item())
-
-    def detach(self) -> "Tensor":
-        """A new tensor sharing data but outside the autodiff graph."""
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        """Clear the accumulated gradient."""
-        self.grad = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
@@ -174,10 +109,10 @@ class Tensor:
     ) -> "Tensor":
         """Create a result tensor wired into the graph if any parent needs grad.
 
-        Inside :func:`inference_mode` nothing is ever wired: the result is a
-        plain constant tensor and the backward closure is dropped.
+        When none does, the result is a plain constant tensor and the
+        backward closure is dropped.
         """
-        requires = _GRAD_STATE.enabled and any(parent.requires_grad for parent in parents)
+        requires = any(parent.requires_grad for parent in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(parents)
@@ -267,7 +202,7 @@ class Tensor:
                     node._parents = ()
 
     # ------------------------------------------------------------------ #
-    # arithmetic
+    # operations
     # ------------------------------------------------------------------ #
     def __add__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
@@ -281,32 +216,6 @@ class Tensor:
 
         return Tensor._make(data, (self, other_t), backward)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Tensor":
-        data = -self.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(-grad)
-
-        return Tensor._make(data, (self,), backward)
-
-    def __sub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        data = self.data - other_t.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad)
-            if other_t.requires_grad:
-                other_t._accumulate(-grad)
-
-        return Tensor._make(data, (self, other_t), backward)
-
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other) - self
-
     def __mul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         data = self.data * other_t.data
@@ -319,37 +228,6 @@ class Tensor:
 
         return Tensor._make(data, (self, other_t), backward)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        data = self.data / other_t.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / other_t.data)
-            if other_t.requires_grad:
-                other_t._accumulate(-grad * self.data / (other_t.data**2))
-
-        return Tensor._make(data, (self, other_t), backward)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        data = self.data**exponent
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(data, (self,), backward)
-
-    # ------------------------------------------------------------------ #
-    # matrix multiply
-    # ------------------------------------------------------------------ #
     def matmul(self, other: "Tensor") -> "Tensor":
         """Matrix product supporting batched left operands (``... x m x k``)."""
         other_t = other if isinstance(other, Tensor) else Tensor(other)
@@ -365,120 +243,14 @@ class Tensor:
 
         return Tensor._make(data, (self, other_t), backward)
 
-    __matmul__ = matmul
-
-    # ------------------------------------------------------------------ #
-    # elementwise non-linearities
-    # ------------------------------------------------------------------ #
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * data)
-
-        return Tensor._make(data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / self.data)
-
-        return Tensor._make(data, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        data = np.sqrt(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * 0.5 / np.maximum(data, 1e-12))
-
-        return Tensor._make(data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - data**2))
-
-        return Tensor._make(data, (self,), backward)
-
-    def relu(self) -> "Tensor":
-        data = np.maximum(self.data, 0.0)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (self.data > 0))
-
-        return Tensor._make(data, (self,), backward)
-
     def gelu(self) -> "Tensor":
         """GELU with the tanh approximation used by GPT-style models."""
         backend = _backend_active()
         data, residuals = backend.gelu(self.data)
-        if not (_GRAD_STATE.enabled and self.requires_grad):
-            return Tensor(data)
         vjp = backend.VJPS["gelu"]
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate_owned(vjp(residuals, grad))
-
-        return Tensor._make(data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * data * (1.0 - data))
-
-        return Tensor._make(data, (self,), backward)
-
-    # ------------------------------------------------------------------ #
-    # reductions and shape manipulation
-    # ------------------------------------------------------------------ #
-    def sum(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            expanded = grad
-            if axis is not None and not keepdims:
-                axes = (axis,) if isinstance(axis, int) else tuple(axis)
-                axes = tuple(a % self.data.ndim for a in axes)
-                for a in sorted(axes):
-                    expanded = np.expand_dims(expanded, a)
-            self._accumulate(np.broadcast_to(expanded, self.data.shape))
-
-        return Tensor._make(data, (self,), backward)
-
-    def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            count = int(np.prod([self.data.shape[a % self.data.ndim] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            expanded = grad
-            maxval = data
-            if axis is not None and not keepdims:
-                expanded = np.expand_dims(expanded, axis)
-                maxval = np.expand_dims(maxval, axis)
-            mask = (self.data == maxval).astype(self.data.dtype)
-            # Split gradient evenly between ties, mirroring numpy-style subgradients.
-            denom = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(expanded * mask / np.maximum(denom, 1.0))
 
         return Tensor._make(data, (self,), backward)
 
@@ -513,26 +285,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
-        data = np.swapaxes(self.data, axis1, axis2)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(np.swapaxes(grad, axis1, axis2))
-
-        return Tensor._make(data, (self,), backward)
-
-    def __getitem__(self, index) -> "Tensor":
-        data = self.data[index]
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
-                self._accumulate(full)
-
-        return Tensor._make(data, (self,), backward)
-
     def take_rows(self, indices: np.ndarray) -> "Tensor":
         """Row lookup (used by :class:`~repro.nn.layers.Embedding`).
 
@@ -560,67 +312,3 @@ class Tensor:
                 self._accumulate(np.where(mask, 0.0, grad))
 
         return Tensor._make(data, (self,), backward)
-
-    # ------------------------------------------------------------------ #
-    # convenience constructors
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def zeros(shape: Tuple[int, ...], requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(shape: Tuple[int, ...], requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(
-        shape: Tuple[int, ...],
-        rng: Optional[np.random.Generator] = None,
-        scale: float = 1.0,
-        requires_grad: bool = False,
-    ) -> "Tensor":
-        rng = rng if rng is not None else np.random.default_rng(0)
-        data = rng.standard_normal(shape).astype(_DEFAULT_DTYPE) * scale
-        return Tensor(data, requires_grad=requires_grad)
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient routing back to each."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("cannot concatenate an empty list of tensors")
-    data = np.concatenate([tensor.data for tensor in tensors], axis=axis)
-    sizes = [tensor.data.shape[axis] for tensor in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad:
-                slicer: list = [slice(None)] * grad.ndim
-                slicer[axis] = slice(int(start), int(stop))
-                tensor._accumulate(grad[tuple(slicer)])
-
-    return Tensor._make(data, tuple(tensors), backward)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient routing back to each."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("cannot stack an empty list of tensors")
-    data = np.stack([tensor.data for tensor in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        split = np.moveaxis(grad, axis, 0)
-        for tensor, piece in zip(tensors, split):
-            if tensor.requires_grad:
-                tensor._accumulate(piece)
-
-    return Tensor._make(data, tuple(tensors), backward)
-
-
-def no_grad_parameters(tensors: Iterable[Tensor]) -> None:
-    """Mark a collection of tensors as frozen (``requires_grad=False``)."""
-    for tensor in tensors:
-        tensor.requires_grad = False
-        tensor.grad = None

@@ -12,14 +12,14 @@ fine-tuning — each of which is exercised exactly as the paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.nn.attention import LayerKVCache, MultiHeadSelfAttention, combined_mask
 from repro.nn.backend import active as _active
 from repro.nn.layers import Dropout, Embedding, FeedForward, LayerNorm, Linear, Module
-from repro.nn.tensor import Tensor, inference_mode, is_grad_enabled
+from repro.nn.tensor import Tensor
 from repro.utils.config import require_positive
 from repro.utils.rng import as_generator
 
@@ -32,8 +32,8 @@ class KVCache:
 
     One :class:`~repro.nn.attention.LayerKVCache` per decoder block; the
     model-level ``length`` is the number of context positions already encoded.
-    The cache stores raw arrays (no autograd graph) and is intended for use
-    inside :func:`repro.nn.inference_mode`.
+    The cache stores raw arrays (no autograd graph); :meth:`TransformerLM.infer`
+    and the decode steps take it.
     """
 
     def __init__(self, num_layers: int, capacity: Optional[int] = None) -> None:
@@ -97,13 +97,8 @@ class TransformerBlock(Module):
             rng=rng,
         )
 
-    def forward(
-        self,
-        x: Tensor,
-        attention_mask: Optional[np.ndarray] = None,
-        cache: Optional[LayerKVCache] = None,
-    ) -> Tensor:
-        x = x + self.attention(self.ln_attn(x), attention_mask=attention_mask, cache=cache)
+    def forward(self, x: Tensor, attention_mask: Optional[np.ndarray] = None) -> Tensor:
+        x = x + self.attention(self.ln_attn(x), attention_mask=attention_mask)
         x = x + self.ffn(self.ln_ffn(x))
         return x
 
@@ -164,14 +159,41 @@ class TransformerLM(Module):
 
     # ------------------------------------------------------------------ #
     def forward(
+        self, token_ids: np.ndarray, attention_mask: Optional[np.ndarray] = None
+    ) -> Tensor:
+        """Next-token logits through the autograd graph: the reference path.
+
+        ``token_ids`` is an integer ``(batch, seq)`` array and
+        ``attention_mask`` an optional boolean array of the same shape where
+        ``False`` marks padding.  A graph is recorded whenever a parameter
+        requires grad.  :meth:`train_step` and :meth:`infer` run the same
+        kernels without one, and the tests hold them to this path bit for bit.
+        """
+        token_ids = self._checked_ids(token_ids)
+        batch, seq = token_ids.shape
+        positions = self._positions(batch, seq, 0, None)
+        hidden = self.token_embedding(token_ids) + self.position_embedding(positions)
+        hidden = self.embedding_dropout(hidden)
+        for block in self.blocks:
+            hidden = block(hidden, attention_mask=attention_mask)
+        hidden = self.ln_final(hidden)
+        if self.lm_head is not None:
+            return self.lm_head(hidden)
+        return hidden.matmul(self.token_embedding.weight.transpose(1, 0))
+
+    def infer(
         self,
         token_ids: np.ndarray,
         attention_mask: Optional[np.ndarray] = None,
-        return_hidden: bool = False,
         kv_cache: Optional[KVCache] = None,
         position_ids: Optional[np.ndarray] = None,
-    ):
-        """Compute next-token logits for a batch of token-id sequences.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Array-level inference forward; returns ``(logits, hidden)`` arrays.
+
+        The entry point of every prefill and embedding: no graph, no
+        ``Tensor`` wrappers.  ``hidden`` is the final-LayerNorm state
+        ``(batch, seq, dim)``, the "last hidden layer" the paper uses as the
+        text-embedding function.
 
         Parameters
         ----------
@@ -180,10 +202,6 @@ class TransformerLM(Module):
         attention_mask:
             Optional boolean array; ``False`` marks padding positions.  Shape
             ``(batch, seq)`` without a cache, ``(batch, past + seq)`` with one.
-        return_hidden:
-            When True, also return the final-LayerNorm hidden states
-            ``(batch, seq, dim)`` — the "last hidden layer" the paper uses as
-            the text-embedding function.
         kv_cache:
             Optional :class:`KVCache` for incremental decoding.  ``token_ids``
             then holds only the positions not yet encoded; their keys/values
@@ -197,30 +215,7 @@ class TransformerLM(Module):
         batch, seq = token_ids.shape
         past = kv_cache.length if kv_cache is not None else 0
         positions = self._positions(batch, seq, past, position_ids)
-
-        if not is_grad_enabled():
-            logits_data, hidden_data = self._forward_raw(
-                token_ids, attention_mask, kv_cache, positions
-            )
-            if return_hidden:
-                return Tensor(logits_data), Tensor(hidden_data)
-            return Tensor(logits_data)
-
-        hidden = self.token_embedding(token_ids) + self.position_embedding(positions)
-        hidden = self.embedding_dropout(hidden)
-        for index, block in enumerate(self.blocks):
-            layer_cache = kv_cache.layers[index] if kv_cache is not None else None
-            hidden = block(hidden, attention_mask=attention_mask, cache=layer_cache)
-        hidden = self.ln_final(hidden)
-
-        if self.lm_head is not None:
-            logits = self.lm_head(hidden)
-        else:
-            logits = hidden.matmul(self.token_embedding.weight.transpose(1, 0))
-
-        if return_hidden:
-            return logits, hidden
-        return logits
+        return self._forward_raw(token_ids, attention_mask, kv_cache, positions)
 
     @staticmethod
     def _checked_ids(token_ids: np.ndarray) -> np.ndarray:
@@ -369,11 +364,6 @@ class TransformerLM(Module):
 
     def _check_decode(self, entry: str, kv_cache: KVCache) -> int:
         """Guards shared by the incremental decode entry points; returns ``past``."""
-        if is_grad_enabled():
-            raise RuntimeError(
-                "KV cache is an inference structure; wrap the forward in "
-                "repro.nn.inference_mode() when decoding with a cache"
-            )
         if self.training:
             raise RuntimeError(f"{entry} requires eval mode (dropout must be inert)")
         past = kv_cache.length
@@ -388,7 +378,7 @@ class TransformerLM(Module):
         """One fused single-token decode step; returns the ``(vocab,)`` logits row.
 
         The tightest entry point for steady-state greedy/sampled decoding:
-        equivalent to ``forward([[token_id]], kv_cache=...)`` in eval mode but
+        equivalent to ``infer([[token_id]], kv_cache=...)`` in eval mode but
         without the batched-path wrapping.  The returned array is
         workspace-owned — read it (or copy) before the next decode step.
         """
@@ -416,7 +406,7 @@ class TransformerLM(Module):
         (the left padding of a batch primed by one padded forward); the step
         slices it to the current length, so a caller builds it once per
         prime.  The KV cache must hold ``B`` rows.  Equivalent to the
-        masked ``forward`` of one new column, run as 2-D row GEMMs into the
+        masked :meth:`infer` of one new column, run as 2-D row GEMMs into the
         model's workspace; the returned array is workspace-owned — read it
         (or copy) before the next step.
         """
@@ -509,22 +499,20 @@ class TransformerLM(Module):
     def hidden_states(
         self, token_ids: np.ndarray, attention_mask: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Last-hidden-layer states as a plain array (no graph kept).
+        """Last-hidden-layer states of :meth:`infer`, computed in eval mode.
 
-        Runs inside :func:`repro.nn.inference_mode`, so the forward records no
-        autograd tape at all — this is the hot path of the embedding-based
-        quality metrics.
+        The hot path of the embedding-based quality metrics.  A model in
+        training mode is switched to eval for the forward and back
+        afterwards, also when the forward raises.
         """
         was_training = self.training
         if was_training:
             self.eval()
-        with inference_mode():
-            _, hidden = self.forward(
-                token_ids, attention_mask=attention_mask, return_hidden=True
-            )
-        if was_training:
-            self.train()
-        return hidden.data
+        try:
+            return self.infer(token_ids, attention_mask)[1]
+        finally:
+            if was_training:
+                self.train()
 
     def new_kv_cache(self) -> KVCache:
         """A fresh, empty decoding cache sized for this model.
@@ -533,10 +521,6 @@ class TransformerLM(Module):
         steady-state decoding never reallocates or concatenates.
         """
         return KVCache(self.config.num_layers, capacity=self.config.max_seq_len)
-
-    def attention_blocks(self) -> List[TransformerBlock]:
-        """The list of decoder blocks (used by the LoRA injection helpers)."""
-        return list(self.blocks)
 
     def parameter_count(self) -> Tuple[int, int]:
         """``(total, trainable)`` scalar parameter counts."""

@@ -76,7 +76,7 @@ class TestTransformerLM:
 
     def test_return_hidden(self, model, rng):
         tokens = rng.integers(0, 40, size=(2, 6))
-        logits, hidden = model(tokens, return_hidden=True)
+        logits, hidden = model.infer(tokens)
         assert hidden.shape == (2, 6, 16)
         assert logits.shape == (2, 6, 40)
 
@@ -102,6 +102,13 @@ class TestTransformerLM:
         assert isinstance(hidden, np.ndarray)
         assert hidden.shape == (1, 5, 16)
 
+    def test_hidden_states_restores_training_mode_on_error(self, model, rng):
+        model.train()
+        with pytest.raises(ValueError, match="exceeds max_seq_len"):
+            model.hidden_states(rng.integers(0, 40, size=(1, 30)))
+        assert model.training
+        assert all(module.training for module in model.modules())
+
     def test_tied_embeddings_reduce_parameters(self, rng):
         config_tied = TransformerConfig(vocab_size=50, dim=16, num_layers=1, num_heads=2)
         config_untied = TransformerConfig(
@@ -115,13 +122,13 @@ class TestTransformerLM:
         tokens = rng.integers(0, 40, size=(4, 10))
         targets = np.roll(tokens, -1, axis=1)
         optimizer = Adam(model.trainable_parameters(), lr=5e-3)
-        initial = cross_entropy(model(tokens), targets).item()
+        initial = float(cross_entropy(model(tokens), targets).data)
         for _ in range(25):
             model.zero_grad()
             loss = cross_entropy(model(tokens), targets)
             loss.backward()
             optimizer.step()
-        assert loss.item() < initial * 0.8
+        assert float(loss.data) < initial * 0.8
 
     def test_parameter_count_tuple(self, model):
         total, trainable = model.parameter_count()

@@ -38,7 +38,6 @@ from repro.llm.base_cache import (
 )
 from repro.llm.model import OnDeviceLLM, OnDeviceLLMConfig
 from repro.llm.pretrain import PretrainConfig, build_pretrained_llm, pretraining_pairs
-from repro.nn.lora import lora_parameters
 from repro.obs import snapshot_key_set
 from repro.serve import LoadConfig, ServeConfig, run_serve
 from repro.utils.a1 import pack_adapter_record, unpack_adapter_record
@@ -96,15 +95,6 @@ class TestColdWarm:
             fresh = OnDeviceLLM(cold.tokenizer, config=config)
             assert fresh.export_rng_streams() != warm.export_rng_streams()
         assert only_record(cache).name == record_path(warm_key(corpus, config)).name
-
-    def test_warm_model_merges_lora_like_cold(self, corpus, cache):
-        cold, warm = build(corpus), build(corpus)
-        for llm in (cold, warm):
-            llm.add_lora()
-            for tensor in lora_parameters(llm.model):
-                tensor.data[...] = 0.5
-            llm.merge_lora()
-        assert_same_model(cold, warm)
 
     def test_cold_rebuild_writes_identical_bytes(self, corpus, tmp_path, monkeypatch):
         records = []

@@ -2,10 +2,10 @@
 
 Two layers are verified:
 
-* **Tensor micro-ops** — the composition fallback (`repro.nn.tensor.Tensor`):
-  arithmetic, activations, reductions, shape ops and indexing.  Tensors are
-  float32, so the check uses central differences with a moderate step and
-  float32-appropriate tolerances.
+* **Tensor ops** — the autograd reference (`repro.nn.tensor.Tensor`): the
+  arithmetic, activation, shape and indexing ops the reference forward uses.
+  Tensors are float32, so the check uses central differences with a moderate
+  step and float32-appropriate tolerances.
 * **Fused backend VJPs** — the handwritten VJPs in
   ``repro.nn.backend.numpy_backend``.  These kernels are dtype-generic, so
   they are checked in float64 against tight tolerances, including broadcast
@@ -20,7 +20,7 @@ import pytest
 
 from repro.nn import functional as F
 from repro.nn.backend import get_backend
-from repro.nn.tensor import Tensor, concatenate, stack
+from repro.nn.tensor import Tensor
 
 backend = get_backend("numpy")
 
@@ -29,24 +29,20 @@ backend = get_backend("numpy")
 # --------------------------------------------------------------------------- #
 
 
-def _weighted_sum(out: Tensor, weights: np.ndarray) -> Tensor:
-    return (out * Tensor(weights.astype(np.float32))).sum()
-
-
 def gradcheck_tensor(fn, arrays, eps=1e-2, atol=5e-2, rtol=5e-2, seed=0):
     """Check ``fn``'s analytic grads against central differences.
 
     ``fn`` maps a tuple of Tensors to one output Tensor.  The output is
     reduced to a scalar with a fixed random weighting so every output element
-    influences the loss.  Inputs are float32 (the Tensor dtype), hence the
-    loose-ish tolerances; inputs must avoid non-smooth points (relu kinks,
-    ties under max).
+    influences the loss; the analytic side seeds ``backward`` with those
+    weights.  Inputs are float32 (the Tensor dtype), hence the loose-ish
+    tolerances.
     """
     rng = np.random.default_rng(seed)
     tensors = [Tensor(a.astype(np.float32), requires_grad=True) for a in arrays]
     out = fn(*tensors)
-    weights = rng.standard_normal(out.shape)
-    _weighted_sum(out, weights).backward()
+    weights = rng.standard_normal(out.shape).astype(np.float32)
+    out.backward(weights)
 
     for position, base in enumerate(arrays):
         # C-order copy: reshape(-1) on a strided view would return a copy and
@@ -67,7 +63,7 @@ def gradcheck_tensor(fn, arrays, eps=1e-2, atol=5e-2, rtol=5e-2, seed=0):
                     )
                     for k in range(len(arrays))
                 ]
-                value = float(_weighted_sum(fn(*inputs), weights).item())
+                value = float((fn(*inputs).data * weights).sum())
                 bumped.append(value)
             numeric.reshape(-1)[index] = (bumped[0] - bumped[1]) / (2.0 * eps)
         analytic = tensors[position].grad
@@ -124,7 +120,7 @@ def _randn(*shape, seed=0):
 
 
 # --------------------------------------------------------------------------- #
-# Tensor micro-ops
+# Tensor ops
 # --------------------------------------------------------------------------- #
 
 
@@ -135,25 +131,11 @@ class TestTensorArithmeticGrads:
     def test_add_broadcast(self):
         gradcheck_tensor(lambda a, b: a + b, [_randn(3, 1), _randn(1, 4, seed=1)])
 
-    def test_sub(self):
-        gradcheck_tensor(lambda a, b: a - b, [_randn(2, 5), _randn(2, 5, seed=1)])
-
-    def test_neg(self):
-        gradcheck_tensor(lambda a: -a, [_randn(4)])
-
     def test_mul(self):
         gradcheck_tensor(lambda a, b: a * b, [_randn(3, 4), _randn(3, 4, seed=1)])
 
     def test_mul_broadcast(self):
         gradcheck_tensor(lambda a, b: a * b, [_randn(2, 3, 4), _randn(4, seed=1)])
-
-    def test_div(self):
-        denom = np.abs(_randn(3, 3, seed=1)) + 1.0
-        gradcheck_tensor(lambda a, b: a / b, [_randn(3, 3), denom])
-
-    def test_pow(self):
-        base = np.abs(_randn(3, 4)) + 0.5
-        gradcheck_tensor(lambda a: a ** 3.0, [base])
 
     def test_matmul_2d(self):
         gradcheck_tensor(lambda a, b: a.matmul(b), [_randn(3, 4), _randn(4, 2, seed=1)])
@@ -168,55 +150,16 @@ class TestTensorArithmeticGrads:
 
 
 class TestTensorActivationGrads:
-    def test_exp(self):
-        gradcheck_tensor(lambda a: a.exp(), [_randn(3, 4) * 0.5])
-
-    def test_log(self):
-        gradcheck_tensor(lambda a: a.log(), [np.abs(_randn(3, 4)) + 1.0])
-
-    def test_sqrt(self):
-        gradcheck_tensor(lambda a: a.sqrt(), [np.abs(_randn(3, 4)) + 1.0])
-
-    def test_tanh(self):
-        gradcheck_tensor(lambda a: a.tanh(), [_randn(3, 4)])
-
-    def test_relu_away_from_kink(self):
-        x = _randn(3, 4)
-        x[np.abs(x) < 0.2] += 0.5  # keep every element away from the kink
-        gradcheck_tensor(lambda a: a.relu(), [x])
-
     def test_gelu(self):
         gradcheck_tensor(lambda a: a.gelu(), [_randn(3, 4)])
 
-    def test_sigmoid(self):
-        gradcheck_tensor(lambda a: a.sigmoid(), [_randn(3, 4)])
-
 
 class TestTensorReductionShapeGrads:
-    def test_sum_all(self):
-        gradcheck_tensor(lambda a: a.sum(), [_randn(3, 4)])
-
-    def test_sum_axis_keepdims(self):
-        gradcheck_tensor(lambda a: a.sum(axis=1, keepdims=True), [_randn(3, 4)])
-
-    def test_mean(self):
-        gradcheck_tensor(lambda a: a.mean(axis=0), [_randn(3, 4)])
-
-    def test_max_distinct(self):
-        x = np.arange(12, dtype=np.float64).reshape(3, 4) * 0.37  # no ties
-        gradcheck_tensor(lambda a: a.max(axis=1), [x])
-
     def test_reshape(self):
         gradcheck_tensor(lambda a: a.reshape(4, 3), [_randn(3, 4)])
 
     def test_transpose(self):
         gradcheck_tensor(lambda a: a.transpose(1, 0), [_randn(3, 4)])
-
-    def test_swapaxes(self):
-        gradcheck_tensor(lambda a: a.swapaxes(0, 2), [_randn(2, 3, 4)])
-
-    def test_getitem(self):
-        gradcheck_tensor(lambda a: a[1, :3], [_randn(3, 4)])
 
     def test_take_rows(self):
         indices = np.array([[0, 2], [2, 1]])
@@ -226,21 +169,11 @@ class TestTensorReductionShapeGrads:
         mask = np.eye(3, dtype=bool)
         gradcheck_tensor(lambda a: a.masked_fill(mask, -2.0), [_randn(3, 3)])
 
-    def test_concatenate(self):
-        gradcheck_tensor(
-            lambda a, b: concatenate([a, b], axis=1), [_randn(2, 3), _randn(2, 2, seed=1)]
-        )
-
-    def test_stack(self):
-        gradcheck_tensor(lambda a, b: stack([a, b], axis=0), [_randn(2, 3), _randn(2, 3, seed=1)])
-
     def test_noncontiguous_input(self):
         # Tensor wraps a strided view without copying; grads must still match.
         base = np.asarray(_randn(4, 6), dtype=np.float32).T  # non-contiguous
         assert not base.flags["C_CONTIGUOUS"]
         gradcheck_tensor(lambda a: a.gelu(), [np.asarray(base, dtype=np.float64)])
-        out = Tensor(base, requires_grad=True).tanh()
-        out.sum().backward()
 
 
 # --------------------------------------------------------------------------- #

@@ -17,7 +17,7 @@ replaced:
   penalty against a per-row :func:`~repro.llm.generation.sample_next_token`
   loop, with finished rows and empty histories;
 * the cached module list behind ``train()`` / ``eval()`` after
-  ``inject_lora`` and ``merge_lora``;
+  ``inject_lora``;
 * the LayerNorm VJP's means against ``ndarray.mean``.
 """
 
@@ -40,7 +40,7 @@ from repro.llm.generation import (
     sample_next_token,
 )
 from repro.nn.backend import numpy_backend
-from repro.nn.lora import LoRAConfig, inject_lora, lora_layers, merge_lora
+from repro.nn.lora import LoRAConfig, inject_lora, lora_layers
 from repro.nn.optim import Adam, AdamW, clip_grad_norm
 from repro.nn.tensor import Tensor
 from repro.nn.transformer import IGNORE_INDEX, TransformerConfig, TransformerLM
@@ -220,7 +220,7 @@ class TestCollateRound:
 
 
 class RandomLogitsModel:
-    """Stands in for a TransformerLM: every forward returns fresh random logits."""
+    """Stands in for a TransformerLM: every prime and step returns fresh random logits."""
 
     def __init__(self, vocab, seed, stop_id):
         self.config = SimpleNamespace(max_seq_len=64, num_layers=1, vocab_size=vocab)
@@ -243,11 +243,11 @@ class RandomLogitsModel:
         empty = np.zeros((batch, 1, positions, 1), dtype=np.float32)
         kv_cache.layers[0].extend(empty, empty)
 
-    def __call__(self, token_array, attention_mask, kv_cache, position_ids):
+    def infer(self, token_array, attention_mask, kv_cache, position_ids):
         self._encode(kv_cache, *token_array.shape)
         logits = np.zeros(token_array.shape + (self.config.vocab_size,), dtype=np.float32)
         logits[:, -1] = self._logits(token_array.shape[0])
-        return SimpleNamespace(data=logits)
+        return logits, None
 
     def decode_step(self, token_ids, positions, padding, kv_cache):
         self._encode(kv_cache, len(token_ids), 1)
@@ -315,7 +315,7 @@ class TestCachedModuleList:
     def _modes(self, model):
         return {module.training for module in model.modules()}
 
-    def test_mode_switches_reach_injected_and_merged_modules(self):
+    def test_mode_switches_reach_injected_modules(self):
         model = self._model()
         model.eval()  # builds the cached list before the tree changes
         adapters = inject_lora(model, LoRAConfig(rank=2))
@@ -324,13 +324,6 @@ class TestCachedModuleList:
         assert self._modes(model) == {True}
         model.eval()
         assert self._modes(model) == {False}
-        model.train()
-        merge_lora(model)
-        assert lora_layers(model) == []
-        model.eval()
-        assert self._modes(model) == {False}
-        model.train()
-        assert self._modes(model) == {True}
 
     def test_cache_keeps_no_reference_cycle(self):
         model = self._model()

@@ -1,11 +1,12 @@
-"""The fast inference path: inference mode, KV-cached decoding, batching.
+"""The fast inference path: ``infer``, KV-cached decoding, batching.
 
 These are the exact-equivalence suites the fast path is contractually held
 to: incremental KV-cached decoding must reproduce the full-context forward
 (including across the ``max_seq_len`` truncation boundary, where the sliding
 window shifts every absolute position and the cache must be invalidated),
-``inference_mode`` must change only the tape, never the numbers, and batched
-decoding must reproduce per-sequence decoding row by row.
+the array-level ``infer`` must reproduce the autograd ``forward`` bit for bit
+without building a graph, and batched decoding must reproduce per-sequence
+decoding row by row.
 """
 
 from contextlib import contextmanager
@@ -23,9 +24,6 @@ from repro.llm.generation import (
 )
 from repro.nn import (
     KVCache,
-    Tensor,
-    inference_mode,
-    is_grad_enabled,
     load_lora_state_dict,
     lora_layers,
     lora_state_dict,
@@ -42,44 +40,17 @@ class TestInferenceMode:
         model = pretrained_llm.model
         model.eval()
         default_logits = model(token_ids)
-        with inference_mode():
-            fast_logits = model(token_ids)
-        np.testing.assert_array_equal(default_logits.data, fast_logits.data)
+        fast_logits, _ = model.infer(token_ids)
+        np.testing.assert_array_equal(default_logits.data, fast_logits)
 
     def test_no_tape_recorded(self, pretrained_llm):
         token_ids = np.arange(1, 9, dtype=np.int64)[None, :]
         model = pretrained_llm.model
         model.eval()
-        with inference_mode():
-            logits = model(token_ids)
-        assert not logits.requires_grad
-        assert logits._parents == ()
-        assert logits._backward is None
-        with pytest.raises(RuntimeError):
-            logits.sum().backward()
-
-    def test_flag_restored_even_on_error(self):
-        assert is_grad_enabled()
-        with pytest.raises(ValueError):
-            with inference_mode():
-                assert not is_grad_enabled()
-                raise ValueError("boom")
-        assert is_grad_enabled()
-
-    def test_nesting(self):
-        with inference_mode():
-            with inference_mode():
-                assert not is_grad_enabled()
-            assert not is_grad_enabled()
-        assert is_grad_enabled()
-
-    def test_gradients_unaffected_outside(self):
-        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-        with inference_mode():
-            (x * 2.0).sum()  # recorded nothing
-        loss = (x * 3.0).sum()
-        loss.backward()
-        np.testing.assert_allclose(x.grad, np.full(3, 3.0))
+        logits, hidden = model.infer(token_ids)
+        assert type(logits) is np.ndarray and type(hidden) is np.ndarray
+        assert logits.shape == (1, 8, model.config.vocab_size)
+        assert hidden.shape == (1, 8, model.config.dim)
 
 
 class TestCausalMask:
@@ -98,8 +69,7 @@ class TestCausalMask:
 
 class TestKVCachedEquivalence:
     def _full_forward_logits(self, model, ids):
-        with inference_mode():
-            return model(np.asarray(ids, dtype=np.int64)[None, :]).data[0, -1]
+        return model(np.asarray(ids, dtype=np.int64)[None, :]).data[0, -1]
 
     def test_incremental_logits_match_full_forward(self, pretrained_llm):
         """Per-step logits from the cached path equal the full re-forward."""
@@ -107,20 +77,19 @@ class TestKVCachedEquivalence:
         model.eval()
         ids = list(range(1, 11))
         cache = KVCache(model.config.num_layers)
-        with inference_mode():
-            primed = model(np.asarray(ids[:4], dtype=np.int64)[None, :], kv_cache=cache)
-            np.testing.assert_allclose(
-                primed.data[0, -1], self._full_forward_logits(model, ids[:4]), atol=1e-5
+        primed, _ = model.infer(np.asarray(ids[:4], dtype=np.int64)[None, :], kv_cache=cache)
+        np.testing.assert_allclose(
+            primed[0, -1], self._full_forward_logits(model, ids[:4]), atol=1e-5
+        )
+        for position in range(4, len(ids)):
+            step, _ = model.infer(
+                np.asarray([ids[position]], dtype=np.int64)[None, :], kv_cache=cache
             )
-            for position in range(4, len(ids)):
-                step = model(
-                    np.asarray([ids[position]], dtype=np.int64)[None, :], kv_cache=cache
-                )
-                np.testing.assert_allclose(
-                    step.data[0, -1],
-                    self._full_forward_logits(model, ids[: position + 1]),
-                    atol=1e-5,
-                )
+            np.testing.assert_allclose(
+                step[0, -1],
+                self._full_forward_logits(model, ids[: position + 1]),
+                atol=1e-5,
+            )
         assert cache.length == len(ids)
 
     def test_greedy_decode_identical_within_window(self, pretrained_llm):
@@ -179,16 +148,14 @@ class TestKVCachedEquivalence:
         model = pretrained_llm.model
         max_context = model.config.max_seq_len
         cache = KVCache(model.config.num_layers)
-        with inference_mode():
-            model(np.ones((1, max_context), dtype=np.int64), kv_cache=cache)
-            with pytest.raises(ValueError):
-                model(np.ones((1, 1), dtype=np.int64), kv_cache=cache)
+        model.infer(np.ones((1, max_context), dtype=np.int64), kv_cache=cache)
+        with pytest.raises(ValueError):
+            model.infer(np.ones((1, 1), dtype=np.int64), kv_cache=cache)
 
     def test_kv_cache_reset(self, pretrained_llm):
         model = pretrained_llm.model
         cache = KVCache(model.config.num_layers)
-        with inference_mode():
-            model(np.ones((1, 5), dtype=np.int64), kv_cache=cache)
+        model.infer(np.ones((1, 5), dtype=np.int64), kv_cache=cache)
         assert cache.length == 5
         cache.reset()
         assert cache.length == 0
@@ -269,14 +236,13 @@ def _reference_decode(model, prompt, steps):
     max_context = model.config.max_seq_len
     context = list(prompt)
     ids, logits_rows = [], []
-    with inference_mode():
-        for _ in range(steps):
-            window = np.asarray(context[-max_context:], dtype=np.int64)[None, :]
-            logits = model(window).data[0, -1]
-            next_id = int(np.argmax(logits))
-            ids.append(next_id)
-            logits_rows.append(logits)
-            context.append(next_id)
+    for _ in range(steps):
+        window = np.asarray(context[-max_context:], dtype=np.int64)[None, :]
+        logits = model.infer(window)[0][0, -1]
+        next_id = int(np.argmax(logits))
+        ids.append(next_id)
+        logits_rows.append(logits)
+        context.append(next_id)
     return ids, np.stack(logits_rows)
 
 
@@ -284,11 +250,11 @@ def _reference_decode(model, prompt, steps):
 def _recorded_step_logits(model):
     """Collect the ``(B, vocab)`` next-token logits of every batched decode step.
 
-    Wraps the two ways a step gets its logits: the padded prime forward
+    Wraps the two ways a step gets its logits: the padded prime ``infer``
     (first step and every re-prime) and the incremental ``decode_step``.
     """
     steps = []
-    decode_step, forward = model.decode_step, model.forward
+    decode_step, infer = model.decode_step, model.infer
 
     def record_step(*args):
         logits = decode_step(*args)
@@ -296,15 +262,15 @@ def _recorded_step_logits(model):
         return logits
 
     def record_prime(*args, **kwargs):
-        out = forward(*args, **kwargs)
-        steps.append(out.data[:, -1].copy())
+        out = infer(*args, **kwargs)
+        steps.append(out[0][:, -1].copy())
         return out
 
-    model.decode_step, model.forward = record_step, record_prime
+    model.decode_step, model.infer = record_step, record_prime
     try:
         yield steps
     finally:
-        del model.decode_step, model.forward
+        del model.decode_step, model.infer
 
 
 @pytest.fixture(scope="module")
@@ -488,8 +454,7 @@ class TestDecodeStep:
             mask[row, width - len(prompt):] = True
             positions[row, width - len(prompt):] = np.arange(len(prompt))
         cache = model.new_kv_cache()
-        with inference_mode():
-            model(tokens, attention_mask=mask, kv_cache=cache, position_ids=positions)
+        model.infer(tokens, attention_mask=mask, kv_cache=cache, position_ids=positions)
         padding = np.zeros((batch, model.config.max_seq_len), dtype=bool)
         padding[:, :width] = ~mask
         lengths = np.array([len(p) for p in prompts], dtype=np.int64)
@@ -504,14 +469,13 @@ class TestDecodeStep:
         cache, padding, lengths, mask = self._primed(model, prompts)
         reference, _, _, _ = self._primed(model, prompts)
         new = np.array([8, 9, 10], dtype=np.int64)
-        with inference_mode():
-            expected = model(
-                new[:, None],
-                attention_mask=np.concatenate([mask, np.ones((3, 1), dtype=bool)], axis=1),
-                kv_cache=reference,
-                position_ids=lengths[:, None],
-            ).data[:, -1]
-            got = model.decode_step(new, lengths, padding, cache)
+        expected = model.infer(
+            new[:, None],
+            attention_mask=np.concatenate([mask, np.ones((3, 1), dtype=bool)], axis=1),
+            kv_cache=reference,
+            position_ids=lengths[:, None],
+        )[0][:, -1]
+        got = model.decode_step(new, lengths, padding, cache)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-5)
         assert cache.length == reference.length == 5
 
@@ -520,18 +484,15 @@ class TestDecodeStep:
         model.eval()
         cache, padding, lengths, _ = self._primed(model, [[1, 2], [3]])
         token_ids = np.array([4, 5], dtype=np.int64)
-        with pytest.raises(RuntimeError, match="inference_mode"):
-            model.decode_step(token_ids, lengths, padding, cache)
         full, padding, lengths, _ = self._primed(model, [[1] * model.config.max_seq_len, [2]])
-        with inference_mode():
-            with pytest.raises(ValueError, match="exceeds max_seq_len"):
-                model.decode_step(token_ids, lengths, padding, full)
-            model.train()
-            try:
-                with pytest.raises(RuntimeError, match="eval mode"):
-                    model.decode_step(token_ids, lengths, padding, cache)
-            finally:
-                model.eval()
+        with pytest.raises(ValueError, match="exceeds max_seq_len"):
+            model.decode_step(token_ids, lengths, padding, full)
+        model.train()
+        try:
+            with pytest.raises(RuntimeError, match="eval mode"):
+                model.decode_step(token_ids, lengths, padding, cache)
+        finally:
+            model.eval()
 
     def test_eval_model_is_not_walked(self, pretrained_llm):
         model = pretrained_llm.model
@@ -554,7 +515,7 @@ class TestBatchedEvaluator:
         sequential = ResponseEvaluator(
             dialogues,
             EvaluationConfig(subset_size=6, max_new_tokens=12, greedy=True,
-                             seed=0, batch_size=None),
+                             seed=0, batch_size=1),
         )
         batched = ResponseEvaluator(
             dialogues,

@@ -79,11 +79,6 @@ class TestOnDeviceLLM:
         assert first == second
         assert fresh_llm.has_lora()
 
-    def test_merge_lora(self, fresh_llm):
-        fresh_llm.add_lora()
-        assert fresh_llm.merge_lora() > 0
-        assert not fresh_llm.has_lora()
-
     def test_clone_is_independent_copy(self, pretrained_llm):
         clone = pretrained_llm.clone()
         reference = pretrained_llm.model.token_embedding.weight.data.copy()

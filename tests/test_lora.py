@@ -1,4 +1,4 @@
-"""Tests for LoRA injection, freezing, merging and adapter persistence."""
+"""Tests for LoRA injection, freezing and adapter persistence."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,11 @@ from repro.nn.lora import (
     DEFAULT_TARGET_LAYERS,
     LoRAConfig,
     LoRALinear,
-    count_trainable_fraction,
     inject_lora,
     load_lora_state_dict,
     lora_layers,
     lora_parameters,
     lora_state_dict,
-    merge_lora,
 )
 from repro.nn.tensor import Tensor
 from repro.nn.transformer import TransformerConfig, TransformerLM
@@ -53,16 +51,6 @@ class TestLoRALinear:
         assert not base.weight.requires_grad
         assert adapted.lora_a.requires_grad and adapted.lora_b.requires_grad
 
-    def test_merge_matches_adapted_forward(self, rng):
-        base = Linear(6, 6, rng=rng)
-        adapted = LoRALinear(base, LoRAConfig(rank=3, dropout_rate=0.0), rng=rng)
-        adapted.eval()
-        adapted.lora_b.data = rng.standard_normal(adapted.lora_b.data.shape).astype(np.float32)
-        x = Tensor(rng.standard_normal((2, 6)).astype(np.float32))
-        expected = adapted(x).data.copy()
-        merged = adapted.merge()
-        np.testing.assert_allclose(merged(x).data, expected, atol=1e-4)
-
     def test_reset_adapter(self, rng):
         base = Linear(4, 4, rng=rng)
         adapted = LoRALinear(base, LoRAConfig(rank=2), rng=rng)
@@ -83,10 +71,6 @@ class TestInjection:
         lora_params = lora_parameters(model)
         assert {id(t) for t in trainable} == {id(t) for t in lora_params}
 
-    def test_trainable_fraction_is_small(self, model):
-        inject_lora(model, LoRAConfig(rank=2))
-        assert 0.0 < count_trainable_fraction(model) < 0.5
-
     def test_inject_into_model_without_attention_raises(self, rng):
         with pytest.raises(ValueError):
             inject_lora(Linear(4, 4, rng=rng))
@@ -95,14 +79,6 @@ class TestInjection:
         inject_lora(model, LoRAConfig(rank=4))
         tokens = rng.integers(0, 30, size=(2, 8))
         assert model(tokens).shape == (2, 8, 30)
-
-    def test_merge_lora_restores_plain_linears(self, model, rng):
-        inject_lora(model, LoRAConfig(rank=4))
-        merged = merge_lora(model)
-        assert merged == 8
-        assert not lora_layers(model)
-        tokens = rng.integers(0, 30, size=(1, 5))
-        assert model(tokens).shape == (1, 5, 30)
 
     def test_recorded_adapter_list_matches_tree_walk(self, model):
         inject_lora(model, LoRAConfig(rank=4, target_layers=("v_proj", "q_proj")))
@@ -118,8 +94,6 @@ class TestInjection:
         assert len(names) == len(set(names))
         assert not any("_lora_layers" in name for name in names)
         assert sum(isinstance(m, LoRALinear) for m in model.modules()) == 8
-        merge_lora(model)
-        assert lora_layers(model) == []
 
     def test_adapters_join_an_eval_model_in_eval_mode(self, model):
         model.eval()

@@ -9,7 +9,9 @@ enabled, ``cross_entropy(...)`` and ``backward()`` — is the reference:
   all-weights training, over random tiny configurations (hypothesis);
 * a finite-difference check pins the step's gradients on their own;
 * the production training loops (``LoRAFineTuner.finetune`` and
-  ``pretrain``) must not build a single Tensor graph node.
+  ``pretrain``) and the inference entry points (``respond_batch``,
+  ``embed_batch``, ``hidden_states``) must not build a single Tensor graph
+  node.
 """
 
 from dataclasses import dataclass
@@ -20,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.llm.finetune import FineTuneConfig, LoRAFineTuner
+from repro.llm.generation import GenerationConfig
 from repro.llm.pretrain import PretrainConfig, pretrain, pretraining_pairs
 from repro.nn.functional import cross_entropy
 from repro.nn.layers import Dropout
@@ -143,7 +146,7 @@ class TestBitIdenticalToAutograd:
 
         loss = model.train_step(token_ids, mask, labels)
 
-        assert loss == reference.item()
+        assert loss == float(reference.data)
         trained = 0
         for name, tensor in model.named_parameters():
             assert (tensor.grad is None) == (expected[name] is None), name
@@ -224,4 +227,15 @@ class TestNoTensorGraph:
             llm, pretraining_pairs(med_corpus, rng=0)[:12], PretrainConfig(epochs=1, batch_size=8)
         )
         assert report.num_examples == 12
+        assert made == []
+
+    def test_inference_builds_no_graph(self, made, fresh_llm):
+        # Every ``forward`` op makes a graph node; inference must not reach one.
+        answers = fresh_llm.respond_batch(
+            ["what about the dose", "my knee aches"],
+            generation=GenerationConfig(max_new_tokens=4, greedy=True),
+        )
+        assert len(answers) == 2
+        assert fresh_llm.embed_batch(["a dose of medicine", "my knee"]).shape[0] == 2
+        assert fresh_llm.model.hidden_states(np.array([[1, 2, 3]])).shape[:2] == (1, 3)
         assert made == []
