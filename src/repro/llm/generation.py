@@ -4,16 +4,19 @@ The paper generates evaluation responses with temperature sampling
 (``τ = 0.5``); the same mechanism (plus optional top-k truncation and greedy
 decoding) is implemented here over the numpy transformer.
 
-Decoding runs on the array-level inference path: prefills go through
-:meth:`~repro.nn.transformer.TransformerLM.infer` (no autograd graph) and feed
-a per-layer KV cache, so each new token costs one single-position forward
-instead of a full re-encode of the context window.  Because attention is
-causal, the cached keys/values are exactly what the full-context forward
-would compute, so the incremental path produces the same logits — the
-equivalence is asserted by the test suite.  When the context outgrows
-``max_seq_len`` the window slides, which shifts every absolute position; the
-cache is then invalidated and rebuilt from the truncated window, keeping the
-output identical to the always-full-forward reference.
+Decoding runs on the array-level inference path (no autograd graph).  A
+prime goes through :meth:`~repro.nn.transformer.TransformerLM.prefill`, which
+fills a per-layer KV cache and carries only each row's last position through
+the top of the model, so each new token then costs one single-position
+forward instead of a full re-encode of the context window.  Because attention
+is causal, the cached keys/values are what the full-context forward
+(:meth:`~repro.nn.transformer.TransformerLM.infer`) computes, so the
+incremental path produces the same logits to float rounding and the same
+greedy tokens — the equivalence is asserted by the test suite.  When the
+context outgrows ``max_seq_len`` the window slides, which shifts every
+absolute position; the cache is then invalidated and rebuilt from the
+truncated window, keeping the output identical to the always-full-forward
+reference.
 
 :func:`generate_tokens_batch` decodes many prompts in one left-padded batch
 with per-sequence position ids, padding masks and stop handling, which is how
@@ -160,7 +163,7 @@ def generate_tokens(
                 else:
                     cache.reset()
                     token_array = np.asarray(context[start:], dtype=np.int64)[None, :]
-                    logits_row = model.infer(token_array, kv_cache=cache)[0][0, -1]
+                    logits_row = model.prefill(token_array, cache)[0]
                 cached_start = start
             else:
                 token_array = np.asarray(context[start:], dtype=np.int64)[None, :]
@@ -196,7 +199,9 @@ def generate_tokens_batch(
     row has finished.
 
     Decoding is KV-cached.  A prime encodes the padded prompts in one
-    :meth:`~repro.nn.transformer.TransformerLM.infer`; every later step runs
+    :meth:`~repro.nn.transformer.TransformerLM.prefill`, which returns only
+    the last column's ``(B, vocab)`` logits (left padding puts every row's
+    newest token there); every later step runs
     :meth:`~repro.nn.transformer.TransformerLM.decode_step` over the ``B``
     newest tokens with the padding mask built at the prime.  When the padded
     window hits ``max_seq_len`` the batch is re-primed from each row's last
@@ -261,15 +266,13 @@ def generate_tokens_batch(
                     position_ids[row, pad:] = np.arange(len(window))
                     padding[row, :pad] = True
                 positions = position_ids[:, -1] + 1
-                logits, _ = model.infer(
+                final_logits = model.prefill(
                     token_array,
-                    attention_mask=~padding[:, :width],
-                    kv_cache=cache,
+                    cache,
+                    # Unpadded (one row, or equal windows): no mask to apply.
+                    attention_mask=~padding[:, :width] if padding.any() else None,
                     position_ids=position_ids,
                 )
-                # Left padding puts every row's next-token logits in the
-                # last column.
-                final_logits = logits[:, -1, :]
             if seen is not None:
                 final_logits = penalized_rows(final_logits, seen, config.repetition_penalty)
             if config.greedy:

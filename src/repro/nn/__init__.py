@@ -1,10 +1,12 @@
 """From-scratch numpy neural-network substrate (layers, LoRA, optim, autograd).
 
 Every production path runs array-level code over the :mod:`repro.nn.backend`
-kernels: :meth:`TransformerLM.infer` for prefill and embeddings, the decode
-steps, and :meth:`TransformerLM.train_step` for training.  The autograd
-:class:`Tensor` graph behind :meth:`TransformerLM.forward` is the reference
-the tests hold those paths to.
+kernels: :meth:`TransformerLM.prefill` and the decode steps for generation,
+:meth:`TransformerLM.hidden_states` for embeddings, and
+:meth:`TransformerLM.train_step` for training; :meth:`TransformerLM.infer`
+is the full-window forward the cached decode is checked against.  The
+autograd :class:`Tensor` graph behind :meth:`TransformerLM.forward` is the
+reference the tests hold those paths to.
 """
 
 from repro.nn import backend, functional

@@ -39,8 +39,8 @@ class LayerKVCache:
     Keys and values live in ``(batch, heads, capacity, head_dim)`` buffers;
     :meth:`extend` and :meth:`append_token` return views of the cached
     prefix.  The cache holds plain numpy data (no autograd graph): only the
-    array-level paths (:meth:`~repro.nn.transformer.TransformerLM.infer` and
-    the decode steps) take one.
+    array-level paths (:meth:`~repro.nn.transformer.TransformerLM.infer`, the
+    prefill and the decode steps) take one.
 
     ``capacity`` pre-sizes the buffers (e.g. to the model's ``max_seq_len``)
     so steady-state decoding never reallocates; without it the buffers grow
@@ -130,8 +130,7 @@ def combined_mask(
     builds it once per forward and hands it to each layer.
     """
     total = past + seq
-    causal = F.attention_scores_mask(seq, past_len=past)  # (T, past + T)
-    mask = np.broadcast_to(causal, (batch, num_heads, seq, total)).copy()
+    mask = F.attention_scores_mask(seq, past_len=past)  # (T, past + T)
     if attention_mask is not None:
         padding = ~np.asarray(attention_mask, dtype=bool)  # True = padding
         if padding.shape[-1] != total:
@@ -139,12 +138,12 @@ def combined_mask(
                 f"attention_mask covers {padding.shape[-1]} positions, "
                 f"expected {total} (cached {past} + new {seq})"
             )
-        mask |= padding[:, None, None, :]
         # A fully masked row (query at a padding position) would make softmax
         # degenerate; allow self-attention on the diagonal to keep it finite.
-        diag = np.eye(seq, total, k=past, dtype=bool)[None, None, :, :]
-        mask &= ~diag
-    return mask
+        # The causal mask never hides the diagonal.
+        padding = padding[:, None, None, :] & ~np.eye(seq, total, k=past, dtype=bool)
+        mask = mask | padding
+    return np.broadcast_to(mask, (batch, num_heads, seq, total)).copy()
 
 
 def _summed(parts):
@@ -275,24 +274,53 @@ class MultiHeadSelfAttention(Module):
             parts = projection.raw_backward(tape, grad_out, need_x) + parts
         return _summed(parts) if need_x else None
 
-    def raw_decode_rows(
-        self, x: np.ndarray, cache: LayerKVCache, padding: np.ndarray
-    ) -> np.ndarray:
-        """Single-position attention step for the ``(B, dim)`` rows ``x``.
+    def raw_extend_cache(
+        self, x: np.ndarray, cache: LayerKVCache
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Append the keys/values of the ``(B, T, dim)`` positions ``x`` to ``cache``.
 
-        ``padding`` is a boolean ``(B, 1, 1, past + 1)`` array, True hiding a
-        key position.  Caller guarantees inert dropout.  The projections are
-        2-D GEMMs; the new key/value column is written straight into the
-        cache's capacity buffers.  The attention products and the softmax run
+        The key/value half of :meth:`raw_forward`: the prefill runs it over
+        the last block's positions, of which only the newest then queries
+        (:meth:`raw_attend_rows`).  Returns views of the full cached arrays.
+        """
+        batch, seq, _ = x.shape
+        heads, head_dim = self.num_heads, self.head_dim
+        keys, values = (
+            proj.raw_forward(x).reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
+            for proj in (self.k_proj, self.v_proj)
+        )
+        return cache.extend(keys, values)
+
+    def raw_append_rows(
+        self, x: np.ndarray, cache: LayerKVCache
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Append the key/value of each ``(B, dim)`` row of ``x`` as one new cache column.
+
+        The projections are 2-D GEMMs written straight into the cache's
+        capacity buffers.  Returns views of the full cached arrays.
+        """
+        batch = x.shape[0]
+        heads, head_dim = self.num_heads, self.head_dim
+        return cache.append_token(
+            self.k_proj.raw_forward(x).reshape(batch, heads, head_dim),
+            self.v_proj.raw_forward(x).reshape(batch, heads, head_dim),
+        )
+
+    def raw_attend_rows(
+        self, x: np.ndarray, keys: np.ndarray, values: np.ndarray, padding: np.ndarray
+    ) -> np.ndarray:
+        """Attention output of the ``(B, dim)`` rows ``x``, each at its row's newest position.
+
+        ``keys``/``values`` are the ``(B, H, total, head_dim)`` cached arrays,
+        the rows' own key/value included; ``padding`` is a boolean
+        ``(B, 1, 1, total)`` array, True hiding a key position.  Caller
+        guarantees inert dropout.  The attention products and the softmax run
         the same operations as the fused kernel, without the causal mask (a
         query at the newest position sees every cached key).
         """
         batch = x.shape[0]
         heads, head_dim = self.num_heads, self.head_dim
         query = self.q_proj.raw_forward(x).reshape(batch, heads, 1, head_dim)
-        key = self.k_proj.raw_forward(x).reshape(batch, heads, head_dim)
-        value = self.v_proj.raw_forward(x).reshape(batch, heads, head_dim)
-        keys, values = cache.append_token(key, value)
         scores = query @ np.swapaxes(keys, -1, -2)  # (B, H, 1, total)
         scores *= 1.0 / np.sqrt(head_dim)
         np.copyto(scores, -1e9, where=padding)

@@ -14,7 +14,7 @@ train_step` tapes the residuals each forward kernel returns and replays them
 LIFO through ``VJPS`` (the HIPS-autograd idea of recorded primitives with
 gradients applied in reverse, written out once for the transformer).
 Inference runs the same forward kernels through :meth:`~repro.nn.transformer.
-TransformerLM.infer` and the decode steps.  The autograd
+TransformerLM.infer`, the prefill and the decode steps.  The autograd
 :class:`~repro.nn.tensor.Tensor` path wraps the same kernels, one backward
 closure per kernel, and is the reference the tests hold both to, bit for bit.
 

@@ -193,4 +193,4 @@ def attention_scores_mask(seq_len: int, past_len: int = 0) -> np.ndarray:
     position ``past_len + i`` and may attend to every key at or before it.
     """
     total = past_len + seq_len
-    return np.triu(np.ones((seq_len, total), dtype=bool), k=past_len + 1)
+    return np.arange(total) > np.arange(past_len, total)[:, None]

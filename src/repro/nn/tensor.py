@@ -9,11 +9,12 @@ into ``tensor.grad`` for every tensor created with ``requires_grad=True``.
 Nothing in production runs this graph.  Training runs
 :meth:`repro.nn.transformer.TransformerLM.train_step`, a taped array-level
 forward with a handwritten reverse sweep over the same backend kernels, and
-inference runs :meth:`~repro.nn.transformer.TransformerLM.infer`.  The graph
-is the reference that step is tested against (loss and every gradient
-bit-identical) and the subject of the gradcheck suite, so it keeps only the
-operations :meth:`~repro.nn.transformer.TransformerLM.forward` and the
-benchmarks' frozen reference paths use.
+inference runs the array-level
+:meth:`~repro.nn.transformer.TransformerLM.infer`, ``prefill`` and decode
+steps.  The graph is the reference that step is tested against (loss and
+every gradient bit-identical) and the subject of the gradcheck suite, so it
+keeps only the operations :meth:`~repro.nn.transformer.TransformerLM.forward`
+and the benchmarks' frozen reference paths use.
 """
 
 from __future__ import annotations

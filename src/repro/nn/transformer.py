@@ -32,8 +32,8 @@ class KVCache:
 
     One :class:`~repro.nn.attention.LayerKVCache` per decoder block; the
     model-level ``length`` is the number of context positions already encoded.
-    The cache stores raw arrays (no autograd graph); :meth:`TransformerLM.infer`
-    and the decode steps take it.
+    The cache stores raw arrays (no autograd graph); :meth:`TransformerLM.infer`,
+    :meth:`TransformerLM.prefill` and the decode steps take it.
     """
 
     def __init__(self, num_layers: int, capacity: Optional[int] = None) -> None:
@@ -120,6 +120,28 @@ class TransformerBlock(Module):
         out += attn
         return out
 
+    def raw_query_rows(
+        self,
+        hidden: np.ndarray,
+        normed: np.ndarray,
+        keys: np.ndarray,
+        values: np.ndarray,
+        key_padding: np.ndarray,
+    ) -> np.ndarray:
+        """The block's query side for one position per row; updates ``hidden`` in place.
+
+        ``hidden`` is that position's ``(B, dim)`` residual stream and
+        ``normed`` its ``ln_attn`` output; ``keys``/``values`` are the cached
+        arrays, its own key/value included, and ``key_padding`` the mask of
+        :meth:`MultiHeadSelfAttention.raw_attend_rows`.  Attention,
+        ``o_proj``, residual, ``ln_ffn``, FFN, residual: the per-block body
+        of :meth:`TransformerLM.decode_step` and of the last block of
+        :meth:`TransformerLM.prefill`.  Dropout must be inert.
+        """
+        hidden += self.attention.raw_attend_rows(normed, keys, values, key_padding)
+        hidden += self.ffn.raw_forward(self.ln_ffn.raw_forward(hidden))
+        return hidden
+
     def raw_backward(self, tape: list, grad: np.ndarray, need_x: bool) -> Optional[np.ndarray]:
         """Reverse of a taped :meth:`raw_forward`; returns the input gradient.
 
@@ -190,10 +212,13 @@ class TransformerLM(Module):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Array-level inference forward; returns ``(logits, hidden)`` arrays.
 
-        The entry point of every prefill and embedding: no graph, no
-        ``Tensor`` wrappers.  ``hidden`` is the final-LayerNorm state
+        Every position through every layer, with no graph and no ``Tensor``
+        wrappers: the full-window reference of ``generate_tokens``'
+        ``use_cache=False`` loop.  ``hidden`` is the final-LayerNorm state
         ``(batch, seq, dim)``, the "last hidden layer" the paper uses as the
-        text-embedding function.
+        text-embedding function (:meth:`hidden_states` stops there).  Decode
+        primes call :meth:`prefill`, which needs only the last position's
+        logits.
 
         Parameters
         ----------
@@ -245,39 +270,21 @@ class TransformerLM(Module):
             return np.arange(past, past + seq, dtype=np.int64).reshape(1, seq)
         return np.broadcast_to(np.arange(past, past + seq, dtype=np.int64), (batch, seq))
 
-    def _forward_raw(
+    def _encode(
         self,
         token_ids: np.ndarray,
         attention_mask: Optional[np.ndarray],
         kv_cache: Optional[KVCache],
         positions: np.ndarray,
+        depth: int,
         tape: Optional[list] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Whole-model array-level forward: prefill and the training step.
+    ) -> np.ndarray:
+        """Embeddings and the first ``depth`` blocks over every position.
 
-        Runs the same backend kernels as the autograd path (bit-identical
-        outputs) but builds no graph, allocates no Tensor wrappers per op, and
-        adds residuals in place.  With a ``tape`` (see :meth:`train_step`)
-        each kernel appends the residuals it already returns, for the reverse
-        sweep; with ``tape=None`` nothing is kept.  Returns
-        ``(logits, hidden)`` arrays.
+        Returns the ``(batch, seq, dim)`` residual stream.  Each block run
+        appends its keys/values to its layer of ``kv_cache``; ``tape`` is as
+        in :meth:`_forward_raw`.
         """
-        backend = _active()
-        if (
-            kv_cache is not None
-            and attention_mask is None
-            and not self.training
-            and token_ids.shape == (1, 1)
-        ):
-            # Steady-state decode: one token, batch 1, every dropout inert.
-            logits_row, hidden_row = self._decode_step(
-                int(token_ids[0, 0]), int(positions[0, 0]), kv_cache, backend
-            )
-            # Copy out of the workspace so returned arrays survive later steps.
-            return (
-                logits_row.reshape(1, 1, -1).copy(),
-                hidden_row.reshape(1, 1, -1).copy(),
-            )
         batch, seq = token_ids.shape
         past = kv_cache.length if kv_cache is not None else 0
         hidden = self.token_embedding.rows(token_ids)
@@ -290,14 +297,36 @@ class TransformerLM(Module):
         if tape is not None:
             tape.append((token_ids, positions, dropout_mask))
         mask = combined_mask(batch, self.config.num_heads, seq, past, attention_mask)
-        for index, block in enumerate(self.blocks):
+        for index in range(depth):
             layer_cache = kv_cache.layers[index] if kv_cache is not None else None
-            hidden = block.raw_forward(hidden, mask, layer_cache, tape)
+            hidden = self.blocks[index].raw_forward(hidden, mask, layer_cache, tape)
+        return hidden
+
+    def _forward_raw(
+        self,
+        token_ids: np.ndarray,
+        attention_mask: Optional[np.ndarray],
+        kv_cache: Optional[KVCache],
+        positions: np.ndarray,
+        tape: Optional[list] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Whole-model array-level forward: :meth:`infer` and the training step.
+
+        Runs the same backend kernels as the autograd path (bit-identical
+        outputs) but builds no graph, allocates no Tensor wrappers per op, and
+        adds residuals in place.  With a ``tape`` (see :meth:`train_step`)
+        each kernel appends the residuals it already returns, for the reverse
+        sweep; with ``tape=None`` nothing is kept.  Returns
+        ``(logits, hidden)`` arrays.
+        """
+        hidden = self._encode(
+            token_ids, attention_mask, kv_cache, positions, len(self.blocks), tape
+        )
         hidden = self.ln_final.raw_forward(hidden, tape)
         if self.lm_head is not None:
             logits = self.lm_head.raw_forward(hidden, tape)
         else:
-            logits, residuals = backend.matmul(hidden, self.token_embedding.weight.data.T)
+            logits, residuals = _active().matmul(hidden, self.token_embedding.weight.data.T)
             if tape is not None:
                 tape.append(residuals)
         return logits, hidden
@@ -377,10 +406,11 @@ class TransformerLM(Module):
     def decode_logits(self, token_id: int, kv_cache: KVCache) -> np.ndarray:
         """One fused single-token decode step; returns the ``(vocab,)`` logits row.
 
-        The tightest entry point for steady-state greedy/sampled decoding:
-        equivalent to ``infer([[token_id]], kv_cache=...)`` in eval mode but
-        without the batched-path wrapping.  The returned array is
-        workspace-owned — read it (or copy) before the next decode step.
+        The tightest entry point for steady-state batch-1 decoding: the
+        logits of ``infer([[token_id]], kv_cache=...)`` in eval mode, to
+        float rounding (GEMVs and scalar LayerNorm statistics).  The
+        returned array is workspace-owned — read it (or copy) before the
+        next decode step.
         """
         past = self._check_decode("decode_logits", kv_cache)
         if not 0 <= token_id < self.config.vocab_size:
@@ -403,9 +433,9 @@ class TransformerLM(Module):
         ``token_ids`` and ``positions`` are ``(B,)`` integer arrays: each
         row's newest token and its absolute position.  ``padding`` is a
         boolean ``(B, >= past + 1)`` array where True hides a key position
-        (the left padding of a batch primed by one padded forward); the step
-        slices it to the current length, so a caller builds it once per
-        prime.  The KV cache must hold ``B`` rows.  Equivalent to the
+        (the left padding of a batch primed by one padded :meth:`prefill`);
+        the step slices it to the current length, so a caller builds it once
+        per prime.  The KV cache must hold ``B`` rows.  Equivalent to the
         masked :meth:`infer` of one new column, run as 2-D row GEMMs into the
         model's workspace; the returned array is workspace-owned — read it
         (or copy) before the next step.
@@ -423,18 +453,65 @@ class TransformerLM(Module):
             out=hidden,
         )
         key_padding = padding[:, None, None, : past + 1]
-        for index, block in enumerate(self.blocks):
-            hidden += block.attention.raw_decode_rows(
-                block.ln_attn.raw_forward(hidden), kv_cache.layers[index], key_padding
-            )
-            hidden += block.ffn.raw_forward(block.ln_ffn.raw_forward(hidden))
+        for block, layer_cache in zip(self.blocks, kv_cache.layers):
+            normed = block.ln_attn.raw_forward(hidden)
+            keys, values = block.attention.raw_append_rows(normed, layer_cache)
+            block.raw_query_rows(hidden, normed, keys, values, key_padding)
+        return self._rows_logits(
+            hidden, workspace.get(("rows", "logits"), (batch, self.config.vocab_size))
+        )
+
+    def prefill(
+        self,
+        token_ids: np.ndarray,
+        kv_cache: KVCache,
+        attention_mask: Optional[np.ndarray] = None,
+        position_ids: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Encode prompts into ``kv_cache``; returns each row's ``(B, vocab)`` next-token logits.
+
+        The prime of every cached decode.  The arguments are those of
+        :meth:`infer`, with any padding on the left so that every row's
+        newest token sits in the last column.  The cache ends up as
+        :meth:`infer` leaves it and the logits equal ``infer(...)[0][:, -1]``
+        to float rounding, but only the last position goes through the top
+        of the model.  Blocks ``[:-1]`` run over every position; the last
+        block runs ``ln_attn`` and the key/value projections over every
+        position, filling its cache, and only each row's final position
+        takes the query side (:meth:`TransformerBlock.raw_query_rows`, the
+        per-block body of :meth:`decode_step`), then ``ln_final`` and the LM
+        head on ``(B, dim)``.  Requires eval mode.
+        """
+        if self.training:
+            raise RuntimeError("prefill requires eval mode (dropout must be inert)")
+        token_ids = self._checked_ids(token_ids)
+        batch, seq = token_ids.shape
+        past = kv_cache.length
+        positions = self._positions(batch, seq, past, position_ids)
+        last = len(self.blocks) - 1
+        hidden = self._encode(token_ids, attention_mask, kv_cache, positions, last)
+        block = self.blocks[last]
+        normed = block.ln_attn.raw_forward(hidden)
+        keys, values = block.attention.raw_extend_cache(normed, kv_cache.layers[last])
+        if attention_mask is None:
+            key_padding = np.zeros((batch, 1, 1, past + seq), dtype=bool)
+        else:
+            key_padding = ~np.asarray(attention_mask, dtype=bool)[:, None, None, :]
+        rows = block.raw_query_rows(
+            np.ascontiguousarray(hidden[:, -1]),
+            np.ascontiguousarray(normed[:, -1]),
+            keys,
+            values,
+            key_padding,
+        )
+        return self._rows_logits(rows)
+
+    def _rows_logits(self, hidden: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``ln_final`` and the LM head on ``(B, dim)`` rows; a tied head writes into ``out``."""
         normed = self.ln_final.raw_forward(hidden)
         if self.lm_head is not None:
             return self.lm_head.raw_forward(normed)
-        weight = self.token_embedding.weight.data
-        return np.matmul(
-            normed, weight.T, out=workspace.get(("rows", "logits"), (batch, weight.shape[0]))
-        )
+        return np.matmul(normed, self.token_embedding.weight.data.T, out=out)
 
     def _decode_step(self, token_id: int, position: int, kv_cache: KVCache, backend):
         """Fused per-token decode: row kernels + preallocated workspace.
@@ -501,15 +578,19 @@ class TransformerLM(Module):
     ) -> np.ndarray:
         """Last-hidden-layer states of :meth:`infer`, computed in eval mode.
 
-        The hot path of the embedding-based quality metrics.  A model in
-        training mode is switched to eval for the forward and back
+        The hot path of the embedding-based quality metrics.  It stops at
+        ``ln_final``: no LM head, no ``(batch, seq, vocab)`` logits.  A model
+        in training mode is switched to eval for the forward and back
         afterwards, also when the forward raises.
         """
         was_training = self.training
         if was_training:
             self.eval()
         try:
-            return self.infer(token_ids, attention_mask)[1]
+            token_ids = self._checked_ids(token_ids)
+            positions = self._positions(*token_ids.shape, 0, None)
+            hidden = self._encode(token_ids, attention_mask, None, positions, len(self.blocks))
+            return self.ln_final.raw_forward(hidden)
         finally:
             if was_training:
                 self.train()

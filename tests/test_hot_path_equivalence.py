@@ -243,11 +243,9 @@ class RandomLogitsModel:
         empty = np.zeros((batch, 1, positions, 1), dtype=np.float32)
         kv_cache.layers[0].extend(empty, empty)
 
-    def infer(self, token_array, attention_mask, kv_cache, position_ids):
+    def prefill(self, token_array, kv_cache, attention_mask, position_ids):
         self._encode(kv_cache, *token_array.shape)
-        logits = np.zeros(token_array.shape + (self.config.vocab_size,), dtype=np.float32)
-        logits[:, -1] = self._logits(token_array.shape[0])
-        return logits, None
+        return self._logits(token_array.shape[0])
 
     def decode_step(self, token_ids, positions, padding, kv_cache):
         self._encode(kv_cache, len(token_ids), 1)

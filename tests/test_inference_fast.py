@@ -250,27 +250,27 @@ def _reference_decode(model, prompt, steps):
 def _recorded_step_logits(model):
     """Collect the ``(B, vocab)`` next-token logits of every batched decode step.
 
-    Wraps the two ways a step gets its logits: the padded prime ``infer``
+    Wraps the two ways a step gets its logits: the padded ``prefill``
     (first step and every re-prime) and the incremental ``decode_step``.
     """
     steps = []
-    decode_step, infer = model.decode_step, model.infer
+    entries = {name: getattr(model, name) for name in ("decode_step", "prefill")}
 
-    def record_step(*args):
-        logits = decode_step(*args)
-        steps.append(logits.copy())
-        return logits
+    def recorded(entry):
+        def record(*args, **kwargs):
+            logits = entry(*args, **kwargs)
+            steps.append(logits.copy())
+            return logits
 
-    def record_prime(*args, **kwargs):
-        out = infer(*args, **kwargs)
-        steps.append(out[0][:, -1].copy())
-        return out
+        return record
 
-    model.decode_step, model.infer = record_step, record_prime
+    for name, entry in entries.items():
+        setattr(model, name, recorded(entry))
     try:
         yield steps
     finally:
-        del model.decode_step, model.infer
+        for name in entries:
+            delattr(model, name)
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +302,8 @@ class TestBatchedDecodeProperty:
            adapted=st.booleans())
     @example(prompts=[[5] * 60, [7, 8], [9] * 70], new_tokens=12, adapted=True)
     @example(prompts=[[3, 4, 5]], new_tokens=6, adapted=False)
+    @example(prompts=[[4], [2, 3]], new_tokens=5, adapted=True)
+    @example(prompts=[[6] * 75], new_tokens=4, adapted=False)
     def test_greedy_rows_match_alone_and_reference(
         self, decode_models, prompts, new_tokens, adapted
     ):
@@ -373,6 +375,8 @@ class TestMixedAdapterDecodeProperty:
     @given(case=_segmented_prompts(), new_tokens=st.integers(min_value=1, max_value=12))
     @example(case=([[5] * 60, [7, 8], [9] * 70, [4, 4]], [(1, 0), (1, 1), (1, 2), (1, 3)]),
              new_tokens=12)
+    @example(case=([[4], [6, 7, 8]], [(1, 0), (1, 2)]), new_tokens=4)
+    @example(case=([[3] * 75, [8] * 66], [(1, 1), (1, 3)]), new_tokens=6)
     def test_rows_match_their_adapter_attached_alone(self, mixed_adapters, case, new_tokens):
         llm, states = mixed_adapters
         model = llm.model
@@ -442,17 +446,24 @@ class TestMixedAdapterDecodeProperty:
         assert all(layer.row_adapters is None for layer in lora_layers(llm.model))
 
 
+def _left_padded(prompts):
+    """``(tokens, attention_mask, position_ids)`` of left-padded ``prompts``."""
+    batch, width = len(prompts), max(len(p) for p in prompts)
+    tokens = np.zeros((batch, width), dtype=np.int64)
+    mask = np.zeros((batch, width), dtype=bool)
+    positions = np.zeros((batch, width), dtype=np.int64)
+    for row, prompt in enumerate(prompts):
+        tokens[row, width - len(prompt):] = prompt
+        mask[row, width - len(prompt):] = True
+        positions[row, width - len(prompt):] = np.arange(len(prompt))
+    return tokens, mask, positions
+
+
 class TestDecodeStep:
     def _primed(self, model, prompts):
         """Left-pad ``prompts``, prime a cache; returns the step inputs."""
-        batch, width = len(prompts), max(len(p) for p in prompts)
-        tokens = np.zeros((batch, width), dtype=np.int64)
-        mask = np.zeros((batch, width), dtype=bool)
-        positions = np.zeros((batch, width), dtype=np.int64)
-        for row, prompt in enumerate(prompts):
-            tokens[row, width - len(prompt):] = prompt
-            mask[row, width - len(prompt):] = True
-            positions[row, width - len(prompt):] = np.arange(len(prompt))
+        tokens, mask, positions = _left_padded(prompts)
+        batch, width = tokens.shape
         cache = model.new_kv_cache()
         model.infer(tokens, attention_mask=mask, kv_cache=cache, position_ids=positions)
         padding = np.zeros((batch, model.config.max_seq_len), dtype=bool)
@@ -505,6 +516,68 @@ class TestDecodeStep:
             model.hidden_states(np.array([[1, 2, 3]]))
         finally:
             del model.eval
+
+
+class TestPrefill:
+    """``prefill`` against the last column of the full ``infer``."""
+
+    PROMPTS = [[5, 6, 7, 8, 9, 10], [11, 12], [13], [14, 15, 16]]
+
+    def _check(self, model, prompts):
+        tokens, mask, positions = _left_padded(prompts)
+        full_cache, cache = model.new_kv_cache(), model.new_kv_cache()
+        expected = model.infer(
+            tokens, attention_mask=mask, kv_cache=full_cache, position_ids=positions
+        )[0][:, -1]
+        got = model.prefill(tokens, cache, attention_mask=mask, position_ids=positions)
+        assert got.shape == (len(prompts), model.config.vocab_size)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-5)
+        assert cache.length == full_cache.length == tokens.shape[1]
+        for ours, theirs in zip(cache.layers, full_cache.layers):
+            length = tokens.shape[1]
+            np.testing.assert_allclose(
+                ours._keys[:, :, :length], theirs._keys[:, :, :length], rtol=0, atol=1e-5
+            )
+            np.testing.assert_allclose(
+                ours._values[:, :, :length], theirs._values[:, :, :length], rtol=0, atol=1e-5
+            )
+
+    def test_left_padded_batch_with_one_adapter(self, decode_models):
+        self._check(decode_models[True], self.PROMPTS)
+
+    def test_left_padded_batch_with_mixed_adapters(self, mixed_adapters):
+        llm, states = mixed_adapters
+        with row_adapters(llm.model, [(1, states[0]), (2, states[2]), (1, states[3])]):
+            self._check(llm.model, self.PROMPTS)
+
+    def test_one_token_prompts(self, decode_models):
+        # The last block's cache starts empty and ends holding the prompt token.
+        self._check(decode_models[True], [[7]])
+        self._check(decode_models[False], [[7], [9]])
+
+    def test_untied_head_and_one_layer(self):
+        for num_layers in (1, 2):
+            config = TransformerConfig(vocab_size=50, max_seq_len=16, dim=16,
+                                       num_layers=num_layers, num_heads=2,
+                                       tie_embeddings=False)
+            model = TransformerLM(config, rng=np.random.default_rng(num_layers))
+            model.eval()
+            self._check(model, [[1, 2, 3, 4], [5, 6], [7]])
+
+    def test_requires_eval_mode(self, pretrained_llm):
+        model = pretrained_llm.model
+        model.train()
+        try:
+            with pytest.raises(RuntimeError, match="eval mode"):
+                model.prefill(np.array([[1, 2]]), model.new_kv_cache())
+        finally:
+            model.eval()
+
+    def test_hidden_states_equal_infer_hidden(self, decode_models):
+        model = decode_models[True]
+        tokens, mask, _ = _left_padded(self.PROMPTS)
+        hidden = model.hidden_states(tokens, attention_mask=mask)
+        assert np.array_equal(hidden, model.infer(tokens, attention_mask=mask)[1])
 
 
 class TestBatchedEvaluator:
