@@ -8,15 +8,19 @@ connection per user.  Measures, over real sockets:
 * sustained requests/sec across the whole driven load;
 * per-request latency (connect-to-``done``, token stream included) —
   p50 / p99 / mean across all clients;
-* determinism: the run is executed twice from identical model state
-  (runtime snapshot restored between runs) and the two normalized
-  transcript digests must be byte-identical — the record/replay guarantee
-  measured under benchmark concurrency rather than test-sized loads.
+* determinism: the server boots ``ROUNDS`` times (after one warm-up
+  boot) from identical model state (runtime snapshot restored before each
+  boot) and every normalized transcript digest must be byte-identical —
+  the record/replay guarantee measured under benchmark concurrency rather
+  than test-sized loads.
 
-Writes ``BENCH_frontend.json`` next to this file (consumed by
-``scripts/perf_check.py --frontend``, which gates throughput and p99
-against the committed ``BENCH_frontend_baseline.json``).  Run directly
-(``python benchmarks/bench_frontend.py``) or through pytest.
+Throughput is the median over the boots (``timing.interleave``), recorded
+with its interquartile range; each boot times only the drive, not the
+server's start and drain.  Latency percentiles are nearest-rank over every
+request of every timed boot.  Writes ``BENCH_frontend.json`` next to this
+file (consumed by ``scripts/perf_check.py --frontend``, which gates
+throughput and p99 against the committed ``BENCH_frontend_baseline.json``).
+Run directly (``python benchmarks/bench_frontend.py``) or through pytest.
 """
 
 from __future__ import annotations
@@ -32,20 +36,14 @@ from repro.serve import ServeConfig
 from repro.serve.client import ServeClient
 from repro.serve.frontend import FrontendThread, ServeFrontend
 from repro.serve.loadgen import LoadConfig, build_serving_llm, generate_load
+from timing import blas_threads, interleave, percentile, spread
 
 RESULT_PATH = Path(__file__).resolve().parent / "BENCH_frontend.json"
 
 NUM_USERS = 4
 NUM_REQUESTS = 32
 MAX_BATCH = 8
-RUNS = 2
-
-
-def _percentile(values: List[float], fraction: float) -> float:
-    """Nearest-rank percentile (values need not be sorted)."""
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
-    return ordered[index]
+ROUNDS = 5
 
 
 async def _drive_user_timed(
@@ -73,31 +71,10 @@ async def _drive_all(host: str, port: int, per_user: Dict[str, List[str]]):
     )
 
 
-def _run_once(llm, scale, load, per_user: Dict[str, List[str]]) -> Dict[str, object]:
-    """One server boot + timed drive; returns latencies, elapsed and digest."""
-    config = ServeConfig(load=load, scale=scale, listen="127.0.0.1:0", max_batch_size=MAX_BATCH)
-    frontend = ServeFrontend(config, llm=llm)
-    server = FrontendThread(frontend)
-    host, port = server.start()
-    start = time.perf_counter()
-    latencies_per_user = asyncio.run(_drive_all(host, port, per_user))
-    elapsed = time.perf_counter() - start
-    outcome = server.stop()
-    latencies = [latency for user in latencies_per_user for latency in user]
-    return {
-        "latencies": latencies,
-        "elapsed": elapsed,
-        "digest": outcome.transcript_digest,
-        "served": outcome.total_requests,
-    }
-
-
-def run_benchmark(runs: int = RUNS) -> Dict[str, object]:
+def run_benchmark(rounds: int = ROUNDS) -> Dict[str, object]:
     """Measure the front-end under concurrent socket clients."""
     scale = get_scale("smoke", seed=0)
-    load = LoadConfig(
-        num_users=NUM_USERS, num_requests=NUM_REQUESTS, chat_only=True, seed=0
-    )
+    load = LoadConfig(num_users=NUM_USERS, num_requests=NUM_REQUESTS, chat_only=True, seed=0)
     llm = build_serving_llm(scale, dataset=load.dataset, seed=load.seed)
     llm.add_lora()
     snapshot = llm.export_runtime_state()
@@ -106,42 +83,51 @@ def run_benchmark(runs: int = RUNS) -> Dict[str, object]:
     for request in generate_load(load):
         per_user.setdefault(request.user_id, []).append(request.question)
 
-    results = []
-    for _ in range(runs):
+    def boot(lap):
+        """One server boot + drive; returns request latencies and the digest."""
         llm.load_runtime_state(snapshot)
-        results.append(_run_once(llm, scale, load, per_user))
+        config = ServeConfig(load=load, scale=scale, listen="127.0.0.1:0", max_batch_size=MAX_BATCH)
+        server = FrontendThread(ServeFrontend(config, llm=llm))
+        host, port = server.start()
+        with lap:
+            latencies_per_user = asyncio.run(_drive_all(host, port, per_user))
+        latencies = [latency for user in latencies_per_user for latency in user]
+        return latencies, server.stop().transcript_digest
 
-    digests = {result["digest"] for result in results}
-    best = min(results, key=lambda result: result["elapsed"])
-    latencies = best["latencies"]
+    seconds, boots = interleave({"boot": boot}, rounds)
+    rate, rate_iqr = spread([NUM_REQUESTS / elapsed for elapsed in seconds["boot"]])
+    latencies = [latency for boot_latencies, _ in boots["boot"] for latency in boot_latencies]
+    digests = [digest for _, digest in boots["boot"]]
     summary = {
         "benchmark": "frontend_throughput",
         "num_users": NUM_USERS,
         "num_requests": NUM_REQUESTS,
         "max_batch_size": MAX_BATCH,
-        "runs": runs,
+        "repeats": rounds,
+        "blas_threads": blas_threads(),
         "model": {
             "dim": llm.config.dim,
             "num_layers": llm.config.num_layers,
             "num_heads": llm.config.num_heads,
             "max_seq_len": llm.config.max_seq_len,
         },
-        "requests_per_sec": round(NUM_REQUESTS / best["elapsed"], 2),
+        "requests_per_sec": rate,
+        "requests_per_sec_iqr": rate_iqr,
         "latency_ms": {
-            "p50": round(1e3 * _percentile(latencies, 0.50), 3),
-            "p99": round(1e3 * _percentile(latencies, 0.99), 3),
+            "p50": round(1e3 * percentile(latencies, 0.50), 3),
+            "p99": round(1e3 * percentile(latencies, 0.99), 3),
             "mean": round(1e3 * sum(latencies) / len(latencies), 3),
             "max": round(1e3 * max(latencies), 3),
         },
-        "digest_stable": len(digests) == 1,
-        "transcript_digest": best["digest"],
+        "digest_stable": len(set(digests)) == 1,
+        "transcript_digest": digests[0],
     }
     RESULT_PATH.write_text(json.dumps(summary, indent=2) + "\n")
     return summary
 
 
 def test_frontend_throughput():
-    """Two socket-driven runs must serve everything and digest identically."""
+    """Every socket-driven boot must serve everything and digest identically."""
     summary = run_benchmark()
     print(
         f"\n[Frontend] {summary['requests_per_sec']} req/sec over "

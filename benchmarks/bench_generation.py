@@ -14,16 +14,18 @@ scale:
   cached decode over a left-padded batch of prompts, amortizing every forward
   across the batch.
 
-Writes a ``BENCH_generation.json`` summary next to this file (consumed by
-``scripts/perf_check.py``) and asserts the ≥5× KV-over-full speedup the fast
-path is held to.  Run directly (``python benchmarks/bench_generation.py``) or
-through pytest.
+The paths run interleaved, round by round, through ``timing.interleave``;
+every figure is a median over ``ROUNDS`` rounds (a speedup, the median of
+the per-round ratios), recorded with its interquartile range.  Writes a
+``BENCH_generation.json`` summary next to this file (consumed by
+``scripts/perf_check.py``) and asserts the ≥5× KV-over-full speedup the
+fast path is held to.  Run directly
+(``python benchmarks/bench_generation.py``) or through pytest.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 from typing import Dict, List
 
@@ -34,12 +36,13 @@ from repro.data.synthetic import make_corpus
 from repro.llm.generation import GenerationConfig, generate_tokens, generate_tokens_batch, sample_next_token
 from repro.llm.model import OnDeviceLLM, OnDeviceLLMConfig
 from repro.llm.pretrain import PretrainConfig, build_pretrained_llm
+from timing import blas_threads, interleave, per_round, summarize, whole_call
 
 RESULT_PATH = Path(__file__).resolve().parent / "BENCH_generation.json"
 
 RESPONSE_TOKENS = 64
 BATCH_PROMPTS = 8
-REPEATS = 5
+ROUNDS = 30
 
 _PROMPTS = (
     "what should i know about dose and vial",
@@ -82,67 +85,60 @@ def _seed_decode(llm: OnDeviceLLM, prompt_ids: List[int], config: GenerationConf
     return generated
 
 
-def run_benchmark(repeats: int = REPEATS) -> Dict[str, object]:
+def run_benchmark(rounds: int = ROUNDS) -> Dict[str, object]:
     """Measure all three decode paths; returns the JSON-ready summary."""
     llm = _build_llm()
     config = GenerationConfig(max_new_tokens=RESPONSE_TOKENS, greedy=True, stop_token_id=None)
     prompts = [llm._prompt_ids_for_question(question) for question in _PROMPTS]
 
-    runs = {
-        "full_forward": lambda: len(_seed_decode(llm, prompts[0], config)),
-        "kv_cached": lambda: len(
-            generate_tokens(llm.model, prompts[0], config, use_cache=True)
-        ),
-        "batched": lambda: sum(
-            len(row)
-            for row in generate_tokens_batch(
-                llm.model, prompts[:BATCH_PROMPTS], config,
-                pad_token_id=llm.tokenizer.vocabulary.pad_id,
-            )
-        ),
+    seconds, rows = interleave(
+        {
+            "full_forward": whole_call(lambda: [_seed_decode(llm, prompts[0], config)]),
+            "kv_cached": whole_call(
+                lambda: [generate_tokens(llm.model, prompts[0], config, use_cache=True)]
+            ),
+            "batched": whole_call(
+                lambda: generate_tokens_batch(
+                    llm.model,
+                    prompts[:BATCH_PROMPTS],
+                    config,
+                    pad_token_id=llm.tokenizer.vocabulary.pad_id,
+                )
+            ),
+        },
+        rounds,
+    )
+    rates = {
+        name: [sum(map(len, out)) / s for out, s in zip(rows[name], seconds[name])]
+        for name in seconds
     }
-
-    # Warm each path once (page faults, BLAS thread pools), then time the
-    # paths interleaved round-by-round so transient machine load hits every
-    # path rather than biasing whichever block it lands on; keep the best
-    # round per path.
-    for run in runs.values():
-        run()
-    best = {name: 0.0 for name in runs}
-    for _ in range(repeats):
-        for name, run in runs.items():
-            start = time.perf_counter()
-            tokens = run()
-            elapsed = time.perf_counter() - start
-            best[name] = max(best[name], tokens / elapsed)
-    full, cached, batched = best["full_forward"], best["kv_cached"], best["batched"]
-
+    medians, iqrs = summarize(rates)
+    speedups, speedup_iqrs = summarize(
+        {name: per_round(rates[name], rates["full_forward"]) for name in ("kv_cached", "batched")}
+    )
     summary = {
         "benchmark": "generation_decode_throughput",
         "response_tokens": RESPONSE_TOKENS,
         "batch_prompts": BATCH_PROMPTS,
+        "repeats": rounds,
+        "blas_threads": blas_threads(),
         "model": {
             "dim": llm.config.dim,
             "num_layers": llm.config.num_layers,
             "num_heads": llm.config.num_heads,
             "max_seq_len": llm.config.max_seq_len,
         },
-        "tokens_per_sec": {
-            "full_forward": round(full, 2),
-            "kv_cached": round(cached, 2),
-            "batched": round(batched, 2),
-        },
-        "speedup_over_full_forward": {
-            "kv_cached": round(cached / full, 2),
-            "batched": round(batched / full, 2),
-        },
+        "tokens_per_sec": medians,
+        "tokens_per_sec_iqr": iqrs,
+        "speedup_over_full_forward": speedups,
+        "speedup_over_full_forward_iqr": speedup_iqrs,
     }
     RESULT_PATH.write_text(json.dumps(summary, indent=2) + "\n")
     return summary
 
 
 def test_generation_throughput():
-    """KV-cached no-grad decoding must be ≥5× the seed full-forward path."""
+    """KV-cached decoding must be ≥5× the seed full-forward path."""
     summary = run_benchmark()
     rates = summary["tokens_per_sec"]
     print(

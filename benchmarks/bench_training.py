@@ -18,7 +18,11 @@ reduction — frozen here so the fused-over-legacy speedup stays measurable on
 any machine, the same pattern ``bench_generation.py`` uses for its seed
 decode loop.
 
-Writes ``BENCH_training.json`` next to this file (consumed by
+Fused and legacy passes run in interleaved rounds (``timing.interleave``),
+each on its own copy of the model: the packed optimizer would copy the
+legacy step's rebound ``.data`` back in at every fused step.  Figures are
+medians with IQRs; a speedup is the median of the per-round ratios.  Writes
+``BENCH_training.json`` next to this file (consumed by
 ``scripts/perf_check.py --training``).  The committed
 ``BENCH_training_baseline.json`` holds the pre-refactor absolute seconds; the
 perf gate requires the live path to beat it by the promised factors.
@@ -29,7 +33,6 @@ Run directly (``python benchmarks/bench_training.py``).
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,6 +46,7 @@ from repro.nn.functional import attention_scores_mask
 from repro.nn.lora import LoRAConfig, LoRALinear, lora_parameters
 from repro.nn.optim import Adam, AdamW
 from repro.nn.tensor import Tensor
+from timing import blas_threads, interleave, per_round, summarize, whole_call
 
 RESULT_PATH = Path(__file__).resolve().parent / "BENCH_training.json"
 
@@ -51,7 +55,7 @@ FINETUNE_EXAMPLES = 32
 FINETUNE_STEPS = 8
 PRETRAIN_BATCH = 32
 PRETRAIN_PAIRS = 64
-REPEATS = 3
+ROUNDS = 9
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
@@ -264,6 +268,16 @@ class _LegacyAdamW:
             parameter.data = parameter.data - self.lr * update
 
 
+def _legacy_step(model, optimizer: _LegacyAdamW, batch) -> None:
+    """One pre-backend training step: graph forward, backward, clip, update."""
+    token_ids, labels, mask = batch
+    model.zero_grad()
+    loss = _legacy_cross_entropy(_legacy_forward(model, token_ids, mask), labels, IGNORE_INDEX)
+    loss.backward()
+    _legacy_clip_grad_norm(optimizer.parameters, 1.0)
+    optimizer.step()
+
+
 # --------------------------------------------------------------------------- #
 # Workloads
 # --------------------------------------------------------------------------- #
@@ -309,81 +323,73 @@ def _pretrain_batches(llm: OnDeviceLLM) -> List[Tuple[np.ndarray, np.ndarray, np
     ]
 
 
-def _time_loop(step, batches, repeats: int) -> float:
-    """Best total seconds for one pass over ``batches`` (warmed, min of runs)."""
-    for batch in batches:
-        step(batch)
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for batch in batches:
-            step(batch)
-        best = min(best, time.perf_counter() - start)
-    return best
+def _pass_seconds(fused, legacy, batches, rounds: int) -> Dict[str, list]:
+    """Seconds of one pass over ``batches`` per path, interleaved by round.
+
+    ``fused`` and ``legacy`` are ``(model, optimizer)`` pairs.
+    """
+
+    def run_pass(step, model, optimizer):
+        return whole_call(lambda: [step(model, optimizer, batch) for batch in batches])
+
+    def fused_step(model, optimizer, batch):
+        train_batch(model, optimizer, batch, 1.0)
+
+    seconds, _ = interleave(
+        {"fused": run_pass(fused_step, *fused), "legacy": run_pass(_legacy_step, *legacy)},
+        rounds,
+    )
+    return seconds
 
 
 # --------------------------------------------------------------------------- #
-def run_benchmark(repeats: int = REPEATS) -> Dict[str, object]:
+def run_benchmark(rounds: int = ROUNDS) -> Dict[str, object]:
     """Measure fused and legacy training-step times; returns the summary."""
     llm = _build_llm()
 
     # --- pretrain epoch (all parameters trainable) before LoRA injection --- #
     pretrain_batches = _pretrain_batches(llm)
-    llm.model.train()
-    parameters = [p for p in llm.model.parameters() if p.requires_grad]
-
-    fused_pre_opt = Adam(parameters, lr=3e-3)
-
-    def fused_pretrain_step(batch):
-        train_batch(llm.model, fused_pre_opt, batch, 1.0)
-
-    fused_pretrain_epoch = _time_loop(fused_pretrain_step, pretrain_batches, repeats)
-
-    legacy_pre_opt = _LegacyAdamW(parameters, lr=3e-3)
-
-    def legacy_pretrain_step(batch):
-        token_ids, labels, mask = batch
-        llm.model.zero_grad()
-        logits = _legacy_forward(llm.model, token_ids, mask)
-        loss = _legacy_cross_entropy(logits, labels, IGNORE_INDEX)
-        loss.backward()
-        _legacy_clip_grad_norm(parameters, 1.0)
-        legacy_pre_opt.step()
-
-    legacy_pretrain_epoch = _time_loop(legacy_pretrain_step, pretrain_batches, repeats)
+    legacy_llm = llm.clone()
+    for model in (llm.model, legacy_llm.model):
+        model.train()
+    pretrain = _pass_seconds(
+        (llm.model, Adam(llm.model.parameters(), lr=3e-3)),
+        (legacy_llm.model, _LegacyAdamW(legacy_llm.model.parameters(), lr=3e-3)),
+        pretrain_batches,
+        rounds,
+    )
 
     # --- LoRA fine-tune step ---------------------------------------------- #
     llm.add_lora(LoRAConfig())
-    llm.model.train()
+    legacy_llm = llm.clone()
+    for model in (llm.model, legacy_llm.model):
+        model.train()
     finetune_batches = _finetune_batches(llm)
-    adapter_params = lora_parameters(llm.model)
-
-    fused_ft_opt = AdamW(adapter_params, lr=3e-4, weight_decay=0.0)
-
-    def fused_finetune_step(batch):
-        train_batch(llm.model, fused_ft_opt, batch, 1.0)
-
-    fused_finetune = _time_loop(fused_finetune_step, finetune_batches, repeats)
-    fused_finetune_step_s = fused_finetune / len(finetune_batches)
-
-    legacy_ft_opt = _LegacyAdamW(adapter_params, lr=3e-4, weight_decay=0.0)
-
-    def legacy_finetune_step(batch):
-        token_ids, labels, mask = batch
-        llm.model.zero_grad()
-        logits = _legacy_forward(llm.model, token_ids, mask)
-        loss = _legacy_cross_entropy(logits, labels, IGNORE_INDEX)
-        loss.backward()
-        _legacy_clip_grad_norm(legacy_ft_opt.parameters, 1.0)
-        legacy_ft_opt.step()
-
-    legacy_finetune = _time_loop(legacy_finetune_step, finetune_batches, repeats)
-    legacy_finetune_step_s = legacy_finetune / len(finetune_batches)
-
+    finetune = _pass_seconds(
+        (llm.model, AdamW(lora_parameters(llm.model), lr=3e-4, weight_decay=0.0)),
+        (
+            legacy_llm.model,
+            _LegacyAdamW(lora_parameters(legacy_llm.model), lr=3e-4, weight_decay=0.0),
+        ),
+        finetune_batches,
+        rounds,
+    )
     llm.model.eval()
 
+    steps = len(finetune_batches)
+    fused_s, legacy_s = (
+        {"finetune_step": [s / steps for s in finetune[path]], "pretrain_epoch": pretrain[path]}
+        for path in ("fused", "legacy")
+    )
+    fused, fused_iqrs = summarize(fused_s, 6)
+    legacy, legacy_iqrs = summarize(legacy_s, 6)
+    speedups, speedup_iqrs = summarize(
+        {key: per_round(legacy_s[key], fused_s[key]) for key in fused_s}
+    )
     summary = {
         "benchmark": "training_step_time",
+        "repeats": rounds,
+        "blas_threads": blas_threads(),
         "model": {
             "dim": llm.config.dim,
             "num_layers": llm.config.num_layers,
@@ -396,18 +402,12 @@ def run_benchmark(repeats: int = REPEATS) -> Dict[str, object]:
             "pretrain_batch": PRETRAIN_BATCH,
             "pretrain_pairs": PRETRAIN_PAIRS,
         },
-        "seconds": {
-            "finetune_step": round(fused_finetune_step_s, 6),
-            "pretrain_epoch": round(fused_pretrain_epoch, 6),
-        },
-        "legacy_seconds": {
-            "finetune_step": round(legacy_finetune_step_s, 6),
-            "pretrain_epoch": round(legacy_pretrain_epoch, 6),
-        },
-        "speedup_over_legacy": {
-            "finetune_step": round(legacy_finetune_step_s / fused_finetune_step_s, 2),
-            "pretrain_epoch": round(legacy_pretrain_epoch / fused_pretrain_epoch, 2),
-        },
+        "seconds": fused,
+        "seconds_iqr": fused_iqrs,
+        "legacy_seconds": legacy,
+        "legacy_seconds_iqr": legacy_iqrs,
+        "speedup_over_legacy": speedups,
+        "speedup_over_legacy_iqr": speedup_iqrs,
     }
     RESULT_PATH.write_text(json.dumps(summary, indent=2) + "\n")
     return summary

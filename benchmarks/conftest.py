@@ -11,11 +11,19 @@ switches the dataset sweeps from the two-dataset default to all six analogues.
 from __future__ import annotations
 
 import os
+import sys
 
-import pytest
+# One BLAS thread unless the caller chose (see the module docstring of
+# ``timing.py``).  It only takes effect before numpy loads; a test session
+# that merely passes through this directory has loaded numpy already and
+# must not hand the setting to the processes its tests start.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from repro.experiments import get_scale
-from repro.data.synthetic import DATASET_NAMES
+import pytest  # noqa: E402
+
+from repro.experiments import get_scale  # noqa: E402
+from repro.data.synthetic import DATASET_NAMES  # noqa: E402
 
 
 def bench_scale():

@@ -1,63 +1,39 @@
 #!/usr/bin/env python
-"""Decode- and serving-throughput regression gate.
+"""Decode-, training-, serving- and front-end-throughput regression gate.
 
 Runs the smoke-scale generation benchmark (``benchmarks/bench_generation.py``)
-and compares the measured tokens/sec against the committed baseline
-(``benchmarks/BENCH_generation_baseline.json``).  Exits non-zero when any
-decode path regresses by more than the allowed fraction (default 20%), so CI
-catches changes that quietly slow the fast inference path down.
+and, per flag, the serving, training and front-end benchmarks.  Each times
+its cases interleaved, round by round (``benchmarks/timing.py``), and every
+gate reads medians (a ratio, the median of its per-round ratios).  Before
+numpy loads, ``OPENBLAS_NUM_THREADS`` defaults to ``1``.
 
-With ``--serving`` the multi-tenant serving benchmark
-(``benchmarks/bench_serving.py``) runs too, and the gate additionally
-enforces the machine-independent structural guarantee of the serving layer:
-batched multi-user decode must stay at least 2x ahead of ``per_turn``
-serving, where each turn's batch decodes alone (the scheduler before
-cross-adapter decode rounds).
+* Always: kv-cached decode ≥5× the full-forward reference.  Without
+  ``--ratio-only``, each decode path must also stay within ``TOLERANCE``
+  (20%) of the committed ``BENCH_generation_baseline.json``, and kv-cached
+  decode ``REQUIRED_DECODE_UPLIFT``× above it (the baseline holds the
+  *pre-backend* seed numbers, so a change that gives the speedup back fails
+  instead of ratcheting the baseline down).
+* ``--serving``: batched multi-user serving ≥2× ``per_turn`` serving (each
+  turn's batch decoded alone, as before cross-adapter decode rounds).
+* ``--chaos-overhead``: request journaling (``docs/robustness.md``) costs at
+  most 10% of batched serving throughput.
+* ``--sharding``: the transcript digest is byte-identical at every worker
+  count and a warm-mmap A1 adapter load ≥2× a cold A1 read, always; the
+  ≥1.8× tokens/sec scaling at 4 workers only when the bench-recorded
+  ``cpu_count`` is at least 4.  The serving flags share one benchmark run.
+* ``--training``: the fused LoRA fine-tune step ≥2× the in-run legacy
+  replica and, without ``--ratio-only``, ≥2× faster than the committed
+  ``BENCH_training_baseline.json`` seconds.
+* ``--frontend``: every socket-driven boot gives the same transcript
+  digest, always; without ``--ratio-only``, throughput and p99 latency
+  against the committed ``BENCH_frontend_baseline.json``, with generous
+  bounds because runners vary.
 
-With ``--chaos-overhead`` the serving benchmark's journaled policy is
-gated as well: request journaling (the crash-safety layer of
-``docs/robustness.md``) must cost at most 10% of batched serving
-throughput.  Both serving flags share one benchmark run when combined.
-
-With ``--sharding`` the serving benchmark's scale-out sections are gated
-(sharing the run with ``--serving``/``--chaos-overhead``): the aggregate
-transcript digest must be byte-identical at every worker count and the
-median warm-mmap A1 adapter load must stay ≥2x faster than the median cold
-A1 read (``mmap_cache_capacity=0``) — both machine-independent, enforced
-always.  The ≥1.8x tokens/sec scaling at 4 workers is only enforced when
-the bench-recorded ``cpu_count`` is at least 4 (process workers cannot
-speed up a box with nothing to run on).
-
-With ``--training`` the training benchmark (``benchmarks/bench_training.py``)
-runs too.  The fused-kernel backend promises a >=2x LoRA fine-tune step over
-the pre-backend composition: enforced against the committed
-``BENCH_training_baseline.json`` seconds (absolute, reference machine) and
-against the benchmark's own in-run legacy replica (``speedup_over_legacy``,
-machine-independent, also checked under ``--ratio-only``).
-
-The committed generation baseline intentionally holds the *pre-backend* seed
-numbers: the decode tentpole gate requires kv-cached decode to stay at least
-``REQUIRED_DECODE_UPLIFT``x above it, so a change that quietly gives the
-speedup back fails CI rather than ratcheting the baseline down.
-
-With ``--frontend`` the socket front-end benchmark
-(``benchmarks/bench_frontend.py``) runs too: digest stability across two
-socket-driven runs is enforced unconditionally (machine-independent), and
-sustained req/s plus p99 latency are gated against the committed
-``BENCH_frontend_baseline.json`` (skipped under ``--ratio-only``; the
-bounds are generous because CI runners vary).
-
-Usage::
-
-    PYTHONPATH=src python scripts/perf_check.py [--tolerance 0.2] [--update]
-                                                [--serving] [--chaos-overhead]
-                                                [--sharding] [--training]
-                                                [--frontend] [--ratio-only]
-
-``--update`` rewrites the baseline from the current run (use after an
-intentional perf change, on the machine that produces the committed numbers).
-Absolute throughput is machine-dependent; the committed baseline should be
-refreshed whenever the reference machine changes.
+Run as ``PYTHONPATH=src python scripts/perf_check.py [flags]``.
+``--update`` rewrites the generation baseline (and, with ``--frontend``, the
+front-end baseline) from the current run, on the reference machine.
+``--ratio-only`` skips every machine-dependent absolute comparison (use on
+other machines, e.g. CI).  Baselines are validated before any benchmark runs.
 
 Exit codes: 0 pass, 1 throughput regression, 2 bad arguments (argparse),
 3 baseline file missing, 4 baseline file malformed.
@@ -67,8 +43,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+from typing import Sequence
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before anything imports numpy
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -79,9 +59,11 @@ TRAINING_BASELINE_PATH = REPO_ROOT / "benchmarks" / "BENCH_training_baseline.jso
 FRONTEND_BASELINE_PATH = REPO_ROOT / "benchmarks" / "BENCH_frontend_baseline.json"
 
 PATHS_CHECKED = ("full_forward", "kv_cached", "batched")
+# Maximum allowed fractional regression per decode path (absolute mode).
+TOLERANCE = 0.2
 
-# Tentpole guarantees of the fused-kernel backend, measured against the
-# committed pre-backend baselines (see module docstring).
+# Guarantees of the fused-kernel backend (see module docstring).
+REQUIRED_KV_SPEEDUP = 5.0
 REQUIRED_DECODE_UPLIFT = 2.5
 REQUIRED_FINETUNE_SPEEDUP = 2.0
 
@@ -105,160 +87,81 @@ class BaselineError(ValueError):
     """The committed baseline file cannot be used."""
 
 
-def load_baseline(path: Path) -> dict:
-    """The ``tokens_per_sec`` mapping from the committed baseline.
+def load_baseline(path: Path, required: Sequence[str]) -> dict:
+    """The baseline JSON at ``path``; every dotted ``required`` key must be positive.
 
     Raises :class:`FileNotFoundError` when the file is absent and
     :class:`BaselineError` (with a human-readable reason) when its content
     cannot be interpreted, so the caller can report each case distinctly
     instead of surfacing a traceback.
     """
-    text = path.read_text()
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
+        payload = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise BaselineError(f"not valid JSON ({error})") from error
-    if not isinstance(payload, dict) or "tokens_per_sec" not in payload:
-        raise BaselineError("missing the 'tokens_per_sec' object")
-    baseline = payload["tokens_per_sec"]
-    if not isinstance(baseline, dict):
-        raise BaselineError("'tokens_per_sec' is not an object")
-    for decode_path in PATHS_CHECKED:
-        if decode_path not in baseline:
-            raise BaselineError(f"'tokens_per_sec' lacks the {decode_path!r} entry")
+    for key_path in required:
+        value = payload
+        for key in key_path.split("."):
+            if not isinstance(value, dict) or key not in value:
+                raise BaselineError(f"missing {key_path!r}")
+            value = value[key]
         try:
-            value = float(baseline[decode_path])
+            number = float(value)
         except (TypeError, ValueError):
-            raise BaselineError(
-                f"'tokens_per_sec.{decode_path}' is not a number "
-                f"({baseline[decode_path]!r})"
-            ) from None
-        if value <= 0.0:
-            raise BaselineError(f"'tokens_per_sec.{decode_path}' must be positive, got {value}")
-    return baseline
-
-
-def load_frontend_baseline(path: Path) -> dict:
-    """The committed socket front-end baseline (throughput + latency)."""
-    text = path.read_text()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise BaselineError(f"not valid JSON ({error})") from error
-    if not isinstance(payload, dict):
-        raise BaselineError("top level is not an object")
-    try:
-        throughput = float(payload.get("requests_per_sec"))
-    except (TypeError, ValueError):
-        raise BaselineError(
-            f"'requests_per_sec' is not a number ({payload.get('requests_per_sec')!r})"
-        ) from None
-    if throughput <= 0.0:
-        raise BaselineError(f"'requests_per_sec' must be positive, got {throughput}")
-    latency = payload.get("latency_ms")
-    if not isinstance(latency, dict):
-        raise BaselineError("missing the 'latency_ms' object")
-    for key in ("p50", "p99"):
-        try:
-            value = float(latency.get(key))
-        except (TypeError, ValueError):
-            raise BaselineError(
-                f"'latency_ms.{key}' is not a number ({latency.get(key)!r})"
-            ) from None
-        if value <= 0.0:
-            raise BaselineError(f"'latency_ms.{key}' must be positive, got {value}")
+            raise BaselineError(f"{key_path!r} is not a number ({value!r})") from None
+        if not number > 0.0:
+            raise BaselineError(f"{key_path!r} must be positive, got {number}")
     return payload
 
 
-def load_training_baseline(path: Path) -> dict:
-    """The ``seconds`` mapping from the committed training baseline."""
-    text = path.read_text()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise BaselineError(f"not valid JSON ({error})") from error
-    if not isinstance(payload, dict) or "seconds" not in payload:
-        raise BaselineError("missing the 'seconds' object")
-    seconds = payload["seconds"]
-    if not isinstance(seconds, dict):
-        raise BaselineError("'seconds' is not an object")
-    for key in ("finetune_step", "pretrain_epoch"):
-        try:
-            value = float(seconds.get(key))
-        except (TypeError, ValueError):
-            raise BaselineError(f"'seconds.{key}' is not a number ({seconds.get(key)!r})") from None
-        if value <= 0.0:
-            raise BaselineError(f"'seconds.{key}' must be positive, got {value}")
-    return seconds
+def _iqr(pair, scale: float = 1.0) -> str:
+    return f"IQR {pair[0] * scale:g}–{pair[1] * scale:g}"
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--tolerance", type=float, default=0.2,
-        help="maximum allowed fractional regression per decode path (default 0.2)",
-    )
-    parser.add_argument(
-        "--update", action="store_true",
-        help="rewrite the committed baseline from the current run",
-    )
-    parser.add_argument(
-        "--ratio-only", action="store_true",
-        help="skip the machine-dependent absolute-throughput comparison and "
-             "enforce only the kv-cached-over-full-forward speedup ratio "
-             "(use on machines slower than the baseline machine)",
-    )
-    parser.add_argument(
-        "--serving", action="store_true",
-        help="also run the multi-tenant serving benchmark and enforce the "
-             "2x batched-over-per-turn serving speedup",
-    )
-    parser.add_argument(
-        "--chaos-overhead", action="store_true",
-        help="also enforce that request journaling costs at most "
-             f"{MAX_JOURNAL_OVERHEAD:.0%}% of batched serving throughput "
-             "(runs the serving benchmark; shares the run with --serving)",
-    )
-    parser.add_argument(
-        "--sharding", action="store_true",
-        help="also gate the scale-out sections of the serving benchmark: "
-             "digest parity across worker counts and the warm-mmap adapter "
-             "speedup always; the 4-worker scaling floor only on >=4-core "
-             "machines (runs the serving benchmark; shares the run with "
-             "--serving/--chaos-overhead)",
-    )
-    parser.add_argument(
-        "--training", action="store_true",
-        help="also run the training benchmark and enforce the "
-             f">={REQUIRED_FINETUNE_SPEEDUP:.0f}x fused-over-legacy LoRA "
-             "fine-tune step speedup",
-    )
-    parser.add_argument(
-        "--frontend", action="store_true",
-        help="also run the socket front-end benchmark: digest stability is "
-             "enforced always; throughput/p99 are gated against "
-             "BENCH_frontend_baseline.json unless --ratio-only",
-    )
+    for flag, text in (
+        ("--update", "rewrite the committed baseline from the current run"),
+        ("--ratio-only", "skip the machine-dependent absolute comparisons"),
+        ("--serving", "also enforce the 2x batched-over-per-turn serving speedup"),
+        (
+            "--chaos-overhead",
+            "also enforce that request journaling costs at most "
+            f"{MAX_JOURNAL_OVERHEAD:.0%}% of batched serving throughput",
+        ),
+        (
+            "--sharding",
+            "also gate digest parity across worker counts, the warm-mmap adapter "
+            "speedup and, on >=4-core machines, the 4-worker scaling floor",
+        ),
+        (
+            "--training",
+            f"also enforce the >={REQUIRED_FINETUNE_SPEEDUP:.0f}x fused-over-legacy "
+            "LoRA fine-tune step speedup",
+        ),
+        (
+            "--frontend",
+            "also enforce socket front-end digest stability and, unless "
+            "--ratio-only, throughput/p99 against BENCH_frontend_baseline.json",
+        ),
+    ):
+        parser.add_argument(flag, action="store_true", help=text)
     args = parser.parse_args()
 
     # Validate the baselines *before* spending a minute on the benchmarks,
     # and report each failure mode distinctly instead of a traceback.
-    baseline = None
-    training_baseline = None
-    frontend_baseline = None
-    if not args.update:
+    required = {BASELINE_PATH: [f"tokens_per_sec.{path}" for path in PATHS_CHECKED]}
+    if args.training:
+        required[TRAINING_BASELINE_PATH] = ["seconds.finetune_step", "seconds.pretrain_epoch"]
+    if args.frontend:
+        required[FRONTEND_BASELINE_PATH] = ["requests_per_sec", "latency_ms.p50", "latency_ms.p99"]
+    baselines = {}
+    for path, keys in ({} if args.update else required).items():
         try:
-            checked_path = BASELINE_PATH
-            baseline = load_baseline(BASELINE_PATH)
-            if args.training:
-                checked_path = TRAINING_BASELINE_PATH
-                training_baseline = load_training_baseline(TRAINING_BASELINE_PATH)
-            if args.frontend:
-                checked_path = FRONTEND_BASELINE_PATH
-                frontend_baseline = load_frontend_baseline(FRONTEND_BASELINE_PATH)
+            baselines[path] = load_baseline(path, keys)
         except FileNotFoundError:
             print(
-                f"ERROR: baseline file missing: {checked_path}\n"
+                f"ERROR: baseline file missing: {path}\n"
                 "Run `python scripts/perf_check.py --update` on the reference "
                 "machine to create it.",
                 file=sys.stderr,
@@ -266,7 +169,7 @@ def main() -> int:
             return EXIT_BASELINE_MISSING
         except BaselineError as error:
             print(
-                f"ERROR: baseline file malformed: {checked_path}: {error}\n"
+                f"ERROR: baseline file malformed: {path}: {error}\n"
                 "Restore the committed file or regenerate it with "
                 "`python scripts/perf_check.py --update`.",
                 file=sys.stderr,
@@ -277,7 +180,7 @@ def main() -> int:
 
     summary = run_benchmark()
     current = summary["tokens_per_sec"]
-    print("measured tokens/sec:", json.dumps(current))
+    print(f"measured tokens/sec (median of {summary['repeats']} rounds):", json.dumps(current))
 
     if args.update:
         BASELINE_PATH.write_text(json.dumps(summary, indent=2) + "\n")
@@ -285,45 +188,47 @@ def main() -> int:
         if args.frontend:
             from bench_frontend import run_benchmark as run_frontend_benchmark
 
-            frontend_summary = run_frontend_benchmark()
-            FRONTEND_BASELINE_PATH.write_text(
-                json.dumps(frontend_summary, indent=2) + "\n"
-            )
+            FRONTEND_BASELINE_PATH.write_text(json.dumps(run_frontend_benchmark(), indent=2) + "\n")
             print(f"frontend baseline written to {FRONTEND_BASELINE_PATH}")
         return 0
 
-    print("baseline tokens/sec:", json.dumps(baseline))
-
     failures = []
+
+    def gate(name: str, ok: bool, line: str) -> None:
+        print(f"  {line} {'ok' if ok else 'REGRESSED'}")
+        if not ok:
+            failures.append(name)
+
+    def ratio_gate(name, label, value, iqr, bound, at_most=False):
+        """Gate a median of per-round ratios on ``bound``."""
+        ok = value <= bound if at_most else value >= bound
+        rule = "allowed <=" if at_most else "required >="
+        gate(name, ok, f"{label}: {value:g} ({_iqr(iqr)}; {rule} {bound:g})")
+
     if args.ratio_only:
         print("  (absolute-throughput comparison skipped: --ratio-only)")
     else:
+        baseline = baselines[BASELINE_PATH]["tokens_per_sec"]
         for path in PATHS_CHECKED:
-            reference = float(baseline[path])
-            measured = float(current[path])
-            floor = reference * (1.0 - args.tolerance)
-            status = "ok" if measured >= floor else "REGRESSED"
-            print(f"  {path:<14} {measured:>10.1f} vs baseline {reference:>10.1f} "
-                  f"(floor {floor:.1f}) {status}")
-            if measured < floor:
-                failures.append(path)
-        # Tentpole: the fused decode path must hold its uplift over the
-        # committed pre-backend seed numbers (machine-dependent, so skipped
-        # under --ratio-only like the other absolute comparisons).
+            reference, measured = float(baseline[path]), float(current[path])
+            floor = reference * (1.0 - TOLERANCE)
+            gate(
+                path,
+                measured >= floor,
+                f"{path:<14} {measured:>10.1f} vs baseline {reference:>10.1f} (floor {floor:.1f})",
+            )
         uplift = float(current["kv_cached"]) / float(baseline["kv_cached"])
-        print(
-            f"  kv_cached uplift over seed baseline: {uplift:.2f}x "
-            f"(required >= {REQUIRED_DECODE_UPLIFT:.1f}x)"
+        gate(
+            "kv_cached_uplift",
+            uplift >= REQUIRED_DECODE_UPLIFT,
+            f"kv_cached uplift over seed baseline: {uplift:.2f}x "
+            f"(required >= {REQUIRED_DECODE_UPLIFT:.1f}x)",
         )
-        if uplift < REQUIRED_DECODE_UPLIFT:
-            failures.append("kv_cached_uplift")
-
-    # The structural guarantee is machine-independent: cached decode must
-    # stay well ahead of the full-forward reference path.
-    kv_speedup = float(current["kv_cached"]) / float(current["full_forward"])
-    print(f"  kv_cached speedup over full_forward: {kv_speedup:.2f}x (required >= 5.0x)")
-    if kv_speedup < 5.0:
-        failures.append("kv_cached_speedup")
+    ratio_gate(
+        "kv_cached_speedup", "kv_cached over full_forward",
+        summary["speedup_over_full_forward"]["kv_cached"],
+        summary["speedup_over_full_forward_iqr"]["kv_cached"], REQUIRED_KV_SPEEDUP,
+    )
 
     if args.serving or args.chaos_overhead or args.sharding:
         from bench_serving import (
@@ -335,99 +240,86 @@ def main() -> int:
         )
 
         serving = run_serving_benchmark()
-        rates = serving["requests_per_sec"]
+        rates, iqrs = serving["requests_per_sec"], serving["requests_per_sec_iqr"]
+        print(
+            f"serving req/sec, median of {serving['repeats']} rounds: "
+            + ", ".join(f"{name} {rates[name]} ({_iqr(iqrs[name])})" for name in rates)
+        )
         if args.serving:
-            speedup = float(serving["batched_speedup_over_per_turn"])
-            print(
-                f"serving req/sec: per_turn {rates['per_turn']}, "
-                f"batched {rates['batched']} "
-                f"({speedup:.2f}x, required >= {REQUIRED_SPEEDUP:.1f}x); "
-                f"adapter swap cold {serving['adapter_swap_ms']['cold']} ms / "
-                f"warm {serving['adapter_swap_ms']['warm']} ms"
+            ratio_gate(
+                "serving_batched_speedup", "batched over per_turn",
+                serving["batched_speedup_over_per_turn"],
+                serving["batched_speedup_over_per_turn_iqr"], REQUIRED_SPEEDUP,
             )
-            if speedup < REQUIRED_SPEEDUP:
-                failures.append("serving_batched_speedup")
         if args.chaos_overhead:
-            overhead = float(serving["journal_overhead"])
-            print(
-                f"journal overhead: batched {rates['batched']} vs journaled "
-                f"{rates['journaled']} req/sec — {overhead:.1%} "
-                f"(allowed <= {MAX_JOURNAL_OVERHEAD:.0%})"
+            ratio_gate(
+                "journal_overhead", "journal overhead (1 - journaled / batched)",
+                serving["journal_overhead"], serving["journal_overhead_iqr"],
+                MAX_JOURNAL_OVERHEAD, at_most=True,
             )
-            if overhead > MAX_JOURNAL_OVERHEAD:
-                failures.append("journal_overhead")
         if args.sharding:
-            shard = serving["sharding"]
-            fmt = serving["adapter_format"]
-            per_workers = shard["workers"]
-            max_workers = str(max(SHARD_WORKER_COUNTS))
-            rates = ", ".join(
-                f"{count}w {per_workers[str(count)]['tokens_per_sec']} tok/s "
-                f"(p99 {per_workers[str(count)]['p99_latency_ms']} ms)"
-                for count in SHARD_WORKER_COUNTS
-            )
+            shard, fmt = serving["sharding"], serving["adapter_format"]
             print(
                 f"sharding ({shard['num_users']} users, {shard['mode']} mode, "
-                f"{shard['cpu_count']} cpus): {rates}; digests match: "
-                f"{shard['digests_match']}"
+                f"{shard['cpu_count']} cpus, median of {shard['repeats']} rounds): "
+                + ", ".join(
+                    f"{count}w {figures['tokens_per_sec']} tok/s "
+                    f"({_iqr(figures['tokens_per_sec_iqr'])}, p99 {figures['p99_latency_ms']} ms)"
+                    for count, figures in shard["workers"].items()
+                )
+                + f"; adapter load (median of {fmt['repeats']}): warm mmap "
+                f"{fmt['warm_mmap_us']} us, cold {fmt['binary_cold_us']} us"
             )
             # Structural, machine-independent, enforced always: topology must
             # not change behaviour, and the binary format must earn its keep.
-            if not shard["digests_match"]:
-                failures.append("sharding_digest_parity")
-            mmap_speedup = float(fmt["mmap_speedup_over_cold"])
-            print(
-                f"  adapter format (median of {fmt['repeats']}): warm mmap "
-                f"{fmt['warm_mmap_us']} us (IQR {fmt['warm_mmap_iqr_us']}) vs cold "
-                f"{fmt['binary_cold_us']} us (IQR {fmt['binary_cold_iqr_us']}) — "
-                f"{mmap_speedup:.2f}x (required >= {REQUIRED_MMAP_SPEEDUP:.1f}x)"
+            gate("sharding_digest_parity", shard["digests_match"], "digests match across workers:")
+            ratio_gate(
+                "adapter_mmap_speedup", "cold A1 load over warm mmap load",
+                fmt["mmap_speedup_over_cold"], fmt["mmap_speedup_over_cold_iqr"],
+                REQUIRED_MMAP_SPEEDUP,
             )
-            if mmap_speedup < REQUIRED_MMAP_SPEEDUP:
-                failures.append("adapter_mmap_speedup")
-            scaling = float(shard["scaling_at_max_workers"])
-            if int(shard["cpu_count"]) >= max(SHARD_WORKER_COUNTS):
-                status = "ok" if scaling >= REQUIRED_SHARD_SCALING else "REGRESSED"
-                print(
-                    f"  scaling at {max_workers} workers: {scaling:.2f}x "
-                    f"(required >= {REQUIRED_SHARD_SCALING:.1f}x) {status}"
+            max_workers = max(SHARD_WORKER_COUNTS)
+            scaling = (shard["scaling_at_max_workers"], shard["scaling_at_max_workers_iqr"])
+            if int(shard["cpu_count"]) >= max_workers:
+                ratio_gate(
+                    "sharding_scaling", f"tokens/sec at {max_workers} workers over 1",
+                    *scaling, REQUIRED_SHARD_SCALING,
                 )
-                if scaling < REQUIRED_SHARD_SCALING:
-                    failures.append("sharding_scaling")
             else:
                 print(
                     f"  ({max_workers}-worker scaling floor skipped: machine has "
-                    f"{shard['cpu_count']} cpus, measured {scaling:.2f}x)"
+                    f"{shard['cpu_count']} cpus, measured {scaling[0]}x)"
                 )
 
     if args.training:
         from bench_training import run_benchmark as run_training_benchmark
 
         training = run_training_benchmark()
-        seconds = training["seconds"]
-        ratios = training["speedup_over_legacy"]
-        # Machine-independent: the benchmark's in-run legacy replica.
+        seconds, iqrs = training["seconds"], training["seconds_iqr"]
         print(
-            f"training: finetune_step {seconds['finetune_step']*1e3:.2f} ms "
-            f"({ratios['finetune_step']:.2f}x over legacy, required >= "
-            f"{REQUIRED_FINETUNE_SPEEDUP:.1f}x); pretrain_epoch "
-            f"{seconds['pretrain_epoch']*1e3:.1f} ms "
-            f"({ratios['pretrain_epoch']:.2f}x over legacy)"
+            f"training (median of {training['repeats']} rounds): finetune_step "
+            f"{seconds['finetune_step'] * 1e3:.2f} ms ({_iqr(iqrs['finetune_step'], 1e3)}); "
+            f"pretrain_epoch {seconds['pretrain_epoch'] * 1e3:.1f} ms "
+            f"({training['speedup_over_legacy']['pretrain_epoch']}x over legacy)"
         )
-        if float(ratios["finetune_step"]) < REQUIRED_FINETUNE_SPEEDUP:
-            failures.append("finetune_step_speedup")
+        # Machine-independent: the benchmark's in-run legacy replica.
+        ratio_gate(
+            "finetune_step_speedup", "finetune_step, legacy over fused",
+            training["speedup_over_legacy"]["finetune_step"],
+            training["speedup_over_legacy_iqr"]["finetune_step"], REQUIRED_FINETUNE_SPEEDUP,
+        )
         if args.ratio_only:
             print("  (absolute training comparison skipped: --ratio-only)")
         else:
             # Absolute: the committed pre-backend seconds (reference machine).
-            ceiling = float(training_baseline["finetune_step"]) / REQUIRED_FINETUNE_SPEEDUP
-            status = "ok" if float(seconds["finetune_step"]) <= ceiling else "REGRESSED"
-            print(
-                f"  finetune_step {seconds['finetune_step']*1e3:.2f} ms vs seed "
-                f"{float(training_baseline['finetune_step'])*1e3:.2f} ms "
-                f"(ceiling {ceiling*1e3:.2f} ms) {status}"
+            seed = float(baselines[TRAINING_BASELINE_PATH]["seconds"]["finetune_step"])
+            ceiling = seed / REQUIRED_FINETUNE_SPEEDUP
+            gate(
+                "finetune_step_absolute",
+                float(seconds["finetune_step"]) <= ceiling,
+                f"finetune_step {seconds['finetune_step'] * 1e3:.2f} ms vs seed "
+                f"{seed * 1e3:.2f} ms (ceiling {ceiling * 1e3:.2f} ms)",
             )
-            if float(seconds["finetune_step"]) > ceiling:
-                failures.append("finetune_step_absolute")
 
     if args.frontend:
         from bench_frontend import run_benchmark as run_frontend_benchmark
@@ -436,39 +328,31 @@ def main() -> int:
         throughput = float(frontend["requests_per_sec"])
         p99 = float(frontend["latency_ms"]["p99"])
         print(
-            f"frontend: {throughput} req/sec over {frontend['num_users']} socket "
-            f"clients; p50 {frontend['latency_ms']['p50']} ms / p99 {p99} ms; "
-            f"digest stable: {frontend['digest_stable']}"
+            f"frontend: {throughput} req/sec (median of {frontend['repeats']} boots, "
+            f"{_iqr(frontend['requests_per_sec_iqr'])}) over {frontend['num_users']} "
+            f"socket clients; p50 {frontend['latency_ms']['p50']} ms / p99 {p99} ms"
         )
         # Structural (machine-independent, enforced even under --ratio-only):
-        # two socket-driven runs must produce identical transcript digests.
-        if not frontend["digest_stable"]:
-            failures.append("frontend_digest_stability")
+        # every socket-driven boot must produce the same transcript digest.
+        gate("frontend_digest_stability", frontend["digest_stable"], "digest stable across boots:")
         if args.ratio_only:
             print("  (absolute frontend comparison skipped: --ratio-only)")
         else:
-            floor = float(frontend_baseline["requests_per_sec"]) * (
-                FRONTEND_THROUGHPUT_FLOOR_FRACTION
+            reference = baselines[FRONTEND_BASELINE_PATH]
+            floor = float(reference["requests_per_sec"]) * FRONTEND_THROUGHPUT_FLOOR_FRACTION
+            ceiling = float(reference["latency_ms"]["p99"]) * FRONTEND_P99_CEILING_FACTOR
+            gate(
+                "frontend_throughput",
+                throughput >= floor,
+                f"throughput {throughput:.1f} vs baseline "
+                f"{float(reference['requests_per_sec']):.1f} req/sec (floor {floor:.1f})",
             )
-            ceiling = float(frontend_baseline["latency_ms"]["p99"]) * (
-                FRONTEND_P99_CEILING_FACTOR
+            gate(
+                "frontend_p99_latency",
+                p99 <= ceiling,
+                f"p99 {p99:.1f} ms vs baseline "
+                f"{float(reference['latency_ms']['p99']):.1f} ms (ceiling {ceiling:.1f} ms)",
             )
-            status = "ok" if throughput >= floor else "REGRESSED"
-            print(
-                f"  throughput {throughput:.1f} vs baseline "
-                f"{float(frontend_baseline['requests_per_sec']):.1f} req/sec "
-                f"(floor {floor:.1f}) {status}"
-            )
-            if throughput < floor:
-                failures.append("frontend_throughput")
-            status = "ok" if p99 <= ceiling else "REGRESSED"
-            print(
-                f"  p99 {p99:.1f} ms vs baseline "
-                f"{float(frontend_baseline['latency_ms']['p99']):.1f} ms "
-                f"(ceiling {ceiling:.1f} ms) {status}"
-            )
-            if p99 > ceiling:
-                failures.append("frontend_p99_latency")
 
     if failures:
         print(f"FAIL: throughput regressed: {', '.join(failures)}")
