@@ -95,7 +95,7 @@ def run_benchmark(rounds: int = ROUNDS) -> Dict[str, object]:
         {
             "full_forward": whole_call(lambda: [_seed_decode(llm, prompts[0], config)]),
             "kv_cached": whole_call(
-                lambda: [generate_tokens(llm.model, prompts[0], config, use_cache=True)]
+                lambda: [generate_tokens(llm.model, prompts[0], config)]
             ),
             "batched": whole_call(
                 lambda: generate_tokens_batch(

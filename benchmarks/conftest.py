@@ -3,9 +3,15 @@
 Each benchmark regenerates one table or figure of the paper at a reduced,
 CPU-friendly scale.  The scale is controlled by the ``REPRO_SCALE``
 environment variable (``smoke`` by default for the benchmark suite so a full
-``pytest benchmarks/ --benchmark-only`` run finishes in minutes; set
-``REPRO_SCALE=small`` or ``paper`` for larger runs).  ``REPRO_BENCH_FULL=1``
-switches the dataset sweeps from the two-dataset default to all six analogues.
+run finishes in minutes; set ``REPRO_SCALE=small`` or ``paper`` for larger
+runs).  ``REPRO_BENCH_FULL=1`` switches the dataset sweeps from the
+two-dataset default to all six analogues.  The paper benchmarks run when
+named (``bench_*.py`` is outside pytest's ``python_files``, so a bare
+``pytest benchmarks/`` collects nothing)::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_table*.py \
+        benchmarks/bench_figure*.py benchmarks/bench_ablation_components.py \
+        --benchmark-only
 """
 
 from __future__ import annotations

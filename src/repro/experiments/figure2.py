@@ -39,10 +39,6 @@ class Figure2Result:
         """Final minus initial ROUGE-1 of ``method`` on ``dataset``."""
         return self.curve(dataset, method).improvement()
 
-    def auc(self, dataset: str, method: str) -> float:
-        """Normalized area under the learning curve (learning-speed proxy)."""
-        return self.curve(dataset, method).area_under_curve()
-
     def format(self, dataset: str) -> str:
         """Plain-text rendering of one dataset's panel."""
         return format_learning_curves(

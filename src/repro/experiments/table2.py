@@ -45,12 +45,6 @@ class Table2Result:
         """Number of datasets on which ``method`` is the best."""
         return sum(1 for dataset in self.datasets if self.best_method(dataset) == method)
 
-    def margin_over_best_baseline(self, dataset: str, method: str = "ours") -> float:
-        """ROUGE-1 gap between ``method`` and the best other method on ``dataset``."""
-        row = self.scores[dataset]
-        baseline_best = max(value for name, value in row.items() if name != method)
-        return row[method] - baseline_best
-
     def format(self) -> str:
         """Plain-text rendering in the paper's row/column layout."""
         return format_table(self.datasets, self.methods, self.scores)

@@ -45,15 +45,6 @@ class Table3Result:
         """ROUGE-1 of ``method`` ordered by increasing buffer size."""
         return [self.scores[bins][method] for bins in self.bins_list]
 
-    def margin_series(self, method: str = "ours") -> List[float]:
-        """Margin of ``method`` over the best baseline, by increasing buffer size."""
-        margins = []
-        for bins in self.bins_list:
-            row = self.scores[bins]
-            baseline_best = max(value for name, value in row.items() if name != method)
-            margins.append(row[method] - baseline_best)
-        return margins
-
     def format(self) -> str:
         """Plain-text rendering with buffer sizes in KB (paper units)."""
         rows = [f"{self.buffer_sizes_kb[bins]:.0f}KB/{bins}bins" for bins in self.bins_list]

@@ -10,13 +10,13 @@ fills a per-layer KV cache and carries only each row's last position through
 the top of the model, so each new token then costs one single-position
 forward instead of a full re-encode of the context window.  Because attention
 is causal, the cached keys/values are what the full-context forward
-(:meth:`~repro.nn.transformer.TransformerLM.infer`) computes, so the
+(:meth:`~repro.nn.transformer.TransformerLM.forward`) computes, so the
 incremental path produces the same logits to float rounding and the same
-greedy tokens — the equivalence is asserted by the test suite.  When the
-context outgrows ``max_seq_len`` the window slides, which shifts every
-absolute position; the cache is then invalidated and rebuilt from the
-truncated window, keeping the output identical to the always-full-forward
-reference.
+greedy tokens — the test suite asserts this against a loop that runs
+``forward`` over the whole visible window per token.  When the context
+outgrows ``max_seq_len`` the window slides, which shifts every absolute
+position; the cache is then invalidated and rebuilt from the truncated
+window, keeping the output identical to that reference.
 
 :func:`generate_tokens_batch` decodes many prompts in one left-padded batch
 with per-sequence position ids, padding masks and stop handling, which is how
@@ -119,7 +119,6 @@ def generate_tokens(
     prompt_ids: List[int],
     config: GenerationConfig,
     rng: Optional[np.random.Generator] = None,
-    use_cache: bool = True,
 ) -> List[int]:
     """Generate up to ``max_new_tokens`` ids following ``prompt_ids``.
 
@@ -127,12 +126,12 @@ def generate_tokens(
     truncated from the left if it would exceed the model's context window so
     the most recent tokens are always visible.
 
-    With ``use_cache=True`` (the default) the prompt is encoded once and each
-    subsequent step feeds only the newly sampled token against the KV cache.
-    Whenever the visible window no longer extends the cached prefix — i.e. the
-    context hit ``max_seq_len`` and slid left, shifting every absolute
-    position — the cache is rebuilt from the truncated window, so the logits
-    match the full-forward reference (``use_cache=False``) at every step.
+    The prompt is encoded once and each subsequent step feeds only the newly
+    sampled token against the KV cache.  Whenever the visible window no
+    longer extends the cached prefix — i.e. the context hit ``max_seq_len``
+    and slid left, shifting every absolute position — the cache is rebuilt
+    from the truncated window, so the logits match a full forward of the
+    visible window at every step.
     """
     if not prompt_ids:
         raise ValueError("prompt_ids must contain at least one token")
@@ -143,7 +142,7 @@ def generate_tokens(
     was_training = model.training
     if was_training:
         model.eval()
-    cache = model.new_kv_cache() if use_cache else None
+    cache = model.new_kv_cache()
     # The cache is valid iff it holds exactly the tokens of the current
     # window's prefix.  Because the loop itself appends every token it feeds,
     # it suffices to track the window's start offset into ``context``: while
@@ -156,18 +155,14 @@ def generate_tokens(
             start = len(context) - max_context
             if start < 0:
                 start = 0
-            if cache is not None:
-                if start == cached_start and cache.length == len(context) - start - 1:
-                    # Steady state: one fused single-token decode step.
-                    logits_row = model.decode_logits(context[-1], cache)
-                else:
-                    cache.reset()
-                    token_array = np.asarray(context[start:], dtype=np.int64)[None, :]
-                    logits_row = model.prefill(token_array, cache)[0]
-                cached_start = start
+            if start == cached_start and cache.length == len(context) - start - 1:
+                # Steady state: one fused single-token decode step.
+                logits_row = model.decode_logits(context[-1], cache)
             else:
+                cache.reset()
                 token_array = np.asarray(context[start:], dtype=np.int64)[None, :]
-                logits_row = model.infer(token_array)[0][0, -1]
+                logits_row = model.prefill(token_array, cache)[0]
+            cached_start = start
             next_id = sample_next_token(
                 logits_row, config, rng=generator, previous_ids=generated
             )

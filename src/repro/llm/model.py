@@ -12,11 +12,9 @@ exposes exactly the three capabilities the paper's framework consumes:
 
 from __future__ import annotations
 
-import pickle
 from contextlib import nullcontext
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -355,32 +353,6 @@ class OnDeviceLLM:
         else:
             self.model.eval()
         self.load_rng_streams(payload)
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Persist the model weights, tokenizer vocabulary and config."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "config": self.config,
-            "vocab_tokens": self.tokenizer.vocabulary.tokens(),
-            "state_dict": self.model.state_dict(),
-        }
-        with path.open("wb") as handle:
-            pickle.dump(payload, handle)
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "OnDeviceLLM":
-        """Load a model saved with :meth:`save`."""
-        from repro.tokenizer.vocab import SpecialTokens, Vocabulary
-
-        with Path(path).open("rb") as handle:
-            payload = pickle.load(handle)
-        tokens = [t for t in payload["vocab_tokens"] if t not in SpecialTokens.ALL]
-        tokenizer = WordTokenizer(Vocabulary(tokens))
-        llm = cls(tokenizer, config=payload["config"])
-        llm.model.load_state_dict(payload["state_dict"])
-        return llm
 
     def clone(self) -> "OnDeviceLLM":
         """A deep copy with identical weights (used to compare selectors fairly).

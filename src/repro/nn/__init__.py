@@ -3,10 +3,9 @@
 Every production path runs array-level code over the :mod:`repro.nn.backend`
 kernels: :meth:`TransformerLM.prefill` and the decode steps for generation,
 :meth:`TransformerLM.hidden_states` for embeddings, and
-:meth:`TransformerLM.train_step` for training; :meth:`TransformerLM.infer`
-is the full-window forward the cached decode is checked against.  The
-autograd :class:`Tensor` graph behind :meth:`TransformerLM.forward` is the
-reference the tests hold those paths to.
+:meth:`TransformerLM.train_step` for training.  The autograd :class:`Tensor`
+graph behind :meth:`TransformerLM.forward` is the one full-window forward,
+and the reference the tests hold those paths to.
 """
 
 from repro.nn import backend, functional

@@ -6,7 +6,7 @@ trainable layers are the QKV layers (q_proj, k_proj, v_proj) and attention
 output layer (o_proj)"), so the LoRA injection utilities can address them by
 the same names.
 
-For autoregressive decoding the layer supports an optional
+For autoregressive decoding the array-level path takes a
 :class:`LayerKVCache`: keys/values of previously processed positions live in
 preallocated capacity buffers, so each incremental step only projects the
 newly fed tokens, writes them into the buffer (no per-token concatenation),
@@ -17,7 +17,7 @@ is numerically equivalent to the full-context forward.
 
 Both the autograd reference path and the array-level path run the same fused
 ``scaled_dot_product_attention`` backend kernel, which keeps their outputs
-bit-identical.  Only the array-level path takes a cache.
+bit-identical.
 """
 
 from __future__ import annotations
@@ -36,24 +36,22 @@ from repro.utils.rng import as_generator
 class LayerKVCache:
     """Cached key/value buffers of one attention layer.
 
-    Keys and values live in ``(batch, heads, capacity, head_dim)`` buffers;
+    Keys and values live in ``(batch, heads, capacity, head_dim)`` buffers,
+    allocated at the first :meth:`extend` and reused after :meth:`reset`;
     :meth:`extend` and :meth:`append_token` return views of the cached
-    prefix.  The cache holds plain numpy data (no autograd graph): only the
-    array-level paths (:meth:`~repro.nn.transformer.TransformerLM.infer`, the
-    prefill and the decode steps) take one.
-
-    ``capacity`` pre-sizes the buffers (e.g. to the model's ``max_seq_len``)
-    so steady-state decoding never reallocates; without it the buffers grow
-    geometrically.
+    prefix.  Writing past ``capacity`` raises ``ValueError``: every cache is
+    sized to what its decode can reach (``max_seq_len`` at most), so
+    steady-state decoding never reallocates.  The cache holds plain numpy
+    data (no autograd graph); only the prefill and the decode steps take one.
     """
 
-    __slots__ = ("_keys", "_values", "_length", "_capacity_hint")
+    __slots__ = ("_keys", "_values", "_length", "_capacity")
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
+    def __init__(self, capacity: int) -> None:
         self._keys: Optional[np.ndarray] = None
         self._values: Optional[np.ndarray] = None
         self._length = 0
-        self._capacity_hint = int(capacity) if capacity else 0
+        self._capacity = int(capacity)
 
     @property
     def length(self) -> int:
@@ -68,30 +66,20 @@ class LayerKVCache:
         """Append new positions and return views of the full (cached + new) arrays."""
         batch, heads, new, head_dim = keys.shape
         needed = self._length + new
-        buffer = self._keys
-        compatible = (
-            buffer is not None
-            and buffer.shape[0] == batch
-            and buffer.shape[1] == heads
-            and buffer.shape[3] == head_dim
-        )
-        if not compatible and self._length > 0:
+        if needed > self._capacity:
             raise ValueError(
-                f"cache holds (batch={self._keys.shape[0]}, heads={self._keys.shape[1]}, "
-                f"head_dim={self._keys.shape[3]}) but got (batch={batch}, heads={heads}, "
-                f"head_dim={head_dim}); reset() before reusing with a new shape"
+                f"cache capacity {self._capacity} exceeded "
+                f"(cached {self._length} + new {new})"
             )
-        if not compatible or buffer.shape[2] < needed:
-            capacity = max(needed, self._capacity_hint)
-            if compatible:
-                capacity = max(capacity, 2 * buffer.shape[2])
-            new_keys = np.empty((batch, heads, capacity, head_dim), dtype=keys.dtype)
-            new_values = np.empty((batch, heads, capacity, head_dim), dtype=values.dtype)
-            if compatible and self._length > 0:
-                new_keys[:, :, : self._length] = self._keys[:, :, : self._length]
-                new_values[:, :, : self._length] = self._values[:, :, : self._length]
-            self._keys = new_keys
-            self._values = new_values
+        shape = (batch, heads, self._capacity, head_dim)
+        if self._keys is None or self._keys.shape != shape:
+            if self._length > 0:
+                raise ValueError(
+                    f"cache holds (batch, heads, capacity, head_dim) = {self._keys.shape} "
+                    f"but got {shape}; reset() before reusing with a new shape"
+                )
+            self._keys = np.empty(shape, dtype=keys.dtype)
+            self._values = np.empty(shape, dtype=values.dtype)
         self._keys[:, :, self._length : needed] = keys
         self._values[:, :, self._length : needed] = values
         self._length = needed
@@ -104,12 +92,13 @@ class LayerKVCache:
 
         ``key_rows``/``value_rows`` have shape ``(batch, heads, head_dim)``
         and are written straight into the capacity buffers.  Falls back to
-        :meth:`extend` when the buffers are missing, full, or sized for
-        another batch.
+        :meth:`extend` (which allocates, checks the shape and raises at
+        capacity) when the buffers are missing, full, or sized for another
+        batch.
         """
         index = self._length
         buffer = self._keys
-        if buffer is None or buffer.shape[0] != key_rows.shape[0] or buffer.shape[2] <= index:
+        if buffer is None or buffer.shape[0] != key_rows.shape[0] or index >= self._capacity:
             return self.extend(key_rows[:, :, None, :], value_rows[:, :, None, :])
         buffer[:, :, index] = key_rows
         self._values[:, :, index] = value_rows

@@ -32,13 +32,14 @@ class KVCache:
 
     One :class:`~repro.nn.attention.LayerKVCache` per decoder block; the
     model-level ``length`` is the number of context positions already encoded.
-    The cache stores raw arrays (no autograd graph); :meth:`TransformerLM.infer`,
-    :meth:`TransformerLM.prefill` and the decode steps take it.
+    The cache stores raw arrays (no autograd graph) in buffers of
+    ``capacity`` positions; :meth:`TransformerLM.prefill` and the decode
+    steps fill it.
     """
 
-    def __init__(self, num_layers: int, capacity: Optional[int] = None) -> None:
+    def __init__(self, num_layers: int, capacity: int) -> None:
         require_positive("num_layers", num_layers)
-        self.layers = [LayerKVCache(capacity=capacity) for _ in range(num_layers)]
+        self.layers = [LayerKVCache(capacity) for _ in range(num_layers)]
 
     @property
     def length(self) -> int:
@@ -188,8 +189,10 @@ class TransformerLM(Module):
         ``token_ids`` is an integer ``(batch, seq)`` array and
         ``attention_mask`` an optional boolean array of the same shape where
         ``False`` marks padding.  A graph is recorded whenever a parameter
-        requires grad.  :meth:`train_step` and :meth:`infer` run the same
-        kernels without one, and the tests hold them to this path bit for bit.
+        requires grad.  It is the one full-window forward: :meth:`train_step`
+        runs the same kernels without a graph and the tests hold it to this
+        path bit for bit; the tests also hold :meth:`hidden_states`,
+        :meth:`prefill` and the decode steps to it.
         """
         token_ids = self._checked_ids(token_ids)
         batch, seq = token_ids.shape
@@ -202,45 +205,6 @@ class TransformerLM(Module):
         if self.lm_head is not None:
             return self.lm_head(hidden)
         return hidden.matmul(self.token_embedding.weight.transpose(1, 0))
-
-    def infer(
-        self,
-        token_ids: np.ndarray,
-        attention_mask: Optional[np.ndarray] = None,
-        kv_cache: Optional[KVCache] = None,
-        position_ids: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Array-level inference forward; returns ``(logits, hidden)`` arrays.
-
-        Every position through every layer, with no graph and no ``Tensor``
-        wrappers: the full-window reference of ``generate_tokens``'
-        ``use_cache=False`` loop.  ``hidden`` is the final-LayerNorm state
-        ``(batch, seq, dim)``, the "last hidden layer" the paper uses as the
-        text-embedding function (:meth:`hidden_states` stops there).  Decode
-        primes call :meth:`prefill`, which needs only the last position's
-        logits.
-
-        Parameters
-        ----------
-        token_ids:
-            Integer array of shape ``(batch, seq)``.
-        attention_mask:
-            Optional boolean array; ``False`` marks padding positions.  Shape
-            ``(batch, seq)`` without a cache, ``(batch, past + seq)`` with one.
-        kv_cache:
-            Optional :class:`KVCache` for incremental decoding.  ``token_ids``
-            then holds only the positions not yet encoded; their keys/values
-            are appended to the cache and positions continue from its length.
-        position_ids:
-            Optional explicit positions of shape ``(batch, seq)``, used by
-            left-padded batched decoding where each row starts at its own
-            offset.  Defaults to ``past + arange(seq)``.
-        """
-        token_ids = self._checked_ids(token_ids)
-        batch, seq = token_ids.shape
-        past = kv_cache.length if kv_cache is not None else 0
-        positions = self._positions(batch, seq, past, position_ids)
-        return self._forward_raw(token_ids, attention_mask, kv_cache, positions)
 
     @staticmethod
     def _checked_ids(token_ids: np.ndarray) -> np.ndarray:
@@ -283,7 +247,7 @@ class TransformerLM(Module):
 
         Returns the ``(batch, seq, dim)`` residual stream.  Each block run
         appends its keys/values to its layer of ``kv_cache``; ``tape`` is as
-        in :meth:`_forward_raw`.
+        in :meth:`train_step`.
         """
         batch, seq = token_ids.shape
         past = kv_cache.length if kv_cache is not None else 0
@@ -302,35 +266,6 @@ class TransformerLM(Module):
             hidden = self.blocks[index].raw_forward(hidden, mask, layer_cache, tape)
         return hidden
 
-    def _forward_raw(
-        self,
-        token_ids: np.ndarray,
-        attention_mask: Optional[np.ndarray],
-        kv_cache: Optional[KVCache],
-        positions: np.ndarray,
-        tape: Optional[list] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Whole-model array-level forward: :meth:`infer` and the training step.
-
-        Runs the same backend kernels as the autograd path (bit-identical
-        outputs) but builds no graph, allocates no Tensor wrappers per op, and
-        adds residuals in place.  With a ``tape`` (see :meth:`train_step`)
-        each kernel appends the residuals it already returns, for the reverse
-        sweep; with ``tape=None`` nothing is kept.  Returns
-        ``(logits, hidden)`` arrays.
-        """
-        hidden = self._encode(
-            token_ids, attention_mask, kv_cache, positions, len(self.blocks), tape
-        )
-        hidden = self.ln_final.raw_forward(hidden, tape)
-        if self.lm_head is not None:
-            logits = self.lm_head.raw_forward(hidden, tape)
-        else:
-            logits, residuals = _active().matmul(hidden, self.token_embedding.weight.data.T)
-            if tape is not None:
-                tape.append(residuals)
-        return logits, hidden
-
     def train_step(
         self,
         token_ids: np.ndarray,
@@ -339,7 +274,9 @@ class TransformerLM(Module):
     ) -> float:
         """One graph-free training step; returns the mean cross-entropy.
 
-        :meth:`_forward_raw` runs with a tape, the loss is the backend's
+        The forward runs the same backend kernels as :meth:`forward` with a
+        tape: each kernel appends the residuals it already returns, and
+        residuals are added in place.  The loss is the backend's
         cross-entropy over the ``(batch, seq)`` ``labels`` (``IGNORE_INDEX``
         positions carry none), and the reverse sweep pops the tape LIFO
         through the backend VJPs.  It accumulates ``.grad`` (as autograd
@@ -363,9 +300,16 @@ class TransformerLM(Module):
             live.append(live[-1] or any(t.requires_grad for t in block.parameter_list()))
 
         tape: list = []
-        logits, _ = self._forward_raw(
-            token_ids, attention_mask, None, self._positions(batch, seq, 0, None), tape
+        hidden = self._encode(
+            token_ids, attention_mask, None, self._positions(batch, seq, 0, None),
+            len(self.blocks), tape,
         )
+        hidden = self.ln_final.raw_forward(hidden, tape)
+        if self.lm_head is not None:
+            logits = self.lm_head.raw_forward(hidden, tape)
+        else:
+            logits, residuals = backend.matmul(hidden, embedding.data.T)
+            tape.append(residuals)
         loss, residuals = backend.cross_entropy(logits, labels, IGNORE_INDEX)
         grad = backend.VJPS["cross_entropy"](residuals, 1.0)
         head_grad = None
@@ -406,11 +350,12 @@ class TransformerLM(Module):
     def decode_logits(self, token_id: int, kv_cache: KVCache) -> np.ndarray:
         """One fused single-token decode step; returns the ``(vocab,)`` logits row.
 
-        The tightest entry point for steady-state batch-1 decoding: the
-        logits of ``infer([[token_id]], kv_cache=...)`` in eval mode, to
-        float rounding (GEMVs and scalar LayerNorm statistics).  The
-        returned array is workspace-owned — read it (or copy) before the
-        next decode step.
+        The tightest entry point for steady-state batch-1 decoding (the
+        cached loop of ``generate_tokens``): the last-position logits of
+        :meth:`forward` over the cached context plus ``token_id``, in eval
+        mode, to float rounding (GEMVs and scalar LayerNorm statistics).
+        The returned array is workspace-owned — read it (or copy) before
+        the next decode step.
         """
         past = self._check_decode("decode_logits", kv_cache)
         if not 0 <= token_id < self.config.vocab_size:
@@ -435,10 +380,11 @@ class TransformerLM(Module):
         boolean ``(B, >= past + 1)`` array where True hides a key position
         (the left padding of a batch primed by one padded :meth:`prefill`);
         the step slices it to the current length, so a caller builds it once
-        per prime.  The KV cache must hold ``B`` rows.  Equivalent to the
-        masked :meth:`infer` of one new column, run as 2-D row GEMMs into the
-        model's workspace; the returned array is workspace-owned — read it
-        (or copy) before the next step.
+        per prime.  The KV cache must hold ``B`` rows.  Each row's logits
+        are the last-position logits of :meth:`forward` over that row's
+        unpadded context, to float rounding; the step runs as 2-D row GEMMs
+        into the model's workspace, and the returned array is
+        workspace-owned — read it (or copy) before the next step.
         """
         past = self._check_decode("decode_step", kv_cache)
         backend = _active()
@@ -470,12 +416,14 @@ class TransformerLM(Module):
     ) -> np.ndarray:
         """Encode prompts into ``kv_cache``; returns each row's ``(B, vocab)`` next-token logits.
 
-        The prime of every cached decode.  The arguments are those of
-        :meth:`infer`, with any padding on the left so that every row's
-        newest token sits in the last column.  The cache ends up as
-        :meth:`infer` leaves it and the logits equal ``infer(...)[0][:, -1]``
-        to float rounding, but only the last position goes through the top
-        of the model.  Blocks ``[:-1]`` run over every position; the last
+        The prime of every cached decode.  ``token_ids`` is ``(B, T)``,
+        with any padding on the left so that every row's newest token sits
+        in the last column; ``attention_mask`` (False marks padding) and
+        ``position_ids`` (each row's positions start at 0 on its first real
+        token) are ``(B, T)`` too.  Each row's logits equal the last-position
+        logits of :meth:`forward` over that row alone, to float rounding,
+        but only the last position goes through the top of the model.
+        Blocks ``[:-1]`` run over every position; the last
         block runs ``ln_attn`` and the key/value projections over every
         position, filling its cache, and only each row's final position
         takes the query side (:meth:`TransformerBlock.raw_query_rows`, the
@@ -576,10 +524,13 @@ class TransformerLM(Module):
     def hidden_states(
         self, token_ids: np.ndarray, attention_mask: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Last-hidden-layer states of :meth:`infer`, computed in eval mode.
+        """Final-LayerNorm states ``(batch, seq, dim)``, computed in eval mode.
 
-        The hot path of the embedding-based quality metrics.  It stops at
-        ``ln_final``: no LM head, no ``(batch, seq, vocab)`` logits.  A model
+        The "last hidden layer" the paper uses as the text-embedding
+        function, and the hot path of the embedding-based quality metrics.
+        It stops at ``ln_final``: no LM head, no ``(batch, seq, vocab)``
+        logits; times the tied head's ``E.T`` it is :meth:`forward`'s
+        logits bit for bit.  A model
         in training mode is switched to eval for the forward and back
         afterwards, also when the forward raises.
         """

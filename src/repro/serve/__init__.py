@@ -96,7 +96,6 @@ from repro.serve.scheduler import (
     ChatRequest,
     PersonalizeRequest,
     RequestScheduler,
-    ServeReport,
     ServeTurn,
 )
 from repro.serve.session import (
@@ -142,7 +141,6 @@ __all__ = [
     "ServeConfig",
     "ServeFrontend",
     "ServeOutcome",
-    "ServeReport",
     "ServeTurn",
     "ServingError",
     "SessionManager",

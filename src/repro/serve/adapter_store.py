@@ -31,8 +31,8 @@ The cache budget is configurable both as an entry count and as a byte budget;
 eviction flushes dirty entries to disk first, so an evicted adapter reloaded
 later is bit-identical to the evicted one (proven in
 ``tests/test_serve_store.py``).  All cache traffic is counted in
-:class:`StoreStats` so the scheduler's serving report can expose hit rates
-and eviction pressure.
+:class:`StoreStats` so a run's summary and the metrics export can expose
+hit rates and eviction pressure.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ class StoreStats:
         "deletes",
         "quarantined",
         "io_errors",
-        "skipped_writes",
         "mmap_hits",
     )
 
@@ -125,7 +124,7 @@ class StoreStats:
         return self.hits / lookups if lookups else 0.0
 
     def to_dict(self) -> Dict[str, float]:
-        """JSON-ready view (used by the serving report)."""
+        """JSON-ready view (the ``store`` section of a shard's summary)."""
         view: Dict[str, float] = {name: getattr(self, name) for name in self.FIELDS}
         view["hit_rate"] = self.hit_rate
         return view
@@ -192,10 +191,6 @@ class LoRAAdapterStore:
         self.stats = StoreStats(self.metrics)
         self.faults = faults if faults is not None else NO_FAULTS
         self.health = ComponentHealth("adapter_store")
-        #: In read-only mode every disk write is skipped (and counted) —
-        #: the degraded state a store falls into when the disk misbehaves
-        #: persistently; serving continues from cache and blank adapters.
-        self.read_only = False
         self._cache: "OrderedDict[str, _CacheEntry]" = OrderedDict()
         #: Decoded A1 mappings kept alive after the entry cache evicted their
         #: state: a bounded LRU of file handles, not of RAM — the pages live
@@ -320,8 +315,7 @@ class LoRAAdapterStore:
             entry = self._cache.get(target)
             if entry is not None and entry.dirty:
                 self._write_to_disk(target, entry.state, entry.round)
-                if not self.read_only:
-                    entry.dirty = False
+                entry.dirty = False
                 written += 1
         return written
 
@@ -352,8 +346,7 @@ class LoRAAdapterStore:
             evicted_user, entry = next(iter(self._cache.items()))
             if entry.dirty:
                 self._write_to_disk(evicted_user, entry.state, entry.round)
-                if not self.read_only:
-                    entry.dirty = False
+                entry.dirty = False
             self._cache.popitem(last=False)
             self.stats.inc("evictions")
 
@@ -367,18 +360,6 @@ class LoRAAdapterStore:
         if self.cache_max_bytes is not None and self.cached_nbytes > self.cache_max_bytes:
             return True
         return False
-
-    def mark_degraded(self, reason: str, read_only: bool = False) -> None:
-        """Record degraded health; optionally stop writing to disk entirely.
-
-        Callers (typically the scheduler, after retries against this store
-        kept failing) use ``read_only=True`` to trade durability for
-        availability: cached adapters keep serving, new updates stay in
-        memory, and every skipped write is counted.
-        """
-        self.health.degrade(reason)
-        if read_only:
-            self.read_only = True
 
     def _quarantine(self, path: Path, user_id: str, reason: str) -> None:
         """Move a corrupt adapter file aside so the user can re-init blank.
@@ -402,9 +383,6 @@ class LoRAAdapterStore:
         self.health.degrade(f"quarantined corrupt adapter of {user_id!r}: {reason}")
 
     def _write_to_disk(self, user_id: str, state: Dict[str, np.ndarray], round: int = 0) -> None:
-        if self.read_only:
-            self.stats.inc("skipped_writes")
-            return
         self.faults.store_fault("write", user_id)
         path = self.path_for(user_id)
         try:

@@ -73,7 +73,6 @@ from repro.serve.scheduler import (
     PersonalizeRequest,
     Request,
     RequestScheduler,
-    ServeReport,
 )
 from repro.serve.session import SessionManager, serving_framework_config
 
@@ -411,11 +410,6 @@ class ShardServer:
         return self.journal_path is not None
 
     @property
-    def temporary_adapters(self) -> bool:
-        """Whether the adapter files are discarded by :meth:`finish`."""
-        return self._temporary is not None
-
-    @property
     def dead_letter_requests(self) -> int:
         return sum(1 for entry in self.entries.values() if entry.get("dead_letter"))
 
@@ -428,23 +422,20 @@ class ShardServer:
         """Build the serving stack and recover from the journal (if durable)."""
         self._guarded(lambda: None)
 
-    def serve(self, requests: Iterable[Request] = ()) -> ServeReport:
-        """Submit ``requests`` the journal does not know, serve until drained.
-
-        Returns the report of the final scheduler's run.
-        """
+    def serve(self, requests: Iterable[Request] = ()) -> None:
+        """Submit ``requests`` the journal does not know, serve until drained."""
         inbox = deque(requests)
 
-        def step() -> ServeReport:
+        def step() -> None:
             while inbox:
                 if inbox[0].request_id not in self._journaled:
                     self.scheduler.submit(inbox[0])
                 inbox.popleft()
-            return self.scheduler.run()
+            self.scheduler.run()
 
         self._serve_started = time.perf_counter()
         try:
-            return self._guarded(step)
+            self._guarded(step)
         finally:
             self.serve_seconds += time.perf_counter() - self._serve_started
             self._serve_started = None

@@ -52,7 +52,7 @@ from __future__ import annotations
 import time
 import zlib
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -131,28 +131,6 @@ class ServeTurn:
     batch_size: int
     swap_seconds: float
     seconds: float
-
-
-@dataclass
-class ServeReport:
-    """Outcome of one :meth:`RequestScheduler.run`."""
-
-    total_requests: int
-    chat_requests: int
-    personalize_requests: int
-    num_turns: int
-    num_users: int
-    elapsed_seconds: float
-    requests_per_sec: float
-    swap: Dict[str, float] = field(default_factory=dict)
-    store: Dict[str, float] = field(default_factory=dict)
-    per_user: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    turn_users: List[str] = field(default_factory=list)
-    dead_letter_requests: int = 0
-    degraded_chat_requests: int = 0
-    retries: int = 0
-    stopped_early: bool = False
-    health: Dict[str, dict] = field(default_factory=dict)
 
 
 @dataclass
@@ -354,24 +332,20 @@ class RequestScheduler:
             self._ring_members.discard(user)
         return None
 
-    def run(self) -> ServeReport:
-        """Serve every queued request; returns the serving report.
+    def run(self) -> None:
+        """Serve every queued request.
 
         The loop is synchronous and deterministic: users are visited in
         round-robin order, one same-adapter batch per visit.  Requests
         submitted from within the loop (not currently done by any caller)
-        would simply join their user's queue.
+        would simply join their user's queue.  What a run did is in
+        :attr:`turns`, :attr:`transcript` and the registry's counters; its
+        throughput goes to the ``requests_per_second`` and
+        ``tokens_per_second`` gauges.
         """
         start = time.perf_counter()
-        turns_start = len(self.turns)
-        dead_letters_start = len(self.dead_letters)
-        retries_start = self.retries
-        degraded_start = self.degraded_chats
         tokens_start = self._tokens_counter.value
-        store_before = self.sessions.store.stats.to_dict()
-        chat_count = 0
-        personalize_count = 0
-        stopped_early = False
+        served = 0
         # Chat turns wait here for their round's shared decode.  A round
         # ends at a personalize turn (whose fine-tune later chats must see),
         # at the row cap, at a stop request, or when the queues drain.
@@ -380,8 +354,7 @@ class RequestScheduler:
             if self._stop_requested:
                 self._stop_requested = False
                 self._finish_round(pending)
-                stopped_early = self._next_user() is not None
-                if stopped_early:
+                if self._next_user() is not None:
                     self.health.degrade("stopped early: drained in-flight work on request")
                 break
             user = self._next_user()
@@ -401,14 +374,14 @@ class RequestScheduler:
                 self.faults.crash_point("turn.before_serve")
                 batch = [queue.popleft() for _ in range(size)]
                 pending.append(self._prepare_chat_turn(user, batch, turn_start, pending))
-                chat_count += size
+                served += size
             else:
                 self._finish_round(pending)
                 turn_start = time.perf_counter()
                 self.faults.crash_point("turn.before_serve")
                 request = queue.popleft()
                 swap_seconds = self._serve_personalize_turn(user, request)
-                personalize_count += 1
+                served += 1
                 self._record_turn(
                     user,
                     PERSONALIZE,
@@ -422,59 +395,16 @@ class RequestScheduler:
             self._cursor += 1
         self._finish_round(pending)
         elapsed = time.perf_counter() - start
-        total = chat_count + personalize_count
-        # The report covers *this* run only; `self.turns`/`self.transcript`
-        # remain the scheduler's cumulative log across repeated run() calls.
-        run_turns = self.turns[turns_start:]
-        per_user: Dict[str, Dict[str, int]] = {}
-        for turn in run_turns:
-            counts = per_user.setdefault(turn.user_id, {CHAT: 0, PERSONALIZE: 0})
-            counts[turn.kind] += turn.batch_size
-        # Per-run swap stats come from this run's turns (an attach that was a
-        # no-op contributed 0.0 and is not a swap); per-run store stats are
-        # the counter deltas against the snapshot taken at run() start.
-        swap_times = [turn.swap_seconds for turn in run_turns if turn.swap_seconds > 0.0]
-        swap_stats = {
-            "count": len(swap_times),
-            "mean_ms": 1e3 * sum(swap_times) / len(swap_times) if swap_times else 0.0,
-            "max_ms": 1e3 * max(swap_times) if swap_times else 0.0,
-        }
-        store_after = self.sessions.store.stats.to_dict()
-        store_stats = {
-            key: store_after[key] - store_before[key]
-            for key in store_after
-            if key != "hit_rate"
-        }
-        run_lookups = store_stats["hits"] + store_stats["misses"]
-        store_stats["hit_rate"] = store_stats["hits"] / run_lookups if run_lookups else 0.0
         self._runs_counter.inc()
         self.metrics.gauge("pending_requests", merge="sum").set(self.pending_count)
         self.metrics.gauge("requests_per_second", merge="sum").set(
-            total / elapsed if elapsed > 0 else 0.0
+            served / elapsed if elapsed > 0 else 0.0
         )
         run_tokens = self._tokens_counter.value - tokens_start
         self.metrics.gauge("tokens_per_second", merge="sum").set(
             run_tokens / elapsed if elapsed > 0 else 0.0
         )
         observe_health(self.metrics, self.health_report())
-        return ServeReport(
-            total_requests=total,
-            chat_requests=chat_count,
-            personalize_requests=personalize_count,
-            num_turns=len(run_turns),
-            num_users=len(per_user),
-            elapsed_seconds=elapsed,
-            requests_per_sec=total / elapsed if elapsed > 0 else 0.0,
-            swap=swap_stats,
-            store=store_stats,
-            per_user=per_user,
-            turn_users=[turn.user_id for turn in run_turns],
-            dead_letter_requests=len(self.dead_letters) - dead_letters_start,
-            degraded_chat_requests=self.degraded_chats - degraded_start,
-            retries=self.retries - retries_start,
-            stopped_early=stopped_early,
-            health=self.health_report(),
-        )
 
     def _record_turn(
         self,

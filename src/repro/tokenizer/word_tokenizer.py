@@ -44,10 +44,6 @@ class WordTokenizer:
     def vocab_size(self) -> int:
         return len(self.vocabulary)
 
-    def tokenize(self, text: str) -> List[str]:
-        """Split text into word tokens (no ids)."""
-        return split_words(text)
-
     def encode(
         self,
         text: str,

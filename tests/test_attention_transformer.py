@@ -76,9 +76,14 @@ class TestTransformerLM:
 
     def test_return_hidden(self, model, rng):
         tokens = rng.integers(0, 40, size=(2, 6))
-        logits, hidden = model.infer(tokens)
+        mask = np.ones((2, 6), dtype=bool)
+        mask[1, :2] = False  # left padding
+        hidden = model.hidden_states(tokens, attention_mask=mask)
+        logits = model(tokens, attention_mask=mask).data
         assert hidden.shape == (2, 6, 16)
         assert logits.shape == (2, 6, 40)
+        # The tied head: the graph-free hidden states carry forward's logits.
+        assert np.array_equal(hidden @ model.token_embedding.weight.data.T, logits)
 
     def test_too_long_sequence_raises(self, model, rng):
         with pytest.raises(ValueError):

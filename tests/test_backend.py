@@ -145,9 +145,10 @@ class TestForwardBitIdentity:
 
     def test_inference_mode_logits_bit_identical(self):
         model = self._model()
-        tokens = np.array([[3, 7, 11, 2]])
-        recorded = model(tokens)
-        raw, _ = model.infer(tokens)
+        tokens = np.array([[3, 7, 11, 2], [0, 0, 5, 9]])
+        mask = tokens != 0
+        recorded = model(tokens, attention_mask=mask)
+        raw = model.hidden_states(tokens, attention_mask=mask) @ model.token_embedding.weight.data.T
         np.testing.assert_array_equal(recorded.data, raw)
 
     def test_grad_wrapper_matches_raw_kernel(self):

@@ -1,15 +1,15 @@
-"""The fast inference path: ``infer``, KV-cached decoding, batching.
+"""The fast inference path: ``prefill``, KV-cached decoding, batching.
 
 These are the exact-equivalence suites the fast path is contractually held
-to: incremental KV-cached decoding must reproduce the full-context forward
-(including across the ``max_seq_len`` truncation boundary, where the sliding
-window shifts every absolute position and the cache must be invalidated),
-the array-level ``infer`` must reproduce the autograd ``forward`` bit for bit
-without building a graph, and batched decoding must reproduce per-sequence
-decoding row by row.
+to, all against the one full-window forward, the autograd ``forward``:
+incremental KV-cached decoding must reproduce it (including across the
+``max_seq_len`` truncation boundary, where the sliding window shifts every
+absolute position and the cache must be invalidated), the graph-free
+``hidden_states`` times the tied head must reproduce its logits bit for bit,
+and batched decoding must reproduce per-sequence decoding row by row.
 """
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -21,9 +21,10 @@ from repro.llm.generation import (
     apply_repetition_penalty,
     generate_tokens,
     generate_tokens_batch,
+    sample_next_token,
 )
 from repro.nn import (
-    KVCache,
+    LayerKVCache,
     load_lora_state_dict,
     lora_layers,
     lora_state_dict,
@@ -34,22 +35,29 @@ from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.textmetrics.rouge import Rouge1Reference, rouge_1_f1
 
 
+def _forward_last(model, ids):
+    """Next-token logits of the full-window autograd ``forward`` over ``ids``."""
+    return model(np.asarray(ids, dtype=np.int64)[None, :]).data[0, -1]
+
+
 class TestInferenceMode:
     def test_forward_values_identical(self, pretrained_llm):
         token_ids = np.arange(1, 13, dtype=np.int64)[None, :]
         model = pretrained_llm.model
         model.eval()
+        assert model.lm_head is None  # tied head: logits are hidden @ E.T
         default_logits = model(token_ids)
-        fast_logits, _ = model.infer(token_ids)
+        fast_logits = model.hidden_states(token_ids) @ model.token_embedding.weight.data.T
         np.testing.assert_array_equal(default_logits.data, fast_logits)
 
     def test_no_tape_recorded(self, pretrained_llm):
         token_ids = np.arange(1, 9, dtype=np.int64)[None, :]
         model = pretrained_llm.model
         model.eval()
-        logits, hidden = model.infer(token_ids)
+        logits = model.prefill(token_ids, model.new_kv_cache())
+        hidden = model.hidden_states(token_ids)
         assert type(logits) is np.ndarray and type(hidden) is np.ndarray
-        assert logits.shape == (1, 8, model.config.vocab_size)
+        assert logits.shape == (1, model.config.vocab_size)
         assert hidden.shape == (1, 8, model.config.dim)
 
 
@@ -68,27 +76,18 @@ class TestCausalMask:
 
 
 class TestKVCachedEquivalence:
-    def _full_forward_logits(self, model, ids):
-        return model(np.asarray(ids, dtype=np.int64)[None, :]).data[0, -1]
-
     def test_incremental_logits_match_full_forward(self, pretrained_llm):
         """Per-step logits from the cached path equal the full re-forward."""
         model = pretrained_llm.model
         model.eval()
         ids = list(range(1, 11))
-        cache = KVCache(model.config.num_layers)
-        primed, _ = model.infer(np.asarray(ids[:4], dtype=np.int64)[None, :], kv_cache=cache)
-        np.testing.assert_allclose(
-            primed[0, -1], self._full_forward_logits(model, ids[:4]), atol=1e-5
-        )
+        cache = model.new_kv_cache()
+        primed = model.prefill(np.asarray(ids[:4], dtype=np.int64)[None, :], cache)
+        np.testing.assert_allclose(primed[0], _forward_last(model, ids[:4]), atol=1e-5)
         for position in range(4, len(ids)):
-            step, _ = model.infer(
-                np.asarray([ids[position]], dtype=np.int64)[None, :], kv_cache=cache
-            )
+            step = model.decode_logits(ids[position], cache)
             np.testing.assert_allclose(
-                step[0, -1],
-                self._full_forward_logits(model, ids[: position + 1]),
-                atol=1e-5,
+                step, _forward_last(model, ids[: position + 1]), atol=1e-5
             )
         assert cache.length == len(ids)
 
@@ -97,8 +96,8 @@ class TestKVCachedEquivalence:
             "what should i know about dose and vial", add_bos=True, add_eos=False
         )
         config = GenerationConfig(max_new_tokens=16, greedy=True)
-        reference = generate_tokens(pretrained_llm.model, prompt, config, use_cache=False)
-        cached = generate_tokens(pretrained_llm.model, prompt, config, use_cache=True)
+        reference, _ = _reference_decode(pretrained_llm.model, prompt, config)
+        cached = generate_tokens(pretrained_llm.model, prompt, config)
         assert cached == reference
 
     def test_greedy_decode_identical_across_truncation_boundary(self, pretrained_llm):
@@ -113,8 +112,8 @@ class TestKVCachedEquivalence:
             "what should i know about dose and vial", add_bos=True, add_eos=False
         )
         config = GenerationConfig(max_new_tokens=max_context + 16, greedy=True)
-        reference = generate_tokens(pretrained_llm.model, prompt, config, use_cache=False)
-        cached = generate_tokens(pretrained_llm.model, prompt, config, use_cache=True)
+        reference, _ = _reference_decode(pretrained_llm.model, prompt, config)
+        cached = generate_tokens(pretrained_llm.model, prompt, config)
         assert len(reference) == max_context + 16  # actually crossed the boundary
         assert cached == reference
 
@@ -126,13 +125,11 @@ class TestKVCachedEquivalence:
             max_new_tokens=80, temperature=0.5, repetition_penalty=1.3,
             stop_token_id=pretrained_llm.tokenizer.vocabulary.eos_id,
         )
-        reference = generate_tokens(
-            pretrained_llm.model, prompt, config,
-            rng=np.random.default_rng(7), use_cache=False,
+        reference, _ = _reference_decode(
+            pretrained_llm.model, prompt, config, rng=np.random.default_rng(7)
         )
         cached = generate_tokens(
-            pretrained_llm.model, prompt, config,
-            rng=np.random.default_rng(7), use_cache=True,
+            pretrained_llm.model, prompt, config, rng=np.random.default_rng(7)
         )
         assert cached == reference
 
@@ -140,25 +137,47 @@ class TestKVCachedEquivalence:
         max_context = pretrained_llm.config.max_seq_len
         prompt = list(range(1, max_context + 20))
         config = GenerationConfig(max_new_tokens=4, greedy=True)
-        reference = generate_tokens(pretrained_llm.model, prompt, config, use_cache=False)
-        cached = generate_tokens(pretrained_llm.model, prompt, config, use_cache=True)
+        reference, _ = _reference_decode(pretrained_llm.model, prompt, config)
+        cached = generate_tokens(pretrained_llm.model, prompt, config)
         assert cached == reference
 
     def test_cache_overflow_raises(self, pretrained_llm):
         model = pretrained_llm.model
+        model.eval()
         max_context = model.config.max_seq_len
-        cache = KVCache(model.config.num_layers)
-        model.infer(np.ones((1, max_context), dtype=np.int64), kv_cache=cache)
-        with pytest.raises(ValueError):
-            model.infer(np.ones((1, 1), dtype=np.int64), kv_cache=cache)
+        cache = model.new_kv_cache()
+        model.prefill(np.ones((1, max_context), dtype=np.int64), cache)
+        with pytest.raises(ValueError, match="exceeds max_seq_len"):
+            model.decode_logits(1, cache)
+        with pytest.raises(ValueError, match="exceeds max_seq_len"):
+            model.prefill(np.ones((1, 1), dtype=np.int64), cache)
 
     def test_kv_cache_reset(self, pretrained_llm):
         model = pretrained_llm.model
-        cache = KVCache(model.config.num_layers)
-        model.infer(np.ones((1, 5), dtype=np.int64), kv_cache=cache)
+        model.eval()
+        cache = model.new_kv_cache()
+        model.prefill(np.ones((1, 5), dtype=np.int64), cache)
         assert cache.length == 5
         cache.reset()
         assert cache.length == 0
+
+    def test_layer_cache_raises_past_capacity(self):
+        rows = np.zeros((2, 3, 1, 4), dtype=np.float32)
+        cache = LayerKVCache(3)
+        keys, _ = cache.extend(np.ones((2, 3, 2, 4), dtype=np.float32), rows.repeat(2, 2))
+        assert keys.shape == (2, 3, 2, 4)
+        cache.append_token(rows[:, :, 0], rows[:, :, 0])
+        with pytest.raises(ValueError, match="capacity 3 exceeded"):
+            cache.append_token(rows[:, :, 0], rows[:, :, 0])
+        with pytest.raises(ValueError, match="capacity 3 exceeded"):
+            cache.extend(rows, rows)
+        assert cache.length == 3
+        # A reset cache takes a new batch size within the same capacity.
+        cache.reset()
+        keys, _ = cache.extend(np.ones((1, 3, 3, 4), dtype=np.float32), rows[:1].repeat(3, 2))
+        assert keys.shape == (1, 3, 3, 4) and cache.length == 3
+        with pytest.raises(ValueError, match="capacity 3 exceeded"):
+            LayerKVCache(3).extend(rows.repeat(4, 2), rows.repeat(4, 2))
 
 
 class TestBatchedDecoding:
@@ -228,21 +247,24 @@ class TestBatchedDecoding:
         assert batched == singles
 
 
-def _reference_decode(model, prompt, steps):
-    """The no-cache reference loop: one full forward of the visible window per token.
+def _reference_decode(model, prompt, config, rng=None):
+    """The no-cache reference loop: one full ``forward`` of the visible window per token.
 
-    Returns the greedy ids and every step's next-token logits ``(steps, vocab)``.
+    Samples as ``generate_tokens`` does (greedy ids are the argmax) and stops
+    at ``config.stop_token_id``.  Returns the ids and every step's next-token
+    logits ``(steps, vocab)``.
     """
     max_context = model.config.max_seq_len
     context = list(prompt)
     ids, logits_rows = [], []
-    for _ in range(steps):
-        window = np.asarray(context[-max_context:], dtype=np.int64)[None, :]
-        logits = model.infer(window)[0][0, -1]
-        next_id = int(np.argmax(logits))
+    for _ in range(config.max_new_tokens):
+        logits = _forward_last(model, context[-max_context:])
+        next_id = sample_next_token(logits, config, rng=rng, previous_ids=ids)
         ids.append(next_id)
         logits_rows.append(logits)
         context.append(next_id)
+        if next_id == config.stop_token_id:
+            break
     return ids, np.stack(logits_rows)
 
 
@@ -304,6 +326,10 @@ class TestBatchedDecodeProperty:
     @example(prompts=[[3, 4, 5]], new_tokens=6, adapted=False)
     @example(prompts=[[4], [2, 3]], new_tokens=5, adapted=True)
     @example(prompts=[[6] * 75], new_tokens=4, adapted=False)
+    # One row primed with 4 tokens, then cached steps (the prefill/decode_logits case).
+    @example(prompts=[[1, 2, 3, 4]], new_tokens=7, adapted=False)
+    # Left-padded rows whose prime is a one-token prompt.
+    @example(prompts=[[7], [9], [5, 6, 7, 8, 9, 10]], new_tokens=3, adapted=True)
     def test_greedy_rows_match_alone_and_reference(
         self, decode_models, prompts, new_tokens, adapted
     ):
@@ -314,7 +340,7 @@ class TestBatchedDecodeProperty:
             batched = generate_tokens_batch(model, prompts, config, pad_token_id=0)
         assert len(steps) == new_tokens
         for row, prompt in enumerate(prompts):
-            reference_ids, reference_logits = _reference_decode(model, prompt, new_tokens)
+            reference_ids, reference_logits = _reference_decode(model, prompt, config)
             assert batched[row] == generate_tokens(model, prompt, config)
             assert batched[row] == reference_ids
             step_logits = np.stack([logits[row] for logits in steps])
@@ -377,6 +403,9 @@ class TestMixedAdapterDecodeProperty:
              new_tokens=12)
     @example(case=([[4], [6, 7, 8]], [(1, 0), (1, 2)]), new_tokens=4)
     @example(case=([[3] * 75, [8] * 66], [(1, 1), (1, 3)]), new_tokens=6)
+    # TestPrefill's mixed-adapter batch, decoded on.
+    @example(case=([[5, 6, 7, 8, 9, 10], [11, 12], [13], [14, 15, 16]],
+                   [(1, 0), (2, 2), (1, 3)]), new_tokens=5)
     def test_rows_match_their_adapter_attached_alone(self, mixed_adapters, case, new_tokens):
         llm, states = mixed_adapters
         model = llm.model
@@ -459,43 +488,40 @@ def _left_padded(prompts):
     return tokens, mask, positions
 
 
-class TestDecodeStep:
-    def _primed(self, model, prompts):
-        """Left-pad ``prompts``, prime a cache; returns the step inputs."""
-        tokens, mask, positions = _left_padded(prompts)
-        batch, width = tokens.shape
-        cache = model.new_kv_cache()
-        model.infer(tokens, attention_mask=mask, kv_cache=cache, position_ids=positions)
-        padding = np.zeros((batch, model.config.max_seq_len), dtype=bool)
-        padding[:, :width] = ~mask
-        lengths = np.array([len(p) for p in prompts], dtype=np.int64)
-        return cache, padding, lengths, mask
+def _primed(model, prompts):
+    """Left-pad ``prompts`` and ``prefill`` a cache; returns it, the prefill
+    logits and the :meth:`decode_step` inputs ``(padding, lengths)``."""
+    tokens, mask, positions = _left_padded(prompts)
+    batch, width = tokens.shape
+    cache = model.new_kv_cache()
+    logits = model.prefill(tokens, cache, attention_mask=mask, position_ids=positions)
+    padding = np.zeros((batch, model.config.max_seq_len), dtype=bool)
+    padding[:, :width] = ~mask
+    lengths = np.array([len(p) for p in prompts], dtype=np.int64)
+    return cache, logits, padding, lengths
 
+
+class TestDecodeStep:
     def test_matches_masked_forward_with_untied_head(self):
         config = TransformerConfig(vocab_size=50, max_seq_len=16, dim=16, num_layers=2,
                                    num_heads=2, tie_embeddings=False)
         model = TransformerLM(config, rng=np.random.default_rng(0))
         model.eval()
         prompts = [[1, 2, 3, 4], [5, 6], [7]]
-        cache, padding, lengths, mask = self._primed(model, prompts)
-        reference, _, _, _ = self._primed(model, prompts)
+        cache, _, padding, lengths = _primed(model, prompts)
         new = np.array([8, 9, 10], dtype=np.int64)
-        expected = model.infer(
-            new[:, None],
-            attention_mask=np.concatenate([mask, np.ones((3, 1), dtype=bool)], axis=1),
-            kv_cache=reference,
-            position_ids=lengths[:, None],
-        )[0][:, -1]
         got = model.decode_step(new, lengths, padding, cache)
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-5)
-        assert cache.length == reference.length == 5
+        for row, prompt in enumerate(prompts):
+            expected = _forward_last(model, prompt + [int(new[row])])
+            np.testing.assert_allclose(got[row], expected, rtol=0, atol=1e-5)
+        assert cache.length == 5
 
     def test_guards(self, pretrained_llm):
         model = pretrained_llm.model
         model.eval()
-        cache, padding, lengths, _ = self._primed(model, [[1, 2], [3]])
+        cache, _, padding, lengths = _primed(model, [[1, 2], [3]])
         token_ids = np.array([4, 5], dtype=np.int64)
-        full, padding, lengths, _ = self._primed(model, [[1] * model.config.max_seq_len, [2]])
+        full, _, padding, lengths = _primed(model, [[1] * model.config.max_seq_len, [2]])
         with pytest.raises(ValueError, match="exceeds max_seq_len"):
             model.decode_step(token_ids, lengths, padding, full)
         model.train()
@@ -519,27 +545,32 @@ class TestDecodeStep:
 
 
 class TestPrefill:
-    """``prefill`` against the last column of the full ``infer``."""
+    """Each row of a left-padded ``prefill`` against that row alone through ``forward``.
+
+    One :meth:`decode_step` after the prime reads every cached key/value of
+    every layer, so it checks the cache the prime filled the same way.
+    """
 
     PROMPTS = [[5, 6, 7, 8, 9, 10], [11, 12], [13], [14, 15, 16]]
 
-    def _check(self, model, prompts):
-        tokens, mask, positions = _left_padded(prompts)
-        full_cache, cache = model.new_kv_cache(), model.new_kv_cache()
-        expected = model.infer(
-            tokens, attention_mask=mask, kv_cache=full_cache, position_ids=positions
-        )[0][:, -1]
-        got = model.prefill(tokens, cache, attention_mask=mask, position_ids=positions)
-        assert got.shape == (len(prompts), model.config.vocab_size)
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-5)
-        assert cache.length == full_cache.length == tokens.shape[1]
-        for ours, theirs in zip(cache.layers, full_cache.layers):
-            length = tokens.shape[1]
+    def _check(self, model, prompts, segments=None):
+        """``segments`` decode the rows with ``row_adapters``; each row's
+        reference then runs with its segment's adapter attached."""
+        new = np.arange(len(prompts), dtype=np.int64) + 20
+        with row_adapters(model, segments) if segments else nullcontext():
+            cache, got, padding, lengths = _primed(model, prompts)
+            assert got.shape == (len(prompts), model.config.vocab_size)
+            assert cache.length == max(len(prompt) for prompt in prompts)
+            stepped = model.decode_step(new, lengths, padding, cache)
+        row_states = [state for count, state in segments or () for _ in range(count)]
+        for row, prompt in enumerate(prompts):
+            if row_states:
+                load_lora_state_dict(model, row_states[row])
             np.testing.assert_allclose(
-                ours._keys[:, :, :length], theirs._keys[:, :, :length], rtol=0, atol=1e-5
+                got[row], _forward_last(model, prompt), rtol=0, atol=1e-5
             )
             np.testing.assert_allclose(
-                ours._values[:, :, :length], theirs._values[:, :, :length], rtol=0, atol=1e-5
+                stepped[row], _forward_last(model, prompt + [int(new[row])]), rtol=0, atol=1e-5
             )
 
     def test_left_padded_batch_with_one_adapter(self, decode_models):
@@ -547,8 +578,7 @@ class TestPrefill:
 
     def test_left_padded_batch_with_mixed_adapters(self, mixed_adapters):
         llm, states = mixed_adapters
-        with row_adapters(llm.model, [(1, states[0]), (2, states[2]), (1, states[3])]):
-            self._check(llm.model, self.PROMPTS)
+        self._check(llm.model, self.PROMPTS, [(1, states[0]), (2, states[2]), (1, states[3])])
 
     def test_one_token_prompts(self, decode_models):
         # The last block's cache starts empty and ends holding the prompt token.
@@ -573,11 +603,13 @@ class TestPrefill:
         finally:
             model.eval()
 
-    def test_hidden_states_equal_infer_hidden(self, decode_models):
+    def test_hidden_states_times_tied_head_equal_forward(self, decode_models):
         model = decode_models[True]
+        assert model.lm_head is None
         tokens, mask, _ = _left_padded(self.PROMPTS)
         hidden = model.hidden_states(tokens, attention_mask=mask)
-        assert np.array_equal(hidden, model.infer(tokens, attention_mask=mask)[1])
+        logits = model(tokens, attention_mask=mask).data
+        assert np.array_equal(hidden @ model.token_embedding.weight.data.T, logits)
 
 
 class TestBatchedEvaluator:

@@ -90,14 +90,6 @@ class TestOnDeviceLLM:
         clone = fresh_llm.clone()
         assert clone.has_lora()
 
-    def test_save_load_roundtrip(self, pretrained_llm, tmp_path):
-        path = pretrained_llm.save(tmp_path / "model.pkl")
-        restored = OnDeviceLLM.load(path)
-        text = "what about the dose of the pills"
-        np.testing.assert_allclose(
-            restored.embed_text(text), pretrained_llm.embed_text(text), atol=1e-5
-        )
-
     def test_from_texts_builds_vocab(self):
         llm = OnDeviceLLM.from_texts(
             ["alpha beta gamma", "beta delta"],

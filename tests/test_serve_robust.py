@@ -250,6 +250,14 @@ class TestChaosCLI:
         assert len(digests) == 1
 
 
+def _requests_served(scheduler):
+    """Requests ``scheduler`` has served so far, dead-lettered ones included."""
+    return sum(
+        scheduler.metrics.counter("serve_requests_total", kind=kind).value
+        for kind in ("chat", "personalize")
+    )
+
+
 def make_manager(llm, tmp_path, checkpoint_root=None):
     def factory(seed):
         return serving_framework_config(
@@ -302,11 +310,11 @@ class TestRestoreAfterRestart:
             restarted, max_batch_size=4, generation=generation, retry=RetryPolicy()
         )
         scheduler.submit(ChatRequest(user_id="alice", question="q"))
-        report = scheduler.run()
+        scheduler.run()
         assert faulted == ["alice"]
-        assert report.retries == 1
-        assert report.degraded_chat_requests == 0
-        assert report.dead_letter_requests == 0
+        assert scheduler.metrics.counter("serve_retries_total").value == 1
+        assert scheduler.metrics.counter("serve_degraded_total").value == 0
+        assert scheduler.metrics.counter("serve_dead_letters_total").value == 0
         engine = restarted.session("alice").framework.engine
         assert engine.finetune_round_count == 1
 
@@ -338,9 +346,9 @@ class TestSchedulerDrain:
             scheduler.submit(ChatRequest(user_id="poison", question=f"q{index}"))
         for index in range(3):
             scheduler.submit(ChatRequest(user_id="healthy", question=f"q{index}"))
-        report = scheduler.run()
-        assert report.total_requests == 6
-        assert report.dead_letter_requests == 3
+        scheduler.run()
+        assert _requests_served(scheduler) == 6
+        assert scheduler.metrics.counter("serve_dead_letters_total").value == 3
         assert scheduler.pending_count == 0
         healthy = [
             entry
@@ -355,27 +363,32 @@ class TestSchedulerDrain:
             manager, max_batch_size=4, generation=GenerationConfig(max_new_tokens=8)
         )
         scheduler.submit(ChatRequest(user_id="alice", question="first"))
-        assert scheduler.run().total_requests == 1
+        scheduler.run()
+        assert _requests_served(scheduler) == 1
         scheduler.submit(ChatRequest(user_id="alice", question="second"))
-        assert scheduler.run().total_requests == 1
+        scheduler.run()
+        assert _requests_served(scheduler) == 2
         assert scheduler.pending_count == 0
 
     def test_request_stop_drains_before_serving(self, fresh_llm, tmp_path):
         """A stop requested before the loop starts leaves the queue intact
-        and flags the report — the graceful-shutdown half of the runner's
-        signal handling."""
+        and degrades the scheduler's health — the graceful-shutdown half of
+        the runner's signal handling."""
         manager = make_manager(fresh_llm, tmp_path)
         scheduler = RequestScheduler(
             manager, max_batch_size=4, generation=GenerationConfig(max_new_tokens=8)
         )
         scheduler.submit(ChatRequest(user_id="alice", question="q"))
         scheduler.request_stop()
-        report = scheduler.run()
-        assert report.stopped_early
-        assert report.total_requests == 0
+        scheduler.run()
+        assert scheduler.health_report()["scheduler"]["reasons"] == [
+            "stopped early: drained in-flight work on request"
+        ]
+        assert _requests_served(scheduler) == 0
         assert scheduler.pending_count == 1
         # A follow-up run serves what was left.
-        assert scheduler.run().total_requests == 1
+        scheduler.run()
+        assert _requests_served(scheduler) == 1
 
 
 class TestAllDeadLetterExit:

@@ -24,6 +24,20 @@ from repro.serve.scheduler import ROUND_ROWS
 from tests.test_serve_session import make_manager
 
 
+def _requests_of(scheduler, user=None, kind=None):
+    """Requests served by ``scheduler``'s turns, optionally of one user and kind."""
+    return sum(
+        turn.batch_size
+        for turn in scheduler.turns
+        if user in (None, turn.user_id) and kind in (None, turn.kind)
+    )
+
+
+def _swaps(scheduler):
+    """Turns of ``scheduler`` that attached an adapter."""
+    return sum(1 for turn in scheduler.turns if turn.swap_seconds > 0.0)
+
+
 MICRO_LOAD = LoadConfig(
     num_users=2,
     num_requests=8,
@@ -101,17 +115,17 @@ class TestSchedulerFairness:
         for index in range(3):
             scheduler.submit(ChatRequest(user_id="light", question=questions[9 + index]))
 
-        report = scheduler.run()
+        scheduler.run()
         # heavy: 4 + 4 + 1 chat turns (the personalize request splits the last
         # batch) + 1 personalize turn; light: one 3-chat turn, served second.
-        assert report.turn_users == ["heavy", "light", "heavy", "heavy", "heavy"]
-        assert report.num_turns == 5
+        users = [turn.user_id for turn in scheduler.turns]
+        assert users == ["heavy", "light", "heavy", "heavy", "heavy"]
         kinds = [turn.kind for turn in scheduler.turns]
         assert kinds == ["chat", "chat", "chat", "chat", "personalize"]
-        assert report.per_user["light"]["chat"] == 3
-        assert report.per_user["heavy"]["chat"] == 9
-        assert report.per_user["heavy"]["personalize"] == 1
-        assert report.total_requests == 13
+        assert _requests_of(scheduler, "light", "chat") == 3
+        assert _requests_of(scheduler, "heavy", "chat") == 9
+        assert _requests_of(scheduler, "heavy", "personalize") == 1
+        assert _requests_of(scheduler) == 13
 
     def test_same_adapter_requests_batch_together(self, fresh_llm, tmp_path, med_corpus):
         """Interleaved submissions still coalesce into per-user batches."""
@@ -121,11 +135,11 @@ class TestSchedulerFairness:
         for index in range(3):  # a1 b1 a2 b2 a3 b3
             scheduler.submit(ChatRequest(user_id="aa", question=questions[2 * index]))
             scheduler.submit(ChatRequest(user_id="bb", question=questions[2 * index + 1]))
-        report = scheduler.run()
-        assert report.turn_users == ["aa", "bb"]
+        scheduler.run()
+        assert [turn.user_id for turn in scheduler.turns] == ["aa", "bb"]
         assert [turn.batch_size for turn in scheduler.turns] == [3, 3]
         # Chats decode with per-row adapters in one shared round: no swaps.
-        assert report.swap["count"] == 0
+        assert _swaps(scheduler) == 0
         assert manager.active_user is None
 
     def test_batched_equals_sequential_under_greedy(
@@ -163,16 +177,15 @@ class TestSchedulerFairness:
         scheduler = RequestScheduler(manager, max_batch_size=4)
         question = med_corpus.dialogues()[0].question
         scheduler.submit(ChatRequest(user_id="alice", question=question))
-        first = scheduler.run()
-        assert first.total_requests == 1
+        scheduler.run()
+        assert _requests_of(scheduler) == 1
         scheduler.submit(ChatRequest(user_id="alice", question=question))
         scheduler.submit(ChatRequest(user_id="bob", question=question))
-        second = scheduler.run()
-        assert second.total_requests == 2
+        scheduler.run()
+        assert _requests_of(scheduler) == 3
         assert scheduler.pending_count == 0
-        # Each report covers its own run; the transcript log is cumulative.
-        assert second.num_turns == 2
-        assert second.turn_users == ["alice", "bob"]
+        # The turn and transcript logs are cumulative across runs.
+        assert [turn.user_id for turn in scheduler.turns[1:]] == ["alice", "bob"]
         assert len(scheduler.transcript) == 3
 
 
@@ -245,7 +258,7 @@ class TestSharedDecodeRounds:
                 for index, user in enumerate(users)
             ]
         )
-        report = scheduler.run()
+        scheduler.run()
 
         rows = len(users) * chats
         assert [rows for rows, _ in calls] == [ROUND_ROWS, rows - ROUND_ROWS]
@@ -254,13 +267,12 @@ class TestSharedDecodeRounds:
         # to max_batch, then whatever is left.
         expected = [(user, max_batch) for user in users] + [(user, 1) for user in users]
         assert [(turn.user_id, turn.batch_size) for turn in scheduler.turns] == expected
-        assert report.turn_users == [user for user, _ in expected]
         by_user = {user: [r.request_id for r in requests if r.user_id == user] for user in users}
         assert [turn.request_ids for turn in scheduler.turns] == (
             [by_user[user][:max_batch] for user in users]
             + [by_user[user][max_batch:] for user in users]
         )
-        assert report.swap["count"] == 0
+        assert _swaps(scheduler) == 0
         decode_rows = scheduler.metrics.histogram("decode_rows", buckets=COUNT_BUCKETS)
         assert (decode_rows.count, decode_rows.sum) == (2, rows)
         # Each turn samples the queue as it stood right after taking its
@@ -297,9 +309,9 @@ class TestSharedDecodeRounds:
                 ChatRequest(user_id="bb", question=questions[5]),
             ]
         )
-        report = scheduler.run()
+        scheduler.run()
 
-        assert report.turn_users == ["aa", "bb", "aa", "aa"]
+        assert [turn.user_id for turn in scheduler.turns] == ["aa", "bb", "aa", "aa"]
         assert [turn.kind for turn in scheduler.turns] == ["chat", "chat", "personalize", "chat"]
         # Round one (aa, bb) decodes before the fine-tune; aa's later chats
         # form the second round and see the fine-tuned adapter.
@@ -315,7 +327,7 @@ class TestSharedDecodeRounds:
         expected = _serve_turn_by_turn(reference, scheduler.turns, requests, self.GREEDY)
         assert _served(scheduler.transcript) == expected
         # Only the personalize turn attached an adapter.
-        assert report.swap["count"] == 1
+        assert _swaps(scheduler) == 1
 
 
 class TestEndToEndDeterminism:
