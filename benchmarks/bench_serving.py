@@ -24,7 +24,7 @@ disk) and a warm cache (adapter already in memory).
 Two further sections cover the scale-out layer (``docs/scaling.md``):
 
 * ``sharding`` — the same 100-user chat-only load served through
-  ``run_serve`` at 1 (in process), 2 and 4 workers, recording aggregate
+  ``run_serve`` at 1 (one worker thread), 2 and 4 workers, recording aggregate
   tokens/sec, p99 entry latency, and whether the transcript digest stayed
   byte-identical across worker counts and rounds (it must — topology is
   not allowed to change behaviour).  ``cpu_count`` is recorded so the

@@ -20,13 +20,15 @@ op, and checks the whole contract end to end:
 With ``--trace-out`` the first run records a replayable trace
 (``repro replay`` verifies it; the nightly job does exactly that).  With
 ``--durable`` every server boots with ``--state-dir <run>/state``: the
-journaled single-worker path, recovering through the same serving core as
-``repro serve``.
+journaled path, recovering through the same serving core as ``repro
+serve``.  ``--workers N`` boots each server with N shard workers (default
+1, one worker thread; more are forked worker processes).
 
 Usage::
 
     PYTHONPATH=src python scripts/frontend_smoke.py --runs 2 --out artifacts/
-    PYTHONPATH=src python scripts/frontend_smoke.py --runs 2 --durable --out artifacts/durable
+    PYTHONPATH=src python scripts/frontend_smoke.py --runs 2 --durable --workers 2 \
+        --out artifacts/durable
 
 Exit codes: 0 pass, 1 any check failed, 2 bad arguments (argparse).
 """
@@ -69,6 +71,8 @@ def boot_server(run_dir: Path, args: argparse.Namespace, trace_out: Path = None)
         str(args.seed),
         "--max-batch",
         "4",
+        "--workers",
+        str(args.workers),
         "--quiet",
     ]
     if trace_out is not None:
@@ -151,6 +155,9 @@ def main() -> int:
         "--durable",
         action="store_true",
         help="boot each server with --state-dir <run>/state (journaled serving)",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=1, help="shard workers per server (default 1)"
     )
     parser.add_argument(
         "--timeout", type=float, default=600.0, help="per-phase timeout in seconds"

@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard users across N shared-nothing workers behind a "
         "consistent-hash router (forked processes where available, threads "
         "otherwise); the transcript digest is identical for any N "
-        "(default 1: one in-process shard)",
+        "(default 1: one worker thread)",
     )
     serve.add_argument(
         "--out",

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.framework import LearningCurvePoint, PersonalizationResult
 
 
@@ -56,21 +54,6 @@ class LearningCurve:
         """Whether the curve never drops by more than ``tolerance``."""
         values = self.rouge()
         return all(b >= a - tolerance for a, b in zip(values, values[1:]))
-
-    def area_under_curve(self) -> float:
-        """Trapezoidal area under ROUGE-1 vs. seen-count, normalized by x-range.
-
-        Captures *learning speed*: two curves reaching the same final score
-        differ in AUC when one gets there earlier.
-        """
-        if len(self.points) < 2:
-            return self.final
-        x = np.asarray(self.seen(), dtype=np.float64)
-        y = np.asarray(self.rouge(), dtype=np.float64)
-        span = x[-1] - x[0]
-        if span <= 0:
-            return float(y[-1])
-        return float(np.trapezoid(y, x) / span)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly form."""

@@ -276,10 +276,10 @@ class OnDeviceLLM:
     def export_runtime_state(self) -> dict:
         """Full mid-run snapshot: weights, LoRA config, mode and RNG streams.
 
-        Unlike :meth:`save` (which persists a finished model to disk), this
-        captures everything needed to continue *running* the model bit-for-bit
-        identically — including the generation RNG and the per-dropout-layer
-        RNGs that advance during training.  The returned dict is picklable.
+        Captures everything needed to continue *running* the model
+        bit-for-bit identically — including the generation RNG and the
+        per-dropout-layer RNGs that advance during training.  The returned
+        dict is picklable.
         """
         return {
             "state_dict": self.model.state_dict(),

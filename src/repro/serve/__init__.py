@@ -26,8 +26,10 @@ subsystem splits into four parts —
   backpressure, the matching socket client / load driver, and request-trace
   record/replay for deterministic regression testing over real sockets
   (see ``docs/serving.md``);
-* :mod:`repro.serve.shard` — the scale-out layer: consistent-hash routing
-  over shared-nothing shard workers (``repro serve --workers N``); adapters
+* :mod:`repro.serve.shard` — the one serving topology: a
+  :class:`ShardPool` of shared-nothing shard workers behind consistent-hash
+  routing (one worker thread by default, forked workers for
+  ``repro serve --workers N``); adapters
   persist as checksummed ``A1`` records (:mod:`repro.utils.a1`, zero-copy
   mmap loading, see ``docs/scaling.md``);
 * :mod:`repro.serve.config` — the typed :class:`ServeConfig` every entry
@@ -65,10 +67,9 @@ from repro.serve.frontend import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     FrontendThread,
+    PoolBridge,
     ProtocolError,
-    SchedulerBridge,
     ServeFrontend,
-    ShardedBridge,
     decode_frame,
     encode_frame,
 )
@@ -132,11 +133,11 @@ __all__ = [
     "PersonalizeOutcome",
     "PersonalizeRequest",
     "PoisonRequestError",
+    "PoolBridge",
     "ProtocolError",
     "RequestJournal",
     "RequestScheduler",
     "RetryPolicy",
-    "SchedulerBridge",
     "ServeClient",
     "ServeConfig",
     "ServeFrontend",
@@ -148,7 +149,6 @@ __all__ = [
     "ShardPoolError",
     "ShardRing",
     "ShardServer",
-    "ShardedBridge",
     "StoreIOError",
     "StoreStats",
     "Trace",

@@ -14,24 +14,25 @@ small newline-delimited JSON protocol —
 * ``bye`` / ``shutdown`` — close one connection / drain the whole server.
 
 The event loop never touches the model.  Accepted requests cross a
-**bounded bridge** (:class:`SchedulerBridge`) into a single worker thread
-that owns a :class:`~repro.serve.runner.ShardServer` — the serving core
-every entry point shares — so same-adapter batching, round-robin fairness,
-the journal, retries and the dead-letter ladder all apply unchanged to
-socket traffic.  Admission is
-limited by a global queue depth and a per-user in-flight cap; requests over
-either bound are refused with a ``busy`` frame instead of buffering
-unboundedly, so a flood (or a slow client pipelining blindly) can never
-grow the bridge past its bound.
+**bounded bridge** (:class:`PoolBridge`) into a
+:class:`~repro.serve.shard.ShardPool` — one worker thread for
+``--workers 1``, forked shard workers for more — whose workers each own a
+:class:`~repro.serve.runner.ShardServer`, the serving core every entry
+point shares.  Same-adapter batching, round-robin fairness, the journal,
+retries and the dead-letter ladder all apply unchanged to socket traffic.
+Admission is limited by a global queue depth and a per-user in-flight cap;
+requests over either bound are refused with a ``busy`` frame instead of
+buffering unboundedly, so a flood (or a slow client pipelining blindly)
+can never grow the bridge past its bound.
 
 ``SIGINT``/``SIGTERM`` (or a ``shutdown`` op) drain gracefully: admission
-closes, the worker finishes every accepted batch, every produced frame —
+closes, the workers finish every accepted request, every produced frame —
 including dead-letter frames — is flushed to its client, and only then do
 the sockets close.  With a ``state_dir`` the run is durable exactly like
 ``repro serve``: requests are journaled on submission, an injected soft
 crash restarts the core in place, and a killed server resumes through the
-same recovery (workload fence checked, committed fine-tunes rolled
-forward, the rest re-served before the socket opens).
+same recovery (topology and workload fences checked, committed fine-tunes
+rolled forward, the rest re-served before the socket opens).
 
 Determinism across runs is fingerprinted by the one transcript digest
 every serving path reports
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import queue
 import signal
 import socket
 import threading
@@ -71,14 +71,9 @@ from repro.serve.config import ServeConfig
 from repro.serve.errors import ServingError
 from repro.serve.health import ComponentHealth, HealthRegistry
 from repro.serve.loadgen import LoadConfig, build_serving_llm
-from repro.serve.runner import (
-    ServeOutcome,
-    ShardServer,
-    aggregate_transcript_digest,
-    served_counts,
-)
+from repro.serve.runner import ServeOutcome, aggregate_transcript_digest, served_counts
 from repro.serve.scheduler import CHAT, PERSONALIZE, ChatRequest, PersonalizeRequest, Request
-from repro.serve.shard import ShardPool
+from repro.serve.shard import ShardPool, ShardPoolError
 
 PROTOCOL_VERSION = 3
 SERVER_NAME = "repro-serve"
@@ -165,27 +160,30 @@ def stream_chunks(text: str) -> List[str]:
 
 
 # ---------------------------------------------------------------------- #
-# the bridges: event loop -> serving core
+# the bridge: event loop -> shard pool
 # ---------------------------------------------------------------------- #
-_STOP = object()
+class PoolBridge:
+    """Admission in front of a :class:`~repro.serve.shard.ShardPool`, delivery back.
 
-
-class _Bridge:
-    """Admission and delivery bookkeeping, shared by both bridges.
-
-    The event loop *admits* requests (:meth:`try_admit`, then ``enqueue``).
-    ``max_queue_depth`` bounds the total accepted-but-unfinished requests
-    and ``max_inflight_per_user`` bounds any single user, so neither a flood
-    nor one greedy client can grow the bridge beyond its bounds — the
-    overflow is refused with a ``busy`` frame, never buffered.  Admitted
-    requests get their globally unique request id here, in arrival order,
-    above every id the journals have seen.  Results come back through
-    :meth:`_on_entry` the moment each transcript entry is produced, so
-    dead-letter frames reach clients as promptly as successes.
+    The event loop *admits* requests (:meth:`try_admit`, then
+    :meth:`enqueue`).  ``max_queue_depth`` bounds the total
+    accepted-but-unfinished requests and ``max_inflight_per_user`` bounds
+    any single user, so neither a flood nor one greedy client can grow the
+    bridge beyond its bounds — the overflow is refused with a ``busy``
+    frame, never buffered.  Admitted requests get their globally unique
+    request id here, in arrival order, above every id the journals have
+    seen, and go to their consistent-hash shard.  Its worker serves every
+    request queued so far in one batch and streams normalized entries back
+    through the pool's ``on_entry`` hook the moment each is produced, so
+    dead-letter frames reach clients as promptly as successes.  Because
+    each user's requests travel in arrival order to a single shard, the
+    per-user sequence numbers match what one scheduler would have assigned
+    — the transcript digest is byte-identical for any worker count.
     """
 
     def __init__(
         self,
+        pool: ShardPool,
         max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
         max_inflight_per_user: int = DEFAULT_MAX_INFLIGHT_PER_USER,
     ) -> None:
@@ -193,6 +191,8 @@ class _Bridge:
             raise ValueError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
         if max_inflight_per_user < 1:
             raise ValueError(f"max_inflight_per_user must be >= 1, got {max_inflight_per_user}")
+        self.pool = pool
+        pool.on_entry = self._on_entry
         self.max_queue_depth = max_queue_depth
         self.max_inflight_per_user = max_inflight_per_user
         self.health = ComponentHealth("frontend")
@@ -202,10 +202,16 @@ class _Bridge:
         self._deliveries: Dict[int, Callable[[dict], None]] = {}
         self._request_users: Dict[int, str] = {}
         self._next_request_id = 0
+        self._stopped = False
         self.busy_rejections = 0
         self.max_depth_seen = 0
         #: The shard summaries, once drained (see :class:`ServeOutcome`).
         self.summaries: List[dict] = []
+
+    def boot(self, timeout: float = 300.0) -> None:
+        """Start the shards; each replays its own journal before the socket opens."""
+        infos = self.pool.start(timeout=timeout)
+        self._next_request_id = max((info["next_request_id"] for info in infos), default=0)
 
     # -- admission (event-loop thread) --------------------------------- #
     def try_admit(self, user_id: str) -> Optional[str]:
@@ -222,14 +228,22 @@ class _Bridge:
             self.max_depth_seen = max(self.max_depth_seen, self._inflight_total)
             return None
 
-    def _assign(self, request: Request, deliver: Callable[[dict], None]) -> Request:
-        """Give an admitted request its id and remember where its result goes."""
+    def enqueue(self, request: Request, deliver: Callable[[dict], None]) -> None:
+        """Give one *admitted* request its id and route it to its shard.
+
+        A shard that is gone answers at once with an (unjournaled) dead
+        letter instead of leaving the client waiting.
+        """
         with self._lock:
             request = replace(request, request_id=self._next_request_id)
             self._next_request_id += 1
             self._deliveries[request.request_id] = deliver
             self._request_users[request.request_id] = request.user_id
-        return request
+        try:
+            self.pool.submit(request)
+        except ShardPoolError as error:
+            self.health.fail(str(error))
+            self._dead_letter(request.request_id, request.user_id, str(error))
 
     @property
     def inflight_total(self) -> int:
@@ -252,193 +266,32 @@ class _Bridge:
         if deliver is not None:
             deliver(entry)
 
-    def _strand(self, error: str, reason: str) -> None:
-        """Unblock every waiting client with a synthetic (unjournaled) dead letter."""
-        with self._lock:
-            stranded = [(rid, self._request_users.get(rid, "?")) for rid in self._deliveries]
-        for request_id, user in stranded:
-            deliver = self._release(request_id)
-            if deliver is not None:
-                entry = {"user_id": user, "kind": "error", "dead_letter": True}
-                deliver({**entry, "error": error, "reason": reason})
+    def _dead_letter(self, request_id: int, user: str, reason: str) -> None:
+        """Answer a waiting client with a synthetic (unjournaled) dead letter."""
+        entry = {"user_id": user, "kind": "error", "dead_letter": True}
+        self._on_entry(request_id, {**entry, "error": "ShardPoolError", "reason": reason})
 
-    # -- views (one shape for both topologies) ------------------------- #
-    def pending_count(self) -> int:
-        return self.inflight_total
-
-    def queue_depths(self) -> Dict[str, int]:
-        return {}
-
-    def health_components(self) -> List[ComponentHealth]:
-        return [self.health]
-
-    def metrics_snapshot(self, registry: MetricsRegistry) -> dict:
-        return registry.snapshot()
-
-
-class SchedulerBridge(_Bridge):
-    """The single-worker bridge: one worker thread drives a :class:`ShardServer`.
-
-    The worker thread owns the server exclusively, draining the hand-off
-    queue in arrival order into :meth:`ShardServer.serve` — which journals
-    (when durable), serves, and restarts in place after an injected soft
-    crash.  The socket server therefore recovers exactly like ``repro
-    serve`` and every shard worker: same workload fence, same roll-forward,
-    same in-process restarts.
-    """
-
-    def __init__(
-        self,
-        server: ShardServer,
-        max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
-        max_inflight_per_user: int = DEFAULT_MAX_INFLIGHT_PER_USER,
-    ) -> None:
-        super().__init__(max_queue_depth, max_inflight_per_user)
-        self.server = server
-        server.on_entry = self._on_entry
-        self._items: "queue.Queue" = queue.Queue()
-        self._thread: Optional[threading.Thread] = None
-
-    def boot(self) -> None:
-        """Recover and re-serve what the journal left pending (before the socket opens)."""
-        self.server.boot()
-        self.server.serve()
-        self._next_request_id = self.server.next_request_id
-
-    def enqueue(self, request: Request, deliver: Callable[[dict], None]) -> None:
-        """Hand one *admitted* request to the worker thread."""
-        self._items.put(self._assign(request, deliver))
-
-    # -- the worker thread --------------------------------------------- #
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._thread = threading.Thread(target=self._run, name="repro-serve-bridge", daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Drain every accepted request, deliver its result, stop the worker.
-
-        Blocking; called off the event loop.  Admission must already be
-        closed (the front-end flips to draining first), so nothing can race
-        in behind the stop sentinel.
-        """
-        if self._thread is None:
-            self._drain_once(stop_seen=True)
-            return
-        self._items.put(_STOP)
-        self._thread.join()
-        self._thread = None
-
-    def finish(self) -> None:
-        self.server.finish()
-        self.summaries = [self.server.summary()]
-
-    def _run(self) -> None:
-        while True:
-            item = self._items.get()
-            if self._drain_once(stop_seen=item is _STOP, first=item):
-                return
-
-    def _drain_once(self, stop_seen: bool, first: Optional[object] = None) -> bool:
-        """Serve everything queued right now; results deliver as they finish."""
-        batch: List[Request] = [] if first is None or first is _STOP else [first]
-        while True:
-            try:
-                item = self._items.get_nowait()
-            except queue.Empty:
-                break
-            if item is _STOP:
-                stop_seen = True
-            else:
-                batch.append(item)
-        if batch or self.server.scheduler.pending_count:
-            try:
-                self.server.serve(batch)
-            except Exception as error:  # pragma: no cover - defensive
-                # A serving bug must not wedge every waiting client: fail
-                # health and unblock them (the journal only records real
-                # outcomes, so the synthetic dead letters are not journaled).
-                self.health.fail(f"scheduler run failed: {type(error).__name__}: {error}")
-                self._strand(type(error).__name__, str(error))
-        return stop_seen
-
-    # -- views --------------------------------------------------------- #
-    def normalized_entries(self) -> List[dict]:
-        """Every transcript entry under its ``(user, seq)`` key (see module docs)."""
-        return list(self.server.entries.values())
-
-    def pending_count(self) -> int:
-        return self.server.scheduler.pending_count
-
-    def queue_depths(self) -> Dict[str, int]:
-        return self.server.scheduler.queue_depths()
-
-    def health_components(self) -> List[ComponentHealth]:
-        scheduler = self.server.scheduler
-        sessions = scheduler.sessions
-        components = [self.health, scheduler.health, sessions.health, sessions.store.health]
-        if scheduler.journal is not None:
-            components.append(scheduler.journal.health)
-        return components
-
-
-class ShardedBridge(_Bridge):
-    """The ``workers > 1`` bridge: admission in front of a :class:`ShardPool`.
-
-    Admitted requests are routed to their consistent-hash shard, whose
-    worker serves them and streams normalized entries back through the
-    pool's ``on_entry`` hook.  Because each user's requests travel in
-    arrival order to a single shard, the per-user sequence numbers the
-    workers assign match what one scheduler would have assigned — the
-    transcript digest is byte-identical for any worker count.
-    """
-
-    def __init__(
-        self,
-        pool: ShardPool,
-        max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
-        max_inflight_per_user: int = DEFAULT_MAX_INFLIGHT_PER_USER,
-    ) -> None:
-        super().__init__(max_queue_depth, max_inflight_per_user)
-        self.pool = pool
-        pool.on_entry = self._on_entry
-
-    def boot(self, timeout: float = 300.0) -> None:
-        """Spawn the shards; each replays its own journal before the socket opens."""
-        infos = self.pool.start(timeout=timeout)
-        self._next_request_id = max((info["next_request_id"] for info in infos), default=0)
-
-    def enqueue(self, request: Request, deliver: Callable[[dict], None]) -> None:
-        """Route one *admitted* request to its shard."""
-        self.pool.submit(self._assign(request, deliver))
-
-    def start(self) -> None:
-        """The shards were started by :meth:`boot`; nothing to do here."""
-
+    # -- drain ---------------------------------------------------------- #
     def stop(self) -> None:
         """Drain every shard, then release any stranded deliveries.
 
-        All entry messages precede a worker's ``done`` message on its pipe,
-        so every delivery is posted to the event loop before ``drain``
-        returns.  If a shard died, its clients get synthetic dead-letter
-        frames instead of hanging.
+        Blocking; called off the event loop, once admission is closed.  All
+        of a worker's entries reach :meth:`_on_entry` before its drain
+        completes, so every delivery is posted to the event loop before this
+        returns.  If a shard died, its clients get synthetic (unjournaled)
+        dead-letter frames instead of hanging.  Idempotent.
         """
+        if self._stopped:
+            return
+        self._stopped = True
         try:
             self.summaries = self.pool.drain()
         except Exception as error:  # pragma: no cover - defensive
             self.health.fail(f"shard pool drain failed: {type(error).__name__}: {error}")
-        self._strand("ShardPoolError", "shard worker died before serving this request")
-
-    def finish(self) -> None:
-        """Each worker flushed its own store and journal at drain."""
-
-    # -- views --------------------------------------------------------- #
-    def normalized_entries(self) -> List[dict]:
-        return self.pool.normalized_entries()
-
-    def metrics_snapshot(self, registry: MetricsRegistry) -> dict:
-        return merge_snapshots([self.pool.merged_metrics(), registry.snapshot()])
+        with self._lock:
+            stranded = [(rid, self._request_users.get(rid, "?")) for rid in self._deliveries]
+        for request_id, user in stranded:
+            self._dead_letter(request_id, user, "shard worker died before serving this request")
 
 
 # ---------------------------------------------------------------------- #
@@ -568,7 +421,7 @@ class _Connection:
             self._dispatch_request(kind, client_id, op)
             return False
         if kind == OP_METRICS:
-            # Collecting the sharded snapshot crosses worker pipes, so it
+            # Collecting the shards' status can cross worker pipes, so it
             # runs off the event loop.
             loop = asyncio.get_running_loop()
             payload = await loop.run_in_executor(None, self.frontend.metrics_payload)
@@ -691,19 +544,17 @@ def _result_frames(client_id: object, entry: dict) -> List[dict]:
 # the server
 # ---------------------------------------------------------------------- #
 class ServeFrontend:
-    """The asyncio TCP server in front of one bridge.
+    """The asyncio TCP server in front of one :class:`PoolBridge`.
 
     Construction is cheap; :meth:`run` builds the serving environment (the
-    base model, then a :class:`SchedulerBridge` over one
-    :class:`~repro.serve.runner.ShardServer`, or a :class:`ShardedBridge`
-    over a :class:`~repro.serve.shard.ShardPool` when ``workers > 1``),
+    base model, then a :class:`PoolBridge` over a
+    :class:`~repro.serve.shard.ShardPool` of ``config.workers`` workers),
     recovers from the journals, binds the socket and serves until drained.
     :class:`FrontendThread` wraps it for callers that need the server in a
     background thread (tests, benchmarks, ``repro replay``).
 
-    ``llm``, ``lexicons`` and ``metrics`` are runtime objects to reuse;
-    ``start_worker=False`` parks the bridge's worker until the drain and
-    ``shard_mode`` picks the pool's worker mode (both test hooks).
+    ``llm`` and ``lexicons`` are runtime objects to reuse; ``shard_mode``
+    picks the pool's worker mode (a test hook).
     """
 
     def __init__(
@@ -711,8 +562,6 @@ class ServeFrontend:
         config: ServeConfig,
         llm: Optional[OnDeviceLLM] = None,
         lexicons: Optional[LexiconCollection] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        start_worker: bool = True,
         shard_mode: Optional[str] = None,
     ) -> None:
         if not isinstance(config, ServeConfig):
@@ -725,10 +574,10 @@ class ServeFrontend:
         self.scale = config.resolved_scale()
         self.llm = llm
         self.lexicons = lexicons or builtin_lexicons()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.start_worker = start_worker
+        #: This process's own metrics: the folded-in component health.
+        self.metrics = MetricsRegistry()
         self.shard_mode = shard_mode
-        self.bridge: Optional[Union[SchedulerBridge, ShardedBridge]] = None
+        self.bridge: Optional[PoolBridge] = None
         self.recorder = None
         self.draining = False
         self.started = threading.Event()
@@ -752,13 +601,8 @@ class ServeFrontend:
                 lexicons=self.lexicons,
                 pretrain_epochs=config.pretrain_epochs,
             )
-        limits = (config.max_queue_depth, config.max_inflight_per_user)
-        if config.workers > 1:
-            pool = ShardPool(config, self.llm, mode=self.shard_mode)
-            self.bridge = ShardedBridge(pool, *limits)
-        else:
-            server = ShardServer(config, self.llm, lexicons=self.lexicons, metrics=self.metrics)
-            self.bridge = SchedulerBridge(server, *limits)
+        pool = ShardPool(config, self.llm, mode=self.shard_mode, lexicons=self.lexicons)
+        self.bridge = PoolBridge(pool, config.max_queue_depth, config.max_inflight_per_user)
         self.bridge.boot()
 
     # -- recording ------------------------------------------------------ #
@@ -776,48 +620,56 @@ class ServeFrontend:
         self.recorder.record_request(user, kind, payload)
 
     # -- live introspection -------------------------------------------- #
-    def stats(self) -> dict:
+    def stats(self, views: List[dict]) -> dict:
         """The serving-counter half of the ``metrics`` frame body.
 
-        One schema for both topologies: ``workers`` is always present and
-        ``queue_depths`` is empty when the queues live inside shard workers,
-        so dashboards never branch on deployment shape.
+        ``views`` are the shards' :meth:`~repro.serve.shard.ShardPool.statuses`.
+        One schema for every worker count: ``workers`` is always present,
+        and ``queue_depths`` / ``pending`` cover every shard's scheduler.
         """
-        transcript = self.bridge.normalized_entries()
+        depths = {user: depth for view in views for user, depth in view["queue_depths"].items()}
+        transcript = self.bridge.pool.normalized_entries()
         return {
             "served": served_counts(transcript),
-            "pending": self.bridge.pending_count(),
+            "pending": sum(depths.values()),
             "inflight": self.bridge.inflight_total,
             "busy_rejections": self.bridge.busy_rejections,
-            "queue_depths": self.bridge.queue_depths(),
+            "queue_depths": depths,
             "workers": self.config.workers,
             "draining": self.draining,
             "transcript_digest": aggregate_transcript_digest(transcript),
         }
 
-    def metrics_snapshot(self) -> dict:
-        """The registry snapshot (merged across shards when ``workers > 1``).
+    def health_snapshot(self, views: List[dict]) -> dict:
+        """The front-end's health plus every shard's components (each
+        component at its worst state across shards)."""
+        registry = HealthRegistry.from_components([self.bridge.health])
+        for view in views:
+            for name, report in view["health"].items():
+                (registry.get(name) or registry.register(ComponentHealth(name))).merge(report)
+        return registry.to_dict()
 
-        Either way the frontend-owned components' health is folded in first,
-        so single and sharded snapshots expose the same key-set.
+    def metrics_snapshot(self, views: Optional[List[dict]] = None) -> dict:
+        """Every shard's registry snapshot merged with this process's own.
+
+        The component health is folded in first, so the snapshot has the
+        same key set for any worker count.
         """
-        observe_health(self.metrics, self.health_snapshot()["components"])
-        return self.bridge.metrics_snapshot(self.metrics)
+        if views is None:
+            views = self.bridge.pool.statuses()
+        observe_health(self.metrics, self.health_snapshot(views)["components"])
+        return merge_snapshots([*(view["metrics"] for view in views), self.metrics.snapshot()])
 
     def metrics_payload(self) -> dict:
         """The versioned body the ``metrics`` op returns."""
-        payload = dict(self.stats())
-        payload.update(self.health_snapshot())
-        payload["metrics"] = self.metrics_snapshot()
+        views = self.bridge.pool.statuses()
+        payload = self.stats(views)
+        payload.update(self.health_snapshot(views))
+        payload["metrics"] = self.metrics_snapshot(views)
         payload["schema"] = METRICS_FRAME_SCHEMA
         payload["server"] = SERVER_NAME
         payload["protocol"] = PROTOCOL_VERSION
         return payload
-
-    def health_snapshot(self) -> dict:
-        # Sharded: worker-side health arrives with the drain summaries; the
-        # live snapshot covers the component this process owns.
-        return HealthRegistry.from_components(self.bridge.health_components()).to_dict()
 
     # -- drain ---------------------------------------------------------- #
     def request_drain(self) -> None:
@@ -866,12 +718,12 @@ class ServeFrontend:
             asyncio.run(self._serve())
         finally:
             elapsed = time.perf_counter() - start
-            self.bridge.finish()
+            self.bridge.stop()  # already drained unless serving failed
             if snapshotter is not None:
                 snapshotter.stop()
         port = self.bound_port if self.bound_port is not None else self.port
         self.outcome = ServeOutcome.build(
-            self.bridge.normalized_entries(),
+            self.bridge.pool.normalized_entries(),
             self.bridge.summaries,
             elapsed,
             metrics=self.metrics_snapshot() if config.metrics_enabled else None,
@@ -892,8 +744,6 @@ class ServeFrontend:
         self._drain_event = asyncio.Event()
         if self._drain_requested_early:
             self._drain_event.set()
-        if self.start_worker:
-            self.bridge.start()
         server = await asyncio.start_server(
             self._handle, self.host, self.port, limit=MAX_FRAME_BYTES + 1024
         )
@@ -915,9 +765,6 @@ class ServeFrontend:
             await self._drain_event.wait()
             self.draining = True
             server.close()
-            # The worker must start (even in start_worker=False test runs)
-            # so everything admitted before the drain still gets served.
-            self.bridge.start()
             await self._loop.run_in_executor(None, self.bridge.stop)
             # All deliveries were posted with call_soon_threadsafe *before*
             # the executor completion that resumed us, and the loop runs its

@@ -68,6 +68,12 @@ class ComponentHealth:
         self.state = self.state.worst(HealthState.FAILED)
         self._record(reason)
 
+    def merge(self, view: Dict[str, object]) -> None:
+        """Fold in another copy's :meth:`to_dict` view (the worse state, its reasons)."""
+        self.state = self.state.worst(HealthState(view["state"]))
+        for reason in view["reasons"]:
+            self._record(reason)
+
     def _record(self, reason: str) -> None:
         # Keep reasons unique and bounded; health is a summary, not a log.
         if reason not in self.reasons:

@@ -2,11 +2,10 @@
 
 :class:`ShardServer` is the one place a serving stack is built and
 recovered: the adapter store, the session manager, the scheduler and —
-with a ``state_dir`` — the request journal.  Every entry point drives it:
-:func:`run_serve` (a synthetic load, in process for one worker or through a
-:class:`~repro.serve.shard.ShardPool` for several), the
-:mod:`repro.serve.shard` pool worker (one shard per worker) and the socket
-front-end's scheduler bridge (:mod:`repro.serve.frontend`).  Every entry
+with a ``state_dir`` — the request journal.  Every entry point drives it
+the same way, through a :class:`~repro.serve.shard.ShardPool` worker per
+shard: :func:`run_serve` (a synthetic load) and the socket front-end
+(:mod:`repro.serve.frontend`), for one worker or several.  Every entry
 point also reports the same way: one :class:`ServeOutcome`, built from the
 shards' normalized transcript entries and their :meth:`ShardServer.summary`.
 
@@ -36,9 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import signal
 import tempfile
-import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
@@ -348,9 +345,7 @@ class ShardServer:
         config: ServeConfig,
         llm: OnDeviceLLM,
         lexicons: Optional[LexiconCollection] = None,
-        metrics: Optional[MetricsRegistry] = None,
         index: int = 0,
-        on_entry: Optional[Callable[[int, dict], None]] = None,
     ) -> None:
         plan = config.fault_plan
         self.config = config
@@ -358,7 +353,7 @@ class ShardServer:
         self.index = index
         self.scale = config.resolved_scale()
         self.lexicons = lexicons or builtin_lexicons()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         # One shard per run reports the boot, so a merged view counts it once.
         observe_boot(self.metrics, llm.boot if index == 0 else None)
         self.faults = FaultInjector(plan) if plan is not None else None
@@ -367,7 +362,7 @@ class ShardServer:
         self.meta = {"load": asdict(config.load), "scale": self.scale.name}
         if config.workers > 1:
             self.meta["shard"] = {"index": index, "num_shards": config.workers}
-        self.on_entry = on_entry
+        self.on_entry: Optional[Callable[[int, dict], None]] = None
         self.journal_path: Optional[Path] = None
         self._temporary: Optional[tempfile.TemporaryDirectory] = None
         if config.state_dir is not None:
@@ -454,6 +449,25 @@ class ShardServer:
             self.journal.close()
         if self._temporary is not None:
             self._temporary.cleanup()
+
+    def request_stop(self) -> None:
+        """Stop serving at the next turn boundary (what the signal handlers call).
+
+        What is still queued stays journaled for a later ``resume``.
+        """
+        scheduler = self.scheduler
+        if scheduler is not None:
+            scheduler.request_stop()
+
+    def status(self) -> dict:
+        """The live view a pool reports: metrics snapshot, component health,
+        and queued requests per user."""
+        scheduler = self.scheduler
+        return {
+            "metrics": self.metrics.snapshot(),
+            "health": {} if scheduler is None else scheduler.health_report(),
+            "queue_depths": {} if scheduler is None else scheduler.queue_depths(),
+        }
 
     def summary(self) -> dict:
         """This shard's side of the :class:`ServeOutcome` (JSON-ready).
@@ -739,7 +753,6 @@ def run_serve(
     config: ServeConfig,
     lexicons: Optional[LexiconCollection] = None,
     llm: Optional[OnDeviceLLM] = None,
-    metrics: Optional[MetricsRegistry] = None,
     mode: Optional[str] = None,
 ) -> ServeOutcome:
     """Serve one synthetic workload end to end; returns the outcome.
@@ -747,15 +760,13 @@ def run_serve(
     ``config`` describes the whole run.  Runtime objects stay keywords:
     pass ``llm`` to reuse an already-built base model (the benchmark does
     this to compare policies on identical weights), ``lexicons`` to
-    override the built-ins, ``metrics`` to aggregate several single-worker
-    runs into one registry, and ``mode`` to pick the pool's worker mode.
+    override the built-ins, and ``mode`` to pick the pool's worker mode.
 
-    With ``config.workers == 1`` one in-process :class:`ShardServer` serves
-    the load.  With more, a :class:`~repro.serve.shard.ShardPool` routes
-    every request to its consistent-hash shard; each shard keeps its own
-    journal, checkpoints and adapters under ``<state_dir>/shard-NN`` and
-    resumes independently, and the topology manifest refuses a resume with
-    a different worker count.
+    A :class:`~repro.serve.shard.ShardPool` of ``config.workers`` workers
+    routes every request to its consistent-hash shard.  One worker keeps
+    its journal, checkpoints and adapters in the state root; several keep
+    theirs under ``<state_dir>/shard-NN``, each resuming independently.  A
+    resume with a different worker count is refused.
 
     With no ``adapter_dir`` and no ``state_dir`` the adapter files live in
     a temporary directory that is discarded after the run (the shard
@@ -768,13 +779,16 @@ def run_serve(
     committed-but-unmarked personalize rounds are rolled forward, and
     everything else is re-served.  Injected *soft* crashes restart in
     process (up to ``max_restarts`` times); a hard crash (``SIGKILL``)
-    needs a new process calling back with ``resume=True``.
+    needs a new process calling back with ``resume=True``.  With
+    ``install_signal_handlers``, SIGINT/SIGTERM stop every worker at its
+    next turn boundary and the run reports what it served.
     """
+    from repro.serve.shard import ShardPool, install_stop_handlers  # shard imports this module
+
     if not isinstance(config, ServeConfig):
         raise TypeError(f"run_serve() takes a ServeConfig, not {type(config).__name__}")
     load = config.load
     lexicons = lexicons or builtin_lexicons()
-    registry = metrics if metrics is not None else MetricsRegistry()
     if llm is None:
         llm = build_serving_llm(
             config.resolved_scale(),
@@ -784,88 +798,36 @@ def run_serve(
             pretrain_epochs=config.pretrain_epochs,
         )
     requests = generate_load(load, lexicons=lexicons)
-    pool = None
-    if config.workers > 1:
-        from repro.serve.shard import ShardPool  # shard imports this module
-
-        pool = ShardPool(config, llm, mode=mode)
+    pool = ShardPool(config, llm, mode=mode, lexicons=lexicons)
     snapshotter: Optional[PeriodicSnapshotter] = None
     if config.metrics_enabled and config.metrics_out is not None:
         snapshotter = PeriodicSnapshotter(
-            registry,
+            MetricsRegistry(),
             config.metrics_out,
             config.metrics_interval_seconds,
-            snapshot_fn=None if pool is None else pool.merged_metrics,
+            snapshot_fn=pool.merged_metrics,
         ).start()
-    try:
-        if pool is None:
-            server = ShardServer(config, llm, lexicons=lexicons, metrics=registry)
-            entries, shards, elapsed = _serve_in_process(server, requests)
-            snapshot = registry.snapshot()
-        else:
-            entries, shards, elapsed = _serve_pool(pool, requests)
-            snapshot = merge_snapshots(shard["metrics"] for shard in shards)
-    finally:
-        if snapshotter is not None:
-            snapshotter.stop()
-    return ServeOutcome.build(
-        entries, shards, elapsed, metrics=snapshot if config.metrics_enabled else None
-    )
-
-
-def _serve_in_process(server: ShardServer, requests: List[Request]):
-    """One shard in this process; returns ``(entries, [summary], elapsed)``."""
     restore_handlers = (
-        _install_stop_handlers(server) if server.config.install_signal_handlers else None
+        install_stop_handlers(pool.request_stop) if config.install_signal_handlers else None
     )
-    try:
-        server.boot()
-        started = time.perf_counter()
-        server.serve(requests)
-        elapsed = time.perf_counter() - started
-        server.finish()
-    finally:
-        if restore_handlers is not None:
-            restore_handlers()
-    return list(server.entries.values()), [server.summary()], elapsed
-
-
-def _serve_pool(pool, requests: List[Request]):
-    """Every shard in a pool worker; returns ``(entries, summaries, elapsed)``."""
     try:
         pool.start()
         started = time.perf_counter()
         pool.submit_many(requests)
-        summaries = pool.drain()
+        shards = pool.drain()
         elapsed = time.perf_counter() - started
     except BaseException:
         pool.terminate()
         raise
-    return pool.normalized_entries(), summaries, elapsed
-
-
-def _install_stop_handlers(server: ShardServer):
-    """SIGINT/SIGTERM → graceful drain; returns a restore callback (or None).
-
-    Signal handlers only work in the main thread; elsewhere (tests running
-    under pytest-xdist workers, notebooks) this silently does nothing.
-    """
-    if threading.current_thread() is not threading.main_thread():
-        return None
-    previous = {}
-
-    def handle(signum, frame):
-        if server.scheduler is not None:
-            server.scheduler.request_stop()
-
-    try:
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            previous[signum] = signal.signal(signum, handle)
-    except ValueError:
-        return None
-
-    def restore() -> None:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-
-    return restore
+    finally:
+        if restore_handlers is not None:
+            restore_handlers()
+        if snapshotter is not None:
+            snapshotter.stop()
+    snapshot = merge_snapshots(shard["metrics"] for shard in shards)
+    return ServeOutcome.build(
+        pool.normalized_entries(),
+        shards,
+        elapsed,
+        metrics=snapshot if config.metrics_enabled else None,
+    )

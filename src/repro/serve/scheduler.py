@@ -293,8 +293,12 @@ class RequestScheduler:
         return sum(len(queue) for queue in self._queues.values())
 
     def queue_depths(self) -> Dict[str, int]:
-        """Queued requests per user (users with empty queues omitted)."""
-        return {user: len(queue) for user, queue in self._queues.items() if queue}
+        """Queued requests per user (users with empty queues omitted).
+
+        Safe to read from another thread while :meth:`run` serves (the
+        items are copied in one step).
+        """
+        return {user: len(queue) for user, queue in list(self._queues.items()) if queue}
 
     def _emit(self, entry: dict) -> None:
         """Append one transcript entry and notify the delivery listener."""

@@ -1,35 +1,46 @@
-"""Sharded multi-worker serving: consistent-hash routing over shared-nothing workers.
+"""Serving workers: consistent-hash routing over shared-nothing shard workers.
 
-One process and one scheduler cannot reach the ROADMAP's millions-of-users
-target.  This module scales the serving stack *horizontally*: a
-:class:`ShardRing` maps every user id onto one of N shards by consistent
-hashing, and a :class:`ShardPool` runs one worker per shard — each owning a
-private :class:`~repro.serve.runner.ShardServer` (scheduler, session
-manager, adapter store and, when durable, request journal).  Workers share
-*nothing* mutable: in ``process`` mode they are forked children that
-inherit the pre-built base model copy-on-write; in ``thread`` mode (the
-portable fallback) each worker gets a deep copy of the model.  Either way a
-user's entire history lives on exactly one shard, which is what keeps
-scale-out deterministic.
+Every serving run, whatever ``--workers`` is, drives one :class:`ShardPool`:
+a :class:`ShardRing` maps every user id onto one of N shards by consistent
+hashing, and the pool runs one worker per shard — each owning a private
+:class:`~repro.serve.runner.ShardServer` (scheduler, session manager,
+adapter store and, when durable, request journal).  ``repro serve``
+(through :func:`~repro.serve.runner.run_serve`) and the socket front-end
+(:mod:`repro.serve.frontend`) both serve through it.
+
+Workers share *nothing* mutable.  A worker runs in one of two modes:
+
+- ``thread`` — a thread of this process, fed through an in-memory channel
+  (no pickling).  Shard 0 serves the caller's model itself; any further
+  shard gets a deep copy.  A one-worker pool uses this mode by default.
+- ``process`` — a forked child fed through a :func:`multiprocessing.Pipe`,
+  inheriting the pre-built base model copy-on-write.  The default for
+  several workers where ``fork`` exists.
+
+Either way a user's entire history lives on exactly one shard, which is
+what keeps scale-out deterministic.  A one-worker pool keeps its durable
+state in the state root itself (``journal.log``, ``sessions/``,
+``adapters/``); several workers keep theirs under ``shard-NN/`` next to a
+``shards.json`` topology manifest.
 
 Each worker streams *normalized* transcript entries (request ids replaced
 by the per-user sequence number) and ends with its shard summary, so the
-pool's results compose into the same
-:class:`~repro.serve.runner.ServeOutcome` and the same aggregate transcript
-digest as a single in-process shard — byte-identical for 1, 2 or 4 workers,
-and again after a kill-and-resume, because each shard replays its own
-journal independently and replayed entries are JSON-stable.
-
-``repro serve --workers N`` (through :func:`~repro.serve.runner.run_serve`)
-and the socket front-end's sharded bridge both drive a :class:`ShardPool`.
+pool's results compose into one :class:`~repro.serve.runner.ServeOutcome`
+and one aggregate transcript digest — byte-identical for 1, 2 or 4
+workers, and again after a kill-and-resume, because each shard replays its
+own journal independently and replayed entries are JSON-stable.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import multiprocessing
+import os
+import queue
+import signal
 import threading
 import time
 from bisect import bisect_right
@@ -37,16 +48,17 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from repro.data.lexicons import LexiconCollection
 from repro.llm.model import OnDeviceLLM
 from repro.obs import merge_snapshots
 from repro.serve.config import ServeConfig
-from repro.serve.journal import JournalError, decode_request, encode_request
+from repro.serve.journal import JOURNAL_FILE, JournalError
 from repro.serve.runner import ShardServer
 from repro.serve.scheduler import Request
 
-#: Top-level state-directory manifest of a sharded durable run: records the
-#: shard count and load so a resume with a different topology is refused
-#: instead of silently scrambling user->shard assignments.
+#: Top-level state-directory manifest of a several-worker durable run:
+#: records the shard count and load so a resume with a different topology
+#: is refused instead of silently scrambling user->shard assignments.
 SHARDS_META_FILE = "shards.json"
 
 
@@ -105,31 +117,98 @@ def shard_state_dir(state_root: Union[str, Path], index: int) -> Path:
     return Path(state_root) / f"shard-{index:02d}"
 
 
-def _shard_worker_main(conn, config: ServeConfig, index: int, llm: OnDeviceLLM) -> None:
+def install_stop_handlers(stop: Callable[[int], None]):
+    """SIGINT/SIGTERM → ``stop(signum)``; returns a restore callback (or None).
+
+    Signal handlers only work in the main thread; elsewhere (a thread
+    worker, tests under pytest-xdist, notebooks) this silently does nothing.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        return None
+    previous = {}
+    try:
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            previous[signum] = signal.signal(signum, lambda signum, frame: stop(signum))
+    except ValueError:
+        return None
+
+    def restore() -> None:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+    return restore
+
+
+_HANG_UP = object()
+
+
+class _WorkerEnd:
+    """A thread worker's end of its in-memory channel: a pipe's shape, no pickling.
+
+    ``recv`` and ``poll`` read the messages the parent queued.  ``send``
+    hands a reply straight to the pool's message handler, in the worker
+    thread, so a thread worker needs no listener thread and an entry
+    reaches the front-end without an extra thread hop.
+    """
+
+    def __init__(self, inbox: "queue.SimpleQueue", deliver: Callable[[tuple], None]) -> None:
+        self._inbox = inbox
+        self.send = deliver
+
+    def recv(self):
+        message = self._inbox.get()
+        if message is _HANG_UP:
+            raise EOFError("the pool closed the channel")
+        return message
+
+    def poll(self) -> bool:
+        return not self._inbox.empty()
+
+    def close(self) -> None:
+        pass
+
+
+class _ParentEnd:
+    """The pool's end of a thread worker's channel."""
+
+    def __init__(self, inbox: "queue.SimpleQueue") -> None:
+        self._inbox = inbox
+
+    def send(self, message) -> None:
+        self._inbox.put(message)
+
+    def close(self) -> None:
+        self._inbox.put(_HANG_UP)
+
+
+def _shard_worker_main(conn, server: ShardServer) -> None:
     """Worker entry point: serve this shard's requests until drained.
 
-    ``config`` is the run's config with this shard's directories filled in.
-    Protocol (over the pipe, worker side):
+    ``server`` is this shard's (not yet booted) core.  Protocol (worker
+    side):
 
     - sends ``("entry", request_id, normalized_entry)`` for every transcript
       entry — journal-replayed ones first on resume, then live ones;
     - sends ``("ready", info)`` once recovery is done and the shard accepts
       requests;
-    - receives ``("serve", [encoded_request, ...])``, ``("metrics",)`` and
-      ``("drain",)`` commands;
+    - receives ``("serve", [request, ...])``, ``("status",)`` and
+      ``("drain",)`` commands; every ``serve`` queued so far goes into one
+      :meth:`ShardServer.serve` call, so concurrent arrivals batch;
     - sends ``("done", summary)`` (:meth:`ShardServer.summary`) after
-      draining, then exits.
+      draining, or ``("error", text, exception)`` if it failed (the
+      exception object only over an in-memory channel), then exits.
 
-    Recovery and injected-soft-crash restarts are the
-    :class:`~repro.serve.runner.ShardServer` core's, exactly as in
-    :func:`~repro.serve.runner.run_serve`.
+    A process worker of ``repro serve`` stops gracefully on SIGINT/SIGTERM,
+    which the parent forwards (:meth:`ShardPool.request_stop`); behind
+    ``--listen`` it ignores them and serves until the parent's drain.
     """
     try:
-        _shard_worker_serve(conn, config, index, llm)
+        _shard_worker_serve(conn, server)
     except BaseException as error:  # noqa: BLE001 - report, then die
+        raised = error if isinstance(conn, _WorkerEnd) else None
         try:
-            conn.send(("error", f"{type(error).__name__}: {error}"))
-        except (OSError, ValueError, BrokenPipeError):
+            conn.send(("error", f"{type(error).__name__}: {error}", raised))
+        except (OSError, ValueError):
             pass
     finally:
         try:
@@ -138,24 +217,37 @@ def _shard_worker_main(conn, config: ServeConfig, index: int, llm: OnDeviceLLM) 
             pass
 
 
-def _shard_worker_serve(conn, config: ServeConfig, index: int, llm: OnDeviceLLM) -> None:
-    def send_entry(request_id: int, entry: dict) -> None:
-        conn.send(("entry", request_id, entry))
+def _shard_worker_serve(conn, server: ShardServer) -> None:
+    def stop(signum: int) -> None:
+        # Behind the socket front-end the parent drains on a signal, so a
+        # worker the signal also reaches (a terminal's Ctrl-C) keeps serving.
+        if server.config.listen is None:
+            server.request_stop()
 
-    server = ShardServer(config, llm, index=index, on_entry=send_entry)
+    if server.config.install_signal_handlers:
+        install_stop_handlers(stop)
+    server.on_entry = lambda request_id, entry: conn.send(("entry", request_id, entry))
     server.boot()
-    server.serve()  # what the journal left pending, before the shard takes traffic
-    conn.send(("ready", {"index": index, "next_request_id": server.next_request_id}))
-    while True:
-        message = conn.recv()
-        if message[0] == "serve":
-            server.serve([decode_request(payload) for payload in message[1]])
-        elif message[0] == "metrics":
-            conn.send(("metrics", server.metrics.snapshot()))
-        elif message[0] == "drain":
-            break
-        else:  # pragma: no cover - protocol misuse
-            raise ValueError(f"unknown shard command {message[0]!r}")
+    if server.scheduler.pending_count:
+        server.serve()  # what the journal left pending, before the shard takes traffic
+    conn.send(("ready", {"index": server.index, "next_request_id": server.next_request_id}))
+    draining = False
+    while not draining:
+        batch: List[Request] = []
+        while True:
+            message = conn.recv()
+            if message[0] == "serve":
+                batch.extend(message[1])
+            elif message[0] == "status":
+                conn.send(("status", server.status()))
+            elif message[0] == "drain":
+                draining = True
+            else:  # pragma: no cover - protocol misuse
+                raise ValueError(f"unknown shard command {message[0]!r}")
+            if not conn.poll():
+                break
+        if batch:
+            server.serve(batch)
     server.finish()
     conn.send(("done", server.summary()))
 
@@ -170,19 +262,21 @@ class ShardPoolError(RuntimeError):
 @dataclass
 class _Worker:
     index: int
-    conn: object
-    runner: object  # multiprocessing.Process or threading.Thread
+    server: ShardServer
+    conn: object = None
+    runner: object = None  # multiprocessing.Process or threading.Thread
     listener: Optional[threading.Thread] = None
     ready: threading.Event = field(default_factory=threading.Event)
     done: threading.Event = field(default_factory=threading.Event)
     ready_info: Optional[dict] = None
     summary: Optional[dict] = None
     error: Optional[str] = None
-    # Pipe sends can come from different threads (the submit path and the
-    # metrics poller), and interleaved sends corrupt the stream.
+    exception: Optional[BaseException] = None
+    # Sends can come from different threads (the submit path and the
+    # status poller), and interleaved pipe sends corrupt the stream.
     send_lock: threading.Lock = field(default_factory=threading.Lock)
-    metrics_ready: threading.Event = field(default_factory=threading.Event)
-    metrics_snapshot: Optional[dict] = None
+    status_ready: threading.Event = field(default_factory=threading.Event)
+    status: Optional[dict] = None
 
 
 def default_worker_mode() -> str:
@@ -193,15 +287,17 @@ def default_worker_mode() -> str:
 class ShardPool:
     """One worker per shard plus the consistent-hash router in front.
 
-    ``config.workers`` is the shard count; every worker serves ``config``
-    with its own directories filled in (``<state_dir>/shard-NN`` and
-    ``<adapter_dir>/shard-NN``).  The pool owns the worker lifecycle
-    (spawn → ready → serve → drain) and the merged view of their output:
-    deduplicated normalized entries, merged metrics, and the shard
-    summaries :meth:`drain` returns.  ``on_entry`` (if given) is called as
-    ``on_entry(request_id, normalized_entry)`` from a listener thread the
-    moment a worker reports an entry — the socket front-end uses this for
-    streaming delivery.
+    ``config.workers`` is the shard count.  One worker serves ``config``
+    as it is; with several, worker *i* serves it with its own directories
+    filled in (``<state_dir>/shard-NN`` and ``<adapter_dir>/shard-NN``).
+    ``mode`` defaults to ``thread`` for one worker and to
+    :func:`default_worker_mode` for several.  The pool owns the worker
+    lifecycle (spawn → ready → serve → drain) and the merged view of their
+    output: deduplicated normalized entries, per-shard live status, and the
+    shard summaries :meth:`drain` returns.  ``on_entry`` (if set) is called
+    as ``on_entry(request_id, normalized_entry)`` the moment a worker
+    reports an entry — the socket front-end uses this for streaming
+    delivery.
     """
 
     def __init__(
@@ -209,10 +305,10 @@ class ShardPool:
         config: ServeConfig,
         llm: OnDeviceLLM,
         mode: Optional[str] = None,
-        on_entry: Optional[Callable[[int, dict], None]] = None,
+        lexicons: Optional[LexiconCollection] = None,
     ) -> None:
         if mode is None:
-            mode = default_worker_mode()
+            mode = "thread" if config.workers == 1 else default_worker_mode()
         if mode not in ("process", "thread"):
             raise ValueError(f"unknown shard worker mode {mode!r}")
         if mode == "process" and "fork" not in multiprocessing.get_all_start_methods():
@@ -222,10 +318,11 @@ class ShardPool:
         self.num_shards = config.workers
         self.mode = mode
         self.llm = llm
-        self.on_entry = on_entry
+        self.lexicons = lexicons
+        self.on_entry: Optional[Callable[[int, dict], None]] = None
         self.entries: Dict[int, dict] = {}
         self._entries_lock = threading.Lock()
-        self._metrics_lock = threading.Lock()
+        self._status_lock = threading.Lock()
         self._workers: List[_Worker] = []
         self._started = False
         self._drained = False
@@ -240,53 +337,72 @@ class ShardPool:
         above every request id the shard's journal has seen).  On a durable
         pool this is where each shard independently replays its journal —
         replayed entries stream through ``on_entry`` before ready fires.
+
+        A refused configuration raises here, before anything is spawned.
+        A thread worker that fails to boot re-raises its own exception; a
+        process worker's failure raises :class:`ShardPoolError`.
         """
         if self._started:
             raise ShardPoolError("pool already started")
         self._started = True
         self._check_state_meta()
-        context = multiprocessing.get_context("fork") if self.mode == "process" else None
-        # Spawn first, listen second: forked children must not inherit the
-        # listener threads (a forked lock held by a thread that does not
-        # exist in the child is a deadlock).
-        for index in range(self.num_shards):
-            parent_conn, child_conn = multiprocessing.Pipe()
-            config = self.worker_config(index)
-            if self.mode == "process":
-                runner = context.Process(
-                    target=_shard_worker_main,
-                    args=(child_conn, config, index, self.llm),
-                    name=f"repro-shard-{index}",
-                    daemon=True,
-                )
-                runner.start()
-                child_conn.close()
-            else:
-                worker_llm = copy.deepcopy(self.llm)
-                runner = threading.Thread(
-                    target=_shard_worker_main,
-                    args=(child_conn, config, index, worker_llm),
-                    name=f"repro-shard-{index}",
-                    daemon=True,
-                )
-                runner.start()
-            self._workers.append(_Worker(index=index, conn=parent_conn, runner=runner))
-        for worker in self._workers:
-            worker.listener = threading.Thread(
-                target=self._listen, args=(worker,), name=f"repro-shard-listen-{worker.index}"
+        # Every model copy is taken before any worker starts mutating the
+        # caller's model (shard 0 of a thread pool serves it directly).
+        servers = [
+            ShardServer(
+                self.worker_config(index),
+                self.llm if index == 0 or self.mode == "process" else copy.deepcopy(self.llm),
+                lexicons=self.lexicons,
+                index=index,
             )
-            worker.listener.start()
+            for index in range(self.num_shards)
+        ]
+        context = multiprocessing.get_context("fork") if self.mode == "process" else None
+        for server in servers:
+            worker = _Worker(index=server.index, server=server)
+            name = f"repro-shard-{server.index}"
+            if self.mode == "process":
+                worker.conn, child = multiprocessing.Pipe()
+                worker.runner = context.Process(
+                    target=_shard_worker_main, args=(child, server), name=name, daemon=True
+                )
+                worker.runner.start()
+                child.close()
+            else:
+                inbox: "queue.SimpleQueue" = queue.SimpleQueue()
+                worker.conn = _ParentEnd(inbox)
+                child = _WorkerEnd(inbox, functools.partial(self._handle, worker))
+                worker.runner = threading.Thread(
+                    target=_shard_worker_main, args=(child, server), name=name, daemon=True
+                )
+                worker.runner.start()
+            self._workers.append(worker)
+        if self.mode == "process":
+            # Listen only after every fork: forked children must not inherit
+            # the listener threads (a forked lock held by a thread that does
+            # not exist in the child is a deadlock).
+            for worker in self._workers:
+                worker.listener = threading.Thread(
+                    target=self._listen, args=(worker,), name=f"repro-shard-listen-{worker.index}"
+                )
+                worker.listener.start()
         deadline = time.monotonic() + timeout
         for worker in self._workers:
             remaining = max(0.0, deadline - time.monotonic())
             if not worker.ready.wait(remaining):
+                self.terminate()
                 raise ShardPoolError(f"shard {worker.index} not ready after {timeout}s")
             if worker.error is not None:
+                self.terminate()
+                if worker.exception is not None:
+                    raise worker.exception
                 raise ShardPoolError(f"shard {worker.index} failed: {worker.error}")
         return [worker.ready_info for worker in self._workers]
 
     def worker_config(self, index: int) -> ServeConfig:
-        """The run's config with shard ``index``'s directories filled in."""
+        """The config shard ``index`` serves (its own directories filled in)."""
+        if self.num_shards == 1:
+            return self.config
         state, adapters = self.config.state_dir, self.config.adapter_dir
         return self.config.with_(
             state_dir=state and shard_state_dir(state, index),
@@ -294,12 +410,18 @@ class ShardPool:
         )
 
     def _check_state_meta(self) -> None:
-        """Write or validate the topology manifest of a durable state root."""
+        """Fence the topology of a durable state root (write it when fresh).
+
+        Several workers record ``shards.json`` (shard count, load, scale);
+        one worker serves from the root itself, so a root ``journal.log``
+        with no manifest counts as one shard.  Existing state without
+        ``resume``, a different worker count, or a manifest recorded for a
+        different load raises :class:`JournalError`.
+        """
         config = self.config
         if config.state_dir is None:
             return
         state_root = Path(config.state_dir)
-        state_root.mkdir(parents=True, exist_ok=True)
         meta_path = state_root / SHARDS_META_FILE
         meta = {
             "num_shards": self.num_shards,
@@ -307,91 +429,109 @@ class ShardPool:
             "scale": config.resolved_scale().name,
         }
         if meta_path.is_file():
-            if not config.resume:
-                raise JournalError(
-                    f"sharded state already exists at {state_root}; pass resume=True to replay it"
-                )
             recorded = json.loads(meta_path.read_text())
-            if recorded.get("num_shards") != self.num_shards:
-                raise JournalError(
-                    f"state dir was written with {recorded.get('num_shards')} shards; "
-                    f"refusing to resume with {self.num_shards} (rehashing would "
-                    "scramble user->shard assignments)"
-                )
-            if recorded.get("load") != meta["load"]:
-                raise JournalError(
-                    "sharded state dir was recorded for a different load "
-                    "configuration; refusing to resume"
-                )
+        elif (state_root / JOURNAL_FILE).is_file():
+            recorded = {"num_shards": 1}
         else:
-            meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True))
+            if self.num_shards > 1:
+                state_root.mkdir(parents=True, exist_ok=True)
+                meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True))
+            return
+        if not config.resume:
+            raise JournalError(
+                f"serving state already exists at {state_root}; pass resume=True to replay it"
+            )
+        if recorded.get("num_shards") != self.num_shards:
+            raise JournalError(
+                f"state dir was written by {recorded.get('num_shards')} worker(s); refusing "
+                f"to resume with {self.num_shards} (a different number of shards would "
+                "scramble user->shard assignments)"
+            )
+        if "load" in recorded and recorded["load"] != meta["load"]:
+            raise JournalError(
+                "sharded state dir was recorded for a different load "
+                "configuration; refusing to resume"
+            )
+
+    def _handle(self, worker: _Worker, message: tuple) -> None:
+        """Apply one worker message (listener thread or thread worker)."""
+        kind = message[0]
+        if kind == "entry":
+            _, request_id, entry = message
+            with self._entries_lock:
+                self.entries[request_id] = entry
+            if self.on_entry is not None:
+                self.on_entry(request_id, entry)
+        elif kind == "ready":
+            worker.ready_info = message[1]
+            worker.ready.set()
+        elif kind == "status":
+            worker.status = message[1]
+            worker.status_ready.set()
+        elif kind in ("done", "error"):
+            if kind == "done":
+                worker.summary = message[1]
+            else:
+                worker.error, worker.exception = message[1], message[2]
+            worker.done.set()
+            worker.ready.set()
+            worker.status_ready.set()
 
     def _listen(self, worker: _Worker) -> None:
-        """Drain one worker's pipe until done/error/EOF (its own thread)."""
-        while True:
+        """Drain one process worker's pipe until done/error/EOF (its own thread)."""
+        while not worker.done.is_set():
             try:
                 message = worker.conn.recv()
             except (EOFError, OSError):
-                if worker.error is None and worker.summary is None:
-                    worker.error = "worker pipe closed unexpectedly (process died?)"
-                worker.ready.set()
-                worker.done.set()
-                return
-            kind = message[0]
-            if kind == "entry":
-                _, request_id, entry = message
-                with self._entries_lock:
-                    self.entries[request_id] = entry
-                if self.on_entry is not None:
-                    self.on_entry(request_id, entry)
-            elif kind == "ready":
-                worker.ready_info = message[1]
-                worker.ready.set()
-            elif kind == "metrics":
-                worker.metrics_snapshot = message[1]
-                worker.metrics_ready.set()
-            elif kind == "done":
-                worker.summary = message[1]
-                worker.ready.set()
-                worker.done.set()
-                return
-            elif kind == "error":
-                worker.error = message[1]
-                worker.ready.set()
-                worker.done.set()
-                return
+                message = ("error", "worker pipe closed unexpectedly (process died?)", None)
+            self._handle(worker, message)
+
+    def request_stop(self, signum: int = signal.SIGTERM) -> None:
+        """Ask every worker to stop at its next turn boundary (graceful drain).
+
+        A thread worker's scheduler is asked directly; a process worker gets
+        ``signum`` forwarded and stops in its own main thread.  Safe to call
+        from a signal handler.  What is still queued stays journaled for a
+        later ``resume``.
+        """
+        for worker in self._workers:
+            if self.mode == "thread":
+                worker.server.request_stop()
+            elif worker.runner.is_alive():
+                try:
+                    os.kill(worker.runner.pid, signum)
+                except ProcessLookupError:
+                    pass
 
     # -------------------------------------------------------------- #
     # routing + serving
     # -------------------------------------------------------------- #
-    def shard_for(self, user_id: str) -> int:
-        return self.ring.shard_for(user_id)
-
     def submit(self, request: Request) -> int:
         """Route one request to its shard; returns the shard index."""
         index = self.ring.shard_for(request.user_id)
-        self._send(index, ("serve", [encode_request(request)]))
+        self._send(self._workers[index], ("serve", [request]))
         return index
 
     def submit_many(self, requests: Sequence[Request]) -> None:
         """Route a batch, one message per shard, preserving arrival order."""
-        grouped: Dict[int, List[dict]] = {}
+        grouped: Dict[int, List[Request]] = {}
         for request in requests:
-            grouped.setdefault(self.ring.shard_for(request.user_id), []).append(
-                encode_request(request)
-            )
-        for index, encoded in grouped.items():
-            self._send(index, ("serve", encoded))
+            grouped.setdefault(self.ring.shard_for(request.user_id), []).append(request)
+        for index, batch in grouped.items():
+            self._send(self._workers[index], ("serve", batch))
 
-    def _send(self, index: int, message) -> None:
-        worker = self._workers[index]
+    def _send(self, worker: _Worker, message) -> None:
+        if worker.done.is_set():
+            raise ShardPoolError(
+                f"shard {worker.index} is not accepting requests ({worker.error or 'drained'})"
+            )
         try:
             with worker.send_lock:
                 worker.conn.send(message)
         except (OSError, BrokenPipeError) as error:
             detail = worker.error or f"{type(error).__name__}: {error}"
             raise ShardPoolError(
-                f"shard {index} is not accepting requests ({detail})"
+                f"shard {worker.index} is not accepting requests ({detail})"
             ) from None
 
     def drain(self, timeout: float = 600.0) -> List[dict]:
@@ -405,10 +545,9 @@ class ShardPool:
         self._drained = True
         for worker in self._workers:
             try:
-                with worker.send_lock:
-                    worker.conn.send(("drain",))
-            except (OSError, BrokenPipeError):
-                pass  # already dead; the listener recorded the error
+                self._send(worker, ("drain",))
+            except ShardPoolError:
+                pass  # already dead; the error is recorded
         deadline = time.monotonic() + timeout
         failures = []
         for worker in self._workers:
@@ -416,7 +555,8 @@ class ShardPool:
             if not worker.done.wait(remaining):
                 failures.append(f"shard {worker.index} did not drain within {timeout}s")
                 continue
-            worker.listener.join(timeout=10.0)
+            if worker.listener is not None:
+                worker.listener.join(timeout=10.0)
             worker.runner.join(timeout=10.0)
             if worker.error is not None:
                 failures.append(f"shard {worker.index}: {worker.error}")
@@ -448,39 +588,49 @@ class ShardPool:
             entries = list(self.entries.values())
         return sorted(entries, key=lambda entry: (entry["user_id"], entry["user_seq"]))
 
-    def metrics_snapshots(self, timeout: float = 30.0) -> List[dict]:
-        """One registry snapshot per live-or-drained shard.
+    def statuses(self, timeout: float = 30.0) -> List[dict]:
+        """One live :meth:`ShardServer.status` per live-or-drained shard.
 
-        Drained workers already attached their final snapshot to the done
-        summary; live workers are polled over the pipe (the request is
-        answered between batches, so a busy shard can take up to one batch
-        to reply).  Workers that died or time out are skipped — a partial
-        merged view beats no view during an incident.
+        A drained worker's comes from its summary, and a thread worker's is
+        read in place.  A process worker is asked over its pipe and answers
+        between batches, so a busy shard can take up to one batch to reply.
+        Workers that died or time out are skipped — a partial view beats no
+        view during an incident.
         """
-        with self._metrics_lock:
-            return self._metrics_snapshots_locked(timeout)
+        with self._status_lock:
+            views: Dict[int, dict] = {}
+            asked: List[_Worker] = []
+            for worker in self._workers:
+                if worker.done.is_set() or self.mode == "thread":
+                    view = self._view(worker)
+                    if view is not None:
+                        views[worker.index] = view
+                    continue
+                worker.status_ready.clear()
+                try:
+                    self._send(worker, ("status",))
+                except ShardPoolError:
+                    continue
+                asked.append(worker)
+            deadline = time.monotonic() + timeout
+            for worker in asked:
+                remaining = max(0.0, deadline - time.monotonic())
+                if worker.status_ready.wait(remaining):
+                    view = self._view(worker) if worker.done.is_set() else worker.status
+                    if view is not None:
+                        views[worker.index] = view
+            return [views[index] for index in sorted(views)]
 
-    def _metrics_snapshots_locked(self, timeout: float) -> List[dict]:
-        pending: List[_Worker] = []
-        snapshots: List[dict] = []
-        for worker in self._workers:
-            if worker.done.is_set():
-                if worker.summary is not None and worker.summary.get("metrics"):
-                    snapshots.append(worker.summary["metrics"])
-                continue
-            worker.metrics_ready.clear()
-            try:
-                self._send(worker.index, ("metrics",))
-            except ShardPoolError:
-                continue
-            pending.append(worker)
-        deadline = time.monotonic() + timeout
-        for worker in pending:
-            remaining = max(0.0, deadline - time.monotonic())
-            if worker.metrics_ready.wait(remaining) and worker.metrics_snapshot is not None:
-                snapshots.append(worker.metrics_snapshot)
-        return snapshots
+    @staticmethod
+    def _view(worker: _Worker) -> Optional[dict]:
+        """A drained worker's final status, or a thread worker's live one."""
+        if not worker.done.is_set():
+            return worker.server.status()
+        summary = worker.summary
+        if summary is None:
+            return None
+        return {"metrics": summary["metrics"], "health": summary["health"], "queue_depths": {}}
 
     def merged_metrics(self, timeout: float = 30.0) -> dict:
         """All shard snapshots merged into one pool-wide view."""
-        return merge_snapshots(self.metrics_snapshots(timeout))
+        return merge_snapshots(view["metrics"] for view in self.statuses(timeout))

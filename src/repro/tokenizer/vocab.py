@@ -8,10 +8,8 @@ stays CPU-friendly while preserving the interfaces the framework needs.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence
 
 
 class SpecialTokens:
@@ -111,19 +109,3 @@ class Vocabulary:
     def special_ids(self) -> List[int]:
         """Ids of all special tokens."""
         return [self._token_to_id[token] for token in SpecialTokens.ALL]
-
-    # -- persistence -------------------------------------------------------- #
-    def save(self, path: Union[str, Path]) -> Path:
-        """Write the vocabulary to a JSON file (id order preserved)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({"tokens": self._id_to_token}, indent=2))
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "Vocabulary":
-        """Load a vocabulary written by :meth:`save`."""
-        data = json.loads(Path(path).read_text())
-        tokens = data["tokens"]
-        non_special = [token for token in tokens if token not in SpecialTokens.ALL]
-        return cls(non_special)

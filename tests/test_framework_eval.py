@@ -173,12 +173,6 @@ class TestLearningCurve:
         assert curve.is_monotone_increasing()
         assert curve.seen() == [0, 10, 20]
 
-    def test_area_under_curve(self):
-        curve = LearningCurve.from_result(self._result(values=(0.0, 1.0)))
-        assert curve.area_under_curve() == pytest.approx(0.5)
-        empty = LearningCurve(method="x")
-        assert empty.area_under_curve() == 0.0
-
     def test_comparisons_and_formatting(self):
         curves = [
             LearningCurve.from_result(self._result("ours", (0.1, 0.5))),

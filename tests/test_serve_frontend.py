@@ -9,6 +9,7 @@ same stack ``repro serve --listen`` boots, minus the subprocess (the CI
 import asyncio
 import os
 import threading
+import time
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.serve.frontend import (
     ERR_PROTOCOL,
     ERR_UNKNOWN_OP,
     FRAME_BUSY,
+    FRAME_DEAD_LETTER,
     FRAME_DONE,
     FRAME_ERROR,
     FRAME_HELLO,
@@ -41,7 +43,7 @@ from repro.serve.config import ServeConfig
 from repro.serve.faults import FaultPlan
 from repro.serve.journal import JournalError
 from repro.serve.loadgen import LoadConfig, build_serving_llm
-from repro.serve.runner import aggregate_transcript_digest, normalize_entry
+from repro.serve.runner import ShardServer, aggregate_transcript_digest, normalize_entry
 from repro.serve.adapter_store import LoRAAdapterStore
 
 
@@ -71,7 +73,7 @@ def pristine_llm(frontend_env):
     return frontend_env["llm"]
 
 
-def boot(frontend_env, start_worker=True, **kwargs):
+def boot(frontend_env, **kwargs):
     """Boot one front-end from pristine state; returns (server, host, port)."""
     config = ServeConfig(
         load=LoadConfig(seed=0),
@@ -83,7 +85,6 @@ def boot(frontend_env, start_worker=True, **kwargs):
         config,
         llm=pristine_llm(frontend_env),
         lexicons=frontend_env["lexicons"],
-        start_worker=start_worker,
     )
     server = FrontendThread(frontend)
     host, port = server.start()
@@ -276,16 +277,24 @@ class TestStreamingAndDrain:
 
 
 class TestBackpressure:
-    def test_blind_pipelining_is_refused_not_buffered(self, frontend_env):
-        """With the worker parked (``start_worker=False``) nothing ever
-        leaves the bridge, so admission alone decides: a client pipelining
-        past its per-user cap gets ``user_limit``, a second user pushing the
-        total past the global bound gets ``queue_full``, and the bridge depth
-        never exceeds its configured bound.  The drain then serves everything
+    def test_blind_pipelining_is_refused_not_buffered(self, frontend_env, monkeypatch):
+        """With the shard worker held inside its first batch nothing
+        finishes, so admission alone decides: a client pipelining past its
+        per-user cap gets ``user_limit``, a second user pushing the total
+        past the global bound gets ``queue_full``, and the bridge depth never
+        exceeds its configured bound.  Released, the drain serves everything
         that *was* admitted and flushes the results before closing."""
-        server, host, port = boot(
-            frontend_env, start_worker=False, max_queue_depth=3, max_inflight_per_user=2
-        )
+        release = threading.Event()
+        serve = ShardServer.serve
+
+        def held_serve(self, requests=()):
+            requests = list(requests)
+            if requests:
+                release.wait(timeout=60)
+            serve(self, requests)
+
+        monkeypatch.setattr(ShardServer, "serve", held_serve)
+        server, host, port = boot(frontend_env, max_queue_depth=3, max_inflight_per_user=2)
         frontend = server.frontend
 
         async def scenario():
@@ -306,6 +315,7 @@ class TestBackpressure:
             busy_b = decode_frame(await reader_b.readuntil(b"\n"))
 
             depth_at_peak = frontend.bridge.inflight_total
+            release.set()
             frontend.request_drain()
             frames_a = await read_frames_until_eof(reader_a)
             frames_b = await read_frames_until_eof(reader_b)
@@ -415,6 +425,49 @@ class TestAllDeadLetterOverSocket:
         assert exit_code["value"] == 3
 
 
+class TestDeadWorker:
+    def test_every_waiting_client_gets_a_dead_letter(self, frontend_env, monkeypatch):
+        """A serving failure ends the shard worker.  The request it held is
+        answered with a dead letter at the drain, a request admitted after
+        its death at once, and the drain completes with the failure in the
+        front-end's health."""
+
+        def broken_serve(self, requests=()):
+            if list(requests):
+                raise RuntimeError("injected serving failure")
+
+        monkeypatch.setattr(ShardServer, "serve", broken_serve)
+        server, host, port = boot(frontend_env)
+        frontend = server.frontend
+
+        async def scenario():
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(encode_frame({"op": "connect", "user_id": "user_00"}))
+            writer.write(encode_frame({"op": "chat", "question": "q0"}))
+            await writer.drain()
+            hello = decode_frame(await reader.readuntil(b"\n"))
+            deadline = time.monotonic() + 60
+            # A dead worker reports no status.
+            while frontend.bridge.pool.statuses() and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+            async with ServeClient(host, port) as client:
+                await client.connect("user_01")
+                later = await client.chat("q1")
+            frontend.request_drain()
+            frames = await read_frames_until_eof(reader)
+            writer.close()
+            await writer.wait_closed()
+            return hello, later, frames
+
+        hello, later, frames = asyncio.run(scenario())
+        outcome = server.stop()
+        assert hello["frame"] == FRAME_HELLO
+        assert later.dead_letter
+        assert [frame["frame"] for frame in frames] == [FRAME_DEAD_LETTER]
+        assert outcome.total_requests == 0
+        assert frontend.bridge.health.state.value == "failed"
+
+
 def drive_within(host, port, load, timeout=120.0):
     """``drive_load`` that fails instead of hanging when a client is stranded."""
     outcomes = []
@@ -428,7 +481,7 @@ def drive_within(host, port, load, timeout=120.0):
 
 
 class TestSharedRecoveryCore:
-    """Both front-end topologies recover through the one serving core."""
+    """The front-end recovers through the one serving core at any worker count."""
 
     def frontend(self, frontend_env, seed=0, **changes):
         config = ServeConfig(
@@ -495,10 +548,7 @@ class TestSharedRecoveryCore:
         drive_within(host, port, LoadConfig(num_users=2, num_requests=2, chat_only=True))
         server.stop()
         assert synced, "no journal append was fsynced"
-        bridge = frontend.bridge
-        if workers == 1:
-            cores = [bridge.server.config]
-        else:
-            cores = [bridge.pool.worker_config(index) for index in range(workers)]
+        pool = frontend.bridge.pool
+        cores = [pool.worker_config(index) for index in range(workers)]
         assert [config.max_restarts for config in cores] == [3] * workers
         assert all(config.fsync for config in cores)

@@ -11,9 +11,12 @@ fences, and the CLI contract.
 """
 
 import json
+import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.cli import main
+from repro.experiments.presets import get_scale
 from repro.serve import (
     LoadConfig,
     ServeConfig,
@@ -217,11 +221,18 @@ class TestShardedServe:
             shard["journal_digest"] for shard in first.shards
         ]
 
-    def test_resume_refuses_different_worker_count(self, pretrained_llm, tmp_path):
+    @pytest.mark.parametrize("written, resumed", [(2, 4), (1, 2), (2, 1)])
+    def test_resume_refuses_different_worker_count(
+        self, pretrained_llm, tmp_path, written, resumed
+    ):
+        """The topology fence holds at every worker count: a one-worker
+        state root (``journal.log``, no manifest) counts as one shard."""
         state = tmp_path / "state"
-        self.sharded(pretrained_llm, 2, state_dir=state)
+        self.sharded(pretrained_llm, written, state_dir=state)
         with pytest.raises(JournalError, match="shards"):
-            self.sharded(pretrained_llm, 4, state_dir=state, resume=True)
+            self.sharded(pretrained_llm, resumed, state_dir=state, resume=True)
+        assert not (state / "journal.log").exists() or written == 1
+        assert not shard_state_dir(state, 0).exists() or written > 1
 
     def test_fresh_run_refuses_existing_state(self, pretrained_llm, tmp_path):
         state = tmp_path / "state"
@@ -252,6 +263,38 @@ class TestShardedFrontend:
             digests[workers] = outcome.transcript_digest
         assert digests[1] == digests[2]
 
+    def test_thread_workers_answer_every_request_once_under_contention(self, pretrained_llm):
+        """Thread workers hand entries to the pool and the bridge from their
+        own threads.  With more workers than cores and a very short switch
+        interval, every request is still answered exactly once and the
+        bridge ends with nothing in flight."""
+        from repro.serve import FrontendThread, ServeFrontend, drive_load
+
+        load = LoadConfig(num_users=8, num_requests=48, chat_only=True, seed=0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            frontend = ServeFrontend(
+                ServeConfig(load=load, workers=4), llm=pretrained_llm.clone(), shard_mode="thread"
+            )
+            server = FrontendThread(frontend)
+            host, port = server.start()
+            results = []
+            driver = threading.Thread(
+                target=lambda: results.extend(drive_load(host, port, load)), daemon=True
+            )
+            driver.start()
+            driver.join(120)
+            assert not driver.is_alive(), "clients were still waiting after 120 s"
+            outcome = server.stop()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == load.num_requests
+        assert not any(result.dead_letter for result in results)
+        assert outcome.total_requests == load.num_requests
+        assert frontend.bridge.inflight_total == 0
+        assert sorted(frontend.bridge.pool.entries) == list(range(load.num_requests))
+
 
 SHARD_CLI_ARGS = [
     "serve",
@@ -266,13 +309,17 @@ SHARD_CLI_ARGS = [
 ]
 
 
-def run_sharded_cli(state_dir, resume=False, crash_point=None):
-    """One ``repro serve --workers 2`` subprocess (chaos-style harness)."""
-    import os
-
+def cli_env():
+    """The environment of a ``repro`` subprocess: this source tree, no crash armed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_ROOT + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("REPRO_CRASH_POINT", None)
+    return env
+
+
+def run_sharded_cli(state_dir, resume=False, crash_point=None):
+    """One ``repro serve --workers 2`` subprocess (chaos-style harness)."""
+    env = cli_env()
     if crash_point is not None:
         env["REPRO_CRASH_POINT"] = crash_point
         env["REPRO_CRASH_HIT"] = "1"
@@ -304,8 +351,8 @@ class TestShardedCLI:
         assert adapters
 
     def test_single_worker_cli_prints_comparable_aggregate(self, tmp_path, capsys):
-        """``--workers 1`` serves in process but must emit the same
-        transcript digest a sharded run of the load prints."""
+        """``--workers 1`` (one worker thread) must emit the same transcript
+        digest a two-worker run of the load prints."""
         single_out = tmp_path / "single"
         args = [arg for arg in SHARD_CLI_ARGS if arg not in ("--workers", "2")]
         assert main([*args, "--out", str(single_out)]) == 0
@@ -341,3 +388,116 @@ def _digest_from(stdout: str) -> str:
         if line.startswith("transcript digest:"):
             return line.split(":", 1)[1].strip()
     raise AssertionError(f"no digest line in output:\n{stdout}")
+
+
+STOP_LOAD = LoadConfig(num_users=2, num_requests=40, personalize_every=3, seed=0)
+
+STOP_CLI_ARGS = [
+    "serve",
+    "--users", "2",
+    "--requests", "40",
+    "--personalize-every", "3",
+    "--scale", "smoke",
+    "--pretrain-epochs", "1",
+    "--seed", "0",
+    "--no-artifacts",
+    "--quiet",
+]
+
+
+@pytest.fixture(scope="module")
+def stop_load_digest():
+    """The transcript digest of the graceful-stop load served without a stop."""
+    config = ServeConfig(load=STOP_LOAD, scale=get_scale("smoke", seed=0), pretrain_epochs=1)
+    return run_serve(config).transcript_digest
+
+
+def _journal_records(path: Path) -> int:
+    return path.read_bytes().count(b"\n") if path.is_file() else 0
+
+
+class TestGracefulStop:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sigterm_stops_every_worker_and_resume_completes(
+        self, tmp_path, stop_load_digest, workers
+    ):
+        """SIGTERM to ``repro serve`` stops every worker at a turn boundary:
+        the run exits 0 having served part of the load, the rest stays
+        journaled, and ``--resume`` completes it to the digest of a run that
+        was never stopped."""
+        state = tmp_path / "state"
+        command = [
+            sys.executable, "-m", "repro", *STOP_CLI_ARGS,
+            "--workers", str(workers), "--state-dir", str(state),
+        ]
+        journals = (
+            [state / "journal.log"]
+            if workers == 1
+            else [shard_state_dir(state, index) / "journal.log" for index in range(workers)]
+        )
+        process = subprocess.Popen(
+            command, env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        )
+        try:
+            deadline = time.monotonic() + 120
+            # The meta record comes at boot; an enqueue record means serving began.
+            while not any(_journal_records(path) > 1 for path in journals):
+                assert process.poll() is None, "serve ended before it could be stopped"
+                assert time.monotonic() < deadline, "no journal records within 120 s"
+                time.sleep(0.01)
+            process.send_signal(signal.SIGTERM)
+            stdout, stderr = process.communicate(timeout=120)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        assert process.returncode == 0, stderr
+        served = int(stdout.split("served ", 1)[1].split(" ", 1)[0])
+        assert served < STOP_LOAD.num_requests
+        resumed = subprocess.run(
+            [*command, "--resume"], env=cli_env(), capture_output=True, text=True, timeout=240
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        assert f"served {STOP_LOAD.num_requests} requests" in resumed.stdout
+        assert _digest_from(resumed.stdout) == stop_load_digest
+
+    def test_workers_behind_listen_serve_through_a_signal(self, tmp_path):
+        """Behind ``--listen`` the parent drains on SIGINT/SIGTERM.  Forked
+        workers that get the signal too (a terminal's Ctrl-C reaches the
+        whole process group) keep serving, so every request is answered."""
+        from repro.serve.client import drive_load, request_shutdown
+        from repro.serve.frontend import wait_for_port_file
+
+        port_file = tmp_path / "port"
+        command = [
+            sys.executable, "-m", "repro", "serve", "--listen", "127.0.0.1:0",
+            "--port-file", str(port_file), "--workers", "2", "--scale", "smoke",
+            "--pretrain-epochs", "1", "--out", str(tmp_path / "out"), "--quiet",
+        ]
+        process = subprocess.Popen(
+            command, env=cli_env(), cwd=tmp_path, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+        )
+        load = LoadConfig(num_users=3, num_requests=12, personalize_every=4, seed=0)
+        results = []
+        try:
+            port = wait_for_port_file(port_file, timeout=120)
+            children = Path(f"/proc/{process.pid}/task/{process.pid}/children").read_text()
+            assert len(children.split()) == 2
+            for child in children.split():
+                os.kill(int(child), signal.SIGINT)
+            driver = threading.Thread(
+                target=lambda: results.extend(drive_load("127.0.0.1", port, load)), daemon=True
+            )
+            driver.start()
+            driver.join(120)
+            assert not driver.is_alive(), "clients were still waiting after 120 s"
+            request_shutdown("127.0.0.1", port)
+            _, stderr = process.communicate(timeout=120)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        assert process.returncode == 0, stderr
+        assert len(results) == load.num_requests
+        assert not any(result.dead_letter for result in results)

@@ -41,12 +41,6 @@ class TestVocabulary:
         vocab_b = Vocabulary.build([["a", "b", "b", "a"]])
         assert vocab_a.tokens() == vocab_b.tokens()
 
-    def test_save_load_roundtrip(self, tmp_path):
-        vocab = Vocabulary(["apple", "banana"])
-        path = vocab.save(tmp_path / "vocab.json")
-        loaded = Vocabulary.load(path)
-        assert loaded.tokens() == vocab.tokens()
-
     def test_id_out_of_range_raises(self):
         vocab = Vocabulary(["a"])
         with pytest.raises(IndexError):
