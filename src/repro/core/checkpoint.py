@@ -12,8 +12,9 @@ split into one file per state section plus a JSON manifest:
     Model weights (base + LoRA adapters), LoRA config, train/eval mode, the
     generation RNG and every dropout-layer RNG.
 ``finetuner.pkl``
-    The fine-tuner's epoch-shuffling RNG plus the AdamW optimizer state
-    (learning rate, step count, first/second moments).
+    The fine-tuner's epoch-shuffling RNG.  Each fine-tuning round builds
+    and drops its own AdamW, so no optimizer state is saved; a section that
+    still carries an ``optimizer`` entry restores the same way.
 ``buffer.pkl``
     The :class:`~repro.core.buffer.DataBuffer` contents — dialogue sets,
     cached embeddings, dominant domains, quality scores — plus insertion /

@@ -489,10 +489,10 @@ class PipelineEngine:
         Sections (all picklable): run progress (stream cursor, rounds, the
         learning curve, fine-tune reports), the model runtime state (weights
         incl. LoRA, mode, generation + dropout RNGs), the fine-tuner state
-        (epoch-shuffling RNG + optimizer moments), the buffer contents, and
-        the remaining components' ``state_dict`` snapshots — so a custom
-        selector that overrides :meth:`SelectionPolicy.state_dict` is
-        checkpointed faithfully too.
+        (its epoch-shuffling RNG; each round builds its own optimizer), the
+        buffer contents, and the remaining components' ``state_dict``
+        snapshots — so a custom selector that overrides
+        :meth:`SelectionPolicy.state_dict` is checkpointed faithfully too.
 
         Buffer entries are aliased, not copied: an entry is only mutated
         (annotated) inside the same process_dialogue call that inserted it,

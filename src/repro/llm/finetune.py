@@ -32,7 +32,8 @@ class FineTuneConfig:
     Paper defaults: batch size 128, learning rate 3e-4, 100 epochs, LoRA rank
     8 / alpha 16 / dropout 0.05, max sequence length 512.  The structural
     defaults here match; the epoch count is the CPU-scale default and can be
-    raised to the paper's value through the config.
+    raised to the paper's value through the config.  Every round trains
+    with a fresh AdamW built from ``learning_rate`` and ``weight_decay``.
     """
 
     epochs: int = 8
@@ -42,7 +43,6 @@ class FineTuneConfig:
     max_grad_norm: Optional[float] = 1.0
     max_seq_len: Optional[int] = None
     lora: LoRAConfig = field(default_factory=LoRAConfig)
-    reset_optimizer_each_round: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -184,41 +184,19 @@ class LoRAFineTuner:
         self.config = config or FineTuneConfig()
         self._rng = as_generator(self.config.seed)
         self.llm.add_lora(self.config.lora)
-        self._optimizer = self._build_optimizer()
-
-    def _build_optimizer(self) -> AdamW:
-        """A fresh AdamW over the current LoRA parameters."""
-        return AdamW(
-            lora_parameters(self.llm.model),
-            lr=self.config.learning_rate,
-            weight_decay=self.config.weight_decay,
-        )
-
-    @property
-    def optimizer(self) -> AdamW:
-        """The AdamW optimizer driving the LoRA parameters."""
-        return self._optimizer
-
-    def set_learning_rate(self, learning_rate: float) -> None:
-        """Override the learning rate (used by the √batch scaling rule)."""
-        self._optimizer.set_lr(learning_rate)
 
     # -- serialization (the checkpoint contract) --------------------------- #
     def state_dict(self) -> dict:
-        """Picklable snapshot: epoch-shuffling RNG plus the optimizer state."""
-        return {
-            "rng": get_generator_state(self._rng),
-            "optimizer": self._optimizer.state_dict(),
-        }
+        """Picklable snapshot: the epoch-shuffling RNG.
+
+        Each round builds and drops its own optimizer, so nothing else
+        outlives a round.
+        """
+        return {"rng": get_generator_state(self._rng)}
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`state_dict`.
-
-        The fine-tuner must manage the same LoRA parameters (same model
-        architecture and adapter config) as when the snapshot was taken.
-        """
+        """Restore a snapshot produced by :meth:`state_dict`."""
         set_generator_state(self._rng, state["rng"])
-        self._optimizer.load_state_dict(state["optimizer"])
 
     # ------------------------------------------------------------------ #
     def finetune(self, dialogues: Sequence[DialogueSet]) -> FineTuneReport:
@@ -242,14 +220,14 @@ class LoRAFineTuner:
         if not examples:
             return FineTuneReport(0, 0, [], 0.0, 0.0)
 
-        if self.config.reset_optimizer_each_round:
-            # Each fine-tuning round is its own optimization session: stale
-            # Adam moment estimates from a previous round (computed on
-            # different data) otherwise destabilise the first steps.
-            learning_rate = self._optimizer.lr
-            self._optimizer = self._build_optimizer()
-            self._optimizer.set_lr(learning_rate)
-
+        # Each round is its own optimization session: stale Adam moments
+        # from a previous round (computed on different data) would
+        # destabilise the first steps.
+        optimizer = AdamW(
+            lora_parameters(self.llm.model),
+            lr=self.config.learning_rate,
+            weight_decay=self.config.weight_decay,
+        )
         start = time.perf_counter()
         losses: List[float] = []
         take = collate_round(self.llm, examples)
@@ -260,7 +238,7 @@ class LoRAFineTuner:
             for batch_start in range(0, len(examples), self.config.batch_size):
                 batch = take(order[batch_start : batch_start + self.config.batch_size])
                 epoch_losses.append(
-                    train_batch(self.llm.model, self._optimizer, batch, self.config.max_grad_norm)
+                    train_batch(self.llm.model, optimizer, batch, self.config.max_grad_norm)
                 )
             losses.append(float(np.mean(epoch_losses)))
         self.llm.model.eval()

@@ -41,7 +41,6 @@ class GenerationConfig:
 
     max_new_tokens: int = 32
     temperature: float = 0.5
-    top_k: Optional[int] = None
     greedy: bool = False
     stop_token_id: Optional[int] = None
     repetition_penalty: float = 1.0
@@ -50,8 +49,6 @@ class GenerationConfig:
         require_positive("max_new_tokens", self.max_new_tokens)
         if self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.top_k is not None and self.top_k <= 0:
-            raise ValueError(f"top_k must be positive when given, got {self.top_k}")
         if self.repetition_penalty < 1.0:
             raise ValueError(
                 f"repetition_penalty must be >= 1.0, got {self.repetition_penalty}"
@@ -104,9 +101,6 @@ def sample_next_token(
     if config.greedy:
         return int(np.argmax(logits))
     scaled = logits / config.temperature
-    if config.top_k is not None and config.top_k < scaled.size:
-        cutoff = np.partition(scaled, -config.top_k)[-config.top_k]
-        scaled = np.where(scaled < cutoff, -np.inf, scaled)
     scaled = scaled - scaled.max()
     probabilities = np.exp(scaled)
     probabilities /= probabilities.sum()

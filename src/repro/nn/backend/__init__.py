@@ -14,7 +14,7 @@ train_step` tapes the residuals each forward kernel returns and replays them
 LIFO through ``VJPS`` (the HIPS-autograd idea of recorded primitives with
 gradients applied in reverse, written out once for the transformer).
 Inference runs the same forward kernels through :meth:`~repro.nn.transformer.
-TransformerLM.infer`, the prefill and the decode steps.  The autograd
+TransformerLM.prefill`, the decode steps and ``hidden_states``.  The autograd
 :class:`~repro.nn.tensor.Tensor` path wraps the same kernels, one backward
 closure per kernel, and is the reference the tests hold both to, bit for bit.
 
@@ -41,8 +41,9 @@ A backend module must expose:
 
 Forward arithmetic must be identical between a backend's use on the autograd
 path and on the raw array path — :mod:`repro.nn` relies on this to keep
-``infer`` logits bit-equal to the autograd ``forward``'s, and the taped
-training step's loss and gradients bit-equal to autograd's.
+``hidden_states`` (times the tied head) bit-equal to the autograd
+``forward``'s logits, and the taped training step's loss and gradients
+bit-equal to autograd's.
 
 Selection
 ---------

@@ -147,12 +147,6 @@ class LoRALinear(Module):
         out += delta
         return out
 
-    def reset_adapter(self) -> None:
-        """Zero the adapter so it is a no-op again (B back to zero)."""
-        self.lora_b.data = np.zeros_like(self.lora_b.data)
-        self.lora_a.grad = None
-        self.lora_b.grad = None
-
 
 def inject_lora(
     model: Module,

@@ -49,57 +49,12 @@ class Optimizer:
     def step(self) -> None:
         raise NotImplementedError
 
-    def set_lr(self, lr: float) -> None:
-        """Update the learning rate (the fine-tuner's √batch-size rule)."""
-        require_positive("lr", lr)
-        self.lr = float(lr)
-
-    # -- serialization ---------------------------------------------------- #
-    def state_dict(self) -> dict:
-        """Picklable snapshot of the optimizer state (not the parameters).
-
-        Subclasses extend this with their moment buffers; together
-        with the model state dict it makes mid-run training restartable.
-        """
-        return {"lr": self.lr, "step_count": self._step_count}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`.
-
-        The optimizer must manage the same number of parameters, with the
-        same shapes and in the same order, as when the snapshot was taken.
-        """
-        self.lr = float(state["lr"])
-        self._step_count = int(state["step_count"])
-        self._load_buffers(state)
-
-    def _load_buffers(self, state: dict) -> None:
-        """Hook for subclasses to restore their per-parameter buffers."""
-
-    def _check_buffers(self, name: str, buffers: Sequence[np.ndarray]) -> List[np.ndarray]:
-        if len(buffers) != len(self.parameters):
-            raise ValueError(
-                f"optimizer state mismatch: {len(buffers)} {name} buffers for "
-                f"{len(self.parameters)} parameters"
-            )
-        restored = []
-        for buffer, parameter in zip(buffers, self.parameters):
-            array = np.asarray(buffer)
-            if array.shape != parameter.data.shape:
-                raise ValueError(
-                    f"optimizer {name} buffer shape {array.shape} does not match "
-                    f"parameter shape {parameter.data.shape}"
-                )
-            restored.append(array.copy())
-        return restored
-
 
 class Adam(Optimizer):
     """Adam with bias correction (no weight decay), one packed update per step.
 
     The parameters live in one contiguous buffer: at the first step (or
-    the first ``state_dict`` / ``load_state_dict``) each ``.data`` is
-    copied into its own segment, which starts on a 64-byte boundary, and
+    the first clipping) each ``.data`` is copied into its own segment, which starts on a 64-byte boundary, and
     replaced by a view of it.  The moments ``m``/``v``, the packed gradient
     and the kernel's two scratch buffers are flat arrays with the same
     layout, so a step copies each gradient into its segment and runs the
@@ -108,8 +63,7 @@ class Adam(Optimizer):
     bit equals the per-parameter update's.  A parameter whose ``.grad`` is
     None is left untouched, moments included.  An array assigned to
     ``.data`` later is copied into the buffer at the next step.  Nothing is
-    allocated before first use: a serving session builds an optimizer that
-    may never step.
+    allocated before first use.
     """
 
     def __init__(
@@ -222,21 +176,6 @@ class Adam(Optimizer):
                 flat["a"][span], flat["b"][span],
                 self.lr, self.beta1, self.beta2, self.eps, self.weight_decay, bias1, bias2,
             )
-
-    def state_dict(self) -> dict:
-        if self._flat is None:
-            self._build()
-        state = super().state_dict()
-        state["m"] = [m.copy() for m in self._m]
-        state["v"] = [v.copy() for v in self._v]
-        return state
-
-    def _load_buffers(self, state: dict) -> None:
-        if self._flat is None:
-            self._build()
-        for name, views in (("m", self._m), ("v", self._v)):
-            for view, array in zip(views, self._check_buffers(name, state[name])):
-                view[...] = array
 
 
 class AdamW(Adam):

@@ -12,7 +12,7 @@ fine-tuning — each of which is exercised exactly as the paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -553,7 +553,3 @@ class TransformerLM(Module):
         steady-state decoding never reallocates or concatenates.
         """
         return KVCache(self.config.num_layers, capacity=self.config.max_seq_len)
-
-    def parameter_count(self) -> Tuple[int, int]:
-        """``(total, trainable)`` scalar parameter counts."""
-        return self.num_parameters(), self.num_parameters(trainable_only=True)

@@ -363,6 +363,8 @@ class ShardServer:
         if config.workers > 1:
             self.meta["shard"] = {"index": index, "num_shards": config.workers}
         self.on_entry: Optional[Callable[[int, dict], None]] = None
+        #: Passed on as every scheduler's ``turn_listener``.
+        self.on_turn: Optional[Callable[[], None]] = None
         self.journal_path: Optional[Path] = None
         self._temporary: Optional[tempfile.TemporaryDirectory] = None
         if config.state_dir is not None:
@@ -575,6 +577,7 @@ class ShardServer:
             metrics=self.metrics,
         )
         self.scheduler.entry_listener = self._emit
+        self.scheduler.turn_listener = self.on_turn
         self.next_request_id = max(self.next_request_id, past.next_request_id)
         self._journaled = set(past.enqueued)
         self._seqs = {}

@@ -204,6 +204,10 @@ class RequestScheduler:
         #: front-end uses to stream results to waiting connections without
         #: polling the transcript.  Must not raise.
         self.entry_listener: Optional[Callable[[dict], None]] = None
+        #: Called at every turn boundary of :meth:`run`, before the stop
+        #: check (a shard worker answers status requests there).  Must not
+        #: touch the queues or the model.
+        self.turn_listener: Optional[Callable[[], None]] = None
         self.transcript: List[dict] = []
         self.turns: List[ServeTurn] = []
         self.dead_letters: List[dict] = []
@@ -355,6 +359,8 @@ class RequestScheduler:
         # at the row cap, at a stop request, or when the queues drain.
         pending: List[_PendingChat] = []
         while True:
+            if self.turn_listener is not None:
+                self.turn_listener()
             if self._stop_requested:
                 self._stop_requested = False
                 self._finish_round(pending)

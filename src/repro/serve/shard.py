@@ -44,9 +44,10 @@ import signal
 import threading
 import time
 from bisect import bisect_right
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
 
 from repro.data.lexicons import LexiconCollection
 from repro.llm.model import OnDeviceLLM
@@ -194,6 +195,9 @@ def _shard_worker_main(conn, server: ShardServer) -> None:
     - receives ``("serve", [request, ...])``, ``("status",)`` and
       ``("drain",)`` commands; every ``serve`` queued so far goes into one
       :meth:`ShardServer.serve` call, so concurrent arrivals batch;
+      ``status`` is also answered at every turn boundary of a serve call,
+      which keeps the ``serve`` and ``drain`` commands it reads there, in
+      order, for after the call;
     - sends ``("done", summary)`` (:meth:`ShardServer.summary`) after
       draining, or ``("error", text, exception)`` if it failed (the
       exception object only over an in-memory channel), then exits.
@@ -227,6 +231,17 @@ def _shard_worker_serve(conn, server: ShardServer) -> None:
     if server.config.install_signal_handlers:
         install_stop_handlers(stop)
     server.on_entry = lambda request_id, entry: conn.send(("entry", request_id, entry))
+    deferred: Deque[tuple] = deque()
+
+    def answer_status() -> None:
+        while conn.poll():
+            message = conn.recv()
+            if message[0] == "status":
+                conn.send(("status", server.status()))
+            else:
+                deferred.append(message)
+
+    server.on_turn = answer_status
     server.boot()
     if server.scheduler.pending_count:
         server.serve()  # what the journal left pending, before the shard takes traffic
@@ -235,7 +250,7 @@ def _shard_worker_serve(conn, server: ShardServer) -> None:
     while not draining:
         batch: List[Request] = []
         while True:
-            message = conn.recv()
+            message = deferred.popleft() if deferred else conn.recv()
             if message[0] == "serve":
                 batch.extend(message[1])
             elif message[0] == "status":
@@ -244,7 +259,7 @@ def _shard_worker_serve(conn, server: ShardServer) -> None:
                 draining = True
             else:  # pragma: no cover - protocol misuse
                 raise ValueError(f"unknown shard command {message[0]!r}")
-            if not conn.poll():
+            if not deferred and not conn.poll():
                 break
         if batch:
             server.serve(batch)
@@ -593,7 +608,7 @@ class ShardPool:
 
         A drained worker's comes from its summary, and a thread worker's is
         read in place.  A process worker is asked over its pipe and answers
-        between batches, so a busy shard can take up to one batch to reply.
+        at its next turn boundary, so a busy shard can take one turn to reply.
         Workers that died or time out are skipped — a partial view beats no
         view during an incident.
         """

@@ -134,7 +134,3 @@ class TestTransformerLM:
             loss.backward()
             optimizer.step()
         assert float(loss.data) < initial * 0.8
-
-    def test_parameter_count_tuple(self, model):
-        total, trainable = model.parameter_count()
-        assert total == trainable > 0

@@ -354,7 +354,7 @@ class TestBatchedDecodeProperty:
     ):
         model = decode_models[adapted]
         config = GenerationConfig(
-            max_new_tokens=new_tokens, temperature=0.8, top_k=20, repetition_penalty=1.2
+            max_new_tokens=new_tokens, temperature=0.8, repetition_penalty=1.2
         )
         first = generate_tokens_batch(
             model, prompts, config, rng=np.random.default_rng(seed), pad_token_id=0

@@ -14,8 +14,6 @@ class TestGenerationConfig:
         with pytest.raises(ValueError):
             GenerationConfig(temperature=0.0)
         with pytest.raises(ValueError):
-            GenerationConfig(top_k=0)
-        with pytest.raises(ValueError):
             GenerationConfig(repetition_penalty=0.5)
 
     def test_greedy_sampling_picks_argmax(self):
@@ -26,14 +24,6 @@ class TestGenerationConfig:
         logits = np.array([0.5, 0.4, 0.3, 0.2])
         token = sample_next_token(logits, GenerationConfig(temperature=1.0), rng=rng)
         assert 0 <= token < 4
-
-    def test_top_k_restricts_choices(self, rng):
-        logits = np.array([10.0, 9.0, -50.0, -50.0])
-        for _ in range(20):
-            token = sample_next_token(
-                logits, GenerationConfig(temperature=1.0, top_k=2), rng=rng
-            )
-            assert token in (0, 1)
 
     def test_repetition_penalty_discourages_repeats(self):
         logits = np.array([2.0, 1.9])

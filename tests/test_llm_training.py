@@ -1,5 +1,7 @@
 """Tests for LoRA fine-tuning and base-model pre-training."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from repro.llm.pretrain import (
     pretrain,
     pretraining_pairs,
 )
-from repro.nn.lora import LoRAConfig, lora_parameters
+from repro.nn.lora import LoRAConfig, lora_parameters, lora_state_dict
 from tests.conftest import TINY_LLM_CONFIG
 
 
@@ -94,10 +96,41 @@ class TestLoRAFineTuner:
         assert report.num_examples == 0
         assert report.losses == []
 
-    def test_set_learning_rate(self, fresh_llm):
-        tuner = LoRAFineTuner(fresh_llm, FineTuneConfig(epochs=1, learning_rate=1e-3))
-        tuner.set_learning_rate(5e-4)
-        assert tuner.optimizer.lr == pytest.approx(5e-4)
+    def test_state_dict_holds_only_the_rng(self, fresh_llm, med_corpus):
+        tuner = LoRAFineTuner(fresh_llm, FineTuneConfig(epochs=1, batch_size=4))
+        tuner.finetune(self._training_data(med_corpus, count=4))
+        assert set(tuner.state_dict()) == {"rng"}
+
+    def test_section_with_optimizer_entry_resumes_bit_identically(
+        self, pretrained_llm, med_corpus
+    ):
+        # A section written when the fine-tuner kept its AdamW between rounds
+        # also carries that optimizer's moments; restoring ignores them, and
+        # the next round trains exactly as in a run never interrupted.
+        config = FineTuneConfig(epochs=2, batch_size=4, learning_rate=5e-3)
+        data = self._training_data(med_corpus, count=8)
+        straight = LoRAFineTuner(pretrained_llm.clone(), config)
+        straight.finetune(data[:4])
+        straight.finetune(data[4:])
+
+        interrupted = LoRAFineTuner(pretrained_llm.clone(), config)
+        interrupted.finetune(data[:4])
+        runtime = pickle.loads(pickle.dumps(interrupted.llm.export_runtime_state()))
+        stale = [np.ones_like(p.data) for p in lora_parameters(interrupted.llm.model)]
+        section = dict(
+            interrupted.state_dict(),
+            optimizer={"lr": 5e-3, "step_count": 4, "m": stale, "v": stale},
+        )
+        section = pickle.loads(pickle.dumps(section))
+
+        resumed = LoRAFineTuner(pretrained_llm.clone(), config)
+        resumed.llm.load_runtime_state(runtime)
+        resumed.load_state_dict(section)
+        resumed.finetune(data[4:])
+        expected = lora_state_dict(straight.llm.model)
+        restored = lora_state_dict(resumed.llm.model)
+        assert expected.keys() == restored.keys()
+        assert all(expected[name].tobytes() == restored[name].tobytes() for name in expected)
 
 
 class TestPretrain:

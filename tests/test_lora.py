@@ -51,13 +51,6 @@ class TestLoRALinear:
         assert not base.weight.requires_grad
         assert adapted.lora_a.requires_grad and adapted.lora_b.requires_grad
 
-    def test_reset_adapter(self, rng):
-        base = Linear(4, 4, rng=rng)
-        adapted = LoRALinear(base, LoRAConfig(rank=2), rng=rng)
-        adapted.lora_b.data += 1.0
-        adapted.reset_adapter()
-        assert np.allclose(adapted.lora_b.data, 0.0)
-
 
 class TestInjection:
     def test_inject_targets_all_projections(self, model):

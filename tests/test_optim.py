@@ -120,78 +120,3 @@ class TestSchedulers:
     def test_sqrt_scaling_invalid(self):
         with pytest.raises(ValueError):
             sqrt_batch_scaled_lr(0.0, 1, 1)
-
-
-class TestOptimizerSerialization:
-    """state_dict / load_state_dict round trips (the checkpoint contract)."""
-
-    def _train(self, optimizer, parameter, steps):
-        for _ in range(steps):
-            quadratic_loss(parameter)
-            optimizer.step()
-
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda params: Adam(params, lr=0.1),
-            lambda params: AdamW(params, lr=0.1, weight_decay=0.1),
-        ],
-        ids=["adam", "adamw"],
-    )
-    def test_resumed_training_is_bit_identical(self, factory):
-        # Reference: 5 uninterrupted steps.
-        reference = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
-        optimizer = factory([reference])
-        self._train(optimizer, reference, 5)
-
-        # Interrupted: 3 steps, snapshot, rebuild, 2 more steps.
-        parameter = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
-        optimizer = factory([parameter])
-        self._train(optimizer, parameter, 3)
-        snapshot = optimizer.state_dict()
-        weights = parameter.data.copy()
-
-        resumed = Tensor(weights, requires_grad=True)
-        fresh = factory([resumed])
-        fresh.load_state_dict(snapshot)
-        assert fresh.step_count == 3
-        self._train(fresh, resumed, 2)
-
-        np.testing.assert_array_equal(resumed.data, reference.data)
-
-    def test_state_dict_is_a_copy(self):
-        parameter = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-        optimizer = AdamW([parameter], lr=0.1)
-        self._train(optimizer, parameter, 1)
-        snapshot = optimizer.state_dict()
-        snapshot["m"][0][:] = 99.0
-        assert not np.any(optimizer._m[0] == 99.0)
-
-    def test_load_rejects_wrong_buffer_count(self):
-        parameter = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-        optimizer = AdamW([parameter], lr=0.1)
-        state = optimizer.state_dict()
-        state["m"] = []
-        state["v"] = []
-        with pytest.raises(ValueError, match="buffers"):
-            optimizer.load_state_dict(state)
-
-    def test_load_rejects_wrong_shape(self):
-        parameter = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-        optimizer = AdamW([parameter], lr=0.1)
-        state = optimizer.state_dict()
-        state["m"] = [np.zeros(5)]
-        with pytest.raises(ValueError, match="shape"):
-            optimizer.load_state_dict(state)
-
-    def test_lr_and_step_count_restored(self):
-        parameter = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
-        optimizer = Adam([parameter], lr=0.5)
-        self._train(optimizer, parameter, 4)
-        optimizer.set_lr(0.25)
-        state = optimizer.state_dict()
-
-        fresh = Adam([Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)], lr=0.9)
-        fresh.load_state_dict(state)
-        assert fresh.lr == 0.25
-        assert fresh.step_count == 4

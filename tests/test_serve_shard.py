@@ -35,8 +35,8 @@ from repro.serve import (
     user_transcript_digest,
 )
 from repro.serve.journal import JournalError
-from repro.serve.loadgen import user_ids
-from repro.serve.shard import SHARDS_META_FILE, ShardRing, shard_state_dir
+from repro.serve.loadgen import generate_load, user_ids
+from repro.serve.shard import SHARDS_META_FILE, ShardPool, ShardRing, shard_state_dir
 
 SRC_ROOT = str(Path(repro.__file__).resolve().parents[1])
 
@@ -239,6 +239,38 @@ class TestShardedServe:
         self.sharded(pretrained_llm, 2, state_dir=state)
         with pytest.raises(JournalError, match="resume"):
             self.sharded(pretrained_llm, 2, state_dir=state)
+
+
+class TestLiveStatus:
+    def test_process_workers_report_progress_before_drain(self, pretrained_llm):
+        """A process worker answers ``status`` at its scheduler's turn
+        boundaries, so a shard busy with one large batch shows how far it
+        got, not nothing until the batch ends."""
+        load = LoadConfig(
+            num_users=4, num_requests=24, personalize_every=3,
+            dialogues_per_personalize=2, corpus_size_per_user=10, seed=0,
+        )
+        pool = ShardPool(ServeConfig(load=load, workers=2), pretrained_llm.clone(), mode="process")
+        pool.start()
+        samples = []
+        try:
+            pool.submit_many(generate_load(load))
+            deadline = time.monotonic() + 120
+            while len(pool.entries) < load.num_requests and time.monotonic() < deadline:
+                samples.append([_served(view) for view in pool.statuses()])
+            final = [summary["served"] for summary in pool.drain()]
+        except BaseException:
+            pool.terminate()
+            raise
+        assert any(
+            len(sample) == 2 and any(0 < count < total for count, total in zip(sample, final))
+            for sample in samples
+        ), samples
+
+
+def _served(view):
+    counters = view["metrics"]["counters"]
+    return sum(counters[f"serve_requests_total{{kind={kind}}}"] for kind in ("chat", "personalize"))
 
 
 class TestShardedFrontend:
