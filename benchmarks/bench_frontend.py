@@ -17,9 +17,10 @@ connection per user.  Measures, over real sockets:
 Throughput is the median over the boots (``timing.interleave``), recorded
 with its interquartile range; each boot times only the drive, not the
 server's start and drain.  Latency percentiles are nearest-rank over every
-request of every timed boot.  Writes ``BENCH_frontend.json`` next to this
-file (consumed by ``scripts/perf_check.py --frontend``, which gates
-throughput and p99 against the committed ``BENCH_frontend_baseline.json``).
+request of every timed boot.  The summary is gated by
+``scripts/perf_check.py --frontend`` (throughput and p99 against the
+committed ``BENCH_frontend_baseline.json``), which, like a direct run,
+writes it to ``runs/perf/BENCH_frontend.json``.
 Run directly (``python benchmarks/bench_frontend.py``) or through pytest.
 """
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from pathlib import Path
 from typing import Dict, List
 
 from repro.experiments.presets import get_scale
@@ -36,9 +36,9 @@ from repro.serve import ServeConfig
 from repro.serve.client import ServeClient
 from repro.serve.frontend import FrontendThread, ServeFrontend
 from repro.serve.loadgen import LoadConfig, build_serving_llm, generate_load
-from timing import blas_threads, interleave, percentile, spread
+from timing import blas_threads, interleave, percentile, spread, write_summary
 
-RESULT_PATH = Path(__file__).resolve().parent / "BENCH_frontend.json"
+RESULT_NAME = "BENCH_frontend.json"
 
 NUM_USERS = 4
 NUM_REQUESTS = 32
@@ -122,7 +122,6 @@ def run_benchmark(rounds: int = ROUNDS) -> Dict[str, object]:
         "digest_stable": len(set(digests)) == 1,
         "transcript_digest": digests[0],
     }
-    RESULT_PATH.write_text(json.dumps(summary, indent=2) + "\n")
     return summary
 
 
@@ -140,4 +139,5 @@ def test_frontend_throughput():
 
 if __name__ == "__main__":
     result = run_benchmark()
+    write_summary(result, RESULT_NAME)
     print(json.dumps(result, indent=2))

@@ -16,17 +16,16 @@ scale:
 
 The paths run interleaved, round by round, through ``timing.interleave``;
 every figure is a median over ``ROUNDS`` rounds (a speedup, the median of
-the per-round ratios), recorded with its interquartile range.  Writes a
-``BENCH_generation.json`` summary next to this file (consumed by
-``scripts/perf_check.py``) and asserts the ≥5× KV-over-full speedup the
-fast path is held to.  Run directly
+the per-round ratios), recorded with its interquartile range.  The summary
+is gated by ``scripts/perf_check.py``, which, like a direct run, writes it
+to ``runs/perf/BENCH_generation.json``; the test asserts the ≥5×
+KV-over-full speedup the fast path is held to.  Run directly
 (``python benchmarks/bench_generation.py``) or through pytest.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import Dict, List
 
 import numpy as np
@@ -36,9 +35,9 @@ from repro.data.synthetic import make_corpus
 from repro.llm.generation import GenerationConfig, generate_tokens, generate_tokens_batch, sample_next_token
 from repro.llm.model import OnDeviceLLM, OnDeviceLLMConfig
 from repro.llm.pretrain import PretrainConfig, build_pretrained_llm
-from timing import blas_threads, interleave, per_round, summarize, whole_call
+from timing import blas_threads, interleave, per_round, summarize, whole_call, write_summary
 
-RESULT_PATH = Path(__file__).resolve().parent / "BENCH_generation.json"
+RESULT_NAME = "BENCH_generation.json"
 
 RESPONSE_TOKENS = 64
 BATCH_PROMPTS = 8
@@ -133,7 +132,6 @@ def run_benchmark(rounds: int = ROUNDS) -> Dict[str, object]:
         "speedup_over_full_forward": speedups,
         "speedup_over_full_forward_iqr": speedup_iqrs,
     }
-    RESULT_PATH.write_text(json.dumps(summary, indent=2) + "\n")
     return summary
 
 
@@ -151,4 +149,5 @@ def test_generation_throughput():
 
 if __name__ == "__main__":
     result = run_benchmark()
+    write_summary(result, RESULT_NAME)
     print(json.dumps(result, indent=2))

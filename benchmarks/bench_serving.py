@@ -37,10 +37,11 @@ Two further sections cover the scale-out layer (``docs/scaling.md``):
 
 Every section times its cases in interleaved rounds (``timing.interleave``)
 and records medians with their IQRs; a gated ratio is the median of its
-per-round ratios.  Writes ``BENCH_serving.json`` next to this file (consumed
-by ``scripts/perf_check.py --serving``, ``--chaos-overhead`` and
-``--sharding``) and asserts the ≥2× batched-over-per-turn speedup.  Run
-directly (``python benchmarks/bench_serving.py``) or through pytest.
+per-round ratios.  The summary is gated by ``scripts/perf_check.py
+--serving``, ``--chaos-overhead`` and ``--sharding``, which, like a direct
+run, writes it to ``runs/perf/BENCH_serving.json``; the test asserts the
+≥2× batched-over-per-turn speedup.  Run directly
+(``python benchmarks/bench_serving.py``) or through pytest.
 """
 
 from __future__ import annotations
@@ -65,10 +66,10 @@ from repro.serve import (
 from repro.serve.loadgen import build_serving_llm, user_ids
 from repro.serve.runner import make_session_manager, serving_generation_config
 from repro.serve.shard import default_worker_mode
-from timing import blas_threads, interleave, per_round, percentile
+from timing import blas_threads, interleave, per_round, percentile, write_summary
 from timing import spread, summarize, whole_call
 
-RESULT_PATH = Path(__file__).resolve().parent / "BENCH_serving.json"
+RESULT_NAME = "BENCH_serving.json"
 
 NUM_USERS = 4
 NUM_REQUESTS = 32
@@ -337,7 +338,6 @@ def run_benchmark(rounds: int = ROUNDS) -> Dict[str, object]:
         "adapter_format": adapter_format,
         "sharding": sharding,
     }
-    RESULT_PATH.write_text(json.dumps(summary, indent=2) + "\n")
     return summary
 
 
@@ -369,4 +369,5 @@ def test_serving_throughput():
 
 if __name__ == "__main__":
     result = run_benchmark()
+    write_summary(result, RESULT_NAME)
     print(json.dumps(result, indent=2))

@@ -21,9 +21,9 @@ decode loop.
 Fused and legacy passes run in interleaved rounds (``timing.interleave``),
 each on its own copy of the model: the packed optimizer would copy the
 legacy step's rebound ``.data`` back in at every fused step.  Figures are
-medians with IQRs; a speedup is the median of the per-round ratios.  Writes
-``BENCH_training.json`` next to this file (consumed by
-``scripts/perf_check.py --training``).  The committed
+medians with IQRs; a speedup is the median of the per-round ratios.  The
+summary is gated by ``scripts/perf_check.py --training``, which, like a
+direct run, writes it to ``runs/perf/BENCH_training.json``.  The committed
 ``BENCH_training_baseline.json`` holds the pre-refactor absolute seconds; the
 perf gate requires the live path to beat it by the promised factors.
 
@@ -33,7 +33,6 @@ Run directly (``python benchmarks/bench_training.py``).
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,9 +45,9 @@ from repro.nn.functional import attention_scores_mask
 from repro.nn.lora import LoRAConfig, LoRALinear, lora_parameters
 from repro.nn.optim import Adam, AdamW
 from repro.nn.tensor import Tensor
-from timing import blas_threads, interleave, per_round, summarize, whole_call
+from timing import blas_threads, interleave, per_round, summarize, whole_call, write_summary
 
-RESULT_PATH = Path(__file__).resolve().parent / "BENCH_training.json"
+RESULT_NAME = "BENCH_training.json"
 
 FINETUNE_BATCH = 16
 FINETUNE_EXAMPLES = 32
@@ -409,10 +408,10 @@ def run_benchmark(rounds: int = ROUNDS) -> Dict[str, object]:
         "speedup_over_legacy": speedups,
         "speedup_over_legacy_iqr": speedup_iqrs,
     }
-    RESULT_PATH.write_text(json.dumps(summary, indent=2) + "\n")
     return summary
 
 
 if __name__ == "__main__":
     result = run_benchmark()
+    write_summary(result, RESULT_NAME)
     print(json.dumps(result, indent=2))

@@ -13,15 +13,33 @@ Unpinned, OpenBLAS may spread one small GEMM over every core, and a ratio
 of two paths then measures how that pool was scheduled: ``perf_check.py``
 and ``benchmarks/conftest.py`` default ``OPENBLAS_NUM_THREADS`` to ``1``
 before numpy loads, and every ``BENCH_*.json`` records :func:`blas_threads`.
+
+A run's summary goes to :data:`RUNS_DIR` (:func:`write_summary`), which is
+gitignored: only ``perf_check.py --update`` rewrites the committed
+``benchmarks/BENCH_*.json``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import statistics
 import time
+from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+
+#: Where a benchmark run writes its summary (``runs/`` is gitignored).
+RUNS_DIR = Path(__file__).resolve().parent.parent / "runs" / "perf"
+
+
+def write_summary(summary: Mapping[str, object], name: str, directory: Path = RUNS_DIR) -> Path:
+    """Write ``summary`` as indented JSON to ``directory / name``; returns the path."""
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / name
+    path.write_text(json.dumps(summary, indent=2) + "\n")
+    return path
 
 
 class Lap:

@@ -29,9 +29,12 @@ numpy loads, ``OPENBLAS_NUM_THREADS`` defaults to ``1``.
   against the committed ``BENCH_frontend_baseline.json``, with generous
   bounds because runners vary.
 
-Run as ``PYTHONPATH=src python scripts/perf_check.py [flags]``.
-``--update`` rewrites the generation baseline (and, with ``--frontend``, the
-front-end baseline) from the current run, on the reference machine.
+Run as ``PYTHONPATH=src python scripts/perf_check.py [flags]``.  Every
+benchmark's summary is written to ``runs/perf/BENCH_<name>.json``
+(gitignored), so a gate run leaves the tree clean.  ``--update`` rewrites
+the generation baseline (and, with ``--frontend``, the front-end baseline)
+from the current run, on the reference machine, and the committed
+``benchmarks/BENCH_<name>.json`` of the benchmarks it ran.
 ``--ratio-only`` skips every machine-dependent absolute comparison (use on
 other machines, e.g. CI).  Baselines are validated before any benchmark runs.
 
@@ -54,6 +57,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
+from timing import RUNS_DIR, write_summary  # noqa: E402
+
+BENCH_DIR = REPO_ROOT / "benchmarks"
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "BENCH_generation_baseline.json"
 TRAINING_BASELINE_PATH = REPO_ROOT / "benchmarks" / "BENCH_training_baseline.json"
 FRONTEND_BASELINE_PATH = REPO_ROOT / "benchmarks" / "BENCH_frontend_baseline.json"
@@ -112,6 +118,13 @@ def load_baseline(path: Path, required: Sequence[str]) -> dict:
         if not number > 0.0:
             raise BaselineError(f"{key_path!r} must be positive, got {number}")
     return payload
+
+
+def record(summary: dict, name: str, update: bool = False) -> None:
+    """Write ``summary`` to ``RUNS_DIR/name`` and, only with ``update``, to ``BENCH_DIR/name``."""
+    write_summary(summary, name, RUNS_DIR)
+    if update:
+        write_summary(summary, name, BENCH_DIR)
 
 
 def _iqr(pair, scale: float = 1.0) -> str:
@@ -179,6 +192,7 @@ def main() -> int:
     from bench_generation import run_benchmark
 
     summary = run_benchmark()
+    record(summary, "BENCH_generation.json", args.update)
     current = summary["tokens_per_sec"]
     print(f"measured tokens/sec (median of {summary['repeats']} rounds):", json.dumps(current))
 
@@ -188,7 +202,9 @@ def main() -> int:
         if args.frontend:
             from bench_frontend import run_benchmark as run_frontend_benchmark
 
-            FRONTEND_BASELINE_PATH.write_text(json.dumps(run_frontend_benchmark(), indent=2) + "\n")
+            frontend = run_frontend_benchmark()
+            record(frontend, "BENCH_frontend.json", update=True)
+            FRONTEND_BASELINE_PATH.write_text(json.dumps(frontend, indent=2) + "\n")
             print(f"frontend baseline written to {FRONTEND_BASELINE_PATH}")
         return 0
 
@@ -240,6 +256,7 @@ def main() -> int:
         )
 
         serving = run_serving_benchmark()
+        record(serving, "BENCH_serving.json")
         rates, iqrs = serving["requests_per_sec"], serving["requests_per_sec_iqr"]
         print(
             f"serving req/sec, median of {serving['repeats']} rounds: "
@@ -295,6 +312,7 @@ def main() -> int:
         from bench_training import run_benchmark as run_training_benchmark
 
         training = run_training_benchmark()
+        record(training, "BENCH_training.json")
         seconds, iqrs = training["seconds"], training["seconds_iqr"]
         print(
             f"training (median of {training['repeats']} rounds): finetune_step "
@@ -325,6 +343,7 @@ def main() -> int:
         from bench_frontend import run_benchmark as run_frontend_benchmark
 
         frontend = run_frontend_benchmark()
+        record(frontend, "BENCH_frontend.json")
         throughput = float(frontend["requests_per_sec"])
         p99 = float(frontend["latency_ms"]["p99"])
         print(

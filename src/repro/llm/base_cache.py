@@ -15,9 +15,12 @@ The cache key is a SHA-256 over everything that decides the trained bits:
 * ``OnDeviceLLMConfig`` and ``PretrainConfig`` as sorted-key JSON;
 * the vocabulary tokens and the pretraining ``(question, response)`` pairs.
 
-The BLAS thread count is not part of the key: the smoke serve's transcript
-digest is the same at 1 and 2 OpenBLAS threads (pinned by
-``tests/test_base_cache.py``).
+The BLAS thread count is not part of the key.  The training step's loss
+and gradients have the same bits at 1 and 2 OpenBLAS threads for every
+batch shape, because it rounds each row reduction up to a multiple of 32
+rows (``tests/test_train_step.py::TestBlasThreadCount``), so the smoke
+serve's transcript digest is the same at both too
+(``tests/test_base_cache.py``).
 
 A model is stored as one ``A1`` record (:mod:`repro.utils.a1`) named by its
 key: every parameter as float32, plus the generation and dropout RNG streams

@@ -241,6 +241,8 @@ class LoRAFineTuner:
                     train_batch(self.llm.model, optimizer, batch, self.config.max_grad_norm)
                 )
             losses.append(float(np.mean(epoch_losses)))
+        # The gradients view the optimizer's packed buffer: drop them with it.
+        optimizer.zero_grad()
         self.llm.model.eval()
         elapsed = time.perf_counter() - start
         return FineTuneReport(

@@ -166,6 +166,8 @@ def pretrain(
             batch = take(order[batch_start : batch_start + config.batch_size])
             epoch_losses.append(train_batch(llm.model, optimizer, batch, config.max_grad_norm))
         losses.append(float(np.mean(epoch_losses)))
+    # The gradients view the optimizer's packed buffer: drop them with it.
+    optimizer.zero_grad()
     llm.model.eval()
     return PretrainReport(
         losses=losses,

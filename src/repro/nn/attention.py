@@ -16,8 +16,10 @@ a full forward over the whole window would compute, so incremental decoding
 is numerically equivalent to the full-context forward.
 
 Both the autograd reference path and the array-level path run the same fused
-``scaled_dot_product_attention`` backend kernel, which keeps their outputs
-bit-identical.
+``scaled_dot_product_attention`` backend kernel, which keeps the inference
+outputs bit-identical.  The training step runs the array-level path on
+:class:`PackedRows`: every op but attention on the rows its loss reads,
+attention in the padded heads layout.
 """
 
 from __future__ import annotations
@@ -135,6 +137,115 @@ def combined_mask(
     return np.broadcast_to(mask, (batch, num_heads, seq, total)).copy()
 
 
+#: Packed row counts are rounded up to a multiple of this.  A weight
+#: gradient reduces over the rows (``grad.T @ x``), and OpenBLAS 0.3.31
+#: gives the same bits at 1 and 2 threads for every multiple of 32 rows
+#: measured (32..4096), but not for most other counts above 448.
+ROW_ALIGN = 32
+
+
+class PackedRows:
+    """Selected positions of a padded ``(batch, seq)`` window, packed as 2-D rows.
+
+    The training step runs every op but attention on ``(count, features)``
+    arrays: row ``i < size`` is window position ``index[i]`` (flat, ``b *
+    seq + t``, ascending).  The rows after them, up to ``count`` (a multiple
+    of :data:`ROW_ALIGN`), repeat window position 0: they hold finite values
+    that nothing reads, so their gradients are exactly zero.  Attention
+    places the rows in a ``(batch, heads, width, head_dim)`` layout, row
+    ``i`` at slot ``rank[i]`` of its batch row: :meth:`window` keeps every
+    position at its own slot (``width == seq``), :meth:`queries` packs each
+    batch row's positions to the front.  A :meth:`queries` packing is a
+    subset of a ``parent`` packing, and :meth:`gather` picks its rows out of
+    the parent's.
+    """
+
+    def __init__(self, batch, seq, heads, index, width, rank, positions=None, pick=None):
+        self.batch, self.seq, self.heads, self.width = batch, seq, heads, width
+        self.index = index
+        self.size = len(index)
+        self.count = -(-self.size // ROW_ALIGN) * ROW_ALIGN
+        #: ``(batch, width)`` window position of every slot (None: slot j is
+        #: position j); empty slots hold position 0.
+        self.positions = positions
+        tail = np.zeros(self.count - self.size, dtype=np.int64)
+        self._take = np.concatenate((index, tail))
+        self._pick = None if pick is None else np.concatenate((pick, tail))
+        # Row i's head vectors in the heads layout seen as (batch * heads * width, head_dim).
+        first = (index // seq * heads)[:, None] + np.arange(heads)
+        self._vectors = first * width + rank[:, None]
+
+    @classmethod
+    def window(cls, selected: np.ndarray, heads: int) -> "PackedRows":
+        """The True positions of the ``(batch, seq)`` boolean ``selected``, each at its own slot."""
+        batch, seq = selected.shape
+        index = np.flatnonzero(selected)
+        return cls(batch, seq, heads, index, seq, index % seq)
+
+    @classmethod
+    def queries(cls, selected: np.ndarray, parent: "PackedRows") -> "PackedRows":
+        """The True positions of ``selected`` (all in ``parent``), packed per batch row.
+
+        ``width`` is the largest count of one batch row, and each row's
+        positions take its first slots in window order.
+        """
+        batch, seq = selected.shape
+        ranks = np.cumsum(selected, axis=1)
+        index = np.flatnonzero(selected)
+        rank = ranks.reshape(-1)[index] - 1
+        width = max(int(ranks[:, -1].max()), 1)
+        positions = np.zeros((batch, width), dtype=np.int64)
+        positions[index // seq, rank] = index % seq
+        pick = np.searchsorted(parent.index, index)
+        return cls(batch, seq, parent.heads, index, width, rank, positions, pick)
+
+    def pack(self, array: np.ndarray) -> np.ndarray:
+        """``(batch, seq, *f)`` window array -> ``(count, *f)`` rows."""
+        return array.reshape((self.batch * self.seq,) + array.shape[2:]).take(self._take, axis=0)
+
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """This packing's rows out of ``rows``, packed by ``parent``."""
+        return rows.take(self._pick, axis=0)
+
+    def scatter_add(self, target: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Add ``rows`` (this packing) into ``target`` (``parent``'s): :meth:`gather`'s VJP."""
+        target[self._pick[: self.size]] += rows[: self.size]
+        return target
+
+    def to_heads(self, rows: np.ndarray) -> np.ndarray:
+        """``(count, dim)`` rows -> ``(batch, heads, width, head_dim)``, empty slots zero."""
+        size, heads = self._vectors.shape
+        head_dim = rows.shape[-1] // heads
+        out = np.zeros((self.batch * heads * self.width, head_dim), dtype=rows.dtype)
+        out[self._vectors] = rows[:size].reshape(size, heads, head_dim)
+        return out.reshape(self.batch, heads, self.width, head_dim)
+
+    def from_heads(self, array: np.ndarray) -> np.ndarray:
+        """``(batch, heads, width, head_dim)`` -> ``(count, dim)`` rows, the tail zero.
+
+        :meth:`to_heads`' VJP: the zero tail is what keeps the tail rows'
+        gradients zero.
+        """
+        size, heads = self._vectors.shape
+        head_dim = array.shape[-1]
+        out = np.zeros((self.count, heads * head_dim), dtype=array.dtype)
+        array.reshape(-1, head_dim).take(
+            self._vectors, axis=0, out=out[:size].reshape(size, heads, head_dim)
+        )
+        return out
+
+    def score_rows(self, array: np.ndarray) -> np.ndarray:
+        """The ``(batch, heads, width, keys)`` score rows of the slots' positions.
+
+        ``array`` is a ``(batch, heads, seq, keys)`` window array: the
+        forward's :func:`combined_mask` or an attention-dropout mask.
+        """
+        if self.positions is None:
+            return array
+        rows = np.arange(self.batch)[:, None]
+        return array.transpose(0, 2, 1, 3)[rows, self.positions].transpose(0, 2, 1, 3)
+
+
 def _summed(parts):
     """Sum gradient contributions left to right into the first (owned) one."""
     total = parts[0]
@@ -199,23 +310,42 @@ class MultiHeadSelfAttention(Module):
         mask: np.ndarray,
         cache: Optional[LayerKVCache] = None,
         tape: Optional[list] = None,
+        rows: Optional[PackedRows] = None,
+        queries: Optional[PackedRows] = None,
     ) -> np.ndarray:
         """Array-level forward (same kernels as the autograd path).
 
-        ``mask`` is the :func:`combined_mask` of this forward.  When
-        ``cache`` is given, ``x`` holds only the newly fed positions; their
-        keys/values are appended to the cache and the queries attend over the
-        full cached context.  With a ``tape`` (the training step, never with
-        a cache) every kernel's residuals are recorded for
-        :meth:`raw_backward`.
+        ``mask`` is the :func:`combined_mask` of this forward.  Without
+        ``rows``, ``x`` is ``(B, T, dim)``.  When ``cache`` is given, ``x``
+        holds only the newly fed positions; their keys/values are appended
+        to the cache and the queries attend over the full cached context.
+
+        With ``rows`` (the training step, never with a cache), ``x`` holds
+        ``rows.count`` packed rows, which go to the padded heads layout for
+        the attention kernel only; every kernel's residuals are recorded on
+        ``tape`` for :meth:`raw_backward`.  ``queries``, a subset of
+        ``rows``' positions, restricts the query side (queries, attention,
+        ``o_proj``) to its rows, and ``mask`` is then its
+        :meth:`~PackedRows.score_rows`.  The output holds the query rows.
         """
         backend = _active()
-        batch, seq, _ = x.shape
         heads, head_dim = self.num_heads, self.head_dim
-        queries, keys, values = (
-            proj.raw_forward(x, tape).reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
-            for proj in (self.q_proj, self.k_proj, self.v_proj)
-        )
+        query_rows = rows if queries is None else queries
+        query_in = x if queries is None else queries.gather(x)
+        # q before k before v: the order their LoRA dropout masks are drawn in.
+        projected = [self.q_proj.raw_forward(query_in, tape, query_rows)] + [
+            proj.raw_forward(x, tape, rows) for proj in (self.k_proj, self.v_proj)
+        ]
+        if rows is None:
+            batch, seq, _ = x.shape
+            query, keys, values = (
+                array.reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
+                for array in projected
+            )
+        else:
+            batch, seq = rows.batch, rows.seq
+            query = query_rows.to_heads(projected[0])
+            keys, values = (rows.to_heads(array) for array in projected[1:])
 
         past = 0
         if cache is not None:
@@ -224,13 +354,18 @@ class MultiHeadSelfAttention(Module):
 
         scale = 1.0 / np.sqrt(head_dim)
         dropout_mask = self.attn_dropout.draw_mask((batch, heads, seq, past + seq))
+        if dropout_mask is not None and queries is not None:
+            dropout_mask = queries.score_rows(dropout_mask)
         context, residuals = backend.scaled_dot_product_attention(
-            queries, keys, values, scale, mask, dropout_mask
+            query, keys, values, scale, mask, dropout_mask
         )
         if tape is not None:
-            tape.append(residuals)
-        merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
-        return self.o_proj.raw_forward(merged, tape)
+            tape.append((residuals, rows, queries))
+        if rows is None:
+            merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
+        else:
+            merged = query_rows.from_heads(context)
+        return self.o_proj.raw_forward(merged, tape, query_rows)
 
     def raw_backward(
         self, tape: list, grad: np.ndarray, need_x: bool
@@ -238,30 +373,24 @@ class MultiHeadSelfAttention(Module):
         """Reverse of a taped :meth:`raw_forward`; returns the input gradient.
 
         Records are popped LIFO (output projection, attention, then the
-        v, k and q projections), but the input gradient is summed in the
-        order autograd accumulates it: q-base, q-adapter, k-base, k-adapter,
-        v-base, v-adapter.  Float addition is not associative, so that order
-        is what keeps the step bit-identical to autograd.  Returns None when
-        ``need_x`` is False.
+        v, k and q projections).  The input gradient sums the q, k and v
+        parts; a ``queries`` subset's q parts go into their rows.  Returns
+        None when ``need_x`` is False.
         """
-        batch, seq, _ = grad.shape
-        heads, head_dim = self.num_heads, self.head_dim
         grad_merged = _summed(self.o_proj.raw_backward(tape, grad, True))
-        # Autograd hands the kernel a C-contiguous gradient; a GEMM operand's
-        # memory layout can change the result's bits, so this does too.
-        grad_context = np.ascontiguousarray(
-            grad_merged.reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
-        )
+        residuals, rows, queries = tape.pop()
+        query_rows = rows if queries is None else queries
         grads = _active().VJPS["scaled_dot_product_attention"](
-            tape.pop(), grad_context, (True, True, True)
+            residuals, query_rows.to_heads(grad_merged), (True, True, True)
         )
-        parts: list = []
-        for projection, grad_heads in zip(
-            (self.v_proj, self.k_proj, self.q_proj), reversed(grads)
-        ):
-            grad_out = grad_heads.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
-            parts = projection.raw_backward(tape, grad_out, need_x) + parts
-        return _summed(parts) if need_x else None
+        value_parts = self.v_proj.raw_backward(tape, rows.from_heads(grads[2]), need_x)
+        key_parts = self.k_proj.raw_backward(tape, rows.from_heads(grads[1]), need_x)
+        query_parts = self.q_proj.raw_backward(tape, query_rows.from_heads(grads[0]), need_x)
+        if not need_x:
+            return None
+        if queries is None:
+            return _summed(query_parts + key_parts + value_parts)
+        return queries.scatter_add(_summed(key_parts + value_parts), _summed(query_parts))
 
     def raw_extend_cache(
         self, x: np.ndarray, cache: LayerKVCache

@@ -16,7 +16,9 @@ gradients applied in reverse, written out once for the transformer).
 Inference runs the same forward kernels through :meth:`~repro.nn.transformer.
 TransformerLM.prefill`, the decode steps and ``hidden_states``.  The autograd
 :class:`~repro.nn.tensor.Tensor` path wraps the same kernels, one backward
-closure per kernel, and is the reference the tests hold both to, bit for bit.
+closure per kernel, and is the reference the tests hold both to: the
+inference paths bit for bit, the training step (which runs on packed row
+subsets) to float rounding.
 
 Backend contract
 ----------------

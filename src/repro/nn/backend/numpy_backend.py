@@ -7,11 +7,11 @@ using only the saved residuals (never the autograd graph).  All returned
 gradient arrays are freshly allocated and owned by the caller.
 
 The same forward functions serve the autograd path (wrapped by
-:mod:`repro.nn.functional`), the raw no-grad path
-(:meth:`repro.nn.transformer.TransformerLM.forward` in inference mode) and
-the taped training step (:meth:`~repro.nn.transformer.TransformerLM.
-train_step`, which replays the residuals through :data:`VJPS`), which is what
-keeps the three bit-identical.
+:mod:`repro.nn.functional`), the array-level inference paths and the taped
+training step (:meth:`~repro.nn.transformer.TransformerLM.train_step`, which
+replays the residuals through :data:`VJPS`): that keeps inference
+bit-identical to the autograd forward, and the training step equal to it to
+float rounding (it runs its GEMMs on packed row subsets).
 """
 
 from __future__ import annotations

@@ -210,11 +210,13 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)
 
-    def raw_forward(self, x: np.ndarray, tape: Optional[list] = None) -> np.ndarray:
+    def raw_forward(self, x: np.ndarray, tape: Optional[list] = None, rows=None) -> np.ndarray:
         """Array-level forward (same kernel as :meth:`forward`).
 
         With a ``tape`` (the training step) the kernel's residuals are
-        appended to it for :meth:`raw_backward`.
+        appended to it for :meth:`raw_backward`.  ``rows`` (the packing of
+        ``x``'s rows) is taken for the LoRA layer's signature: a plain
+        projection draws no dropout mask.
         """
         out, residuals = _active().linear(
             x, self.weight.data, None if self.bias is None else self.bias.data
@@ -341,17 +343,23 @@ class Dropout(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.rate, rng=self._rng, training=self.training)
 
-    def draw_mask(self, shape) -> Optional[np.ndarray]:
+    def draw_mask(self, shape, rows=None) -> Optional[np.ndarray]:
         """Pre-draw this layer's inverted-dropout multiplier for fused kernels.
 
         Returns ``None`` when dropout is inert (eval mode or rate 0), matching
         :meth:`forward`'s identity behaviour — crucially, no RNG draw happens
         in that case, so the random stream stays aligned with the composed
-        path.
+        path.  With ``rows`` (a :class:`~repro.nn.attention.PackedRows`),
+        ``shape`` is the packed ``(rows.count, *f)``: the mask is drawn at
+        the padded window's ``(batch, seq, *f)``, the draw the unpacked
+        forward makes, and packed.
         """
         if not self.training or self.rate == 0.0:
             return None
-        return F.draw_dropout_mask(shape, self.rate, self._rng)
+        if rows is None:
+            return F.draw_dropout_mask(shape, self.rate, self._rng)
+        window = (rows.batch, rows.seq) + tuple(shape[1:])
+        return rows.pack(F.draw_dropout_mask(window, self.rate, self._rng))
 
 
 class FeedForward(Module):
@@ -373,11 +381,12 @@ class FeedForward(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self.dropout(self.down(self.up(x).gelu()))
 
-    def raw_forward(self, x: np.ndarray, tape: Optional[list] = None) -> np.ndarray:
+    def raw_forward(self, x: np.ndarray, tape: Optional[list] = None, rows=None) -> np.ndarray:
         """Array-level forward (same kernels and dropout draw as :meth:`forward`).
 
         On a ``tape`` the GELU residuals and the dropout mask are recorded
-        after the two projections' own records.
+        after the two projections' own records; ``rows`` packs ``x`` as in
+        :meth:`Dropout.draw_mask`.
         """
         act, residuals = _active().gelu(self.up.raw_forward(x, tape))
         if tape is None:
@@ -385,7 +394,7 @@ class FeedForward(Module):
             # tanh buffers before the down projection allocates its output.
             residuals = None
         out = self.down.raw_forward(act, tape)
-        dropout_mask = self.dropout.draw_mask(out.shape)
+        dropout_mask = self.dropout.draw_mask(out.shape, rows)
         if dropout_mask is not None:
             out *= dropout_mask
         if tape is not None:

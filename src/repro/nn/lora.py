@@ -104,18 +104,23 @@ class LoRALinear(Module):
         )
         return base_out + delta
 
-    def raw_forward(self, x: np.ndarray, tape: Optional[list] = None) -> np.ndarray:
-        """Array-level forward (same kernels); records both on ``tape``."""
+    def raw_forward(self, x: np.ndarray, tape: Optional[list] = None, rows=None) -> np.ndarray:
+        """Array-level forward (same kernels); records both on ``tape``.
+
+        ``rows`` packs ``x`` as in :meth:`~repro.nn.layers.Dropout.draw_mask`.
+        """
         out = self.base.raw_forward(x, tape)
-        rows = self.row_adapters
-        if rows is not None and rows[0].ndim == 3:
+        adapters = self.row_adapters
+        if adapters is not None and adapters[0].ndim == 3:
             # Grouped delta, row i through its own slab: x[i] @ A_i^T @ B_i^T.
-            delta = np.matmul(np.matmul(x.reshape(len(x), -1, x.shape[-1]), rows[0]), rows[1])
+            delta = np.matmul(
+                np.matmul(x.reshape(len(x), -1, x.shape[-1]), adapters[0]), adapters[1]
+            )
             delta *= self.config.scaling
             out += delta.reshape(out.shape)
             return out
-        a, b = (self.lora_a.data, self.lora_b.data) if rows is None else rows
-        dropout_mask = self.lora_dropout.draw_mask(x.shape)
+        a, b = (self.lora_a.data, self.lora_b.data) if adapters is None else adapters
+        dropout_mask = self.lora_dropout.draw_mask(x.shape, rows)
         delta, residuals = _active().lora_matmul(x, a, b, self.config.scaling, dropout_mask)
         if tape is not None:
             tape.append(residuals)

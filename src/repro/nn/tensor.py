@@ -10,9 +10,10 @@ Nothing in production runs this graph.  Training runs
 :meth:`repro.nn.transformer.TransformerLM.train_step`, a taped array-level
 forward with a handwritten reverse sweep over the same backend kernels, and
 inference runs the array-level
-:meth:`~repro.nn.transformer.TransformerLM.prefill` and decode steps.  The graph is the reference that step is tested against (loss and
-every gradient bit-identical) and the subject of the gradcheck suite, so it
-keeps only the operations :meth:`~repro.nn.transformer.TransformerLM.forward`
+:meth:`~repro.nn.transformer.TransformerLM.prefill` and decode steps.  The
+graph is the reference that step is tested against (loss and every
+gradient equal to float rounding) and the subject of the gradcheck suite,
+so it keeps only the operations :meth:`~repro.nn.transformer.TransformerLM.forward`
 and the benchmarks' frozen reference paths use.
 """
 

@@ -12,11 +12,16 @@ fine-tuning — each of which is exercised exactly as the paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nn.attention import LayerKVCache, MultiHeadSelfAttention, combined_mask
+from repro.nn.attention import (
+    LayerKVCache,
+    MultiHeadSelfAttention,
+    PackedRows,
+    combined_mask,
+)
 from repro.nn.backend import active as _active
 from repro.nn.layers import Dropout, Embedding, FeedForward, LayerNorm, Linear, Module
 from repro.nn.tensor import Tensor
@@ -109,15 +114,27 @@ class TransformerBlock(Module):
         mask: np.ndarray,
         cache: Optional[LayerKVCache] = None,
         tape: Optional[list] = None,
+        rows: Optional[PackedRows] = None,
+        queries: Optional[PackedRows] = None,
     ) -> np.ndarray:
         """Array-level block forward (same kernels as the autograd path).
 
         ``hidden`` must be owned by the caller: residuals are added in place.
         ``mask`` is the forward's :func:`~repro.nn.attention.combined_mask`.
+        ``rows`` and ``queries`` are as in
+        :meth:`MultiHeadSelfAttention.raw_forward`: with ``queries`` only
+        its rows go on past the key/value projections, and the block returns
+        them.
         """
-        attn = self.attention.raw_forward(self.ln_attn.raw_forward(hidden, tape), mask, cache, tape)
-        attn += hidden
-        out = self.ffn.raw_forward(self.ln_ffn.raw_forward(attn, tape), tape)
+        if tape is not None:
+            tape.append(queries)
+        attn = self.attention.raw_forward(
+            self.ln_attn.raw_forward(hidden, tape), mask, cache, tape, rows, queries
+        )
+        attn += hidden if queries is None else queries.gather(hidden)
+        out = self.ffn.raw_forward(
+            self.ln_ffn.raw_forward(attn, tape), tape, rows if queries is None else queries
+        )
         out += attn
         return out
 
@@ -157,8 +174,12 @@ class TransformerBlock(Module):
             tape, mid_grad, need_x or ln.weight.requires_grad or ln.bias.requires_grad
         )
         input_grad = ln.raw_backward(tape, normed_grad, need_x)
+        queries = tape.pop()
         if input_grad is not None:
-            input_grad += mid_grad
+            if queries is None:
+                input_grad += mid_grad
+            else:
+                queries.scatter_add(input_grad, mid_grad)
         return input_grad
 
 
@@ -190,9 +211,10 @@ class TransformerLM(Module):
         ``attention_mask`` an optional boolean array of the same shape where
         ``False`` marks padding.  A graph is recorded whenever a parameter
         requires grad.  It is the one full-window forward: :meth:`train_step`
-        runs the same kernels without a graph and the tests hold it to this
-        path bit for bit; the tests also hold :meth:`hidden_states`,
-        :meth:`prefill` and the decode steps to it.
+        runs the same kernels without a graph on the rows its loss reads,
+        and the tests hold it to this path to float rounding; the tests also
+        hold :meth:`hidden_states`, :meth:`prefill` and the decode steps to
+        it.
         """
         token_ids = self._checked_ids(token_ids)
         batch, seq = token_ids.shape
@@ -242,20 +264,25 @@ class TransformerLM(Module):
         positions: np.ndarray,
         depth: int,
         tape: Optional[list] = None,
-    ) -> np.ndarray:
-        """Embeddings and the first ``depth`` blocks over every position.
+        rows: Optional[PackedRows] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Embeddings and the first ``depth`` blocks.
 
-        Returns the ``(batch, seq, dim)`` residual stream.  Each block run
-        appends its keys/values to its layer of ``kv_cache``; ``tape`` is as
-        in :meth:`train_step`.
+        Returns the ``(batch, seq, dim)`` residual stream, or with ``rows``
+        its ``(rows.count, dim)`` packed rows, and the blocks'
+        :func:`~repro.nn.attention.combined_mask`.  Each block run appends
+        its keys/values to its layer of ``kv_cache``; ``tape`` is as in
+        :meth:`train_step`.
         """
         batch, seq = token_ids.shape
         past = kv_cache.length if kv_cache is not None else 0
+        if rows is not None:
+            token_ids, positions = rows.pack(token_ids), rows.pack(positions)
         hidden = self.token_embedding.rows(token_ids)
         # Positions were already range-checked against max_seq_len above, so
         # the embedding's own bounds validation can be skipped here.
         hidden += self.position_embedding.weight.data[positions]
-        dropout_mask = self.embedding_dropout.draw_mask(hidden.shape)
+        dropout_mask = self.embedding_dropout.draw_mask(hidden.shape, rows)
         if dropout_mask is not None:
             hidden *= dropout_mask
         if tape is not None:
@@ -263,8 +290,8 @@ class TransformerLM(Module):
         mask = combined_mask(batch, self.config.num_heads, seq, past, attention_mask)
         for index in range(depth):
             layer_cache = kv_cache.layers[index] if kv_cache is not None else None
-            hidden = self.blocks[index].raw_forward(hidden, mask, layer_cache, tape)
-        return hidden
+            hidden = self.blocks[index].raw_forward(hidden, mask, layer_cache, tape, rows)
+        return hidden, mask
 
     def train_step(
         self,
@@ -276,15 +303,28 @@ class TransformerLM(Module):
 
         The forward runs the same backend kernels as :meth:`forward` with a
         tape: each kernel appends the residuals it already returns, and
-        residuals are added in place.  The loss is the backend's
-        cross-entropy over the ``(batch, seq)`` ``labels`` (``IGNORE_INDEX``
-        positions carry none), and the reverse sweep pops the tape LIFO
-        through the backend VJPs.  It accumulates ``.grad`` (as autograd
-        does, so clear it first) only on parameters with ``requires_grad``:
-        the LoRA factors when fine-tuning, every weight when pre-training.
-        No Tensor graph is built, and the loss and every gradient are
-        bit-identical to ``cross_entropy(self(token_ids, attention_mask),
-        labels, IGNORE_INDEX).backward()`` under the same RNG state.
+        residuals are added in place.  It computes only what the loss reads.
+        The real positions (``attention_mask``, plus any labelled padding)
+        up to each row's last label are packed as
+        :class:`~repro.nn.attention.PackedRows`, and every op but attention
+        runs on those rows; attention places them in the padded heads layout
+        under the usual mask.  Blocks ``[:-1]`` run
+        over every packed row; the last block runs ``ln_attn`` and the
+        key/value projections over them too, and only the labelled rows
+        (``labels != IGNORE_INDEX``) take the query side, ``ln_final``, the
+        head and the backend's cross-entropy.  Each dropout mask is drawn
+        at the padded ``(batch, seq, ...)`` shape in :meth:`forward`'s
+        order, then packed, so the dropout streams are :meth:`forward`'s.
+
+        The reverse sweep pops the tape LIFO through the backend VJPs.  It
+        accumulates ``.grad`` (as autograd does, so clear it first) only on
+        parameters with ``requires_grad``: the LoRA factors when
+        fine-tuning, every weight when pre-training.  No Tensor graph is
+        built.  The loss and every gradient equal ``cross_entropy(self(
+        token_ids, attention_mask), labels, IGNORE_INDEX).backward()`` under
+        the same RNG state to float rounding (row-subset GEMMs round
+        differently), and do not depend on the BLAS thread count: packed
+        row counts are multiples of :data:`~repro.nn.attention.ROW_ALIGN`.
         """
         token_ids = self._checked_ids(token_ids)
         batch, seq = token_ids.shape
@@ -299,10 +339,21 @@ class TransformerLM(Module):
         for block in self.blocks:
             live.append(live[-1] or any(t.requires_grad for t in block.parameter_list()))
 
+        labelled = labels != IGNORE_INDEX
+        # No labelled query attends past its row's last label (the causal
+        # mask), so the loss reads the real positions up to that label.
+        steps = np.arange(seq)
+        read = steps <= np.where(labelled, steps, -1).max(axis=1, keepdims=True)
+        if attention_mask is not None:
+            read &= np.asarray(attention_mask, dtype=bool) | labelled
+        rows = PackedRows.window(read, self.config.num_heads)
+        queries = PackedRows.queries(labelled, rows)
+        positions = self._positions(batch, seq, 0, None)
+        last = len(self.blocks) - 1
         tape: list = []
-        hidden = self._encode(
-            token_ids, attention_mask, None, self._positions(batch, seq, 0, None),
-            len(self.blocks), tape,
+        hidden, mask = self._encode(token_ids, attention_mask, None, positions, last, tape, rows)
+        hidden = self.blocks[last].raw_forward(
+            hidden, queries.score_rows(mask), None, tape, rows, queries
         )
         hidden = self.ln_final.raw_forward(hidden, tape)
         if self.lm_head is not None:
@@ -310,7 +361,9 @@ class TransformerLM(Module):
         else:
             logits, residuals = backend.matmul(hidden, embedding.data.T)
             tape.append(residuals)
-        loss, residuals = backend.cross_entropy(logits, labels, IGNORE_INDEX)
+        targets = np.full(queries.count, IGNORE_INDEX, dtype=np.int64)
+        targets[: queries.size] = labels.reshape(-1)[queries.index]
+        loss, residuals = backend.cross_entropy(logits, targets, IGNORE_INDEX)
         grad = backend.VJPS["cross_entropy"](residuals, 1.0)
         head_grad = None
         if self.lm_head is not None:
@@ -437,7 +490,7 @@ class TransformerLM(Module):
         past = kv_cache.length
         positions = self._positions(batch, seq, past, position_ids)
         last = len(self.blocks) - 1
-        hidden = self._encode(token_ids, attention_mask, kv_cache, positions, last)
+        hidden, _ = self._encode(token_ids, attention_mask, kv_cache, positions, last)
         block = self.blocks[last]
         normed = block.ln_attn.raw_forward(hidden)
         keys, values = block.attention.raw_extend_cache(normed, kv_cache.layers[last])
@@ -540,7 +593,9 @@ class TransformerLM(Module):
         try:
             token_ids = self._checked_ids(token_ids)
             positions = self._positions(*token_ids.shape, 0, None)
-            hidden = self._encode(token_ids, attention_mask, None, positions, len(self.blocks))
+            hidden, _ = self._encode(
+                token_ids, attention_mask, None, positions, len(self.blocks)
+            )
             return self.ln_final.raw_forward(hidden)
         finally:
             if was_training:

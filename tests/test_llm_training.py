@@ -90,6 +90,12 @@ class TestLoRAFineTuner:
         np.testing.assert_allclose(fresh_llm.model.token_embedding.weight.data, before)
         assert any(np.abs(p.data).sum() > 0 for p in lora_parameters(fresh_llm.model))
 
+    def test_round_leaves_no_gradient(self, fresh_llm, med_corpus):
+        # A kept .grad would hold the dropped optimizer's packed buffer alive.
+        tuner = LoRAFineTuner(fresh_llm, FineTuneConfig(epochs=2, batch_size=4))
+        tuner.finetune(self._training_data(med_corpus, count=6))
+        assert all(parameter.grad is None for parameter in lora_parameters(fresh_llm.model))
+
     def test_empty_training_data(self, fresh_llm):
         tuner = LoRAFineTuner(fresh_llm, FineTuneConfig(epochs=1))
         report = tuner.finetune([])
@@ -156,6 +162,11 @@ class TestPretrain:
         report = pretrain(llm, pairs, PretrainConfig(epochs=3, batch_size=16))
         assert report.final_loss < report.initial_loss
         assert report.num_examples == 40
+
+    def test_pretrain_leaves_no_gradient(self, untrained_llm, med_corpus):
+        llm = untrained_llm.clone()
+        pretrain(llm, pretraining_pairs(med_corpus, rng=0)[:12], PretrainConfig(epochs=1))
+        assert all(parameter.grad is None for parameter in llm.model.parameters())
 
     def test_pretrain_empty_raises(self, untrained_llm):
         with pytest.raises(ValueError):

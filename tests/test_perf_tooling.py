@@ -3,7 +3,8 @@
 
 The baseline tests replace every benchmark module with a stub that fails
 the test if it runs, so each one also proves the check happens before any
-benchmark starts.
+benchmark starts.  A gate run whose stubs return the committed summaries
+must write its results under ``runs/perf/`` only.
 """
 
 import importlib.util
@@ -91,6 +92,32 @@ class TestBaselineChecks:
         assert f"baseline file malformed: {damaged}: " in err
         if damage not in ("bad_json", "not_utf8"):
             assert f"'{parent}.{leaf}'" in err
+
+
+class TestResults:
+    def test_a_gate_run_leaves_the_committed_results_alone(
+        self, perf_check, monkeypatch, capsys, tmp_path
+    ):
+        committed = {
+            path.name: path.read_bytes()
+            for path in (REPO_ROOT / "benchmarks").glob("BENCH_*.json")
+        }
+        for name in ("generation", "training", "frontend"):
+            summary = json.loads(committed[f"BENCH_{name}.json"])
+            monkeypatch.setattr(
+                sys.modules[f"bench_{name}"], "run_benchmark", lambda summary=summary: summary
+            )
+        monkeypatch.setattr(perf_check, "RUNS_DIR", tmp_path)
+        assert perf_check.main() == 0, capsys.readouterr().out
+        assert {
+            path.name: path.read_bytes()
+            for path in (REPO_ROOT / "benchmarks").glob("BENCH_*.json")
+        } == committed
+        written = {path.name: json.loads(path.read_text()) for path in tmp_path.iterdir()}
+        assert written == {
+            name: json.loads(committed[name])
+            for name in ("BENCH_generation.json", "BENCH_training.json", "BENCH_frontend.json")
+        }
 
 
 class FakeClock:

@@ -4,9 +4,16 @@
 handwritten reverse sweep.  The autograd path — ``forward`` with grad
 enabled, ``cross_entropy(...)`` and ``backward()`` — is the reference:
 
-* under the same RNG state, the step's loss and every gradient must be
-  bit-identical (``np.array_equal``) to the reference, for LoRA-only and
-  all-weights training, over random tiny configurations (hypothesis);
+* under the same RNG state, the step's loss and every gradient must equal
+  the reference to float rounding, and both must draw the same dropout
+  masks, for LoRA-only and all-weights training, over random tiny
+  configurations (hypothesis).  The step runs its GEMMs on packed row
+  subsets, which round differently from the reference's full-window GEMMs,
+  so bit identity cannot hold;
+* what the loss cannot read does not move a bit: padding token ids and the
+  tokens after each row's last label;
+* the loss and every gradient have the same bits at 1 and 2 OpenBLAS
+  threads;
 * a finite-difference check pins the step's gradients on their own;
 * the production training loops (``LoRAFineTuner.finetune`` and
   ``pretrain``) and the inference entry points (``respond_batch``,
@@ -14,7 +21,12 @@ enabled, ``cross_entropy(...)`` and ``backward()`` — is the reference:
   node.
 """
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +43,15 @@ from repro.nn.tensor import Tensor
 from repro.nn.transformer import IGNORE_INDEX, TransformerConfig, TransformerLM
 from repro.utils.rng import get_generator_state, set_generator_state
 
+SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
 SETTINGS = settings(max_examples=40, deadline=None)
+# Equal to autograd: |step - reference| <= RTOL * (the largest reference
+# gradient of the model) + ATOL.  Scaling by the largest gradient covers the
+# mathematically zero ones (k_proj.bias: softmax is shift-invariant), which
+# hold only rounding noise.  ATOL covers dim-2 models: a two-feature
+# LayerNorm's input gradient is exactly zero, so everything below it is
+# noise (up to 3.4e-6 measured; dim > 2 stays within 2.1e-5 * the scale).
+RTOL, ATOL, LOSS_RTOL = 2e-4, 2e-5, 1e-5
 # The tolerances of test_gradcheck.gradcheck_tensor (float32 central differences).
 FD_EPS, FD_ATOL, FD_RTOL = 1e-2, 5e-2, 5e-2
 
@@ -125,7 +145,7 @@ SINGLE_LABEL = Case(
 )
 
 
-class TestBitIdenticalToAutograd:
+class TestEqualToAutograd:
     @pytest.mark.parametrize("lora", [True, False], ids=["lora-only", "all-weights"])
     @SETTINGS
     @given(case=cases())
@@ -146,12 +166,15 @@ class TestBitIdenticalToAutograd:
 
         loss = model.train_step(token_ids, mask, labels)
 
-        assert loss == float(reference.data)
+        assert loss == pytest.approx(float(reference.data), rel=LOSS_RTOL)
+        scale = max(float(np.abs(grad).max()) for grad in expected.values() if grad is not None)
         trained = 0
         for name, tensor in model.named_parameters():
             assert (tensor.grad is None) == (expected[name] is None), name
             if tensor.grad is not None:
-                assert np.array_equal(tensor.grad, expected[name]), name
+                np.testing.assert_allclose(
+                    tensor.grad, expected[name], rtol=0, atol=RTOL * scale + ATOL, err_msg=name
+                )
                 trained += 1
         assert trained == len(model.trainable_parameters())
         # Both paths drew the same dropout masks in the same order.
@@ -164,6 +187,100 @@ class TestBitIdenticalToAutograd:
         token_ids, mask, labels = _batch(SINGLE_LABEL)
         with pytest.raises(ValueError, match="labels shape"):
             model.train_step(token_ids, mask, labels[:, :-1])
+
+
+def _step(model, token_ids, mask, labels, states):
+    """Loss and every gradient of one step from the dropout ``states``."""
+    model.zero_grad()
+    _restore_dropout_states(model, states)
+    loss = model.train_step(token_ids, mask, labels)
+    return loss, [tensor.grad for tensor in model.trainable_parameters()]
+
+
+class TestUnreadTokens:
+    @pytest.mark.parametrize("lora", [True, False], ids=["lora-only", "all-weights"])
+    @SETTINGS
+    @given(case=cases(), replacement=st.integers(0, 10))
+    @example(case=SINGLE_LABEL, replacement=0)
+    def test_padding_and_tokens_after_the_last_label_change_nothing(
+        self, lora, case, replacement
+    ):
+        model = _model(case, lora)
+        token_ids, mask, labels = _batch(case)
+        states = _dropout_states(model)
+        loss, grads = _step(model, token_ids, mask, labels, states)
+
+        # Padding, and every position after its row's last label.
+        positions = np.arange(case.seq)
+        last_label = np.where(labels != IGNORE_INDEX, positions, -1).max(axis=1)
+        unread = ~mask | (positions[None, :] > last_label[:, None])
+        changed = token_ids.copy()
+        changed[unread] = (changed[unread] + 1 + replacement) % 11
+        changed_loss, changed_grads = _step(model, changed, mask, labels, states)
+
+        assert changed_loss == loss
+        for grad, changed_grad in zip(grads, changed_grads):
+            assert np.array_equal(grad, changed_grad)
+
+
+# One model and three batches at the production width (dim 64, FFN 256):
+# two full batches and a ragged one.  Prints the real-row counts and one
+# digest of every loss and gradient.
+_THREADS_SCRIPT = """
+import hashlib
+import json
+import numpy as np
+from repro.nn.lora import LoRAConfig, inject_lora, lora_layers
+from repro.nn.transformer import IGNORE_INDEX, TransformerConfig, TransformerLM
+
+def batch(rows, seq, ragged, seed):
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(seq // 4, seq + 1, size=rows) if ragged else np.full(rows, seq)
+    mask = np.arange(seq)[None, :] < lengths[:, None]
+    labels = rng.integers(0, 300, size=(rows, seq))
+    labels[(rng.random((rows, seq)) < 0.5) | ~mask] = IGNORE_INDEX
+    return rng.integers(0, 300, size=(rows, seq)), mask, labels
+
+digest = hashlib.sha256()
+real_rows = []
+for lora in (False, True):
+    config = TransformerConfig(vocab_size=300, max_seq_len=40, dim=64, num_layers=2, num_heads=4)
+    model = TransformerLM(config, rng=0)
+    if lora:
+        inject_lora(model, LoRAConfig(), rng=1)
+        for layer in lora_layers(model):
+            layer.lora_b.data[...] = 0.05
+    model.train()
+    for shape, ragged, seed in (((25, 31), False, 2), ((30, 35), False, 3), ((25, 37), True, 4)):
+        token_ids, mask, labels = batch(*shape, ragged, seed)
+        real_rows.append(int(mask.sum()))
+        model.zero_grad()
+        digest.update(np.float64(model.train_step(token_ids, mask, labels)).tobytes())
+        for tensor in model.trainable_parameters():
+            digest.update(tensor.grad.tobytes())
+print(json.dumps({"digest": digest.hexdigest(), "real_rows": real_rows}))
+"""
+
+
+class TestBlasThreadCount:
+    def test_one_and_two_threads_give_the_same_bits(self):
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = str(SRC_ROOT) + os.pathsep + env.get("PYTHONPATH", "")
+            env["OPENBLAS_NUM_THREADS"] = threads
+            result = subprocess.run(
+                [sys.executable, "-c", _THREADS_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            outcome = json.loads(result.stdout)
+            digests.append(outcome["digest"])
+        # The ragged batch's real rows are above the counts OpenBLAS keeps
+        # thread-invariant on its own (448) and not a multiple of 32.
+        ragged = outcome["real_rows"][2]
+        assert ragged > 448 and ragged % 32 != 0
+        assert digests[0] == digests[1]
 
 
 class TestFiniteDifferences:
