@@ -23,6 +23,7 @@ from repro.experiments.presets import ExperimentScale  # noqa: F401  (docs/type 
 from repro.experiments.registry import (
     experiment_names,
     get_experiment,
+    resolve_run,
     run_experiment,
 )
 from repro.utils.logging import enable_console_logging
@@ -346,15 +347,22 @@ def _command_list() -> int:
     return 0
 
 
+def _usage_error(error: Exception) -> int:
+    """Report a bad argument value as one ``error:`` line; exit status 2."""
+    message = error.args[0] if isinstance(error, KeyError) and error.args else error
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _command_run(args: argparse.Namespace) -> int:
+    # Every argument is checked here, before any work or directory creation.
+    try:
+        options = _collect_options(get_experiment(args.experiment).options, args)
+        spec, scale = resolve_run(args.experiment, args.scale, args.seed, **options)
+    except (KeyError, ValueError) as error:
+        return _usage_error(error)
     if not args.quiet:
         enable_console_logging()
-    try:
-        spec = get_experiment(args.experiment)
-    except KeyError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    options = _collect_options(spec.options, args)
 
     if args.no_artifacts and args.out is not None:
         print(
@@ -364,20 +372,10 @@ def _command_run(args: argparse.Namespace) -> int:
         )
         return 2
     out_dir = args.out
-    scale_name = args.scale
     if out_dir is None and not args.no_artifacts:
-        from repro.experiments.presets import get_scale
+        out_dir = f"runs/{args.experiment}-{scale.name}-seed{args.seed}"
 
-        resolved = get_scale(scale_name, seed=args.seed)
-        out_dir = f"runs/{args.experiment}-{resolved.name}-seed{args.seed}"
-
-    run = run_experiment(
-        args.experiment,
-        scale=scale_name,
-        seed=args.seed,
-        out_dir=out_dir,
-        **options,
-    )
+    run = run_experiment(args.experiment, scale=scale, seed=args.seed, out_dir=out_dir, **options)
     print(f"== {spec.title} (scale={run.scale}, seed={run.seed}) ==")
     print(spec.formatter(run.result))
     print(f"\ncompleted in {run.seconds:.1f}s")
@@ -526,14 +524,14 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.serve.runner import run_serve
     from repro.serve.shard import ShardPoolError
 
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if not args.quiet:
-        enable_console_logging()
     # The one place serve argv becomes configuration; everything below (and
     # every entry point) reads the typed config.
-    config = ServeConfig.from_args(args)
+    try:
+        config = ServeConfig.from_args(args)
+    except (KeyError, ValueError) as error:
+        return _usage_error(error)
+    if not args.quiet:
+        enable_console_logging()
     listening = config.listen is not None
     if not listening:
         for flag, name in (
@@ -556,12 +554,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     )
     try:
         if listening:
-            try:
-                frontend = ServeFrontend(config)
-            except ValueError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            outcome = frontend.run()
+            outcome = ServeFrontend(config).run()
         else:
             outcome = run_serve(config)
     except ShardPoolError as error:

@@ -30,12 +30,6 @@ class AnnotationStats:
     provided: int = 0
     declined: int = 0
 
-    def provision_rate(self) -> float:
-        """Fraction of requests the user actually answered."""
-        if self.requests == 0:
-            return 0.0
-        return self.provided / self.requests
-
 
 class AnnotationOracle:
     """Simulated user who provides preferred responses for selected data.

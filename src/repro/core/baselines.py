@@ -195,22 +195,33 @@ def make_selector(
     """
     from repro.core.selector import QualityScoreSelector
 
-    name = name.lower()
-    if name in ("ours", "quality", "proposed"):
+    name = selector_name(name)
+    if name == "ours":
         return QualityScoreSelector(buffer, scorer, rng=rng)
     if name == "random":
         return RandomReplaceSelector(buffer, scorer, rng=rng)
     if name == "fifo":
         return FIFOReplaceSelector(buffer, scorer, rng=rng)
-    if name in ("kcenter", "k-center"):
+    if name == "kcenter":
         return KCenterSelector(buffer, scorer, rng=rng)
-    if name in ("eoe", "dss", "idd"):
-        return SingleMetricSelector(buffer, scorer, metric=name, rng=rng)
-    raise ValueError(
-        f"unknown selector {name!r}; expected one of "
-        "'ours', 'random', 'fifo', 'kcenter', 'eoe', 'dss', 'idd'"
-    )
+    return SingleMetricSelector(buffer, scorer, metric=name, rng=rng)
 
+
+def selector_name(name: str) -> str:
+    """The policy name :func:`make_selector` builds for ``name``.
+
+    Case-insensitive; ``quality``/``proposed`` mean ``ours`` and ``k-center``
+    means ``kcenter``.  Raises :class:`ValueError` for an unknown name.
+    """
+    name = name.lower()
+    name = _SELECTOR_ALIASES.get(name, name)
+    if name not in ALL_POLICY_NAMES:
+        expected = ", ".join(repr(known) for known in ALL_POLICY_NAMES)
+        raise ValueError(f"unknown selector {name!r}; expected one of {expected}")
+    return name
+
+
+_SELECTOR_ALIASES = {"quality": "ours", "proposed": "ours", "k-center": "kcenter"}
 
 BASELINE_NAMES = ("random", "fifo", "kcenter")
 ABLATION_NAMES = ("eoe", "dss", "idd")

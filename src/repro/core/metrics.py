@@ -55,9 +55,6 @@ class QualityScores:
         """
         return self.eoe > other.eoe and self.dss > other.dss and self.idd > other.idd
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.eoe, self.dss, self.idd)
-
     def get(self, name: str) -> float:
         """Access one metric by name ('eoe', 'dss' or 'idd')."""
         if name not in ("eoe", "dss", "idd"):

@@ -11,7 +11,6 @@ from repro.data.persona import UserPersona, generic_model_response
 from repro.data.stream import (
     DialogueStream,
     StreamConfig,
-    reorder_with_correlation,
     temporal_correlation_index,
 )
 from repro.data.synthetic import (
@@ -22,9 +21,7 @@ from repro.data.synthetic import (
     STRONGLY_CORRELATED,
     SyntheticCorpusConfig,
     SyntheticCorpusGenerator,
-    corpus_persona,
     dataset_preset,
-    make_all_corpora,
     make_corpus,
     make_corpus_config,
     make_generator,
@@ -48,14 +45,11 @@ __all__ = [
     "UserPersona",
     "builtin_domain_names",
     "builtin_lexicons",
-    "corpus_persona",
     "dataset_preset",
     "generic_model_response",
-    "make_all_corpora",
     "make_corpus",
     "make_corpus_config",
     "make_generator",
-    "reorder_with_correlation",
     "stream_noise_preset",
     "temporal_correlation_index",
 ]

@@ -10,9 +10,7 @@ for analysis and tests), and arbitrary metadata.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.tokenizer.word_tokenizer import split_words
@@ -78,7 +76,7 @@ class DialogueSet:
 
 
 class DialogueCorpus:
-    """An ordered collection of dialogue sets with split and persistence helpers."""
+    """An ordered collection of dialogue sets with a split helper."""
 
     def __init__(self, dialogues: Sequence[DialogueSet], name: str = "corpus") -> None:
         self._dialogues: List[DialogueSet] = list(dialogues)
@@ -121,13 +119,6 @@ class DialogueCorpus:
         """All question texts."""
         return [dialogue.question for dialogue in self._dialogues]
 
-    def gold_responses(self) -> List[str]:
-        """Gold responses (falling back to the recorded response when missing)."""
-        return [
-            dialogue.gold_response if dialogue.gold_response is not None else dialogue.response
-            for dialogue in self._dialogues
-        ]
-
     def all_text(self) -> List[str]:
         """Every question and response string (used for vocabulary building)."""
         texts: List[str] = []
@@ -159,34 +150,6 @@ class DialogueCorpus:
             DialogueCorpus(second, name=f"{self.name}[eval]"),
         )
 
-    def filter_by_domain(self, domain: str) -> "DialogueCorpus":
-        """Only the dialogue sets whose ground-truth domain equals ``domain``."""
-        return DialogueCorpus(
-            [d for d in self._dialogues if d.domain == domain], name=f"{self.name}[{domain}]"
-        )
-
     def extend(self, dialogues: Iterable[DialogueSet]) -> None:
         """Append more dialogue sets in place."""
         self._dialogues.extend(dialogues)
-
-    # -- persistence --------------------------------------------------------- #
-    def save_jsonl(self, path: Union[str, Path]) -> Path:
-        """Write the corpus as JSON-lines."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as handle:
-            for dialogue in self._dialogues:
-                handle.write(json.dumps(dialogue.to_dict()) + "\n")
-        return path
-
-    @classmethod
-    def load_jsonl(cls, path: Union[str, Path], name: Optional[str] = None) -> "DialogueCorpus":
-        """Load a corpus written by :meth:`save_jsonl`."""
-        path = Path(path)
-        dialogues = []
-        with path.open() as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    dialogues.append(DialogueSet.from_dict(json.loads(line)))
-        return cls(dialogues, name=name or path.stem)

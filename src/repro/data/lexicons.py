@@ -38,13 +38,6 @@ class DomainLexicon:
         """Number of tokens of ``text`` (with multiplicity) found in this lexicon."""
         return sum(1 for token in split_words(text) if token in self.words)
 
-    def overlap_ratio(self, text: str) -> float:
-        """Overlap count divided by the number of tokens in ``text``."""
-        tokens = split_words(text)
-        if not tokens:
-            return 0.0
-        return self.overlap_count(text) / len(tokens)
-
 
 class LexiconCollection:
     """The collection ``L = {l_1, ..., l_m}`` of domain lexicons."""

@@ -232,22 +232,6 @@ class UserPersona:
         """The user's preferred reply to pure small talk: a short acknowledgement."""
         return _FILLER_ACKS[len(question) % len(_FILLER_ACKS)]
 
-    def signature_tokens(self) -> List[str]:
-        """All persona-specific tokens (used in tests to verify learnability)."""
-        parts = [self.opening, self.closing]
-        parts.extend(self.domain_phrases.values())
-        for words in self.domain_vocabulary.values():
-            parts.extend(words)
-        return sorted(set(split_words(" ".join(parts))))
-
-    def domain_signature_tokens(self, domain: str) -> List[str]:
-        """Tokens specific to one domain's preferred answers (phrase + vocabulary)."""
-        parts: List[str] = []
-        if domain in self.domain_phrases:
-            parts.append(self.domain_phrases[domain])
-        parts.extend(self.domain_vocabulary.get(domain, []))
-        return sorted(set(split_words(" ".join(parts))))
-
 
 def generic_model_response(question: str, rng=None) -> str:
     """A bland, persona-free response imitating the pre-trained model's answers.

@@ -2,19 +2,20 @@
 
 On the device, dialogue sets arrive one at a time from the user–LLM
 interaction; they are *not* i.i.d. samples from the dataset but a temporally
-correlated stream.  This module turns a :class:`DialogueCorpus` into such a
-stream, exposes a measure of how temporally correlated an ordering is, and
-provides the chunking used to trigger fine-tuning every ``N`` dialogue sets.
+correlated stream.  A :class:`DialogueStream` is its corpus in corpus order:
+the corpus generator sets the correlation
+(:attr:`~repro.data.synthetic.SyntheticCorpusConfig.temporal_correlation`).
+This module measures how temporally correlated an ordering is and provides
+the chunking used to trigger fine-tuning every ``N`` dialogue sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.data.dialogue import DialogueCorpus, DialogueSet
-from repro.utils.config import require_in_unit_interval, require_positive
-from repro.utils.rng import as_generator
+from repro.utils.config import require_positive
 
 
 def temporal_correlation_index(dialogues: Sequence[DialogueSet]) -> float:
@@ -30,57 +31,14 @@ def temporal_correlation_index(dialogues: Sequence[DialogueSet]) -> float:
     return same / (len(labelled) - 1)
 
 
-def reorder_with_correlation(
-    corpus: DialogueCorpus, correlation: float, rng=None
-) -> List[DialogueSet]:
-    """Reorder a corpus to approximately match a target temporal correlation.
-
-    ``correlation = 0`` produces a uniform shuffle; ``correlation = 1``
-    produces contiguous per-domain blocks; intermediate values interpolate by
-    building domain blocks and then swapping a fraction of positions.
-    """
-    require_in_unit_interval("correlation", correlation)
-    generator = as_generator(rng)
-    dialogues = corpus.dialogues()
-    if correlation <= 0.0:
-        indices = generator.permutation(len(dialogues))
-        return [dialogues[int(i)] for i in indices]
-
-    # Group into per-domain blocks (filler goes into its own pseudo-domain),
-    # shuffle the block order, then concatenate.
-    blocks: Dict[str, List[DialogueSet]] = {}
-    for dialogue in dialogues:
-        blocks.setdefault(dialogue.domain or "<filler>", []).append(dialogue)
-    block_names = list(blocks)
-    generator.shuffle(block_names)
-    ordered: List[DialogueSet] = []
-    for name in block_names:
-        items = list(blocks[name])
-        generator.shuffle(items)
-        ordered.extend(items)
-
-    # Random transpositions reduce correlation towards the target.
-    swap_fraction = 1.0 - correlation
-    num_swaps = int(swap_fraction * len(ordered))
-    for _ in range(num_swaps):
-        i, j = generator.integers(0, len(ordered), size=2)
-        ordered[int(i)], ordered[int(j)] = ordered[int(j)], ordered[int(i)]
-    return ordered
-
-
 @dataclass
 class StreamConfig:
     """Configuration of the streaming simulation."""
 
     finetune_interval: int = 800
-    preserve_corpus_order: bool = True
-    target_correlation: Optional[float] = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         require_positive("finetune_interval", self.finetune_interval)
-        if self.target_correlation is not None:
-            require_in_unit_interval("target_correlation", self.target_correlation)
 
 
 class DialogueStream:
@@ -93,17 +51,7 @@ class DialogueStream:
 
     def __init__(self, corpus: DialogueCorpus, config: Optional[StreamConfig] = None) -> None:
         self.config = config or StreamConfig()
-        if self.config.preserve_corpus_order and self.config.target_correlation is None:
-            self._ordered = corpus.dialogues()
-        else:
-            correlation = (
-                self.config.target_correlation
-                if self.config.target_correlation is not None
-                else temporal_correlation_index(corpus.dialogues())
-            )
-            self._ordered = reorder_with_correlation(
-                corpus, correlation, rng=self.config.seed
-            )
+        self._ordered = corpus.dialogues()
         self.name = corpus.name
 
     def __len__(self) -> int:
@@ -115,10 +63,6 @@ class DialogueStream:
     def dialogues(self) -> List[DialogueSet]:
         """The stream as a list, in arrival order."""
         return list(self._ordered)
-
-    def correlation_index(self) -> float:
-        """Temporal correlation of this stream's ordering."""
-        return temporal_correlation_index(self._ordered)
 
     def chunks(self, skip: int = 0) -> Iterator[List[DialogueSet]]:
         """Yield consecutive chunks of ``finetune_interval`` dialogue sets.

@@ -477,20 +477,3 @@ def make_corpus(
     config = make_corpus_config(name, size=size, seed=seed, **overrides)
     generator = SyntheticCorpusGenerator(config, lexicons=lexicons, persona=persona)
     return generator.generate()
-
-
-def make_all_corpora(
-    size: int = 600, seed: int = 0, lexicons: Optional[LexiconCollection] = None
-) -> Dict[str, DialogueCorpus]:
-    """Generate all six dataset analogues keyed by name."""
-    return {
-        name: make_corpus(name, size=size, seed=seed + offset, lexicons=lexicons)
-        for offset, name in enumerate(DATASET_NAMES)
-    }
-
-
-def corpus_persona(name: str, size: int = 600, seed: int = 0) -> UserPersona:
-    """The persona used by :func:`make_corpus` for the same arguments."""
-    config = make_corpus_config(name, size=size, seed=seed)
-    generator = SyntheticCorpusGenerator(config)
-    return generator.persona

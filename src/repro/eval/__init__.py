@@ -2,7 +2,6 @@
 
 from repro.eval.learning_curve import (
     LearningCurve,
-    compare_final_scores,
     format_learning_curves,
     rank_methods,
 )
@@ -13,7 +12,6 @@ __all__ = [
     "EvaluationReport",
     "LearningCurve",
     "ResponseEvaluator",
-    "compare_final_scores",
     "format_learning_curves",
     "rank_methods",
 ]

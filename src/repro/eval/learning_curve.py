@@ -32,10 +32,6 @@ class LearningCurve:
         """Evaluator wall-clock seconds behind each measurement point."""
         return [point.eval_seconds for point in self.points]
 
-    def total_eval_seconds(self) -> float:
-        """Total evaluator wall-clock time spent building this curve."""
-        return float(sum(point.eval_seconds for point in self.points))
-
     @property
     def final(self) -> float:
         """ROUGE-1 at the last measurement (0.0 for an empty curve)."""
@@ -50,11 +46,6 @@ class LearningCurve:
         """Final minus initial ROUGE-1."""
         return self.final - self.initial
 
-    def is_monotone_increasing(self, tolerance: float = 0.0) -> bool:
-        """Whether the curve never drops by more than ``tolerance``."""
-        values = self.rouge()
-        return all(b >= a - tolerance for a, b in zip(values, values[1:]))
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly form."""
         return {
@@ -63,11 +54,6 @@ class LearningCurve:
             "rouge_1": self.rouge(),
             "eval_seconds": self.eval_seconds(),
         }
-
-
-def compare_final_scores(curves: Sequence[LearningCurve]) -> Dict[str, float]:
-    """Final ROUGE-1 per method."""
-    return {curve.method: curve.final for curve in curves}
 
 
 def rank_methods(curves: Sequence[LearningCurve]) -> List[Tuple[str, float]]:

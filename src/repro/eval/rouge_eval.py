@@ -58,12 +58,6 @@ class EvaluationReport:
     scores: List[float]
     num_evaluated: int
 
-    @property
-    def median_rouge_1(self) -> float:
-        if not self.scores:
-            return 0.0
-        return float(np.median(self.scores))
-
 
 class ResponseEvaluator:
     """Callable evaluator: ``evaluator(llm) -> mean ROUGE-1``."""

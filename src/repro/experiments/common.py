@@ -26,6 +26,7 @@ from repro.llm.finetune import FineTuneConfig
 from repro.llm.model import OnDeviceLLM
 from repro.llm.pretrain import PretrainConfig, build_pretrained_llm
 from repro.nn.lora import LoRAConfig
+from repro.utils.config import require_positive
 from repro.utils.logging import get_logger
 
 _LOGGER = get_logger("experiments")
@@ -205,11 +206,12 @@ def run_method_mean(
     With ``checkpoint_root`` set, each repetition checkpoints its run under
     ``checkpoint_root/seed<framework seed>``.
     """
+    require_positive("num_seeds", num_seeds)
     results: List[PersonalizationResult] = []
     base_seed = overrides.pop("seed", None)
     if base_seed is None:
         base_seed = env.scale.seed
-    for repetition in range(max(1, num_seeds)):
+    for repetition in range(num_seeds):
         seed = base_seed + 101 * repetition
         checkpoint_dir = (
             Path(checkpoint_root) / f"seed{seed}" if checkpoint_root is not None else None

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from repro.core.baselines import selector_name
+from repro.data.synthetic import dataset_preset
 from repro.eval.learning_curve import format_learning_curves
 from repro.experiments.figure2 import Figure2Result, run_figure2
 from repro.experiments.figure3 import Figure3Result, run_figure3
@@ -27,6 +29,7 @@ from repro.experiments.presets import ExperimentScale, get_scale
 from repro.experiments.table2 import Table2Result, run_table2
 from repro.experiments.table3 import Table3Result, run_table3
 from repro.experiments.table4 import Table4Result, run_table4
+from repro.utils.config import require_non_negative, require_positive
 from repro.utils.logging import get_logger
 
 _LOGGER = get_logger("experiments.registry")
@@ -148,6 +151,49 @@ def _figure2_format(result: Figure2Result) -> str:
 # --------------------------------------------------------------------------- #
 # the unified runner
 # --------------------------------------------------------------------------- #
+def resolve_run(
+    name: str,
+    scale: Union[str, ExperimentScale, None] = None,
+    seed: int = 0,
+    **options,
+) -> Tuple[ExperimentSpec, ExperimentScale]:
+    """Check one run's arguments without doing any work.
+
+    Returns the experiment's spec and the resolved scale.  Raises
+    ``KeyError`` for an unknown experiment, scale or dataset, ``TypeError``
+    for an option the experiment does not take, and ``ValueError`` for an
+    unknown method or an out-of-range value.
+    """
+    spec = get_experiment(name)
+    unknown = set(options) - set(spec.options)
+    if unknown:
+        raise TypeError(
+            f"experiment {name!r} does not accept options {sorted(unknown)}; "
+            f"accepted: {sorted(spec.options)}"
+        )
+    require_non_negative("seed", seed)
+    resolved = scale if isinstance(scale, ExperimentScale) else get_scale(scale, seed=seed)
+    for dataset in _listed(options, "datasets", "dataset"):
+        dataset_preset(dataset)
+    for method in _listed(options, "methods", "method"):
+        selector_name(method)
+    if options.get("num_seeds") is not None:
+        require_positive("num_seeds", options["num_seeds"])
+    for count in options.get("counts") or ():
+        require_non_negative("counts", count)
+    for bins in options.get("bins_list") or ():
+        require_positive("bins", bins)
+    return spec, resolved
+
+
+def _listed(options: dict, many: str, one: str) -> List[str]:
+    """The values of a list option and its single-value form."""
+    values = list(options.get(many) or ())
+    if options.get(one) is not None:
+        values.append(options[one])
+    return values
+
+
 def run_experiment(
     name: str,
     scale: Union[str, ExperimentScale, None] = None,
@@ -164,14 +210,7 @@ def run_experiment(
     ``out_dir/checkpoints/``.  Unknown ``options`` raise, so typos do not
     silently fall back to defaults.
     """
-    spec = get_experiment(name)
-    unknown = set(options) - set(spec.options)
-    if unknown:
-        raise TypeError(
-            f"experiment {name!r} does not accept options {sorted(unknown)}; "
-            f"accepted: {sorted(spec.options)}"
-        )
-    resolved = scale if isinstance(scale, ExperimentScale) else get_scale(scale, seed=seed)
+    spec, resolved = resolve_run(name, scale, seed, **options)
 
     run_dir = Path(out_dir) if out_dir is not None else None
     kwargs = dict(options)

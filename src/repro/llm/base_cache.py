@@ -11,7 +11,6 @@ The cache key is a SHA-256 over everything that decides the trained bits:
 * the bytes of the ``repro`` package source;
 * the numpy version and its build info (BLAS/LAPACK build, detected SIMD
   extensions);
-* the active backend's name;
 * ``OnDeviceLLMConfig`` and ``PretrainConfig`` as sorted-key JSON;
 * the vocabulary tokens and the pretraining ``(question, response)`` pairs.
 
@@ -50,7 +49,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.backend import active as active_backend
 from repro.utils.a1 import AdapterFormatError, pack_adapter_record, unpack_adapter_record
 from repro.utils.logging import get_logger
 
@@ -124,7 +122,6 @@ def base_model_key(llm, pretrain_config, pairs: Sequence[Tuple[str, str]], sourc
     for part in (
         source or source_digest(),
         _numpy_build(),
-        active_backend().name,
         json.dumps(asdict(llm.config), sort_keys=True),
         json.dumps(asdict(pretrain_config), sort_keys=True),
         json.dumps(llm.tokenizer.vocabulary.tokens()),

@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.backend import active as _active
+from repro.nn.backend import numpy_backend as K
 from repro.nn.layers import Dropout, Linear, Module
 from repro.nn.tensor import Tensor
 from repro.utils.rng import as_generator
@@ -328,7 +328,6 @@ class MultiHeadSelfAttention(Module):
         ``o_proj``) to its rows, and ``mask`` is then its
         :meth:`~PackedRows.score_rows`.  The output holds the query rows.
         """
-        backend = _active()
         heads, head_dim = self.num_heads, self.head_dim
         query_rows = rows if queries is None else queries
         query_in = x if queries is None else queries.gather(x)
@@ -356,7 +355,7 @@ class MultiHeadSelfAttention(Module):
         dropout_mask = self.attn_dropout.draw_mask((batch, heads, seq, past + seq))
         if dropout_mask is not None and queries is not None:
             dropout_mask = queries.score_rows(dropout_mask)
-        context, residuals = backend.scaled_dot_product_attention(
+        context, residuals = K.scaled_dot_product_attention(
             query, keys, values, scale, mask, dropout_mask
         )
         if tape is not None:
@@ -380,7 +379,7 @@ class MultiHeadSelfAttention(Module):
         grad_merged = _summed(self.o_proj.raw_backward(tape, grad, True))
         residuals, rows, queries = tape.pop()
         query_rows = rows if queries is None else queries
-        grads = _active().VJPS["scaled_dot_product_attention"](
+        grads = K.VJPS["scaled_dot_product_attention"](
             residuals, query_rows.to_heads(grad_merged), (True, True, True)
         )
         value_parts = self.v_proj.raw_backward(tape, rows.from_heads(grads[2]), need_x)

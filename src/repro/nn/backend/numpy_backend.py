@@ -21,8 +21,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-name = "numpy"
-
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 
@@ -103,44 +101,6 @@ def linear_vjp(res, grad, needs):
         if need_b:
             grad_b = grad2.sum(axis=0)
     return grad_x, grad_w, grad_b
-
-
-# --------------------------------------------------------------------------- #
-# softmax / log-softmax
-# --------------------------------------------------------------------------- #
-@_primitive
-def softmax(x: np.ndarray, axis: int = -1):
-    """Numerically stable softmax along ``axis``."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    np.exp(shifted, out=shifted)
-    out = shifted
-    out /= out.sum(axis=axis, keepdims=True)
-    return out, (out, axis)
-
-
-@_vjp("softmax")
-def softmax_vjp(res, grad):
-    out, axis = res
-    dot = (grad * out).sum(axis=axis, keepdims=True)
-    result = grad - dot
-    result *= out
-    return result
-
-
-@_primitive
-def log_softmax(x: np.ndarray, axis: int = -1):
-    """Numerically stable log-softmax along ``axis``."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    shifted -= logsumexp
-    return shifted, (np.exp(shifted), axis)
-
-
-@_vjp("log_softmax")
-def log_softmax_vjp(res, grad):
-    softmax_data, axis = res
-    grad_sum = grad.sum(axis=axis, keepdims=True)
-    return grad - softmax_data * grad_sum
 
 
 # --------------------------------------------------------------------------- #

@@ -1,12 +1,12 @@
 """Functional building blocks on top of :class:`repro.nn.tensor.Tensor`.
 
-Each function here is a thin autograd wrapper over one fused kernel from the
-active :mod:`repro.nn.backend`: the backend primitive computes the forward in
+Each function here is a thin autograd wrapper over one fused kernel of
+:mod:`repro.nn.backend.numpy_backend`: the primitive computes the forward in
 one or two vectorized calls and hands back residuals; a single backward
-closure per kernel feeds those residuals to the backend's handwritten VJP.
+closure per kernel feeds those residuals to the kernel's handwritten VJP.
 The numerics — log-sum-exp stability, ignore-index masking — are identical
 between this autograd reference and the array-level paths, because both call
-the *same* backend forward function.  Only the wrappers the reference
+the *same* kernel forward function.  Only the wrappers the reference
 forward uses are kept, plus the two mask helpers every path shares.
 """
 
@@ -16,15 +16,14 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.backend import active as _active
+from repro.nn.backend import numpy_backend as K
 from repro.nn.tensor import Tensor
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Fused affine map ``x @ weight.T (+ bias)`` with one backward closure."""
-    backend = _active()
-    out, residuals = backend.linear(x.data, weight.data, None if bias is None else bias.data)
-    vjp = backend.VJPS["linear"]
+    out, residuals = K.linear(x.data, weight.data, None if bias is None else bias.data)
+    vjp = K.VJPS["linear"]
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
@@ -48,9 +47,8 @@ def layer_norm(
     x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5
 ) -> Tensor:
     """Layer normalization over the last dimension with affine parameters."""
-    backend = _active()
-    out, residuals = backend.layernorm(x.data, weight.data, bias.data, eps)
-    vjp = backend.VJPS["layernorm"]
+    out, residuals = K.layernorm(x.data, weight.data, bias.data, eps)
+    vjp = K.VJPS["layernorm"]
 
     def backward(grad: np.ndarray) -> None:
         needs = (x.requires_grad, weight.requires_grad, bias.requires_grad)
@@ -79,11 +77,10 @@ def scaled_dot_product_attention(
     ``dropout_mask`` a pre-drawn inverted-dropout multiplier (see
     :meth:`repro.nn.layers.Dropout.draw_mask`).
     """
-    backend = _active()
-    out, residuals = backend.scaled_dot_product_attention(
+    out, residuals = K.scaled_dot_product_attention(
         q.data, k.data, v.data, scale, mask, dropout_mask
     )
-    vjp = backend.VJPS["scaled_dot_product_attention"]
+    vjp = K.VJPS["scaled_dot_product_attention"]
 
     def backward(grad: np.ndarray) -> None:
         needs = (q.requires_grad, k.requires_grad, v.requires_grad)
@@ -106,9 +103,8 @@ def lora_matmul(
     dropout_mask: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Fused LoRA adapter delta ``scaling * (dropout(x) @ A^T @ B^T)``."""
-    backend = _active()
-    out, residuals = backend.lora_matmul(x.data, a.data, b.data, scaling, dropout_mask)
-    vjp = backend.VJPS["lora_matmul"]
+    out, residuals = K.lora_matmul(x.data, a.data, b.data, scaling, dropout_mask)
+    vjp = K.VJPS["lora_matmul"]
 
     def backward(grad: np.ndarray) -> None:
         needs = (x.requires_grad, a.requires_grad, b.requires_grad)
@@ -139,9 +135,8 @@ def cross_entropy(
         raise ValueError(
             f"targets shape {targets.shape} does not match logits {logits.data.shape[:-1]}"
         )
-    backend = _active()
-    loss, residuals = backend.cross_entropy(logits.data, targets, ignore_index)
-    vjp = backend.VJPS["cross_entropy"]
+    loss, residuals = K.cross_entropy(logits.data, targets, ignore_index)
+    vjp = K.VJPS["cross_entropy"]
 
     def backward(grad: np.ndarray) -> None:
         logits._accumulate_owned(vjp(residuals, grad))

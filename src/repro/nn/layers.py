@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.backend import active as _active
+from repro.nn.backend import numpy_backend as K
 from repro.nn.tensor import Tensor
 from repro.utils.rng import as_generator
 
@@ -37,7 +37,7 @@ def apply_vjp(
     needs = (need_x,) + tuple(param is not None and param.requires_grad for param in params)
     if not any(needs):
         return None
-    grads = _active().VJPS[primitive](residuals, grad, needs)
+    grads = K.VJPS[primitive](residuals, grad, needs)
     for param, param_grad in zip(params, grads[1:]):
         if param_grad is not None:
             param._accumulate_owned(param_grad)
@@ -218,7 +218,7 @@ class Linear(Module):
         ``x``'s rows) is taken for the LoRA layer's signature: a plain
         projection draws no dropout mask.
         """
-        out, residuals = _active().linear(
+        out, residuals = K.linear(
             x, self.weight.data, None if self.bias is None else self.bias.data
         )
         if tape is not None:
@@ -311,7 +311,7 @@ class LayerNorm(Module):
 
     def raw_forward(self, x: np.ndarray, tape: Optional[list] = None) -> np.ndarray:
         """Array-level forward (same kernel); records residuals on ``tape``."""
-        out, residuals = _active().layernorm(x, self.weight.data, self.bias.data, self.eps)
+        out, residuals = K.layernorm(x, self.weight.data, self.bias.data, self.eps)
         if tape is not None:
             tape.append(residuals)
         return out
@@ -388,7 +388,7 @@ class FeedForward(Module):
         after the two projections' own records; ``rows`` packs ``x`` as in
         :meth:`Dropout.draw_mask`.
         """
-        act, residuals = _active().gelu(self.up.raw_forward(x, tape))
+        act, residuals = K.gelu(self.up.raw_forward(x, tape))
         if tape is None:
             # Only the reverse sweep reads them: free the projection and
             # tanh buffers before the down projection allocates its output.
@@ -407,6 +407,6 @@ class FeedForward(Module):
         if dropout_mask is not None:
             grad = grad * dropout_mask
         (grad,) = self.down.raw_backward(tape, grad, True)
-        grad = _active().VJPS["gelu"](gelu_residuals, grad)
+        grad = K.VJPS["gelu"](gelu_residuals, grad)
         (grad,) = self.up.raw_backward(tape, grad, True)
         return grad

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.attention import MultiHeadSelfAttention
-from repro.nn.backend import active as _active
+from repro.nn.backend import numpy_backend as K
 from repro.nn.layers import Dropout, Linear, Module, apply_vjp
 from repro.nn.tensor import Tensor
 from repro.utils.config import require_positive
@@ -121,7 +121,7 @@ class LoRALinear(Module):
             return out
         a, b = (self.lora_a.data, self.lora_b.data) if adapters is None else adapters
         dropout_mask = self.lora_dropout.draw_mask(x.shape, rows)
-        delta, residuals = _active().lora_matmul(x, a, b, self.config.scaling, dropout_mask)
+        delta, residuals = K.lora_matmul(x, a, b, self.config.scaling, dropout_mask)
         if tape is not None:
             tape.append(residuals)
         out += delta

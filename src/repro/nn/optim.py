@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.backend import active as _active
+from repro.nn.backend import numpy_backend as K
 from repro.nn.tensor import Tensor
 from repro.utils.config import require_non_negative, require_positive
 
@@ -153,7 +153,7 @@ class Adam(Optimizer):
         require_positive("max_norm", max_norm)
         runs = self._pack()
         grads = [parameter.grad for parameter in self.parameters if parameter.grad is not None]
-        norm = math.sqrt(_active().grad_norm_sq(grads))
+        norm = math.sqrt(K.grad_norm_sq(grads))
         if norm > max_norm and norm > 0.0:
             scale = max_norm / norm
             flat_grad = self._flat["grad"]
@@ -163,7 +163,7 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         self._step_count += 1
-        adamw_step = _active().adamw_step
+        adamw_step = K.adamw_step
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
         runs = self._pack()
@@ -203,7 +203,7 @@ def clip_grad_norm(parameters: Sequence[Tensor], max_norm: float) -> float:
     """
     require_positive("max_norm", max_norm)
     grads = [p.grad for p in parameters if p.grad is not None]
-    norm = math.sqrt(_active().grad_norm_sq(grads))
+    norm = math.sqrt(K.grad_norm_sq(grads))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for grad in grads:

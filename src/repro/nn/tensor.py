@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.nn.backend import active as _backend_active
+from repro.nn.backend import numpy_backend as K
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
@@ -246,9 +246,8 @@ class Tensor:
 
     def gelu(self) -> "Tensor":
         """GELU with the tanh approximation used by GPT-style models."""
-        backend = _backend_active()
-        data, residuals = backend.gelu(self.data)
-        vjp = backend.VJPS["gelu"]
+        data, residuals = K.gelu(self.data)
+        vjp = K.VJPS["gelu"]
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate_owned(vjp(residuals, grad))

@@ -22,7 +22,7 @@ from repro.nn.attention import (
     PackedRows,
     combined_mask,
 )
-from repro.nn.backend import active as _active
+from repro.nn.backend import numpy_backend as K
 from repro.nn.layers import Dropout, Embedding, FeedForward, LayerNorm, Linear, Module
 from repro.nn.tensor import Tensor
 from repro.utils.config import require_positive
@@ -331,7 +331,6 @@ class TransformerLM(Module):
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (batch, seq):
             raise ValueError(f"labels shape {labels.shape} does not match tokens {(batch, seq)}")
-        backend = _active()
         embedding = self.token_embedding.weight
         # live[i]: whether block i's input depends on a trainable parameter;
         # gradients are not propagated below the lowest one that does.
@@ -359,17 +358,17 @@ class TransformerLM(Module):
         if self.lm_head is not None:
             logits = self.lm_head.raw_forward(hidden, tape)
         else:
-            logits, residuals = backend.matmul(hidden, embedding.data.T)
+            logits, residuals = K.matmul(hidden, embedding.data.T)
             tape.append(residuals)
         targets = np.full(queries.count, IGNORE_INDEX, dtype=np.int64)
         targets[: queries.size] = labels.reshape(-1)[queries.index]
-        loss, residuals = backend.cross_entropy(logits, targets, IGNORE_INDEX)
-        grad = backend.VJPS["cross_entropy"](residuals, 1.0)
+        loss, residuals = K.cross_entropy(logits, targets, IGNORE_INDEX)
+        grad = K.VJPS["cross_entropy"](residuals, 1.0)
         head_grad = None
         if self.lm_head is not None:
             (grad,) = self.lm_head.raw_backward(tape, grad, True)
         else:
-            grad, head_grad = backend.VJPS["matmul"](
+            grad, head_grad = K.VJPS["matmul"](
                 tape.pop(), grad, (True, embedding.requires_grad)
             )
         grad = self.ln_final.raw_backward(tape, grad, live[-1])
@@ -416,7 +415,7 @@ class TransformerLM(Module):
                 f"token id out of range [0, {self.config.vocab_size}): "
                 f"min={token_id}, max={token_id}"
             )
-        logits, _ = self._decode_step(token_id, past, kv_cache, _active())
+        logits, _ = self._decode_step(token_id, past, kv_cache)
         return logits
 
     def decode_step(
@@ -440,10 +439,9 @@ class TransformerLM(Module):
         workspace-owned — read it (or copy) before the next step.
         """
         past = self._check_decode("decode_step", kv_cache)
-        backend = _active()
         workspace = self._workspace
         if workspace is None:
-            workspace = self._workspace = backend.Workspace()
+            workspace = self._workspace = K.Workspace()
         batch = token_ids.shape[0]
         hidden = workspace.get(("rows", "hidden"), (batch, self.config.dim))
         np.add(
@@ -514,7 +512,7 @@ class TransformerLM(Module):
             return self.lm_head.raw_forward(normed)
         return np.matmul(normed, self.token_embedding.weight.data.T, out=out)
 
-    def _decode_step(self, token_id: int, position: int, kv_cache: KVCache, backend):
+    def _decode_step(self, token_id: int, position: int, kv_cache: KVCache):
         """Fused per-token decode: row kernels + preallocated workspace.
 
         Every intermediate lives in a :class:`Workspace` buffer keyed by
@@ -524,7 +522,7 @@ class TransformerLM(Module):
         """
         workspace = self._workspace
         if workspace is None:
-            workspace = self._workspace = backend.Workspace()
+            workspace = self._workspace = K.Workspace()
         dim = self.config.dim
         hidden = workspace.get("hidden", (dim,))
         np.add(
@@ -533,7 +531,7 @@ class TransformerLM(Module):
             out=hidden,
         )
         for index, block in enumerate(self.blocks):
-            normed = backend.layernorm_row(
+            normed = K.layernorm_row(
                 hidden,
                 block.ln_attn.weight.data,
                 block.ln_attn.bias.data,
@@ -543,7 +541,7 @@ class TransformerLM(Module):
             hidden += block.attention.raw_decode_row(
                 normed, kv_cache.layers[index], workspace, index
             )
-            normed = backend.layernorm_row(
+            normed = K.layernorm_row(
                 hidden,
                 block.ln_ffn.weight.data,
                 block.ln_ffn.bias.data,
@@ -553,11 +551,11 @@ class TransformerLM(Module):
             up = block.ffn.up.project_row(
                 normed, workspace.get(("up", index), (block.ffn.up.out_features,))
             )
-            act, _ = backend.gelu(up)
+            act, _ = K.gelu(up)
             hidden += block.ffn.down.project_row(
                 act, workspace.get(("down", index), (dim,))
             )
-        normed = backend.layernorm_row(
+        normed = K.layernorm_row(
             hidden,
             self.ln_final.weight.data,
             self.ln_final.bias.data,

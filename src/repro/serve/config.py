@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from repro.experiments.presets import ExperimentScale, get_scale
 from repro.serve.errors import RetryPolicy
@@ -82,6 +82,18 @@ class ServeConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
+        if self.cache_capacity is not None and self.cache_capacity < 1:
+            raise ValueError(f"cache_capacity must be >= 1 or None, got {self.cache_capacity}")
+        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
+            raise ValueError(f"deadline_seconds must be > 0, got {self.deadline_seconds}")
+        if self.max_queue_depth < 1:
+            raise ValueError(f"max_queue_depth must be >= 1, got {self.max_queue_depth}")
+        if self.max_inflight_per_user < 1:
+            raise ValueError(
+                f"max_inflight_per_user must be >= 1, got {self.max_inflight_per_user}"
+            )
+        if self.listen is not None:
+            parse_listen(self.listen)
         if self.metrics_interval_seconds <= 0:
             raise ValueError(
                 f"metrics_interval_seconds must be > 0, got {self.metrics_interval_seconds}"
@@ -132,7 +144,6 @@ class ServeConfig:
         fault_plan = FaultPlan.from_env()
         if fault_plan is None and args.chaos and args.listen is None:
             fault_plan = chaos_plan(args.seed, users=args.users)
-        retry = RetryPolicy(max_attempts=args.retries) if args.retries > 1 else None
         return cls(
             load=load,
             scale=scale,
@@ -143,7 +154,7 @@ class ServeConfig:
             state_dir=_maybe_path(args.state_dir),
             resume=args.resume,
             fault_plan=fault_plan,
-            retry=retry,
+            retry=RetryPolicy(max_attempts=args.retries),
             deadline_seconds=args.deadline,
             install_signal_handlers=True,
             listen=args.listen,
@@ -158,6 +169,20 @@ class ServeConfig:
             metrics_out=_maybe_path(args.metrics_out),
             metrics_interval_seconds=args.metrics_interval,
         )
+
+
+def parse_listen(text: str) -> Tuple[str, int]:
+    """``HOST:PORT`` -> tuple (port 0 binds an ephemeral port)."""
+    host, sep, port_text = text.rpartition(":")
+    if not sep or not host:
+        raise ValueError(f"--listen expects HOST:PORT, got {text!r}")
+    try:
+        port = int(port_text)
+    except ValueError:
+        raise ValueError(f"--listen expects a numeric port, got {port_text!r}") from None
+    if not 0 <= port <= 65535:
+        raise ValueError(f"--listen port out of range: {port}")
+    return host, port
 
 
 def _maybe_path(value: Optional[Union[str, Path]]) -> Optional[Path]:

@@ -67,7 +67,7 @@ from repro.data.lexicons import LexiconCollection, builtin_lexicons
 from repro.llm.model import OnDeviceLLM
 from repro.obs import MetricsRegistry, PeriodicSnapshotter, merge_snapshots, observe_health
 from repro.serve.adapter_store import AdapterStoreError, validate_user_id
-from repro.serve.config import ServeConfig
+from repro.serve.config import ServeConfig, parse_listen
 from repro.serve.errors import ServingError
 from repro.serve.health import ComponentHealth, HealthRegistry
 from repro.serve.loadgen import LoadConfig, build_serving_llm
@@ -835,20 +835,6 @@ class FrontendThread:
         if self.error is not None:
             raise self.error
         return self.frontend.outcome
-
-
-def parse_listen(text: str) -> Tuple[str, int]:
-    """``HOST:PORT`` -> tuple (port 0 binds an ephemeral port)."""
-    host, sep, port_text = text.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"--listen expects HOST:PORT, got {text!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(f"--listen expects a numeric port, got {port_text!r}") from None
-    if not 0 <= port <= 65535:
-        raise ValueError(f"--listen port out of range: {port}")
-    return host, port
 
 
 def wait_for_port_file(path: Union[str, Path], timeout: float = 120.0) -> int:

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.data.lexicons import LexiconCollection, builtin_lexicons
-from repro.data.synthetic import make_generator
+from repro.data.synthetic import dataset_preset, make_generator
 from repro.experiments.presets import ExperimentScale, get_scale
 from repro.llm.model import OnDeviceLLM
 from repro.llm.pretrain import PretrainConfig, build_pretrained_llm
 from repro.serve.scheduler import ChatRequest, PersonalizeRequest, Request
-from repro.utils.config import require_positive
+from repro.utils.config import require_non_negative, require_positive
 from repro.utils.rng import as_generator
 
 
@@ -47,6 +47,8 @@ class LoadConfig:
         require_positive("personalize_every", self.personalize_every)
         require_positive("dialogues_per_personalize", self.dialogues_per_personalize)
         require_positive("corpus_size_per_user", self.corpus_size_per_user)
+        require_non_negative("seed", self.seed)
+        dataset_preset(self.dataset)
 
 
 def user_ids(num_users: int) -> List[str]:

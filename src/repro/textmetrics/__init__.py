@@ -1,49 +1,38 @@
-"""Text metrics: ROUGE, similarity, entropy and diversity measures."""
+"""Text metrics: ROUGE-1, cosine similarity and embedding entropy.
+
+These are the measures the framework computes: ROUGE-1 F1 for evaluation and
+the synthesis sanity check, and the cosine and entropy terms of the
+selection metrics (Eqs. 1 and 5).
+"""
 
 from repro.textmetrics.entropy import (
-    distinct_n,
     embedding_to_distribution,
     entropy_of_embedding,
     shannon_entropy,
-    token_frequency_entropy,
 )
 from repro.textmetrics.rouge import (
     Rouge1Reference,
     RougeScore,
-    corpus_rouge_1,
     rouge_1,
     rouge_1_f1,
-    rouge_2,
-    rouge_l,
     rouge_n,
 )
 from repro.textmetrics.similarity import (
     cosine_dissimilarity,
     cosine_similarity,
-    jaccard_similarity,
-    mean_embedding,
     pairwise_cosine_similarity,
-    token_overlap_count,
 )
 
 __all__ = [
     "Rouge1Reference",
     "RougeScore",
-    "corpus_rouge_1",
     "cosine_dissimilarity",
     "cosine_similarity",
-    "distinct_n",
     "embedding_to_distribution",
     "entropy_of_embedding",
-    "jaccard_similarity",
-    "mean_embedding",
     "pairwise_cosine_similarity",
     "rouge_1",
     "rouge_1_f1",
-    "rouge_2",
-    "rouge_l",
     "rouge_n",
     "shannon_entropy",
-    "token_frequency_entropy",
-    "token_overlap_count",
 ]

@@ -1,4 +1,4 @@
-"""Entropy measures over embeddings and token distributions.
+"""Entropy measures over embeddings.
 
 The Entropy-of-Embedding (EOE) metric in the paper (Eq. 1) treats the token
 embedding sequence as a distribution, computes Shannon entropy over it, and
@@ -8,12 +8,7 @@ different lengths are comparable.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Sequence
-
 import numpy as np
-
-from repro.tokenizer.word_tokenizer import split_words
 
 
 def shannon_entropy(probabilities: np.ndarray, eps: float = 1e-12) -> float:
@@ -65,28 +60,3 @@ def entropy_of_embedding(embedding: np.ndarray, num_tokens: int) -> float:
     distribution = embedding_to_distribution(embedding)
     raw = shannon_entropy(distribution)
     return float(raw / np.log(num_tokens))
-
-
-def token_frequency_entropy(text: str) -> float:
-    """Normalized entropy of the empirical token-frequency distribution."""
-    tokens = split_words(text)
-    if len(tokens) < 2:
-        return 0.0
-    counts = np.array(list(Counter(tokens).values()), dtype=np.float64)
-    return shannon_entropy(counts / counts.sum()) / np.log(len(tokens))
-
-
-def distinct_n(texts: Sequence[str], n: int = 1) -> float:
-    """Distinct-n diversity: unique n-grams / total n-grams across ``texts``."""
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    total = 0
-    unique = set()
-    for text in texts:
-        tokens = split_words(text)
-        grams = [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-        total += len(grams)
-        unique.update(grams)
-    if total == 0:
-        return 0.0
-    return len(unique) / total

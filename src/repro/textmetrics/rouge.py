@@ -2,14 +2,14 @@
 
 ROUGE-1 F1 is both the paper's evaluation metric and the sanity-check
 criterion used during data synthesis, so it is implemented here with
-precision / recall / F1 decompositions plus ROUGE-2 and ROUGE-L for analysis.
+precision / recall / F1 decompositions on top of the general ROUGE-N.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.tokenizer.word_tokenizer import split_words
 
@@ -60,35 +60,6 @@ def rouge_1(candidate: str, reference: str) -> RougeScore:
     return rouge_n(candidate, reference, n=1)
 
 
-def rouge_2(candidate: str, reference: str) -> RougeScore:
-    """Bigram ROUGE."""
-    return rouge_n(candidate, reference, n=2)
-
-
-def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Length of the longest common subsequence of two token sequences."""
-    if not a or not b:
-        return 0
-    previous = [0] * (len(b) + 1)
-    for token_a in a:
-        current = [0] * (len(b) + 1)
-        for j, token_b in enumerate(b, start=1):
-            if token_a == token_b:
-                current[j] = previous[j - 1] + 1
-            else:
-                current[j] = max(previous[j], current[j - 1])
-        previous = current
-    return previous[-1]
-
-
-def rouge_l(candidate: str, reference: str) -> RougeScore:
-    """ROUGE-L based on the longest common subsequence."""
-    candidate_tokens = split_words(candidate)
-    reference_tokens = split_words(reference)
-    lcs = _lcs_length(candidate_tokens, reference_tokens)
-    return RougeScore.from_counts(lcs, len(candidate_tokens), len(reference_tokens))
-
-
 def rouge_1_f1(candidate: str, reference: str) -> float:
     """Convenience: ROUGE-1 F1 as a plain float."""
     return rouge_1(candidate, reference).f1
@@ -122,26 +93,3 @@ class Rouge1Reference:
     def f1(self, candidate: str) -> float:
         """ROUGE-1 F1 against the precomputed reference."""
         return self.score(candidate).f1
-
-
-def corpus_rouge_1(candidates: Sequence[str], references: Sequence[str]) -> float:
-    """Mean ROUGE-1 F1 over aligned candidate/reference lists.
-
-    Each distinct reference is tokenized and counted once per call (corpora
-    that score many candidates against repeated references — e.g. synthesis
-    attempts — pay for the reference side only once).
-    """
-    if len(candidates) != len(references):
-        raise ValueError(
-            f"candidates ({len(candidates)}) and references ({len(references)}) must align"
-        )
-    if not candidates:
-        return 0.0
-    prepared: dict = {}
-    scores: List[float] = []
-    for candidate, reference in zip(candidates, references):
-        cached = prepared.get(reference)
-        if cached is None:
-            cached = prepared.setdefault(reference, Rouge1Reference(reference))
-        scores.append(cached.f1(candidate))
-    return sum(scores) / len(scores)

@@ -1,12 +1,8 @@
-"""Vector and lexical similarity measures used by the selection metrics."""
+"""Vector similarity measures used by the selection metrics."""
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
-
-from repro.tokenizer.word_tokenizer import split_words
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray, eps: float = 1e-12) -> float:
@@ -34,33 +30,3 @@ def pairwise_cosine_similarity(matrix: np.ndarray, eps: float = 1e-12) -> np.nda
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     normalized = matrix / np.maximum(norms, eps)
     return normalized @ normalized.T
-
-
-def jaccard_similarity(text_a: str, text_b: str) -> float:
-    """Token-set Jaccard similarity between two texts."""
-    tokens_a = set(split_words(text_a))
-    tokens_b = set(split_words(text_b))
-    if not tokens_a and not tokens_b:
-        return 1.0
-    union = tokens_a | tokens_b
-    if not union:
-        return 0.0
-    return len(tokens_a & tokens_b) / len(union)
-
-
-def token_overlap_count(text: str, lexicon: Sequence[str]) -> int:
-    """Number of tokens in ``text`` that appear in ``lexicon`` (with multiplicity).
-
-    This is the ``|T ∩ l_i|`` term of the Domain Specific Score (Eq. 2): every
-    occurrence of a lexicon word in the dialogue set counts.
-    """
-    lexicon_set = {word.lower() for word in lexicon}
-    return sum(1 for token in split_words(text) if token in lexicon_set)
-
-
-def mean_embedding(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Mean of a non-empty list of equally shaped vectors."""
-    if not vectors:
-        raise ValueError("mean_embedding requires at least one vector")
-    stacked = np.stack([np.asarray(v, dtype=np.float64) for v in vectors])
-    return stacked.mean(axis=0)

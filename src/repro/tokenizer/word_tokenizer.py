@@ -112,27 +112,3 @@ class WordTokenizer:
             batch[row, : len(clipped)] = clipped
             mask[row, : len(clipped)] = True
         return batch, mask
-
-    def encode_batch(
-        self,
-        texts: Sequence[str],
-        max_length: Optional[int] = None,
-        add_bos: bool = True,
-        add_eos: bool = True,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Encode and pad a batch of texts."""
-        encoded = [
-            self.encode(text, add_bos=add_bos, add_eos=add_eos, max_length=max_length)
-            for text in texts
-        ]
-        return self.pad_batch(encoded, max_length=None)
-
-    def unknown_rate(self, text: str) -> float:
-        """Fraction of word tokens in ``text`` that map to ``<unk>``."""
-        tokens = split_words(text)
-        if not tokens:
-            return 0.0
-        unknown = sum(
-            1 for token in tokens if self.vocabulary.token_to_id(token) == self.vocabulary.unk_id
-        )
-        return unknown / len(tokens)

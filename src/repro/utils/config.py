@@ -1,85 +1,12 @@
-"""Configuration helpers shared by experiments and examples.
+"""Validation helpers shared by every config dataclass.
 
-All experiment configuration objects in :mod:`repro.experiments` are plain
-dataclasses.  The helpers here provide uniform serialization to/from
-dictionaries and JSON files, plus validation utilities used across configs.
+Each helper raises ``ValueError`` naming the field when a value is out of
+range, so a bad config fails at construction time.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-from pathlib import Path
-from typing import Any, Mapping, Type, TypeVar, Union
-
-T = TypeVar("T")
-
-
-def config_to_dict(config: Any) -> dict:
-    """Convert a (possibly nested) dataclass config into a plain dict."""
-    if dataclasses.is_dataclass(config) and not isinstance(config, type):
-        return {
-            field.name: config_to_dict(getattr(config, field.name))
-            for field in dataclasses.fields(config)
-        }
-    if isinstance(config, dict):
-        return {key: config_to_dict(value) for key, value in config.items()}
-    if isinstance(config, (list, tuple)):
-        return [config_to_dict(value) for value in config]
-    return config
-
-
-def config_from_dict(cls: Type[T], data: Mapping[str, Any]) -> T:
-    """Instantiate dataclass ``cls`` from ``data``.
-
-    Nested dataclass fields are recursively constructed.  Unknown keys raise
-    ``ValueError`` so typos in experiment configs fail loudly instead of being
-    silently dropped.
-    """
-    if not dataclasses.is_dataclass(cls):
-        raise TypeError(f"{cls!r} is not a dataclass type")
-    field_map = {field.name: field for field in dataclasses.fields(cls)}
-    unknown = set(data) - set(field_map)
-    if unknown:
-        raise ValueError(f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
-    kwargs: dict[str, Any] = {}
-    for name, value in data.items():
-        field = field_map[name]
-        field_type = field.type
-        resolved = _resolve_type(field_type, cls)
-        if (
-            resolved is not None
-            and dataclasses.is_dataclass(resolved)
-            and isinstance(value, Mapping)
-        ):
-            kwargs[name] = config_from_dict(resolved, value)
-        else:
-            kwargs[name] = value
-    return cls(**kwargs)
-
-
-def _resolve_type(field_type: Any, owner: type) -> Any:
-    """Best-effort resolution of a dataclass field's annotation to a class."""
-    if isinstance(field_type, type):
-        return field_type
-    if isinstance(field_type, str):
-        module = __import__(owner.__module__, fromlist=["__dict__"])
-        return getattr(module, field_type, None)
-    return None
-
-
-def save_config(config: Any, path: Union[str, Path]) -> Path:
-    """Serialize a dataclass config to a JSON file and return the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(config_to_dict(config), indent=2, sort_keys=True))
-    return path
-
-
-def load_config(cls: Type[T], path: Union[str, Path]) -> T:
-    """Load a dataclass config of type ``cls`` from a JSON file."""
-    data = json.loads(Path(path).read_text())
-    return config_from_dict(cls, data)
+from typing import Any
 
 
 def require_positive(name: str, value: float) -> None:

@@ -3,13 +3,13 @@
 Every stochastic component in the library receives an explicit
 :class:`numpy.random.Generator` (or derives one from a parent seed) so that
 experiments are reproducible run-to-run.  The helpers here centralise the
-common patterns: creating a generator from a seed, spawning independent child
-generators for sub-components, and drawing reproducible integer seeds.
+common patterns: creating a generator from a seed, snapshotting and
+restoring its state for checkpoints, and shuffling a copy of a sequence.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -56,88 +56,8 @@ def set_generator_state(rng: np.random.Generator, state: dict) -> None:
     rng.bit_generator.state = state
 
 
-def spawn(rng: SeedLike, count: int) -> list[np.random.Generator]:
-    """Spawn ``count`` statistically independent child generators.
-
-    Children are derived from integer draws on the parent stream, so two
-    calls with the same parent state produce the same children.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    parent = as_generator(rng)
-    seeds = parent.integers(0, 2**63 - 1, size=count)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
-def derive_seed(rng: SeedLike, *, salt: int = 0) -> int:
-    """Draw a single reproducible integer seed from ``rng``.
-
-    ``salt`` is mixed in so different components deriving from the same
-    parent do not collide when they derive in the same order.
-    """
-    parent = as_generator(rng)
-    base = int(parent.integers(0, 2**62 - 1))
-    return (base ^ (salt * 0x9E3779B97F4A7C15)) % (2**63 - 1)
-
-
-def choice_without_replacement(
-    rng: SeedLike, items: Sequence, size: int
-) -> list:
-    """Sample ``size`` distinct items from ``items`` reproducibly."""
-    gen = as_generator(rng)
-    if size > len(items):
-        raise ValueError(
-            f"cannot sample {size} items from a sequence of length {len(items)}"
-        )
-    idx = gen.choice(len(items), size=size, replace=False)
-    return [items[int(i)] for i in idx]
-
-
 def shuffled(rng: SeedLike, items: Sequence) -> list:
     """Return a shuffled copy of ``items`` (the input is left untouched)."""
     gen = as_generator(rng)
     idx = gen.permutation(len(items))
     return [items[int(i)] for i in idx]
-
-
-def stream_of_seeds(rng: SeedLike) -> Iterator[int]:
-    """Yield an endless stream of reproducible integer seeds."""
-    gen = as_generator(rng)
-    while True:
-        yield int(gen.integers(0, 2**63 - 1))
-
-
-class ReseedableRNG:
-    """A generator holder that can be reset to its initial seed.
-
-    Useful for components (e.g. the stream simulator) that must be able to
-    replay exactly the same sequence of random draws across repeated runs of
-    an experiment.
-    """
-
-    def __init__(self, seed: Optional[int] = None) -> None:
-        self._seed = _DEFAULT_SEED if seed is None else int(seed)
-        self._generator = np.random.default_rng(self._seed)
-
-    @property
-    def seed(self) -> int:
-        """The seed the generator was (last) initialised with."""
-        return self._seed
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """The live generator instance."""
-        return self._generator
-
-    def reset(self, seed: Optional[int] = None) -> None:
-        """Reset to the original seed, or re-seed with a new one."""
-        if seed is not None:
-            self._seed = int(seed)
-        self._generator = np.random.default_rng(self._seed)
-
-    def spawn(self, count: int) -> list[np.random.Generator]:
-        """Spawn ``count`` child generators from the current state."""
-        return spawn(self._generator, count)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"ReseedableRNG(seed={self._seed})"

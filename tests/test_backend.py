@@ -1,81 +1,73 @@
-"""Tests for the repro.nn.backend seam: selection, contract, workspace.
+"""Tests for the fused kernels in repro.nn.backend: contract, lookup, workspace.
 
-The backend layer is the boundary the fused kernels live behind; these tests
-pin its public API (registration, env-var selection, the primitive/VJP
-contract) and the invariant the rest of ``repro.nn`` is built on: the
-autograd reference and the array-level inference path call the *same*
-forward kernels, so their outputs are bit-identical.
+The kernel module is the boundary the layers call into; these tests pin the
+primitive/VJP contract, that every caller looks a kernel up on the module at
+call time (so a timer or a test can rebind it in place), and the invariant
+the rest of ``repro.nn`` is built on: the autograd reference and the
+array-level inference path call the *same* forward kernels, so their outputs
+are bit-identical.
 """
-
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from repro.nn import backend
+from repro.nn import functional as F
 from repro.nn.backend import numpy_backend
+from repro.nn.layers import Linear
 from repro.nn.tensor import Tensor
 from repro.nn.transformer import TransformerConfig, TransformerLM
 
 
-@pytest.fixture(autouse=True)
-def _restore_active_backend():
-    previous = backend.active()
-    yield
-    backend._active = previous
+def _tiny_model():
+    config = TransformerConfig(
+        vocab_size=64,
+        dim=16,
+        num_layers=2,
+        num_heads=2,
+        max_seq_len=12,
+        dropout_rate=0.0,
+    )
+    return TransformerLM(config, rng=np.random.default_rng(0))
 
 
-class TestSelection:
-    def test_numpy_is_registered_and_default(self):
-        assert "numpy" in backend.available_backends()
-        assert backend.active().name == "numpy"
+class TestCallTimeLookup:
+    def test_kernels_are_looked_up_at_call_time(self, monkeypatch):
+        calls = {"linear": 0, "vjp": 0}
+        linear, linear_vjp = numpy_backend.linear, numpy_backend.VJPS["linear"]
 
-    def test_get_backend_unknown_name_raises_with_listing(self):
-        with pytest.raises(RuntimeError, match="unknown backend 'cuda'.*numpy"):
-            backend.get_backend("cuda")
+        def counting_linear(*args):
+            calls["linear"] += 1
+            return linear(*args)
 
-    def test_register_backend_and_set(self):
-        backend.register_backend("numpy-alias", lambda: numpy_backend)
-        try:
-            assert "numpy-alias" in backend.available_backends()
-            previous = backend.set_backend("numpy-alias")
-            assert previous is not None
-            assert backend.active() is numpy_backend
-        finally:
-            backend._LOADERS.pop("numpy-alias", None)
+        def counting_vjp(*args):
+            calls["vjp"] += 1
+            return linear_vjp(*args)
 
-    def test_register_empty_name_raises(self):
-        with pytest.raises(ValueError):
-            backend.register_backend("", lambda: numpy_backend)
+        monkeypatch.setattr(numpy_backend, "linear", counting_linear)
+        monkeypatch.setitem(numpy_backend.VJPS, "linear", counting_vjp)
+        rng = np.random.default_rng(0)
 
-    def test_env_var_resolved_on_first_use(self):
-        # Fresh interpreter: REPRO_BACKEND must pick the backend lazily.
-        code = (
-            "import os; os.environ['REPRO_BACKEND'] = 'numpy';"
-            "from repro.nn.backend import active; print(active().name)"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert result.stdout.strip() == "numpy"
+        layer = Linear(8, 4, rng=rng)
+        layer.raw_forward(rng.standard_normal((3, 8)).astype(np.float32))
+        assert calls == {"linear": 1, "vjp": 0}
 
-    def test_env_var_unknown_backend_fails_loudly(self):
-        code = (
-            "import os; os.environ['REPRO_BACKEND'] = 'no-such-backend';"
-            "from repro.nn.backend import active; active()"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
-        )
-        assert result.returncode != 0
-        assert "no-such-backend" in result.stderr
+        calls.update(linear=0, vjp=0)
+        model = _tiny_model()
+        tokens = rng.integers(1, 64, size=(2, 6))
+        model.train_step(tokens, np.ones_like(tokens, dtype=bool), tokens)
+        assert calls["linear"] > 0 and calls["vjp"] > 0
+
+        calls.update(linear=0, vjp=0)
+        x = Tensor(rng.standard_normal((3, 8)).astype(np.float32), requires_grad=True)
+        out = F.linear(x, layer.weight, layer.bias)
+        out.backward(np.ones_like(out.data))
+        assert calls == {"linear": 1, "vjp": 1}
 
 
 class TestContract:
     def test_primitives_return_out_and_residuals(self):
-        out, residuals = numpy_backend.softmax(np.zeros((2, 3)))
-        np.testing.assert_allclose(out, np.full((2, 3), 1.0 / 3.0))
+        out, residuals = numpy_backend.linear(np.ones((2, 3)), np.ones((4, 3)), None)
+        np.testing.assert_allclose(out, np.full((2, 4), 3.0))
         assert residuals is not None
 
     def test_every_vjp_has_a_primitive(self):
@@ -130,21 +122,9 @@ class TestWorkspace:
 class TestForwardBitIdentity:
     """Grad path and raw path share kernels, so logits match bit for bit."""
 
-    def _model(self):
-        config = TransformerConfig(
-            vocab_size=64,
-            dim=16,
-            num_layers=2,
-            num_heads=2,
-            max_seq_len=12,
-            dropout_rate=0.0,
-        )
-        model = TransformerLM(config, rng=np.random.default_rng(0))
-        model.eval()
-        return model
-
     def test_inference_mode_logits_bit_identical(self):
-        model = self._model()
+        model = _tiny_model()
+        model.eval()
         tokens = np.array([[3, 7, 11, 2], [0, 0, 5, 9]])
         mask = tokens != 0
         recorded = model(tokens, attention_mask=mask)
@@ -156,8 +136,6 @@ class TestForwardBitIdentity:
         x = rng.standard_normal((2, 5, 8)).astype(np.float32)
         w = rng.standard_normal((8,)).astype(np.float32)
         b = rng.standard_normal((8,)).astype(np.float32)
-        from repro.nn import functional as F
-
         wrapped = F.layer_norm(
             Tensor(x, requires_grad=True), Tensor(w, requires_grad=True), Tensor(b)
         )

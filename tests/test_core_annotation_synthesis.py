@@ -38,7 +38,7 @@ class TestAnnotationOracle:
         dialogue = DialogueSet(question="q", response="model", gold_response="gold")
         for _ in range(5):
             assert oracle.annotate(dialogue).response == "model"
-        assert oracle.stats.provision_rate() == 0.0
+        assert oracle.stats.provided == 0
 
     def test_custom_preference_function(self):
         oracle = AnnotationOracle(preferred_response_fn=lambda d: d.question.upper())

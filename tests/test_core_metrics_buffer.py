@@ -46,9 +46,6 @@ class TestQualityScores:
         with pytest.raises(KeyError):
             scores.get("bogus")
 
-    def test_as_tuple(self):
-        assert QualityScores(1, 2, 3).as_tuple() == (1, 2, 3)
-
 
 class TestEOE:
     def test_range_and_degenerate_cases(self, rng):

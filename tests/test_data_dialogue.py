@@ -69,24 +69,9 @@ class TestDialogueCorpus:
         first_b, _ = sample_corpus.split(0.4, rng=7)
         assert [d.question for d in first_a] == [d.question for d in first_b]
 
-    def test_filter_by_domain(self, sample_corpus):
-        tech = sample_corpus.filter_by_domain("tech")
-        assert len(tech) == 5
-        assert all(d.domain == "tech" for d in tech)
-
-    def test_gold_responses_fallback(self):
-        corpus = DialogueCorpus([DialogueSet(question="q", response="a")])
-        assert corpus.gold_responses() == ["a"]
-
     def test_all_text_includes_gold(self, sample_corpus):
         texts = sample_corpus.all_text()
         assert any(text.startswith("gold") for text in texts)
-
-    def test_jsonl_roundtrip(self, sample_corpus, tmp_path):
-        path = sample_corpus.save_jsonl(tmp_path / "corpus.jsonl")
-        restored = DialogueCorpus.load_jsonl(path)
-        assert len(restored) == len(sample_corpus)
-        assert restored[0].question == sample_corpus[0].question
 
     def test_extend(self, sample_corpus):
         sample_corpus.extend([DialogueSet(question="new", response="new")])

@@ -19,8 +19,7 @@ class TestDomainLexicon:
     def test_overlap_count_and_ratio(self):
         lexicon = DomainLexicon.from_words("demo", ["dose", "vial"])
         assert lexicon.overlap_count("take one dose then another dose") == 2
-        assert lexicon.overlap_ratio("dose vial water") == pytest.approx(2 / 3)
-        assert lexicon.overlap_ratio("") == 0.0
+        assert lexicon.overlap_count("") == 0
 
 
 class TestLexiconCollection:

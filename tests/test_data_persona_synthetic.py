@@ -13,11 +13,8 @@ from repro.data.synthetic import (
     STRONGLY_CORRELATED,
     SyntheticCorpusConfig,
     SyntheticCorpusGenerator,
-    corpus_persona,
     dataset_preset,
-    make_all_corpora,
     make_corpus,
-    make_generator,
     stream_noise_preset,
 )
 from repro.data.stream import temporal_correlation_index
@@ -61,10 +58,6 @@ class TestUserPersona:
         assert len(split_words(clarifying)) < 12
         assert len(split_words(filler)) <= 6
         assert persona.opening not in filler
-
-    def test_signature_tokens_nonempty(self, persona):
-        assert len(persona.signature_tokens()) > 5
-        assert persona.domain_signature_tokens("medical_drug")
 
     def test_generic_response_avoids_persona(self, persona):
         generic = generic_model_response("tell me about insulin dosing", rng=0)
@@ -127,16 +120,6 @@ class TestCorpusGeneration:
         corpus = make_corpus("meddialog", size=80, seed=3, lexicons=lexicons)
         levels = Counter(d.metadata["level"] for d in corpus)
         assert set(levels) >= {1, 2, 3}
-
-    def test_make_all_corpora(self, lexicons):
-        corpora = make_all_corpora(size=20, seed=0, lexicons=lexicons)
-        assert set(corpora) == set(DATASET_NAMES)
-        assert all(len(corpus) == 20 for corpus in corpora.values())
-
-    def test_corpus_persona_matches_generator(self, lexicons):
-        persona = corpus_persona("meddialog", size=30, seed=4)
-        generator = make_generator("meddialog", size=30, seed=4, lexicons=lexicons)
-        assert persona.opening == generator.persona.opening
 
     def test_strongly_correlated_constant(self):
         assert set(STRONGLY_CORRELATED) <= set(DATASET_NAMES)

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.data.dialogue import DialogueCorpus, DialogueSet
-from repro.data.stream import (
-    DialogueStream,
-    StreamConfig,
-    reorder_with_correlation,
-    temporal_correlation_index,
-)
+from repro.data.stream import DialogueStream, StreamConfig, temporal_correlation_index
 
 
 def _corpus(num_per_domain=10, domains=("a", "b", "c")):
@@ -62,59 +57,6 @@ class TestTemporalCorrelationIndex:
         assert temporal_correlation_index([DialogueSet(question="q", response="r")]) == 0.0
 
 
-class TestReorderWithCorrelation:
-    def test_zero_correlation_shuffles(self):
-        corpus = _corpus()
-        ordered = reorder_with_correlation(corpus, 0.0, rng=0)
-        assert len(ordered) == len(corpus)
-        assert temporal_correlation_index(ordered) < 0.6
-
-    def test_full_correlation_blocks(self):
-        corpus = _corpus()
-        ordered = reorder_with_correlation(corpus, 1.0, rng=0)
-        assert temporal_correlation_index(ordered) > 0.85
-
-    def test_invalid_correlation(self):
-        with pytest.raises(ValueError):
-            reorder_with_correlation(_corpus(), 1.5)
-
-    def test_preserves_multiset(self):
-        corpus = _corpus()
-        ordered = reorder_with_correlation(corpus, 0.5, rng=3)
-        assert sorted(d.question for d in ordered) == sorted(d.question for d in corpus)
-
-    def test_zero_correlation_is_a_pure_permutation(self):
-        corpus = _corpus()
-        ordered = reorder_with_correlation(corpus, 0.0, rng=7)
-        assert sorted(d.question for d in ordered) == sorted(d.question for d in corpus)
-        # Deterministic given the seed.
-        again = reorder_with_correlation(corpus, 0.0, rng=7)
-        assert [d.question for d in ordered] == [d.question for d in again]
-
-    def test_full_correlation_keeps_domains_contiguous(self):
-        # correlation == 1.0 means zero swaps: every domain must occupy one
-        # contiguous block in the output.
-        ordered = reorder_with_correlation(_corpus(), 1.0, rng=0)
-        domains = [d.domain for d in ordered]
-        seen_blocks = []
-        for domain in domains:
-            if not seen_blocks or seen_blocks[-1] != domain:
-                seen_blocks.append(domain)
-        assert len(seen_blocks) == len(set(domains))
-        # Only the block-transition pairs differ: (N - k) / (N - 1) for
-        # N items in k domain blocks.
-        expected = (len(ordered) - len(set(domains))) / (len(ordered) - 1)
-        assert temporal_correlation_index(ordered) == pytest.approx(expected)
-
-    def test_all_filler_corpus_reorders_cleanly(self):
-        corpus = _filler_corpus()
-        for correlation in (0.0, 1.0):
-            ordered = reorder_with_correlation(corpus, correlation, rng=1)
-            assert sorted(d.question for d in ordered) == sorted(
-                d.question for d in corpus.dialogues()
-            )
-
-
 class TestDialogueStream:
     def test_chunks_cover_everything(self):
         stream = DialogueStream(_corpus(), StreamConfig(finetune_interval=7))
@@ -128,18 +70,9 @@ class TestDialogueStream:
         stream = DialogueStream(corpus)
         assert [d.question for d in stream] == [d.question for d in corpus]
 
-    def test_target_correlation_reorders(self):
-        corpus = _corpus()
-        stream = DialogueStream(
-            corpus, StreamConfig(finetune_interval=5, target_correlation=0.0, seed=1)
-        )
-        assert stream.correlation_index() < 0.6
-
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             StreamConfig(finetune_interval=0)
-        with pytest.raises(ValueError):
-            StreamConfig(target_correlation=2.0)
 
     def test_len_and_dialogues(self):
         stream = DialogueStream(_corpus())

@@ -11,7 +11,6 @@ from repro.core.synthesis import SynthesisConfig
 from repro.data.stream import DialogueStream, StreamConfig
 from repro.eval.learning_curve import (
     LearningCurve,
-    compare_final_scores,
     format_learning_curves,
     rank_methods,
 )
@@ -133,7 +132,6 @@ class TestResponseEvaluator:
         assert report.num_evaluated == 6
         assert all(0.0 <= score <= 1.0 for score in report.scores)
         assert 0.0 <= report.mean_rouge_1 <= 1.0
-        assert 0.0 <= report.median_rouge_1 <= 1.0
 
     def test_callable_returns_mean(self, pretrained_llm, evaluator):
         assert evaluator(pretrained_llm) == pytest.approx(
@@ -170,7 +168,6 @@ class TestLearningCurve:
         assert curve.final == pytest.approx(0.3)
         assert curve.initial == pytest.approx(0.1)
         assert curve.improvement() == pytest.approx(0.2)
-        assert curve.is_monotone_increasing()
         assert curve.seen() == [0, 10, 20]
 
     def test_comparisons_and_formatting(self):
@@ -178,7 +175,6 @@ class TestLearningCurve:
             LearningCurve.from_result(self._result("ours", (0.1, 0.5))),
             LearningCurve.from_result(self._result("fifo", (0.1, 0.2))),
         ]
-        assert compare_final_scores(curves)["ours"] == pytest.approx(0.5)
-        assert rank_methods(curves)[0][0] == "ours"
+        assert rank_methods(curves) == [("ours", pytest.approx(0.5)), ("fifo", pytest.approx(0.2))]
         table = format_learning_curves(curves)
         assert "ours" in table and "fifo" in table

@@ -1,5 +1,5 @@
 """Tests for repro.nn.functional (layer norm, cross-entropy, dropout) and the
-backend's softmax kernels."""
+softmax inside the fused kernels."""
 
 import numpy as np
 import pytest
@@ -9,28 +9,42 @@ from repro.nn.backend import numpy_backend
 from repro.nn.tensor import Tensor
 
 
+def _attention_weights(scores):
+    """The fused attention kernel's softmax weights for ``(T, T)`` scores.
+
+    With ``q = scores``, ``k = I`` and ``v = I`` the kernel's output is its
+    attention weight matrix.
+    """
+    eye = np.eye(scores.shape[-1], dtype=scores.dtype)
+    out, _ = numpy_backend.scaled_dot_product_attention(scores[None], eye[None], eye[None], 1.0)
+    return out[0]
+
+
 class TestSoftmax:
+    """The softmax inside the fused attention and cross-entropy kernels."""
+
     def test_rows_sum_to_one(self, rng):
-        out, _ = numpy_backend.softmax(rng.standard_normal((4, 7)).astype(np.float32))
-        np.testing.assert_allclose(out.sum(axis=-1), np.ones(4), atol=1e-5)
+        weights = _attention_weights(rng.standard_normal((4, 4)).astype(np.float32))
+        np.testing.assert_allclose(weights.sum(axis=-1), np.ones(4), atol=1e-5)
 
     def test_numerical_stability_large_logits(self):
-        out, _ = numpy_backend.softmax(np.array([[1000.0, 1000.0, 999.0]]))
-        assert np.isfinite(out).all()
+        logits = np.array([[1000.0, 1000.0, 999.0]], dtype=np.float32)
+        assert np.isfinite(_attention_weights(np.repeat(logits, 3, axis=0))).all()
+        loss, _ = numpy_backend.cross_entropy(logits, np.array([2]))
+        assert np.isfinite(loss)
 
     def test_gradient_sums_to_zero(self, rng):
-        _, residuals = numpy_backend.softmax(rng.standard_normal((2, 5)).astype(np.float32))
-        grad = numpy_backend.VJPS["softmax"](
-            residuals, rng.standard_normal((2, 5)).astype(np.float32)
-        )
-        # Softmax Jacobian rows sum to zero -> grads per row sum to ~0.
-        np.testing.assert_allclose(grad.sum(axis=-1), np.zeros(2), atol=1e-5)
+        logits = rng.standard_normal((2, 5)).astype(np.float32)
+        _, residuals = numpy_backend.cross_entropy(logits, np.array([1, 4]))
+        grad = numpy_backend.VJPS["cross_entropy"](residuals, 1.0)
+        # softmax minus the one-hot target: every row sums to ~0.
+        np.testing.assert_allclose(grad.sum(axis=-1), np.zeros(2), atol=1e-6)
 
     def test_log_softmax_matches_log_of_softmax(self, rng):
-        x = rng.standard_normal((3, 6)).astype(np.float32)
-        np.testing.assert_allclose(
-            numpy_backend.log_softmax(x)[0], np.log(numpy_backend.softmax(x)[0] + 1e-12), atol=1e-4
-        )
+        x = rng.standard_normal((1, 6)).astype(np.float32)
+        loss, _ = numpy_backend.cross_entropy(x, np.array([3]))
+        softmax = np.exp(x[0]) / np.exp(x[0]).sum()
+        np.testing.assert_allclose(loss, -np.log(softmax[3]), atol=1e-5)
 
 
 class TestLayerNorm:

@@ -152,3 +152,44 @@ class TestCLI:
         )
         assert code == 2
         assert "contradict" in capsys.readouterr().err
+
+
+BAD_ARGV = [
+    ["serve", "--users", "0"],
+    ["serve", "--requests", "0"],
+    ["serve", "--max-batch", "0"],
+    ["serve", "--cache-capacity", "0"],
+    ["serve", "--personalize-every", "0"],
+    ["serve", "--deadline", "-5"],
+    ["serve", "--metrics-interval", "0"],
+    ["serve", "--seed", "-1"],
+    ["serve", "--retries", "0"],
+    ["serve", "--workers", "0"],
+    ["serve", "--scale", "huge"],
+    ["run", "figure3", "--counts", "-1"],
+    ["run", "table3", "--bins", "0"],
+    ["run", "table2", "--datasets", "nosuch"],
+    ["run", "table2", "--methods", "nosuch"],
+    ["run", "table2", "--seed", "-1"],
+    ["run", "table2", "--scale", "huge"],
+    ["run", "table2", "--num-seeds", "0"],
+]
+
+
+class TestBadArgumentValues:
+    """An out-of-range or unknown value exits 2 with one ``error:`` line,
+    before any work is done or any directory is made."""
+
+    @pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
+    def test_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error: ")]
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_bins_message_names_the_bins(self, capsys):
+        assert main(["run", "table3", "--bins", "0", "--no-artifacts"]) == 2
+        assert "bins must be positive" in capsys.readouterr().err
+

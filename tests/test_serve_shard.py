@@ -397,7 +397,7 @@ class TestShardedCLI:
 
     def test_rejects_bad_worker_count(self, capsys):
         assert main(["serve", "--workers", "0", "--quiet"]) == 2
-        assert "--workers" in capsys.readouterr().err
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_kill_one_shard_then_resume_matches_uninterrupted(self, tmp_path):
         """A worker SIGKILLed mid-run (power-cut style, no unwinding) must

@@ -1,4 +1,4 @@
-"""Tests for ROUGE, similarity and entropy metrics (incl. property-based)."""
+"""Tests for ROUGE, cosine similarity and entropy metrics (incl. property-based)."""
 
 import numpy as np
 import pytest
@@ -6,23 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.textmetrics import (
-    corpus_rouge_1,
     cosine_dissimilarity,
     cosine_similarity,
-    distinct_n,
     embedding_to_distribution,
     entropy_of_embedding,
-    jaccard_similarity,
-    mean_embedding,
     pairwise_cosine_similarity,
     rouge_1,
     rouge_1_f1,
-    rouge_2,
-    rouge_l,
     rouge_n,
     shannon_entropy,
-    token_frequency_entropy,
-    token_overlap_count,
 )
 
 WORDS = st.lists(
@@ -57,24 +49,12 @@ class TestRouge:
         assert rouge_1_f1("", "reference text") == 0.0
 
     def test_rouge_2_requires_bigram_overlap(self):
-        assert rouge_2("the cat sat", "the cat sat").f1 == pytest.approx(1.0)
-        assert rouge_2("cat the sat", "the cat sat").f1 < 1.0
-
-    def test_rouge_l_subsequence(self):
-        score = rouge_l("the big cat sat", "the cat sat down")
-        assert 0.0 < score.f1 < 1.0
+        assert rouge_n("the cat sat", "the cat sat", n=2).f1 == pytest.approx(1.0)
+        assert rouge_n("cat the sat", "the cat sat", n=2).f1 < 1.0
 
     def test_rouge_n_invalid(self):
         with pytest.raises(ValueError):
             rouge_n("a", "b", n=0)
-
-    def test_corpus_rouge_mean(self):
-        value = corpus_rouge_1(["a b", "c d"], ["a b", "x y"])
-        assert value == pytest.approx(0.5)
-
-    def test_corpus_rouge_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            corpus_rouge_1(["a"], ["a", "b"])
 
     @given(WORDS)
     @settings(max_examples=30, deadline=None)
@@ -117,22 +97,6 @@ class TestSimilarity:
         np.testing.assert_allclose(np.diag(sims), np.ones(4), atol=1e-9)
         np.testing.assert_allclose(sims, sims.T, atol=1e-12)
 
-    def test_jaccard(self):
-        assert jaccard_similarity("a b c", "a b c") == 1.0
-        assert jaccard_similarity("a b", "c d") == 0.0
-        assert jaccard_similarity("", "") == 1.0
-
-    def test_token_overlap_count_with_multiplicity(self):
-        assert token_overlap_count("dose dose vial", ["dose", "pill"]) == 2
-
-    def test_mean_embedding(self):
-        result = mean_embedding([np.array([0.0, 2.0]), np.array([2.0, 0.0])])
-        np.testing.assert_allclose(result, [1.0, 1.0])
-
-    def test_mean_embedding_empty_raises(self):
-        with pytest.raises(ValueError):
-            mean_embedding([])
-
 
 class TestEntropy:
     def test_uniform_distribution_max_entropy(self):
@@ -160,18 +124,6 @@ class TestEntropy:
 
     def test_entropy_of_embedding_single_token(self):
         assert entropy_of_embedding(np.ones((1, 4)), num_tokens=1) == 0.0
-
-    def test_token_frequency_entropy_repetition_lowers(self):
-        diverse = token_frequency_entropy("alpha beta gamma delta")
-        repetitive = token_frequency_entropy("alpha alpha alpha beta")
-        assert diverse > repetitive
-
-    def test_distinct_n(self):
-        assert distinct_n(["a b c"], n=1) == 1.0
-        assert distinct_n(["a a a a"], n=1) == 0.25
-        assert distinct_n([], n=1) == 0.0
-        with pytest.raises(ValueError):
-            distinct_n(["a"], n=0)
 
     @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=2, max_size=30))
     @settings(max_examples=30, deadline=None)

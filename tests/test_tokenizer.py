@@ -77,11 +77,6 @@ class TestWordTokenizer:
         ids = tokenizer.encode("quantum entanglement", add_bos=False, add_eos=False)
         assert all(token_id == tokenizer.vocabulary.unk_id for token_id in ids)
 
-    def test_unknown_rate(self, tokenizer):
-        assert tokenizer.unknown_rate("the cat") == 0.0
-        assert tokenizer.unknown_rate("zzz qqq") == 1.0
-        assert tokenizer.unknown_rate("") == 0.0
-
     def test_pad_batch_shapes_and_mask(self, tokenizer):
         sequences = [[1, 2, 3], [4, 5]]
         batch, mask = tokenizer.pad_batch(sequences)
@@ -93,11 +88,6 @@ class TestWordTokenizer:
     def test_pad_batch_empty_raises(self, tokenizer):
         with pytest.raises(ValueError):
             tokenizer.pad_batch([])
-
-    def test_encode_batch(self, tokenizer):
-        batch, mask = tokenizer.encode_batch(["the cat", "a dog chased the cat"])
-        assert batch.shape[0] == 2
-        assert mask.sum(axis=1)[1] > mask.sum(axis=1)[0]
 
     def test_max_vocab_size_respected(self):
         tokenizer = WordTokenizer.from_texts(
