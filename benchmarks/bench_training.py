@@ -38,9 +38,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from bench_generation import _build_llm
-from repro.llm.finetune import IGNORE_INDEX, build_training_example, collate_batch, train_batch
+from repro.llm.finetune import (
+    IGNORE_INDEX,
+    build_training_example,
+    collate_batch,
+    encode_pair_example,
+    train_batch,
+)
 from repro.llm.model import OnDeviceLLM
-from repro.llm.pretrain import _encode_pair_example, pretraining_pairs
+from repro.llm.pretrain import pretraining_pairs
 from repro.nn.functional import attention_scores_mask
 from repro.nn.lora import LoRAConfig, LoRALinear, lora_parameters
 from repro.nn.optim import Adam, AdamW
@@ -307,10 +313,7 @@ def _pretrain_batches(llm: OnDeviceLLM) -> List[Tuple[np.ndarray, np.ndarray, np
 
     corpus = make_corpus("meddialog", size=60, seed=0, lexicons=builtin_lexicons())
     pairs = pretraining_pairs(corpus, rng=0)[:PRETRAIN_PAIRS]
-    examples = [
-        _encode_pair_example(llm, question, response, loss_on_response_only=True)
-        for question, response in pairs
-    ]
+    examples = [encode_pair_example(llm, question, response) for question, response in pairs]
     examples = [
         (ids, labels)
         for ids, labels in examples

@@ -330,8 +330,8 @@ def _collect_options(spec_options: Sequence[str], args: argparse.Namespace) -> d
         if value is None:
             continue
         if name not in spec_options:
-            raise SystemExit(
-                f"error: experiment {args.experiment!r} does not accept --"
+            raise ValueError(
+                f"experiment {args.experiment!r} does not accept --"
                 f"{name.replace('_list', '').replace('_', '-')} "
                 f"(accepted options: {sorted(set(spec_options) - {'run_dir'})})"
             )

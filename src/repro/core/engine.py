@@ -408,11 +408,6 @@ class PipelineEngine:
         if evaluator is not None and evaluate_initial and not resuming:
             self.evaluate(evaluator, initial=True)
 
-        # A mid-chunk cursor (possible when resuming a manual mid-chunk
-        # save) first yields the remainder of its chunk; that remainder ends
-        # on the stream's interval grid and must count as a full-chunk
-        # boundary even though it is short.
-        remainder_pending = self._stream_cursor % stream.config.finetune_interval != 0
         last_saved = None
         try:
             for chunk in stream.chunks(skip=self._stream_cursor):
@@ -422,16 +417,7 @@ class PipelineEngine:
                     # as consumed.
                     self._stream_cursor += 1
                     self.process_dialogue(dialogue)
-                completes_grid = (
-                    remainder_pending
-                    and self._stream_cursor % stream.config.finetune_interval == 0
-                )
-                remainder_pending = False
-                is_full_chunk = (
-                    len(chunk) >= self.config.finetune_interval or completes_grid
-                )
-                if not is_full_chunk and not self.config.finetune_on_partial_chunk:
-                    continue
+                # Every chunk ends in a round, a short trailing one included.
                 if self.buffer.is_empty():
                     continue
                 self.finetune_round()

@@ -52,9 +52,7 @@ class FrameworkConfig:
     buffer_bins: int = 32
     finetune_interval: int = 800
     selector: str = "ours"
-    annotation_rate: float = 1.0
     regenerate_responses: bool = False
-    finetune_on_partial_chunk: bool = True
     synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
     finetune: FineTuneConfig = field(default_factory=FineTuneConfig)
     geometry: BufferGeometry = field(default_factory=BufferGeometry.paper_default)
@@ -134,9 +132,7 @@ class PersonalizationFramework:
             self.selector = selector
         else:
             self.selector = make_selector(self.config.selector, self.buffer, self.scorer, rng=rng)
-        self.annotator = annotator or AnnotationOracle(
-            response_rate=self.config.annotation_rate, rng=rng
-        )
+        self.annotator = annotator or AnnotationOracle(rng=rng)
         self.synthesizer = DataSynthesizer(llm, self.config.synthesis, rng=rng)
         self.finetuner = LoRAFineTuner(llm, self.config.finetune)
         self.engine = PipelineEngine(

@@ -34,10 +34,6 @@ class DomainLexicon:
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.words
 
-    def overlap_count(self, text: str) -> int:
-        """Number of tokens of ``text`` (with multiplicity) found in this lexicon."""
-        return sum(1 for token in split_words(text) if token in self.words)
-
 
 class LexiconCollection:
     """The collection ``L = {l_1, ..., l_m}`` of domain lexicons."""
@@ -81,8 +77,8 @@ class LexiconCollection:
     def overlap_counts_from_tokens(self, tokens: Sequence[str]) -> Dict[str, int]:
         """``|T ∩ l_i|`` per domain for an already-tokenized text.
 
-        Splitting once and counting against every lexicon avoids the m-fold
-        re-tokenization of calling ``lexicon.overlap_count(text)`` per domain.
+        Each count is the number of tokens (with multiplicity) found in that
+        domain's lexicon; the text is split once for every domain.
         """
         return {
             name: sum(1 for token in tokens if token in lexicon.words)

@@ -104,6 +104,11 @@ QUALITY_RICH = "rich"
 QUALITY_THIN = "thin"
 QUALITY_FILLER = "filler"
 
+# Chance that a rich dialogue which stays in its predecessor's domain is a
+# near-duplicate of it, and the domain words drawn for a fresh question.
+DUPLICATE_RATE = 0.5
+WORDS_PER_QUESTION = 3
+
 
 @dataclass
 class SyntheticCorpusConfig:
@@ -125,8 +130,6 @@ class SyntheticCorpusConfig:
     temporal_correlation: float = 0.5
     filler_rate: float = 0.0
     thin_rate: float = 0.0
-    duplicate_rate: float = 0.5
-    words_per_question: int = 3
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -134,7 +137,6 @@ class SyntheticCorpusConfig:
         require_in_unit_interval("temporal_correlation", self.temporal_correlation)
         require_in_unit_interval("filler_rate", self.filler_rate)
         require_in_unit_interval("thin_rate", self.thin_rate)
-        require_in_unit_interval("duplicate_rate", self.duplicate_rate)
         if self.question_flavor not in _QUESTION_TEMPLATES:
             raise ValueError(
                 f"unknown question_flavor {self.question_flavor!r}; "
@@ -174,7 +176,7 @@ class SyntheticCorpusGenerator:
 
         Temporal correlation is realised as a sticky Markov chain over
         domains: with probability ``temporal_correlation`` the next dialogue
-        keeps the previous domain (and with ``duplicate_rate`` it is a
+        keeps the previous domain (and with :data:`DUPLICATE_RATE` it is a
         near-duplicate of the previous dialogue — the "few rounds of
         uncontroversial dialogue sets" the paper describes).  Fillers and thin
         questions are sprinkled in independently.
@@ -195,7 +197,7 @@ class SyntheticCorpusGenerator:
                 current = domains[int(rng.integers(len(domains)))]
             quality = QUALITY_THIN if rng.random() < self.config.thin_rate else QUALITY_RICH
             duplicate = bool(
-                stayed and quality == QUALITY_RICH and rng.random() < self.config.duplicate_rate
+                stayed and quality == QUALITY_RICH and rng.random() < DUPLICATE_RATE
             )
             plan.append((current, quality, duplicate))
             previous_was_domain = True
@@ -318,7 +320,6 @@ class SyntheticCorpusGenerator:
         plan = self._sample_plan(self.config.size, rng)
         dialogues: List[DialogueSet] = []
         previous_picks: Dict[str, Tuple[List[str], int]] = {}
-        words_needed = max(self.config.words_per_question, 3)
         for index, (domain, quality, duplicate) in enumerate(plan):
             level = 3
             if domain is None:
@@ -328,7 +329,7 @@ class SyntheticCorpusGenerator:
                     picks, level = previous_picks[domain]
                     picks = self._perturb_duplicate(picks, domain, rng)
                 else:
-                    picks = self._sample_words(domain, words_needed, rng)
+                    picks = self._sample_words(domain, WORDS_PER_QUESTION, rng)
                     # Richness level: how much information the dialogue carries
                     # (distinct domain keywords in the question, and how much of
                     # the user's go-to vocabulary the preferred answer covers).

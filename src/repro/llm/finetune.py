@@ -40,7 +40,7 @@ class FineTuneConfig:
     batch_size: int = 16
     learning_rate: float = 3e-4
     weight_decay: float = 0.0
-    max_grad_norm: Optional[float] = 1.0
+    max_grad_norm: float = 1.0
     max_seq_len: Optional[int] = None
     lora: LoRAConfig = field(default_factory=LoRAConfig)
     seed: int = 0
@@ -49,8 +49,7 @@ class FineTuneConfig:
         require_positive("epochs", self.epochs)
         require_positive("batch_size", self.batch_size)
         require_positive("learning_rate", self.learning_rate)
-        if self.max_grad_norm is not None:
-            require_positive("max_grad_norm", self.max_grad_norm)
+        require_positive("max_grad_norm", self.max_grad_norm)
 
 
 @dataclass
@@ -75,15 +74,23 @@ class FineTuneReport:
 def build_training_example(
     llm: OnDeviceLLM, dialogue: DialogueSet, max_seq_len: Optional[int] = None
 ) -> Tuple[List[int], List[int]]:
-    """Token ids and target labels for one dialogue set.
+    """Token ids and target labels for one dialogue set (its gold response if any)."""
+    response = dialogue.gold_response if dialogue.gold_response is not None else dialogue.response
+    return encode_pair_example(llm, dialogue.question, response, max_seq_len)
+
+
+def encode_pair_example(
+    llm: OnDeviceLLM, question: str, response: str, max_seq_len: Optional[int] = None
+) -> Tuple[List[int], List[int]]:
+    """Token ids and target labels for one ``(question, response)`` pair.
 
     The input is ``<bos> question <sep> response <eos>``; labels are the
     next-token ids with everything up to and including ``<sep>`` masked to
-    ``IGNORE_INDEX`` so only response tokens contribute to the loss.
+    ``IGNORE_INDEX`` so only response tokens contribute to the loss.  Both
+    fine-tuning and pre-training encode their examples here.
     """
     limit = max_seq_len or llm.config.max_seq_len
-    response = dialogue.gold_response if dialogue.gold_response is not None else dialogue.response
-    ids = llm.tokenizer.encode_pair(dialogue.question, response, max_length=limit)
+    ids = llm.tokenizer.encode_pair(question, response, max_length=limit)
     sep_id = llm.tokenizer.vocabulary.sep_id
     # Next-token labels: position t predicts ids[t + 1]; the final position has
     # nothing to predict and is masked out.
@@ -158,20 +165,19 @@ def train_batch(
     model: TransformerLM,
     optimizer: Adam,
     batch: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    max_grad_norm: Optional[float],
+    max_grad_norm: float,
 ) -> float:
     """One optimization step on a collated batch; returns its loss.
 
     The step both training loops run: clear the optimizer's gradients, run
     the model's graph-free :meth:`~repro.nn.transformer.TransformerLM.
-    train_step`, clip to ``max_grad_norm`` (when set), update.  Clipping
+    train_step`, clip to ``max_grad_norm``, update.  Clipping
     goes through the optimizer, so Adam's scales its packed gradient.
     """
     token_ids, labels, mask = batch
     optimizer.zero_grad()
     loss = model.train_step(token_ids, mask, labels)
-    if max_grad_norm is not None:
-        optimizer.clip_grad_norm(max_grad_norm)
+    optimizer.clip_grad_norm(max_grad_norm)
     optimizer.step()
     return loss
 

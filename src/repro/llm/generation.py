@@ -7,8 +7,9 @@ decoding) is implemented here over the numpy transformer.
 Decoding runs on the array-level inference path (no autograd graph).  A
 prime goes through :meth:`~repro.nn.transformer.TransformerLM.prefill`, which
 fills a per-layer KV cache and carries only each row's last position through
-the top of the model, so each new token then costs one single-position
-forward instead of a full re-encode of the context window.  Because attention
+the top of the model (``ln_final`` and the head tied to the token
+embedding), so each new token then costs one single-position forward
+instead of a full re-encode of the context window.  Because attention
 is causal, the cached keys/values are what the full-context forward
 (:meth:`~repro.nn.transformer.TransformerLM.forward`) computes, so the
 incremental path produces the same logits to float rounding and the same

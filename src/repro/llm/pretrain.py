@@ -32,11 +32,14 @@ from repro.llm.base_cache import (
     record_path,
     store_base_model,
 )
-from repro.llm.finetune import IGNORE_INDEX, collate_round, train_batch
+from repro.llm.finetune import IGNORE_INDEX, collate_round, encode_pair_example, train_batch
 from repro.llm.model import OnDeviceLLM, OnDeviceLLMConfig
 from repro.nn.optim import Adam
 from repro.utils.config import require_positive
 from repro.utils.rng import as_generator
+
+# Decoy personas whose responses expose the assistant phrase inventory.
+NUM_DECOY_PERSONAS = 4
 
 
 @dataclass
@@ -47,16 +50,12 @@ class PretrainConfig:
     batch_size: int = 32
     learning_rate: float = 3e-3
     max_grad_norm: float = 1.0
-    include_persona_inventory: bool = True
-    num_decoy_personas: int = 4
-    loss_on_response_only: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
         require_positive("epochs", self.epochs)
         require_positive("batch_size", self.batch_size)
         require_positive("learning_rate", self.learning_rate)
-        require_positive("num_decoy_personas", self.num_decoy_personas)
 
 
 @dataclass
@@ -76,29 +75,23 @@ class PretrainReport:
         return self.losses[0] if self.losses else 0.0
 
 
-def pretraining_pairs(
-    corpus: DialogueCorpus,
-    include_persona_inventory: bool = True,
-    num_decoy_personas: int = 4,
-    rng=None,
-) -> List[Tuple[str, str]]:
+def pretraining_pairs(corpus: DialogueCorpus, rng=None) -> List[Tuple[str, str]]:
     """Build (question, response) pre-training pairs from a corpus.
 
-    Every question is paired with a *generic* (non-personalized) response;
-    when ``include_persona_inventory`` is on, each question is additionally
-    paired with a response styled by one of a handful of randomly drawn decoy
-    personas.  The decoys expose the assistant phrase inventory (as a
-    web-pretrained LLM would have seen) while the experiment user's specific
-    persona combination remains unseen.
+    Every question is paired with a *generic* (non-personalized) response
+    and with a response styled by one of :data:`NUM_DECOY_PERSONAS` randomly
+    drawn decoy personas.  The decoys expose the assistant phrase inventory
+    (as a web-pretrained LLM would have seen) while the experiment user's
+    specific persona combination remains unseen.
     """
     generator = as_generator(rng)
     pairs: List[Tuple[str, str]] = []
     domains = corpus.domains()
     decoys: List[UserPersona] = []
-    if include_persona_inventory and domains:
+    if domains:
         decoys = [
             UserPersona.sample(domains, rng=generator, name=f"decoy-{index}")
-            for index in range(num_decoy_personas)
+            for index in range(NUM_DECOY_PERSONAS)
         ]
     for dialogue in corpus:
         pairs.append(
@@ -112,25 +105,6 @@ def pretraining_pairs(
     return pairs
 
 
-def _encode_pair_example(
-    llm: OnDeviceLLM, question: str, response: str, loss_on_response_only: bool
-) -> Tuple[List[int], List[int]]:
-    """Token ids and next-token labels for one dialogue-format example."""
-    ids = llm.tokenizer.encode_pair(question, response, max_length=llm.config.max_seq_len)
-    labels = ids[1:] + [IGNORE_INDEX]
-    if loss_on_response_only:
-        sep_id = llm.tokenizer.vocabulary.sep_id
-        try:
-            sep_position = ids.index(sep_id)
-        except ValueError:
-            sep_position = 0
-        labels = [
-            IGNORE_INDEX if position < sep_position else label
-            for position, label in enumerate(labels)
-        ]
-    return ids, labels
-
-
 def pretrain(
     llm: OnDeviceLLM,
     pairs: Sequence[Tuple[str, str]],
@@ -140,8 +114,7 @@ def pretrain(
     config = config or PretrainConfig()
     rng = as_generator(config.seed)
     examples = [
-        _encode_pair_example(llm, question, response, config.loss_on_response_only)
-        for question, response in pairs
+        encode_pair_example(llm, question, response) for question, response in pairs
     ]
     examples = [
         (ids, labels)
@@ -197,12 +170,7 @@ def build_pretrained_llm(
     pretrain_config = pretrain_config or PretrainConfig()
     vocabulary_texts = corpus.all_text()
     llm = OnDeviceLLM.from_texts(vocabulary_texts, config=llm_config)
-    pairs = pretraining_pairs(
-        corpus,
-        include_persona_inventory=pretrain_config.include_persona_inventory,
-        num_decoy_personas=pretrain_config.num_decoy_personas,
-        rng=pretrain_config.seed,
-    )
+    pairs = pretraining_pairs(corpus, rng=pretrain_config.seed)
     started = time.perf_counter()
     key = base_model_key(llm, pretrain_config, pairs)
     path = record_path(key)

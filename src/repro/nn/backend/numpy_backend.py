@@ -79,11 +79,10 @@ def matmul_vjp(res, grad, needs):
 # linear: x @ W^T + b in one kernel
 # --------------------------------------------------------------------------- #
 @_primitive
-def linear(x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray]):
-    """Affine map ``x @ W^T (+ b)``; ``W`` is ``(out, in)``, ``x`` ``(..., in)``."""
+def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
+    """Affine map ``x @ W^T + b``; ``W`` is ``(out, in)``, ``x`` ``(..., in)``."""
     out = x @ weight.T
-    if bias is not None:
-        out += bias
+    out += bias
     return out, (x, weight)
 
 

@@ -20,18 +20,13 @@ from repro.nn.backend import numpy_backend as K
 from repro.nn.tensor import Tensor
 
 
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Fused affine map ``x @ weight.T (+ bias)`` with one backward closure."""
-    out, residuals = K.linear(x.data, weight.data, None if bias is None else bias.data)
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Fused affine map ``x @ weight.T + bias`` with one backward closure."""
+    out, residuals = K.linear(x.data, weight.data, bias.data)
     vjp = K.VJPS["linear"]
-    parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
-        needs = (
-            x.requires_grad,
-            weight.requires_grad,
-            bias is not None and bias.requires_grad,
-        )
+        needs = (x.requires_grad, weight.requires_grad, bias.requires_grad)
         grad_x, grad_w, grad_b = vjp(residuals, grad, needs)
         if grad_x is not None:
             x._accumulate_owned(grad_x)
@@ -40,7 +35,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         if grad_b is not None:
             bias._accumulate_owned(grad_b)
 
-    return Tensor._make(out, parents, backward)
+    return Tensor._make(out, (x, weight, bias), backward)
 
 
 def layer_norm(

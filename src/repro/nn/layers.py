@@ -2,11 +2,12 @@
 
 The :class:`Module` base class provides recursive parameter discovery,
 train/eval mode switching, and state-dict export/import; the concrete layers
-are the minimum set needed by a decoder-only transformer: ``Linear``,
-``Embedding``, ``LayerNorm``, ``Dropout`` and ``FeedForward``.  Their autograd
-``forward`` is the reference path; the inference and training paths run the
-array-level methods next to it (``raw_forward``, ``raw_backward``,
-``draw_mask``).
+are the minimum set needed by a decoder-only transformer: ``Linear``
+(always with a bias; the model's output head is the tied embedding, not a
+``Linear``), ``Embedding``, ``LayerNorm``, ``Dropout`` and ``FeedForward``.
+Their autograd ``forward`` is the reference path; the inference and training
+paths run the array-level methods next to it (``raw_forward``,
+``raw_backward``, ``draw_mask``).
 """
 
 from __future__ import annotations
@@ -26,15 +27,14 @@ def apply_vjp(
     residuals,
     grad: np.ndarray,
     need_x: bool,
-    *params: Optional[Tensor],
+    *params: Tensor,
 ) -> Optional[np.ndarray]:
     """Apply a backend VJP whose inputs are ``(x, *params)``.
 
-    Accumulates ``.grad`` on each parameter that requires it (``None``
-    entries are absent parameters) and returns the input gradient, or None
-    when ``need_x`` is False.
+    Accumulates ``.grad`` on each parameter that requires it and returns the
+    input gradient, or None when ``need_x`` is False.
     """
-    needs = (need_x,) + tuple(param is not None and param.requires_grad for param in params)
+    needs = (need_x,) + tuple(param.requires_grad for param in params)
     if not any(needs):
         return None
     grads = K.VJPS[primitive](residuals, grad, needs)
@@ -187,7 +187,6 @@ class Linear(Module):
         self,
         in_features: int,
         out_features: int,
-        bias: bool = True,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
@@ -200,12 +199,9 @@ class Linear(Module):
             requires_grad=True,
             name="weight",
         )
-        if bias:
-            self.bias: Optional[Tensor] = Tensor(
-                np.zeros(out_features, dtype=np.float32), requires_grad=True, name="bias"
-            )
-        else:
-            self.bias = None
+        self.bias = Tensor(
+            np.zeros(out_features, dtype=np.float32), requires_grad=True, name="bias"
+        )
 
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)
@@ -218,9 +214,7 @@ class Linear(Module):
         ``x``'s rows) is taken for the LoRA layer's signature: a plain
         projection draws no dropout mask.
         """
-        out, residuals = K.linear(
-            x, self.weight.data, None if self.bias is None else self.bias.data
-        )
+        out, residuals = K.linear(x, self.weight.data, self.bias.data)
         if tape is not None:
             tape.append(residuals)
         return out
@@ -236,18 +230,17 @@ class Linear(Module):
         return [grad_x] if need_x else []
 
     def project_row(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Single-row forward ``W x (+ b)`` into a preallocated ``out`` buffer.
+        """Single-row forward ``W x + b`` into a preallocated ``out`` buffer.
 
         Used by the fused single-token decode step: a GEMV into workspace
         memory instead of an allocating batched matmul.
         """
         np.dot(self.weight.data, x, out=out)
-        if self.bias is not None:
-            out += self.bias.data
+        out += self.bias.data
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Linear(in={self.in_features}, out={self.out_features}, bias={self.bias is not None})"
+        return f"Linear(in={self.in_features}, out={self.out_features})"
 
 
 class Embedding(Module):

@@ -37,15 +37,12 @@ class LoRAConfig:
     rank: int = 8
     alpha: float = 16.0
     dropout_rate: float = 0.05
-    target_layers: Tuple[str, ...] = DEFAULT_TARGET_LAYERS
 
     def __post_init__(self) -> None:
         require_positive("rank", self.rank)
         require_positive("alpha", self.alpha)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
-        if not self.target_layers:
-            raise ValueError("target_layers must not be empty")
 
     @property
     def scaling(self) -> float:
@@ -68,8 +65,7 @@ class LoRALinear(Module):
         self.config = config
         # Freeze the base projection: only the adapter trains.
         self.base.weight.requires_grad = False
-        if self.base.bias is not None:
-            self.base.bias.requires_grad = False
+        self.base.bias.requires_grad = False
         in_features = base.in_features
         out_features = base.out_features
         self.lora_a = Tensor(
@@ -161,7 +157,7 @@ def inject_lora(
     """Replace targeted attention projections in ``model`` with LoRA layers.
 
     Walks every :class:`MultiHeadSelfAttention` submodule and wraps the
-    projections named in ``config.target_layers``.  All other model
+    projections named in :data:`DEFAULT_TARGET_LAYERS`.  All other model
     parameters are frozen, reproducing the paper's parameter-efficient
     fine-tuning regime.  Returns the list of injected adapters.
 
@@ -178,12 +174,8 @@ def inject_lora(
     if not attention_modules:
         raise ValueError("model contains no MultiHeadSelfAttention modules to adapt")
     for attention in attention_modules:
-        for layer_name in config.target_layers:
-            projection = getattr(attention, layer_name, None)
-            if projection is None:
-                raise AttributeError(
-                    f"attention module has no projection named {layer_name!r}"
-                )
+        for layer_name in DEFAULT_TARGET_LAYERS:
+            projection = getattr(attention, layer_name)
             if isinstance(projection, LoRALinear):
                 continue
             adapter = LoRALinear(projection, config, rng=rng)

@@ -3,7 +3,8 @@
 This is the on-device LLM stand-in for Llama-3B: the architecture family is
 the same (token + positional embeddings, pre-LayerNorm decoder blocks with
 causal multi-head self-attention and a GELU feed-forward, a final LayerNorm
-and an output projection), only the size is scaled down so it trains and
+and an output projection tied to the token embedding, so logits are
+``hidden @ E.T``), only the size is scaled down so it trains and
 fine-tunes in seconds on CPU.  The framework under test uses it through three
 interfaces — next-token logits, last-hidden-layer embeddings, and LoRA
 fine-tuning — each of which is exercised exactly as the paper describes.
@@ -23,7 +24,7 @@ from repro.nn.attention import (
     combined_mask,
 )
 from repro.nn.backend import numpy_backend as K
-from repro.nn.layers import Dropout, Embedding, FeedForward, LayerNorm, Linear, Module
+from repro.nn.layers import Dropout, Embedding, FeedForward, LayerNorm, Module
 from repro.nn.tensor import Tensor
 from repro.utils.config import require_positive
 from repro.utils.rng import as_generator
@@ -68,7 +69,6 @@ class TransformerConfig:
     num_heads: int = 4
     ffn_multiplier: int = 4
     dropout_rate: float = 0.0
-    tie_embeddings: bool = True
 
     def __post_init__(self) -> None:
         require_positive("vocab_size", self.vocab_size)
@@ -196,10 +196,6 @@ class TransformerLM(Module):
         self.blocks = [TransformerBlock(config, rng=rng) for _ in range(config.num_layers)]
         self.ln_final = LayerNorm(config.dim)
         self._workspace = None  # lazily created by the fused decode step
-        if config.tie_embeddings:
-            self.lm_head: Optional[Linear] = None
-        else:
-            self.lm_head = Linear(config.dim, config.vocab_size, bias=False, rng=rng)
 
     # ------------------------------------------------------------------ #
     def forward(
@@ -224,8 +220,6 @@ class TransformerLM(Module):
         for block in self.blocks:
             hidden = block(hidden, attention_mask=attention_mask)
         hidden = self.ln_final(hidden)
-        if self.lm_head is not None:
-            return self.lm_head(hidden)
         return hidden.matmul(self.token_embedding.weight.transpose(1, 0))
 
     @staticmethod
@@ -355,22 +349,12 @@ class TransformerLM(Module):
             hidden, queries.score_rows(mask), None, tape, rows, queries
         )
         hidden = self.ln_final.raw_forward(hidden, tape)
-        if self.lm_head is not None:
-            logits = self.lm_head.raw_forward(hidden, tape)
-        else:
-            logits, residuals = K.matmul(hidden, embedding.data.T)
-            tape.append(residuals)
+        logits, head_residuals = K.matmul(hidden, embedding.data.T)
         targets = np.full(queries.count, IGNORE_INDEX, dtype=np.int64)
         targets[: queries.size] = labels.reshape(-1)[queries.index]
         loss, residuals = K.cross_entropy(logits, targets, IGNORE_INDEX)
         grad = K.VJPS["cross_entropy"](residuals, 1.0)
-        head_grad = None
-        if self.lm_head is not None:
-            (grad,) = self.lm_head.raw_backward(tape, grad, True)
-        else:
-            grad, head_grad = K.VJPS["matmul"](
-                tape.pop(), grad, (True, embedding.requires_grad)
-            )
+        grad, head_grad = K.VJPS["matmul"](head_residuals, grad, (True, embedding.requires_grad))
         grad = self.ln_final.raw_backward(tape, grad, live[-1])
         for index in reversed(range(len(self.blocks))):
             if not live[index + 1]:
@@ -506,10 +490,8 @@ class TransformerLM(Module):
         return self._rows_logits(rows)
 
     def _rows_logits(self, hidden: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """``ln_final`` and the LM head on ``(B, dim)`` rows; a tied head writes into ``out``."""
+        """``ln_final`` and the tied head on ``(B, dim)`` rows, into ``out`` when given."""
         normed = self.ln_final.raw_forward(hidden)
-        if self.lm_head is not None:
-            return self.lm_head.raw_forward(normed)
         return np.matmul(normed, self.token_embedding.weight.data.T, out=out)
 
     def _decode_step(self, token_id: int, position: int, kv_cache: KVCache):
@@ -562,13 +544,8 @@ class TransformerLM(Module):
             self.ln_final.eps,
             workspace.get("ln_final", (dim,)),
         )
-        if self.lm_head is not None:
-            logits = self.lm_head.project_row(
-                normed, workspace.get("logits", (self.lm_head.out_features,))
-            )
-        else:
-            weight = self.token_embedding.weight.data
-            logits = np.dot(weight, normed, out=workspace.get("logits", (weight.shape[0],)))
+        weight = self.token_embedding.weight.data
+        logits = np.dot(weight, normed, out=workspace.get("logits", (weight.shape[0],)))
         return logits, normed
 
     # ------------------------------------------------------------------ #

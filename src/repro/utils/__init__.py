@@ -11,7 +11,7 @@ from repro.utils.config import (
     require_positive,
 )
 from repro.utils.logging import enable_console_logging, get_logger
-from repro.utils.rng import as_generator, shuffled
+from repro.utils.rng import as_generator
 
 __all__ = [
     "as_generator",
@@ -21,5 +21,4 @@ __all__ = [
     "require_in_unit_interval",
     "require_non_negative",
     "require_positive",
-    "shuffled",
 ]

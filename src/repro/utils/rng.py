@@ -3,13 +3,13 @@
 Every stochastic component in the library receives an explicit
 :class:`numpy.random.Generator` (or derives one from a parent seed) so that
 experiments are reproducible run-to-run.  The helpers here centralise the
-common patterns: creating a generator from a seed, snapshotting and
-restoring its state for checkpoints, and shuffling a copy of a sequence.
+common patterns: creating a generator from a seed, and snapshotting and
+restoring its state for checkpoints.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -54,10 +54,3 @@ def set_generator_state(rng: np.random.Generator, state: dict) -> None:
     if not isinstance(rng, np.random.Generator):
         raise TypeError(f"expected a numpy Generator, got {type(rng)!r}")
     rng.bit_generator.state = state
-
-
-def shuffled(rng: SeedLike, items: Sequence) -> list:
-    """Return a shuffled copy of ``items`` (the input is left untouched)."""
-    gen = as_generator(rng)
-    idx = gen.permutation(len(items))
-    return [items[int(i)] for i in idx]

@@ -114,15 +114,6 @@ class TestTransformerLM:
         assert model.training
         assert all(module.training for module in model.modules())
 
-    def test_tied_embeddings_reduce_parameters(self, rng):
-        config_tied = TransformerConfig(vocab_size=50, dim=16, num_layers=1, num_heads=2)
-        config_untied = TransformerConfig(
-            vocab_size=50, dim=16, num_layers=1, num_heads=2, tie_embeddings=False
-        )
-        tied = TransformerLM(config_tied, rng=rng)
-        untied = TransformerLM(config_untied, rng=rng)
-        assert untied.num_parameters() > tied.num_parameters()
-
     def test_training_reduces_loss(self, model, rng):
         tokens = rng.integers(0, 40, size=(4, 10))
         targets = np.roll(tokens, -1, axis=1)

@@ -66,7 +66,7 @@ class TestCallTimeLookup:
 
 class TestContract:
     def test_primitives_return_out_and_residuals(self):
-        out, residuals = numpy_backend.linear(np.ones((2, 3)), np.ones((4, 3)), None)
+        out, residuals = numpy_backend.linear(np.ones((2, 3)), np.ones((4, 3)), np.zeros(4))
         np.testing.assert_allclose(out, np.full((2, 4), 3.0))
         assert residuals is not None
 

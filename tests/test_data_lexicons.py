@@ -16,11 +16,6 @@ class TestDomainLexicon:
         assert len(lexicon) == 2
         assert "dose" in lexicon and "Vial" in lexicon
 
-    def test_overlap_count_and_ratio(self):
-        lexicon = DomainLexicon.from_words("demo", ["dose", "vial"])
-        assert lexicon.overlap_count("take one dose then another dose") == 2
-        assert lexicon.overlap_count("") == 0
-
 
 class TestLexiconCollection:
     def test_builtin_contains_paper_domains(self):

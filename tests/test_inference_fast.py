@@ -45,7 +45,6 @@ class TestInferenceMode:
         token_ids = np.arange(1, 13, dtype=np.int64)[None, :]
         model = pretrained_llm.model
         model.eval()
-        assert model.lm_head is None  # tied head: logits are hidden @ E.T
         default_logits = model(token_ids)
         fast_logits = model.hidden_states(token_ids) @ model.token_embedding.weight.data.T
         np.testing.assert_array_equal(default_logits.data, fast_logits)
@@ -502,9 +501,9 @@ def _primed(model, prompts):
 
 
 class TestDecodeStep:
-    def test_matches_masked_forward_with_untied_head(self):
+    def test_matches_masked_forward(self):
         config = TransformerConfig(vocab_size=50, max_seq_len=16, dim=16, num_layers=2,
-                                   num_heads=2, tie_embeddings=False)
+                                   num_heads=2)
         model = TransformerLM(config, rng=np.random.default_rng(0))
         model.eval()
         prompts = [[1, 2, 3, 4], [5, 6], [7]]
@@ -585,11 +584,10 @@ class TestPrefill:
         self._check(decode_models[True], [[7]])
         self._check(decode_models[False], [[7], [9]])
 
-    def test_untied_head_and_one_layer(self):
+    def test_one_and_two_layers(self):
         for num_layers in (1, 2):
             config = TransformerConfig(vocab_size=50, max_seq_len=16, dim=16,
-                                       num_layers=num_layers, num_heads=2,
-                                       tie_embeddings=False)
+                                       num_layers=num_layers, num_heads=2)
             model = TransformerLM(config, rng=np.random.default_rng(num_layers))
             model.eval()
             self._check(model, [[1, 2, 3, 4], [5, 6], [7]])
@@ -605,7 +603,6 @@ class TestPrefill:
 
     def test_hidden_states_times_tied_head_equal_forward(self, decode_models):
         model = decode_models[True]
-        assert model.lm_head is None
         tokens, mask, _ = _left_padded(self.PROMPTS)
         hidden = model.hidden_states(tokens, attention_mask=mask)
         logits = model(tokens, attention_mask=mask).data

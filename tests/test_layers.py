@@ -20,12 +20,7 @@ class TestLinear:
         layer = Linear(8, 3, rng=rng)
         x = Tensor(rng.standard_normal((5, 8)).astype(np.float32))
         assert layer(x).shape == (5, 3)
-        assert layer.bias is not None
-
-    def test_no_bias_option(self, rng):
-        layer = Linear(4, 2, bias=False, rng=rng)
-        assert layer.bias is None
-        assert len(layer.parameters()) == 1
+        assert len(layer.parameters()) == 2
 
     def test_batched_input(self, rng):
         layer = Linear(6, 4, rng=rng)

@@ -138,6 +138,38 @@ class TestLoRAFineTuner:
         assert expected.keys() == restored.keys()
         assert all(expected[name].tobytes() == restored[name].tobytes() for name in expected)
 
+    def test_section_with_legacy_lora_config_resumes_bit_identically(
+        self, pretrained_llm, med_corpus
+    ):
+        # A model section written when LoRAConfig still had a target_layers
+        # field unpickles with that attribute; restoring it onto a model
+        # without adapters injects them, and the next round trains exactly
+        # as in a run never interrupted.
+        config = FineTuneConfig(epochs=2, batch_size=4, learning_rate=5e-3)
+        data = self._training_data(med_corpus, count=8)
+        straight = LoRAFineTuner(pretrained_llm.clone(), config)
+        straight.finetune(data[:4])
+        straight.finetune(data[4:])
+
+        interrupted = LoRAFineTuner(pretrained_llm.clone(), config)
+        interrupted.finetune(data[:4])
+        legacy = LoRAConfig()
+        legacy.target_layers = ("q_proj", "k_proj", "v_proj", "o_proj")
+        runtime = dict(interrupted.llm.export_runtime_state(), lora_config=legacy)
+        runtime = pickle.loads(pickle.dumps(runtime))
+        section = pickle.loads(pickle.dumps(interrupted.state_dict()))
+
+        llm = pretrained_llm.clone()
+        llm.load_runtime_state(runtime)
+        assert llm.lora_config.target_layers == legacy.target_layers
+        resumed = LoRAFineTuner(llm, config)
+        resumed.load_state_dict(section)
+        resumed.finetune(data[4:])
+        expected = lora_state_dict(straight.llm.model)
+        restored = lora_state_dict(resumed.llm.model)
+        assert expected.keys() == restored.keys()
+        assert all(expected[name].tobytes() == restored[name].tobytes() for name in expected)
+
 
 class TestPretrain:
     def test_pretraining_pairs_exclude_user_persona(self, med_corpus, med_generator):

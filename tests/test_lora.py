@@ -33,8 +33,6 @@ class TestLoRAConfig:
             LoRAConfig(rank=0)
         with pytest.raises(ValueError):
             LoRAConfig(dropout_rate=1.0)
-        with pytest.raises(ValueError):
-            LoRAConfig(target_layers=())
 
 
 class TestLoRALinear:
@@ -74,11 +72,11 @@ class TestInjection:
         assert model(tokens).shape == (2, 8, 30)
 
     def test_recorded_adapter_list_matches_tree_walk(self, model):
-        inject_lora(model, LoRAConfig(rank=4, target_layers=("v_proj", "q_proj")))
+        inject_lora(model, LoRAConfig(rank=4))
         walked = [m for m in model.modules() if isinstance(m, LoRALinear)]
         assert lora_layers(model) == walked
-        # A second injection adds the missing projections; the record follows.
-        inject_lora(model, LoRAConfig(rank=4))
+        # A second injection wraps nothing twice; the record is unchanged.
+        assert inject_lora(model, LoRAConfig(rank=4)) == []
         walked = [m for m in model.modules() if isinstance(m, LoRALinear)]
         assert len(walked) == 8
         assert lora_layers(model) == walked

@@ -127,8 +127,9 @@ class TestCLI:
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_rejected_option_exits(self, dummy_spec, capsys):
-        with pytest.raises(SystemExit):
-            main(["run", dummy_spec.name, "--dataset", "meddialog", "--no-artifacts"])
+        assert main(["run", dummy_spec.name, "--dataset", "meddialog", "--no-artifacts"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "does not accept --dataset" in err
 
     def test_run_dummy_with_artifacts(self, dummy_spec, tmp_path, capsys):
         out = tmp_path / "cli-run"

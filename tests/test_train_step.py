@@ -63,7 +63,6 @@ class Case:
     num_layers: int
     num_heads: int
     head_dim: int
-    tie_embeddings: bool
     dropout_rate: float
     batch: int
     seq: int
@@ -77,7 +76,6 @@ def cases(draw):
         num_layers=draw(st.integers(1, 3)),
         num_heads=draw(st.integers(1, 2)),
         head_dim=draw(st.sampled_from([2, 4])),
-        tie_embeddings=draw(st.booleans()),
         dropout_rate=draw(st.sampled_from([0.0, 0.25])),
         batch=draw(st.integers(1, 4)),
         seq=draw(st.integers(1, 10)),
@@ -95,7 +93,6 @@ def _model(case: Case, lora: bool, training: bool = True) -> TransformerLM:
         num_heads=case.num_heads,
         ffn_multiplier=2,
         dropout_rate=case.dropout_rate,
-        tie_embeddings=case.tie_embeddings,
     )
     model = TransformerLM(config, rng=case.seed)
     if lora:
@@ -140,7 +137,7 @@ def _restore_dropout_states(model, states):
 
 
 SINGLE_LABEL = Case(
-    num_layers=2, num_heads=2, head_dim=2, tie_embeddings=True, dropout_rate=0.25,
+    num_layers=2, num_heads=2, head_dim=2, dropout_rate=0.25,
     batch=3, seq=7, single_label=True, seed=5,
 )
 
@@ -287,7 +284,7 @@ class TestFiniteDifferences:
     @pytest.mark.parametrize("lora", [True, False], ids=["lora-only", "all-weights"])
     def test_step_gradients_match_central_differences(self, lora):
         case = Case(
-            num_layers=2, num_heads=2, head_dim=2, tie_embeddings=not lora, dropout_rate=0.0,
+            num_layers=2, num_heads=2, head_dim=2, dropout_rate=0.0,
             batch=2, seq=6, single_label=False, seed=11,
         )
         model = _model(case, lora, training=False)  # inert dropout: a deterministic loss

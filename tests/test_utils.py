@@ -12,7 +12,6 @@ from repro.utils import (
     require_in_unit_interval,
     require_non_negative,
     require_positive,
-    shuffled,
 )
 
 
@@ -27,11 +26,6 @@ class TestRNG:
     def test_as_generator_invalid_type(self):
         with pytest.raises(TypeError):
             as_generator("seed")
-
-    def test_shuffled_preserves_multiset(self):
-        items = list(range(20))
-        result = shuffled(3, items)
-        assert sorted(result) == items and items == list(range(20))
 
 
 class TestConfig:
