@@ -31,12 +31,15 @@ numpy loads, ``OPENBLAS_NUM_THREADS`` defaults to ``1``.
 
 Run as ``PYTHONPATH=src python scripts/perf_check.py [flags]``.  Every
 benchmark's summary is written to ``runs/perf/BENCH_<name>.json``
-(gitignored), so a gate run leaves the tree clean.  ``--update`` rewrites
-the generation baseline (and, with ``--frontend``, the front-end baseline)
-from the current run, on the reference machine, and the committed
-``benchmarks/BENCH_<name>.json`` of the benchmarks it ran.
-``--ratio-only`` skips every machine-dependent absolute comparison (use on
-other machines, e.g. CI).  Baselines are validated before any benchmark runs.
+(gitignored), so a gate run leaves the tree clean.  ``--update``, run on
+the reference machine, also writes each benchmark it ran to the committed
+``benchmarks/BENCH_<name>.json`` and, with ``--frontend``, rewrites
+``BENCH_frontend_baseline.json``; it skips the absolute comparisons, which
+it reads no baseline for.  ``BENCH_generation_baseline.json`` and
+``BENCH_training_baseline.json`` are the hand-kept seed references the
+uplift gates divide by: no flag rewrites them.  ``--ratio-only`` skips
+every machine-dependent absolute comparison (use on other machines, e.g.
+CI).  Baselines are validated before any benchmark runs.
 
 Exit codes: 0 pass, 1 throughput regression, 2 bad arguments (argparse),
 3 baseline file missing, 4 baseline file malformed.
@@ -134,7 +137,11 @@ def _iqr(pair, scale: float = 1.0) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     for flag, text in (
-        ("--update", "rewrite the committed baseline from the current run"),
+        (
+            "--update",
+            "also write the committed benchmarks/BENCH_<name>.json summaries (and the "
+            "front-end baseline) from the current run",
+        ),
         ("--ratio-only", "skip the machine-dependent absolute comparisons"),
         ("--serving", "also enforce the 2x batched-over-per-turn serving speedup"),
         (
@@ -175,16 +182,16 @@ def main() -> int:
         except FileNotFoundError:
             print(
                 f"ERROR: baseline file missing: {path}\n"
-                "Run `python scripts/perf_check.py --update` on the reference "
-                "machine to create it.",
+                "Restore the committed file (the front-end baseline can also be "
+                "rewritten with `python scripts/perf_check.py --update --frontend` "
+                "on the reference machine).",
                 file=sys.stderr,
             )
             return EXIT_BASELINE_MISSING
         except BaselineError as error:
             print(
                 f"ERROR: baseline file malformed: {path}: {error}\n"
-                "Restore the committed file or regenerate it with "
-                "`python scripts/perf_check.py --update`.",
+                "Restore the committed file.",
                 file=sys.stderr,
             )
             return EXIT_BASELINE_MALFORMED
@@ -195,18 +202,8 @@ def main() -> int:
     record(summary, "BENCH_generation.json", args.update)
     current = summary["tokens_per_sec"]
     print(f"measured tokens/sec (median of {summary['repeats']} rounds):", json.dumps(current))
-
-    if args.update:
-        BASELINE_PATH.write_text(json.dumps(summary, indent=2) + "\n")
-        print(f"baseline written to {BASELINE_PATH}")
-        if args.frontend:
-            from bench_frontend import run_benchmark as run_frontend_benchmark
-
-            frontend = run_frontend_benchmark()
-            record(frontend, "BENCH_frontend.json", update=True)
-            FRONTEND_BASELINE_PATH.write_text(json.dumps(frontend, indent=2) + "\n")
-            print(f"frontend baseline written to {FRONTEND_BASELINE_PATH}")
-        return 0
+    # The absolute comparisons read the committed baselines, which --update does not load.
+    absolute = not (args.ratio_only or args.update)
 
     failures = []
 
@@ -221,8 +218,8 @@ def main() -> int:
         rule = "allowed <=" if at_most else "required >="
         gate(name, ok, f"{label}: {value:g} ({_iqr(iqr)}; {rule} {bound:g})")
 
-    if args.ratio_only:
-        print("  (absolute-throughput comparison skipped: --ratio-only)")
+    if not absolute:
+        print("  (absolute-throughput comparison skipped)")
     else:
         baseline = baselines[BASELINE_PATH]["tokens_per_sec"]
         for path in PATHS_CHECKED:
@@ -256,7 +253,7 @@ def main() -> int:
         )
 
         serving = run_serving_benchmark()
-        record(serving, "BENCH_serving.json")
+        record(serving, "BENCH_serving.json", args.update)
         rates, iqrs = serving["requests_per_sec"], serving["requests_per_sec_iqr"]
         print(
             f"serving req/sec, median of {serving['repeats']} rounds: "
@@ -312,7 +309,7 @@ def main() -> int:
         from bench_training import run_benchmark as run_training_benchmark
 
         training = run_training_benchmark()
-        record(training, "BENCH_training.json")
+        record(training, "BENCH_training.json", args.update)
         seconds, iqrs = training["seconds"], training["seconds_iqr"]
         print(
             f"training (median of {training['repeats']} rounds): finetune_step "
@@ -326,8 +323,8 @@ def main() -> int:
             training["speedup_over_legacy"]["finetune_step"],
             training["speedup_over_legacy_iqr"]["finetune_step"], REQUIRED_FINETUNE_SPEEDUP,
         )
-        if args.ratio_only:
-            print("  (absolute training comparison skipped: --ratio-only)")
+        if not absolute:
+            print("  (absolute training comparison skipped)")
         else:
             # Absolute: the committed pre-backend seconds (reference machine).
             seed = float(baselines[TRAINING_BASELINE_PATH]["seconds"]["finetune_step"])
@@ -343,7 +340,10 @@ def main() -> int:
         from bench_frontend import run_benchmark as run_frontend_benchmark
 
         frontend = run_frontend_benchmark()
-        record(frontend, "BENCH_frontend.json")
+        record(frontend, "BENCH_frontend.json", args.update)
+        if args.update:
+            FRONTEND_BASELINE_PATH.write_text(json.dumps(frontend, indent=2) + "\n")
+            print(f"frontend baseline written to {FRONTEND_BASELINE_PATH}")
         throughput = float(frontend["requests_per_sec"])
         p99 = float(frontend["latency_ms"]["p99"])
         print(
@@ -354,8 +354,8 @@ def main() -> int:
         # Structural (machine-independent, enforced even under --ratio-only):
         # every socket-driven boot must produce the same transcript digest.
         gate("frontend_digest_stability", frontend["digest_stable"], "digest stable across boots:")
-        if args.ratio_only:
-            print("  (absolute frontend comparison skipped: --ratio-only)")
+        if not absolute:
+            print("  (absolute frontend comparison skipped)")
         else:
             reference = baselines[FRONTEND_BASELINE_PATH]
             floor = float(reference["requests_per_sec"]) * FRONTEND_THROUGHPUT_FLOOR_FRACTION

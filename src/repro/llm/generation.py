@@ -27,6 +27,7 @@ the evaluators amortize model forwards across the whole evaluation set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -200,18 +201,21 @@ def generate_tokens_batch(
     """
     if not prompts:
         return []
-    contexts: List[List[int]] = []
+    prompts = [list(prompt) for prompt in prompts]
     for index, prompt in enumerate(prompts):
-        ids = list(prompt)
-        if not ids:
+        if not prompt:
             raise ValueError(f"prompt {index} must contain at least one token")
-        contexts.append(ids)
 
     generator = as_generator(rng)
     max_context = model.config.max_seq_len
-    batch = len(contexts)
-    generated: List[List[int]] = [[] for _ in range(batch)]
-    finished = [False] * batch
+    batch = len(prompts)
+    # tokens[:, step] is every row's sampled id at ``step``, finished rows
+    # included: they keep decoding (their windows stay in step), but a row's
+    # output is its first counts[row] ids, through its first stop token.
+    tokens = np.zeros((batch, config.max_new_tokens), dtype=np.int64)
+    counts = np.zeros(batch, dtype=np.int64)
+    finished = np.zeros(batch, dtype=bool)
+    rows = np.arange(batch)
     # Greedy decoding is one argmax over the batch (what
     # ``sample_next_token`` returns per row).  With a repetition penalty it
     # runs on the penalized rows: ``seen`` marks each row's generated tokens.
@@ -225,73 +229,76 @@ def generate_tokens_batch(
     # Sized to what the decode can reach before a re-prime (the longest
     # window plus every new token), not to max_seq_len: the cache is
     # batch-sized, so the unused tail would be the largest idle buffer.
-    longest = max(len(context) for context in contexts)
+    longest = max(len(prompt) for prompt in prompts)
     cache = KVCache(
         model.config.num_layers,
         capacity=min(max_context, longest + config.max_new_tokens),
     )
-    token_ids = np.zeros(batch, dtype=np.int64)  # each row's newest token
+    next_ids: Optional[np.ndarray] = None  # each row's newest token
     positions: Optional[np.ndarray] = None  # and its absolute position
     padding: Optional[np.ndarray] = None
     try:
         for step in range(config.max_new_tokens):
             if step > 0 and cache.length + 1 <= max_context:
                 # Incremental step: feed only the freshly sampled column.
-                final_logits = model.decode_step(token_ids, positions, padding, cache)
+                final_logits = model.decode_step(next_ids, positions, padding, cache)
                 positions += 1
             else:
                 # Prime (or re-prime after the window slid): encode each
                 # row's visible window in one left-padded forward.
                 cache.reset()
-                windows = [context[-max_context:] for context in contexts]
-                width = max(len(window) for window in windows)
+                windows = [
+                    (prompt + generated)[-max_context:]
+                    for prompt, generated in zip(prompts, tokens[:, :step].tolist())
+                ]
+                lengths = np.array([len(window) for window in windows])
+                width = int(lengths.max())
+                # Each slot's position in its row's window; negative on the left padding.
+                offsets = np.arange(width) - (width - lengths)[:, None]
+                real = offsets >= 0
                 token_array = np.full((batch, width), pad_token_id, dtype=np.int64)
-                position_ids = np.zeros((batch, width), dtype=np.int64)
+                token_array[real] = list(chain.from_iterable(windows))
+                position_ids = np.where(real, offsets, 0)
                 # True hides a key: each row's left padding.  Built once
                 # per prime; every step until the next prime slices it.
                 padding = np.zeros((batch, max_context), dtype=bool)
-                for row, window in enumerate(windows):
-                    pad = width - len(window)
-                    token_array[row, pad:] = window
-                    position_ids[row, pad:] = np.arange(len(window))
-                    padding[row, :pad] = True
+                padding[:, :width] = ~real
                 positions = position_ids[:, -1] + 1
                 final_logits = model.prefill(
                     token_array,
                     cache,
                     # Unpadded (one row, or equal windows): no mask to apply.
-                    attention_mask=~padding[:, :width] if padding.any() else None,
+                    attention_mask=None if real.all() else real,
                     position_ids=position_ids,
                 )
             if seen is not None:
                 final_logits = penalized_rows(final_logits, seen, config.repetition_penalty)
             if config.greedy:
-                next_ids = np.argmax(final_logits, axis=1).tolist()
+                next_ids = np.argmax(final_logits, axis=1)
             else:
-                next_ids = [
-                    sample_next_token(
-                        final_logits[row],
-                        config,
-                        rng=generator,
-                        previous_ids=generated[row],
-                    )
-                    for row in range(batch)
-                ]
-            token_ids[:] = next_ids
-            for row, next_id in enumerate(next_ids):
-                contexts[row].append(next_id)
-                if not finished[row]:
-                    generated[row].append(next_id)
-                    if seen is not None:
-                        seen[row, next_id] = True
-                    if (
-                        config.stop_token_id is not None
-                        and next_id == config.stop_token_id
-                    ):
-                        finished[row] = True
-            if all(finished):
-                break
+                # Row order: the RNG draws stay in the order of a per-row loop.
+                next_ids = np.array(
+                    [
+                        sample_next_token(
+                            final_logits[row],
+                            config,
+                            rng=generator,
+                            previous_ids=tokens[row, : counts[row]],
+                        )
+                        for row in range(batch)
+                    ],
+                    dtype=np.int64,
+                )
+            tokens[:, step] = next_ids
+            if seen is not None:
+                # A finished row's marks only steer tokens no output keeps.
+                seen[rows, next_ids] = True
+            counts += ~finished
+            if config.stop_token_id is not None:
+                finished |= next_ids == config.stop_token_id
+                if finished.all():
+                    break
     finally:
         if was_training:
             model.train()
-    return generated
+    return [row[:count] for row, count in zip(tokens.tolist(), counts.tolist())]

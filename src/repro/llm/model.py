@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,7 +184,7 @@ class OnDeviceLLM:
         questions: Sequence[str],
         generation: Optional[GenerationConfig] = None,
         rng: Optional[np.random.Generator] = None,
-        adapters: Optional[Sequence[Tuple[int, Dict[str, np.ndarray]]]] = None,
+        adapters: Optional[Sequence[Tuple[int, Mapping[str, np.ndarray]]]] = None,
     ) -> List[str]:
         """Answer a batch of user questions in one padded decoding pass.
 
@@ -194,9 +194,11 @@ class OnDeviceLLM:
         share the model forwards, so the per-question cost is amortized.
 
         ``adapters`` decodes the rows with other adapters than the attached
-        one: ``(rows, state)`` segments in question order, covering every
-        question (see :func:`~repro.nn.lora.row_adapters`).  This is how one
-        decode serves the questions of several users.
+        one: ``(rows, adapter)`` segments in question order, covering every
+        question, each adapter a state dict or a
+        :class:`~repro.nn.lora.RowAdapter` (see
+        :func:`~repro.nn.lora.row_adapters`).  This is how one decode serves
+        the questions of several users.
         """
         if not questions:
             return []

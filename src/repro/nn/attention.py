@@ -276,6 +276,11 @@ class MultiHeadSelfAttention(Module):
         self.v_proj = Linear(dim, dim, rng=rng)
         self.o_proj = Linear(dim, dim, rng=rng)
         self.attn_dropout = Dropout(dropout_rate, rng=rng)
+        #: Set only inside :func:`repro.nn.lora.row_adapters` for a round of
+        #: several adapters: the per-row q/k/v slabs ``(B, dim, 3 * rank)``
+        #: and ``(B, 3, rank, dim)`` (scaled) that :meth:`raw_append_rows`
+        #: multiplies once for the three projections.
+        self.qkv_adapters: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
         """(B, T, D) -> (B, H, T, head_dim)."""
@@ -410,23 +415,38 @@ class MultiHeadSelfAttention(Module):
 
     def raw_append_rows(
         self, x: np.ndarray, cache: LayerKVCache
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Append the key/value of each ``(B, dim)`` row of ``x`` as one new cache column.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Project the ``(B, dim)`` rows ``x``, one new position each, into ``cache``.
 
-        The projections are 2-D GEMMs written straight into the cache's
-        capacity buffers.  Returns views of the full cached arrays.
+        The q, k and v projections are 2-D GEMMs; each row's key/value goes
+        straight into the cache's capacity buffers as one new column.  In a
+        round of several adapters (:attr:`qkv_adapters` set) the three
+        low-rank deltas come from one product over the stacked slabs, each
+        row's ``(x A_qkv) B_qkv``, added to the base projections; with one
+        position per row it has the bits of three separate products.
+        Returns the ``(B, dim)`` queries and views of the full cached
+        keys/values.
         """
         batch = x.shape[0]
         heads, head_dim = self.num_heads, self.head_dim
-        return cache.append_token(
-            self.k_proj.raw_forward(x).reshape(batch, heads, head_dim),
-            self.v_proj.raw_forward(x).reshape(batch, heads, head_dim),
+        projections = (self.q_proj, self.k_proj, self.v_proj)
+        slabs = self.qkv_adapters
+        if slabs is None:
+            query, key, value = (proj.raw_forward(x) for proj in projections)
+        else:
+            delta = (x[:, None] @ slabs[0]).reshape(batch, 3, 1, -1) @ slabs[1]
+            query, key, value = (proj.base.raw_forward(x) for proj in projections)
+            for part, out in enumerate((query, key, value)):
+                out += delta[:, part, 0]
+        keys, values = cache.append_token(
+            key.reshape(batch, heads, head_dim), value.reshape(batch, heads, head_dim)
         )
+        return query, keys, values
 
     def raw_attend_rows(
-        self, x: np.ndarray, keys: np.ndarray, values: np.ndarray, padding: np.ndarray
+        self, query: np.ndarray, keys: np.ndarray, values: np.ndarray, padding: np.ndarray
     ) -> np.ndarray:
-        """Attention output of the ``(B, dim)`` rows ``x``, each at its row's newest position.
+        """Attention output of the ``(B, dim)`` projected queries, each at its row's newest position.
 
         ``keys``/``values`` are the ``(B, H, total, head_dim)`` cached arrays,
         the rows' own key/value included; ``padding`` is a boolean
@@ -435,9 +455,9 @@ class MultiHeadSelfAttention(Module):
         the same operations as the fused kernel, without the causal mask (a
         query at the newest position sees every cached key).
         """
-        batch = x.shape[0]
+        batch = query.shape[0]
         heads, head_dim = self.num_heads, self.head_dim
-        query = self.q_proj.raw_forward(x).reshape(batch, heads, 1, head_dim)
+        query = query.reshape(batch, heads, 1, head_dim)
         scores = query @ np.swapaxes(keys, -1, -2)  # (B, H, 1, total)
         scores *= 1.0 / np.sqrt(head_dim)
         np.copyto(scores, -1e9, where=padding)

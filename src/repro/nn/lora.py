@@ -13,6 +13,7 @@ zero-initialised so the adapter starts as an exact no-op.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -81,7 +82,8 @@ class LoRALinear(Module):
         self.lora_dropout = Dropout(config.dropout_rate, rng=rng)
         #: Set only inside :func:`row_adapters`: either one ``(A, B)`` pair
         #: every row uses instead of the attached adapter, or the stacked
-        #: ``(B, in, rank)`` / ``(B, rank, out)`` slabs of a per-row choice.
+        #: ``(B, in, rank)`` / ``(B, rank, out)`` slabs of a per-row choice,
+        #: the second already times ``config.scaling``.
         self.row_adapters: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
@@ -108,11 +110,10 @@ class LoRALinear(Module):
         out = self.base.raw_forward(x, tape)
         adapters = self.row_adapters
         if adapters is not None and adapters[0].ndim == 3:
-            # Grouped delta, row i through its own slab: x[i] @ A_i^T @ B_i^T.
+            # Grouped delta, row i through its own slab: x[i] @ A_i^T @ (s B_i)^T.
             delta = np.matmul(
                 np.matmul(x.reshape(len(x), -1, x.shape[-1]), adapters[0]), adapters[1]
             )
-            delta *= self.config.scaling
             out += delta.reshape(out.shape)
             return out
         a, b = (self.lora_a.data, self.lora_b.data) if adapters is None else adapters
@@ -285,37 +286,127 @@ def _adapter_arrays(
     return pairs
 
 
+class RowAdapter(Mapping):
+    """An adapter state checked against a model's LoRA layers, in the forms a decode reads.
+
+    It reads as the state itself (a read-only mapping of its keys to its
+    arrays).  ``pairs`` holds each layer's ``(A, B)``: the state's own
+    arrays, which a one-adapter round decodes with exactly as if they were
+    attached.  :attr:`slabs` holds what one row of a mixed-adapter round
+    reads.  Building one checks every key and shape of the state (a
+    ``ValueError`` names the first mismatch), so a caller that keeps it
+    checks a state once, not once per round.
+    """
+
+    __slots__ = ("_model", "_state", "pairs", "_slabs")
+
+    def __init__(self, model: Module, state: Dict[str, np.ndarray]) -> None:
+        self._model = model
+        self._state = state
+        self.pairs = _adapter_arrays(lora_layers(model), state)
+        self._slabs: Optional[List[Tuple[np.ndarray, ...]]] = None
+
+    @property
+    def slabs(self) -> List[Tuple[np.ndarray, ...]]:
+        """Per attention module: the q, k and v ``A^T`` concatenated
+        ``(in, 3 * rank)``, their ``B^T`` stacked ``(3, rank, out)``, then
+        ``o_proj``'s ``A^T`` and ``B^T``.
+
+        Every ``B^T`` is multiplied by ``config.scaling`` here, so no decode
+        step scales a delta.  Built on first use: one-adapter rounds never
+        read them.
+        """
+        if self._slabs is None:
+            position = {id(layer): index for index, layer in enumerate(lora_layers(self._model))}
+            self._slabs = []
+            for attention in _adapted_attentions(self._model):
+                q, k, v, o = (
+                    self.pairs[position[id(getattr(attention, name))]]
+                    for name in DEFAULT_TARGET_LAYERS
+                )
+                scaling = attention.o_proj.config.scaling
+                self._slabs.append(
+                    (
+                        np.concatenate([a.T for a, _ in (q, k, v)], axis=1),
+                        np.stack([b.T for _, b in (q, k, v)]) * scaling,
+                        o[0].T,
+                        o[1].T * scaling,
+                    )
+                )
+        return self._slabs
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self._state[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._state)
+
+    def __len__(self) -> int:
+        return len(self._state)
+
+
+def _adapted_attentions(model: Module) -> List[MultiHeadSelfAttention]:
+    """The attention modules of ``model`` that carry adapters, in module-tree order."""
+    return [
+        module
+        for module in model.module_list()
+        if isinstance(module, MultiHeadSelfAttention) and isinstance(module.o_proj, LoRALinear)
+    ]
+
+
 @contextmanager
 def row_adapters(
-    model: Module, segments: Sequence[Tuple[int, Dict[str, np.ndarray]]]
+    model: Module, segments: Sequence[Tuple[int, Mapping[str, np.ndarray]]]
 ) -> Iterator[None]:
     """Run ``model`` with a per-row choice of adapter instead of the attached one.
 
-    ``segments`` lists ``(rows, state)`` in batch-row order: the next
-    ``rows`` batch rows use the adapter ``state`` (a :func:`lora_state_dict`
-    dict).  Inside the block every :class:`LoRALinear` applies them in
-    :meth:`LoRALinear.raw_forward` — the prefill and every
-    ``decode_step`` — as one grouped matmul over stacked per-row slabs of
-    the factors (the S-LoRA / Punica idiom).  With a single segment the
-    layers make exactly the attached path's ``lora_matmul`` calls, on that
-    state's arrays.  The attached adapter is never touched, and the
-    segments are cleared on exit, error or not.  Inference only: the model
-    must be in eval mode (no adapter dropout is drawn for slabs).
+    ``segments`` lists ``(rows, adapter)`` in batch-row order: the next
+    ``rows`` batch rows use ``adapter``, a :class:`RowAdapter` or the
+    :func:`lora_state_dict` dict to build one from.  With a single segment
+    the layers make exactly the attached path's ``lora_matmul`` calls, on
+    that state's arrays.  With several, every :class:`LoRALinear` applies
+    per-row slabs of the factors in :meth:`LoRALinear.raw_forward` (the
+    S-LoRA / Punica idiom), each slab one ``take`` of the segments' stacked
+    :attr:`RowAdapter.slabs` by the row-to-segment index.  The q, k and v
+    slabs are views of each attention's stacked ones, which
+    :meth:`~repro.nn.attention.MultiHeadSelfAttention.raw_append_rows`
+    reads to make the three deltas of a decode step in one product.  The
+    attached adapter is never touched, and the slabs are cleared on exit,
+    error or not.  Inference only: the model must be in eval mode (no
+    adapter dropout is drawn for slabs).
     """
     layers = lora_layers(model)
-    per_segment = [_adapter_arrays(layers, state) for _, state in segments]
-    counts = [rows for rows, _ in segments]
+    attentions = _adapted_attentions(model)
+    adapters = [
+        state if isinstance(state, RowAdapter) else RowAdapter(model, state)
+        for _, state in segments
+    ]
     try:
-        for index, layer in enumerate(layers):
-            pairs = [arrays[index] for arrays in per_segment]
-            if len(pairs) == 1:
-                layer.row_adapters = pairs[0]
-            else:
-                layer.row_adapters = (
-                    np.repeat(np.stack([a.T for a, _ in pairs]), counts, axis=0),
-                    np.repeat(np.stack([b.T for _, b in pairs]), counts, axis=0),
+        if len(adapters) == 1:
+            for layer, pair in zip(layers, adapters[0].pairs):
+                layer.row_adapters = pair
+        else:
+            segment_of_row = np.repeat(np.arange(len(adapters)), [rows for rows, _ in segments])
+            for index, attention in enumerate(attentions):
+                # Contiguous per-row slabs: strided views of one shared
+                # take made every decode step slower.
+                a_qkv, b_qkv, a_o, b_o = (
+                    np.stack([adapter.slabs[index][part] for adapter in adapters]).take(
+                        segment_of_row, axis=0
+                    )
+                    for part in range(4)
                 )
+                attention.qkv_adapters = (a_qkv, b_qkv)
+                rank = a_o.shape[-1]
+                for part, name in enumerate(DEFAULT_TARGET_LAYERS[:3]):
+                    getattr(attention, name).row_adapters = (
+                        a_qkv[:, :, part * rank : (part + 1) * rank],
+                        b_qkv[:, part],
+                    )
+                attention.o_proj.row_adapters = (a_o, b_o)
         yield
     finally:
         for layer in layers:
             layer.row_adapters = None
+        for attention in attentions:
+            attention.qkv_adapters = None

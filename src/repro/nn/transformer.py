@@ -141,7 +141,7 @@ class TransformerBlock(Module):
     def raw_query_rows(
         self,
         hidden: np.ndarray,
-        normed: np.ndarray,
+        query: np.ndarray,
         keys: np.ndarray,
         values: np.ndarray,
         key_padding: np.ndarray,
@@ -149,14 +149,15 @@ class TransformerBlock(Module):
         """The block's query side for one position per row; updates ``hidden`` in place.
 
         ``hidden`` is that position's ``(B, dim)`` residual stream and
-        ``normed`` its ``ln_attn`` output; ``keys``/``values`` are the cached
-        arrays, its own key/value included, and ``key_padding`` the mask of
+        ``query`` the ``q_proj`` of its ``ln_attn`` output; ``keys``/``values``
+        are the cached arrays, its own key/value included, and
+        ``key_padding`` the mask of
         :meth:`MultiHeadSelfAttention.raw_attend_rows`.  Attention,
         ``o_proj``, residual, ``ln_ffn``, FFN, residual: the per-block body
         of :meth:`TransformerLM.decode_step` and of the last block of
         :meth:`TransformerLM.prefill`.  Dropout must be inert.
         """
-        hidden += self.attention.raw_attend_rows(normed, keys, values, key_padding)
+        hidden += self.attention.raw_attend_rows(query, keys, values, key_padding)
         hidden += self.ffn.raw_forward(self.ln_ffn.raw_forward(hidden))
         return hidden
 
@@ -435,9 +436,10 @@ class TransformerLM(Module):
         )
         key_padding = padding[:, None, None, : past + 1]
         for block, layer_cache in zip(self.blocks, kv_cache.layers):
-            normed = block.ln_attn.raw_forward(hidden)
-            keys, values = block.attention.raw_append_rows(normed, layer_cache)
-            block.raw_query_rows(hidden, normed, keys, values, key_padding)
+            query, keys, values = block.attention.raw_append_rows(
+                block.ln_attn.raw_forward(hidden), layer_cache
+            )
+            block.raw_query_rows(hidden, query, keys, values, key_padding)
         return self._rows_logits(
             hidden, workspace.get(("rows", "logits"), (batch, self.config.vocab_size))
         )
@@ -482,7 +484,7 @@ class TransformerLM(Module):
             key_padding = ~np.asarray(attention_mask, dtype=bool)[:, None, None, :]
         rows = block.raw_query_rows(
             np.ascontiguousarray(hidden[:, -1]),
-            np.ascontiguousarray(normed[:, -1]),
+            block.attention.q_proj.raw_forward(np.ascontiguousarray(normed[:, -1])),
             keys,
             values,
             key_padding,

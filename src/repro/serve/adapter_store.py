@@ -21,7 +21,7 @@ Adapters are written in the ``A1`` binary format
 (:mod:`repro.utils.a1`): versioned header, CRC-32 over the shape
 table and the payload, and 64-byte-aligned raw float32 buffers that load
 zero-copy through ``mmap``.  A bounded handle cache keeps recently decoded
-mappings alive, so re-loading a recently-evicted adapter costs a dict copy
+mappings alive, so re-loading a recently-evicted adapter costs a lookup
 instead of a deserialize — the "warm mmap load" measured in
 ``BENCH_serving.json``.  ``A1`` is the only on-disk format: a store refuses
 to open a directory that still holds pre-``A1`` ``*.adapter.pkl`` files,
@@ -42,7 +42,7 @@ import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from repro.core.checkpoint import atomic_bytes_dump
 from repro.nn.lora import clone_lora_state, lora_state_nbytes
 from repro.utils.a1 import (
     AdapterFormatError,
-    AdapterRecord,
     open_adapter_record,
     pack_adapter_record,
 )
@@ -64,6 +63,9 @@ ADAPTER_SUFFIX = ".adapter.bin"
 
 #: User ids become file names; keep them to a safe, portable alphabet.
 _USER_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
+
+
+Derived = TypeVar("Derived")
 
 
 class AdapterStoreError(RuntimeError):
@@ -144,6 +146,8 @@ class _CacheEntry:
     nbytes: int
     dirty: bool = field(default=False)
     round: int = 0
+    #: What :meth:`LoRAAdapterStore.read` derived from ``state``.
+    derived: Any = None
 
 
 class LoRAAdapterStore:
@@ -192,10 +196,11 @@ class LoRAAdapterStore:
         self.faults = faults if faults is not None else NO_FAULTS
         self.health = ComponentHealth("adapter_store")
         self._cache: "OrderedDict[str, _CacheEntry]" = OrderedDict()
-        #: Decoded A1 mappings kept alive after the entry cache evicted their
-        #: state: a bounded LRU of file handles, not of RAM — the pages live
-        #: in the OS page cache.  A hit here is the "warm mmap load" path.
-        self._records: "OrderedDict[str, AdapterRecord]" = OrderedDict()
+        #: Clean entries over decoded A1 mappings, kept alive after the entry
+        #: cache evicted them: a bounded LRU of file handles, not of RAM —
+        #: the pages live in the OS page cache.  A hit here is the "warm mmap
+        #: load" path; the entry comes back with what :meth:`read` derived.
+        self._records: "OrderedDict[str, _CacheEntry]" = OrderedDict()
 
     # ------------------------------------------------------------------ #
     # paths and inventory
@@ -243,6 +248,8 @@ class LoRAAdapterStore:
         """
         validate_user_id(user_id)
         copied = clone_lora_state(state)
+        for value in copied.values():
+            value.flags.writeable = False  # :meth:`read` hands these out
         previous = self._cache.get(user_id)
         if round is None:
             round = previous.round if previous is not None else 0
@@ -260,19 +267,35 @@ class LoRAAdapterStore:
         "new users start blank" semantics handle that case themselves (see
         :class:`~repro.serve.session.SessionManager`).
         """
+        return clone_lora_state(self._entry(user_id).state)
+
+    def read(self, user_id: str, derive: Callable[[Dict[str, np.ndarray]], Derived]) -> Derived:
+        """``derive`` of the user's adapter state, computed once per cached state.
+
+        The chat path: no array is copied.  ``derive`` sees the store's own
+        read-only arrays (the warm-mmap path's views, or the copy
+        :meth:`put` took); its result stays with the entry, and every later
+        read returns it, until :meth:`put` replaces the entry or the entry
+        has left both the cache and the mapped-record LRU.  Counts hits and
+        misses as :meth:`get` does and raises the same :class:`KeyError`.
+        """
+        entry = self._entry(user_id)
+        if entry.derived is None:
+            entry.derived = derive(entry.state)
+        return entry.derived
+
+    def _entry(self, user_id: str) -> _CacheEntry:
+        """The user's cache entry, loaded from disk on a miss."""
         validate_user_id(user_id)
         entry = self._cache.get(user_id)
         if entry is not None:
             self.stats.inc("hits")
             self._cache.move_to_end(user_id)
-            return clone_lora_state(entry.state)
+            return entry
         self.stats.inc("misses")
-        state, round = self._read_from_disk(user_id)
-        self._cache[user_id] = _CacheEntry(
-            state=state, nbytes=lora_state_nbytes(state), dirty=False, round=round
-        )
+        entry = self._cache[user_id] = self._read_from_disk(user_id)
         self._shrink_to_budget()
-        return clone_lora_state(state)
+        return entry
 
     def get_round(self, user_id: str) -> int:
         """The user's persisted fine-tune round fence (0 for unknown users).
@@ -286,10 +309,9 @@ class LoRAAdapterStore:
         if entry is not None:
             return entry.round
         try:
-            _, round = self._read_from_disk(user_id)
+            return self._read_from_disk(user_id).round
         except KeyError:
             return 0
-        return round
 
     def delete(self, user_id: str) -> bool:
         """Forget a user entirely (cache and disk); returns whether one existed."""
@@ -396,23 +418,23 @@ class LoRAAdapterStore:
         self.stats.inc("disk_writes")
         self.faults.after_store_write(user_id, path)
 
-    def _cache_record(self, user_id: str, record: AdapterRecord) -> None:
+    def _cache_record(self, user_id: str, entry: _CacheEntry) -> None:
         if self.mmap_cache_capacity == 0:
             return
-        self._records[user_id] = record
+        self._records[user_id] = entry
         self._records.move_to_end(user_id)
         if self.mmap_cache_capacity is not None:
             while len(self._records) > self.mmap_cache_capacity:
                 self._records.popitem(last=False)
 
-    def _read_from_disk(self, user_id: str) -> Tuple[Dict[str, np.ndarray], int]:
-        record = self._records.get(user_id)
-        if record is not None:
-            # Warm mmap load: the file is already mapped and fully verified;
-            # handing out the read-only views costs a dict copy.
+    def _read_from_disk(self, user_id: str) -> _CacheEntry:
+        """A clean entry over the user's mapped A1 record (its read-only views)."""
+        entry = self._records.get(user_id)
+        if entry is not None:
+            # Warm mmap load: the file is already mapped and fully verified.
             self._records.move_to_end(user_id)
             self.stats.inc("mmap_hits")
-            return record.state_views(), record.round
+            return entry
         path = self.path_for(user_id)
         if not path.is_file():
             raise KeyError(f"no adapter stored for user {user_id!r} in {self.directory}")
@@ -438,5 +460,8 @@ class LoRAAdapterStore:
                 f"{record.user_id!r} (quarantined)"
             )
         self.stats.inc("disk_loads")
-        self._cache_record(user_id, record)
-        return record.state_views(), record.round
+        entry = _CacheEntry(
+            state=record.state, nbytes=lora_state_nbytes(record.state), round=record.round
+        )
+        self._cache_record(user_id, entry)
+        return entry

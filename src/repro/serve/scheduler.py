@@ -69,6 +69,7 @@ import numpy as np
 
 from repro.data.dialogue import DialogueSet
 from repro.llm.generation import GenerationConfig
+from repro.nn.lora import RowAdapter
 from repro.obs import COUNT_BUCKETS, MetricsRegistry, observe_health
 from repro.serve.errors import (
     DeadlineExceededError,
@@ -143,7 +144,7 @@ class _PendingChat:
     #: Requests still queued once the turn took its batch (``queue_depth``).
     queue_depth: int
     #: The adapter the turn's rows decode with; None when it dead-letters.
-    adapter: Optional[Dict[str, np.ndarray]] = None
+    adapter: Optional[RowAdapter] = None
     degraded: bool = False
     error: Optional[ServingError] = None
 

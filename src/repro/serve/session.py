@@ -43,7 +43,7 @@ from repro.data.lexicons import LexiconCollection, builtin_lexicons
 from repro.llm.finetune import FineTuneConfig, FineTuneReport
 from repro.llm.generation import GenerationConfig
 from repro.llm.model import OnDeviceLLM
-from repro.nn.lora import LoRAConfig, clone_lora_state
+from repro.nn.lora import LoRAConfig, RowAdapter, clone_lora_state
 from repro.obs import MetricsRegistry
 from repro.serve.adapter_store import LoRAAdapterStore, validate_user_id
 from repro.serve.errors import TransientServingError
@@ -161,6 +161,7 @@ class SessionManager:
         for key, value in self._blank_state.items():
             if key.endswith("lora_b"):
                 self._blank_state[key] = np.zeros_like(value)
+        self._blank_adapter = self._row_adapter(self._blank_state)
         if framework_config_factory is None:
 
             def framework_config_factory(seed: int) -> FrameworkConfig:
@@ -212,26 +213,37 @@ class SessionManager:
         try:
             return self.store.get(user_id)
         except KeyError:
-            state = clone_lora_state(self._blank_state)
-            self.store.put(user_id, state)
-            return state
+            return self._stored_blank(user_id)
 
-    def chat_adapter(self, user_id: str) -> Dict[str, np.ndarray]:
+    def _stored_blank(self, user_id: str) -> Dict[str, np.ndarray]:
+        """Store a copy of the blank adapter as ``user_id``'s; returns the copy."""
+        state = clone_lora_state(self._blank_state)
+        self.store.put(user_id, state)
+        return state
+
+    def chat_adapter(self, user_id: str) -> RowAdapter:
         """The adapter ``user_id``'s chat rows decode with; attaches nothing.
 
         The attached user's live adapter (which may be newer than the
-        store's copy), else the store's copy; a user the store has never
-        seen is stored blank first, exactly as :meth:`attach` would.  The
-        user's session is created first, so on the first touch after a
-        restart the checkpoint-restored adapter is the one returned.
+        store's copy), else the store's copy, read without a copy and
+        checked once per cached state; a user the store has never seen is
+        stored blank first, exactly as :meth:`attach` would.  The user's
+        session is created first, so on the first touch after a restart the
+        checkpoint-restored adapter is the one returned.
         """
         validate_user_id(user_id)
         self.session(user_id)
         if user_id == self._active_user:
-            return self.llm.export_adapter_state()
-        return self._stored_adapter(user_id)
+            return self._row_adapter(self.llm.export_adapter_state())
+        try:
+            return self.store.read(user_id, self._row_adapter)
+        except KeyError:
+            return self._row_adapter(self._stored_blank(user_id))
 
-    def degraded_adapter(self, user_id: str) -> Dict[str, np.ndarray]:
+    def _row_adapter(self, state: Dict[str, np.ndarray]) -> RowAdapter:
+        return RowAdapter(self.llm.model, state)
+
+    def degraded_adapter(self, user_id: str) -> RowAdapter:
         """The *blank* adapter, for ``user_id``'s chats while its own is unreachable.
 
         The graceful-degradation chat path: when the adapter store keeps
@@ -251,7 +263,7 @@ class SessionManager:
         if user_id not in self._degraded_users:
             self._degraded_users.add(user_id)
             self.health.degrade(f"serving {user_id!r} with the blank adapter (store unavailable)")
-        return self._blank_state
+        return self._blank_adapter
 
     def _write_back_active(self) -> None:
         """Save the active user's adapter to the store if it changed.
@@ -397,7 +409,7 @@ class SessionManager:
 
     def respond_round(
         self,
-        batches: Sequence[Tuple[str, Sequence[str], Dict[str, np.ndarray]]],
+        batches: Sequence[Tuple[str, Sequence[str], RowAdapter]],
         generation: Optional[GenerationConfig] = None,
     ) -> List[List[str]]:
         """Answer several users' question batches in one shared decode.
@@ -411,7 +423,7 @@ class SessionManager:
         responses per batch.
         """
         questions: List[str] = []
-        segments: List[Tuple[int, Dict[str, np.ndarray]]] = []
+        segments: List[Tuple[int, RowAdapter]] = []
         for _, batch_questions, adapter in batches:
             if not batch_questions:
                 continue

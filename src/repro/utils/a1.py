@@ -166,10 +166,6 @@ class AdapterRecord:
     state: Dict[str, np.ndarray]
     nbytes: int
 
-    def state_views(self) -> Dict[str, np.ndarray]:
-        """A fresh dict of the (shared, read-only) tensor views."""
-        return dict(self.state)
-
 
 def unpack_adapter_record(data: Union[bytes, bytearray, memoryview, mmap.mmap]) -> AdapterRecord:
     """Decode an ``A1`` record, verifying structure and both CRCs.

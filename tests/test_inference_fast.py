@@ -9,7 +9,11 @@ absolute position and the cache must be invalidated), the graph-free
 and batched decoding must reproduce per-sequence decoding row by row.
 """
 
+import os
+import subprocess
+import sys
 from contextlib import contextmanager, nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,9 @@ from repro.llm.generation import (
 )
 from repro.nn import (
     LayerKVCache,
+    LoRAConfig,
+    MultiHeadSelfAttention,
+    inject_lora,
     load_lora_state_dict,
     lora_layers,
     lora_state_dict,
@@ -244,6 +251,81 @@ class TestBatchedDecoding:
         singles = [pretrained_llm.respond(q, generation=config) for q in questions]
         batched = pretrained_llm.respond_batch(questions, generation=config)
         assert batched == singles
+
+
+class TestBatchedBookkeeping:
+    """Each batch row against ``generate_tokens`` alone at the stop, no-stop,
+    re-prime and repetition-penalty edges of the array bookkeeping.
+
+    An untrained model: its greedy rows vary, where the tiny pre-trained one
+    answers every prompt with the same token.
+    """
+
+    PROMPTS = [[1, 2, 3, 4], [5, 6], [7, 8, 9], [10]]
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        config = TransformerConfig(vocab_size=40, max_seq_len=24, dim=16, num_layers=2,
+                                   num_heads=2)
+        model = TransformerLM(config, rng=np.random.default_rng(0))
+        model.eval()
+        return model
+
+    @staticmethod
+    def _check(model, prompts, config):
+        with _recorded_step_logits(model) as steps:
+            batched = generate_tokens_batch(model, prompts, config, pad_token_id=0)
+        assert batched == [generate_tokens(model, prompt, config) for prompt in prompts]
+        return batched, len(steps)
+
+    def _free_run(self, model):
+        """The greedy rows without a stop token."""
+        config = GenerationConfig(max_new_tokens=10, greedy=True)
+        return self._check(model, self.PROMPTS, config)[0]
+
+    @staticmethod
+    def _first(outputs, stop):
+        """Each row's step of its first ``stop`` (None: never)."""
+        return [row.index(stop) if stop in row else None for row in outputs]
+
+    def test_no_row_stops(self, model):
+        outputs = self._free_run(model)
+        stop = next(token for token in range(40) if self._first(outputs, token) == [None] * 4)
+        config = GenerationConfig(max_new_tokens=10, greedy=True, stop_token_id=stop)
+        assert self._check(model, self.PROMPTS, config) == (outputs, 10)
+
+    def test_a_row_stops_at_step_zero(self, model):
+        outputs = self._free_run(model)
+        config = GenerationConfig(max_new_tokens=10, greedy=True, stop_token_id=outputs[0][0])
+        batched, _ = self._check(model, self.PROMPTS, config)
+        assert batched[0] == [outputs[0][0]]
+
+    def test_rows_stop_at_different_steps(self, model):
+        outputs = self._free_run(model)
+        stop = next(
+            token
+            for token in sorted({token for row in outputs for token in row})
+            if len(set(self._first(outputs, token)) - {None}) > 1
+        )
+        config = GenerationConfig(max_new_tokens=10, greedy=True, stop_token_id=stop)
+        batched, _ = self._check(model, self.PROMPTS, config)
+        assert [len(row) for row in batched] == [
+            10 if step is None else step + 1 for step in self._first(outputs, stop)
+        ]
+
+    def test_window_slides_after_tokens_were_generated(self, model):
+        # The long row fills the window after two new tokens; each re-prime
+        # encodes every row's prompt plus what it generated so far.
+        long = [1 + index % 30 for index in range(model.config.max_seq_len - 2)]
+        config = GenerationConfig(max_new_tokens=6, greedy=True)
+        _, steps = self._check(model, [long, [4, 5, 6]], config)
+        assert steps == 6
+
+    def test_greedy_with_the_evaluator_repetition_penalty(self, model):
+        config = GenerationConfig(max_new_tokens=12, greedy=True, repetition_penalty=1.3,
+                                  stop_token_id=3)
+        penalized, _ = self._check(model, self.PROMPTS, config)
+        assert penalized != self._free_run(model)
 
 
 def _reference_decode(model, prompt, config, rng=None):
@@ -607,6 +689,156 @@ class TestPrefill:
         hidden = model.hidden_states(tokens, attention_mask=mask)
         logits = model(tokens, attention_mask=mask).data
         assert np.array_equal(hidden @ model.token_embedding.weight.data.T, logits)
+
+
+def _stacked_round_model(adapters):
+    """A model at the serving shape plus ``adapters`` non-zero adapter states.
+
+    Dim 32, 2 layers, 2 heads, LoRA rank 8 and alpha 16: a scaling of 2.0,
+    so pre-scaled slabs give every bit of ``delta *= s``.
+    """
+    config = TransformerConfig(vocab_size=64, max_seq_len=40, dim=32, num_layers=2, num_heads=2)
+    model = TransformerLM(config, rng=np.random.default_rng(3))
+    inject_lora(model, LoRAConfig(rank=8, alpha=16.0), rng=np.random.default_rng(4))
+    model.eval()
+    rng = np.random.default_rng(5)
+    states = []
+    for _ in range(adapters):
+        state = lora_state_dict(model)
+        for key in state:
+            state[key] = (rng.standard_normal(state[key].shape) * 0.05).astype(np.float32)
+        states.append(state)
+    return model, states
+
+
+def _attentions(model):
+    return [module for module in model.module_list() if isinstance(module, MultiHeadSelfAttention)]
+
+
+@contextmanager
+def _parent_projections(model, states, segments):
+    """Inside ``row_adapters``: every adapted projection as before the stacked product.
+
+    Base GEMM, then ``(x A^T) B^T`` over per-row slabs repeated from the
+    states' own factors, then ``*= s``: no stacked q/k/v product and no
+    pre-scaled slab.
+    """
+    counts = [rows for rows, _ in segments]
+    layers = lora_layers(model)
+
+    def parent_forward(layer, a_rows, b_rows):
+        def raw_forward(x, tape=None, rows=None):
+            out = layer.base.raw_forward(x)
+            delta = np.matmul(np.matmul(x.reshape(len(x), -1, x.shape[-1]), a_rows), b_rows)
+            delta *= layer.config.scaling
+            out += delta.reshape(out.shape)
+            return out
+
+        return raw_forward
+
+    for index, layer in enumerate(layers):
+        factors = [states[state] for _, state in segments]
+        layer.raw_forward = parent_forward(
+            layer,
+            np.repeat(np.stack([f[f"adapter.{index}.lora_a"].T for f in factors]), counts, axis=0),
+            np.repeat(np.stack([f[f"adapter.{index}.lora_b"].T for f in factors]), counts, axis=0),
+        )
+    stacked = [attention.qkv_adapters for attention in _attentions(model)]
+    for attention in _attentions(model):
+        attention.qkv_adapters = None
+    try:
+        yield
+    finally:
+        for layer in layers:
+            del layer.raw_forward
+        for attention, slabs in zip(_attentions(model), stacked):
+            attention.qkv_adapters = slabs
+
+
+@st.composite
+def _stacked_rounds(draw):
+    """A mixed round: 2-64 rows over 2-8 adapters, ragged cached lengths."""
+    batch = draw(st.integers(2, 64))
+    adapters = draw(st.integers(2, 8))
+    lengths = draw(st.lists(st.integers(1, 12), min_size=batch, max_size=batch))
+    choice = draw(st.lists(st.integers(0, adapters - 1), min_size=batch, max_size=batch))
+    segments = []
+    for index in choice:
+        if segments and segments[-1][1] == index:
+            segments[-1][0] += 1
+        else:
+            segments.append([1, index])
+    if len(segments) == 1:  # one segment is the attached path; split it
+        segments = [[1, choice[0]], [batch - 1, choice[0]]]
+    return lengths, [tuple(segment) for segment in segments], draw(st.integers(0, 2**16))
+
+
+# A 20-step mixed round of 24 rows over 4 adapters; prints its logits' SHA-256.
+_STACKED_ROUND_SCRIPT = """
+import hashlib
+import numpy as np
+from repro.nn import row_adapters
+from test_inference_fast import _primed, _stacked_round_model
+
+model, states = _stacked_round_model(4)
+rng = np.random.default_rng(9)
+prompts = [rng.integers(1, 64, size=n).tolist() for n in rng.integers(1, 12, size=24)]
+digest = hashlib.sha256()
+with row_adapters(model, [(5, states[0]), (7, states[1]), (3, states[2]), (9, states[3])]):
+    cache, logits, padding, positions = _primed(model, prompts)
+    for _ in range(20):
+        logits = model.decode_step(np.argmax(logits, axis=1), positions, padding, cache)
+        digest.update(logits.tobytes())
+        positions = positions + 1
+print(digest.hexdigest())
+"""
+
+
+class TestStackedQKVDecode:
+    """A mixed round's decode step: one stacked q/k/v adapter product per block."""
+
+    @pytest.fixture(scope="class")
+    def round_model(self):
+        return _stacked_round_model(8)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(case=_stacked_rounds())
+    @example(case=([3, 1], [(1, 0), (1, 1)], 0))
+    @example(case=([12] * 64, [(8, index) for index in range(8)], 1))
+    def test_logits_equal_separate_products_bit_for_bit(self, round_model, case):
+        model, states = round_model
+        lengths, segments, seed = case
+        rng = np.random.default_rng(seed)
+        prompts = [rng.integers(1, 64, size=length).tolist() for length in lengths]
+        token_ids = rng.integers(1, 64, size=len(prompts))
+        with row_adapters(model, [(rows, states[index]) for rows, index in segments]):
+            assert all(attention.qkv_adapters is not None for attention in _attentions(model))
+            stacked_cache, _, padding, positions = _primed(model, prompts)
+            parent_cache, _, _, _ = _primed(model, prompts)
+            for _ in range(3):
+                stacked = model.decode_step(token_ids, positions, padding, stacked_cache).copy()
+                with _parent_projections(model, states, segments):
+                    parent = model.decode_step(token_ids, positions, padding, parent_cache)
+                assert np.array_equal(stacked, parent)
+                token_ids = np.argmax(stacked, axis=1)
+                positions = positions + 1
+
+    def test_one_and_two_blas_threads_give_the_same_bits(self):
+        tests = Path(__file__).resolve().parent
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")]
+            )
+            env["OPENBLAS_NUM_THREADS"] = threads
+            result = subprocess.run(
+                [sys.executable, "-c", _STACKED_ROUND_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            digests.append(result.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 class TestBatchedEvaluator:

@@ -120,6 +120,39 @@ class TestResults:
         }
 
 
+    def test_update_records_every_flagged_bench_and_keeps_the_seed_baseline(
+        self, perf_check, monkeypatch, capsys, tmp_path
+    ):
+        committed = REPO_ROOT / "benchmarks"
+        names = ("BENCH_generation.json", "BENCH_serving.json", "BENCH_training.json")
+        for name in names:
+            summary = json.loads((committed / name).read_text())
+            module = sys.modules[f"bench_{name[len('BENCH_'):-len('.json')]}"]
+            monkeypatch.setattr(module, "run_benchmark", lambda summary=summary: summary)
+        serving = sys.modules["bench_serving"]
+        for constant, value in (
+            ("REQUIRED_SPEEDUP", 2.0),
+            ("REQUIRED_MMAP_SPEEDUP", 2.0),
+            ("REQUIRED_SHARD_SCALING", 1.8),
+            ("SHARD_WORKER_COUNTS", (1, 2, 4)),
+        ):
+            monkeypatch.setattr(serving, constant, value, raising=False)
+        baseline = tmp_path / "BENCH_generation_baseline.json"
+        baseline.write_bytes(perf_check.BASELINE_PATH.read_bytes())
+        monkeypatch.setattr(perf_check, "BASELINE_PATH", baseline)
+        monkeypatch.setattr(perf_check, "BENCH_DIR", tmp_path / "bench")
+        monkeypatch.setattr(perf_check, "RUNS_DIR", tmp_path / "runs")
+        monkeypatch.setattr(sys, "argv", ["perf_check.py", "--update", "--serving", "--training"])
+        assert perf_check.main() == 0, capsys.readouterr().out
+        # The seed reference the uplift gate divides by is never rewritten.
+        assert baseline.read_bytes() == (committed / "BENCH_generation_baseline.json").read_bytes()
+        for directory in ("bench", "runs"):
+            written = {path.name: path.read_text() for path in (tmp_path / directory).iterdir()}
+            assert {name: json.loads(text) for name, text in written.items()} == {
+                name: json.loads((committed / name).read_text()) for name in names
+            }
+
+
 class FakeClock:
     """Moves only when a case's work says how long it took."""
 

@@ -375,10 +375,11 @@ class TestAllDeadLetterOverSocket:
         the still-open connection) before the server closes it."""
         from repro.cli import main
 
-        def poisoned_get(self, user_id):
+        def poisoned_get(self, user_id, *args):
             raise PermanentServingError("injected: store unusable")
 
         monkeypatch.setattr(LoRAAdapterStore, "get", poisoned_get)
+        monkeypatch.setattr(LoRAAdapterStore, "read", poisoned_get)
         monkeypatch.chdir(tmp_path)
         port_file = tmp_path / "port"
         exit_code = {}

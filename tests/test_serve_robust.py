@@ -331,14 +331,18 @@ class TestSchedulerDrain:
         is unlinked from the round-robin ring and the other users drain
         normally — the loop terminates instead of spinning."""
         manager = make_manager(fresh_llm, tmp_path)
-        real_get = LoRAAdapterStore.get
 
-        def poisoned_get(self, user_id):
-            if user_id == "poison":
-                raise PermanentServingError("injected: user is poisoned")
-            return real_get(self, user_id)
+        def poisoned(real):
+            # Both store reads: ``get`` (attach) and ``read`` (chat turns).
+            def poisoned_read(self, user_id, *args):
+                if user_id == "poison":
+                    raise PermanentServingError("injected: user is poisoned")
+                return real(self, user_id, *args)
 
-        monkeypatch.setattr(LoRAAdapterStore, "get", poisoned_get)
+            return poisoned_read
+
+        monkeypatch.setattr(LoRAAdapterStore, "get", poisoned(LoRAAdapterStore.get))
+        monkeypatch.setattr(LoRAAdapterStore, "read", poisoned(LoRAAdapterStore.read))
         scheduler = RequestScheduler(
             manager, max_batch_size=4, generation=GenerationConfig(max_new_tokens=8)
         )
@@ -397,10 +401,11 @@ class TestAllDeadLetterExit:
         progress at all — every request dead-lettered."""
         from repro.cli import main
 
-        def poisoned_get(self, user_id):
+        def poisoned_get(self, user_id, *args):
             raise PermanentServingError("injected: store unusable")
 
         monkeypatch.setattr(LoRAAdapterStore, "get", poisoned_get)
+        monkeypatch.setattr(LoRAAdapterStore, "read", poisoned_get)
         monkeypatch.chdir(tmp_path)
         code = main(
             [
