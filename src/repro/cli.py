@@ -20,12 +20,6 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.experiments.presets import ExperimentScale  # noqa: F401  (docs/type reference)
-from repro.experiments.registry import (
-    experiment_names,
-    get_experiment,
-    resolve_run,
-    run_experiment,
-)
 from repro.utils.logging import enable_console_logging
 
 
@@ -340,6 +334,8 @@ def _collect_options(spec_options: Sequence[str], args: argparse.Namespace) -> d
 
 
 def _command_list() -> int:
+    from repro.experiments.registry import experiment_names, get_experiment
+
     for name in experiment_names():
         spec = get_experiment(name)
         print(f"{name:<10} {spec.title}")
@@ -355,6 +351,10 @@ def _usage_error(error: Exception) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    # The experiment registry loads every runner module, so only `run` and
+    # `list` import it: a `serve` boot compiles none of them.
+    from repro.experiments.registry import get_experiment, resolve_run, run_experiment
+
     # Every argument is checked here, before any work or directory creation.
     try:
         options = _collect_options(get_experiment(args.experiment).options, args)

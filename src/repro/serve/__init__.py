@@ -38,75 +38,80 @@ subsystem splits into four parts —
   layer reports into (see ``docs/observability.md``).
 """
 
-from repro.serve.adapter_store import (
-    AdapterStoreError,
-    LoRAAdapterStore,
-    StoreStats,
-    validate_user_id,
-)
-from repro.serve.errors import (
-    DeadlineExceededError,
-    InjectedFaultError,
-    PermanentServingError,
-    PoisonRequestError,
-    RetryPolicy,
-    ServingError,
-    StoreIOError,
-    TransientServingError,
-)
-from repro.serve.client import ClientError, ServeClient, drive_load, replay_trace_against
-from repro.serve.config import METRICS_FILE, ServeConfig
-from repro.serve.faults import (
-    CRASH_POINTS,
-    FaultInjector,
-    FaultPlan,
-    InjectedCrash,
-    chaos_plan,
-)
-from repro.serve.frontend import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    FrontendThread,
-    PoolBridge,
-    ProtocolError,
-    ServeFrontend,
-    decode_frame,
-    encode_frame,
-)
-from repro.serve.health import ComponentHealth, HealthRegistry, HealthState
-from repro.serve.journal import (
-    JournalError,
-    JournalReplay,
-    RequestJournal,
-    entries_digest,
-    journal_digest,
-    replay,
-)
-from repro.serve.loadgen import LoadConfig, build_serving_llm, generate_load, user_ids
-from repro.serve.runner import (
-    ServeOutcome,
-    ShardServer,
-    aggregate_transcript_digest,
-    compose_user_digests,
-    make_session_manager,
-    run_serve,
-    user_transcript_digest,
-)
-from repro.serve.shard import ShardPool, ShardPoolError, ShardRing, shard_state_dir
-from repro.serve.scheduler import (
-    ChatRequest,
-    PersonalizeRequest,
-    RequestScheduler,
-    ServeTurn,
-)
-from repro.serve.session import (
-    PersonalizeOutcome,
-    SessionManager,
-    UserSession,
-    serving_framework_config,
-    user_seed,
-)
-from repro.serve.trace import Trace, TraceError, TraceRecorder, load_trace
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - the static view of the lazy re-exports below
+    from repro.serve.adapter_store import (
+        AdapterStoreError,
+        LoRAAdapterStore,
+        StoreStats,
+        validate_user_id,
+    )
+    from repro.serve.errors import (
+        DeadlineExceededError,
+        InjectedFaultError,
+        PermanentServingError,
+        PoisonRequestError,
+        RetryPolicy,
+        ServingError,
+        StoreIOError,
+        TransientServingError,
+    )
+    from repro.serve.client import ClientError, ServeClient, drive_load, replay_trace_against
+    from repro.serve.config import METRICS_FILE, ServeConfig
+    from repro.serve.faults import (
+        CRASH_POINTS,
+        FaultInjector,
+        FaultPlan,
+        InjectedCrash,
+        chaos_plan,
+    )
+    from repro.serve.frontend import (
+        MAX_FRAME_BYTES,
+        PROTOCOL_VERSION,
+        FrontendThread,
+        PoolBridge,
+        ProtocolError,
+        ServeFrontend,
+        decode_frame,
+        encode_frame,
+    )
+    from repro.serve.health import ComponentHealth, HealthRegistry, HealthState
+    from repro.serve.journal import (
+        JournalError,
+        JournalReplay,
+        RequestJournal,
+        entries_digest,
+        journal_digest,
+        replay,
+    )
+    from repro.serve.loadgen import LoadConfig, build_serving_llm, generate_load, user_ids
+    from repro.serve.runner import (
+        ServeOutcome,
+        ShardServer,
+        aggregate_transcript_digest,
+        compose_user_digests,
+        make_session_manager,
+        run_serve,
+        user_transcript_digest,
+    )
+    from repro.serve.shard import ShardPool, ShardPoolError, ShardRing, shard_state_dir
+    from repro.serve.scheduler import (
+        ChatRequest,
+        PersonalizeRequest,
+        RequestScheduler,
+        ServeTurn,
+    )
+    from repro.serve.session import (
+        PersonalizeOutcome,
+        SessionManager,
+        UserSession,
+        serving_framework_config,
+        user_seed,
+    )
+    from repro.serve.trace import Trace, TraceError, TraceRecorder, load_trace
 
 __all__ = [
     "AdapterStoreError",
@@ -176,3 +181,41 @@ __all__ = [
     "user_seed",
     "user_transcript_digest",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "repro.serve.adapter_store": (
+            "AdapterStoreError LoRAAdapterStore StoreStats validate_user_id"
+        ),
+        "repro.serve.client": "ClientError ServeClient drive_load replay_trace_against",
+        "repro.serve.config": "METRICS_FILE ServeConfig",
+        "repro.serve.errors": (
+            "DeadlineExceededError InjectedFaultError PermanentServingError "
+            "PoisonRequestError RetryPolicy ServingError StoreIOError "
+            "TransientServingError"
+        ),
+        "repro.serve.faults": "CRASH_POINTS FaultInjector FaultPlan InjectedCrash chaos_plan",
+        "repro.serve.frontend": (
+            "MAX_FRAME_BYTES PROTOCOL_VERSION FrontendThread PoolBridge ProtocolError "
+            "ServeFrontend decode_frame encode_frame"
+        ),
+        "repro.serve.health": "ComponentHealth HealthRegistry HealthState",
+        "repro.serve.journal": (
+            "JournalError JournalReplay RequestJournal "
+            "entries_digest journal_digest replay"
+        ),
+        "repro.serve.loadgen": "LoadConfig build_serving_llm generate_load user_ids",
+        "repro.serve.runner": (
+            "ServeOutcome ShardServer aggregate_transcript_digest compose_user_digests "
+            "make_session_manager run_serve user_transcript_digest"
+        ),
+        "repro.serve.scheduler": "ChatRequest PersonalizeRequest RequestScheduler ServeTurn",
+        "repro.serve.session": (
+            "PersonalizeOutcome SessionManager UserSession "
+            "serving_framework_config user_seed"
+        ),
+        "repro.serve.shard": "ShardPool ShardPoolError ShardRing shard_state_dir",
+        "repro.serve.trace": "Trace TraceError TraceRecorder load_trace",
+    },
+)

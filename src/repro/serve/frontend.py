@@ -375,13 +375,14 @@ class _Connection:
                 if item is _CLOSE:
                     break
                 if item[0] == "frame":
-                    self.writer.write(encode_frame(item[1]))
-                    await self.writer.drain()
+                    data = encode_frame(item[1])
                 else:
-                    _, client_id, entry = item
-                    for frame in _result_frames(client_id, entry):
-                        self.writer.write(encode_frame(frame))
-                        await self.writer.drain()
+                    # A finished request's frames go out in one write and
+                    # one drain, however many token frames it has.
+                    frames = _result_frames(item[1], item[2])
+                    data = b"".join(encode_frame(frame) for frame in frames)
+                self.writer.write(data)
+                await self.writer.drain()
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass  # the client went away; results stay journaled server-side
         finally:

@@ -37,7 +37,6 @@ import copy
 import functools
 import hashlib
 import json
-import multiprocessing
 import os
 import queue
 import signal
@@ -296,6 +295,9 @@ class _Worker:
 
 def default_worker_mode() -> str:
     """``process`` where ``fork`` exists (Linux), else the ``thread`` fallback."""
+    # Imported here: a thread-only pool (one worker) never loads multiprocessing.
+    import multiprocessing
+
     return "process" if "fork" in multiprocessing.get_all_start_methods() else "thread"
 
 
@@ -323,11 +325,11 @@ class ShardPool:
         lexicons: Optional[LexiconCollection] = None,
     ) -> None:
         if mode is None:
-            mode = "thread" if config.workers == 1 else default_worker_mode()
+            mode = "thread" if config.workers == 1 else "process"
         if mode not in ("process", "thread"):
             raise ValueError(f"unknown shard worker mode {mode!r}")
-        if mode == "process" and "fork" not in multiprocessing.get_all_start_methods():
-            mode = "thread"
+        if mode == "process":
+            mode = default_worker_mode()
         self.config = config
         self.ring = ShardRing(config.workers)
         self.num_shards = config.workers
@@ -372,12 +374,15 @@ class ShardPool:
             )
             for index in range(self.num_shards)
         ]
-        context = multiprocessing.get_context("fork") if self.mode == "process" else None
+        if self.mode == "process":
+            import multiprocessing
+
+            context = multiprocessing.get_context("fork")
         for server in servers:
             worker = _Worker(index=server.index, server=server)
             name = f"repro-shard-{server.index}"
             if self.mode == "process":
-                worker.conn, child = multiprocessing.Pipe()
+                worker.conn, child = context.Pipe()
                 worker.runner = context.Process(
                     target=_shard_worker_main, args=(child, server), name=name, daemon=True
                 )

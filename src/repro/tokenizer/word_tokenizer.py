@@ -52,7 +52,7 @@ class WordTokenizer:
         max_length: Optional[int] = None,
     ) -> List[int]:
         """Encode ``text`` into a list of token ids."""
-        ids = [self.vocabulary.token_to_id(token) for token in split_words(text)]
+        ids = self._word_ids(text)
         if add_bos:
             ids = [self.vocabulary.bos_id] + ids
         if add_eos:
@@ -68,29 +68,39 @@ class WordTokenizer:
         max_length: Optional[int] = None,
     ) -> List[int]:
         """Encode a dialogue set as ``<bos> question <sep> response <eos>``."""
-        question_ids = [self.vocabulary.token_to_id(t) for t in split_words(question)]
-        response_ids = [self.vocabulary.token_to_id(t) for t in split_words(response)]
         ids = (
             [self.vocabulary.bos_id]
-            + question_ids
+            + self._word_ids(question)
             + [self.vocabulary.sep_id]
-            + response_ids
+            + self._word_ids(response)
             + [self.vocabulary.eos_id]
         )
         if max_length is not None:
             ids = ids[:max_length]
         return ids
 
+    def _word_ids(self, text: str) -> List[int]:
+        """Ids of the words of ``text``, ``<unk>`` for words not in the vocabulary."""
+        lookup = self.vocabulary._token_to_id.get
+        unk_id = self.vocabulary.unk_id
+        return [lookup(token, unk_id) for token in split_words(text)]
+
     def decode(self, ids: Sequence[int], skip_special: bool = True) -> str:
-        """Convert ids back to a space-joined string."""
-        tokens: List[str] = []
-        special = set(self.vocabulary.special_ids())
-        for token_id in ids:
-            token_id = int(token_id)
-            if skip_special and token_id in special:
-                continue
-            tokens.append(self.vocabulary.id_to_token(token_id))
-        return " ".join(tokens)
+        """Convert ids back to a space-joined string.
+
+        Raises ``IndexError`` naming the first id outside the vocabulary.
+        """
+        if isinstance(ids, np.ndarray):
+            ids = ids.tolist()
+        # One range check per call; the joins then index the table directly.
+        table = self.vocabulary._id_to_token
+        if ids and not (0 <= min(ids) and max(ids) < len(table)):
+            for token_id in ids:
+                self.vocabulary.id_to_token(int(token_id))
+        if skip_special:
+            special = set(self.vocabulary.special_ids())
+            return " ".join([table[token_id] for token_id in ids if token_id not in special])
+        return " ".join([table[token_id] for token_id in ids])
 
     # -- batching ---------------------------------------------------------- #
     def pad_batch(

@@ -15,6 +15,7 @@ import pytest
 
 from repro.experiments.presets import get_scale
 from repro.serve import PermanentServingError
+from repro.serve import frontend as frontend_module
 from repro.serve.client import ServeClient, drive_load, fetch_stats
 from repro.serve.frontend import (
     BUSY_QUEUE_FULL,
@@ -274,6 +275,51 @@ class TestStreamingAndDrain:
         assert result.streamed_text == result.response
         assert outcome.total_requests == 1
         assert outcome.chat_requests == 1
+
+
+    def test_a_chat_result_is_its_result_frames_in_one_write(self, frontend_env, monkeypatch):
+        """The bytes a client reads for a chat are exactly the encoded
+        ``_result_frames`` of the entry the server delivered, frame for
+        frame, and the server sends them with one socket write."""
+        entries = []
+        server_writes = []
+        send_result = frontend_module._Connection.send_result
+        write = asyncio.StreamWriter.write
+
+        def recording_send_result(self, client_id, entry):
+            entries.append((client_id, entry))
+            send_result(self, client_id, entry)
+
+        def recording_write(self, data):
+            if threading.current_thread() is not threading.main_thread():
+                server_writes.append(bytes(data))
+            write(self, data)
+
+        monkeypatch.setattr(frontend_module._Connection, "send_result", recording_send_result)
+        monkeypatch.setattr(asyncio.StreamWriter, "write", recording_write)
+        server, host, port = boot(frontend_env)
+
+        async def scenario():
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b'{"op":"connect","user_id":"user_00"}\n')
+            hello = decode_frame(await reader.readuntil(b"\n"))
+            writer.write(b'{"op":"chat","id":7,"question":"what should I do about headaches?"}\n')
+            lines = []
+            while not lines or decode_frame(lines[-1])["frame"] != FRAME_DONE:
+                lines.append(await reader.readuntil(b"\n"))
+            writer.close()
+            await writer.wait_closed()
+            return hello, lines
+
+        hello, lines = asyncio.run(scenario())
+        server.stop()
+        assert hello["frame"] == FRAME_HELLO
+        [(client_id, entry)] = entries
+        expected = frontend_module._result_frames(client_id, entry)
+        assert len(expected) > 1, "the chat streamed no token frames"
+        assert [decode_frame(line) for line in lines] == expected
+        assert b"".join(lines) == b"".join(encode_frame(frame) for frame in expected)
+        assert b"".join(lines) in server_writes
 
 
 class TestBackpressure:
