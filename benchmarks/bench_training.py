@@ -335,7 +335,7 @@ def _pass_seconds(fused, legacy, batches, rounds: int) -> Dict[str, list]:
         return whole_call(lambda: [step(model, optimizer, batch) for batch in batches])
 
     def fused_step(model, optimizer, batch):
-        train_batch(model, optimizer, batch, 1.0)
+        train_batch(model, optimizer, batch)
 
     seconds, _ = interleave(
         {"fused": run_pass(fused_step, *fused), "legacy": run_pass(_legacy_step, *legacy)},

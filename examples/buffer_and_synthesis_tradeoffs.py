@@ -10,14 +10,13 @@ per buffered original trade off ROUGE-1 against fine-tuning time per epoch?
 Run with ``python examples/buffer_and_synthesis_tradeoffs.py``.
 """
 
-from repro.core.buffer import BufferGeometry
+from repro.core.buffer import buffer_size_kb
 from repro.experiments import prepare_environment, run_method, smoke_scale
 from repro.nn.optim import sqrt_batch_scaled_lr
 
 
 def buffer_size_sweep() -> None:
     scale = smoke_scale()
-    geometry = BufferGeometry.paper_default()
     env = prepare_environment("meddialog", scale=scale, seed=0)
     print("Part A — buffer-size sweep (proposed selection policy)")
     print(f"{'bins':>6} {'size':>10} {'lr':>10} {'ROUGE-1':>10}")
@@ -27,7 +26,7 @@ def buffer_size_sweep() -> None:
         )
         result = run_method(env, "ours", buffer_bins=bins, learning_rate=learning_rate)
         print(
-            f"{bins:>6d} {geometry.buffer_size_kb(bins):>8.0f}KB "
+            f"{bins:>6d} {buffer_size_kb(bins):>8.0f}KB "
             f"{learning_rate:>10.4f} {result.final_rouge:>10.4f}"
         )
 

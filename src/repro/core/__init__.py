@@ -11,7 +11,7 @@ from repro.core.baselines import (
     SingleMetricSelector,
     make_selector,
 )
-from repro.core.buffer import BufferEntry, BufferGeometry, DataBuffer
+from repro.core.buffer import BufferEntry, DataBuffer, buffer_size_kb
 from repro.core.checkpoint import CheckpointError, CheckpointManager
 from repro.core.engine import (
     STAGES,
@@ -52,7 +52,6 @@ __all__ = [
     "AnnotationStats",
     "BASELINE_NAMES",
     "BufferEntry",
-    "BufferGeometry",
     "CheckpointError",
     "CheckpointManager",
     "DataBuffer",
@@ -80,6 +79,7 @@ __all__ = [
     "SingleMetricSelector",
     "SynthesisConfig",
     "SynthesisStats",
+    "buffer_size_kb",
     "domain_specific_score",
     "dominant_domain",
     "entropy_of_embedding_score",

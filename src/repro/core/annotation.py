@@ -15,7 +15,6 @@ made, which is the user-burden statistic an on-device deployment cares about.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
 
 from repro.data.dialogue import DialogueSet
 from repro.utils.config import require_in_unit_interval
@@ -39,23 +38,11 @@ class AnnotationOracle:
     the paper's fallback of using the dialogue set as-is.
     """
 
-    def __init__(
-        self,
-        response_rate: float = 1.0,
-        rng=None,
-        preferred_response_fn: Optional[Callable[[DialogueSet], str]] = None,
-    ) -> None:
+    def __init__(self, response_rate: float = 1.0, rng=None) -> None:
         require_in_unit_interval("response_rate", response_rate)
         self.response_rate = response_rate
         self._rng = as_generator(rng)
-        self._preferred_response_fn = preferred_response_fn
         self.stats = AnnotationStats()
-
-    def _preferred_response(self, dialogue: DialogueSet) -> Optional[str]:
-        """The response the user would prefer, or ``None`` when unavailable."""
-        if self._preferred_response_fn is not None:
-            return self._preferred_response_fn(dialogue)
-        return dialogue.gold_response
 
     def annotate(self, dialogue: DialogueSet) -> DialogueSet:
         """Ask the user to annotate one selected dialogue set.
@@ -68,7 +55,7 @@ class AnnotationOracle:
         if self._rng.random() > self.response_rate:
             self.stats.declined += 1
             return dialogue
-        preferred = self._preferred_response(dialogue)
+        preferred = dialogue.gold_response
         if preferred is None:
             self.stats.declined += 1
             return dialogue

@@ -2,9 +2,8 @@
 
 * :class:`RandomReplaceSelector` — "selects data uniformly at random from new
   data to replace the ones already in the buffer"; implemented as reservoir
-  sampling by default (every seen item equally likely to be retained), which
-  is the strong variant the continual-learning literature uses, with an
-  ``always`` mode that unconditionally admits each arrival.
+  sampling (every seen item equally likely to be retained), which is the
+  strong variant the continual-learning literature uses.
 * :class:`FIFOReplaceSelector` — replaces the oldest buffered entry.
 * :class:`KCenterSelector` — streaming core-set heuristic in embedding space:
   an arrival is admitted only when doing so increases the buffer's minimum
@@ -33,23 +32,17 @@ from repro.utils.config import require_choice
 
 
 class RandomReplaceSelector(SelectionPolicy):
-    """Random replacement (reservoir sampling by default)."""
+    """Random replacement by reservoir sampling."""
 
     name = "random"
-
-    def __init__(self, buffer, scorer, rng=None, mode: str = "reservoir") -> None:
-        super().__init__(buffer, scorer, rng=rng)
-        require_choice("mode", mode, ("reservoir", "always"))
-        self.mode = mode
 
     def _decide(self, dialogue: DialogueSet) -> SelectionDecision:
         if not self.buffer.is_full():
             return self._insert(self._build_entry(dialogue), None)
-        if self.mode == "reservoir":
-            # Keep each of the n items seen so far with equal probability k/n.
-            keep_probability = self.buffer.capacity / max(self._offered, 1)
-            if self._rng.random() >= keep_probability:
-                return SelectionDecision(accepted=False)
+        # Keep each of the n items seen so far with equal probability k/n.
+        keep_probability = self.buffer.capacity / max(self._offered, 1)
+        if self._rng.random() >= keep_probability:
+            return SelectionDecision(accepted=False)
         victim = int(self._rng.integers(len(self.buffer)))
         return self._insert(self._build_entry(dialogue), victim)
 

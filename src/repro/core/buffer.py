@@ -6,6 +6,10 @@ text, its dominant domain and its embedding vector (Section 4.1 of the paper:
 one dialog set, its domain as well as its embedding").  Storing the embedding
 means it never has to be recomputed when later arrivals are compared against
 the buffer.
+
+The bin geometry is fixed at the paper's (1024 text tokens, a 4096-float
+embedding: 22 KB per bin); :func:`buffer_size_kb` reports a buffer's nominal
+size in those units, as Table 3 does.
 """
 
 from __future__ import annotations
@@ -36,50 +40,28 @@ class BufferEntry:
         return self.dialogue.text()
 
 
-@dataclass
-class BufferGeometry:
-    """Physical sizing of the buffer, mirroring the paper's KB accounting.
+# Physical sizing, mirroring the paper's KB accounting: a dialogue set of at
+# most 1024 tokens and a 4096-float embedding give a 22 KB bin.  With our
+# small model the real footprint is much smaller, but the same accounting is
+# reproduced so buffer sizes can be reported in the paper's units.
+BIN_TEXT_TOKENS = 1024
+BIN_EMBEDDING_DIM = 4096
+BYTES_PER_TOKEN = 6.0
+BYTES_PER_FLOAT = 4
 
-    The paper assumes a dialogue set of at most 1024 tokens and a 4096-float
-    embedding, giving a 22 KB bin; with our small model the real footprint is
-    much smaller, but the same accounting is reproduced so buffer sizes can be
-    reported in the paper's units.
-    """
 
-    max_text_tokens: int = 1024
-    embedding_dim: int = 4096
-    bytes_per_token: float = 6.0
-    bytes_per_float: int = 4
-
-    def bin_size_bytes(self) -> int:
-        """Size of one bin in bytes."""
-        text_bytes = self.max_text_tokens * self.bytes_per_token
-        embedding_bytes = self.embedding_dim * self.bytes_per_float
-        return int(text_bytes + embedding_bytes)
-
-    def bin_size_kb(self) -> float:
-        """Size of one bin in kilobytes (1 KB = 1024 bytes)."""
-        return self.bin_size_bytes() / 1024.0
-
-    def buffer_size_kb(self, num_bins: int) -> float:
-        """Total buffer size in KB for ``num_bins`` bins."""
-        return self.bin_size_kb() * num_bins
-
-    @staticmethod
-    def paper_default() -> "BufferGeometry":
-        """The geometry that yields the paper's 22 KB bins."""
-        return BufferGeometry(
-            max_text_tokens=1024, embedding_dim=4096, bytes_per_token=6.0, bytes_per_float=4
-        )
+def buffer_size_kb(num_bins: int) -> float:
+    """Nominal size in KB (1 KB = 1024 bytes) of a buffer of ``num_bins`` bins."""
+    bin_bytes = int(BIN_TEXT_TOKENS * BYTES_PER_TOKEN + BIN_EMBEDDING_DIM * BYTES_PER_FLOAT)
+    return bin_bytes / 1024.0 * num_bins
 
 
 class DataBuffer:
     """Fixed-capacity bin buffer holding the selected dialogue sets."""
 
-    def __init__(self, num_bins: int, geometry: Optional[BufferGeometry] = None) -> None:
+    def __init__(self, num_bins: int) -> None:
         require_positive("num_bins", num_bins)
         self.num_bins = int(num_bins)
-        self.geometry = geometry or BufferGeometry.paper_default()
         self._entries: List[BufferEntry] = []
         self._replacements = 0
         self._insertions = 0
@@ -125,10 +107,6 @@ class DataBuffer:
     def replacement_count(self) -> int:
         """Number of insertions that evicted an existing entry."""
         return self._replacements
-
-    def size_kb(self) -> float:
-        """Nominal buffer size in KB under the configured geometry."""
-        return self.geometry.buffer_size_kb(self.num_bins)
 
     def occupancy(self) -> float:
         """Fraction of bins currently occupied."""

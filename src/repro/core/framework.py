@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Union
 
 from repro.core.annotation import AnnotationOracle
 from repro.core.baselines import make_selector
-from repro.core.buffer import BufferGeometry, DataBuffer
+from repro.core.buffer import DataBuffer
 from repro.core.engine import PipelineEngine, PipelineObserver
 from repro.core.metrics import QualityScorer
 from repro.core.selector import SelectionDecision, SelectionPolicy
@@ -55,7 +55,6 @@ class FrameworkConfig:
     regenerate_responses: bool = False
     synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
     finetune: FineTuneConfig = field(default_factory=FineTuneConfig)
-    geometry: BufferGeometry = field(default_factory=BufferGeometry.paper_default)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -126,7 +125,7 @@ class PersonalizationFramework:
         self.lexicons = lexicons or builtin_lexicons()
         rng = as_generator(self.config.seed)
 
-        self.buffer = DataBuffer(self.config.buffer_bins, geometry=self.config.geometry)
+        self.buffer = DataBuffer(self.config.buffer_bins)
         self.scorer = QualityScorer(llm, self.lexicons)
         if selector is not None:
             self.selector = selector

@@ -15,10 +15,14 @@ Two synthesis strategies are provided:
   produces text that fails the sanity check, which is precisely the failure
   mode the paper added the check for; the code path is exercised end to end.
 * ``"guided"`` (default) — an LLM-vocabulary-guided paraphrase: the original
-  question and annotated response are perturbed (token dropout, filler-word
-  substitution, keyword duplication) so the result is semantically similar by
-  construction.  This plays the role of a competent instruction-following
-  generator and keeps experiments deterministic and fast.
+  question and annotated response are perturbed (token dropout at
+  :data:`PERTURBATION_RATE`, filler-word substitution, keyword duplication)
+  so the result is semantically similar by construction.  This plays the
+  role of a competent instruction-following generator and keeps experiments
+  deterministic and fast.
+
+Either strategy gets :data:`MAX_ATTEMPTS_PER_ITEM` tries per requested set
+to produce a candidate that passes the sanity check below.
 
 Note: the paper's prose says generated sets whose ROUGE-1 is *above* a
 threshold are discarded, which contradicts its own motivation two sentences
@@ -47,6 +51,11 @@ SYNTHESIS_PROMPT = (
     "your generated response: "
 )
 
+#: Candidates generated per requested set before it counts as rejected.
+MAX_ATTEMPTS_PER_ITEM = 3
+#: Chance that the guided paraphrase drops a short (<= 4 letter) token.
+PERTURBATION_RATE = 0.15
+
 _FILLER_SUBSTITUTES = (
     ("please", "kindly"),
     ("explain", "describe"),
@@ -66,8 +75,6 @@ class SynthesisConfig:
     num_per_item: int = 3
     similarity_threshold: float = 0.35
     strategy: str = "guided"
-    max_attempts_per_item: int = 3
-    perturbation_rate: float = 0.15
     generation: GenerationConfig = field(
         default_factory=lambda: GenerationConfig(max_new_tokens=24, temperature=0.7)
     )
@@ -76,10 +83,7 @@ class SynthesisConfig:
     def __post_init__(self) -> None:
         require_non_negative("num_per_item", self.num_per_item)
         require_in_unit_interval("similarity_threshold", self.similarity_threshold)
-        require_in_unit_interval("perturbation_rate", self.perturbation_rate)
         require_choice("strategy", self.strategy, ("guided", "llm"))
-        if self.max_attempts_per_item < 1:
-            raise ValueError("max_attempts_per_item must be at least 1")
 
 
 @dataclass
@@ -130,7 +134,7 @@ class DataSynthesizer:
             if token in substitutions and roll < 0.5:
                 output.append(substitutions[token])
                 continue
-            if not keep_all_keywords and roll < self.config.perturbation_rate and len(token) <= 4:
+            if not keep_all_keywords and roll < PERTURBATION_RATE and len(token) <= 4:
                 continue  # drop short filler tokens occasionally
             output.append(token)
         if output and self._rng.random() < 0.5:
@@ -200,7 +204,7 @@ class DataSynthesizer:
         for _ in range(self.config.num_per_item):
             self.stats.requested += 1
             candidate: Optional[DialogueSet] = None
-            for _ in range(self.config.max_attempts_per_item):
+            for _ in range(MAX_ATTEMPTS_PER_ITEM):
                 attempt = self._generate_candidate(original)
                 if self.passes_sanity_check(attempt, original):
                     candidate = attempt

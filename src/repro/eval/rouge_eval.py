@@ -1,7 +1,8 @@
 """ROUGE-1 evaluation of a personalized model on held-out dialogue sets.
 
 For every dialogue set in the evaluation split, the same user question is fed
-to the model, a response is sampled (temperature 0.5, as in the paper), and
+to the model, a response is sampled (temperature :data:`EVAL_TEMPERATURE` =
+0.5 as in the paper, repetition penalty :data:`EVAL_REPETITION_PENALTY`), and
 ROUGE-1 F1 is computed against the gold (user-preferred) response.  The
 evaluator keeps a fixed subsample across calls so that learning-curve points
 for different methods and rounds are directly comparable.
@@ -22,14 +23,18 @@ from repro.utils.config import require_positive
 from repro.utils.rng import as_generator
 
 
+#: Sampling temperature of the evaluated responses (the paper's 0.5).
+EVAL_TEMPERATURE = 0.5
+#: Repetition penalty of the evaluated responses.
+EVAL_REPETITION_PENALTY = 1.3
+
+
 @dataclass
 class EvaluationConfig:
     """Evaluation knobs."""
 
-    temperature: float = 0.5
     max_new_tokens: int = 24
     greedy: bool = False
-    repetition_penalty: float = 1.3
     subset_size: Optional[int] = 64
     seed: int = 0
     # Questions decoded together per padded batch.  Greedy scores do not
@@ -39,12 +44,7 @@ class EvaluationConfig:
     batch_size: int = 32
 
     def __post_init__(self) -> None:
-        require_positive("temperature", self.temperature)
         require_positive("max_new_tokens", self.max_new_tokens)
-        if self.repetition_penalty < 1.0:
-            raise ValueError(
-                f"repetition_penalty must be >= 1.0, got {self.repetition_penalty}"
-            )
         if self.subset_size is not None:
             require_positive("subset_size", self.subset_size)
         require_positive("batch_size", self.batch_size)
@@ -88,9 +88,9 @@ class ResponseEvaluator:
     def _generation_config(self, llm: OnDeviceLLM) -> GenerationConfig:
         return GenerationConfig(
             max_new_tokens=self.config.max_new_tokens,
-            temperature=self.config.temperature,
+            temperature=EVAL_TEMPERATURE,
             greedy=self.config.greedy,
-            repetition_penalty=self.config.repetition_penalty,
+            repetition_penalty=EVAL_REPETITION_PENALTY,
             stop_token_id=llm.tokenizer.vocabulary.eos_id,
         )
 

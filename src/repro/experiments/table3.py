@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.buffer import BufferGeometry
+from repro.core.buffer import buffer_size_kb
 from repro.core.framework import PersonalizationResult
 from repro.experiments.common import (
     DEFAULT_METHODS,
@@ -67,7 +67,6 @@ def run_table3(
     """Run the buffer-size sweep (averaged over ``num_seeds`` seeds)."""
     scale = scale or get_scale(seed=seed)
     bins_list = list(bins_list if bins_list is not None else scale.buffer_bins_sweep)
-    geometry = BufferGeometry.paper_default()
     env = prepare_environment(dataset, scale=scale, seed=seed)
 
     table = Table3Result(dataset=dataset, methods=list(methods), bins_list=bins_list)
@@ -95,5 +94,5 @@ def run_table3(
             scores[method] = mean_final_rouge(repeats)
         table.results[bins] = per_method
         table.scores[bins] = scores
-        table.buffer_sizes_kb[bins] = geometry.buffer_size_kb(bins)
+        table.buffer_sizes_kb[bins] = buffer_size_kb(bins)
     return table

@@ -25,6 +25,12 @@ from repro.utils.config import require_positive
 from repro.utils.rng import as_generator, get_generator_state, set_generator_state
 
 
+#: Global gradient-norm clip of every training step (fine-tune and pre-train).
+MAX_GRAD_NORM = 1.0
+#: AdamW weight decay of every fine-tuning round.
+WEIGHT_DECAY = 0.0
+
+
 @dataclass
 class FineTuneConfig:
     """Hyper-parameters of one fine-tuning round.
@@ -33,15 +39,14 @@ class FineTuneConfig:
     8 / alpha 16 / dropout 0.05, max sequence length 512.  The structural
     defaults here match; the epoch count is the CPU-scale default and can be
     raised to the paper's value through the config.  Every round trains
-    with a fresh AdamW built from ``learning_rate`` and ``weight_decay``.
+    with a fresh AdamW built from ``learning_rate`` and :data:`WEIGHT_DECAY`,
+    clipped to :data:`MAX_GRAD_NORM`, on examples cut to the model's
+    ``max_seq_len``.
     """
 
     epochs: int = 8
     batch_size: int = 16
     learning_rate: float = 3e-4
-    weight_decay: float = 0.0
-    max_grad_norm: float = 1.0
-    max_seq_len: Optional[int] = None
     lora: LoRAConfig = field(default_factory=LoRAConfig)
     seed: int = 0
 
@@ -49,7 +54,6 @@ class FineTuneConfig:
         require_positive("epochs", self.epochs)
         require_positive("batch_size", self.batch_size)
         require_positive("learning_rate", self.learning_rate)
-        require_positive("max_grad_norm", self.max_grad_norm)
 
 
 @dataclass
@@ -71,26 +75,24 @@ class FineTuneReport:
         return self.losses[-1] if self.losses else 0.0
 
 
-def build_training_example(
-    llm: OnDeviceLLM, dialogue: DialogueSet, max_seq_len: Optional[int] = None
-) -> Tuple[List[int], List[int]]:
+def build_training_example(llm: OnDeviceLLM, dialogue: DialogueSet) -> Tuple[List[int], List[int]]:
     """Token ids and target labels for one dialogue set (its gold response if any)."""
     response = dialogue.gold_response if dialogue.gold_response is not None else dialogue.response
-    return encode_pair_example(llm, dialogue.question, response, max_seq_len)
+    return encode_pair_example(llm, dialogue.question, response)
 
 
 def encode_pair_example(
-    llm: OnDeviceLLM, question: str, response: str, max_seq_len: Optional[int] = None
+    llm: OnDeviceLLM, question: str, response: str
 ) -> Tuple[List[int], List[int]]:
     """Token ids and target labels for one ``(question, response)`` pair.
 
-    The input is ``<bos> question <sep> response <eos>``; labels are the
-    next-token ids with everything up to and including ``<sep>`` masked to
-    ``IGNORE_INDEX`` so only response tokens contribute to the loss.  Both
-    fine-tuning and pre-training encode their examples here.
+    The input is ``<bos> question <sep> response <eos>``, cut to the model's
+    ``max_seq_len``; labels are the next-token ids with everything up to and
+    including ``<sep>`` masked to ``IGNORE_INDEX`` so only response tokens
+    contribute to the loss.  Both fine-tuning and pre-training encode their
+    examples here.
     """
-    limit = max_seq_len or llm.config.max_seq_len
-    ids = llm.tokenizer.encode_pair(question, response, max_length=limit)
+    ids = llm.tokenizer.encode_pair(question, response, max_length=llm.config.max_seq_len)
     sep_id = llm.tokenizer.vocabulary.sep_id
     # Next-token labels: position t predicts ids[t + 1]; the final position has
     # nothing to predict and is masked out.
@@ -165,19 +167,18 @@ def train_batch(
     model: TransformerLM,
     optimizer: Adam,
     batch: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    max_grad_norm: float,
 ) -> float:
     """One optimization step on a collated batch; returns its loss.
 
     The step both training loops run: clear the optimizer's gradients, run
     the model's graph-free :meth:`~repro.nn.transformer.TransformerLM.
-    train_step`, clip to ``max_grad_norm``, update.  Clipping
+    train_step`, clip to :data:`MAX_GRAD_NORM`, update.  Clipping
     goes through the optimizer, so Adam's scales its packed gradient.
     """
     token_ids, labels, mask = batch
     optimizer.zero_grad()
     loss = model.train_step(token_ids, mask, labels)
-    optimizer.clip_grad_norm(max_grad_norm)
+    optimizer.clip_grad_norm(MAX_GRAD_NORM)
     optimizer.step()
     return loss
 
@@ -214,10 +215,7 @@ class LoRAFineTuner:
         dialogues = [d for d in dialogues if d.question and (d.gold_response or d.response)]
         if not dialogues:
             return FineTuneReport(0, 0, [], 0.0, 0.0)
-        examples = [
-            build_training_example(self.llm, dialogue, self.config.max_seq_len)
-            for dialogue in dialogues
-        ]
+        examples = [build_training_example(self.llm, dialogue) for dialogue in dialogues]
         examples = [
             example
             for example in examples
@@ -232,7 +230,7 @@ class LoRAFineTuner:
         optimizer = AdamW(
             lora_parameters(self.llm.model),
             lr=self.config.learning_rate,
-            weight_decay=self.config.weight_decay,
+            weight_decay=WEIGHT_DECAY,
         )
         start = time.perf_counter()
         losses: List[float] = []
@@ -243,9 +241,7 @@ class LoRAFineTuner:
             epoch_losses: List[float] = []
             for batch_start in range(0, len(examples), self.config.batch_size):
                 batch = take(order[batch_start : batch_start + self.config.batch_size])
-                epoch_losses.append(
-                    train_batch(self.llm.model, optimizer, batch, self.config.max_grad_norm)
-                )
+                epoch_losses.append(train_batch(self.llm.model, optimizer, batch))
             losses.append(float(np.mean(epoch_losses)))
         # The gradients view the optimizer's packed buffer: drop them with it.
         optimizer.zero_grad()

@@ -145,16 +145,9 @@ class OnDeviceLLM:
         rng: Optional[np.random.Generator] = None,
     ) -> str:
         """Generate a free-form continuation of ``prompt``."""
-        generation = generation or GenerationConfig(stop_token_id=self.tokenizer.vocabulary.eos_id)
         prompt_ids = self.tokenizer.encode(prompt, add_bos=True, add_eos=False,
                                            max_length=self.config.max_seq_len - 1)
-        new_ids = generate_tokens(
-            self.model,
-            prompt_ids,
-            generation,
-            rng=rng if rng is not None else self._generation_rng,
-        )
-        return self.tokenizer.decode(new_ids)
+        return self._complete(prompt_ids, generation, rng)
 
     def respond(
         self,
@@ -163,8 +156,16 @@ class OnDeviceLLM:
         rng: Optional[np.random.Generator] = None,
     ) -> str:
         """Answer a user question (prompt is ``<bos> question <sep>``)."""
+        return self._complete(self._prompt_ids_for_question(question), generation, rng)
+
+    def _complete(
+        self,
+        prompt_ids: List[int],
+        generation: Optional[GenerationConfig],
+        rng: Optional[np.random.Generator],
+    ) -> str:
+        """Decode one continuation of ``prompt_ids`` and detokenize it."""
         generation = generation or GenerationConfig(stop_token_id=self.tokenizer.vocabulary.eos_id)
-        prompt_ids = self._prompt_ids_for_question(question)
         new_ids = generate_tokens(
             self.model,
             prompt_ids,

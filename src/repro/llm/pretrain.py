@@ -42,20 +42,21 @@ from repro.utils.rng import as_generator
 NUM_DECOY_PERSONAS = 4
 
 
+# Adam learning rate of pre-training; train_batch clips to finetune.MAX_GRAD_NORM.
+PRETRAIN_LEARNING_RATE = 3e-3
+
+
 @dataclass
 class PretrainConfig:
     """Hyper-parameters of base-model pre-training."""
 
     epochs: int = 20
     batch_size: int = 32
-    learning_rate: float = 3e-3
-    max_grad_norm: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         require_positive("epochs", self.epochs)
         require_positive("batch_size", self.batch_size)
-        require_positive("learning_rate", self.learning_rate)
 
 
 @dataclass
@@ -125,7 +126,7 @@ def pretrain(
         raise ValueError("pretrain received no usable (question, response) pairs")
 
     optimizer = Adam(
-        [p for p in llm.model.parameters() if p.requires_grad], lr=config.learning_rate
+        [p for p in llm.model.parameters() if p.requires_grad], lr=PRETRAIN_LEARNING_RATE
     )
 
     start = time.perf_counter()
@@ -137,7 +138,7 @@ def pretrain(
         epoch_losses: List[float] = []
         for batch_start in range(0, len(examples), config.batch_size):
             batch = take(order[batch_start : batch_start + config.batch_size])
-            epoch_losses.append(train_batch(llm.model, optimizer, batch, config.max_grad_norm))
+            epoch_losses.append(train_batch(llm.model, optimizer, batch))
         losses.append(float(np.mean(epoch_losses)))
     # The gradients view the optimizer's packed buffer: drop them with it.
     optimizer.zero_grad()

@@ -70,7 +70,6 @@ class ServeConfig:
     # artifacts
     out_dir: Optional[Path] = None
     no_artifacts: bool = False
-    quiet: bool = False
 
     # observability (see docs/observability.md)
     metrics_enabled: bool = True
@@ -164,7 +163,6 @@ class ServeConfig:
             max_inflight_per_user=args.max_inflight,
             out_dir=_maybe_path(args.out),
             no_artifacts=args.no_artifacts,
-            quiet=args.quiet,
             metrics_enabled=not args.no_metrics,
             metrics_out=_maybe_path(args.metrics_out),
             metrics_interval_seconds=args.metrics_interval,

@@ -20,7 +20,6 @@ code under test cannot tell chaos from genuine hardware misbehaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.utils.rng import as_generator
 
@@ -53,46 +52,38 @@ class PoisonRequestError(PermanentServingError):
     """A request that exhausted its retry budget on transient failures."""
 
 
+#: Backoff before the first retry, in seconds; each further retry doubles it
+#: (:data:`BACKOFF_MULTIPLIER`) up to :data:`MAX_RETRY_DELAY`.
+BASE_RETRY_DELAY = 0.005
+BACKOFF_MULTIPLIER = 2.0
+MAX_RETRY_DELAY = 0.1
+#: Largest fraction of a delay the jitter removes.
+RETRY_JITTER = 0.5
+
+
 @dataclass
 class RetryPolicy:
     """Capped exponential backoff with deterministic jitter.
 
     ``max_attempts`` counts the first try: ``max_attempts=3`` means one
     initial attempt plus at most two retries.  The ``attempt``-th retry
-    sleeps ``base_delay * multiplier**(attempt-1)`` seconds (capped at
-    ``max_delay``), scaled down by up to ``jitter`` drawn from the *caller's*
-    seeded generator — so two runs from the same seed retry on an identical
+    sleeps ``BASE_RETRY_DELAY * BACKOFF_MULTIPLIER**(attempt-1)`` seconds
+    (capped at ``MAX_RETRY_DELAY``: 5, 10, 20, 40, 80, 100, 100 ... ms),
+    scaled down by up to ``RETRY_JITTER`` drawn from the *caller's* seeded
+    generator — so two runs from the same seed retry on an identical
     schedule, which keeps chaos runs digest-stable.
     """
 
     max_attempts: int = 3
-    base_delay: float = 0.005
-    multiplier: float = 2.0
-    max_delay: float = 0.1
-    jitter: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_delay < 0.0 or self.max_delay < 0.0:
-            raise ValueError("delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1.0, got {self.multiplier}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
 
     def delay(self, attempt: int, rng=None) -> float:
         """Backoff before retry number ``attempt`` (1-based), with jitter."""
         if attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {attempt}")
-        raw = min(self.base_delay * self.multiplier ** (attempt - 1), self.max_delay)
-        if self.jitter == 0.0:
-            return raw
+        raw = min(BASE_RETRY_DELAY * BACKOFF_MULTIPLIER ** (attempt - 1), MAX_RETRY_DELAY)
         fraction = float(as_generator(rng).random()) if rng is not None else 0.0
-        return raw * (1.0 - self.jitter * fraction)
-
-    def delays(self, rng=None) -> Iterator[float]:
-        """The full deterministic backoff schedule (one delay per retry)."""
-        generator = as_generator(rng) if rng is not None else None
-        for attempt in range(1, self.max_attempts):
-            yield self.delay(attempt, generator)
+        return raw * (1.0 - RETRY_JITTER * fraction)

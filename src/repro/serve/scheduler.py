@@ -33,8 +33,9 @@ Robustness (optional, all off by default):
   and every finished turn, making the scheduler restartable (see
   ``docs/robustness.md`` for the full protocol);
 * a :class:`~repro.serve.errors.RetryPolicy` retries transient failures
-  (store I/O, injected faults) with capped exponential backoff and
-  deterministic jitter; chats that exhaust retries fall back to
+  (store I/O, injected faults) up to its ``max_attempts``, on the fixed
+  capped-exponential, deterministically jittered backoff schedule of
+  :mod:`repro.serve.errors`; chats that exhaust retries fall back to
   blank-adapter degraded serving before dead-lettering;
 * a per-request ``deadline_seconds`` dead-letters work whose (virtual,
   fault-injected) latency exceeds the budget — checked for personalize jobs

@@ -40,11 +40,6 @@ class TestAnnotationOracle:
             assert oracle.annotate(dialogue).response == "model"
         assert oracle.stats.provided == 0
 
-    def test_custom_preference_function(self):
-        oracle = AnnotationOracle(preferred_response_fn=lambda d: d.question.upper())
-        dialogue = DialogueSet(question="echo me", response="model")
-        assert oracle.annotate(dialogue).response == "ECHO ME"
-
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             AnnotationOracle(response_rate=1.5)
@@ -58,8 +53,6 @@ class TestSynthesisConfig:
             SynthesisConfig(similarity_threshold=1.5)
         with pytest.raises(ValueError):
             SynthesisConfig(strategy="diffusion")
-        with pytest.raises(ValueError):
-            SynthesisConfig(max_attempts_per_item=0)
 
 
 class TestDataSynthesizerGuided:
@@ -97,10 +90,7 @@ class TestDataSynthesizerGuided:
 
 class TestDataSynthesizerLLM:
     def test_llm_strategy_runs_and_filters(self, pretrained_llm, annotated_dialogue):
-        config = SynthesisConfig(
-            num_per_item=2, strategy="llm", similarity_threshold=0.2,
-            max_attempts_per_item=1, seed=0,
-        )
+        config = SynthesisConfig(num_per_item=2, strategy="llm", similarity_threshold=0.2, seed=0)
         synthesizer = DataSynthesizer(pretrained_llm, config)
         generated = synthesizer.synthesize_for(annotated_dialogue)
         # Everything returned (possibly nothing) must pass the sanity check.

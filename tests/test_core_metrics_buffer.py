@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.buffer import BufferEntry, BufferGeometry, DataBuffer
+from repro.core.buffer import BufferEntry, DataBuffer, buffer_size_kb
 from repro.core.metrics import (
     QualityScorer,
     QualityScores,
@@ -117,11 +117,10 @@ class TestQualityScorer:
         assert 0.0 <= scores.eoe <= 1.0
 
 
-class TestBufferGeometry:
-    def test_paper_default_is_22kb(self):
-        geometry = BufferGeometry.paper_default()
-        assert geometry.bin_size_kb() == pytest.approx(22.0, rel=0.05)
-        assert geometry.buffer_size_kb(128) == pytest.approx(2816.0, rel=0.05)
+class TestBufferSizeKb:
+    def test_paper_bins_are_22kb(self):
+        assert buffer_size_kb(1) == pytest.approx(22.0)
+        assert buffer_size_kb(128) == pytest.approx(2816.0)
 
 
 def _entry(text="some text", domain="medical_drug", embedding=None, scores=None, arrival=0):
@@ -182,7 +181,7 @@ class TestDataBuffer:
         buffer = DataBuffer(4)
         buffer.add(_entry())
         assert buffer.occupancy() == 0.25
-        assert buffer.size_kb() > 0
+        assert buffer_size_kb(buffer.num_bins) == pytest.approx(4 * 22.0)
 
     def test_clear(self):
         buffer = DataBuffer(2)

@@ -102,22 +102,18 @@ class TestQualityScoreSelector:
 
 
 class TestRandomReplace:
-    def test_always_mode_accepts_everything(self, scorer):
+    def test_accepts_every_arrival_until_full(self, scorer):
         buffer = DataBuffer(2)
-        selector = RandomReplaceSelector(buffer, scorer, rng=0, mode="always")
-        for i in range(5):
+        selector = RandomReplaceSelector(buffer, scorer, rng=0)
+        for i in range(2):
             assert selector.offer(_rich(i)).accepted
         assert buffer.is_full()
 
     def test_reservoir_acceptance_rate_decays(self, scorer):
         buffer = DataBuffer(2)
-        selector = RandomReplaceSelector(buffer, scorer, rng=0, mode="reservoir")
+        selector = RandomReplaceSelector(buffer, scorer, rng=0)
         accepted = sum(selector.offer(_rich(i)).accepted for i in range(30))
         assert 2 <= accepted < 30
-
-    def test_invalid_mode(self, scorer):
-        with pytest.raises(ValueError):
-            RandomReplaceSelector(DataBuffer(2), scorer, mode="bogus")
 
 
 class TestFIFOReplace:

@@ -61,8 +61,6 @@ class TestFineTuneConfig:
             FineTuneConfig(epochs=0)
         with pytest.raises(ValueError):
             FineTuneConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            FineTuneConfig(max_grad_norm=0.0)
 
 
 class TestLoRAFineTuner:

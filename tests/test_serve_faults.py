@@ -49,30 +49,24 @@ class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
 
     def test_exponential_schedule_without_jitter(self):
-        policy = RetryPolicy(
-            max_attempts=5, base_delay=0.01, multiplier=2.0, max_delay=0.05, jitter=0.0
-        )
-        delays = list(policy.delays())
-        assert len(delays) == 4  # max_attempts counts the first try
-        assert delays[0] == pytest.approx(0.01)
-        assert delays[1] == pytest.approx(0.02)
-        assert delays[2] == pytest.approx(0.04)
-        assert delays[3] == pytest.approx(0.05)  # capped at max_delay
+        # 5 ms doubling per retry, capped at 100 ms from the sixth retry on.
+        delays = [RetryPolicy().delay(attempt) for attempt in range(1, 8)]
+        assert delays == [0.005, 0.01, 0.02, 0.04, 0.08, 0.1, 0.1]
 
     def test_jitter_only_shrinks_and_is_deterministic(self):
-        policy = RetryPolicy(max_attempts=4, jitter=0.5)
-        first = list(policy.delays(np.random.default_rng(7)))
-        second = list(policy.delays(np.random.default_rng(7)))
-        assert first == second
-        for jittered, raw in zip(first, policy.delays()):
+        policy = RetryPolicy()
+
+        def schedule(seed):
+            rng = np.random.default_rng(seed)
+            return [policy.delay(attempt, rng) for attempt in range(1, 8)]
+
+        first = schedule(7)
+        assert first == schedule(7)
+        assert first != schedule(8)
+        for attempt, jittered in enumerate(first, start=1):
+            raw = policy.delay(attempt)
             assert 0.5 * raw <= jittered <= raw
 
     def test_attempt_must_be_positive(self):
