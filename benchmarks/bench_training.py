@@ -6,7 +6,8 @@ framework runs on-device, at smoke scale:
 * ``finetune_step`` — one LoRA fine-tuning step (batch 16) through the live
   code path, ``repro.llm.finetune.train_batch`` (the step both trainers run):
   the graph-free taped forward/backward with masked cross-entropy, gradient
-  clipping and an AdamW step over the adapter parameters.
+  clipping and an Adam step (the paper's AdamW at weight decay 0) over the
+  adapter parameters.
 * ``pretrain_epoch`` — one full pre-training epoch (all parameters trainable,
   Adam, the same ``train_batch``) over a fixed set of dialogue-format batches.
 
@@ -49,7 +50,7 @@ from repro.llm.model import OnDeviceLLM
 from repro.llm.pretrain import pretraining_pairs
 from repro.nn.functional import attention_scores_mask
 from repro.nn.lora import LoRAConfig, LoRALinear, lora_parameters
-from repro.nn.optim import Adam, AdamW
+from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from timing import blas_threads, interleave, per_round, summarize, whole_call, write_summary
 
@@ -63,6 +64,10 @@ PRETRAIN_PAIRS = 64
 ROUNDS = 9
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
+# The rate of the embedding, attention and FFN dropouts the model had when
+# this replica was frozen (every caller left it at 0): the replica still
+# makes those calls, so it does the same work as then.
+_MODEL_DROPOUT_RATE = 0.0
 
 
 # --------------------------------------------------------------------------- #
@@ -202,7 +207,7 @@ def _legacy_attention(attn, x: Tensor, attention_mask: Optional[np.ndarray]) -> 
 
     scores = scores.masked_fill(mask, -1e9)
     weights = _legacy_softmax(scores, axis=-1)
-    weights = _legacy_dropout(weights, attn.attn_dropout.rate, attn.attn_dropout._rng, attn.training)
+    weights = _legacy_dropout(weights, _MODEL_DROPOUT_RATE, None, attn.training)
     context = weights.matmul(values)
     merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, attn.dim)
     return _legacy_proj(attn.o_proj, merged)
@@ -214,16 +219,14 @@ def _legacy_forward(model, token_ids: np.ndarray, attention_mask: np.ndarray) ->
     hidden = model.token_embedding.weight.take_rows(token_ids) + (
         model.position_embedding.weight.take_rows(positions)
     )
-    hidden = _legacy_dropout(
-        hidden, model.embedding_dropout.rate, model.embedding_dropout._rng, model.training
-    )
+    hidden = _legacy_dropout(hidden, _MODEL_DROPOUT_RATE, None, model.training)
     for block in model.blocks:
         normed = _legacy_layer_norm(hidden, block.ln_attn.weight, block.ln_attn.bias, block.ln_attn.eps)
         hidden = hidden + _legacy_attention(block.attention, normed, attention_mask)
         normed = _legacy_layer_norm(hidden, block.ln_ffn.weight, block.ln_ffn.bias, block.ln_ffn.eps)
         up = _legacy_gelu(_legacy_linear(block.ffn.up, normed))
         down = _legacy_linear(block.ffn.down, up)
-        down = _legacy_dropout(down, block.ffn.dropout.rate, block.ffn.dropout._rng, block.ffn.training)
+        down = _legacy_dropout(down, _MODEL_DROPOUT_RATE, None, block.ffn.training)
         hidden = hidden + down
     hidden = _legacy_layer_norm(hidden, model.ln_final.weight, model.ln_final.bias, model.ln_final.eps)
     return hidden.matmul(model.token_embedding.weight.transpose(1, 0))
@@ -368,7 +371,7 @@ def run_benchmark(rounds: int = ROUNDS) -> Dict[str, object]:
         model.train()
     finetune_batches = _finetune_batches(llm)
     finetune = _pass_seconds(
-        (llm.model, AdamW(lora_parameters(llm.model), lr=3e-4, weight_decay=0.0)),
+        (llm.model, Adam(lora_parameters(llm.model), lr=3e-4)),
         (
             legacy_llm.model,
             _LegacyAdamW(lora_parameters(legacy_llm.model), lr=3e-4, weight_decay=0.0),

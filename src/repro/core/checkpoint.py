@@ -10,10 +10,10 @@ split into one file per state section plus a JSON manifest:
     an aborted write.
 ``model.pkl``
     Model weights (base + LoRA adapters), LoRA config, train/eval mode, the
-    generation RNG and every dropout-layer RNG.
+    generation RNG and the RNG of every LoRA adapter's dropout.
 ``finetuner.pkl``
     The fine-tuner's epoch-shuffling RNG.  Each fine-tuning round builds
-    and drops its own AdamW, so no optimizer state is saved; a section that
+    and drops its own Adam, so no optimizer state is saved; a section that
     still carries an ``optimizer`` entry restores the same way.
 ``buffer.pkl``
     The :class:`~repro.core.buffer.DataBuffer` contents — dialogue sets,
@@ -45,7 +45,9 @@ from typing import TYPE_CHECKING, Optional, Union
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.engine import PipelineEngine
 
-CHECKPOINT_FORMAT_VERSION = 1
+#: Format 2: the model section lists one dropout RNG per LoRA adapter (8 on
+#: the serving model); format 1 also listed the model's own inert dropouts.
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 def atomic_bytes_dump(path: Union[str, Path], data: bytes) -> Path:
@@ -79,6 +81,16 @@ _SECTION_FILES = {
 
 class CheckpointError(RuntimeError):
     """A checkpoint directory is missing, incomplete or incompatible."""
+
+
+def require_format(manifest: dict, directory: Path) -> None:
+    """Raise :class:`CheckpointError` unless ``manifest`` is of this format version."""
+    version = manifest.get("format_version")
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise CheckpointError(
+            f"checkpoint format version {version!r} in {directory} is not supported "
+            f"(expected {CHECKPOINT_FORMAT_VERSION})"
+        )
 
 
 class CheckpointManager:
@@ -149,12 +161,7 @@ class CheckpointManager:
     def load_state(self) -> dict:
         """Read the raw state sections from disk (validated, not applied)."""
         manifest = self.manifest()
-        version = manifest.get("format_version")
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint format version {version!r} is not supported "
-                f"(expected {CHECKPOINT_FORMAT_VERSION})"
-            )
+        require_format(manifest, self.directory)
         checksums = manifest.get("checksums", {})
         state = {}
         for section, filename in _SECTION_FILES.items():

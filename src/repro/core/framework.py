@@ -9,8 +9,9 @@ The framework drives the three stages end to end over a streaming corpus:
    dialogue sets are synthesized from the buffered originals and pass a
    ROUGE-1 sanity check.
 3. **Fine-tuning** — the buffered + synthesized sets fine-tune the on-device
-   LLM with LoRA and AdamW.  Fine-tuning triggers every ``finetune_interval``
-   dialogue sets received; the buffer is *not* cleared afterwards.
+   LLM with LoRA and AdamW (at weight decay 0: Adam).  Fine-tuning
+   triggers every ``finetune_interval`` dialogue sets received; the buffer
+   is *not* cleared afterwards.
 
 Structurally, :class:`PersonalizationFramework` is a facade: it wires the
 components (buffer, scorer, selector, annotator, synthesizer, fine-tuner)

@@ -22,8 +22,8 @@ serve's transcript digest is the same at both too
 (``tests/test_base_cache.py``).
 
 A model is stored as one ``A1`` record (:mod:`repro.utils.a1`) named by its
-key: every parameter as float32, plus the generation and dropout RNG streams
-as JSON bytes (pretraining with dropout advances the dropout streams).  A
+key: every parameter as float32, plus the generation RNG stream as JSON bytes
+(the base model has no dropout streams: only LoRA adapters drop out).  A
 record is used only if the file is exactly the canonical encoding of a
 record with the expected key and the model's parameter names and shapes;
 anything else (missing, truncated, a failed CRC, another key, other shapes,
@@ -145,11 +145,9 @@ def _decode(llm, key: str, data: bytes):
     if found != expected or RNG_STREAMS_ENTRY not in record.state:
         raise ValueError("parameter names or shapes differ")
     streams = json.loads(record.state[RNG_STREAMS_ENTRY].tobytes())
-    dropout_count = len(llm.export_rng_streams()["dropout_rngs"])
-    if len(streams["dropout_rngs"]) != dropout_count:
-        raise ValueError("dropout stream count differs")
-    for state in [streams["generation_rng"], *streams["dropout_rngs"]]:
-        np.random.default_rng().bit_generator.state = state
+    if streams["dropout_rngs"]:
+        raise ValueError("record carries dropout streams")
+    np.random.default_rng().bit_generator.state = streams["generation_rng"]
     return {name: record.state[name] for name in expected}, streams
 
 

@@ -3,9 +3,10 @@
 Mirrors the paper's setup: the buffer contents (after annotation) plus the
 synthesized dialogue sets form the training data; LoRA adapters on the
 ``q_proj``/``k_proj``/``v_proj``/``o_proj`` projections are trained with
-AdamW; the loss is next-token cross-entropy computed only on the response
-portion of each ``question <sep> response`` sequence, so the model learns to
-*answer in the user's preferred style* rather than to parrot questions.
+AdamW at weight decay 0, i.e. :class:`~repro.nn.optim.Adam`; the loss is
+next-token cross-entropy computed only on the response portion of each
+``question <sep> response`` sequence, so the model learns to *answer in the
+user's preferred style* rather than to parrot questions.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from repro.data.dialogue import DialogueSet
 from repro.llm.model import OnDeviceLLM
 from repro.nn.lora import LoRAConfig, lora_parameters
-from repro.nn.optim import Adam, AdamW
+from repro.nn.optim import Adam
 from repro.nn.transformer import IGNORE_INDEX, TransformerLM
 from repro.utils.config import require_positive
 from repro.utils.rng import as_generator, get_generator_state, set_generator_state
@@ -27,8 +28,6 @@ from repro.utils.rng import as_generator, get_generator_state, set_generator_sta
 
 #: Global gradient-norm clip of every training step (fine-tune and pre-train).
 MAX_GRAD_NORM = 1.0
-#: AdamW weight decay of every fine-tuning round.
-WEIGHT_DECAY = 0.0
 
 
 @dataclass
@@ -39,9 +38,9 @@ class FineTuneConfig:
     8 / alpha 16 / dropout 0.05, max sequence length 512.  The structural
     defaults here match; the epoch count is the CPU-scale default and can be
     raised to the paper's value through the config.  Every round trains
-    with a fresh AdamW built from ``learning_rate`` and :data:`WEIGHT_DECAY`,
-    clipped to :data:`MAX_GRAD_NORM`, on examples cut to the model's
-    ``max_seq_len``.
+    with a fresh Adam (the paper's AdamW at weight decay 0) built from
+    ``learning_rate``, clipped to :data:`MAX_GRAD_NORM`, on examples cut to
+    the model's ``max_seq_len``.
     """
 
     epochs: int = 8
@@ -227,11 +226,7 @@ class LoRAFineTuner:
         # Each round is its own optimization session: stale Adam moments
         # from a previous round (computed on different data) would
         # destabilise the first steps.
-        optimizer = AdamW(
-            lora_parameters(self.llm.model),
-            lr=self.config.learning_rate,
-            weight_decay=WEIGHT_DECAY,
-        )
+        optimizer = Adam(lora_parameters(self.llm.model), lr=self.config.learning_rate)
         start = time.perf_counter()
         losses: List[float] = []
         take = collate_round(self.llm, examples)

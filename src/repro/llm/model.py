@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.llm.generation import GenerationConfig, generate_tokens, generate_tokens_batch
 from repro.nn.lora import (
+    DEFAULT_TARGET_LAYERS,
     LoRAConfig,
     inject_lora,
     load_lora_state_dict,
@@ -42,7 +43,6 @@ class OnDeviceLLMConfig:
     num_heads: int = 4
     max_seq_len: int = 96
     ffn_multiplier: int = 4
-    dropout_rate: float = 0.0
     max_vocab_size: Optional[int] = 4096
     seed: int = 0
 
@@ -66,7 +66,6 @@ class OnDeviceLLM:
             num_layers=self.config.num_layers,
             num_heads=self.config.num_heads,
             ffn_multiplier=self.config.ffn_multiplier,
-            dropout_rate=self.config.dropout_rate,
         )
         self.model = TransformerLM(transformer_config, rng=rng)
         self._generation_rng = as_generator(self.config.seed + 17)
@@ -273,15 +272,15 @@ class OnDeviceLLM:
     # persistence
     # ------------------------------------------------------------------ #
     def _dropout_modules(self) -> List[Dropout]:
-        """Every dropout module, in deterministic depth-first order."""
-        return [module for module in self.model.module_list() if isinstance(module, Dropout)]
+        """Each LoRA adapter's dropout, in adapter order (none before :meth:`add_lora`)."""
+        return [layer.lora_dropout for layer in lora_layers(self.model)]
 
     def export_runtime_state(self) -> dict:
         """Full mid-run snapshot: weights, LoRA config, mode and RNG streams.
 
         Captures everything needed to continue *running* the model
         bit-for-bit identically — including the generation RNG and the
-        per-dropout-layer RNGs that advance during training.  The returned
+        LoRA dropout RNGs that advance during fine-tuning.  The returned
         dict is picklable.
         """
         return {
@@ -304,9 +303,17 @@ class OnDeviceLLM:
         crash-recovered scheduler — whose round ordering may legitimately
         differ from the uninterrupted run's — reproduce bit-identical
         fine-tune results (see ``docs/robustness.md``).
+
+        Adapter ``i`` gets stream ``1 + i + 2 * (i // 4)``, the index its
+        dropout had when the model had dropout too: the embedding dropout
+        was stream 0, and each block's attention and FFN dropouts followed
+        its four adapters.  Numbering the adapters 0-7 instead would move
+        every serving fine-tune.
         """
+        per_block = len(DEFAULT_TARGET_LAYERS)
         for index, module in enumerate(self._dropout_modules()):
-            module._rng = as_generator((seed + 7919 * index) % (2**31 - 1))
+            stream = 1 + index + 2 * (index // per_block)
+            module._rng = as_generator((seed + 7919 * stream) % (2**31 - 1))
 
     def export_rng_streams(self) -> dict:
         """Snapshot only the generation + dropout RNG streams (no weights).

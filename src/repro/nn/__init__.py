@@ -30,19 +30,12 @@ from repro.nn.lora import (
     lora_state_dict,
     row_adapters,
 )
-from repro.nn.optim import (
-    Adam,
-    AdamW,
-    Optimizer,
-    clip_grad_norm,
-    sqrt_batch_scaled_lr,
-)
+from repro.nn.optim import Adam, clip_grad_norm, sqrt_batch_scaled_lr
 from repro.nn.tensor import Tensor
 from repro.nn.transformer import KVCache, TransformerBlock, TransformerConfig, TransformerLM
 
 __all__ = [
     "Adam",
-    "AdamW",
     "DEFAULT_TARGET_LAYERS",
     "Dropout",
     "KVCache",
@@ -55,7 +48,6 @@ __all__ = [
     "LoRALinear",
     "Module",
     "MultiHeadSelfAttention",
-    "Optimizer",
     "Tensor",
     "TransformerBlock",
     "TransformerConfig",

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.backend import numpy_backend as K
-from repro.nn.layers import Dropout, Linear, Module
+from repro.nn.layers import Linear, Module
 from repro.nn.tensor import Tensor
 from repro.utils.rng import as_generator
 
@@ -237,8 +237,8 @@ class PackedRows:
     def score_rows(self, array: np.ndarray) -> np.ndarray:
         """The ``(batch, heads, width, keys)`` score rows of the slots' positions.
 
-        ``array`` is a ``(batch, heads, seq, keys)`` window array: the
-        forward's :func:`combined_mask` or an attention-dropout mask.
+        ``array`` is a ``(batch, heads, seq, keys)`` window array, the
+        forward's :func:`combined_mask`.
         """
         if self.positions is None:
             return array
@@ -258,11 +258,7 @@ class MultiHeadSelfAttention(Module):
     """Multi-head scaled dot-product self-attention with a causal mask."""
 
     def __init__(
-        self,
-        dim: int,
-        num_heads: int,
-        dropout_rate: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
+        self, dim: int, num_heads: int, rng: Optional[np.random.Generator] = None
     ) -> None:
         super().__init__()
         if dim % num_heads != 0:
@@ -275,7 +271,6 @@ class MultiHeadSelfAttention(Module):
         self.k_proj = Linear(dim, dim, rng=rng)
         self.v_proj = Linear(dim, dim, rng=rng)
         self.o_proj = Linear(dim, dim, rng=rng)
-        self.attn_dropout = Dropout(dropout_rate, rng=rng)
         #: Set only inside :func:`repro.nn.lora.row_adapters` for a round of
         #: several adapters: the per-row q/k/v slabs ``(B, dim, 3 * rank)``
         #: and ``(B, 3, rank, dim)`` (scaled) that :meth:`raw_append_rows`
@@ -302,10 +297,7 @@ class MultiHeadSelfAttention(Module):
         values = self._split_heads(self.v_proj(x), batch, seq)
         scale = 1.0 / np.sqrt(self.head_dim)
         mask = combined_mask(batch, self.num_heads, seq, 0, attention_mask)
-        dropout_mask = self.attn_dropout.draw_mask((batch, self.num_heads, seq, seq))
-        context = F.scaled_dot_product_attention(
-            queries, keys, values, scale, mask, dropout_mask
-        )
+        context = F.scaled_dot_product_attention(queries, keys, values, scale, mask)
         merged = self._merge_heads(context, batch, seq)
         return self.o_proj(merged)
 
@@ -357,12 +349,7 @@ class MultiHeadSelfAttention(Module):
             keys, values = cache.extend(keys, values)
 
         scale = 1.0 / np.sqrt(head_dim)
-        dropout_mask = self.attn_dropout.draw_mask((batch, heads, seq, past + seq))
-        if dropout_mask is not None and queries is not None:
-            dropout_mask = queries.score_rows(dropout_mask)
-        context, residuals = K.scaled_dot_product_attention(
-            query, keys, values, scale, mask, dropout_mask
-        )
+        context, residuals = K.scaled_dot_product_attention(query, keys, values, scale, mask)
         if tape is not None:
             tape.append((residuals, rows, queries))
         if rows is None:

@@ -196,13 +196,12 @@ def scaled_dot_product_attention(
     v: np.ndarray,
     scale: float,
     mask: Optional[np.ndarray] = None,
-    dropout_mask: Optional[np.ndarray] = None,
 ):
-    """Fused attention: softmax(mask(q k^T * scale)) (*dropout) @ v.
+    """Fused attention: softmax(mask(q k^T * scale)) @ v.
 
     ``q`` is ``(..., Tq, d)``, ``k``/``v`` ``(..., Tk, d)``; ``mask`` is a
     boolean array broadcastable to the score shape where True hides a
-    position; ``dropout_mask`` is a pre-drawn inverted-dropout multiplier.
+    position.
     """
     scores = q @ np.swapaxes(k, -1, -2)
     scores *= scale
@@ -213,25 +212,18 @@ def scaled_dot_product_attention(
     np.exp(shifted, out=shifted)
     weights = shifted
     weights /= weights.sum(axis=-1, keepdims=True)
-    if dropout_mask is not None:
-        dropped = weights * dropout_mask
-    else:
-        dropped = weights
-    out = dropped @ v
-    return out, (q, k, v, weights, dropped, mask, dropout_mask, scale)
+    return weights @ v, (q, k, v, weights, mask, scale)
 
 
 @_vjp("scaled_dot_product_attention")
 def scaled_dot_product_attention_vjp(res, grad, needs):
-    q, k, v, weights, dropped, mask, dropout_mask, scale = res
+    q, k, v, weights, mask, scale = res
     need_q, need_k, need_v = needs
     grad_q = grad_k = grad_v = None
     if need_v:
-        grad_v = np.swapaxes(dropped, -1, -2) @ grad
+        grad_v = np.swapaxes(weights, -1, -2) @ grad
     if need_q or need_k:
         grad_weights = grad @ np.swapaxes(v, -1, -2)
-        if dropout_mask is not None:
-            grad_weights *= dropout_mask
         dot = (grad_weights * weights).sum(axis=-1, keepdims=True)
         grad_scores = grad_weights
         grad_scores -= dot
@@ -354,16 +346,15 @@ def adamw_step(
     beta1: float,
     beta2: float,
     eps: float,
-    weight_decay: float,
     bias1: float,
     bias2: float,
 ):
-    """One AdamW update, fully in place using two preallocated scratch buffers.
+    """One Adam update (AdamW at weight decay 0), fully in place using two scratch buffers.
 
-    Implements exactly the textbook sequence (decoupled weight decay)::
+    Implements exactly the textbook sequence::
 
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
-        p -= lr * (m/bias1 / (sqrt(v/bias2) + eps) + wd*p)
+        p -= lr * m/bias1 / (sqrt(v/bias2) + eps)
 
     ``scratch_a``/``scratch_b`` must match ``param``'s shape and dtype; they
     hold the intermediate products so the steady-state step allocates nothing.
@@ -380,9 +371,6 @@ def adamw_step(
     np.sqrt(scratch_b, out=scratch_b)
     scratch_b += eps
     scratch_a /= scratch_b  # m_hat / (sqrt(v_hat) + eps)
-    if weight_decay:
-        np.multiply(param, weight_decay, out=scratch_b)
-        scratch_a += scratch_b
     scratch_a *= lr
     param -= scratch_a
     return param, None

@@ -64,17 +64,12 @@ def scaled_dot_product_attention(
     v: Tensor,
     scale: float,
     mask: Optional[np.ndarray] = None,
-    dropout_mask: Optional[np.ndarray] = None,
 ) -> Tensor:
-    """Fused attention kernel: ``softmax(mask(q k^T * scale)) (*dropout) @ v``.
+    """Fused attention kernel: ``softmax(mask(q k^T * scale)) @ v``.
 
-    ``mask`` is a boolean array broadcastable to the score shape (True hides);
-    ``dropout_mask`` a pre-drawn inverted-dropout multiplier (see
-    :meth:`repro.nn.layers.Dropout.draw_mask`).
+    ``mask`` is a boolean array broadcastable to the score shape (True hides).
     """
-    out, residuals = K.scaled_dot_product_attention(
-        q.data, k.data, v.data, scale, mask, dropout_mask
-    )
+    out, residuals = K.scaled_dot_product_attention(q.data, k.data, v.data, scale, mask)
     vjp = K.VJPS["scaled_dot_product_attention"]
 
     def backward(grad: np.ndarray) -> None:
@@ -142,36 +137,13 @@ def cross_entropy(
 def draw_dropout_mask(
     shape, rate: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Pre-drawn inverted-dropout multiplier (same draw as :func:`dropout`).
+    """Pre-drawn inverted-dropout multiplier for a LoRA adapter's input.
 
-    Used by fused kernels that fold the dropout multiply into the kernel
-    itself; drawing here keeps the RNG stream identical to the composed path.
+    Each entry is 0 with probability ``rate``, else ``1 / (1 - rate)``;
+    ``lora_matmul`` folds the multiply into its kernel.
     """
     keep_prob = 1.0 - rate
     return (rng.random(shape) < keep_prob).astype(np.float32) / keep_prob
-
-
-def dropout(
-    x: Tensor,
-    rate: float,
-    rng: Optional[np.random.Generator] = None,
-    training: bool = True,
-) -> Tensor:
-    """Inverted dropout: zero a fraction ``rate`` of entries and rescale."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    rng = rng if rng is not None else np.random.default_rng(0)
-    keep_prob = 1.0 - rate
-    mask = (rng.random(x.data.shape) < keep_prob).astype(x.data.dtype) / keep_prob
-    out_data = x.data * mask
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad * mask)
-
-    return Tensor._make(out_data, (x,), backward)
 
 
 def attention_scores_mask(seq_len: int, past_len: int = 0) -> np.ndarray:

@@ -4,10 +4,10 @@ The :class:`Module` base class provides recursive parameter discovery,
 train/eval mode switching, and state-dict export/import; the concrete layers
 are the minimum set needed by a decoder-only transformer: ``Linear``
 (always with a bias; the model's output head is the tied embedding, not a
-``Linear``), ``Embedding``, ``LayerNorm``, ``Dropout`` and ``FeedForward``.
-Their autograd ``forward`` is the reference path; the inference and training
-paths run the array-level methods next to it (``raw_forward``,
-``raw_backward``, ``draw_mask``).
+``Linear``), ``Embedding``, ``LayerNorm``, ``FeedForward`` and the LoRA
+adapters' ``Dropout``.  Their autograd ``forward`` is the reference path; the
+inference and training paths run the array-level methods next to it
+(``raw_forward``, ``raw_backward``, ``draw_mask``).
 """
 
 from __future__ import annotations
@@ -324,7 +324,11 @@ class LayerNorm(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout; inert in eval mode."""
+    """Inverted dropout on a LoRA adapter's input; inert in eval mode.
+
+    It has no ``forward``: the adapter folds the multiply into its
+    ``lora_matmul`` kernel, so the layer only draws the masks.
+    """
 
     def __init__(self, rate: float, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
@@ -333,19 +337,15 @@ class Dropout(Module):
         self.rate = rate
         self._rng = as_generator(rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.rate, rng=self._rng, training=self.training)
-
     def draw_mask(self, shape, rows=None) -> Optional[np.ndarray]:
         """Pre-draw this layer's inverted-dropout multiplier for fused kernels.
 
-        Returns ``None`` when dropout is inert (eval mode or rate 0), matching
-        :meth:`forward`'s identity behaviour — crucially, no RNG draw happens
-        in that case, so the random stream stays aligned with the composed
-        path.  With ``rows`` (a :class:`~repro.nn.attention.PackedRows`),
-        ``shape`` is the packed ``(rows.count, *f)``: the mask is drawn at
-        the padded window's ``(batch, seq, *f)``, the draw the unpacked
-        forward makes, and packed.
+        Returns ``None`` when dropout is inert (eval mode or rate 0); no RNG
+        draw happens then, so the stream does not advance.  With ``rows``
+        (a :class:`~repro.nn.attention.PackedRows`), ``shape`` is the packed
+        ``(rows.count, *f)``: the mask is drawn at the padded window's
+        ``(batch, seq, *f)``, the draw the unpacked forward makes, and
+        packed.
         """
         if not self.training or self.rate == 0.0:
             return None
@@ -356,50 +356,37 @@ class Dropout(Module):
 
 
 class FeedForward(Module):
-    """Position-wise feed-forward block: Linear → GELU → Linear (+dropout)."""
+    """Position-wise feed-forward block: Linear → GELU → Linear."""
 
     def __init__(
-        self,
-        dim: int,
-        hidden_dim: int,
-        dropout_rate: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
+        self, dim: int, hidden_dim: int, rng: Optional[np.random.Generator] = None
     ) -> None:
         super().__init__()
         rng = as_generator(rng)
         self.up = Linear(dim, hidden_dim, rng=rng)
         self.down = Linear(hidden_dim, dim, rng=rng)
-        self.dropout = Dropout(dropout_rate, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.dropout(self.down(self.up(x).gelu()))
+        return self.down(self.up(x).gelu())
 
-    def raw_forward(self, x: np.ndarray, tape: Optional[list] = None, rows=None) -> np.ndarray:
-        """Array-level forward (same kernels and dropout draw as :meth:`forward`).
+    def raw_forward(self, x: np.ndarray, tape: Optional[list] = None) -> np.ndarray:
+        """Array-level forward (same kernels as :meth:`forward`).
 
-        On a ``tape`` the GELU residuals and the dropout mask are recorded
-        after the two projections' own records; ``rows`` packs ``x`` as in
-        :meth:`Dropout.draw_mask`.
+        On a ``tape`` the GELU residuals are recorded between the two
+        projections' own records.
         """
         act, residuals = K.gelu(self.up.raw_forward(x, tape))
-        if tape is None:
-            # Only the reverse sweep reads them: free the projection and
-            # tanh buffers before the down projection allocates its output.
-            residuals = None
-        out = self.down.raw_forward(act, tape)
-        dropout_mask = self.dropout.draw_mask(out.shape, rows)
-        if dropout_mask is not None:
-            out *= dropout_mask
         if tape is not None:
-            tape.append((residuals, dropout_mask))
-        return out
+            tape.append(residuals)
+        # Without a tape nothing reads them again: free the projection and
+        # tanh buffers before the down projection allocates its output.
+        del residuals
+        return self.down.raw_forward(act, tape)
 
     def raw_backward(self, tape: list, grad: np.ndarray) -> np.ndarray:
         """Reverse of a taped :meth:`raw_forward`; returns the input gradient."""
-        gelu_residuals, dropout_mask = tape.pop()
-        if dropout_mask is not None:
-            grad = grad * dropout_mask
         (grad,) = self.down.raw_backward(tape, grad, True)
+        gelu_residuals = tape.pop()
         grad = K.VJPS["gelu"](gelu_residuals, grad)
         (grad,) = self.up.raw_backward(tape, grad, True)
         return grad

@@ -241,11 +241,6 @@ def clone_lora_state(state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     return {key: np.array(value, dtype=np.float32, copy=True) for key, value in state.items()}
 
 
-def lora_state_nbytes(state: Dict[str, np.ndarray]) -> int:
-    """Total payload bytes of an adapter state dict (cache-budget accounting)."""
-    return int(sum(np.asarray(value).nbytes for value in state.values()))
-
-
 def load_lora_state_dict(model: Module, state: Dict[str, np.ndarray]) -> None:
     """Load an adapter-only state dict produced by :func:`lora_state_dict`."""
     layers = lora_layers(model)

@@ -1,9 +1,10 @@
-"""Optimizers and the learning-rate scaling rule.
+"""The optimizer and the learning-rate scaling rule.
 
-AdamW is the optimizer the paper fine-tunes with; Adam drives the
-pre-training utility.  The ``sqrt_batch_scaled_lr`` helper reproduces the
-learning-rate ∝ √batch-size scaling rule the paper applies in the
-buffer-size experiment (Table 3).
+The paper fine-tunes with AdamW; here it runs at weight decay 0, which is
+Adam, and :class:`Adam` drives both fine-tuning and pre-training.  The
+``sqrt_batch_scaled_lr`` helper reproduces the learning-rate ∝
+√batch-size scaling rule the paper applies in the buffer-size experiment
+(Table 3).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from repro.nn.backend import numpy_backend as K
 from repro.nn.tensor import Tensor
-from repro.utils.config import require_non_negative, require_positive
+from repro.utils.config import require_positive
 
 
 def _aligned_zeros(size: int, dtype: np.dtype, alignment: int = 64) -> np.ndarray:
@@ -25,32 +26,7 @@ def _aligned_zeros(size: int, dtype: np.dtype, alignment: int = 64) -> np.ndarra
     return raw[offset : offset + size * dtype.itemsize].view(dtype)
 
 
-class Optimizer:
-    """Base class holding parameters and the current learning rate."""
-
-    def __init__(self, parameters: Iterable[Tensor], lr: float) -> None:
-        require_positive("lr", lr)
-        self.parameters: List[Tensor] = [p for p in parameters]
-        if not self.parameters:
-            raise ValueError("optimizer received an empty parameter list")
-        self.lr = float(lr)
-        self._step_count = 0
-
-    @property
-    def step_count(self) -> int:
-        """Number of optimization steps taken so far."""
-        return self._step_count
-
-    def zero_grad(self) -> None:
-        """Clear gradients on all managed parameters."""
-        for parameter in self.parameters:
-            parameter.grad = None
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam with bias correction (no weight decay), one packed update per step.
 
     The parameters live in one contiguous buffer: at the first step (or
@@ -73,16 +49,30 @@ class Adam(Optimizer):
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ) -> None:
-        super().__init__(parameters, lr)
+        require_positive("lr", lr)
+        self.parameters: List[Tensor] = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer received an empty parameter list")
+        self.lr = float(lr)
+        self._step_count = 0
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = 0.0
         dtypes = {parameter.data.dtype for parameter in self.parameters}
         if len(dtypes) != 1:
             raise ValueError(f"Adam packs one dtype, got {sorted(map(str, dtypes))}")
         if len({id(parameter) for parameter in self.parameters}) != len(self.parameters):
             raise ValueError("Adam received the same parameter more than once")
         self._flat: Optional[Dict[str, np.ndarray]] = None
+
+    @property
+    def step_count(self) -> int:
+        """Number of optimization steps taken so far."""
+        return self._step_count
+
+    def zero_grad(self) -> None:
+        """Clear gradients on all managed parameters."""
+        for parameter in self.parameters:
+            parameter.grad = None
 
     def _build(self) -> None:
         """Allocate the packed buffers and bind every parameter to its segment."""
@@ -170,28 +160,11 @@ class Adam(Optimizer):
         flat = self._flat
         for start, stop in runs:
             span = slice(start, stop)
-            # Decoupled weight decay (AdamW) is folded into the fused kernel.
             adamw_step(
                 flat["data"][span], flat["grad"][span], flat["m"][span], flat["v"][span],
                 flat["a"][span], flat["b"][span],
-                self.lr, self.beta1, self.beta2, self.eps, self.weight_decay, bias1, bias2,
+                self.lr, self.beta1, self.beta2, self.eps, bias1, bias2,
             )
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (the paper's fine-tuning optimizer)."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Tensor],
-        lr: float = 3e-4,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ) -> None:
-        require_non_negative("weight_decay", weight_decay)
-        super().__init__(parameters, lr, betas, eps)
-        self.weight_decay = weight_decay
 
 
 def clip_grad_norm(parameters: Sequence[Tensor], max_norm: float) -> float:

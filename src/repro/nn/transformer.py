@@ -24,7 +24,7 @@ from repro.nn.attention import (
     combined_mask,
 )
 from repro.nn.backend import numpy_backend as K
-from repro.nn.layers import Dropout, Embedding, FeedForward, LayerNorm, Module
+from repro.nn.layers import Embedding, FeedForward, LayerNorm, Module
 from repro.nn.tensor import Tensor
 from repro.utils.config import require_positive
 from repro.utils.rng import as_generator
@@ -68,7 +68,6 @@ class TransformerConfig:
     num_layers: int = 2
     num_heads: int = 4
     ffn_multiplier: int = 4
-    dropout_rate: float = 0.0
 
     def __post_init__(self) -> None:
         require_positive("vocab_size", self.vocab_size)
@@ -81,8 +80,6 @@ class TransformerConfig:
             raise ValueError(
                 f"dim ({self.dim}) must be divisible by num_heads ({self.num_heads})"
             )
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
 
 
 class TransformerBlock(Module):
@@ -92,16 +89,9 @@ class TransformerBlock(Module):
         super().__init__()
         rng = as_generator(rng)
         self.ln_attn = LayerNorm(config.dim)
-        self.attention = MultiHeadSelfAttention(
-            config.dim, config.num_heads, dropout_rate=config.dropout_rate, rng=rng
-        )
+        self.attention = MultiHeadSelfAttention(config.dim, config.num_heads, rng=rng)
         self.ln_ffn = LayerNorm(config.dim)
-        self.ffn = FeedForward(
-            config.dim,
-            config.dim * config.ffn_multiplier,
-            dropout_rate=config.dropout_rate,
-            rng=rng,
-        )
+        self.ffn = FeedForward(config.dim, config.dim * config.ffn_multiplier, rng=rng)
 
     def forward(self, x: Tensor, attention_mask: Optional[np.ndarray] = None) -> Tensor:
         x = x + self.attention(self.ln_attn(x), attention_mask=attention_mask)
@@ -132,9 +122,7 @@ class TransformerBlock(Module):
             self.ln_attn.raw_forward(hidden, tape), mask, cache, tape, rows, queries
         )
         attn += hidden if queries is None else queries.gather(hidden)
-        out = self.ffn.raw_forward(
-            self.ln_ffn.raw_forward(attn, tape), tape, rows if queries is None else queries
-        )
+        out = self.ffn.raw_forward(self.ln_ffn.raw_forward(attn, tape), tape)
         out += attn
         return out
 
@@ -193,7 +181,6 @@ class TransformerLM(Module):
         self.config = config
         self.token_embedding = Embedding(config.vocab_size, config.dim, rng=rng)
         self.position_embedding = Embedding(config.max_seq_len, config.dim, rng=rng)
-        self.embedding_dropout = Dropout(config.dropout_rate, rng=rng)
         self.blocks = [TransformerBlock(config, rng=rng) for _ in range(config.num_layers)]
         self.ln_final = LayerNorm(config.dim)
         self._workspace = None  # lazily created by the fused decode step
@@ -217,7 +204,6 @@ class TransformerLM(Module):
         batch, seq = token_ids.shape
         positions = self._positions(batch, seq, 0, None)
         hidden = self.token_embedding(token_ids) + self.position_embedding(positions)
-        hidden = self.embedding_dropout(hidden)
         for block in self.blocks:
             hidden = block(hidden, attention_mask=attention_mask)
         hidden = self.ln_final(hidden)
@@ -277,11 +263,8 @@ class TransformerLM(Module):
         # Positions were already range-checked against max_seq_len above, so
         # the embedding's own bounds validation can be skipped here.
         hidden += self.position_embedding.weight.data[positions]
-        dropout_mask = self.embedding_dropout.draw_mask(hidden.shape, rows)
-        if dropout_mask is not None:
-            hidden *= dropout_mask
         if tape is not None:
-            tape.append((token_ids, positions, dropout_mask))
+            tape.append((token_ids, positions))
         mask = combined_mask(batch, self.config.num_heads, seq, past, attention_mask)
         for index in range(depth):
             layer_cache = kv_cache.layers[index] if kv_cache is not None else None
@@ -307,8 +290,8 @@ class TransformerLM(Module):
         over every packed row; the last block runs ``ln_attn`` and the
         key/value projections over them too, and only the labelled rows
         (``labels != IGNORE_INDEX``) take the query side, ``ln_final``, the
-        head and the backend's cross-entropy.  Each dropout mask is drawn
-        at the padded ``(batch, seq, ...)`` shape in :meth:`forward`'s
+        head and the backend's cross-entropy.  Each LoRA dropout mask is
+        drawn at the padded ``(batch, seq, ...)`` shape in :meth:`forward`'s
         order, then packed, so the dropout streams are :meth:`forward`'s.
 
         The reverse sweep pops the tape LIFO through the backend VJPs.  It
@@ -362,9 +345,7 @@ class TransformerLM(Module):
                 break
             grad = self.blocks[index].raw_backward(tape, grad, live[index])
         if live[0]:
-            ids, positions, dropout_mask = tape.pop()
-            if dropout_mask is not None:
-                grad = grad * dropout_mask
+            ids, positions = tape.pop()
             self.token_embedding.raw_backward(ids, grad)
             self.position_embedding.raw_backward(positions, grad)
         if head_grad is not None:

@@ -47,7 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, TypeVar, Union
 import numpy as np
 
 from repro.core.checkpoint import atomic_bytes_dump
-from repro.nn.lora import clone_lora_state, lora_state_nbytes
+from repro.nn.lora import clone_lora_state
 from repro.utils.a1 import (
     AdapterFormatError,
     open_adapter_record,
@@ -143,7 +143,6 @@ class _CacheEntry:
     """
 
     state: Dict[str, np.ndarray]
-    nbytes: int
     dirty: bool = field(default=False)
     round: int = 0
     #: What :meth:`LoRAAdapterStore.read` derived from ``state``.
@@ -153,27 +152,22 @@ class _CacheEntry:
 class LoRAAdapterStore:
     """Persists per-user adapter weights behind a bounded write-back LRU cache.
 
-    ``cache_capacity`` bounds the number of adapters held in memory;
-    ``cache_max_bytes`` additionally bounds their total payload size (either
-    may be ``None`` for "unbounded" on that axis).  ``put`` marks entries
-    dirty and defers the disk write until the entry is evicted or
-    :meth:`flush` / :meth:`close` runs — the store never loses an update
-    because eviction always flushes first.
+    ``cache_capacity`` bounds the number of adapters held in memory
+    (``None``: unbounded).  ``put`` marks entries dirty and defers the disk
+    write until the entry is evicted or :meth:`flush` / :meth:`close` runs —
+    the store never loses an update because eviction always flushes first.
     """
 
     def __init__(
         self,
         directory: Union[str, Path],
         cache_capacity: Optional[int] = 4,
-        cache_max_bytes: Optional[int] = None,
         faults: Optional[FaultInjector] = None,
         mmap_cache_capacity: Optional[int] = 64,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if cache_capacity is not None and cache_capacity < 1:
             raise ValueError(f"cache_capacity must be >= 1 or None, got {cache_capacity}")
-        if cache_max_bytes is not None and cache_max_bytes < 1:
-            raise ValueError(f"cache_max_bytes must be >= 1 or None, got {cache_max_bytes}")
         if mmap_cache_capacity is not None and mmap_cache_capacity < 0:
             raise ValueError(
                 f"mmap_cache_capacity must be >= 0 or None, got {mmap_cache_capacity}"
@@ -189,7 +183,6 @@ class LoRAAdapterStore:
                 "`repro migrate-adapters`, or delete it"
             )
         self.cache_capacity = cache_capacity
-        self.cache_max_bytes = cache_max_bytes
         self.mmap_cache_capacity = mmap_cache_capacity
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.stats = StoreStats(self.metrics)
@@ -228,11 +221,6 @@ class LoRAAdapterStore:
         """Users currently in memory, least- to most-recently used."""
         return list(self._cache)
 
-    @property
-    def cached_nbytes(self) -> int:
-        """Total payload bytes of the in-memory cache."""
-        return sum(entry.nbytes for entry in self._cache.values())
-
     # ------------------------------------------------------------------ #
     # core operations
     # ------------------------------------------------------------------ #
@@ -253,9 +241,7 @@ class LoRAAdapterStore:
         previous = self._cache.get(user_id)
         if round is None:
             round = previous.round if previous is not None else 0
-        entry = _CacheEntry(
-            state=copied, nbytes=lora_state_nbytes(copied), dirty=True, round=int(round)
-        )
+        entry = _CacheEntry(state=copied, dirty=True, round=int(round))
         self._cache[user_id] = entry
         self._cache.move_to_end(user_id)
         self._shrink_to_budget()
@@ -357,31 +343,20 @@ class LoRAAdapterStore:
     # internals
     # ------------------------------------------------------------------ #
     def _shrink_to_budget(self) -> None:
-        """Evict least-recently-used entries until both budgets are met.
+        """Evict least-recently-used entries down to ``cache_capacity``.
 
         A dirty entry is flushed *before* it leaves the cache: if the disk
         write fails (a :class:`StoreIOError`, real or injected), the entry
         stays resident and dirty, so no adapter update is ever dropped on
         the floor by an eviction racing a flaky disk.
         """
-        while self._over_budget():
+        while self.cache_capacity is not None and len(self._cache) > self.cache_capacity:
             evicted_user, entry = next(iter(self._cache.items()))
             if entry.dirty:
                 self._write_to_disk(evicted_user, entry.state, entry.round)
                 entry.dirty = False
             self._cache.popitem(last=False)
             self.stats.inc("evictions")
-
-    def _over_budget(self) -> bool:
-        if len(self._cache) <= 1:
-            # The single most-recent entry always stays resident, even when it
-            # alone exceeds the byte budget — evicting it would thrash.
-            return False
-        if self.cache_capacity is not None and len(self._cache) > self.cache_capacity:
-            return True
-        if self.cache_max_bytes is not None and self.cached_nbytes > self.cache_max_bytes:
-            return True
-        return False
 
     def _quarantine(self, path: Path, user_id: str, reason: str) -> None:
         """Move a corrupt adapter file aside so the user can re-init blank.
@@ -460,8 +435,6 @@ class LoRAAdapterStore:
                 f"{record.user_id!r} (quarantined)"
             )
         self.stats.inc("disk_loads")
-        entry = _CacheEntry(
-            state=record.state, nbytes=lora_state_nbytes(record.state), round=record.round
-        )
+        entry = _CacheEntry(state=record.state, round=record.round)
         self._cache_record(user_id, entry)
         return entry

@@ -44,7 +44,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.checkpoint import CheckpointError, CheckpointManager
+from repro.core.checkpoint import CheckpointError, CheckpointManager, require_format
 from repro.data.lexicons import LexiconCollection, builtin_lexicons
 from repro.experiments.presets import ExperimentScale
 from repro.llm.base_cache import BOOT_PHASES, CACHE_RESULTS, BaseModelBoot
@@ -147,14 +147,16 @@ def adapter_state_from_model_section(model_section: dict) -> Dict[str, np.ndarra
 def restore_shared_streams(checkpoint_root: Path, llm: OnDeviceLLM) -> int:
     """Restore shared RNG streams from the latest committed checkpoint.
 
-    The generation and dropout RNG streams live in the shared model and
+    The generation and LoRA dropout RNG streams live in the shared model and
     advance with *every* user's fine-tune round, so after a restart they
     must resume from where the last committed round left them — not from
     the process-start snapshot, and not from whichever user happens to be
     restored first.  The latest commit is found by the monotonic
     ``commit_seq`` each personalize commit stamps into its manifest.
     Returns the highest sequence number seen (0 when no commits exist),
-    which the new scheduler continues from.
+    which the new scheduler continues from.  A checkpoint of another format
+    version raises :class:`CheckpointError`: the boot refuses the state
+    directory instead of restarting each of its users blank.
     """
     latest_seq = 0
     latest_manager: Optional[CheckpointManager] = None
@@ -167,6 +169,7 @@ def restore_shared_streams(checkpoint_root: Path, llm: OnDeviceLLM) -> int:
                 manifest = checkpoints.manifest()
             except CheckpointError:
                 continue
+            require_format(manifest, user_dir)
             seq = int((manifest.get("extra") or {}).get("commit_seq", 0))
             if seq > latest_seq:
                 latest_seq = seq

@@ -61,6 +61,10 @@ from repro.serve.scheduler import Request
 #: is refused instead of silently scrambling user->shard assignments.
 SHARDS_META_FILE = "shards.json"
 
+#: Points each shard owns on the ring, and the prefix of their hash keys.
+VNODES_PER_SHARD = 64
+RING_SALT = "repro-shard"
+
 
 # ---------------------------------------------------------------------- #
 # consistent-hash routing
@@ -68,26 +72,22 @@ SHARDS_META_FILE = "shards.json"
 class ShardRing:
     """A consistent-hash ring mapping user ids to shard indices.
 
-    Each shard owns ``vnodes_per_shard`` points on a 64-bit ring (SHA-256 of
-    ``"<salt>/<shard>/<vnode>"``); a user hashes to the first point at or
-    after its own hash.  Consistent hashing gives the rebalance property the
+    Each shard owns :data:`VNODES_PER_SHARD` points on a 64-bit ring
+    (SHA-256 of ``"<RING_SALT>/<shard>/<vnode>"``); a user hashes to the
+    first point at or after its own hash.  Consistent hashing gives the rebalance property the
     scaling guide documents: growing from N to N+1 shards moves only the
     keys the new shard's points capture (≈ 1/(N+1) of them) — every other
     user stays on its shard, adapters and journals untouched.
     """
 
-    def __init__(
-        self, num_shards: int, vnodes_per_shard: int = 64, salt: str = "repro-shard"
-    ) -> None:
+    def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         self.num_shards = num_shards
-        self.vnodes_per_shard = vnodes_per_shard
-        self.salt = salt
         points = []
         for shard in range(num_shards):
-            for vnode in range(vnodes_per_shard):
-                points.append((self._point(f"{salt}/{shard}/{vnode}"), shard))
+            for vnode in range(VNODES_PER_SHARD):
+                points.append((self._point(f"{RING_SALT}/{shard}/{vnode}"), shard))
         points.sort()
         self._hashes = [point for point, _ in points]
         self._owners = [shard for _, shard in points]

@@ -57,10 +57,6 @@ class TestTransformerConfig:
         with pytest.raises(ValueError):
             TransformerConfig(dim=30, num_heads=4)
 
-    def test_invalid_dropout(self):
-        with pytest.raises(ValueError):
-            TransformerConfig(dropout_rate=1.5)
-
 
 class TestTransformerLM:
     @pytest.fixture()

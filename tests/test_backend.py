@@ -25,7 +25,6 @@ def _tiny_model():
         num_layers=2,
         num_heads=2,
         max_seq_len=12,
-        dropout_rate=0.0,
     )
     return TransformerLM(config, rng=np.random.default_rng(0))
 

@@ -10,7 +10,10 @@ from repro.core.framework import FrameworkConfig
 from repro.core.synthesis import SynthesisConfig
 from repro.eval.rouge_eval import EvaluationConfig
 from repro.llm.finetune import FineTuneConfig
+from repro.llm.model import OnDeviceLLMConfig
 from repro.llm.pretrain import PretrainConfig
+from repro.nn.lora import LoRAConfig
+from repro.nn.transformer import TransformerConfig
 from repro.serve.config import ServeConfig
 from repro.serve.errors import RetryPolicy
 
@@ -22,6 +25,11 @@ def test_config_field_names_are_pinned():
         ),
         EvaluationConfig: "max_new_tokens greedy subset_size seed batch_size",
         FineTuneConfig: "epochs batch_size learning_rate lora seed",
+        LoRAConfig: "rank alpha dropout_rate",
+        OnDeviceLLMConfig: (
+            "dim num_layers num_heads max_seq_len ffn_multiplier max_vocab_size seed"
+        ),
+        TransformerConfig: "vocab_size max_seq_len dim num_layers num_heads ffn_multiplier",
         PretrainConfig: "epochs batch_size seed",
         SynthesisConfig: "num_per_item similarity_threshold strategy generation seed",
         RetryPolicy: "max_attempts",

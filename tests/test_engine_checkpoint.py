@@ -278,7 +278,7 @@ class TestCheckpointRoundTrip:
             checkpoint_dir=checkpoint_dir,
         )
         manifest = CheckpointManager(checkpoint_dir).manifest()
-        assert manifest["format_version"] == 1
+        assert manifest["format_version"] == 2
         assert manifest["seen"] == INTERVAL
         assert manifest["finetune_rounds"] == 1
         assert manifest["selector"] == "ours"

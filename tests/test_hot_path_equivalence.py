@@ -7,9 +7,9 @@ repetition penalty.  Each of those has a faster form in the library; each
 is compared here, byte for byte, with the straightforward form it
 replaced:
 
-* the packed :class:`~repro.nn.optim.Adam` / ``AdamW`` step (and its
-  clipping) against one backend ``adamw_step`` per parameter, with a
-  parameter without a gradient and a reassigned ``.data``;
+* the packed :class:`~repro.nn.optim.Adam` step (and its clipping)
+  against one backend ``adamw_step`` per parameter, with a parameter
+  without a gradient and a reassigned ``.data``;
 * :func:`~repro.llm.finetune.collate_round` slices against
   :func:`~repro.llm.finetune.collate_batch` of the same rows;
 * :func:`~repro.llm.generation.generate_tokens_batch`'s vectorised greedy
@@ -40,7 +40,7 @@ from repro.llm.generation import (
 )
 from repro.nn.backend import numpy_backend
 from repro.nn.lora import LoRAConfig, inject_lora, lora_layers
-from repro.nn.optim import Adam, AdamW, clip_grad_norm
+from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor
 from repro.nn.transformer import IGNORE_INDEX, TransformerConfig, TransformerLM
 
@@ -55,9 +55,9 @@ def _bytes(arrays):
 class ReferenceAdam:
     """The per-parameter update: one backend ``adamw_step`` per gradient."""
 
-    def __init__(self, parameters, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, parameters, lr, betas=(0.9, 0.999), eps=1e-8):
         self.parameters = parameters
-        self.lr, self.weight_decay, self.eps = lr, weight_decay, eps
+        self.lr, self.eps = lr, eps
         self.beta1, self.beta2 = betas
         self.m = [np.zeros_like(p.data) for p in parameters]
         self.v = [np.zeros_like(p.data) for p in parameters]
@@ -73,7 +73,7 @@ class ReferenceAdam:
             numpy_backend.adamw_step(
                 parameter.data, parameter.grad, m, v,
                 np.empty_like(m), np.empty_like(m),
-                self.lr, self.beta1, self.beta2, self.eps, self.weight_decay, bias1, bias2,
+                self.lr, self.beta1, self.beta2, self.eps, bias1, bias2,
             )
 
 
@@ -97,14 +97,13 @@ def _grads(rng, step, skip):
 
 
 class TestPackedAdam:
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
     @pytest.mark.parametrize("max_norm", [None, 0.5, 1e6])
-    def test_matches_per_parameter_steps(self, weight_decay, max_norm):
+    def test_matches_per_parameter_steps(self, max_norm):
         steps, skip = 7, 2
         reference = _parameters(0)
-        ref_opt = ReferenceAdam(reference, lr=0.01, weight_decay=weight_decay)
+        ref_opt = ReferenceAdam(reference, lr=0.01)
         packed = _parameters(0)
-        opt = AdamW(packed, lr=0.01, weight_decay=weight_decay)
+        opt = Adam(packed, lr=0.01)
         rng = np.random.default_rng(1)
         for step in range(steps):
             grads = _grads(rng, step, skip)
@@ -137,7 +136,7 @@ class TestPackedAdam:
 
     def test_reassigned_data_is_picked_up(self):
         reference, packed = _parameters(4), _parameters(4)
-        ref_opt = ReferenceAdam(reference, lr=0.1, weight_decay=0.0)
+        ref_opt = ReferenceAdam(reference, lr=0.1)
         opt = Adam(packed, lr=0.1)
         rng = np.random.default_rng(5)
         for step in range(3):
@@ -167,7 +166,7 @@ class TestPackedAdam:
     def test_duplicate_parameter_rejected(self):
         parameter = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
         with pytest.raises(ValueError, match="more than once"):
-            AdamW([parameter, parameter], lr=0.1)
+            Adam([parameter, parameter], lr=0.1)
 
     def test_mixed_dtypes_rejected(self):
         first = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)

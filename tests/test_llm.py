@@ -5,6 +5,8 @@ import pytest
 
 from repro.llm.generation import GenerationConfig, apply_repetition_penalty, sample_next_token
 from repro.llm.model import OnDeviceLLM, OnDeviceLLMConfig
+from repro.nn.layers import Dropout
+from repro.nn.lora import lora_layers
 
 
 class TestGenerationConfig:
@@ -86,3 +88,38 @@ class TestOnDeviceLLM:
             config=OnDeviceLLMConfig(dim=16, num_layers=1, num_heads=2, max_seq_len=32),
         )
         assert llm.tokenizer.vocab_size >= 9
+
+
+def dropout_modules(llm):
+    return [module for module in llm.model.module_list() if isinstance(module, Dropout)]
+
+
+class TestDropoutStreams:
+    """LoRA dropout is the model's only dropout.  ``reseed_dropout`` gives
+    adapter ``i`` the stream number it had while the embedding dropout was
+    stream 0 and each block's attention and FFN dropouts followed its four
+    adapters, so every serving fine-tune draws the masks it drew then."""
+
+    @pytest.fixture()
+    def serving_shaped_llm(self):
+        """Two blocks, as at every serving scale but ``paper``."""
+        llm = OnDeviceLLM.from_texts(
+            ["alpha beta gamma", "beta delta"],
+            config=OnDeviceLLMConfig(dim=16, num_layers=2, num_heads=2, max_seq_len=32),
+        )
+        assert dropout_modules(llm) == []
+        llm.add_lora()
+        return llm
+
+    def test_only_the_lora_adapters_drop_out(self, serving_shaped_llm):
+        dropouts = dropout_modules(serving_shaped_llm)
+        assert len(dropouts) == 8
+        assert dropouts == [layer.lora_dropout for layer in lora_layers(serving_shaped_llm.model)]
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2**31 - 2])
+    def test_reseed_keeps_each_adapters_stream_number(self, serving_shaped_llm, seed):
+        serving_shaped_llm.reseed_dropout(seed)
+        streams = [1, 2, 3, 4, 7, 8, 9, 10]
+        for module, stream in zip(dropout_modules(serving_shaped_llm), streams, strict=True):
+            expected = np.random.default_rng((seed + 7919 * stream) % (2**31 - 1))
+            assert module._rng.bit_generator.state == expected.bit_generator.state

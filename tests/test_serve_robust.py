@@ -7,9 +7,12 @@ the transcript, crashes never lose or double-apply work, and persistent
 failure degrades service instead of wedging it.
 """
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.core.checkpoint import MANIFEST_FILE, CheckpointError
 from repro.experiments.presets import get_scale
 from repro.llm.generation import GenerationConfig
 from repro.serve import (
@@ -157,6 +160,26 @@ class TestQuarantine:
         assert list(adapter_dir.glob("*.corrupt*"))
         assert shard["health"]["adapter_store"]["state"] == "degraded"
         assert outcome.dead_letter_requests == 0
+
+
+class TestStateDirFormat:
+    def test_boot_refuses_a_format_1_checkpoint(self, serve_env, tmp_path):
+        """A user checkpoint of another format version stops the durable
+        boot with an error naming the version; it is not read as corrupt,
+        which would restart that user blank and only degrade the run."""
+        config = ServeConfig(load=LOAD, scale=serve_env["scale"], state_dir=tmp_path / "state")
+        run_serve(config, llm=pristine_llm(serve_env))
+        manifests = sorted((tmp_path / "state" / "sessions").glob(f"*/{MANIFEST_FILE}"))
+        assert manifests
+        for path in manifests:
+            manifest = json.loads(path.read_text())
+            manifest["format_version"] = 1
+            path.write_text(json.dumps(manifest))
+        resumed = ServeConfig(
+            load=LOAD, scale=serve_env["scale"], state_dir=tmp_path / "state", resume=True
+        )
+        with pytest.raises(CheckpointError, match="format version 1 "):
+            run_serve(resumed, llm=pristine_llm(serve_env))
 
 
 class TestCrashRecovery:

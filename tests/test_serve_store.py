@@ -108,22 +108,6 @@ class TestLRUEviction:
         store.put("b", make_state(3))  # evicts a -> must flush the *second* state
         assert_states_identical(store.get("a"), make_state(2))
 
-    def test_byte_budget_evicts(self, tmp_path):
-        one_adapter_bytes = sum(v.nbytes for v in make_state(0).values())
-        store = LoRAAdapterStore(
-            tmp_path, cache_capacity=None, cache_max_bytes=one_adapter_bytes + 1
-        )
-        store.put("a", make_state(1))
-        store.put("b", make_state(2))  # over budget -> a evicted
-        assert store.cached_users == ["b"]
-        assert store.stats.evictions == 1
-        assert_states_identical(store.get("a"), make_state(1))
-
-    def test_single_entry_never_evicted_even_over_byte_budget(self, tmp_path):
-        store = LoRAAdapterStore(tmp_path, cache_capacity=None, cache_max_bytes=1)
-        store.put("a", make_state(1))
-        assert store.cached_users == ["a"]
-
     def test_hit_and_miss_counters(self, tmp_path):
         store = LoRAAdapterStore(tmp_path, cache_capacity=1)
         store.put("a", make_state(1))
@@ -139,7 +123,7 @@ class TestLRUEviction:
         with pytest.raises(ValueError):
             LoRAAdapterStore(tmp_path, cache_capacity=0)
         with pytest.raises(ValueError):
-            LoRAAdapterStore(tmp_path, cache_max_bytes=0)
+            LoRAAdapterStore(tmp_path, mmap_cache_capacity=-1)
 
 
 class TestDeleteAndInventory:
