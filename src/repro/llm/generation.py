@@ -120,56 +120,15 @@ def generate_tokens(
 
     Decoding stops early when ``stop_token_id`` is produced.  The prompt is
     truncated from the left if it would exceed the model's context window so
-    the most recent tokens are always visible.
-
-    The prompt is encoded once and each subsequent step feeds only the newly
-    sampled token against the KV cache.  Whenever the visible window no
-    longer extends the cached prefix — i.e. the context hit ``max_seq_len``
-    and slid left, shifting every absolute position — the cache is rebuilt
-    from the truncated window, so the logits match a full forward of the
-    visible window at every step.
+    the most recent tokens are always visible.  It is
+    :func:`generate_tokens_batch` over one row: the prompt is encoded once,
+    each later step feeds only the newly sampled token against the KV cache,
+    and the cache is rebuilt from the truncated window whenever the context
+    slides past ``max_seq_len``.
     """
     if not prompt_ids:
         raise ValueError("prompt_ids must contain at least one token")
-    generator = as_generator(rng)
-    max_context = model.config.max_seq_len
-    generated: List[int] = []
-    context = list(prompt_ids)
-    was_training = model.training
-    if was_training:
-        model.eval()
-    cache = model.new_kv_cache()
-    # The cache is valid iff it holds exactly the tokens of the current
-    # window's prefix.  Because the loop itself appends every token it feeds,
-    # it suffices to track the window's start offset into ``context``: while
-    # the window is anchored at the same start, the cached prefix matches by
-    # construction; when the window slides (or on the first step) the absolute
-    # positions shift and the cache must be rebuilt.
-    cached_start = -1
-    try:
-        for _ in range(config.max_new_tokens):
-            start = len(context) - max_context
-            if start < 0:
-                start = 0
-            if start == cached_start and cache.length == len(context) - start - 1:
-                # Steady state: one fused single-token decode step.
-                logits_row = model.decode_logits(context[-1], cache)
-            else:
-                cache.reset()
-                token_array = np.asarray(context[start:], dtype=np.int64)[None, :]
-                logits_row = model.prefill(token_array, cache)[0]
-            cached_start = start
-            next_id = sample_next_token(
-                logits_row, config, rng=generator, previous_ids=generated
-            )
-            generated.append(next_id)
-            context.append(next_id)
-            if config.stop_token_id is not None and next_id == config.stop_token_id:
-                break
-    finally:
-        if was_training:
-            model.train()
-    return generated
+    return generate_tokens_batch(model, [prompt_ids], config, rng=rng)[0]
 
 
 def generate_tokens_batch(

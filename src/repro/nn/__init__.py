@@ -1,7 +1,7 @@
 """From-scratch numpy neural-network substrate (layers, LoRA, optim, autograd).
 
 Every production path runs array-level code over the :mod:`repro.nn.backend`
-kernels: :meth:`TransformerLM.prefill` and the decode steps for generation,
+kernels: :meth:`TransformerLM.prefill` and ``decode_step`` for generation,
 :meth:`TransformerLM.hidden_states` for embeddings, and
 :meth:`TransformerLM.train_step` for training.  The autograd :class:`Tensor`
 graph behind :meth:`TransformerLM.forward` is the one full-window forward,

@@ -19,7 +19,11 @@ Both the autograd reference path and the array-level path run the same fused
 ``scaled_dot_product_attention`` backend kernel, which keeps the inference
 outputs bit-identical.  The training step runs the array-level path on
 :class:`PackedRows`: every op but attention on the rows its loss reads,
-attention in the padded heads layout.
+attention in the padded heads layout.  A decode step, one position per row,
+runs :meth:`MultiHeadSelfAttention.raw_append_rows` and
+:meth:`~MultiHeadSelfAttention.raw_attend_rows` on the weights its prime
+folded (:meth:`~MultiHeadSelfAttention.row_weights`): one q/k/v GEMM that
+carries the adapter deltas, to float rounding of the projections.
 """
 
 from __future__ import annotations
@@ -271,11 +275,10 @@ class MultiHeadSelfAttention(Module):
         self.k_proj = Linear(dim, dim, rng=rng)
         self.v_proj = Linear(dim, dim, rng=rng)
         self.o_proj = Linear(dim, dim, rng=rng)
-        #: Set only inside :func:`repro.nn.lora.row_adapters` for a round of
-        #: several adapters: the per-row q/k/v slabs ``(B, dim, 3 * rank)``
-        #: and ``(B, 3, rank, dim)`` (scaled) that :meth:`raw_append_rows`
-        #: multiplies once for the three projections.
-        self.qkv_adapters: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: Set only inside :func:`repro.nn.lora.row_adapters`: the round's
+        #: :func:`stacked_slabs` with a leading group axis, ``(1, ...)`` for
+        #: one adapter and ``(B, ...)``, one group per row, for several.
+        self.row_slabs: Optional[Tuple[np.ndarray, ...]] = None
 
     def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
         """(B, T, D) -> (B, H, T, head_dim)."""
@@ -400,84 +403,160 @@ class MultiHeadSelfAttention(Module):
         )
         return cache.extend(keys, values)
 
-    def raw_append_rows(
-        self, x: np.ndarray, cache: LayerKVCache
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Project the ``(B, dim)`` rows ``x``, one new position each, into ``cache``.
+    def row_weights(self, ln_weight: np.ndarray, ln_bias: np.ndarray) -> tuple:
+        """What this block's decode steps read, built from its layers now.
 
-        The q, k and v projections are 2-D GEMMs; each row's key/value goes
-        straight into the cache's capacity buffers as one new column.  In a
-        round of several adapters (:attr:`qkv_adapters` set) the three
-        low-rank deltas come from one product over the stacked slabs, each
-        row's ``(x A_qkv) B_qkv``, added to the base projections; with one
-        position per row it has the bits of three separate products.
-        Returns the ``(B, dim)`` queries and views of the full cached
-        keys/values.
+        The steps feed ``(B, dim + 1)`` rows: the input's LayerNorm without
+        its affine, then a column of ones.  ``ln_weight``/``ln_bias``, that
+        affine, is folded in here (:func:`fold_affine`), and so is the
+        attention's score scale ``1 / sqrt(head_dim)``, into every query
+        weight.  Returns ``(qkv, a_qkv, b_qkv, o, o_bias, a_o, b_o)``:
+
+        - ``qkv``, ``(dim + 1, 3 * dim)``: the base q, k and v projections
+          side by side, biases in the last row;
+        - ``a_qkv``/``b_qkv`` and ``a_o``/``b_o``: the adapter slabs, with a
+          leading group axis (all None without adapters): :attr:`row_slabs`
+          inside :func:`repro.nn.lora.row_adapters`, else the attached
+          adapter's :func:`stacked_slabs` as one group; ``a_qkv`` folded as
+          ``qkv`` is, ``(G, dim + 1, 3 * rank)``, its query columns also
+          times the score scale;
+        - ``o``, ``(dim, dim)``, the output projection as ``x @ o`` reads
+          it, and its bias.
+
+        Built at every prime, so no copy outlives a change of the weights.
         """
-        batch = x.shape[0]
-        heads, head_dim = self.num_heads, self.head_dim
-        projections = (self.q_proj, self.k_proj, self.v_proj)
-        slabs = self.qkv_adapters
-        if slabs is None:
-            query, key, value = (proj.raw_forward(x) for proj in projections)
-        else:
-            delta = (x[:, None] @ slabs[0]).reshape(batch, 3, 1, -1) @ slabs[1]
-            query, key, value = (proj.base.raw_forward(x) for proj in projections)
-            for part, out in enumerate((query, key, value)):
-                out += delta[:, part, 0]
-        keys, values = cache.append_token(
-            key.reshape(batch, heads, head_dim), value.reshape(batch, heads, head_dim)
+        projections = (self.q_proj, self.k_proj, self.v_proj, self.o_proj)
+        bases = [getattr(proj, "base", proj) for proj in projections]
+        scale = 1.0 / np.sqrt(self.head_dim)
+        qkv = fold_affine(
+            np.concatenate([base.weight.data.T for base in bases[:3]], axis=1),
+            ln_weight,
+            ln_bias,
+            np.concatenate([base.bias.data for base in bases[:3]]),
         )
-        return query, keys, values
+        qkv[:, : self.dim] *= scale
+        output = (np.ascontiguousarray(bases[3].weight.data.T), bases[3].bias.data)
+        slabs = self.row_slabs
+        if slabs is None and bases[3] is not self.o_proj:
+            pairs = [(proj.lora_a.data, proj.lora_b.data) for proj in projections]
+            slabs = tuple(
+                slab[None] for slab in stacked_slabs(pairs, self.o_proj.config.scaling)
+            )
+        if slabs is None:
+            return (qkv, None, None) + output + (None, None)
+        a_qkv, b_qkv, a_o, b_o = slabs
+        a_qkv = fold_affine(a_qkv, ln_weight, ln_bias)
+        a_qkv[..., : b_qkv.shape[-2]] *= scale
+        return (qkv, a_qkv, b_qkv) + output + (a_o, b_o)
+
+    def raw_append_rows(
+        self, x: np.ndarray, cache: LayerKVCache, weights: tuple, out: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Project the ``(B, dim + 1)`` rows ``x``, one new position each, into ``cache``.
+
+        ``x`` is the normalized input with a column of ones and ``weights``
+        this block's :meth:`row_weights`.  One GEMM makes the base q, k and
+        v side by side in the ``(B, 3 * dim)`` buffer ``out``; the three
+        adapter deltas come from one product over the stacked slabs, ``(x
+        A_qkv) B_qkv`` per group of rows, added into it.  With one row per
+        group (several adapters) the deltas have the bits of three separate
+        products.  Each row's key/value goes straight into the cache's
+        capacity buffers as one new column.  Returns the ``(B, dim)``
+        queries (a view of ``out``, already times the score scale) and views
+        of the full cached keys/values.
+        """
+        batch, dim = out.shape[0], self.dim
+        heads, head_dim = self.num_heads, self.head_dim
+        qkv, a_qkv, b_qkv = weights[:3]
+        np.matmul(x, qkv, out=out)
+        if a_qkv is not None:
+            groups, rank = len(a_qkv), b_qkv.shape[-2]
+            mid = np.matmul(x.reshape(groups, -1, dim + 1), a_qkv)
+            delta = np.matmul(mid.reshape(groups, -1, 3, rank).transpose(0, 2, 1, 3), b_qkv)
+            parts = out.reshape(groups, -1, 3, dim)
+            parts += delta.transpose(0, 2, 1, 3)
+        keys, values = cache.append_token(
+            out[:, dim : 2 * dim].reshape(batch, heads, head_dim),
+            out[:, 2 * dim :].reshape(batch, heads, head_dim),
+        )
+        return out[:, :dim], keys, values
 
     def raw_attend_rows(
-        self, query: np.ndarray, keys: np.ndarray, values: np.ndarray, padding: np.ndarray
+        self,
+        query: np.ndarray,
+        keys: np.ndarray,
+        values: np.ndarray,
+        padding: Optional[np.ndarray],
+        weights: tuple,
+        out: np.ndarray,
     ) -> np.ndarray:
         """Attention output of the ``(B, dim)`` projected queries, each at its row's newest position.
 
+        ``query`` is already times ``1 / sqrt(head_dim)``.
         ``keys``/``values`` are the ``(B, H, total, head_dim)`` cached arrays,
         the rows' own key/value included; ``padding`` is a boolean
-        ``(B, 1, 1, total)`` array, True hiding a key position.  Caller
-        guarantees inert dropout.  The attention products and the softmax run
-        the same operations as the fused kernel, without the causal mask (a
-        query at the newest position sees every cached key).
+        ``(B, 1, 1, total)`` array, True hiding a key position, or None when
+        no row is padded.  Caller guarantees inert dropout.  The softmax
+        is the fused kernel's up to summation order, without the causal mask
+        (a query at the newest position sees every cached key).  ``o_proj``
+        (``weights`` as in :meth:`raw_append_rows`, its adapter delta per
+        group of rows) writes into the ``(B, dim)`` buffer ``out``.
         """
         batch = query.shape[0]
         heads, head_dim = self.num_heads, self.head_dim
         query = query.reshape(batch, heads, 1, head_dim)
         scores = query @ np.swapaxes(keys, -1, -2)  # (B, H, 1, total)
-        scores *= 1.0 / np.sqrt(head_dim)
-        np.copyto(scores, -1e9, where=padding)
-        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+        if padding is not None:
+            np.copyto(scores, -1e9, where=padding)
+        # Each (row, head)'s scores are one contiguous run of the flat array:
+        # reduceat over the runs costs a fraction of a per-row reduce.
+        flat, starts = scores.reshape(-1), np.arange(0, scores.size, scores.shape[-1])
+        scores -= np.maximum.reduceat(flat, starts).reshape(batch, heads, 1, 1)
         np.exp(scores, out=scores)
-        scores /= np.add.reduce(scores, axis=-1, keepdims=True)
-        context = scores @ values  # (B, H, 1, head_dim)
-        return self.o_proj.raw_forward(context.reshape(batch, self.dim))
+        scores /= np.add.reduceat(flat, starts).reshape(batch, heads, 1, 1)
+        context = (scores @ values).reshape(batch, self.dim)  # (B, H, 1, head_dim)
+        output, output_bias, a_o, b_o = weights[3:]
+        np.matmul(context, output, out=out)
+        out += output_bias
+        if a_o is not None:
+            rows = out.reshape(len(a_o), -1, self.dim)
+            rows += np.matmul(np.matmul(context.reshape(len(a_o), -1, self.dim), a_o), b_o)
+        return out
 
-    def raw_decode_row(self, x: np.ndarray, cache: LayerKVCache, workspace, tag) -> np.ndarray:
-        """Fused single-token attention step on a ``(dim,)`` row.
 
-        Caller guarantees batch 1, one new position, no padding mask and inert
-        dropout.  Projections are GEMVs into workspace buffers; the new
-        key/value row is written straight into the cache's capacity buffers.
-        """
-        heads, head_dim = self.num_heads, self.head_dim
-        dim = self.dim
-        query = self.q_proj.project_row(x, workspace.get((tag, "q"), (dim,)))
-        key = self.k_proj.project_row(x, workspace.get((tag, "k"), (dim,)))
-        value = self.v_proj.project_row(x, workspace.get((tag, "v"), (dim,)))
-        keys, values = cache.append_token(
-            key.reshape(1, heads, head_dim), value.reshape(1, heads, head_dim)
-        )
-        keys3 = keys[0]  # (H, total, head_dim)
-        values3 = values[0]
-        query3 = query.reshape(heads, head_dim)
-        scores = (keys3 @ query3[:, :, None])[:, :, 0]  # (H, total)
-        scores *= 1.0 / np.sqrt(head_dim)
-        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= np.add.reduce(scores, axis=-1, keepdims=True)
-        context = scores[:, None, :] @ values3  # (H, 1, head_dim)
-        return self.o_proj.project_row(
-            context.reshape(dim), workspace.get((tag, "attn"), (dim,))
-        )
+def fold_affine(
+    weight: np.ndarray,
+    scale: np.ndarray,
+    shift: np.ndarray,
+    bias: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``weight`` as ``[x, 1]`` reads it where it read ``x * scale + shift``.
+
+    ``weight`` is ``(..., in, out)``, read as ``x @ weight + bias``; returns
+    ``(..., in + 1, out)``, its rows times ``scale`` over one row of
+    ``shift @ weight + bias``.  Equal to float rounding.
+    """
+    *groups, rows, columns = weight.shape
+    folded = np.empty((*groups, rows + 1, columns), dtype=weight.dtype)
+    np.multiply(weight, scale[:, None], out=folded[..., :rows, :])
+    np.matmul(shift, weight, out=folded[..., rows, :])
+    if bias is not None:
+        folded[..., rows, :] += bias
+    return folded
+
+
+def stacked_slabs(pairs, scaling: float) -> Tuple[np.ndarray, ...]:
+    """The q, k, v and o LoRA factors ``pairs`` (each ``(A, B)``) as a decode step reads them.
+
+    The q, k and v ``A^T`` concatenated ``(in, 3 * rank)``, their ``B^T``
+    stacked ``(3, rank, out)``, then ``o_proj``'s ``A^T`` ``(in, rank)`` and
+    ``B^T`` ``(rank, out)``, all contiguous.  Every ``B^T`` is multiplied by
+    ``scaling`` here, so no decode step scales a delta.
+    """
+    q, k, v, o = pairs
+    return (
+        np.concatenate([a.T for a, _ in (q, k, v)], axis=1),
+        np.stack([b.T for _, b in (q, k, v)]) * scaling,
+        np.ascontiguousarray(o[0].T),
+        np.ascontiguousarray(o[1].T) * scaling,
+    )

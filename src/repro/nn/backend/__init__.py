@@ -13,11 +13,13 @@ train_step` tapes the residuals each forward kernel returns and replays them
 LIFO through ``VJPS`` (the HIPS-autograd idea of recorded primitives with
 gradients applied in reverse, written out once for the transformer).
 Inference runs the same forward kernels through :meth:`~repro.nn.transformer.
-TransformerLM.prefill`, the decode steps and ``hidden_states``.  The autograd
+TransformerLM.prefill` and ``hidden_states``; a decode step runs the
+inference kernels ``normalize_into`` and ``gelu_into`` (no residuals, into
+a round's buffers) on weights its prime folded.  The autograd
 :class:`~repro.nn.tensor.Tensor` path wraps the same kernels, one backward
-closure per kernel, and is the reference the tests hold both to: the
-inference paths bit for bit, the training step (which runs on packed row
-subsets) to float rounding.
+closure per kernel, and is the reference the tests hold them to:
+``hidden_states`` bit for bit, the prime, the decode steps and the
+training step (which runs on packed row subsets) to float rounding.
 
 Kernel contract
 ---------------
@@ -33,8 +35,8 @@ Kernel contract
     allocated, shaped exactly like the corresponding input, and owned by the
     caller (safe to accumulate into in place).
 ``Workspace``
-    A preallocated scratch arena; steady-state loops reuse its buffers so
-    hot paths run allocation-free.
+    A preallocated scratch arena; a decode round takes its buffers from its
+    KV cache's, so steady-state steps run allocation-free.
 
 Forward arithmetic is identical on the autograd path and on the raw array
 path — :mod:`repro.nn` relies on this to keep ``hidden_states`` (times the

@@ -16,7 +16,6 @@ float rounding (it runs its GEMMs on packed row subsets).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -377,27 +376,53 @@ def adamw_step(
 
 
 # --------------------------------------------------------------------------- #
-# row kernels (single-token decode fast path)
+# inference kernels (decode rounds): no residuals, written into caller buffers
 # --------------------------------------------------------------------------- #
-def layernorm_row(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, eps: float, out: np.ndarray
+def normalize_into(
+    x: np.ndarray,
+    mean: np.ndarray,
+    eps: float,
+    out: np.ndarray,
+    centered: np.ndarray,
+    squared: np.ndarray,
+    stat: np.ndarray,
 ) -> np.ndarray:
-    """LayerNorm of a single ``(dim,)`` row into the preallocated ``out``.
+    """LayerNorm without its affine, ``(x - mean) / sqrt(var + eps)``, into ``out``.
 
-    Statistics are computed as Python floats (numpy scalar arithmetic costs
-    ~0.5µs per op, which dominates at decode row sizes).  The variance uses
-    an SDOT reduction, so the result can differ from the batched kernel by
-    ~1 ulp — the same order as the GEMV-vs-GEMM difference the decode path
-    already accepts, and far inside the decode-equivalence tolerance.
+    ``x`` is ``(rows, dim)`` and ``mean`` a ``(dim, 1)`` column of
+    ``1 / dim``, so both statistics are one GEMV each.  ``centered`` and
+    ``squared`` are contiguous ``(rows, dim)`` buffers and ``stat`` a
+    ``(rows, 1)`` one; ``out`` may be a column view of a wider buffer, which
+    only the last call writes.  A decode round folds the LayerNorm's weight
+    and bias into the projection that reads ``out``.  :func:`layernorm` at
+    unit weight and zero bias, to float rounding, in 7 array calls instead
+    of 12.
     """
-    dim = x.shape[0]
-    mean = float(np.add.reduce(x)) / dim
-    np.subtract(x, mean, out=out)
-    var = float(np.dot(out, out)) / dim
-    out *= 1.0 / math.sqrt(var + eps)
-    out *= weight
-    out += bias
-    return out
+    np.matmul(x, mean, out=stat)
+    np.subtract(x, stat, out=centered)
+    np.square(centered, out=squared)
+    np.matmul(squared, mean, out=stat)
+    stat += eps
+    np.sqrt(stat, out=stat)
+    return np.divide(centered, stat, out=out)
+
+
+def gelu_into(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """:func:`gelu` of ``x`` into ``out`` (``x`` is left as it is), to float rounding.
+
+    ``0.5 x (1 + tanh(x (C + A C x^2)))``, the tanh argument with its
+    constants folded: 8 array calls and no allocation.  ``scratch`` is a
+    contiguous buffer of ``x``'s shape; ``out`` may be a column view of a
+    wider buffer, which only the last call writes.
+    """
+    np.multiply(x, x, out=scratch)
+    scratch *= _GELU_A * _GELU_C
+    scratch += _GELU_C
+    scratch *= x
+    np.tanh(scratch, out=scratch)
+    scratch += 1.0
+    scratch *= x
+    return np.multiply(scratch, 0.5, out=out)
 
 
 # --------------------------------------------------------------------------- #
@@ -424,9 +449,9 @@ class Workspace:
 
     ``get(tag, shape, dtype)`` returns the cached buffer for ``tag`` when its
     shape/dtype still match, allocating (and remembering) a new one
-    otherwise.  Steady-state loops whose shapes repeat — single-token decode,
-    fixed-batch fine-tune steps — therefore stop allocating after the first
-    iteration.  Buffers contain stale data; callers must fully overwrite.
+    otherwise.  A decode round's KV cache keeps one, so the round's steps
+    and re-primes reuse the buffers its first prime allocated.  Buffers
+    contain stale data; callers must fully overwrite.
     """
 
     __slots__ = ("_buffers",)

@@ -229,16 +229,6 @@ class Linear(Module):
         grad_x = apply_vjp("linear", tape.pop(), grad, need_x, self.weight, self.bias)
         return [grad_x] if need_x else []
 
-    def project_row(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Single-row forward ``W x + b`` into a preallocated ``out`` buffer.
-
-        Used by the fused single-token decode step: a GEMV into workspace
-        memory instead of an allocating batched matmul.
-        """
-        np.dot(self.weight.data, x, out=out)
-        out += self.bias.data
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Linear(in={self.in_features}, out={self.out_features})"
 

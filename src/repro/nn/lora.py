@@ -21,7 +21,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.attention import MultiHeadSelfAttention
+from repro.nn.attention import MultiHeadSelfAttention, stacked_slabs
 from repro.nn.backend import numpy_backend as K
 from repro.nn.layers import Dropout, Linear, Module, apply_vjp
 from repro.nn.tensor import Tensor
@@ -135,19 +135,6 @@ class LoRALinear(Module):
         if grad_x is not None:
             parts.append(grad_x)
         return parts
-
-    def project_row(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Single-row decode projection: base GEMV plus the low-rank delta.
-
-        Only called from the fused decode step, which requires every dropout
-        to be inert (eval mode), so no mask is drawn here.
-        """
-        self.base.project_row(x, out)
-        mid = self.lora_a.data @ x
-        delta = self.lora_b.data @ mid
-        delta *= self.config.scaling
-        out += delta
-        return out
 
 
 def inject_lora(
@@ -286,11 +273,12 @@ class RowAdapter(Mapping):
 
     It reads as the state itself (a read-only mapping of its keys to its
     arrays).  ``pairs`` holds each layer's ``(A, B)``: the state's own
-    arrays, which a one-adapter round decodes with exactly as if they were
-    attached.  :attr:`slabs` holds what one row of a mixed-adapter round
-    reads.  Building one checks every key and shape of the state (a
-    ``ValueError`` names the first mismatch), so a caller that keeps it
-    checks a state once, not once per round.
+    arrays, which a one-adapter round's prefill reads exactly as if they
+    were attached.  :attr:`slabs` holds what its decode steps read, and
+    what one row of a mixed-adapter round reads.  Building one checks
+    every key and shape of the state (a ``ValueError`` names the first
+    mismatch), so a caller that keeps it checks a state once, not once per
+    round.
     """
 
     __slots__ = ("_model", "_state", "pairs", "_slabs")
@@ -303,31 +291,21 @@ class RowAdapter(Mapping):
 
     @property
     def slabs(self) -> List[Tuple[np.ndarray, ...]]:
-        """Per attention module: the q, k and v ``A^T`` concatenated
-        ``(in, 3 * rank)``, their ``B^T`` stacked ``(3, rank, out)``, then
-        ``o_proj``'s ``A^T`` and ``B^T``.
-
-        Every ``B^T`` is multiplied by ``config.scaling`` here, so no decode
-        step scales a delta.  Built on first use: one-adapter rounds never
-        read them.
-        """
+        """Per attention module, the adapter's
+        :func:`~repro.nn.attention.stacked_slabs` (every ``B^T`` already
+        times ``config.scaling``).  Built on first use."""
         if self._slabs is None:
             position = {id(layer): index for index, layer in enumerate(lora_layers(self._model))}
-            self._slabs = []
-            for attention in _adapted_attentions(self._model):
-                q, k, v, o = (
-                    self.pairs[position[id(getattr(attention, name))]]
-                    for name in DEFAULT_TARGET_LAYERS
+            self._slabs = [
+                stacked_slabs(
+                    [
+                        self.pairs[position[id(getattr(attention, name))]]
+                        for name in DEFAULT_TARGET_LAYERS
+                    ],
+                    attention.o_proj.config.scaling,
                 )
-                scaling = attention.o_proj.config.scaling
-                self._slabs.append(
-                    (
-                        np.concatenate([a.T for a, _ in (q, k, v)], axis=1),
-                        np.stack([b.T for _, b in (q, k, v)]) * scaling,
-                        o[0].T,
-                        o[1].T * scaling,
-                    )
-                )
+                for attention in _adapted_attentions(self._model)
+            ]
         return self._slabs
 
     def __getitem__(self, key: str) -> np.ndarray:
@@ -359,13 +337,16 @@ def row_adapters(
     ``rows`` batch rows use ``adapter``, a :class:`RowAdapter` or the
     :func:`lora_state_dict` dict to build one from.  With a single segment
     the layers make exactly the attached path's ``lora_matmul`` calls, on
-    that state's arrays.  With several, every :class:`LoRALinear` applies
-    per-row slabs of the factors in :meth:`LoRALinear.raw_forward` (the
-    S-LoRA / Punica idiom), each slab one ``take`` of the segments' stacked
-    :attr:`RowAdapter.slabs` by the row-to-segment index.  The q, k and v
-    slabs are views of each attention's stacked ones, which
-    :meth:`~repro.nn.attention.MultiHeadSelfAttention.raw_append_rows`
-    reads to make the three deltas of a decode step in one product.  The
+    that state's arrays, and each attention's decode slabs are the
+    adapter's :attr:`RowAdapter.slabs` as one group: the slabs a prime
+    stacks from an attached adapter, so a one-adapter round has the bits
+    of decoding with it attached.  With several, every :class:`LoRALinear`
+    applies per-row slabs of the factors in :meth:`LoRALinear.raw_forward`
+    (the S-LoRA / Punica idiom), each slab one ``take`` of the segments'
+    stacked :attr:`RowAdapter.slabs` by the row-to-segment index, and the
+    decode slabs are those per-row slabs (one group per row).  The decode
+    step (:meth:`~repro.nn.attention.MultiHeadSelfAttention.raw_append_rows`)
+    makes the q, k and v deltas of a block in one product over them.  The
     attached adapter is never touched, and the slabs are cleared on exit,
     error or not.  Inference only: the model must be in eval mode (no
     adapter dropout is drawn for slabs).
@@ -380,18 +361,21 @@ def row_adapters(
         if len(adapters) == 1:
             for layer, pair in zip(layers, adapters[0].pairs):
                 layer.row_adapters = pair
+            for attention, slabs in zip(attentions, adapters[0].slabs):
+                attention.row_slabs = tuple(slab[None] for slab in slabs)
         else:
             segment_of_row = np.repeat(np.arange(len(adapters)), [rows for rows, _ in segments])
             for index, attention in enumerate(attentions):
                 # Contiguous per-row slabs: strided views of one shared
                 # take made every decode step slower.
-                a_qkv, b_qkv, a_o, b_o = (
+                slabs = tuple(
                     np.stack([adapter.slabs[index][part] for adapter in adapters]).take(
                         segment_of_row, axis=0
                     )
                     for part in range(4)
                 )
-                attention.qkv_adapters = (a_qkv, b_qkv)
+                attention.row_slabs = slabs
+                a_qkv, b_qkv, a_o, b_o = slabs
                 rank = a_o.shape[-1]
                 for part, name in enumerate(DEFAULT_TARGET_LAYERS[:3]):
                     getattr(attention, name).row_adapters = (
@@ -404,4 +388,4 @@ def row_adapters(
         for layer in layers:
             layer.row_adapters = None
         for attention in attentions:
-            attention.qkv_adapters = None
+            attention.row_slabs = None

@@ -22,6 +22,7 @@ from repro.nn.attention import (
     MultiHeadSelfAttention,
     PackedRows,
     combined_mask,
+    fold_affine,
 )
 from repro.nn.backend import numpy_backend as K
 from repro.nn.layers import Embedding, FeedForward, LayerNorm, Module
@@ -40,12 +41,18 @@ class KVCache:
     model-level ``length`` is the number of context positions already encoded.
     The cache stores raw arrays (no autograd graph) in buffers of
     ``capacity`` positions; :meth:`TransformerLM.prefill` and the decode
-    steps fill it.
+    steps fill it.  The prefill also leaves the round's
+    :class:`DecodeRound` on it, whose buffers come from the cache's
+    ``workspace``: a re-prime of the same rows reuses them, and they go
+    with the cache when its round ends.
     """
 
     def __init__(self, num_layers: int, capacity: int) -> None:
         require_positive("num_layers", num_layers)
         self.layers = [LayerKVCache(capacity) for _ in range(num_layers)]
+        #: The :class:`DecodeRound` of the last prime, which the steps read.
+        self.round: Optional["DecodeRound"] = None
+        self.workspace = K.Workspace()
 
     @property
     def length(self) -> int:
@@ -56,6 +63,65 @@ class KVCache:
         """Invalidate the cache (e.g. when the context window slides)."""
         for layer in self.layers:
             layer.reset()
+
+
+class DecodeRound:
+    """What the decode steps of one round read, built by its prime.
+
+    :meth:`TransformerLM.prefill` builds one per call.  ``blocks`` holds
+    each block's :meth:`TransformerBlock.row_weights` and ``head`` the tied
+    head with ``ln_final``'s affine folded in (as
+    :func:`~repro.nn.attention.fold_affine` does), all read from the layers
+    then, so a step never uses weights older than its prime.  ``padded``
+    says whether the prime had padding to hide.  The ``(rows, ...)``
+    buffers come from ``workspace`` (the cache's), and every step
+    overwrites them: the residual stream; a normalized input with a column
+    of ones (``normed``, written through its ``(rows, dim)`` view
+    ``normalized``) and the scratch that makes it; the q/k/v projections;
+    a block output; the FFN's hidden layer before and after GELU (``act``,
+    also with a column of ones, written through ``activated``); the logits.
+    """
+
+    __slots__ = (
+        "rows", "padded", "blocks", "head", "mean", "hidden", "normed", "normalized",
+        "centered", "squared", "stat", "qkv", "out", "up", "gelu_scratch", "act", "activated",
+        "logits",
+    )
+
+    def __init__(
+        self, model: "TransformerLM", rows: int, padded: bool, workspace: K.Workspace
+    ) -> None:
+        config = model.config
+        dim, ffn = config.dim, config.dim * config.ffn_multiplier
+        self.rows = rows
+        self.padded = padded
+        self.blocks = [block.row_weights() for block in model.blocks]
+        ln = model.ln_final
+        self.head = fold_affine(model.token_embedding.weight.data.T, ln.weight.data, ln.bias.data)
+        self.mean = np.full((dim, 1), 1.0 / dim, dtype=np.float32)
+        widths = {
+            "hidden": dim, "normed": dim + 1, "centered": dim, "squared": dim, "stat": 1,
+            "qkv": 3 * dim, "out": dim, "up": ffn, "gelu_scratch": ffn, "act": ffn + 1,
+            "logits": config.vocab_size,
+        }
+        for name, width in widths.items():
+            setattr(self, name, workspace.get(name, (rows, width)))
+        self.normed[:, dim] = 1.0
+        self.act[:, ffn] = 1.0
+        self.normalized = self.normed[:, :dim]
+        self.activated = self.act[:, :ffn]
+
+    def normalize(self, x: np.ndarray, eps: float) -> np.ndarray:
+        """The ``(rows, dim)`` ``x`` normalized (no affine), as ``(rows, dim + 1)`` :attr:`normed`."""
+        K.normalize_into(
+            x, self.mean, eps, self.normalized, self.centered, self.squared, self.stat
+        )
+        return self.normed
+
+    def gelu(self) -> np.ndarray:
+        """GELU of :attr:`up`, as :attr:`act` ``(rows, ffn + 1)``."""
+        K.gelu_into(self.up, self.activated, self.gelu_scratch)
+        return self.act
 
 
 @dataclass
@@ -126,27 +192,54 @@ class TransformerBlock(Module):
         out += attn
         return out
 
+    def row_weights(self) -> tuple:
+        """What this block's decode steps read, built from its layers now.
+
+        ``(ln_attn_eps, attention, ln_ffn_eps, up, down)``: each
+        LayerNorm's affine is folded into the weights that read it, so the
+        steps normalize with ``eps`` alone; ``attention`` is the attention's
+        :meth:`~repro.nn.attention.MultiHeadSelfAttention.row_weights` and
+        ``up``/``down`` the FFN's projections as ``[x, 1] @ w`` reads them
+        (:func:`~repro.nn.attention.fold_affine`), biases in the last row.
+        """
+        ln_attn, ln_ffn, up, down = self.ln_attn, self.ln_ffn, self.ffn.up, self.ffn.down
+        return (
+            ln_attn.eps,
+            self.attention.row_weights(ln_attn.weight.data, ln_attn.bias.data),
+            ln_ffn.eps,
+            fold_affine(up.weight.data.T, ln_ffn.weight.data, ln_ffn.bias.data, up.bias.data),
+            np.concatenate((down.weight.data.T, down.bias.data[None]), axis=0),
+        )
+
     def raw_query_rows(
         self,
         hidden: np.ndarray,
         query: np.ndarray,
         keys: np.ndarray,
         values: np.ndarray,
-        key_padding: np.ndarray,
+        key_padding: Optional[np.ndarray],
+        weights: tuple,
+        rows: DecodeRound,
     ) -> np.ndarray:
         """The block's query side for one position per row; updates ``hidden`` in place.
 
         ``hidden`` is that position's ``(B, dim)`` residual stream and
-        ``query`` the ``q_proj`` of its ``ln_attn`` output; ``keys``/``values``
-        are the cached arrays, its own key/value included, and
-        ``key_padding`` the mask of
-        :meth:`MultiHeadSelfAttention.raw_attend_rows`.  Attention,
-        ``o_proj``, residual, ``ln_ffn``, FFN, residual: the per-block body
-        of :meth:`TransformerLM.decode_step` and of the last block of
-        :meth:`TransformerLM.prefill`.  Dropout must be inert.
+        ``query`` the ``q_proj`` of its ``ln_attn`` output, times the score
+        scale; ``keys``/``values`` are the cached arrays, its own key/value
+        included, and ``key_padding`` the mask of
+        :meth:`MultiHeadSelfAttention.raw_attend_rows`.  ``weights`` is this
+        block's :meth:`row_weights` and ``rows`` the round whose buffers the
+        kernels write into.  Attention, ``o_proj``, residual, ``ln_ffn``,
+        FFN, residual: the per-block body of :meth:`TransformerLM.decode_step`
+        and of the last block of :meth:`TransformerLM.prefill`.  Dropout must
+        be inert.
         """
-        hidden += self.attention.raw_attend_rows(query, keys, values, key_padding)
-        hidden += self.ffn.raw_forward(self.ln_ffn.raw_forward(hidden))
+        _, attention, ln_ffn_eps, up, down = weights
+        hidden += self.attention.raw_attend_rows(
+            query, keys, values, key_padding, attention, rows.out
+        )
+        np.matmul(rows.normalize(hidden, ln_ffn_eps), up, out=rows.up)
+        hidden += np.matmul(rows.gelu(), down, out=rows.out)
         return hidden
 
     def raw_backward(self, tape: list, grad: np.ndarray, need_x: bool) -> Optional[np.ndarray]:
@@ -183,7 +276,6 @@ class TransformerLM(Module):
         self.position_embedding = Embedding(config.max_seq_len, config.dim, rng=rng)
         self.blocks = [TransformerBlock(config, rng=rng) for _ in range(config.num_layers)]
         self.ln_final = LayerNorm(config.dim)
-        self._workspace = None  # lazily created by the fused decode step
 
     # ------------------------------------------------------------------ #
     def forward(
@@ -353,37 +445,6 @@ class TransformerLM(Module):
             embedding._accumulate_owned(head_grad.T)
         return float(loss)
 
-    def _check_decode(self, entry: str, kv_cache: KVCache) -> int:
-        """Guards shared by the incremental decode entry points; returns ``past``."""
-        if self.training:
-            raise RuntimeError(f"{entry} requires eval mode (dropout must be inert)")
-        past = kv_cache.length
-        if past + 1 > self.config.max_seq_len:
-            raise ValueError(
-                f"sequence length {past + 1} (cached {past} + new 1) "
-                f"exceeds max_seq_len {self.config.max_seq_len}"
-            )
-        return past
-
-    def decode_logits(self, token_id: int, kv_cache: KVCache) -> np.ndarray:
-        """One fused single-token decode step; returns the ``(vocab,)`` logits row.
-
-        The tightest entry point for steady-state batch-1 decoding (the
-        cached loop of ``generate_tokens``): the last-position logits of
-        :meth:`forward` over the cached context plus ``token_id``, in eval
-        mode, to float rounding (GEMVs and scalar LayerNorm statistics).
-        The returned array is workspace-owned — read it (or copy) before
-        the next decode step.
-        """
-        past = self._check_decode("decode_logits", kv_cache)
-        if not 0 <= token_id < self.config.vocab_size:
-            raise IndexError(
-                f"token id out of range [0, {self.config.vocab_size}): "
-                f"min={token_id}, max={token_id}"
-            )
-        logits, _ = self._decode_step(token_id, past, kv_cache)
-        return logits
-
     def decode_step(
         self,
         token_ids: np.ndarray,
@@ -398,32 +459,44 @@ class TransformerLM(Module):
         boolean ``(B, >= past + 1)`` array where True hides a key position
         (the left padding of a batch primed by one padded :meth:`prefill`);
         the step slices it to the current length, so a caller builds it once
-        per prime.  The KV cache must hold ``B`` rows.  Each row's logits
-        are the last-position logits of :meth:`forward` over that row's
-        unpadded context, to float rounding; the step runs as 2-D row GEMMs
-        into the model's workspace, and the returned array is
-        workspace-owned — read it (or copy) before the next step.
+        per prime.  It is not read when the prime had no ``attention_mask``.
+        The KV cache must be primed by :meth:`prefill` over the same ``B``
+        rows: the step reads that prime's :class:`DecodeRound`.  Each row's
+        logits are the last-position logits of :meth:`forward` over that
+        row's unpadded context, to float rounding: the step normalizes
+        without the LayerNorm affine, which the round folded into the
+        weights after it, and makes the q/k/v projections in one GEMM.  It
+        runs as 2-D row GEMMs into the round's buffers, and the returned
+        array is one of them: read it (or copy) before the next step.
+        Requires eval mode.
         """
-        past = self._check_decode("decode_step", kv_cache)
-        workspace = self._workspace
-        if workspace is None:
-            workspace = self._workspace = K.Workspace()
-        batch = token_ids.shape[0]
-        hidden = workspace.get(("rows", "hidden"), (batch, self.config.dim))
+        if self.training:
+            raise RuntimeError("decode_step requires eval mode (dropout must be inert)")
+        past = kv_cache.length
+        if past + 1 > self.config.max_seq_len:
+            raise ValueError(
+                f"sequence length {past + 1} (cached {past} + new 1) "
+                f"exceeds max_seq_len {self.config.max_seq_len}"
+            )
+        rows = kv_cache.round
+        if rows is None or rows.rows != token_ids.shape[0]:
+            raise ValueError(
+                f"decode_step over {token_ids.shape[0]} rows needs a cache primed by "
+                "prefill over as many rows"
+            )
+        hidden = rows.hidden
         np.add(
             self.token_embedding.weight.data[token_ids],
             self.position_embedding.weight.data[positions],
             out=hidden,
         )
-        key_padding = padding[:, None, None, : past + 1]
-        for block, layer_cache in zip(self.blocks, kv_cache.layers):
+        key_padding = padding[:, None, None, : past + 1] if rows.padded else None
+        for block, weights, layer_cache in zip(self.blocks, rows.blocks, kv_cache.layers):
             query, keys, values = block.attention.raw_append_rows(
-                block.ln_attn.raw_forward(hidden), layer_cache
+                rows.normalize(hidden, weights[0]), layer_cache, weights[1], rows.qkv
             )
-            block.raw_query_rows(hidden, query, keys, values, key_padding)
-        return self._rows_logits(
-            hidden, workspace.get(("rows", "logits"), (batch, self.config.vocab_size))
-        )
+            block.raw_query_rows(hidden, query, keys, values, key_padding, weights, rows)
+        return self._rows_logits(hidden, rows, rows.logits)
 
     def prefill(
         self,
@@ -446,7 +519,9 @@ class TransformerLM(Module):
         position, filling its cache, and only each row's final position
         takes the query side (:meth:`TransformerBlock.raw_query_rows`, the
         per-block body of :meth:`decode_step`), then ``ln_final`` and the LM
-        head on ``(B, dim)``.  Requires eval mode.
+        head on ``(B, dim)``.  The prime builds the round's
+        :class:`DecodeRound` from the weights as they are now and leaves it
+        on ``kv_cache`` for the steps.  Requires eval mode.
         """
         if self.training:
             raise RuntimeError("prefill requires eval mode (dropout must be inert)")
@@ -456,80 +531,28 @@ class TransformerLM(Module):
         positions = self._positions(batch, seq, past, position_ids)
         last = len(self.blocks) - 1
         hidden, _ = self._encode(token_ids, attention_mask, kv_cache, positions, last)
+        rows = kv_cache.round = DecodeRound(
+            self, batch, attention_mask is not None, kv_cache.workspace
+        )
         block = self.blocks[last]
         normed = block.ln_attn.raw_forward(hidden)
         keys, values = block.attention.raw_extend_cache(normed, kv_cache.layers[last])
-        if attention_mask is None:
-            key_padding = np.zeros((batch, 1, 1, past + seq), dtype=bool)
-        else:
+        key_padding = None
+        if attention_mask is not None:
             key_padding = ~np.asarray(attention_mask, dtype=bool)[:, None, None, :]
-        rows = block.raw_query_rows(
-            np.ascontiguousarray(hidden[:, -1]),
-            block.attention.q_proj.raw_forward(np.ascontiguousarray(normed[:, -1])),
-            keys,
-            values,
-            key_padding,
+        query = block.attention.q_proj.raw_forward(np.ascontiguousarray(normed[:, -1]))
+        query *= 1.0 / np.sqrt(block.attention.head_dim)
+        np.copyto(rows.hidden, hidden[:, -1])
+        block.raw_query_rows(
+            rows.hidden, query, keys, values, key_padding, rows.blocks[last], rows
         )
-        return self._rows_logits(rows)
+        return self._rows_logits(rows.hidden, rows)
 
-    def _rows_logits(self, hidden: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """``ln_final`` and the tied head on ``(B, dim)`` rows, into ``out`` when given."""
-        normed = self.ln_final.raw_forward(hidden)
-        return np.matmul(normed, self.token_embedding.weight.data.T, out=out)
-
-    def _decode_step(self, token_id: int, position: int, kv_cache: KVCache):
-        """Fused per-token decode: row kernels + preallocated workspace.
-
-        Every intermediate lives in a :class:`Workspace` buffer keyed by
-        layer, so after the first step the whole forward runs allocation-free
-        apart from a few attention temporaries that grow with context length.
-        Returned rows are workspace-owned views — callers must copy.
-        """
-        workspace = self._workspace
-        if workspace is None:
-            workspace = self._workspace = K.Workspace()
-        dim = self.config.dim
-        hidden = workspace.get("hidden", (dim,))
-        np.add(
-            self.token_embedding.weight.data[token_id],
-            self.position_embedding.weight.data[position],
-            out=hidden,
-        )
-        for index, block in enumerate(self.blocks):
-            normed = K.layernorm_row(
-                hidden,
-                block.ln_attn.weight.data,
-                block.ln_attn.bias.data,
-                block.ln_attn.eps,
-                workspace.get(("ln_attn", index), (dim,)),
-            )
-            hidden += block.attention.raw_decode_row(
-                normed, kv_cache.layers[index], workspace, index
-            )
-            normed = K.layernorm_row(
-                hidden,
-                block.ln_ffn.weight.data,
-                block.ln_ffn.bias.data,
-                block.ln_ffn.eps,
-                workspace.get(("ln_ffn", index), (dim,)),
-            )
-            up = block.ffn.up.project_row(
-                normed, workspace.get(("up", index), (block.ffn.up.out_features,))
-            )
-            act, _ = K.gelu(up)
-            hidden += block.ffn.down.project_row(
-                act, workspace.get(("down", index), (dim,))
-            )
-        normed = K.layernorm_row(
-            hidden,
-            self.ln_final.weight.data,
-            self.ln_final.bias.data,
-            self.ln_final.eps,
-            workspace.get("ln_final", (dim,)),
-        )
-        weight = self.token_embedding.weight.data
-        logits = np.dot(weight, normed, out=workspace.get("logits", (weight.shape[0],)))
-        return logits, normed
+    def _rows_logits(
+        self, hidden: np.ndarray, rows: DecodeRound, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``ln_final`` and the round's tied head on ``(B, dim)`` rows, into ``out`` when given."""
+        return np.matmul(rows.normalize(hidden, self.ln_final.eps), rows.head, out=out)
 
     # ------------------------------------------------------------------ #
     def hidden_states(

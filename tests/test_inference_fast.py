@@ -90,10 +90,13 @@ class TestKVCachedEquivalence:
         cache = model.new_kv_cache()
         primed = model.prefill(np.asarray(ids[:4], dtype=np.int64)[None, :], cache)
         np.testing.assert_allclose(primed[0], _forward_last(model, ids[:4]), atol=1e-5)
+        padding = np.zeros((1, model.config.max_seq_len), dtype=bool)
         for position in range(4, len(ids)):
-            step = model.decode_logits(ids[position], cache)
+            step = model.decode_step(
+                np.array([ids[position]]), np.array([position]), padding, cache
+            )
             np.testing.assert_allclose(
-                step, _forward_last(model, ids[: position + 1]), atol=1e-5
+                step[0], _forward_last(model, ids[: position + 1]), atol=1e-5
             )
         assert cache.length == len(ids)
 
@@ -153,8 +156,9 @@ class TestKVCachedEquivalence:
         max_context = model.config.max_seq_len
         cache = model.new_kv_cache()
         model.prefill(np.ones((1, max_context), dtype=np.int64), cache)
+        padding = np.zeros((1, max_context), dtype=bool)
         with pytest.raises(ValueError, match="exceeds max_seq_len"):
-            model.decode_logits(1, cache)
+            model.decode_step(np.array([1]), np.array([max_context]), padding, cache)
         with pytest.raises(ValueError, match="exceeds max_seq_len"):
             model.prefill(np.ones((1, 1), dtype=np.int64), cache)
 
@@ -349,6 +353,14 @@ def _reference_decode(model, prompt, config, rng=None):
     return ids, np.stack(logits_rows)
 
 
+class _Steps(list):
+    """Step logits in decode order; ``primes`` holds the indices of the prefill steps."""
+
+    def __init__(self):
+        super().__init__()
+        self.primes = []
+
+
 @contextmanager
 def _recorded_step_logits(model):
     """Collect the ``(B, vocab)`` next-token logits of every batched decode step.
@@ -356,12 +368,14 @@ def _recorded_step_logits(model):
     Wraps the two ways a step gets its logits: the padded ``prefill``
     (first step and every re-prime) and the incremental ``decode_step``.
     """
-    steps = []
+    steps = _Steps()
     entries = {name: getattr(model, name) for name in ("decode_step", "prefill")}
 
     def recorded(entry):
         def record(*args, **kwargs):
             logits = entry(*args, **kwargs)
+            if entry.__name__ == "prefill":
+                steps.primes.append(len(steps))
             steps.append(logits.copy())
             return logits
 
@@ -407,7 +421,7 @@ class TestBatchedDecodeProperty:
     @example(prompts=[[3, 4, 5]], new_tokens=6, adapted=False)
     @example(prompts=[[4], [2, 3]], new_tokens=5, adapted=True)
     @example(prompts=[[6] * 75], new_tokens=4, adapted=False)
-    # One row primed with 4 tokens, then cached steps (the prefill/decode_logits case).
+    # One row primed with 4 tokens, then one-row cached steps.
     @example(prompts=[[1, 2, 3, 4]], new_tokens=7, adapted=False)
     # Left-padded rows whose prime is a one-token prompt.
     @example(prompts=[[7], [9], [5, 6, 7, 8, 9, 10]], new_tokens=3, adapted=True)
@@ -508,6 +522,37 @@ class TestMixedAdapterDecodeProperty:
                 rtol=0,
                 atol=1e-4,
             )
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(case=_segmented_prompts(), new_tokens=st.integers(min_value=1, max_value=12))
+    @example(case=([[5] * 60, [7, 8], [9] * 70, [4, 4]], [(1, 0), (1, 1), (1, 2), (1, 3)]),
+             new_tokens=12)
+    @example(case=([[6, 7, 8], [3], [9] * 12, [2, 2, 2]], [(2, 1), (2, 3)]), new_tokens=8)
+    def test_rows_match_full_forward_with_their_adapter(self, mixed_adapters, case, new_tokens):
+        """Each row of a mixed round against the no-cache full-window ``forward``.
+
+        Greedy tokens equal that row's reference decoded alone with its
+        adapter attached; prime logits within 1e-5, decode steps within 1e-4.
+        """
+        llm, states = mixed_adapters
+        model = llm.model
+        prompts, segments = case
+        config = GenerationConfig(max_new_tokens=new_tokens, greedy=True)
+        with row_adapters(model, [(rows, states[index]) for rows, index in segments]):
+            with _recorded_step_logits(model) as steps:
+                batched = generate_tokens_batch(model, prompts, config, pad_token_id=0)
+        row_states = [index for rows, index in segments for _ in range(rows)]
+        for row, prompt in enumerate(prompts):
+            load_lora_state_dict(model, states[row_states[row]])
+            reference_ids, reference_logits = _reference_decode(model, prompt, config)
+            assert batched[row] == reference_ids
+            for step, logits in enumerate(steps):
+                np.testing.assert_allclose(
+                    logits[row],
+                    reference_logits[step],
+                    rtol=0,
+                    atol=1e-5 if step in steps.primes else 1e-4,
+                )
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(prompts=_PROMPTS, new_tokens=st.integers(min_value=1, max_value=12),
@@ -625,6 +670,68 @@ class TestDecodeStep:
             del model.eval
 
 
+class TestWeightsChangeBetweenRounds:
+    """A decode round reads the weights of its own prime, never an older copy.
+
+    Each test decodes once, changes the base weights the way a process
+    does (a pretraining step, ``load_state_dict``, a base-cache load), and
+    decodes again: every step of the second round must match the
+    full-window ``forward`` under the new weights.
+    """
+
+    QUESTIONS = ["what should i know about dose and vial", "my knee aches"]
+
+    def _decodes_current_weights(self, llm):
+        config = GenerationConfig(max_new_tokens=6, greedy=True)
+        with _recorded_step_logits(llm.model) as steps:
+            llm.respond_batch(self.QUESTIONS, generation=config)
+        for row, question in enumerate(self.QUESTIONS):
+            prompt = llm._prompt_ids_for_question(question)
+            _, reference_logits = _reference_decode(llm.model, prompt, config)
+            for step, logits in enumerate(steps):
+                np.testing.assert_allclose(
+                    logits[row], reference_logits[step], rtol=0, atol=1e-4
+                )
+        return steps[0]
+
+    def _check(self, llm, change):
+        before = self._decodes_current_weights(llm)
+        change()
+        after = self._decodes_current_weights(llm)
+        assert not np.allclose(before, after, atol=1e-3)
+
+    def test_pretrain_step(self, fresh_llm):
+        from repro.llm.pretrain import PretrainConfig, pretrain
+
+        pairs = [("what should i know about dose", "take one vial each day")] * 4
+        self._check(
+            fresh_llm, lambda: pretrain(fresh_llm, pairs, PretrainConfig(epochs=3, batch_size=4))
+        )
+
+    def test_load_state_dict(self, fresh_llm):
+        state = fresh_llm.model.state_dict()
+        rng = np.random.default_rng(0)
+        for value in state.values():
+            value += (rng.standard_normal(value.shape) * 0.05).astype(np.float32)
+        self._check(fresh_llm, lambda: fresh_llm.model.load_state_dict(state))
+
+    def test_base_cache_load(self, fresh_llm, pretrained_llm, tmp_path):
+        from repro.llm.base_cache import load_base_model, store_base_model
+
+        other = pretrained_llm.clone()
+        rng = np.random.default_rng(1)
+        for tensor in other.model.parameters():
+            tensor.data = tensor.data + (rng.standard_normal(tensor.shape) * 0.05).astype(
+                np.float32
+            )
+        store_base_model(other, "key", tmp_path / "base.a1")
+
+        def load():
+            assert load_base_model(fresh_llm, "key", tmp_path / "base.a1") == "hit"
+
+        self._check(fresh_llm, load)
+
+
 class TestPrefill:
     """Each row of a left-padded ``prefill`` against that row alone through ``forward``.
 
@@ -716,43 +823,39 @@ def _attentions(model):
 
 
 @contextmanager
-def _parent_projections(model, states, segments):
-    """Inside ``row_adapters``: every adapted projection as before the stacked product.
+def _separate_qkv_deltas(model):
+    """Every decode step's q, k and v adapter deltas as three separate products.
 
-    Base GEMM, then ``(x A^T) B^T`` over per-row slabs repeated from the
-    states' own factors, then ``*= s``: no stacked q/k/v product and no
-    pre-scaled slab.
+    The step's own fused base GEMM, then per projection ``(x A_p) B_p`` on
+    that projection's columns of the round's slabs, each added on its own:
+    no stacked product.
     """
-    counts = [rows for rows, _ in segments]
-    layers = lora_layers(model)
+    attentions = _attentions(model)
 
-    def parent_forward(layer, a_rows, b_rows):
-        def raw_forward(x, tape=None, rows=None):
-            out = layer.base.raw_forward(x)
-            delta = np.matmul(np.matmul(x.reshape(len(x), -1, x.shape[-1]), a_rows), b_rows)
-            delta *= layer.config.scaling
-            out += delta.reshape(out.shape)
-            return out
+    def separate(attention):
+        def raw_append_rows(x, cache, weights, out):
+            batch, dim = out.shape[0], attention.dim
+            qkv, a_qkv, b_qkv = weights[:3]
+            np.matmul(x, qkv, out=out)
+            rank = b_qkv.shape[-2]
+            for part in range(3):
+                mid = np.matmul(x[:, None], a_qkv[:, :, part * rank : (part + 1) * rank])
+                out[:, part * dim : (part + 1) * dim] += np.matmul(mid, b_qkv[:, part])[:, 0]
+            shape = (batch, attention.num_heads, attention.head_dim)
+            keys, values = cache.append_token(
+                out[:, dim : 2 * dim].reshape(shape), out[:, 2 * dim :].reshape(shape)
+            )
+            return out[:, :dim], keys, values
 
-        return raw_forward
+        return raw_append_rows
 
-    for index, layer in enumerate(layers):
-        factors = [states[state] for _, state in segments]
-        layer.raw_forward = parent_forward(
-            layer,
-            np.repeat(np.stack([f[f"adapter.{index}.lora_a"].T for f in factors]), counts, axis=0),
-            np.repeat(np.stack([f[f"adapter.{index}.lora_b"].T for f in factors]), counts, axis=0),
-        )
-    stacked = [attention.qkv_adapters for attention in _attentions(model)]
-    for attention in _attentions(model):
-        attention.qkv_adapters = None
+    for attention in attentions:
+        attention.raw_append_rows = separate(attention)
     try:
         yield
     finally:
-        for layer in layers:
-            del layer.raw_forward
-        for attention, slabs in zip(_attentions(model), stacked):
-            attention.qkv_adapters = slabs
+        for attention in attentions:
+            del attention.raw_append_rows
 
 
 @st.composite
@@ -773,29 +876,38 @@ def _stacked_rounds(draw):
     return lengths, [tuple(segment) for segment in segments], draw(st.integers(0, 2**16))
 
 
-# A 20-step mixed round of 24 rows over 4 adapters; prints its logits' SHA-256.
+# 20-step rounds of 1, 2, 8 and 64 rows (one adapter at one row, up to 8
+# adapters above); prints one SHA-256 of the logits per round.
 _STACKED_ROUND_SCRIPT = """
 import hashlib
 import numpy as np
 from repro.nn import row_adapters
 from test_inference_fast import _primed, _stacked_round_model
 
-model, states = _stacked_round_model(4)
+model, states = _stacked_round_model(8)
 rng = np.random.default_rng(9)
-prompts = [rng.integers(1, 64, size=n).tolist() for n in rng.integers(1, 12, size=24)]
-digest = hashlib.sha256()
-with row_adapters(model, [(5, states[0]), (7, states[1]), (3, states[2]), (9, states[3])]):
-    cache, logits, padding, positions = _primed(model, prompts)
-    for _ in range(20):
-        logits = model.decode_step(np.argmax(logits, axis=1), positions, padding, cache)
-        digest.update(logits.tobytes())
-        positions = positions + 1
-print(digest.hexdigest())
+for batch in (1, 2, 8, 64):
+    prompts = [rng.integers(1, 64, size=n).tolist() for n in rng.integers(1, 12, size=batch)]
+    cuts = np.linspace(0, batch, min(batch, 8) + 1).astype(int)
+    segments = [(stop - start, states[index])
+                for index, (start, stop) in enumerate(zip(cuts, cuts[1:]))]
+    digest = hashlib.sha256()
+    with row_adapters(model, segments):
+        cache, logits, padding, positions = _primed(model, prompts)
+        for _ in range(20):
+            logits = model.decode_step(np.argmax(logits, axis=1), positions, padding, cache)
+            digest.update(logits.tobytes())
+            positions = positions + 1
+    print(batch, digest.hexdigest())
 """
 
 
 class TestStackedQKVDecode:
-    """A mixed round's decode step: one stacked q/k/v adapter product per block."""
+    """A mixed round's decode step: one stacked q/k/v adapter product per block.
+
+    The reference is the same fused step with the three deltas made by
+    separate products (:func:`_separate_qkv_deltas`).
+    """
 
     @pytest.fixture(scope="class")
     def round_model(self):
@@ -812,18 +924,19 @@ class TestStackedQKVDecode:
         prompts = [rng.integers(1, 64, size=length).tolist() for length in lengths]
         token_ids = rng.integers(1, 64, size=len(prompts))
         with row_adapters(model, [(rows, states[index]) for rows, index in segments]):
-            assert all(attention.qkv_adapters is not None for attention in _attentions(model))
+            assert all(attention.row_slabs is not None for attention in _attentions(model))
             stacked_cache, _, padding, positions = _primed(model, prompts)
-            parent_cache, _, _, _ = _primed(model, prompts)
+            separate_cache, _, _, _ = _primed(model, prompts)
             for _ in range(3):
                 stacked = model.decode_step(token_ids, positions, padding, stacked_cache).copy()
-                with _parent_projections(model, states, segments):
-                    parent = model.decode_step(token_ids, positions, padding, parent_cache)
-                assert np.array_equal(stacked, parent)
+                with _separate_qkv_deltas(model):
+                    separate = model.decode_step(token_ids, positions, padding, separate_cache)
+                assert np.array_equal(stacked, separate)
                 token_ids = np.argmax(stacked, axis=1)
                 positions = positions + 1
 
     def test_one_and_two_blas_threads_give_the_same_bits(self):
+        """Rounds of 1, 2, 8 and 64 rows: the same logits at 1 and 2 BLAS threads."""
         tests = Path(__file__).resolve().parent
         digests = []
         for threads in ("1", "2"):
@@ -837,8 +950,10 @@ class TestStackedQKVDecode:
                 env=env, capture_output=True, text=True, timeout=300,
             )
             assert result.returncode == 0, result.stderr
-            digests.append(result.stdout.strip())
-        assert len(digests[0]) == 64 and digests[0] == digests[1]
+            digests.append(dict(line.split() for line in result.stdout.splitlines()))
+        assert sorted(digests[0], key=int) == ["1", "2", "8", "64"]
+        for batch, digest in digests[0].items():
+            assert len(digest) == 64 and digests[1][batch] == digest, f"B = {batch}"
 
 
 class TestBatchedEvaluator:
